@@ -8,13 +8,13 @@ test:
 race:
 	go test -race ./...
 
-# Key benchmarks → BENCH_PR10.json (the cross-PR perf trajectory;
-# BENCH_PR9.json is the committed previous baseline), then the gate:
-# fail on >20% ns/op regression against the baseline. Benchmarks new in
-# this snapshot (no baseline entry) are reported one-sided, never failed.
+# Key benchmarks → the next BENCH_PR<N>.json snapshot (the cross-PR perf
+# trajectory), then the gate against the newest committed snapshot: fail
+# on >20% ns/op regression. Benchmarks new in this snapshot (no baseline
+# entry) are reported one-sided, never failed. `make bench OUT=file`
+# names the snapshot explicitly.
 bench:
-	./scripts/bench.sh BENCH_PR10.json
-	go run ./scripts/benchgate BENCH_PR9.json BENCH_PR10.json
+	./scripts/bench.sh $(OUT)
 
 # Profile the 10M-viewer fluid day under pprof: cpu.pprof and mem.pprof
 # land in the repo root; inspect with `go tool pprof cpu.pprof`.

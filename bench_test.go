@@ -232,13 +232,51 @@ func paperChannel() (queueing.Config, queueing.TransferMatrix) {
 	return cfg, p
 }
 
-// BenchmarkQueueingSolve measures one channel's Jackson solve + sizing.
+// hundredMChannel is the channel of the 100M-viewer fluid day
+// (BenchmarkFluid100MViewers): 8 chunks of 75 s on 5-slot VMs.
+func hundredMChannel() (queueing.Config, queueing.TransferMatrix) {
+	cfg := queueing.Config{
+		Chunks:          8,
+		PlaybackRate:    50e3,
+		ChunkSeconds:    75,
+		VMBandwidth:     cloud.DefaultVMBandwidth,
+		EntryFirstChunk: 0.7,
+		SlotsPerVM:      5,
+	}
+	p, err := viewing.PaperDefault(cfg.Chunks)
+	if err != nil {
+		panic(err)
+	}
+	return cfg, p
+}
+
+// BenchmarkQueueingSolve measures one channel's Jackson solve + sizing at
+// two loads: the paper's (Λ=0.25 on its 20-chunk channel, a few servers
+// per chunk) and a loaded channel at the 100M-viewer day's evening peak
+// (Λ=2000 on that day's channel, up to ~27k servers per chunk).
 func BenchmarkQueueingSolve(b *testing.B) {
-	cfg, p := paperChannel()
-	for i := 0; i < b.N; i++ {
-		if _, err := queueing.Solve(cfg, p, 0.25, 0); err != nil {
-			b.Fatal(err)
-		}
+	paperCfg, paperP := paperChannel()
+	peakCfg, peakP := hundredMChannel()
+	for _, bc := range []struct {
+		name   string
+		cfg    queueing.Config
+		p      queueing.TransferMatrix
+		lambda float64
+	}{
+		{"paper", paperCfg, paperP, 0.25},
+		{"100m-peak", peakCfg, peakP, 2000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var servers int
+			for i := 0; i < b.N; i++ {
+				eq, err := queueing.Solve(bc.cfg, bc.p, bc.lambda, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				servers = eq.TotalServers()
+			}
+			b.ReportMetric(float64(servers), "servers")
+		})
 	}
 }
 

@@ -91,6 +91,11 @@ type Ledger struct {
 	totals   LedgerTotals
 	interval LedgerTotals
 	notes    []Note
+	// noteText interns Notef messages. Control loops repeat the same few
+	// diagnostics round after round (a minute-round day writes ~1,000
+	// demand-analysis notes with ~130 distinct texts), and every copy
+	// would stay live until the run ends.
+	noteText map[string]string
 }
 
 // vmUsage is one VM cluster's allocation over an accrual window, in
@@ -230,9 +235,18 @@ func (l *Ledger) ChargeTransfer(now float64, usd float64, why string) {
 // Notef appends a timestamped diagnostic to the ledger — infeasible
 // budgets, failed storage plans, and similar events that explain a bill.
 func (l *Ledger) Notef(now float64, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.notes = append(l.notes, Note{Time: now, Msg: fmt.Sprintf(format, args...)})
+	if text, ok := l.noteText[msg]; ok {
+		msg = text
+	} else {
+		if l.noteText == nil {
+			l.noteText = make(map[string]string)
+		}
+		l.noteText[msg] = msg
+	}
+	l.notes = append(l.notes, Note{Time: now, Msg: msg})
 }
 
 // Diagnostics returns a copy of the accumulated notes, oldest first.
@@ -251,5 +265,5 @@ func (l *Ledger) reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.totals, l.interval = LedgerTotals{}, LedgerTotals{}
-	l.notes = nil
+	l.notes, l.noteText = nil, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -173,8 +174,14 @@ func TestLedgerResetAndDiagnostics(t *testing.T) {
 	}
 	led := cl.Ledger()
 	led.Notef(42, "storage plan failed: %v", "budget")
-	if notes := led.Diagnostics(); len(notes) != 1 || notes[0].Time != 42 {
+	led.Notef(43, "storage plan failed: %v", "budget")
+	notes := led.Diagnostics()
+	if len(notes) != 2 || notes[0].Time != 42 || notes[1].Time != 43 || notes[1].Msg != "storage plan failed: budget" {
 		t.Fatalf("diagnostics = %+v", notes)
+	}
+	// A repeated message is stored once and shared by both notes.
+	if unsafe.StringData(notes[0].Msg) != unsafe.StringData(notes[1].Msg) {
+		t.Error("repeated note text not interned")
 	}
 	if err := cl.SetVMs(0, "standard", 5); err != nil {
 		t.Fatal(err)

@@ -117,6 +117,10 @@ type IntervalRecord struct {
 	// DemandScale < 1 records that the budget was infeasible and demand was
 	// scaled down to fit (the paper's "increase your budget" signal).
 	DemandScale float64
+	// DemandErrors counts the channels whose demand analysis failed this
+	// round; each was planned at zero demand. The round's first error, in
+	// channel order, lands in the cloud ledger's diagnostics.
+	DemandErrors int
 	// PlanErr records a round whose VM planning failed outright (no plan
 	// was applied; the previous rental stays in force).
 	PlanErr string
@@ -167,6 +171,7 @@ type Controller struct {
 	// synchronously within the round.
 	scratchInputs  []ChannelInput
 	scratchDemands []ChannelDemand
+	scratchErrs    []error
 	scratchFlat    []provision.ChunkDemand
 }
 
@@ -314,9 +319,10 @@ func (c *Controller) wantsFuture() bool {
 // deriveOne runs the demand analysis for one channel and applies the
 // peer-supply trust and provisioning headroom, yielding the per-chunk
 // cloud demand the policy plans on. A channel whose analysis fails (e.g.
-// degenerate estimated matrix) gets zero demand rather than aborting the
-// round.
-func (c *Controller) deriveOne(cfg queueing.Config, in ChannelInput, p2pMode bool) ChannelDemand {
+// degenerate estimated matrix, or a chunk needing more servers than the
+// search bound) gets zero demand rather than aborting the round; the
+// error is returned for the caller to count and report.
+func (c *Controller) deriveOne(cfg queueing.Config, in ChannelInput, p2pMode bool) (ChannelDemand, error) {
 	if in.Transfer == nil {
 		in.Transfer = c.opts.FallbackTransfer
 	}
@@ -325,7 +331,7 @@ func (c *Controller) deriveOne(cfg queueing.Config, in ChannelInput, p2pMode boo
 		return ChannelDemand{
 			CloudDemand: make([]float64, cfg.Chunks),
 			PeerSupply:  make([]float64, cfg.Chunks),
-		}
+		}, err
 	}
 	// Apply peer-supply trust and provisioning headroom against the full
 	// equilibrium capacity (Δ = capacity − trust·Γ, then slack).
@@ -336,7 +342,7 @@ func (c *Controller) deriveOne(cfg queueing.Config, in ChannelInput, p2pMode boo
 		}
 		d.CloudDemand[i] = delta * c.opts.ProvisionHeadroom
 	}
-	return d
+	return d, nil
 }
 
 // futureDemands forecasts per-chunk demand for the k intervals after the
@@ -380,7 +386,8 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 			if in.ArrivalRate == prevRate {
 				steps[step-1][ch] = prev
 			} else {
-				steps[step-1][ch] = c.deriveOne(cfg, in, p2pMode)
+				//cloudmedia:allow noloss -- a failed forecast step plans at zero demand like a failed current round; DemandErrors counts the current round's failures
+				steps[step-1][ch], _ = c.deriveOne(cfg, in, p2pMode)
 			}
 			prev, prevRate = steps[step-1][ch], in.ArrivalRate
 		}
@@ -392,16 +399,20 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 	return future
 }
 
-// reduceDemands folds the sharded per-channel demands into the record's
-// cross-channel totals. It runs serially after the derive fan-out, in
-// ascending channel order with the per-chunk interleaving the old fused
-// loop used (DemandPerChannel[ch] and TotalDemand advance together, chunk
-// by chunk, then the peer supply), so the canonical accumulation order —
-// and with it every golden — is unchanged by the sharding.
+// reduceDemands folds the sharded per-channel demands and analysis errors
+// into the record's cross-channel totals. It runs serially after the
+// derive fan-out, in ascending channel order with the per-chunk
+// interleaving the old fused loop used (DemandPerChannel[ch] and
+// TotalDemand advance together, chunk by chunk, then the peer supply), so
+// the canonical accumulation order — and with it every golden — is
+// unchanged by the sharding.
 //
 //cloudmedia:hotpath
-func (c *Controller) reduceDemands(rec *IntervalRecord, demands []ChannelDemand) {
+func (c *Controller) reduceDemands(rec *IntervalRecord, demands []ChannelDemand, errs []error) {
 	for ch := range demands {
+		if errs[ch] != nil {
+			rec.DemandErrors++
+		}
 		d := demands[ch]
 		for _, delta := range d.CloudDemand {
 			rec.DemandPerChannel[ch] += delta
@@ -430,21 +441,26 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	}
 	if cap(c.scratchDemands) < len(inputs) {
 		c.scratchDemands = make([]ChannelDemand, len(inputs))
+		c.scratchErrs = make([]error, len(inputs))
 	}
 	// Shard the demand derivation per channel: each shard reads its own
 	// input (plus the pure TrueRates/analysis paths) and writes only its
-	// slots of demands and rec.ArrivalRates. The cross-channel totals are
-	// reduced afterwards, serially.
+	// slots of demands, errs and rec.ArrivalRates. The cross-channel
+	// totals are reduced afterwards, serially.
 	demands := c.scratchDemands[:len(inputs)]
+	errs := c.scratchErrs[:len(inputs)]
 	c.forEachChannel(len(inputs), func(ch int) {
 		in := inputs[ch]
 		if oracle {
 			in.ArrivalRate = c.opts.TrueRates(ch, now, now+c.opts.IntervalSeconds)
 		}
 		rec.ArrivalRates[ch] = in.ArrivalRate
-		demands[ch] = c.deriveOne(cfg, in, p2pMode)
+		demands[ch], errs[ch] = c.deriveOne(cfg, in, p2pMode)
 	})
-	c.reduceDemands(&rec, demands)
+	c.reduceDemands(&rec, demands, errs)
+	if rec.DemandErrors > 0 {
+		c.noteDemandErrors(now, errs, rec.DemandErrors)
+	}
 
 	catalog := c.broker.Negotiate()
 	vmSpecs := make([]cloud.VMClusterSpec, 0, len(catalog.VMClusters))
@@ -495,6 +511,18 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 
 	c.apply(now, res.VMPlan, res.StoragePlan, catalog.VMBandwidth, demands)
 	c.finish(now, rec)
+}
+
+// noteDemandErrors writes the round's one ledger note for failed demand
+// analyses, carrying the first error in channel order.
+func (c *Controller) noteDemandErrors(now float64, errs []error, n int) {
+	for ch, err := range errs {
+		if err != nil {
+			c.cl.Ledger().Notef(now, "demand analysis failed on %d of %d channels, planned at zero demand; first, channel %d: %v",
+				n, len(errs), ch, err)
+			return
+		}
+	}
 }
 
 // finish settles the bill for the interval that just ended, stamps it on

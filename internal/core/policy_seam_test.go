@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -103,6 +104,56 @@ func TestVMPlanFailureIsVisible(t *testing.T) {
 	}
 	if len(cl.Ledger().Diagnostics()) == 0 {
 		t.Error("no ledger diagnostic for the failed VM plan")
+	}
+}
+
+// TestDemandErrorsAreVisible: a channel whose demand analysis fails is
+// planned at zero demand, counted on the record, and reported in one
+// ledger note carrying the first error in channel order — the same
+// record for every controller worker count.
+func TestDemandErrorsAreVisible(t *testing.T) {
+	ensureParallelHost(t, 4)
+	var serial IntervalRecord
+	for _, workers := range []int{1, 4} {
+		s, cl, broker, transfer := buildStack(t)
+		ctl, err := NewController(s, cl, broker, Options{
+			IntervalSeconds:    600,
+			FallbackTransfer:   transfer,
+			MaxServersPerChunk: 1, // a loaded chunk needs more: its sizing fails
+			Workers:            workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := flatInputs(s, transfer, 0) // idle channels size nothing
+		for ch := 1; ch < len(inputs); ch++ {
+			inputs[ch].ArrivalRate = 5
+		}
+		ctl.Provision(0, inputs)
+		rec := ctl.Records()[0]
+		if want := len(inputs) - 1; rec.DemandErrors != want {
+			t.Fatalf("Workers=%d: DemandErrors = %d, want %d", workers, rec.DemandErrors, want)
+		}
+		if rec.TotalDemand != 0 {
+			t.Errorf("Workers=%d: failed channels still demand %v", workers, rec.TotalDemand)
+		}
+		var demandNotes []string
+		for _, n := range cl.Ledger().Diagnostics() {
+			if strings.Contains(n.Msg, "demand analysis failed") {
+				demandNotes = append(demandNotes, n.Msg)
+			}
+		}
+		if len(demandNotes) != 1 {
+			t.Fatalf("Workers=%d: %d demand-analysis notes, want one per round: %q", workers, len(demandNotes), demandNotes)
+		}
+		if !strings.Contains(demandNotes[0], "failed on 2 of 3 channels") || !strings.Contains(demandNotes[0], "channel 1: core: demand analysis: queueing: sizing chunk") {
+			t.Errorf("Workers=%d: note %q, want the count and channel 1's sizing error", workers, demandNotes[0])
+		}
+		if workers == 1 {
+			serial = rec
+		} else if !reflect.DeepEqual(serial, rec) {
+			t.Errorf("Workers=%d: record %+v diverged from serial %+v", workers, rec, serial)
+		}
 	}
 }
 

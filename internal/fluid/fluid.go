@@ -2,7 +2,6 @@ package fluid
 
 import (
 	"fmt"
-	"math"
 
 	"cloudmedia/internal/queueing"
 	"cloudmedia/internal/sim"
@@ -515,7 +514,7 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 			drained = queue
 		}
 		bytes := drained * B
-		peerShare := math.Min(bytes, peerCap[j]*dt)
+		peerShare := min(bytes, peerCap[j]*dt)
 		served += bytes - peerShare
 
 		waiting[j] = queue - drained
@@ -595,7 +594,7 @@ func (b *Backend) allocatePeers(c int) {
 			take := 0.0
 			if owners[j] > 0 && total > 0 {
 				share := budget * demand[j] / total
-				take = math.Min(demand[j], math.Min(share, owners[j]*b.meanUplink))
+				take = min(demand[j], share, owners[j]*b.meanUplink)
 			}
 			peerCap[j] = take
 		}
@@ -620,7 +619,7 @@ func (b *Backend) allocatePeers(c int) {
 	for _, j := range order {
 		take := 0.0
 		if owners[j] > 0 && budget > 0 {
-			take = math.Min(demand[j], math.Min(budget, owners[j]*b.meanUplink))
+			take = min(demand[j], budget, owners[j]*b.meanUplink)
 		}
 		peerCap[j] = take
 		budget -= take

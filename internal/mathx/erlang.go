@@ -29,15 +29,21 @@ func ErlangC(m int, a float64) float64 {
 	if a <= 0 {
 		return 0
 	}
-	mm := float64(m)
-	if a >= mm {
+	if a >= float64(m) {
 		return 1
 	}
-	b := ErlangB(m, a)
+	return erlangCFromB(m, a, ErlangB(m, a))
+}
+
+// erlangCFromB converts a stable queue's Erlang-B value b = B(m, a) into
+// the Erlang-C delay probability C(m, a) = m·B / (m − a·(1 − B)).
+func erlangCFromB(m int, a, b float64) float64 {
+	mm := float64(m)
 	return mm * b / (mm - a*(1-b))
 }
 
-// MMm describes a stable M/M/m queue in equilibrium. Construct with NewMMm.
+// MMm describes a stable M/M/m queue in equilibrium. Construct with NewMMm,
+// or size one with MinServersForSojourn.
 type MMm struct {
 	Lambda  float64 // arrival rate λ (jobs per unit time)
 	Mu      float64 // per-server service rate µ
@@ -153,46 +159,109 @@ func (q MMm) emptyProbability() float64 {
 	return 1 / sum
 }
 
-// MinServersForSojourn returns the smallest server count m such that the
-// M/M/m queue with rates (λ, µ) is stable and has mean sojourn time at most
-// target. This is the paper's iterative sizing rule from Sec. IV-B:
-// start at m=1 and grow m until E[n] ≤ λ·T₀ (equivalently E[T] ≤ T₀ by
-// Little's law). maxServers bounds the search; if the target is unreachable
-// within the bound an error is returned.
-func MinServersForSojourn(lambda, mu, target float64, maxServers int) (int, error) {
-	switch {
-	case lambda < 0:
-		return 0, fmt.Errorf("mathx: negative arrival rate %v", lambda)
-	case mu <= 0:
-		return 0, fmt.Errorf("mathx: non-positive service rate %v", mu)
-	case target <= 0:
-		return 0, fmt.Errorf("mathx: non-positive sojourn target %v", target)
-	case maxServers <= 0:
-		return 0, fmt.Errorf("mathx: non-positive server bound %d", maxServers)
+// seriesThreshold is the offered load a = λ/µ from which the sizing search
+// seeds B(start, a) with erlangBSeries instead of the O(a) recurrence.
+// Below it the search runs the exact recurrence, so every paper-scale
+// sizing is bit-identical to ErlangB.
+const seriesThreshold = 1000
+
+// seriesEpsilon is the relative size, against the running sum, below which
+// erlangBSeries drops the remaining (decreasing) terms.
+const seriesEpsilon = 1e-17
+
+// erlangBSeries returns B(m, a) for a stable queue (m > a) from
+//
+//	1/B(m, a) = Σ_{k=0..m} m!/((m−k)!·a^k) = Σ_k Π_{i<k} (m−i)/a,
+//
+// cut off once the terms, which shrink from k ≈ m−a on, fall below
+// seriesEpsilon of the sum. With m just above a the terms decay like
+// exp(−k²/2a), so the cut comes after O(√a) terms instead of the
+// recurrence's m steps. It agrees with ErlangB to ~1e-14 relative error
+// over the loads the simulator sizes (pinned by the mathx tests).
+func erlangBSeries(m int, a float64) float64 {
+	sum, term := 1.0, 1.0
+	for k := 0; k < m; k++ {
+		ratio := float64(m-k) / a
+		term *= ratio
+		sum += term
+		if ratio < 1 && term < seriesEpsilon*sum {
+			break
+		}
+	}
+	return 1 / sum
+}
+
+// MinServersForSojourn returns the M/M/m queue with the smallest server
+// count m that is stable with rates (λ, µ) and has mean sojourn time at
+// most target. This is the paper's iterative sizing rule from Sec. IV-B:
+// grow m from the smallest stable value until E[n] ≤ λ·T₀ (equivalently
+// E[T] ≤ T₀ by Little's law). maxServers bounds the search; if the target
+// is unreachable within the bound an error is returned.
+//
+// The search evaluates B(start, a) once — by the recurrence below
+// seriesThreshold, by erlangBSeries above it — and then advances
+// B(m) → B(m+1) with one recurrence step per further candidate. A search
+// costs O(a) below the threshold and O(√a) above it, plus one step per
+// candidate, where restarting the recurrence cost O(a) per candidate.
+// Below the threshold every candidate equals NewMMm(λ, µ, m) bit for bit.
+//
+//cloudmedia:hotpath
+func MinServersForSojourn(lambda, mu, target float64, maxServers int) (MMm, error) {
+	if err := sizingInputError(lambda, mu, target, maxServers); err != nil {
+		return MMm{}, err
 	}
 	if lambda == 0 {
 		// A single server serves the (nonexistent) load; sojourn is 1/µ.
-		if 1/mu <= target {
-			return 1, nil
-		}
-		return 0, fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
+		return MMm{Mu: mu, Servers: 1}, nil
 	}
-	if 1/mu > target {
-		// Even with zero waiting the service time alone misses the target.
-		return 0, fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
-	}
-	start := int(math.Floor(lambda/mu)) + 1 // smallest stable m
+	a := lambda / mu
+	start := int(math.Floor(a)) + 1 // smallest stable m
 	if start < 1 {
 		start = 1
 	}
-	for m := start; m <= maxServers; m++ {
-		q, err := NewMMm(lambda, mu, m)
-		if err != nil {
-			continue
-		}
-		if q.MeanSojourn() <= target {
-			return m, nil
-		}
+	if start > maxServers {
+		return MMm{}, unreachableError(lambda, mu, target, maxServers)
 	}
-	return 0, fmt.Errorf("mathx: no m ≤ %d meets sojourn target %v (λ=%v µ=%v)", maxServers, target, lambda, mu)
+	var b float64
+	if a >= seriesThreshold {
+		b = erlangBSeries(start, a)
+	} else {
+		b = ErlangB(start, a)
+	}
+	for m := start; ; m++ {
+		if a < float64(m) {
+			q := MMm{Lambda: lambda, Mu: mu, Servers: m, offered: a, delayP: erlangCFromB(m, a, b)}
+			if q.MeanSojourn() <= target {
+				return q, nil
+			}
+		}
+		if m == maxServers {
+			return MMm{}, unreachableError(lambda, mu, target, maxServers)
+		}
+		b = a * b / (float64(m+1) + a*b)
+	}
+}
+
+// sizingInputError validates MinServersForSojourn's arguments, including
+// the case no server count can fix: a service time alone above target.
+func sizingInputError(lambda, mu, target float64, maxServers int) error {
+	switch {
+	case lambda < 0:
+		return fmt.Errorf("mathx: negative arrival rate %v", lambda)
+	case mu <= 0:
+		return fmt.Errorf("mathx: non-positive service rate %v", mu)
+	case target <= 0:
+		return fmt.Errorf("mathx: non-positive sojourn target %v", target)
+	case maxServers <= 0:
+		return fmt.Errorf("mathx: non-positive server bound %d", maxServers)
+	case 1/mu > target:
+		// Even with zero waiting the service time alone misses the target.
+		return fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
+	}
+	return nil
+}
+
+// unreachableError reports a sojourn target no m ≤ maxServers meets.
+func unreachableError(lambda, mu, target float64, maxServers int) error {
+	return fmt.Errorf("mathx: no m ≤ %d meets sojourn target %v (λ=%v µ=%v)", maxServers, target, lambda, mu)
 }

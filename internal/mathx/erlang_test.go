@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -122,16 +123,13 @@ func TestMMmMeanJobsMatchesStateSum(t *testing.T) {
 
 func TestMinServersForSojourn(t *testing.T) {
 	// λ=10/s, µ=1/s: need at least 11 servers for stability.
-	m, err := MinServersForSojourn(10, 1, 1.5, 1000)
+	q, err := MinServersForSojourn(10, 1, 1.5, 1000)
 	if err != nil {
 		t.Fatalf("MinServersForSojourn: %v", err)
 	}
+	m := q.Servers
 	if m < 11 {
 		t.Errorf("m = %d, want at least 11 (stability)", m)
-	}
-	q, err := NewMMm(10, 1, m)
-	if err != nil {
-		t.Fatalf("NewMMm(%d): %v", m, err)
 	}
 	if q.MeanSojourn() > 1.5 {
 		t.Errorf("sojourn %v exceeds target at m=%d", q.MeanSojourn(), m)
@@ -146,12 +144,16 @@ func TestMinServersForSojourn(t *testing.T) {
 }
 
 func TestMinServersForSojournZeroLoad(t *testing.T) {
-	m, err := MinServersForSojourn(0, 1, 2, 10)
+	q, err := MinServersForSojourn(0, 1, 2, 10)
 	if err != nil {
 		t.Fatalf("MinServersForSojourn: %v", err)
 	}
-	if m != 1 {
-		t.Errorf("m = %d, want 1 for zero load", m)
+	want, err := NewMMm(0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q != want {
+		t.Errorf("zero load sized %+v, want %+v", q, want)
 	}
 }
 
@@ -166,7 +168,7 @@ func TestMinServersForSojournUnreachable(t *testing.T) {
 	}
 }
 
-// TestMinServersProperty: the returned m is always stable, meets the
+// TestMinServersProperty: the returned queue is always stable, meets the
 // target, and is minimal.
 func TestMinServersProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -175,18 +177,14 @@ func TestMinServersProperty(t *testing.T) {
 		lambda := 0.5 + r.Float64()*30
 		mu := 0.5 + r.Float64()*3
 		target := 1/mu + r.Float64()*5 // always reachable
-		m, err := MinServersForSojourn(lambda, mu, target, 100000)
-		if err != nil {
-			return false
-		}
-		q, err := NewMMm(lambda, mu, m)
+		q, err := MinServersForSojourn(lambda, mu, target, 100000)
 		if err != nil || q.MeanSojourn() > target+1e-9 {
 			return false
 		}
-		if m == 1 {
+		if q.Servers == 1 {
 			return true
 		}
-		prev, err := NewMMm(lambda, mu, m-1)
+		prev, err := NewMMm(lambda, mu, q.Servers-1)
 		if err != nil {
 			return true // m−1 unstable → minimal
 		}
@@ -194,6 +192,141 @@ func TestMinServersProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+}
+
+// restartSearch is the sizing search as first written, kept as the test
+// oracle: every candidate m restarts the Erlang-B recurrence from k = 1
+// through NewMMm.
+func restartSearch(lambda, mu, target float64, maxServers int) (int, error) {
+	switch {
+	case lambda < 0:
+		return 0, fmt.Errorf("mathx: negative arrival rate %v", lambda)
+	case mu <= 0:
+		return 0, fmt.Errorf("mathx: non-positive service rate %v", mu)
+	case target <= 0:
+		return 0, fmt.Errorf("mathx: non-positive sojourn target %v", target)
+	case maxServers <= 0:
+		return 0, fmt.Errorf("mathx: non-positive server bound %d", maxServers)
+	}
+	if lambda == 0 {
+		if 1/mu <= target {
+			return 1, nil
+		}
+		return 0, fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
+	}
+	if 1/mu > target {
+		return 0, fmt.Errorf("mathx: service time 1/µ=%v exceeds target %v", 1/mu, target)
+	}
+	start := int(math.Floor(lambda/mu)) + 1
+	if start < 1 {
+		start = 1
+	}
+	for m := start; m <= maxServers; m++ {
+		q, err := NewMMm(lambda, mu, m)
+		if err != nil {
+			continue
+		}
+		if q.MeanSojourn() <= target {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("mathx: no m ≤ %d meets sojourn target %v (λ=%v µ=%v)", maxServers, target, lambda, mu)
+}
+
+// Below seriesThreshold the incremental search must reproduce the
+// restart oracle exactly: the same m, and a queue == NewMMm(λ, µ, m) in
+// every field, down to the last bit of the Erlang-C probability.
+func TestIncrementalSearchBitIdenticalBelowThreshold(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for n := 0; n < 2000; n++ {
+		mu := 0.05 + r.Float64()*4
+		a := r.Float64() * seriesThreshold
+		if n%4 == 0 {
+			a = r.Float64() * 20 // the paper-scale loads
+		}
+		lambda := a * mu
+		target := (1 + r.Float64()*r.Float64()*3) / mu // tight to loose
+		maxServers := 100000
+		if n%10 == 0 {
+			maxServers = int(a) + 1 + r.Intn(4) // some searches hit the bound
+		}
+		want, wantErr := restartSearch(lambda, mu, target, maxServers)
+		got, err := MinServersForSojourn(lambda, mu, target, maxServers)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("λ=%v µ=%v T=%v max=%d: err %v, oracle err %v", lambda, mu, target, maxServers, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		ref, rerr := NewMMm(lambda, mu, want)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if got != ref {
+			t.Fatalf("λ=%v µ=%v T=%v: sized %+v, oracle %+v", lambda, mu, target, got, ref)
+		}
+	}
+}
+
+// Above seriesThreshold the series seed must agree with the exact
+// recurrence to 1e-12 relative error, and the sized m must match the
+// restart oracle on every sampled load.
+func TestSeriesMatchesRecurrenceAboveThreshold(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	worst := 0.0
+	for n := 0; n < 200; n++ {
+		a := seriesThreshold * math.Pow(200, r.Float64()) // log-uniform over [1e3, 2e5]
+		for _, m := range []int{int(a) + 1, int(a) + 1 + r.Intn(int(math.Sqrt(a))*4+1)} {
+			exact := ErlangB(m, a)
+			if rel := math.Abs(erlangBSeries(m, a)-exact) / exact; rel > worst {
+				worst = rel
+			}
+		}
+	}
+	if worst > 1e-12 {
+		t.Fatalf("series vs recurrence: worst relative error %.3g > 1e-12", worst)
+	}
+	t.Logf("series vs recurrence: worst relative error %.3g", worst)
+
+	for n := 0; n < 20; n++ {
+		mu := 0.5 + r.Float64()*2
+		a := seriesThreshold * math.Pow(200, r.Float64())
+		lambda := a * mu
+		target := (1 + r.Float64()*r.Float64()*0.05) / mu
+		want, wantErr := restartSearch(lambda, mu, target, 300000)
+		got, err := MinServersForSojourn(lambda, mu, target, 300000)
+		if wantErr != nil || err != nil {
+			t.Fatalf("λ=%v µ=%v T=%v: err %v, oracle err %v", lambda, mu, target, err, wantErr)
+		}
+		if got.Servers != want {
+			t.Fatalf("λ=%v µ=%v T=%v: m=%d, oracle m=%d", lambda, mu, target, got.Servers, want)
+		}
+	}
+}
+
+// The error paths report exactly what the restart search reported.
+func TestSizingErrorsMatchOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		lambda, mu, target float64
+		maxServers         int
+	}{
+		{"negative λ", -1, 1, 1, 10},
+		{"zero µ", 1, 0, 1, 10},
+		{"zero target", 1, 1, 0, 10},
+		{"zero bound", 1, 1, 2, 0},
+		{"zero load, service too slow", 0, 0.1, 1, 10},
+		{"service too slow", 1, 0.1, 1, 100},
+		{"start above bound", 1000, 1, 2000, 5},
+		{"start above bound, series", 5e4, 1, 2000, 4e4},
+		{"bound reached", 10, 1, 1.0001, 11},
+	} {
+		_, want := restartSearch(tc.lambda, tc.mu, tc.target, tc.maxServers)
+		_, got := MinServersForSojourn(tc.lambda, tc.mu, tc.target, tc.maxServers)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: err %v, oracle err %v", tc.name, got, want)
+		}
 	}
 }
 
@@ -209,5 +342,31 @@ func TestSojournMonotoneInServers(t *testing.T) {
 		} else {
 			prev = s
 		}
+	}
+}
+
+// BenchmarkSizeForSojourn measures one M/M/m sizing search at offered
+// loads a = λ/µ of 10 (paper scale), 1e3 (the series threshold) and 1e5
+// (the 100M-viewer day), with that day's µ = 1/15 and T₀ = 75 s.
+func BenchmarkSizeForSojourn(b *testing.B) {
+	const mu, target = 1.0 / 15, 75
+	for _, bc := range []struct {
+		name string
+		a    float64
+	}{
+		{"a=10", 10.3},
+		{"a=1e3", 1000.3},
+		{"a=1e5", 100000.3},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var q MMm
+			for i := 0; i < b.N; i++ {
+				var err error
+				if q, err = MinServersForSojourn(bc.a*mu, mu, target, 1_000_000); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(q.Servers), "servers")
+		})
 	}
 }

@@ -212,17 +212,13 @@ func Solve(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equili
 			continue // idle chunk: no capacity needed
 		}
 		eq.ViewerLoad[i] = li * cfg.ChunkSeconds
-		m, err := mathx.MinServersForSojourn(li, mu, cfg.ChunkSeconds, maxServers)
+		q, err := mathx.MinServersForSojourn(li, mu, cfg.ChunkSeconds, maxServers)
 		if err != nil {
 			return Equilibrium{}, fmt.Errorf("queueing: sizing chunk %d: %w", i, err)
 		}
-		q, err := mathx.NewMMm(li, mu, m)
-		if err != nil {
-			return Equilibrium{}, fmt.Errorf("queueing: chunk %d: %w", i, err)
-		}
-		eq.Servers[i] = m
+		eq.Servers[i] = q.Servers
 		eq.MeanUsers[i] = q.MeanJobs()
-		eq.Capacity[i] = cfg.SlotBandwidth() * float64(m)
+		eq.Capacity[i] = cfg.SlotBandwidth() * float64(q.Servers)
 	}
 	return eq, nil
 }

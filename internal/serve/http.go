@@ -12,7 +12,8 @@ import (
 // NewHandler builds the observability mux:
 //
 //	/metrics — Prometheus text exposition (version 0.0.4)
-//	/healthz — liveness, "ok\n"
+//	/healthz — readiness: "ok\n" once the run has reached its first
+//	           control barrier, 503 "starting\n" before
 //	/state   — full JSON state snapshot, plus the aggregated timeline
 //	           when a Rolling store is supplied (nil is fine)
 func NewHandler(m *Metrics, r *Rolling) http.Handler {
@@ -24,8 +25,13 @@ func NewHandler(m *Metrics, r *Rolling) http.Handler {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		body := "ok\n"
+		if !m.Ready() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			body = "starting\n"
+		}
 		//cloudmedia:allow noloss -- HTTP response write; a disconnected client is not actionable here
-		_, _ = w.Write([]byte("ok\n"))
+		_, _ = w.Write([]byte(body))
 	})
 	mux.HandleFunc("/state", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

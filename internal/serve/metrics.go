@@ -47,6 +47,10 @@ type State struct {
 	SimSeconds  float64 `json:"sim_seconds"`
 	RealSeconds float64 `json:"real_seconds"`
 	TimeScale   float64 `json:"time_scale"`
+	Channels    int     `json:"channels"`
+	// Ready turns true at the run's first control barrier, once stack
+	// assembly and the t=0 bootstrap round are done.
+	Ready bool `json:"ready"`
 
 	Viewers           int       `json:"viewers"`
 	ViewersPerChannel []int     `json:"viewers_per_channel,omitempty"`
@@ -93,14 +97,33 @@ func NewMetrics() *Metrics {
 	return &Metrics{st: State{DemandScale: 1, Quality: 1}}
 }
 
-// ObserveClock records the pacing state: simulated seconds, real seconds
-// since the clock started, and the configured time scale.
+// ObserveRun records the static facts of a run — the configured time
+// scale and the channel count — so a scrape that lands before the first
+// control barrier already reports them. Simulated time starts at 0.
+func (m *Metrics) ObserveRun(timeScale float64, channels int) {
+	m.mu.Lock()
+	m.st.TimeScale = timeScale
+	m.st.Channels = channels
+	m.mu.Unlock()
+}
+
+// ObserveClock records the pacing state at a control barrier: simulated
+// seconds, real seconds since the clock started, and the configured time
+// scale. The first call marks the run ready.
 func (m *Metrics) ObserveClock(simSeconds, realSeconds, timeScale float64) {
 	m.mu.Lock()
 	m.st.SimSeconds = simSeconds
 	m.st.RealSeconds = realSeconds
 	m.st.TimeScale = timeScale
+	m.st.Ready = true
 	m.mu.Unlock()
+}
+
+// Ready reports whether the run has reached its first control barrier.
+func (m *Metrics) Ready() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.st.Ready
 }
 
 // ObserveSnapshot records one periodic measurement.
@@ -209,6 +232,8 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 
 	p := promWriter{w: w}
 	p.gauge("cloudmedia_up", "Whether the serve control plane is running.", 1)
+	p.gauge("cloudmedia_ready", "Whether the run has reached its first control barrier.", boolGauge(st.Ready))
+	p.gauge("cloudmedia_channels", "Channels in the served scenario.", float64(st.Channels))
 	p.gauge("cloudmedia_sim_seconds", "Simulated time reached by the paced run.", st.SimSeconds)
 	p.gauge("cloudmedia_real_seconds", "Wall-clock seconds since the pacing clock started.", st.RealSeconds)
 	p.gauge("cloudmedia_time_scale", "Configured time compression factor (simulated/real).", st.TimeScale)
@@ -289,6 +314,13 @@ func (p *promWriter) scalar(name, help, kind string, v float64) {
 
 func (p *promWriter) gauge(name, help string, v float64)   { p.scalar(name, help, "gauge", v) }
 func (p *promWriter) counter(name, help string, v float64) { p.scalar(name, help, "counter", v) }
+
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 func channelLabel(c int) string { return fmt.Sprintf(`channel="%d"`, c) }
 

@@ -193,6 +193,11 @@ func TestHTTPEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
+	// Not ready until the first control barrier observes the clock.
+	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || body != "starting\n" {
+		t.Fatalf("/healthz before the first barrier = %d %q", code, body)
+	}
+	m.ObserveClock(100, 1, 100)
 	if code, body := get("/healthz"); code != 200 || body != "ok\n" {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}

@@ -120,6 +120,13 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 	}
 
 	metrics := iserve.NewMetrics()
+	// Publish the static run facts before the endpoint starts serving: a
+	// scrape may land before the first control barrier.
+	channels := sc.Workload.Channels
+	if sc.Source != nil {
+		channels = sc.Source.NumChannels()
+	}
+	metrics.ObserveRun(timeScale, channels)
 	rolling, err := iserve.NewRolling(0, sc.SampleSeconds)
 	if err != nil {
 		return nil, err

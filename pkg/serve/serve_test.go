@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -142,13 +143,20 @@ func TestServeHTTPDuringRun(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	resp, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/healthz = %d", resp.StatusCode)
+	// /healthz turns ready at the first control barrier.
+	for {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == 200 {
+			break
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || time.Now().After(deadline) {
+			t.Fatalf("/healthz = %d", resp.StatusCode)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	out := <-done
@@ -163,6 +171,70 @@ func TestServeHTTPDuringRun(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("endpoint still up after the run drained")
+	}
+}
+
+// A scrape that lands before the first control barrier — here, while the
+// t=0 bootstrap round is held open — already sees the run's static facts,
+// and /healthz reports not-ready until the barrier passes.
+func TestServeScrapeBeforeFirstBarrier(t *testing.T) {
+	sc := testScenario(t, simulate.FidelityFluid)
+	sc.Serve.Clock = simulate.ClockReal
+	sc.Serve.TimeScale = 50000
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + ln.Addr().String()
+
+	inBootstrap, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	hold := simulate.OnInterval(func(rec simulate.IntervalRecord) {
+		if rec.Time == 0 {
+			close(inBootstrap)
+			<-release
+		}
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := serve.Run(context.Background(), sc, serve.WithListener(ln), serve.WithRunOptions(hold))
+		done <- err
+	}()
+	<-inBootstrap
+
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	code, body := get("/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics = %d", code)
+	}
+	channels := fmt.Sprintf("cloudmedia_channels %d", sc.Workload.Channels)
+	for _, want := range []string{"cloudmedia_time_scale 50000", channels, "cloudmedia_ready 0", "cloudmedia_sim_seconds 0"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics before the first barrier missing %q", want)
+		}
+	}
+	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || body != "starting\n" {
+		t.Errorf("/healthz before the first barrier = %d %q, want 503 starting", code, body)
+	}
+
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,13 +1,29 @@
 #!/usr/bin/env bash
-# Runs the key benchmarks and emits a machine-readable BENCH_PR10.json so
-# the perf trajectory is tracked across PRs (earlier BENCH_PR*.json files
-# stay committed as baselines). CI runs this and then gates the result
-# against the previous snapshot with scripts/benchgate; run locally with
-# `make bench`.
+# Runs the key benchmarks, writes a machine-readable BENCH_PR<N>.json
+# snapshot so the perf trajectory is tracked across PRs (earlier
+# snapshots stay committed as baselines), and gates it with
+# scripts/benchgate against the newest committed snapshot. CI and
+# `make bench` run it.
+#
+#   ./scripts/bench.sh [OUT]
+#
+# The baseline is the committed BENCH_PR<N>.json with the highest N other
+# than OUT; OUT defaults to BENCH_PR<N+1>.json. Nothing needs editing
+# when a new snapshot is committed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR10.json}"
+snapshots() {
+    { git ls-files 'BENCH_PR*.json' 2>/dev/null || ls BENCH_PR*.json; } |
+        sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$/\1/p' | sort -n
+}
+latest="$(snapshots | tail -n 1)"
+if [ -z "$latest" ]; then
+    echo "bench.sh: no committed BENCH_PR*.json baseline" >&2
+    exit 1
+fi
+OUT="${1:-BENCH_PR$((latest + 1)).json}"
+BASE="$(snapshots | sed 's/.*/BENCH_PR&.json/' | { grep -vxF "$OUT" || true; } | tail -n 1)"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
@@ -25,9 +41,12 @@ go test -run '^$' -bench 'BenchmarkFluidMillionViewers$|BenchmarkFluid10MViewers
     -benchtime 1x -count=3 . | tee -a "$TMP"
 
 # Solver benches are sub-millisecond: a single iteration is all warm-up
-# jitter, so give them enough rounds for a stable ns/op.
+# jitter, so give them enough rounds for a stable ns/op. QueueingSolve
+# runs at the paper's load and at a 100M-day peak channel's;
+# SizeForSojourn is the M/M/m sizing search alone at a = 10, 1e3, 1e5.
 go test -run '^$' -bench 'BenchmarkQueueingSolve$|BenchmarkP2PSolve$' \
     -benchtime 100x -count=3 . | tee -a "$TMP"
+go test -run '^$' -bench 'BenchmarkSizeForSojourn$' -benchtime 20000x -count=3 ./internal/mathx | tee -a "$TMP"
 
 # Hot-path micro benches: enough iterations for stable ns/op and the
 # allocs/op guard to mean something.
@@ -73,3 +92,9 @@ END {
 }' "$TMP" > "$OUT"
 
 echo "wrote $OUT"
+
+if [ -z "$BASE" ]; then
+    echo "bench.sh: no baseline other than $OUT; gate skipped" >&2
+    exit 0
+fi
+go run ./scripts/benchgate "$BASE" "$OUT"
