@@ -18,6 +18,7 @@ import (
 	"cloudmedia/internal/provision"
 	"cloudmedia/internal/queueing"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 	"cloudmedia/internal/viewing"
 	"cloudmedia/internal/workload"
 	"cloudmedia/pkg/plan"
@@ -26,8 +27,8 @@ import (
 )
 
 // benchScenario is the short-horizon configuration the figure benches use.
-func benchScenario(mode sim.Mode) experiments.Scenario {
-	sc := experiments.DefaultScenario(mode, 1)
+func benchScenario(mode sim.Mode) stack.Scenario {
+	sc := stack.DefaultScenario(mode, 1)
 	sc.Hours = 2
 	sc.IntervalSeconds = 1800
 	sc.SampleSeconds = 600
@@ -192,7 +193,7 @@ func BenchmarkFig11PeerBandwidth(b *testing.B) {
 func BenchmarkVMStartupLatency(b *testing.B) {
 	var boot float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.VMLatency(experiments.Scenario{})
+		res, err := experiments.VMLatency(stack.Scenario{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func BenchmarkVMStartupLatency(b *testing.B) {
 func BenchmarkStorageCostLibrary(b *testing.B) {
 	var perDay float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.StorageCost(experiments.DefaultScenario(sim.P2P, 1))
+		res, err := experiments.StorageCost(stack.DefaultScenario(sim.P2P, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -588,7 +589,7 @@ func BenchmarkFluid100MViewers(b *testing.B) {
 // sharding: the same 12-channel scenario stepped serially and with the
 // pool (results are identical; only wall time moves).
 func BenchmarkEventParallelChannels(b *testing.B) {
-	base := experiments.DefaultScenario(sim.ClientServer, 2)
+	base := stack.DefaultScenario(sim.ClientServer, 2)
 	for _, workers := range []int{1, 0} { // 0 = GOMAXPROCS-bounded
 		name := "serial"
 		if workers == 0 {

@@ -15,6 +15,7 @@ var enginePackages = map[string]bool{
 	"cloudmedia/internal/geo":       true,
 	"cloudmedia/internal/provision": true,
 	"cloudmedia/internal/sim":       true,
+	"cloudmedia/internal/stack":     true,
 	"cloudmedia/internal/trace":     true,
 	"cloudmedia/internal/workload":  true,
 }

@@ -603,7 +603,7 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 // scheduled callback or between RunUntil calls), like every backend
 // interaction.
 func (c *Controller) SetCapacityFactor(now, factor float64) error {
-	if factor < 0 || factor > 1 {
+	if !(factor >= 0 && factor <= 1) { // NaN fails too
 		return fmt.Errorf("core: capacity factor %v outside [0,1]", factor)
 	}
 	c.capFactor = factor
@@ -621,7 +621,7 @@ func (c *Controller) CapacityFactor() float64 { return c.capFactor }
 // next provisioning round re-rents replacement capacity (which then boots
 // through the normal latency path). Must be called at a control barrier.
 func (c *Controller) ScaleCapacity(now, factor float64) error {
-	if factor < 0 || factor > 1 {
+	if !(factor >= 0 && factor <= 1) { // NaN fails too
 		return fmt.Errorf("core: capacity scale %v outside [0,1]", factor)
 	}
 	c.preemptScale *= factor

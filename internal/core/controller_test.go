@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"cloudmedia/internal/cloud"
@@ -291,5 +292,31 @@ func TestControllerRecoversFromVMFailures(t *testing.T) {
 	}
 	if after == 0 {
 		t.Error("controller did not restore the failed VMs on the next round")
+	}
+}
+
+// TestCapacityHooksRejectOutOfRange: the fault hooks take factors in
+// [0,1]; NaN must be rejected like any other out-of-range value rather
+// than slip past a `x < 0 || x > 1` check into the serving plane.
+func TestCapacityHooksRejectOutOfRange(t *testing.T) {
+	_, _, ctl := testSystem(t, sim.ClientServer)
+	for _, f := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		if err := ctl.SetCapacityFactor(0, f); err == nil {
+			t.Errorf("SetCapacityFactor(%v) accepted", f)
+		}
+		if err := ctl.ScaleCapacity(0, f); err == nil {
+			t.Errorf("ScaleCapacity(%v) accepted", f)
+		}
+	}
+	if got := ctl.CapacityFactor(); got != 1 {
+		t.Errorf("rejected factors moved the capacity factor to %v", got)
+	}
+	for _, f := range []float64{0, 0.5, 1} {
+		if err := ctl.SetCapacityFactor(0, f); err != nil {
+			t.Errorf("SetCapacityFactor(%v): %v", f, err)
+		}
+		if err := ctl.ScaleCapacity(0, f); err != nil {
+			t.Errorf("ScaleCapacity(%v): %v", f, err)
+		}
 	}
 }

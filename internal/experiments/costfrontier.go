@@ -7,6 +7,7 @@ import (
 	"cloudmedia/internal/metrics"
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
+	"cloudmedia/internal/stack"
 )
 
 // frontierPolicies are the four provisioning policies the frontier
@@ -29,8 +30,8 @@ func frontierPolicies() []provision.Policy {
 // pay; Lookahead sits in between. The second table breaks the
 // reserved-plan bill down per interval, the Fig. 10 view with
 // reserved/on-demand/storage dollars separated.
-func CostFrontier(sc Scenario) (*Result, error) {
-	sc = sc.pinMode(sc.Mode)
+func CostFrontier(sc stack.Scenario) (*Result, error) {
+	sc = pinMode(sc, sc.Mode)
 	policies := frontierPolicies()
 	pricings := []cloud.PricingPlan{cloud.OnDemandPricing(), cloud.ReservedPricing()}
 	fidelities := []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid}
@@ -41,7 +42,7 @@ func CostFrontier(sc Scenario) (*Result, error) {
 		fidelity modes.Fidelity
 	}
 	var combos []combo
-	var family []Scenario
+	var family []stack.Scenario
 	for _, fid := range fidelities {
 		for _, pricing := range pricings {
 			for _, policy := range policies {

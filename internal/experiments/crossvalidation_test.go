@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudmedia/internal/modes"
+	"cloudmedia/internal/stack"
 )
 
 // Cross-validation tolerances for fluid vs event mode on the paper's
@@ -29,8 +30,8 @@ func relDiff(a, b float64) float64 {
 
 // fidelityPair returns the default fig4/5/10 scenario under both engine
 // fidelities — the shared fixture of every cross-validation test.
-func fidelityPair() (event, fluid Scenario) {
-	event = DefaultScenario(0, 1)
+func fidelityPair() (event, fluid stack.Scenario) {
+	event = stack.DefaultScenario(0, 1)
 	fluid = event
 	fluid.Fidelity = modes.FidelityFluid
 	return event, fluid

@@ -6,12 +6,13 @@ import (
 
 	"cloudmedia/internal/core"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 )
 
 // quickScenario keeps experiment tests fast: 3 simulated hours at small
 // scale with 20-minute provisioning rounds.
-func quickScenario(mode sim.Mode) Scenario {
-	sc := DefaultScenario(mode, 2)
+func quickScenario(mode sim.Mode) stack.Scenario {
+	sc := stack.DefaultScenario(mode, 2)
 	sc.Hours = 3
 	sc.IntervalSeconds = 1200
 	sc.SampleSeconds = 600
@@ -19,7 +20,7 @@ func quickScenario(mode sim.Mode) Scenario {
 }
 
 func TestDefaultScenarioShape(t *testing.T) {
-	sc := DefaultScenario(sim.ClientServer, 1)
+	sc := stack.DefaultScenario(sim.ClientServer, 1)
 	// 6 channels is the documented laptop-scale reduction of the paper's 20
 	// (see the DefaultScenario doc comment and EXPERIMENTS.md).
 	if sc.Workload.Channels != 6 {
@@ -32,8 +33,8 @@ func TestDefaultScenarioShape(t *testing.T) {
 		t.Errorf("R/r = %v, want the paper's 25", sc.Channel.VMBandwidth/sc.Channel.PlaybackRate)
 	}
 	// Negative scale falls back to 1.
-	neg := DefaultScenario(sim.P2P, -3)
-	if neg.Workload.BaseArrivalRate != DefaultScenario(sim.P2P, 1).Workload.BaseArrivalRate {
+	neg := stack.DefaultScenario(sim.P2P, -3)
+	if neg.Workload.BaseArrivalRate != stack.DefaultScenario(sim.P2P, 1).Workload.BaseArrivalRate {
 		t.Error("non-positive scale should default to 1")
 	}
 }
@@ -41,7 +42,7 @@ func TestDefaultScenarioShape(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	sc := quickScenario(sim.ClientServer)
 	sc.Hours = 0
-	if _, err := Build(sc); err == nil {
+	if _, err := stack.Build(sc, stack.RegionID{}); err == nil {
 		t.Error("zero hours: want error")
 	}
 }
@@ -179,14 +180,14 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestTable2Table3(t *testing.T) {
-	res2, err := Table2(Scenario{})
+	res2, err := Table2(stack.Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res2.Tables[0].Rows) != 3 {
 		t.Errorf("Table II rows = %d", len(res2.Tables[0].Rows))
 	}
-	res3, err := Table3(Scenario{})
+	res3, err := Table3(stack.Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestTable2Table3(t *testing.T) {
 }
 
 func TestVMLatency(t *testing.T) {
-	res, err := VMLatency(Scenario{})
+	res, err := VMLatency(stack.Scenario{})
 	if err != nil {
 		t.Fatalf("VMLatency: %v", err)
 	}
@@ -207,7 +208,7 @@ func TestVMLatency(t *testing.T) {
 }
 
 func TestStorageCostMatchesPaperBallpark(t *testing.T) {
-	res, err := StorageCost(DefaultScenario(sim.P2P, 1))
+	res, err := StorageCost(stack.DefaultScenario(sim.P2P, 1))
 	if err != nil {
 		t.Fatalf("StorageCost: %v", err)
 	}
@@ -240,7 +241,7 @@ func TestRepresentativeChannels(t *testing.T) {
 }
 
 func TestResultTablesRender(t *testing.T) {
-	res, err := Table2(Scenario{})
+	res, err := Table2(stack.Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}

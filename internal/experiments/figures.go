@@ -6,6 +6,7 @@ import (
 	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/metrics"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 )
 
 // Result is the output of one experiment: the paper artifact's data as
@@ -16,12 +17,22 @@ type Result struct {
 	Summary map[string]float64
 }
 
+// pinMode returns a copy of the scenario locked to the given engine mode.
+// It also clears StaticProvisioning: a public "p2p" scenario carries the
+// hold-the-bootstrap override, but a figure that pins its own modes is
+// defined over dynamically provisioned runs and must not inherit it.
+func pinMode(sc stack.Scenario, m sim.Mode) stack.Scenario {
+	sc.Mode = m
+	sc.StaticProvisioning = false
+	return sc
+}
+
 // Fig4 reproduces "Cloud capacity provisioning vs. usage": hourly
 // provisioned and used cloud bandwidth for both modes. The reproduction
 // targets: provisioned ≥ used in the great majority of hours, and P2P
 // provisioning far below client-server.
-func Fig4(sc Scenario) (*Result, error) {
-	tls, err := RunTimelines(sc.pinMode(sim.ClientServer), sc.pinMode(sim.P2P))
+func Fig4(sc stack.Scenario) (*Result, error) {
+	tls, err := RunTimelines(pinMode(sc, sim.ClientServer), pinMode(sc, sim.P2P))
 	if err != nil {
 		return nil, fmt.Errorf("fig4: %w", err)
 	}
@@ -53,8 +64,8 @@ func Fig4(sc Scenario) (*Result, error) {
 // Fig5 reproduces "Average streaming quality in the VoD system": the
 // smooth-playback fraction over time for both modes. Paper averages:
 // C/S ≈ 0.97, P2P ≈ 0.95 (P2P slightly worse).
-func Fig5(sc Scenario) (*Result, error) {
-	tls, err := RunTimelines(sc.pinMode(sim.ClientServer), sc.pinMode(sim.P2P))
+func Fig5(sc stack.Scenario) (*Result, error) {
+	tls, err := RunTimelines(pinMode(sc, sim.ClientServer), pinMode(sc, sim.P2P))
 	if err != nil {
 		return nil, fmt.Errorf("fig5: %w", err)
 	}
@@ -81,8 +92,8 @@ func Fig5(sc Scenario) (*Result, error) {
 // Fig6 reproduces "Channel streaming quality vs. channel size": a scatter
 // of per-channel quality against the channel's viewer count across a day
 // (client-server). The target shape: quality is good regardless of size.
-func Fig6(sc Scenario) (*Result, error) {
-	sc = sc.pinMode(sim.ClientServer)
+func Fig6(sc stack.Scenario) (*Result, error) {
+	sc = pinMode(sc, sim.ClientServer)
 	tl, err := RunTimeline(sc)
 	if err != nil {
 		return nil, fmt.Errorf("fig6 run: %w", err)
@@ -127,8 +138,8 @@ func Fig6(sc Scenario) (*Result, error) {
 // channel, provisioned bandwidth against viewer count, for both modes. The
 // target shape: roughly linear growth for client-server, much flatter
 // (well-scaling) for P2P.
-func Fig7(sc Scenario) (*Result, error) {
-	tls, err := RunTimelines(sc.pinMode(sim.ClientServer), sc.pinMode(sim.P2P))
+func Fig7(sc stack.Scenario) (*Result, error) {
+	tls, err := RunTimelines(pinMode(sc, sim.ClientServer), pinMode(sc, sim.P2P))
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
@@ -163,7 +174,7 @@ func Fig7(sc Scenario) (*Result, error) {
 // Fig8 reproduces "Evolution of aggregate storage utility" for four
 // channels of different sizes (P2P mode): utilities track popularity, the
 // adaptiveness claim of Sec. VI-C.
-func Fig8(sc Scenario) (*Result, error) {
+func Fig8(sc stack.Scenario) (*Result, error) {
 	return utilityFigure(sc, "fig8", "Fig. 8 — aggregate storage utility (P2P)", func(r intervalUtilities) map[int]float64 {
 		return r.storage
 	})
@@ -171,7 +182,7 @@ func Fig8(sc Scenario) (*Result, error) {
 
 // Fig9 reproduces "Evolution of aggregate VM utility" for the same four
 // channels (P2P mode).
-func Fig9(sc Scenario) (*Result, error) {
+func Fig9(sc stack.Scenario) (*Result, error) {
 	return utilityFigure(sc, "fig9", "Fig. 9 — aggregate VM utility (P2P)", func(r intervalUtilities) map[int]float64 {
 		return r.vm
 	})
@@ -182,8 +193,8 @@ type intervalUtilities struct {
 	vm      map[int]float64
 }
 
-func utilityFigure(sc Scenario, id, title string, pick func(intervalUtilities) map[int]float64) (*Result, error) {
-	sc = sc.pinMode(sim.P2P)
+func utilityFigure(sc stack.Scenario, id, title string, pick func(intervalUtilities) map[int]float64) (*Result, error) {
+	sc = pinMode(sc, sim.P2P)
 	tl, err := RunTimeline(sc)
 	if err != nil {
 		return nil, fmt.Errorf("%s run: %w", id, err)
@@ -234,8 +245,8 @@ func representativeChannels(n int) []int {
 
 // Fig10 reproduces "Evolution of overall VM rental cost": hourly dollars
 // for both modes. Paper averages: C/S ≈ $48/h, P2P ≈ $4.27/h.
-func Fig10(sc Scenario) (*Result, error) {
-	tls, err := RunTimelines(sc.pinMode(sim.ClientServer), sc.pinMode(sim.P2P))
+func Fig10(sc stack.Scenario) (*Result, error) {
+	tls, err := RunTimelines(pinMode(sc, sim.ClientServer), pinMode(sc, sim.P2P))
 	if err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}
@@ -264,13 +275,13 @@ func Fig10(sc Scenario) (*Result, error) {
 // peer average upload capacity over the streaming rate": P2P runs with
 // mean uplink at 0.9, 1.0, and 1.2 × r. Target: satisfactory quality in
 // all cases (the cloud absorbs the shortfall).
-func Fig11(sc Scenario) (*Result, error) {
+func Fig11(sc stack.Scenario) (*Result, error) {
 	ratios := []float64{0.9, 1.0, 1.2}
 	tbl := metrics.NewTable("Fig. 11 — P2P streaming quality vs peer uplink ratio", "hour", "r0.9", "r1.0", "r1.2")
 	summary := make(map[string]float64, len(ratios))
-	family := make([]Scenario, len(ratios))
+	family := make([]stack.Scenario, len(ratios))
 	for i, r := range ratios {
-		family[i] = sc.pinMode(sim.P2P)
+		family[i] = pinMode(sc, sim.P2P)
 		family[i].UplinkRatio = r
 	}
 	runs, err := RunTimelines(family...)

@@ -1,0 +1,156 @@
+package experiments
+
+import (
+	"reflect"
+	"testing"
+
+	"cloudmedia/internal/cloud"
+	"cloudmedia/internal/fault"
+	"cloudmedia/internal/modes"
+	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
+)
+
+// geoGoldens are the Regional summaries at DefaultScenario(P2P, 1), seed
+// 42, captured at full precision from the deployment builder that
+// predates building each region through the single-region stack. The
+// "spot" leg adds SpotPricing and the preempt-peak schedule, which pins
+// the per-region fault seed and the region-scoped fault path. Any drift
+// is a behaviour change in how geo assembles its regions.
+var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
+	modes.FidelityEvent: {
+		"default": {
+			"bill_on_demand_usd":     393.75000000000006,
+			"bill_reserved_usd":      0,
+			"bill_spot_usd":          0,
+			"bill_total_usd":         393.75143856000005,
+			"bill_transfer_usd":      0,
+			"bill_upfront_usd":       0,
+			"interruptions":          0,
+			"quality_apac":           1,
+			"quality_eu":             1,
+			"quality_na":             1,
+			"storage_cost_total_usd": 0.0014385600000000008,
+			"vm_cost_apac_usd":       130.05000000000001,
+			"vm_cost_eu_usd":         125.55000000000003,
+			"vm_cost_na_usd":         138.15000000000001,
+			"vm_cost_total_usd":      393.75000000000006,
+		},
+		"spot": {
+			"bill_on_demand_usd":     114.75,
+			"bill_reserved_usd":      0,
+			"bill_spot_usd":          79.919999999999973,
+			"bill_total_usd":         194.67143855999996,
+			"bill_transfer_usd":      0,
+			"bill_upfront_usd":       0,
+			"interruptions":          15,
+			"quality_apac":           1,
+			"quality_eu":             1,
+			"quality_na":             1,
+			"storage_cost_total_usd": 0.0014385600000000011,
+			"vm_cost_apac_usd":       126.90000000000002,
+			"vm_cost_eu_usd":         120.82500000000003,
+			"vm_cost_na_usd":         133.42500000000001,
+			"vm_cost_total_usd":      381.15000000000009,
+		},
+	},
+	modes.FidelityFluid: {
+		"default": {
+			"bill_on_demand_usd":     394.65000000000003,
+			"bill_reserved_usd":      0,
+			"bill_spot_usd":          0,
+			"bill_total_usd":         394.65143856000003,
+			"bill_transfer_usd":      0,
+			"bill_upfront_usd":       0,
+			"interruptions":          0,
+			"quality_apac":           0.99999999999998357,
+			"quality_eu":             0.99999999999998324,
+			"quality_na":             0.99999999999998335,
+			"storage_cost_total_usd": 0.0014385600000000008,
+			"vm_cost_apac_usd":       131.39999999999998,
+			"vm_cost_eu_usd":         124.20000000000005,
+			"vm_cost_na_usd":         139.05000000000001,
+			"vm_cost_total_usd":      394.65000000000003,
+		},
+		"spot": {
+			"bill_on_demand_usd":     116.09999999999999,
+			"bill_reserved_usd":      0,
+			"bill_spot_usd":          80.054999999999978,
+			"bill_total_usd":         196.15643855999997,
+			"bill_transfer_usd":      0,
+			"bill_upfront_usd":       0,
+			"interruptions":          15,
+			"quality_apac":           0.99999999999998357,
+			"quality_eu":             0.99999999999998324,
+			"quality_na":             0.99999999999998335,
+			"storage_cost_total_usd": 0.0014385600000000011,
+			"vm_cost_apac_usd":       129.59999999999999,
+			"vm_cost_eu_usd":         119.47500000000004,
+			"vm_cost_na_usd":         133.875,
+			"vm_cost_total_usd":      382.95000000000005,
+		},
+	},
+}
+
+// TestRegionalGoldens runs Regional on both fidelities, fault-free on
+// the default plan and under spot pricing with the preempt-peak
+// schedule, and requires the captured summaries bit for bit.
+func TestRegionalGoldens(t *testing.T) {
+	for fid, legs := range geoGoldens {
+		for leg, want := range legs {
+			sc := stack.DefaultScenario(sim.P2P, 1)
+			sc.Fidelity = fid
+			if leg == "spot" {
+				sc.Pricing = cloud.SpotPricing()
+				sc.Faults = fault.Presets()["preempt-peak"]
+			}
+			res, err := Regional(sc)
+			if err != nil {
+				t.Fatalf("%v/%s: %v", fid, leg, err)
+			}
+			if !reflect.DeepEqual(res.Summary, want) {
+				for key, wantV := range want {
+					if got := res.Summary[key]; got != wantV {
+						t.Errorf("%v/%s %s = %.17g, want %.17g", fid, leg, key, got, wantV)
+					}
+				}
+				if len(res.Summary) != len(want) {
+					t.Errorf("%v/%s: %d summary keys, want %d", fid, leg, len(res.Summary), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestResilienceOutageGolden pins the geo-failover leg of Resilience on
+// both fidelities: the event leg's summary at full precision and every
+// table row. The scenario carries SpotPricing on purpose: the outage leg
+// bills at the zero-value plan whatever the scenario's pricing is.
+func TestResilienceOutageGolden(t *testing.T) {
+	sc := stack.DefaultScenario(sim.P2P, 1)
+	sc.Pricing = cloud.SpotPricing()
+	summary := map[string]float64{}
+	tbl, err := resilienceOutage(sc, fault.Presets()["outage-flash"], summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSummary := map[string]float64{
+		"outage_mean_region_quality": 1,
+		"outage_total_usd":           382.15868856000003,
+		"outage_transfer_usd":        0.10725000000000001,
+	}
+	if !reflect.DeepEqual(summary, wantSummary) {
+		t.Errorf("outage summary = %v, want %v", summary, wantSummary)
+	}
+	wantRows := [][]string{
+		{"event", "na", "0", "1", "0.04688", "115.2"},
+		{"event", "eu", "59", "1", "0.03623", "133.2"},
+		{"event", "apac", "36", "1", "0.02415", "133.7"},
+		{"fluid", "na", "75", "1", "0.0375", "126.5"},
+		{"fluid", "eu", "45", "1", "0.02858", "131.9"},
+		{"fluid", "apac", "30", "1", "0.01905", "134.6"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, wantRows) {
+		t.Errorf("outage rows = %q, want %q", tbl.Rows, wantRows)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 )
 
 // preSeamGoldens are the fig4/5/10 summary values produced by the
@@ -60,10 +61,10 @@ var preSeamGoldens = map[modes.Fidelity]map[string]map[string]float64{
 // policy, on both fidelities, against the pre-refactor goldens — exact
 // float equality, no tolerance.
 func TestGreedyPolicyBitIdenticalToPreSeamController(t *testing.T) {
-	figs := map[string]func(Scenario) (*Result, error){"fig4": Fig4, "fig5": Fig5, "fig10": Fig10}
+	figs := map[string]func(stack.Scenario) (*Result, error){"fig4": Fig4, "fig5": Fig5, "fig10": Fig10}
 	for fid, byFig := range preSeamGoldens {
 		for name, want := range byFig {
-			sc := DefaultScenario(0, 1)
+			sc := stack.DefaultScenario(0, 1)
 			sc.Fidelity = fid
 			res, err := figs[name](sc)
 			if err != nil {
@@ -85,10 +86,10 @@ func TestGreedyPolicyBitIdenticalToPreSeamController(t *testing.T) {
 // collapse for any policy.
 func TestPolicyCostInvariant(t *testing.T) {
 	policies := []provision.Policy{provision.Oracle{}, provision.Greedy{}, provision.StaticPeak{}}
-	family := make([]Scenario, len(policies))
+	family := make([]stack.Scenario, len(policies))
 	for i, p := range policies {
 		// The paper's cloud-assisted system: P2P overlay + dynamic rounds.
-		sc := DefaultScenario(sim.P2P, 1)
+		sc := stack.DefaultScenario(sim.P2P, 1)
 		sc.Policy = p
 		family[i] = sc
 	}
@@ -130,7 +131,7 @@ func TestPolicyCostInvariant(t *testing.T) {
 // short horizon: 4 policies × 2 pricing plans × 2 fidelities, every
 // combo's bill broken down by tier.
 func TestCostFrontierExperiment(t *testing.T) {
-	sc := DefaultScenario(sim.P2P, 1)
+	sc := stack.DefaultScenario(sim.P2P, 1)
 	sc.Hours = 3
 	res, err := CostFrontier(sc)
 	if err != nil {

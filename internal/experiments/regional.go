@@ -6,7 +6,7 @@ import (
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/geo"
 	"cloudmedia/internal/metrics"
-	"cloudmedia/internal/viewing"
+	"cloudmedia/internal/stack"
 )
 
 // Regional runs the multi-region deployment the paper lists as ongoing
@@ -18,34 +18,16 @@ import (
 // heterogeneity feeding the per-region workload (broadband-rich regions
 // need less cloud compensation than mobile-heavy ones for the same
 // budget). The scenario's fidelity selects the per-region engine, so
-// million-viewer regional deployments run on the fluid engine.
-// Provisioning is always dynamic: geo controllers run every interval.
-func Regional(sc Scenario) (*Result, error) {
-	jump := sc.Channel.ChunkSeconds / sc.Workload.JumpMeanSeconds
-	if jump > 1 {
-		jump = 1
-	}
-	transfer, err := viewing.SequentialWithJumps(sc.Channel.Chunks, 0.9, jump)
-	if err != nil {
-		return nil, err
-	}
+// million-viewer regional deployments run on the fluid engine. Every
+// region is built from the scenario itself, so its predictor, policy,
+// pricing, scheduling and catalogs reach each region. Provisioning is
+// always dynamic: geo controllers run every interval.
+func Regional(sc stack.Scenario) (*Result, error) {
+	// Regions derive their demand from the parametric workload, split by
+	// share; a trace source does not carry over to them.
+	sc.Source = nil
 	configured := geo.DefaultRegions()
-	dep, err := geo.New(geo.Config{
-		Regions:              configured,
-		Mode:                 sc.Mode,
-		Fidelity:             sc.Fidelity,
-		Policy:               sc.Policy,
-		Pricing:              sc.Pricing,
-		Channel:              sc.Channel,
-		Workload:             sc.Workload,
-		Faults:               sc.Faults,
-		IntervalSeconds:      sc.IntervalSeconds,
-		VMBudgetPerHour:      sc.VMBudget,
-		StorageBudgetPerHour: sc.StorageBudget,
-		Transfer:             transfer,
-		Seed:                 sc.Seed,
-		Workers:              sc.Workers,
-	})
+	dep, err := geo.New(sc, configured)
 	if err != nil {
 		return nil, fmt.Errorf("regional: %w", err)
 	}

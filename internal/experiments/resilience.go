@@ -9,7 +9,7 @@ import (
 	"cloudmedia/internal/metrics"
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
-	"cloudmedia/internal/viewing"
+	"cloudmedia/internal/stack"
 )
 
 // resilienceCombos are the policy × pricing pairings the experiment
@@ -42,8 +42,8 @@ func resilienceCombos() []struct {
 // keep the spot discount's savings without giving the quality back when
 // the provider mass-preempts — against greedy-on-demand (safe, dear),
 // greedy-on-spot (cheap, fragile), and the oracle bound.
-func Resilience(sc Scenario) (*Result, error) {
-	sc = sc.pinMode(sc.Mode)
+func Resilience(sc stack.Scenario) (*Result, error) {
+	sc = pinMode(sc, sc.Mode)
 	presets := fault.Presets()
 	faults := []struct {
 		key   string
@@ -60,7 +60,7 @@ func Resilience(sc Scenario) (*Result, error) {
 		fidelity     modes.Fidelity
 	}
 	var meta []run
-	var family []Scenario
+	var family []stack.Scenario
 	for _, fid := range fidelities {
 		for _, f := range faults {
 			for _, c := range combos {
@@ -113,34 +113,19 @@ func Resilience(sc Scenario) (*Result, error) {
 // deployment on both fidelities and reports the per-region outcome:
 // migrated arrival shares, failover transfer dollars, and the quality
 // cost of serving a failed region's crowd from the survivors.
-func resilienceOutage(sc Scenario, sched *fault.Schedule, summary map[string]float64) (*metrics.Table, error) {
-	jump := sc.Channel.ChunkSeconds / sc.Workload.JumpMeanSeconds
-	if jump > 1 {
-		jump = 1
-	}
-	transfer, err := viewing.SequentialWithJumps(sc.Channel.Chunks, 0.9, jump)
-	if err != nil {
-		return nil, err
-	}
+func resilienceOutage(sc stack.Scenario, sched *fault.Schedule, summary map[string]float64) (*metrics.Table, error) {
+	// The outage leg bills at the zero-value (on-demand) plan whatever
+	// the family's pricing, and its regions derive demand from the
+	// parametric workload.
+	sc.Pricing = cloud.PricingPlan{}
+	sc.Source = nil
+	sc.Faults = sched
 	tbl := metrics.NewTable(
 		"Resilience — region outage with cross-region failover",
 		"fidelity", "region", "users", "quality", "transfer_usd", "total_usd")
 	for _, fid := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
-		dep, err := geo.New(geo.Config{
-			Regions:              geo.DefaultRegions(),
-			Mode:                 sc.Mode,
-			Fidelity:             fid,
-			Policy:               sc.Policy,
-			Channel:              sc.Channel,
-			Workload:             sc.Workload,
-			Faults:               sched,
-			IntervalSeconds:      sc.IntervalSeconds,
-			VMBudgetPerHour:      sc.VMBudget,
-			StorageBudgetPerHour: sc.StorageBudget,
-			Transfer:             transfer,
-			Seed:                 sc.Seed,
-			Workers:              sc.Workers,
-		})
+		sc.Fidelity = fid
+		dep, err := geo.New(sc, geo.DefaultRegions())
 		if err != nil {
 			return nil, fmt.Errorf("resilience outage: %w", err)
 		}

@@ -8,6 +8,7 @@ import (
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 )
 
 // TestHedgedLookaheadBeatsGreedyUnderPreemption is the PR 10 acceptance
@@ -21,7 +22,7 @@ func TestHedgedLookaheadBeatsGreedyUnderPreemption(t *testing.T) {
 		Preemptions: []fault.SpotPreemption{{At: 6 * 3600, Fraction: 0.6}},
 	}
 	for _, fid := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
-		base := DefaultScenario(sim.P2P, 1)
+		base := stack.DefaultScenario(sim.P2P, 1)
 		base.Hours = 8
 		base.Fidelity = fid
 		base.Faults = preempt
@@ -58,7 +59,7 @@ func TestHedgedLookaheadBeatsGreedyUnderPreemption(t *testing.T) {
 // TestScenarioFaultsValidateAndClone: Build rejects a malformed fault
 // schedule, and the fault plumbing survives scenario derivation.
 func TestScenarioFaultsValidate(t *testing.T) {
-	sc := DefaultScenario(sim.P2P, 1)
+	sc := stack.DefaultScenario(sim.P2P, 1)
 	sc.Hours = 1
 	sc.Faults = &fault.Schedule{Preemptions: []fault.SpotPreemption{{At: -5, Fraction: 0.5}}}
 	if _, err := RunTimeline(sc); err == nil {
@@ -74,7 +75,7 @@ func TestResilienceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resilience family is a long run")
 	}
-	sc := DefaultScenario(sim.P2P, 1)
+	sc := stack.DefaultScenario(sim.P2P, 1)
 	sc.Hours = 24
 	res, err := Resilience(sc)
 	if err != nil {

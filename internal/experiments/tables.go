@@ -6,11 +6,12 @@ import (
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/metrics"
 	"cloudmedia/internal/provision"
+	"cloudmedia/internal/stack"
 )
 
 // Table2 emits the virtual cluster catalog (an input of the paper, shipped
 // verbatim as DefaultVMClusters).
-func Table2(Scenario) (*Result, error) {
+func Table2(stack.Scenario) (*Result, error) {
 	tbl := metrics.NewTable("Table II — virtual cluster configurations",
 		"type", "utility", "memory_mb", "cpu_mhz", "disk_gb", "price_per_hour", "max_vms")
 	for _, s := range cloud.DefaultVMClusters() {
@@ -22,7 +23,7 @@ func Table2(Scenario) (*Result, error) {
 }
 
 // Table3 emits the NFS cluster catalog (Table III).
-func Table3(Scenario) (*Result, error) {
+func Table3(stack.Scenario) (*Result, error) {
 	tbl := metrics.NewTable("Table III — NFS cluster configurations",
 		"type", "utility", "rotation_rpm", "price_per_gb_hour", "capacity_gb")
 	for _, s := range cloud.DefaultNFSClusters() {
@@ -36,7 +37,7 @@ func Table3(Scenario) (*Result, error) {
 // VMLatency reproduces the Sec. VI-C lifecycle measurements: launching a
 // VM takes ≈25 s, shutdown is faster, and launches proceed in parallel so
 // a whole batch becomes active together.
-func VMLatency(Scenario) (*Result, error) {
+func VMLatency(stack.Scenario) (*Result, error) {
 	cl, err := cloud.New(cloud.DefaultVMClusters(), cloud.DefaultNFSClusters())
 	if err != nil {
 		return nil, err
@@ -71,7 +72,7 @@ func VMLatency(Scenario) (*Result, error) {
 // whole 20-channel library costs ≈$0.018/day — negligible next to VM
 // rental. It plans placement for the paper-scale library (20 channels ×
 // 20 chunks × 15 MB) with the real Table III prices.
-func StorageCost(sc Scenario) (*Result, error) {
+func StorageCost(sc stack.Scenario) (*Result, error) {
 	var demands []provision.ChunkDemand
 	for c := 0; c < 20; c++ {
 		for i := 0; i < 20; i++ {
@@ -100,7 +101,7 @@ func StorageCost(sc Scenario) (*Result, error) {
 }
 
 // Runner is an experiment entry point.
-type Runner func(Scenario) (*Result, error)
+type Runner func(stack.Scenario) (*Result, error)
 
 // Registry maps experiment IDs (as used by the CLI) to runners.
 func Registry() map[string]Runner {

@@ -7,6 +7,7 @@ import (
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/core"
 	"cloudmedia/internal/metrics"
+	"cloudmedia/internal/stack"
 )
 
 // Snapshot is one periodic measurement of the running system.
@@ -30,7 +31,7 @@ type Hourly struct {
 // Timeline is the full measurement record of one run; every figure is a
 // projection of it.
 type Timeline struct {
-	Scenario  Scenario
+	Scenario  stack.Scenario
 	Snapshots []Snapshot
 	Hourlies  []Hourly
 	Records   []core.IntervalRecord
@@ -51,8 +52,8 @@ func bytesPerSecToMbps(b float64) float64 { return b * 8 / 1e6 }
 
 // RunTimeline builds the system for the scenario, runs it for
 // Scenario.Hours of simulated time, and returns the measurement record.
-func RunTimeline(sc Scenario) (*Timeline, error) {
-	sys, err := Build(sc)
+func RunTimeline(sc stack.Scenario) (*Timeline, error) {
+	sys, err := stack.Build(sc, stack.RegionID{})
 	if err != nil {
 		return nil, err
 	}
@@ -121,13 +122,13 @@ func RunTimeline(sc Scenario) (*Timeline, error) {
 // each Scenario is passed by value and Build assembles a private engine,
 // so runs share no mutable state. The first error (lowest input index)
 // wins.
-func RunTimelines(scs ...Scenario) ([]*Timeline, error) {
+func RunTimelines(scs ...stack.Scenario) ([]*Timeline, error) {
 	tls := make([]*Timeline, len(scs))
 	errs := make([]error, len(scs))
 	var wg sync.WaitGroup
 	for i, sc := range scs {
 		wg.Add(1)
-		go func(i int, sc Scenario) {
+		go func(i int, sc stack.Scenario) {
 			defer wg.Done()
 			tls[i], errs[i] = RunTimeline(sc)
 		}(i, sc)
@@ -146,7 +147,7 @@ func RunTimelines(scs ...Scenario) ([]*Timeline, error) {
 // the registry entry that honours the scenario's Mode and
 // StaticProvisioning — and reports the hourly provisioning view:
 // reserved vs used bandwidth, VM spend, and streaming quality.
-func TimelineReport(sc Scenario) (*Result, error) {
+func TimelineReport(sc stack.Scenario) (*Result, error) {
 	tl, err := RunTimeline(sc)
 	if err != nil {
 		return nil, fmt.Errorf("timeline run: %w", err)

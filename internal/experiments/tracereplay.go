@@ -6,6 +6,7 @@ import (
 	"cloudmedia/internal/metrics"
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 	"cloudmedia/internal/trace"
 )
 
@@ -17,7 +18,7 @@ import (
 // bandwidth, and cost within the DESIGN.md "Engine fidelities"
 // tolerances — the cross-validation contract, now checkable against any
 // recorded workload rather than only the parametric one.
-func TraceReplay(sc Scenario) (*Result, error) {
+func TraceReplay(sc stack.Scenario) (*Result, error) {
 	if sc.Mode == 0 {
 		sc.Mode = sim.ClientServer
 	}

@@ -7,6 +7,7 @@ import (
 
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 )
 
 // ensureParallelHost raises GOMAXPROCS so multi-worker configurations
@@ -30,7 +31,7 @@ func TestWorkersInvariantAcrossStack(t *testing.T) {
 	for _, mode := range []sim.Mode{sim.ClientServer, sim.P2P} {
 		for _, fid := range []modes.Fidelity{modes.FidelityFluid, modes.FidelityEvent} {
 			run := func(workers int) *Timeline {
-				sc := DefaultScenario(mode, 1)
+				sc := stack.DefaultScenario(mode, 1)
 				sc.Fidelity = fid
 				sc.Hours = 4
 				sc.Workers = workers
@@ -40,7 +41,7 @@ func TestWorkersInvariantAcrossStack(t *testing.T) {
 				}
 				// The scenario embeds the differing Workers value itself;
 				// blank it so DeepEqual compares only what the run produced.
-				tl.Scenario = Scenario{}
+				tl.Scenario = stack.Scenario{}
 				return tl
 			}
 			serial := run(1)

@@ -14,6 +14,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -79,37 +80,48 @@ type Schedule struct {
 	Name string
 }
 
-// Validate checks schedule invariants.
+// Validate checks schedule invariants: times finite and non-negative,
+// durations finite and positive, fractions and factors in [0,1]. NaN
+// fails every check, so a malformed number cannot silently drop an event.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
 	}
 	for i, o := range s.Outages {
-		if o.Start < 0 || o.Duration <= 0 {
-			return fmt.Errorf("fault: outage %d: window [%v, %v+%v) not positive", i, o.Start, o.Start, o.Duration)
+		if !validTime(o.Start) || !validDuration(o.Duration) {
+			return fmt.Errorf("fault: outage %d: window [%v, %v+%v) not positive and finite", i, o.Start, o.Start, o.Duration)
 		}
 	}
 	for i, p := range s.Preemptions {
-		if p.At < 0 {
-			return fmt.Errorf("fault: preemption %d: negative time %v", i, p.At)
+		if !validTime(p.At) {
+			return fmt.Errorf("fault: preemption %d: time %v not finite and non-negative", i, p.At)
 		}
-		if p.Fraction < 0 || p.Fraction > 1 {
+		if !unitInterval(p.Fraction) {
 			return fmt.Errorf("fault: preemption %d: fraction %v outside [0,1]", i, p.Fraction)
 		}
 	}
 	for i, d := range s.Degradations {
-		if d.Start < 0 || d.Duration <= 0 {
-			return fmt.Errorf("fault: degradation %d: window [%v, %v+%v) not positive", i, d.Start, d.Start, d.Duration)
+		if !validTime(d.Start) || !validDuration(d.Duration) {
+			return fmt.Errorf("fault: degradation %d: window [%v, %v+%v) not positive and finite", i, d.Start, d.Start, d.Duration)
 		}
-		if d.Factor < 0 || d.Factor > 1 {
+		if !unitInterval(d.Factor) {
 			return fmt.Errorf("fault: degradation %d: factor %v outside [0,1]", i, d.Factor)
 		}
 	}
-	if s.InterruptionFraction < 0 || s.InterruptionFraction > 1 {
+	if !unitInterval(s.InterruptionFraction) {
 		return fmt.Errorf("fault: interruption fraction %v outside [0,1]", s.InterruptionFraction)
 	}
 	return nil
 }
+
+// validTime reports whether t is a finite, non-negative instant.
+func validTime(t float64) bool { return t >= 0 && !math.IsInf(t, 1) }
+
+// validDuration reports whether d is a finite, positive span.
+func validDuration(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
+
+// unitInterval reports whether x lies in [0,1]; NaN does not.
+func unitInterval(x float64) bool { return x >= 0 && x <= 1 }
 
 // Clone returns a deep copy (nil stays nil).
 func (s *Schedule) Clone() *Schedule {

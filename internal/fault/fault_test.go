@@ -167,6 +167,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"preempt@1h:1.5",     // fraction outside [0,1] (Validate)
 		"degrade@1h+1h",      // missing factor
 		"degrade@soon+1h:.5", // bad time
+		"outage@NaN+2h",      // non-finite start
+		"outage@1h+Inf",      // non-finite duration
+		"preempt@NaN:0.5",    // non-finite time
+		"preempt@1h:NaN",     // NaN fraction
+		"degrade@1h+2h:NaN",  // NaN factor
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("%q: want error", spec)

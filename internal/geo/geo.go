@@ -1,19 +1,19 @@
 // Package geo implements the extension the paper lists as ongoing work
 // ("expanding to cloud systems spanning different geographic locations"):
 // a multi-region CloudMedia deployment in which each region runs its own
-// user population, cloud infrastructure (with regional catalogs and
-// prices), and provisioning controller, while the provider reads one
-// aggregate bill and quality report.
+// user population, cloud infrastructure and ledger, and provisioning
+// controller, while the provider reads one aggregate bill and quality
+// report.
 //
-// Regions are independent failure and pricing domains: arrivals are split
-// by configured population shares, and each regional controller runs the
-// full Sec. V-B loop against its local broker. The package reuses the same
-// building blocks as a single-region deployment — nothing in the analysis
-// changes, which is exactly the paper's implied claim.
+// Regions are independent failure and billing domains: arrivals are split
+// by configured population shares, and each region is the single-region
+// stack internal/stack builds — its own engine, cloud, broker, and Sec.
+// V-B controller — derived from one shared scenario. Nothing in the
+// analysis changes, which is exactly the paper's implied claim.
 //
-// The adversarial layer (Config.Faults) makes the failure domains real:
-// a region outage migrates the failed region's arrival share to the
-// surviving regions (re-normalized by their own shares) behind a mutable
+// The scenario's fault schedule makes the failure domains real: a region
+// outage migrates the failed region's arrival share to the surviving
+// regions (re-normalized by their own shares) behind a mutable
 // share-scaling source, charges each receiving region the migrated
 // viewers' transfer bytes, and zeroes the failed region's serving
 // capacity; recovery restores the shares and charges the fail-back
@@ -31,20 +31,19 @@ import (
 	"sync/atomic"
 
 	"cloudmedia/internal/cloud"
-	"cloudmedia/internal/core"
 	"cloudmedia/internal/fault"
-	"cloudmedia/internal/fluid"
 	"cloudmedia/internal/mathx"
-	"cloudmedia/internal/modes"
-	"cloudmedia/internal/provision"
-	"cloudmedia/internal/queueing"
-	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 	"cloudmedia/internal/workload"
 )
 
 // ErrConfig wraps every deployment-configuration rejection, so callers
 // can errors.Is their way past the message text.
 var ErrConfig = errors.New("geo: invalid config")
+
+// transferUSDPerGB prices the inter-region viewer-migration bytes charged
+// on failover and fail-back.
+const transferUSDPerGB = 0.05
 
 // Region describes one geographic location.
 type Region struct {
@@ -57,10 +56,6 @@ type Region struct {
 	// ones below). 0 means 1. This is the regional heterogeneity that
 	// feeds workload.Params.PeerUplink per deployment region.
 	UplinkScale float64
-	// VMClusters and NFSClusters are the regional catalogs; regional price
-	// differences are the interesting knob. Empty slices use Tables II/III.
-	VMClusters  []cloud.VMClusterSpec
-	NFSClusters []cloud.NFSClusterSpec
 }
 
 // DefaultRegions returns a three-region split used by the "regional"
@@ -91,137 +86,56 @@ func regionWorkload(global workload.Params, r Region) (workload.Params, error) {
 	return wl, nil
 }
 
-// Config assembles a multi-region deployment.
-type Config struct {
-	Regions []Region
-	Mode    sim.Mode
-	// Fidelity selects each region's engine: zero or modes.FidelityEvent
-	// builds the per-viewer simulator, modes.FidelityFluid the aggregate
-	// cohort integrator.
-	Fidelity modes.Fidelity
-	Channel  queueing.Config
-	Workload workload.Params // global trace; regional rate = global × share
-
-	// Policy selects each regional controller's provisioning policy; nil
-	// uses provision.Greedy. Oracle policies plan on the region's own
-	// share-scaled trace intensity.
-	Policy provision.Policy
-	// Pricing is the billing plan every regional ledger accrues under;
-	// the zero value is pure on-demand.
-	Pricing cloud.PricingPlan
-
-	// Faults is the declarative failure plan: region outages realized as
-	// cross-region failover, plus per-region spot preemptions and
-	// capacity degradations. nil injects nothing (the spot-interruption
-	// process still runs when Pricing prices one).
-	Faults *fault.Schedule
-	// TransferCostPerGB prices the inter-region viewer-migration bytes
-	// charged on failover and fail-back; 0 means $0.05/GB.
-	TransferCostPerGB float64
-
-	IntervalSeconds      float64
-	VMBudgetPerHour      float64 // per-region budget
-	StorageBudgetPerHour float64
-	Transfer             queueing.TransferMatrix
-	Seed                 int64
-	// Workers bounds the worker pool each regional engine and controller
-	// shard their channels over (sim.Config.Workers / core.Options.Workers);
-	// 0 means GOMAXPROCS. Results are bit-identical for every value.
-	Workers int
-}
-
-// Validate checks deployment invariants.
-func (c Config) Validate() error {
-	if len(c.Regions) == 0 {
-		return fmt.Errorf("%w: no regions", ErrConfig)
+// validateRegions checks the region set and returns its names.
+func validateRegions(regions []Region) (map[string]bool, error) {
+	if len(regions) == 0 {
+		return nil, fmt.Errorf("%w: no regions", ErrConfig)
 	}
 	var total float64
-	seen := make(map[string]bool, len(c.Regions))
-	for i, r := range c.Regions {
+	seen := make(map[string]bool, len(regions))
+	for i, r := range regions {
 		if r.Name == "" {
-			return fmt.Errorf("%w: region %d has empty name", ErrConfig, i)
+			return nil, fmt.Errorf("%w: region %d has empty name", ErrConfig, i)
 		}
 		if seen[r.Name] {
-			return fmt.Errorf("%w: duplicate region %q", ErrConfig, r.Name)
+			return nil, fmt.Errorf("%w: duplicate region %q", ErrConfig, r.Name)
 		}
 		seen[r.Name] = true
 		if r.Share <= 0 {
-			return fmt.Errorf("%w: region %q: non-positive share %v", ErrConfig, r.Name, r.Share)
+			return nil, fmt.Errorf("%w: region %q: non-positive share %v", ErrConfig, r.Name, r.Share)
 		}
 		if r.UplinkScale < 0 {
-			return fmt.Errorf("%w: region %q: negative uplink scale %v", ErrConfig, r.Name, r.UplinkScale)
+			return nil, fmt.Errorf("%w: region %q: negative uplink scale %v", ErrConfig, r.Name, r.UplinkScale)
 		}
 		total += r.Share
 	}
 	if total < 0.999 || total > 1.001 {
-		return fmt.Errorf("%w: region shares sum to %v, want 1", ErrConfig, total)
+		return nil, fmt.Errorf("%w: region shares sum to %v, want 1", ErrConfig, total)
 	}
-	if c.IntervalSeconds < 0 {
-		return fmt.Errorf("%w: negative interval %v s", ErrConfig, c.IntervalSeconds)
-	}
-	if c.VMBudgetPerHour < 0 {
-		return fmt.Errorf("%w: negative VM budget %v $/h", ErrConfig, c.VMBudgetPerHour)
-	}
-	if c.StorageBudgetPerHour < 0 {
-		return fmt.Errorf("%w: negative storage budget %v $/h", ErrConfig, c.StorageBudgetPerHour)
-	}
-	if c.TransferCostPerGB < 0 {
-		return fmt.Errorf("%w: negative transfer cost %v $/GB", ErrConfig, c.TransferCostPerGB)
-	}
-	if err := c.validateFaults(seen); err != nil {
-		return err
-	}
-	if err := c.Channel.Validate(); err != nil {
-		return err
-	}
-	if err := c.Workload.Validate(); err != nil {
-		return err
-	}
-	if c.Transfer == nil {
-		return fmt.Errorf("%w: nil transfer matrix", ErrConfig)
-	}
-	return c.Transfer.Validate()
+	return seen, nil
 }
 
-// validateFaults checks the fault schedule against the region set: every
-// scoped event must name a configured region, and the regions that can be
-// down concurrently must leave some surviving share to fail over to.
-func (c Config) validateFaults(regions map[string]bool) error {
-	if c.Faults == nil {
+// validateFaults checks the fault schedule against the region set:
+// every scoped event must name a configured region.
+func validateFaults(names map[string]bool, faults *fault.Schedule) error {
+	if faults == nil {
 		return nil
 	}
-	if err := c.Faults.Validate(); err != nil {
+	if err := faults.Validate(); err != nil {
 		return err
 	}
-	known := func(name string) bool { return name == "" || regions[name] }
-	outageShare := make(map[string]bool, len(c.Regions))
-	for _, o := range c.Faults.Outages {
+	known := func(name string) bool { return name == "" || names[name] }
+	for _, o := range faults.Outages {
 		if !known(o.Region) {
 			return fmt.Errorf("%w: outage names unknown region %q", ErrConfig, o.Region)
 		}
-		name := o.Region
-		if name == "" {
-			name = c.largestRegion()
-		}
-		outageShare[name] = true
 	}
-	// Sum in region-declaration order, not map order: float addition is
-	// not associative and this threshold must be deterministic.
-	var down float64
-	for _, r := range c.Regions {
-		if outageShare[r.Name] {
-			down += r.Share
-		}
-	}
-	if down >= 0.999 {
-		return fmt.Errorf("%w: outages can take down share %v, nothing left to fail over to", ErrConfig, down)
-	}
-	for _, p := range c.Faults.Preemptions {
+	for _, p := range faults.Preemptions {
 		if !known(p.Region) {
 			return fmt.Errorf("%w: preemption names unknown region %q", ErrConfig, p.Region)
 		}
 	}
-	for _, d := range c.Faults.Degradations {
+	for _, d := range faults.Degradations {
 		if !known(d.Region) {
 			return fmt.Errorf("%w: degradation names unknown region %q", ErrConfig, d.Region)
 		}
@@ -229,11 +143,29 @@ func (c Config) validateFaults(regions map[string]bool) error {
 	return nil
 }
 
+// outageShare is the combined share of every region the outages can take
+// down. It sums in region-declaration order, not map order: float
+// addition is not associative, and the sum sets both a validation
+// threshold and every survivor's arrival envelope.
+func outageShare(regions []Region, outages []fault.RegionOutage) float64 {
+	failing := make(map[string]bool, len(regions))
+	for _, o := range outages {
+		failing[o.Region] = true
+	}
+	var down float64
+	for _, r := range regions {
+		if failing[r.Name] {
+			down += r.Share
+		}
+	}
+	return down
+}
+
 // largestRegion returns the name of the region with the biggest share
 // (first wins ties) — the default victim for an unscoped outage.
-func (c Config) largestRegion() string {
+func largestRegion(regions []Region) string {
 	best, share := "", -1.0
-	for _, r := range c.Regions {
+	for _, r := range regions {
 		if r.Share > share {
 			best, share = r.Name, r.Share
 		}
@@ -311,14 +243,11 @@ func (s *shareSource) CloneSource() workload.Source {
 
 func (s *shareSource) Validate() error { return s.src.Validate() }
 
-// RegionSystem is one region's running stack. Sim is the engine behind
-// the deployment's fidelity, seen through the sim.Backend seam.
+// RegionSystem is one region's running stack, built by stack.Build from
+// the region's derived scenario.
 type RegionSystem struct {
-	Region     Region
-	Sim        sim.Backend
-	Cloud      *cloud.Cloud
-	Broker     *cloud.Broker
-	Controller *core.Controller
+	Region Region
+	*stack.System
 
 	share *shareFactor
 	down  bool
@@ -333,197 +262,82 @@ type geoEvent struct {
 
 // Deployment is the full multi-region system.
 type Deployment struct {
-	cfg     Config
 	regions []*RegionSystem
 
 	events    []geoEvent // outage boundaries, sorted
 	nextEvent int
 	handoffGB float64 // per-migrated-viewer transfer footprint
-	costPerGB float64
 }
 
-// New builds every regional stack, bootstraps provisioning from the
-// analytic t=0 estimates, and starts the hourly controllers.
-func New(cfg Config) (*Deployment, error) {
-	if cfg.IntervalSeconds == 0 {
-		cfg.IntervalSeconds = 3600
-	}
-	if cfg.VMBudgetPerHour == 0 {
-		cfg.VMBudgetPerHour = 100
-	}
-	if cfg.StorageBudgetPerHour == 0 {
-		cfg.StorageBudgetPerHour = 1
-	}
-	if cfg.TransferCostPerGB == 0 {
-		cfg.TransferCostPerGB = 0.05
-	}
-	if err := cfg.Validate(); err != nil {
+// New builds every regional stack from the scenario — each bootstrapped
+// from the analytic t=0 estimates with its hourly controller started —
+// and arms the scenario's outages as cross-region failover. Region i runs
+// a copy of sc whose workload is scaled by the region's share and
+// UplinkScale, whose demand reads through the region's share source, and
+// whose seed is sc.Seed + 7919·i; provisioning is always dynamic.
+func New(sc stack.Scenario, regions []Region) (*Deployment, error) {
+	names, err := validateRegions(regions)
+	if err != nil {
 		return nil, err
 	}
+	if err := validateFaults(names, sc.Faults); err != nil {
+		return nil, err
+	}
+	if sc.Source != nil {
+		return nil, fmt.Errorf("%w: regions split the parametric workload; a demand source is not supported", ErrConfig)
+	}
 	// Resolve unscoped outages to the largest-share region, so the rest
-	// of the deployment only ever sees named victims.
-	if cfg.Faults != nil && len(cfg.Faults.Outages) > 0 {
-		cfg.Faults = cfg.Faults.Clone()
-		for i := range cfg.Faults.Outages {
-			if cfg.Faults.Outages[i].Region == "" {
-				cfg.Faults.Outages[i].Region = cfg.largestRegion()
+	// of the deployment only ever sees named victims. The regional stacks
+	// get the schedule without its outages: the deployment realizes them
+	// as failover in RunUntil.
+	var outages []fault.RegionOutage
+	if sc.Faults != nil {
+		outages = append(outages, sc.Faults.Outages...)
+		for i := range outages {
+			if outages[i].Region == "" {
+				outages[i].Region = largestRegion(regions)
 			}
 		}
+		sc.Faults = sc.Faults.Clone()
+		sc.Faults.Outages = nil
 	}
-	d := &Deployment{
-		cfg:       cfg,
-		handoffGB: cfg.Channel.ChunkBytes() / 1e9,
-		costPerGB: cfg.TransferCostPerGB,
+	// Survivors scale by at most 1/(1−S), S the share the outages can take
+	// down; a fault-free deployment gets exactly 1, leaving its arrival
+	// envelopes (and every pre-fault golden) untouched.
+	down := outageShare(regions, outages)
+	if down >= 0.999 {
+		return nil, fmt.Errorf("%w: outages can take down share %v, nothing left to fail over to", ErrConfig, down)
 	}
-	maxBoost := d.maxShareBoost()
-	for i, region := range cfg.Regions {
-		wl, err := regionWorkload(cfg.Workload, region)
-		if err != nil {
+	maxBoost := 1 / (1 - down)
+	sc.StaticProvisioning = false
+	d := &Deployment{handoffGB: sc.Channel.ChunkBytes() / 1e9}
+	for i, region := range regions {
+		rsc := sc
+		if rsc.Workload, err = regionWorkload(sc.Workload, region); err != nil {
 			return nil, err
 		}
 		share := newShareFactor()
-		src := &shareSource{src: wl.Source(), factor: share, maxBoost: maxBoost}
-		simCfg := sim.Config{
-			Mode:     cfg.Mode,
-			Channel:  cfg.Channel,
-			Workload: wl,
-			Source:   src,
-			Transfer: cfg.Transfer,
-			Workers:  cfg.Workers,
-			Seed:     cfg.Seed + int64(i)*7919, // distinct stream per region
-		}
-		var s sim.Backend
-		switch cfg.Fidelity {
-		case 0, modes.FidelityEvent:
-			s, err = sim.New(simCfg)
-		case modes.FidelityFluid:
-			s, err = fluid.New(fluid.Config{Sim: simCfg})
-		default:
-			err = fmt.Errorf("invalid fidelity %d", int(cfg.Fidelity))
-		}
+		rsc.Source = &shareSource{src: rsc.Workload.Source(), factor: share, maxBoost: maxBoost}
+		rsc.Seed = sc.Seed + int64(i)*7919 // distinct stream per region
+		sys, err := stack.Build(rsc, stack.RegionID{Name: region.Name, FaultSeedOffset: 1})
 		if err != nil {
 			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
 		}
-		vmSpecs := region.VMClusters
-		if len(vmSpecs) == 0 {
-			vmSpecs = cloud.DefaultVMClusters()
-		}
-		nfsSpecs := region.NFSClusters
-		if len(nfsSpecs) == 0 {
-			nfsSpecs = cloud.DefaultNFSClusters()
-		}
-		cl, err := cloud.New(vmSpecs, nfsSpecs, cloud.WithPricing(cfg.Pricing))
-		if err != nil {
-			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
-		}
-		broker, err := cloud.NewBroker(cl)
-		if err != nil {
-			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
-		}
-		oracleSrc := src.CloneSource()
-		ctl, err := core.NewController(s, cl, broker, core.Options{
-			IntervalSeconds:      cfg.IntervalSeconds,
-			VMBudgetPerHour:      cfg.VMBudgetPerHour,
-			StorageBudgetPerHour: cfg.StorageBudgetPerHour,
-			FallbackTransfer:     cfg.Transfer,
-			ApplyBootLatency:     true,
-			PeerSupplyTrust:      0.7,
-			ProvisionHeadroom:    1.2,
-			Policy:               cfg.Policy,
-			Workers:              cfg.Workers,
-			// Each region's oracle source is its own share-scaled trace,
-			// read through the share wrapper so failover migrations steer
-			// the oracle's view too.
-			TrueRates: func(channel int, start, end float64) float64 {
-				r, err := oracleSrc.MeanRate(channel, start, end)
-				if err != nil {
-					return 0
-				}
-				return r
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
-		}
-
-		inputs := make([]core.ChannelInput, s.Channels())
-		for c := range inputs {
-			rate, err := wl.ChannelRate(c, 0)
-			if err != nil {
-				return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
-			}
-			inputs[c] = core.ChannelInput{
-				ArrivalRate: rate,
-				Transfer:    cfg.Transfer,
-				MeanUplink:  wl.PeerUplink.Mean(),
-			}
-		}
-		ctl.Provision(0, inputs)
-		if err := ctl.Start(); err != nil {
-			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
-		}
-		rs := &RegionSystem{
-			Region: region, Sim: s, Cloud: cl, Broker: broker, Controller: ctl,
-			share: share,
-		}
-		// Per-region scheduled faults: spot preemptions, degradations,
-		// and the pricing plan's stochastic interruption process. Outages
-		// are deployment-level (share migration), handled in RunUntil.
-		if err := fault.Attach(fault.Target{
-			Backend:         s,
-			Cloud:           cl,
-			Controller:      ctl,
-			Region:          region.Name,
-			IntervalSeconds: cfg.IntervalSeconds,
-			Seed:            cfg.Seed + int64(i)*7919 + 1,
-		}, cfg.Faults); err != nil {
-			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
-		}
-		d.regions = append(d.regions, rs)
+		d.regions = append(d.regions, &RegionSystem{Region: region, System: sys, share: share})
 	}
-	d.buildEvents()
+	d.buildEvents(outages)
 	return d, nil
-}
-
-// maxShareBoost bounds the share factor any survivor can reach over the
-// run: with S the combined share of every region the schedule can take
-// down, survivors scale by at most 1/(1−S). A fault-free deployment
-// returns exactly 1 so the envelope (and with it every pre-fault golden)
-// is untouched.
-func (d *Deployment) maxShareBoost() float64 {
-	if d.cfg.Faults == nil || len(d.cfg.Faults.Outages) == 0 {
-		return 1
-	}
-	failing := make(map[string]bool, len(d.cfg.Regions))
-	for _, o := range d.cfg.Faults.Outages {
-		failing[o.Region] = true
-	}
-	// Sum in region-declaration order, not map order: the boost scales
-	// every envelope and must be float-deterministic.
-	var down float64
-	for _, r := range d.cfg.Regions {
-		if failing[r.Name] {
-			down += r.Share
-		}
-	}
-	if down >= 0.999 {
-		down = 0.999 // unreachable: Validate rejects it
-	}
-	return 1 / (1 - down)
 }
 
 // buildEvents flattens the outage windows into a sorted boundary list.
 // Ties process recoveries before starts, then lower region index, so the
 // order is deterministic.
-func (d *Deployment) buildEvents() {
-	if d.cfg.Faults == nil {
-		return
-	}
+func (d *Deployment) buildEvents(outages []fault.RegionOutage) {
 	index := make(map[string]int, len(d.regions))
 	for i, r := range d.regions {
 		index[r.Region.Name] = i
 	}
-	for _, o := range d.cfg.Faults.Outages {
+	for _, o := range outages {
 		ri := index[o.Region]
 		d.events = append(d.events,
 			geoEvent{time: o.Start, start: true, region: ri},
@@ -626,7 +440,7 @@ func (d *Deployment) failOver(now float64, ri int) {
 			continue
 		}
 		moved := migrated * r.Region.Share / survivingShare
-		cost := moved * d.handoffGB * d.costPerGB
+		cost := moved * d.handoffGB * transferUSDPerGB
 		r.Cloud.Ledger().ChargeTransfer(now, cost,
 			fmt.Sprintf("%.0f viewers failed over from %s", moved, failed.Region.Name))
 	}
@@ -650,7 +464,7 @@ func (d *Deployment) recover(now float64, ri int) {
 		}
 	}
 	returning := crowd * recovered.Region.Share
-	cost := returning * d.handoffGB * d.costPerGB
+	cost := returning * d.handoffGB * transferUSDPerGB
 	recovered.Cloud.Ledger().ChargeTransfer(now, cost,
 		fmt.Sprintf("%.0f viewers failed back to %s", returning, recovered.Region.Name))
 	recovered.Cloud.Ledger().Notef(now, "region recovered: share restored")

@@ -12,23 +12,22 @@ import (
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 	"cloudmedia/internal/testutil"
 	"cloudmedia/internal/workload"
 )
 
-func testConfig(t *testing.T, regions []Region) Config {
-	t.Helper()
+func testScenario() stack.Scenario {
 	ch := testutil.ChannelConfig(5, 60)
 	ch.SlotsPerVM = 5
 	// The paper's default 15-minute jump interval, unlike the shortened
 	// intervals the engine tests use.
 	wl := testutil.FlatWorkload(2, 0.6, workload.Default().JumpMeanSeconds)
-	return Config{
-		Regions:         regions,
+	return stack.Scenario{
 		Mode:            sim.ClientServer,
 		Channel:         ch,
 		Workload:        wl,
-		Transfer:        testutil.SequentialWithJumps(t, ch.Chunks, 0.9, 0.2),
+		Hours:           1,
 		IntervalSeconds: 600,
 		Seed:            5,
 	}
@@ -42,86 +41,55 @@ func twoRegions() []Region {
 }
 
 func TestConfigValidation(t *testing.T) {
-	base := testConfig(t, twoRegions())
-
-	noRegions := base
-	noRegions.Regions = nil
-	if _, err := New(noRegions); err == nil {
-		t.Error("no regions accepted")
+	sc := testScenario()
+	cases := map[string][]Region{
+		"no regions":              nil,
+		"shares not summing to 1": {{Name: "a", Share: 0.5}, {Name: "b", Share: 0.2}},
+		"duplicate region":        {{Name: "a", Share: 0.5}, {Name: "a", Share: 0.5}},
+		"unnamed region":          {{Name: "", Share: 1}},
+		"negative uplink scale":   {{Name: "x", Share: 1, UplinkScale: -1}},
 	}
-
-	badShare := base
-	badShare.Regions = []Region{{Name: "a", Share: 0.5}, {Name: "b", Share: 0.2}}
-	if _, err := New(badShare); err == nil {
-		t.Error("shares not summing to 1 accepted")
+	for name, regions := range cases {
+		if _, err := New(sc, regions); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: New = %v, want ErrConfig", name, err)
+		}
 	}
-
-	dup := base
-	dup.Regions = []Region{{Name: "a", Share: 0.5}, {Name: "a", Share: 0.5}}
-	if _, err := New(dup); err == nil {
-		t.Error("duplicate region accepted")
+	// Regions split the parametric workload; a demand source is rejected
+	// rather than silently ignored.
+	withSource := sc
+	withSource.Source = sc.Workload.Source()
+	if _, err := New(withSource, twoRegions()); !errors.Is(err, ErrConfig) {
+		t.Errorf("demand source: New = %v, want ErrConfig", err)
 	}
-
-	unnamed := base
-	unnamed.Regions = []Region{{Name: "", Share: 1}}
-	if _, err := New(unnamed); err == nil {
-		t.Error("unnamed region accepted")
-	}
-
-	noTransfer := base
-	noTransfer.Transfer = nil
-	if _, err := New(noTransfer); err == nil {
-		t.Error("nil transfer accepted")
-	}
-}
-
-// TestValidateRejectsNegatives pins the PR 10 bugfix: New defaults only
-// the == 0 spellings of the interval and budgets, so negatives used to
-// slip through into the controllers. Every rejection wraps ErrConfig.
-func TestValidateRejectsNegatives(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"negative interval", func(c *Config) { c.IntervalSeconds = -600 }},
-		{"negative vm budget", func(c *Config) { c.VMBudgetPerHour = -100 }},
-		{"negative storage budget", func(c *Config) { c.StorageBudgetPerHour = -1 }},
-		{"negative transfer cost", func(c *Config) { c.TransferCostPerGB = -0.05 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig(t, twoRegions())
-			tc.mutate(&cfg)
-			if _, err := New(cfg); err == nil {
-				t.Fatalf("%s accepted", tc.name)
-			} else if !errors.Is(err, ErrConfig) {
-				t.Errorf("%s: error %v does not wrap ErrConfig", tc.name, err)
-			}
-		})
+	// The spec's own checks run through stack.Build for every region.
+	negative := sc
+	negative.VMBudget = -100
+	if _, err := New(negative, twoRegions()); err == nil {
+		t.Error("negative VM budget accepted")
 	}
 }
 
 func TestValidateFaultSchedule(t *testing.T) {
-	cfg := testConfig(t, twoRegions())
-	cfg.Faults = &fault.Schedule{
+	sc := testScenario()
+	sc.Faults = &fault.Schedule{
 		Outages: []fault.RegionOutage{{Region: "atlantis", Start: 600, Duration: 600}},
 	}
-	if _, err := New(cfg); err == nil || !errors.Is(err, ErrConfig) {
+	if _, err := New(sc, twoRegions()); err == nil || !errors.Is(err, ErrConfig) {
 		t.Errorf("unknown outage region accepted: %v", err)
 	}
-	cfg.Faults = &fault.Schedule{
+	sc.Faults = &fault.Schedule{
 		Outages: []fault.RegionOutage{
 			{Region: "us-east", Start: 600, Duration: 600},
 			{Region: "eu-west", Start: 1800, Duration: 600},
 		},
 	}
-	if _, err := New(cfg); err == nil || !errors.Is(err, ErrConfig) {
+	if _, err := New(sc, twoRegions()); err == nil || !errors.Is(err, ErrConfig) {
 		t.Errorf("outages covering every region accepted: %v", err)
 	}
 }
 
 func TestDeploymentSplitsPopulationByShare(t *testing.T) {
-	d, err := New(testConfig(t, twoRegions()))
+	d, err := New(testScenario(), twoRegions())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -143,33 +111,42 @@ func TestDeploymentSplitsPopulationByShare(t *testing.T) {
 	}
 }
 
+// TestRegionalPricingChangesBill: the scenario's VM catalog reaches every
+// region, so halving its prices lowers every regional bill.
 func TestRegionalPricingChangesBill(t *testing.T) {
-	run := func(priceFactor float64) float64 {
-		specs := cloud.DefaultVMClusters()
-		for i := range specs {
-			specs[i].PricePerHour *= priceFactor
+	run := func(priceFactor float64) []RegionReport {
+		sc := testScenario()
+		sc.VMClusters = cloud.DefaultVMClusters()
+		for i := range sc.VMClusters {
+			sc.VMClusters[i].PricePerHour *= priceFactor
 		}
-		regions := []Region{{Name: "only", Share: 1, VMClusters: specs}}
-		d, err := New(testConfig(t, regions))
+		d, err := New(sc, twoRegions())
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
 		d.RunUntil(2 * 600)
-		_, totalVM, _ := d.Report()
-		return totalVM
+		for _, r := range d.Regions() {
+			if got, want := r.Cloud.VMClusters()[0].PricePerHour, sc.VMClusters[0].PricePerHour; got != want {
+				t.Errorf("region %s rents at $%v/h, want the scenario's $%v/h", r.Region.Name, got, want)
+			}
+		}
+		regions, _, _ := d.Report()
+		return regions
 	}
-	cheap := run(0.5)
-	expensive := run(1.0)
-	if cheap >= expensive {
-		t.Errorf("half-price region bill %v not below full price %v", cheap, expensive)
+	cheap, expensive := run(0.5), run(1.0)
+	for i := range cheap {
+		if cheap[i].VMCost >= expensive[i].VMCost {
+			t.Errorf("region %s: half-price bill %v not below full price %v",
+				cheap[i].Name, cheap[i].VMCost, expensive[i].VMCost)
+		}
 	}
 }
 
 func TestRegionsAreIndependentSeedStreams(t *testing.T) {
-	d, err := New(testConfig(t, []Region{
+	d, err := New(testScenario(), []Region{
 		{Name: "a", Share: 0.5},
 		{Name: "b", Share: 0.5},
-	}))
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -188,11 +165,11 @@ func TestRegionsAreIndependentSeedStreams(t *testing.T) {
 }
 
 func TestDeploymentDefaultsApplied(t *testing.T) {
-	cfg := testConfig(t, twoRegions())
-	cfg.IntervalSeconds = 0
-	cfg.VMBudgetPerHour = 0
-	cfg.StorageBudgetPerHour = 0
-	d, err := New(cfg)
+	sc := testScenario()
+	sc.IntervalSeconds = 0
+	sc.VMBudget = 0
+	sc.StorageBudget = 0
+	d, err := New(sc, twoRegions())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -223,15 +200,10 @@ func TestRegionWorkloadUplinkHeterogeneity(t *testing.T) {
 	if wWeak.BaseArrivalRate != global.BaseArrivalRate*0.2 {
 		t.Errorf("share not applied: %v", wWeak.BaseArrivalRate)
 	}
-	cfg := testConfig(t, []Region{{Name: "x", Share: 1, UplinkScale: -1}})
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative uplink scale accepted by Validate")
-	}
 }
 
 func TestDefaultRegionsValid(t *testing.T) {
-	cfg := testConfig(t, DefaultRegions())
-	if err := cfg.Validate(); err != nil {
+	if _, err := New(testScenario(), DefaultRegions()); err != nil {
 		t.Errorf("DefaultRegions invalid: %v", err)
 	}
 }
@@ -241,10 +213,10 @@ func TestDefaultRegionsValid(t *testing.T) {
 // regional controller and ledger (the regional experiment advertises
 // -policy/-pricing support).
 func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
-	cfg := testConfig(t, twoRegions())
-	cfg.Policy = provision.StaticPeak{Intervals: 2}
-	cfg.Pricing = cloud.ReservedPricing()
-	dep, err := New(cfg)
+	sc := testScenario()
+	sc.Policy = provision.StaticPeak{Intervals: 2}
+	sc.Pricing = cloud.ReservedPricing()
+	dep, err := New(sc, twoRegions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,18 +240,17 @@ func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
 	}
 }
 
-// faultConfig is the adversarial deployment the failover tests share: an
-// outage taking the large region dark for one interval, a global spot
+// faultScenario is the adversarial deployment the failover tests share:
+// an outage taking the large region dark for one interval, a global spot
 // preemption while it is down, everything billed on the spot plan.
-func faultConfig(t *testing.T) Config {
-	t.Helper()
-	cfg := testConfig(t, twoRegions())
-	cfg.Pricing = cloud.SpotPricing()
-	cfg.Faults = &fault.Schedule{
+func faultScenario() stack.Scenario {
+	sc := testScenario()
+	sc.Pricing = cloud.SpotPricing()
+	sc.Faults = &fault.Schedule{
 		Outages:     []fault.RegionOutage{{Region: "us-east", Start: 600, Duration: 600}},
 		Preemptions: []fault.SpotPreemption{{At: 900, Fraction: 0.5}},
 	}
-	return cfg
+	return sc
 }
 
 // TestOutageFailoverMigratesSharesAndChargesTransfer exercises the PR 10
@@ -288,8 +259,7 @@ func faultConfig(t *testing.T) Config {
 // handoff bytes are charged to the receiving region, and recovery
 // restores the shares and charges the fail-back.
 func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
-	cfg := faultConfig(t)
-	d, err := New(cfg)
+	d, err := New(faultScenario(), twoRegions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +313,10 @@ func TestGeoWorkerInvarianceUnderFaults(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, fid := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
 		run := func(workers int) []RegionReport {
-			cfg := faultConfig(t)
-			cfg.Fidelity = fid
-			cfg.Workers = workers
-			d, err := New(cfg)
+			sc := faultScenario()
+			sc.Fidelity = fid
+			sc.Workers = workers
+			d, err := New(sc, twoRegions())
 			if err != nil {
 				t.Fatalf("fidelity %v workers %d: %v", fid, workers, err)
 			}
@@ -373,10 +343,10 @@ func TestGeoWorkerInvarianceUnderFaults(t *testing.T) {
 func TestFailoverDeterministicPerSeed(t *testing.T) {
 	for _, fid := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
 		run := func(seed int64) []RegionReport {
-			cfg := faultConfig(t)
-			cfg.Fidelity = fid
-			cfg.Seed = seed
-			d, err := New(cfg)
+			sc := faultScenario()
+			sc.Fidelity = fid
+			sc.Seed = seed
+			d, err := New(sc, twoRegions())
 			if err != nil {
 				t.Fatalf("fidelity %v: %v", fid, err)
 			}
@@ -402,13 +372,13 @@ func TestFailoverDeterministicPerSeed(t *testing.T) {
 // and the envelope boost is exactly 1).
 func TestFaultFreeDeploymentUntouched(t *testing.T) {
 	run := func(withNilFaults bool) []RegionReport {
-		cfg := testConfig(t, twoRegions())
+		sc := testScenario()
 		if withNilFaults {
-			cfg.Faults = nil
+			sc.Faults = nil
 		} else {
-			cfg.Faults = &fault.Schedule{} // empty schedule, same thing
+			sc.Faults = &fault.Schedule{} // empty schedule, same thing
 		}
-		d, err := New(cfg)
+		d, err := New(sc, twoRegions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ type timedPolicy struct {
 	observe func(seconds float64)
 }
 
-// validator mirrors the optional Validate check experiments.Build applies
+// validator mirrors the optional Validate check stack.Build applies
 // to policies via type assertion; the wrapper must keep exposing it.
 type validator interface {
 	Validate() error

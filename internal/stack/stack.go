@@ -1,4 +1,11 @@
-package experiments
+// Package stack assembles one CloudMedia deployment — demand source,
+// engine (per-viewer event or aggregate fluid), cloud, broker, and
+// provisioning controller — from a Scenario, and bootstraps it from the
+// analytic t=0 estimates of Sec. V-B. It is the single stack builder:
+// the experiment harness builds every single-region run through it, and
+// internal/geo builds each region of a multi-region deployment through
+// it.
+package stack
 
 import (
 	"fmt"
@@ -29,7 +36,8 @@ func BaseRateForViewers(viewers float64) float64 {
 	return 0.6 * viewers / ViewersPerScale
 }
 
-// Scenario bundles every knob an experiment run needs.
+// Scenario bundles every knob one stack needs: the single internal spec
+// that pkg/simulate, the experiment harness and geo all build from.
 type Scenario struct {
 	Mode sim.Mode
 	// Fidelity selects the engine: zero or modes.FidelityEvent builds the
@@ -147,14 +155,45 @@ func DefaultScenario(mode sim.Mode, scale float64) Scenario {
 	}
 }
 
-// pinMode returns a copy of the scenario locked to the given engine mode.
-// It also clears StaticProvisioning: a public "p2p" scenario carries the
-// hold-the-bootstrap override, but a figure that pins its own modes is
-// defined over dynamically provisioned runs and must not inherit it.
-func (sc Scenario) pinMode(m sim.Mode) Scenario {
-	sc.Mode = m
-	sc.StaticProvisioning = false
-	return sc
+// Validate reports the first violated scenario invariant the engines
+// would not catch themselves (they validate the channel shape and the
+// workload). A zero interval or budget is valid: the controller applies
+// its defaults.
+func (sc Scenario) Validate() error {
+	switch {
+	case sc.Hours <= 0:
+		return fmt.Errorf("stack: non-positive duration %v h", sc.Hours)
+	case sc.IntervalSeconds < 0:
+		return fmt.Errorf("stack: negative interval %v s", sc.IntervalSeconds)
+	case sc.VMBudget < 0:
+		return fmt.Errorf("stack: negative VM budget %v $/h", sc.VMBudget)
+	case sc.StorageBudget < 0:
+		return fmt.Errorf("stack: negative storage budget %v $/h", sc.StorageBudget)
+	}
+	return nil
+}
+
+// JumpPrior returns the analytic transfer-matrix prior for the
+// scenario's channel and workload: sequential viewing with 90% per-chunk
+// retention plus VCR jumps, whose per-chunk probability is T₀ over the
+// mean jump interval (capped at 1).
+func (sc Scenario) JumpPrior() (queueing.TransferMatrix, error) {
+	jump := sc.Channel.ChunkSeconds / sc.Workload.JumpMeanSeconds
+	if jump > 1 {
+		jump = 1
+	}
+	return viewing.SequentialWithJumps(sc.Channel.Chunks, 0.9, jump)
+}
+
+// RegionID identifies one regional stack of a multi-region deployment.
+// The zero value is the single-region stack.
+type RegionID struct {
+	// Name scopes region-tagged fault events: an event naming another
+	// region skips this stack. "" applies only the global events.
+	Name string
+	// FaultSeedOffset is added to Scenario.Seed to seed the stack's
+	// spot-interruption process.
+	FaultSeedOffset int64
 }
 
 // System is one assembled CloudMedia stack. Sim is the engine behind the
@@ -172,9 +211,11 @@ type System struct {
 // Build assembles the stack and applies bootstrap provisioning from the
 // analytic t=0 estimates, exactly as Sec. V-B describes ("based on the
 // application's empirical user scale and viewing pattern information").
-func Build(sc Scenario) (*System, error) {
-	if sc.Hours <= 0 {
-		return nil, fmt.Errorf("experiments: non-positive duration %v h", sc.Hours)
+// region is the stack's identity in a multi-region deployment; pass the
+// zero value for a single-region run.
+func Build(sc Scenario, region RegionID) (*System, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
 	if sc.SampleSeconds <= 0 {
 		sc.SampleSeconds = 900
@@ -201,12 +242,7 @@ func Build(sc Scenario) (*System, error) {
 		}
 		sc.Workload.PeerUplink = up
 	}
-	// Jump probability per chunk ≈ T₀ / mean jump interval.
-	jump := sc.Channel.ChunkSeconds / sc.Workload.JumpMeanSeconds
-	if jump > 1 {
-		jump = 1
-	}
-	transfer, err := viewing.SequentialWithJumps(sc.Channel.Chunks, 0.9, jump)
+	transfer, err := sc.JumpPrior()
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +265,7 @@ func Build(sc Scenario) (*System, error) {
 	case modes.FidelityFluid:
 		s, err = fluid.New(fluid.Config{Sim: simCfg})
 	default:
-		err = fmt.Errorf("experiments: invalid fidelity %d", int(sc.Fidelity))
+		err = fmt.Errorf("stack: invalid fidelity %d", int(sc.Fidelity))
 	}
 	if err != nil {
 		return nil, err
@@ -289,12 +325,15 @@ func Build(sc Scenario) (*System, error) {
 	// Inject the fault plan (and the pricing plan's spot-interruption
 	// process) at this run's control barriers. Single-region runs realize
 	// region outages as full blackouts — there is nowhere to fail over to.
+	// A geo region's schedule arrives with its outages already stripped:
+	// the deployment realizes them as failover instead.
 	target := fault.Target{
 		Backend:         s,
 		Cloud:           cl,
 		Controller:      ctl,
+		Region:          region.Name,
 		IntervalSeconds: sc.IntervalSeconds,
-		Seed:            sc.Seed,
+		Seed:            sc.Seed + region.FaultSeedOffset,
 	}
 	if err := fault.Attach(target, sc.Faults); err != nil {
 		return nil, err

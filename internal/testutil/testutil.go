@@ -7,11 +7,13 @@
 // test that needs a non-default VM bandwidth overrides one field instead
 // of forking the whole builder.
 //
-// The package sits below the experiment harness: it may import the
-// engine layers (sim, cloud, queueing, viewing, workload) but never
-// internal/experiments or internal/geo, so their own test files can use
-// it without an import cycle. (internal/sim's tests cannot: they live in
-// package sim, which testutil imports.)
+// The package sits below the stack builder: it may import the engine
+// layers (sim, cloud, queueing, viewing, workload) but never
+// internal/stack, internal/geo or internal/experiments, so their own test
+// files can use it without an import cycle. (internal/sim's tests cannot:
+// they live in package sim, which testutil imports.) Full stacks come
+// from stack.Build; Stack below is the controller-less piece that core's
+// in-package tests need, since they cannot import internal/stack.
 package testutil
 
 import (

@@ -18,6 +18,7 @@ import (
 	"cloudmedia/internal/experiments"
 	"cloudmedia/internal/metrics"
 	"cloudmedia/internal/modes"
+	"cloudmedia/internal/stack"
 	"cloudmedia/pkg/simulate"
 )
 
@@ -101,18 +102,18 @@ func Run(id string, o Options) (*Result, error) {
 	return runner(esc)
 }
 
-// scenario maps the public options onto the experiment harness's scenario
+// scenario maps the public options onto the stack scenario
 // through the canonical mode mapping (internal/modes): P2P holds the
 // bootstrap rental statically, CloudAssisted provisions dynamically.
 // Experiments that pin their own modes reset both fields (see
-// Scenario.pinMode), so the setting only reaches the mode-sensitive
+// experiments.pinMode), so the setting only reaches the mode-sensitive
 // entries.
-func scenario(o Options) (experiments.Scenario, error) {
+func scenario(o Options) (stack.Scenario, error) {
 	mode, static, err := modes.Engine(o.Mode)
 	if err != nil {
-		return experiments.Scenario{}, fmt.Errorf("paper: %w", err)
+		return stack.Scenario{}, fmt.Errorf("paper: %w", err)
 	}
-	esc := experiments.DefaultScenario(mode, o.Scale)
+	esc := stack.DefaultScenario(mode, o.Scale)
 	esc.Fidelity = o.Fidelity
 	esc.Policy = o.Policy
 	esc.Pricing = o.Pricing

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"cloudmedia/internal/config"
-	"cloudmedia/internal/experiments"
+	"cloudmedia/internal/stack"
 	"cloudmedia/internal/workload"
 	"cloudmedia/pkg/plan"
 )
@@ -61,7 +61,7 @@ func (sc Scenario) With(opts ...Option) Scenario {
 			out.err = fmt.Errorf("simulate: WithViewerScale targets the parametric workload and conflicts with a demand source (scale the trace instead: Trace.Scale or WithScale)")
 			return out
 		}
-		out.Workload.BaseArrivalRate = experiments.BaseRateForViewers(*s.ViewerScale)
+		out.Workload.BaseArrivalRate = stack.BaseRateForViewers(*s.ViewerScale)
 	}
 	if s.Workload != nil {
 		out.Workload = s.Workload.Clone()

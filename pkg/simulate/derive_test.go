@@ -375,3 +375,16 @@ func TestScaleAppliesToDemandSource(t *testing.T) {
 		t.Errorf("WithViewerScale on a trace: err = %v, want ErrInvalidScenario", err)
 	}
 }
+
+// TestValidateRejectsNegativeBudgets: a negative VM or storage budget
+// used to validate, after which every plan round failed and the run
+// billed $0. Validate must reject it up front.
+func TestValidateRejectsNegativeBudgets(t *testing.T) {
+	for _, b := range [][2]float64{{-5, -1}, {-5, 1}, {100, -1}} {
+		sc := simulate.Default(simulate.CloudAssisted, 1).With(
+			cloudmedia.WithBudgets(b[0], b[1]), cloudmedia.WithHours(3))
+		if err := sc.Validate(); !errors.Is(err, simulate.ErrInvalidScenario) {
+			t.Errorf("budgets %v: Validate = %v, want ErrInvalidScenario", b, err)
+		}
+	}
+}

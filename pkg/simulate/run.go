@@ -3,7 +3,7 @@ package simulate
 import (
 	"context"
 
-	"cloudmedia/internal/experiments"
+	"cloudmedia/internal/stack"
 )
 
 // Snapshot is one periodic measurement of the running system, taken every
@@ -156,7 +156,7 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 		}
 	}
 
-	sys, err := experiments.Build(esc)
+	sys, err := stack.Build(esc, stack.RegionID{})
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"cloudmedia/internal/experiments"
 	"cloudmedia/internal/modes"
+	"cloudmedia/internal/stack"
 	"cloudmedia/pkg/plan"
 )
 
@@ -109,7 +109,7 @@ type ServeSettings struct {
 // hourly provisioning, Table II/III catalogs, B_M = $100/h, B_S = $1/h.
 // scale 1 targets ~250 concurrent viewers; 10 approaches paper scale.
 func Default(mode Mode, scale float64) Scenario {
-	base := experiments.DefaultScenario(0, scale)
+	base := stack.DefaultScenario(0, scale)
 	return Scenario{
 		Mode:            mode,
 		Channel:         base.Channel,
@@ -132,63 +132,57 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// internal converts the public scenario into the experiment harness's
-// form, applying the mode mapping.
-func (sc Scenario) internal() (experiments.Scenario, error) {
+// internal converts the public scenario into the stack builder's spec,
+// applying the mode mapping.
+func (sc Scenario) internal() (stack.Scenario, error) {
 	if sc.err != nil {
-		return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, sc.err)
+		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, sc.err)
 	}
 	engineMode, static, err := modes.Engine(sc.Mode)
 	if err != nil {
-		return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
+		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
 	if sc.Fidelity != 0 && sc.Fidelity != FidelityEvent && sc.Fidelity != FidelityFluid {
-		return experiments.Scenario{}, fmt.Errorf("%w: invalid fidelity %d", ErrInvalidScenario, int(sc.Fidelity))
-	}
-	if sc.Hours <= 0 {
-		return experiments.Scenario{}, fmt.Errorf("%w: non-positive duration %v h", ErrInvalidScenario, sc.Hours)
-	}
-	if sc.IntervalSeconds < 0 {
-		return experiments.Scenario{}, fmt.Errorf("%w: negative provisioning interval %v s", ErrInvalidScenario, sc.IntervalSeconds)
+		return stack.Scenario{}, fmt.Errorf("%w: invalid fidelity %d", ErrInvalidScenario, int(sc.Fidelity))
 	}
 	if sc.SampleSeconds < 0 {
-		return experiments.Scenario{}, fmt.Errorf("%w: negative sampling period %v s", ErrInvalidScenario, sc.SampleSeconds)
+		return stack.Scenario{}, fmt.Errorf("%w: negative sampling period %v s", ErrInvalidScenario, sc.SampleSeconds)
 	}
 	if err := sc.Channel.Validate(); err != nil {
-		return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
+		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
 	if err := sc.Workload.Validate(); err != nil {
-		return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
+		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
 	if sc.Source != nil {
 		if err := sc.Source.Validate(); err != nil {
-			return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
+			return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 		}
 		if sc.Source.NumChannels() <= 0 {
-			return experiments.Scenario{}, fmt.Errorf("%w: demand source has no channels", ErrInvalidScenario)
+			return stack.Scenario{}, fmt.Errorf("%w: demand source has no channels", ErrInvalidScenario)
 		}
 	}
 	if err := sc.Pricing.Validate(); err != nil {
-		return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
+		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
 	if err := sc.Faults.Validate(); err != nil {
-		return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
+		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
 	if v, ok := sc.Policy.(interface{ Validate() error }); ok && sc.Policy != nil {
 		if err := v.Validate(); err != nil {
-			return experiments.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
+			return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 		}
 	}
 	if c := sc.Serve.Clock; c != 0 && c != ClockReal && c != ClockSimulated {
-		return experiments.Scenario{}, fmt.Errorf("%w: invalid clock mode %d", ErrInvalidScenario, int(c))
+		return stack.Scenario{}, fmt.Errorf("%w: invalid clock mode %d", ErrInvalidScenario, int(c))
 	}
 	if ts := sc.Serve.TimeScale; ts < 0 || math.IsNaN(ts) || math.IsInf(ts, 0) {
-		return experiments.Scenario{}, fmt.Errorf("%w: invalid time scale %v", ErrInvalidScenario, ts)
+		return stack.Scenario{}, fmt.Errorf("%w: invalid time scale %v", ErrInvalidScenario, ts)
 	}
 	if sc.Workers < 0 {
-		return experiments.Scenario{}, fmt.Errorf("%w: negative workers %d", ErrInvalidScenario, sc.Workers)
+		return stack.Scenario{}, fmt.Errorf("%w: negative workers %d", ErrInvalidScenario, sc.Workers)
 	}
-	out := experiments.Scenario{
+	out := stack.Scenario{
 		Mode:               engineMode,
 		Fidelity:           sc.Fidelity,
 		Channel:            sc.Channel,
@@ -216,6 +210,9 @@ func (sc Scenario) internal() (experiments.Scenario, error) {
 	}
 	if out.SampleSeconds == 0 {
 		out.SampleSeconds = 900
+	}
+	if err := out.Validate(); err != nil {
+		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
 	return out, nil
 }

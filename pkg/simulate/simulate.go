@@ -22,12 +22,12 @@ import (
 
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/core"
-	"cloudmedia/internal/experiments"
 	"cloudmedia/internal/fault"
 	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/stack"
 	"cloudmedia/internal/workload"
 )
 
@@ -135,7 +135,7 @@ func DefaultWorkload() Workload { return workload.Default() }
 // scenario's session length — the conversion behind WithViewerScale
 // (250 viewers correspond to scale 1).
 func BaseRateForViewers(viewers float64) float64 {
-	return experiments.BaseRateForViewers(viewers)
+	return stack.BaseRateForViewers(viewers)
 }
 
 // Scheduling selects how the P2P overlay allocates peer uplink across
