@@ -2,6 +2,7 @@ package queueing
 
 import (
 	"fmt"
+	"math"
 
 	"cloudmedia/internal/mathx"
 )
@@ -33,16 +34,18 @@ type Config struct {
 
 // Validate checks the configuration invariants from Sec. III-B/C.
 func (c Config) Validate() error {
+	// Comparisons are written so NaN fails them; MaxFloat64 bounds rule
+	// out infinities without a call on this per-Solve path.
 	switch {
 	case c.Chunks <= 0:
 		return fmt.Errorf("queueing: non-positive chunk count %d", c.Chunks)
-	case c.PlaybackRate <= 0:
-		return fmt.Errorf("queueing: non-positive playback rate %v", c.PlaybackRate)
-	case c.ChunkSeconds <= 0:
-		return fmt.Errorf("queueing: non-positive chunk duration %v", c.ChunkSeconds)
-	case c.VMBandwidth <= c.PlaybackRate:
-		return fmt.Errorf("queueing: VM bandwidth R=%v must exceed playback rate r=%v", c.VMBandwidth, c.PlaybackRate)
-	case c.EntryFirstChunk < 0 || c.EntryFirstChunk > 1:
+	case !(c.PlaybackRate > 0 && c.PlaybackRate <= math.MaxFloat64):
+		return fmt.Errorf("queueing: playback rate %v not positive and finite", c.PlaybackRate)
+	case !(c.ChunkSeconds > 0 && c.ChunkSeconds <= math.MaxFloat64):
+		return fmt.Errorf("queueing: chunk duration %v not positive and finite", c.ChunkSeconds)
+	case !(c.VMBandwidth > c.PlaybackRate && c.VMBandwidth <= math.MaxFloat64):
+		return fmt.Errorf("queueing: VM bandwidth R=%v must be finite and exceed playback rate r=%v", c.VMBandwidth, c.PlaybackRate)
+	case !(c.EntryFirstChunk >= 0 && c.EntryFirstChunk <= 1):
 		return fmt.Errorf("queueing: entry fraction α=%v outside [0,1]", c.EntryFirstChunk)
 	case c.Chunks == 1 && c.EntryFirstChunk != 1:
 		return fmt.Errorf("queueing: single-chunk channel requires α=1, got %v", c.EntryFirstChunk)

@@ -9,6 +9,7 @@ package stack
 
 import (
 	"fmt"
+	"math"
 
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/core"
@@ -158,8 +159,20 @@ func DefaultScenario(mode sim.Mode, scale float64) Scenario {
 // Validate reports the first violated scenario invariant the engines
 // would not catch themselves (they validate the channel shape and the
 // workload). A zero interval or budget is valid: the controller applies
-// its defaults.
+// its defaults. Every number must be finite: a NaN would slip past the
+// sign checks and stall or silently zero the run.
 func (sc Scenario) Validate() error {
+	for _, f := range [...]struct {
+		name  string
+		value float64
+	}{
+		{"duration", sc.Hours}, {"interval", sc.IntervalSeconds}, {"sampling period", sc.SampleSeconds},
+		{"VM budget", sc.VMBudget}, {"storage budget", sc.StorageBudget}, {"uplink ratio", sc.UplinkRatio},
+	} {
+		if math.IsNaN(f.value) || math.IsInf(f.value, 0) {
+			return fmt.Errorf("stack: non-finite %s %v", f.name, f.value)
+		}
+	}
 	switch {
 	case sc.Hours <= 0:
 		return fmt.Errorf("stack: non-positive duration %v h", sc.Hours)
@@ -169,6 +182,8 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("stack: negative VM budget %v $/h", sc.VMBudget)
 	case sc.StorageBudget < 0:
 		return fmt.Errorf("stack: negative storage budget %v $/h", sc.StorageBudget)
+	case sc.UplinkRatio < 0:
+		return fmt.Errorf("stack: negative uplink ratio %v", sc.UplinkRatio)
 	}
 	return nil
 }

@@ -61,28 +61,29 @@ func Default() Params {
 	}
 }
 
-// Validate checks parameter invariants.
+// Validate checks parameter invariants. Comparisons are written so NaN
+// fails them, and rates must be finite.
 func (p Params) Validate() error {
 	switch {
 	case p.Channels <= 0:
 		return fmt.Errorf("workload: non-positive channel count %d", p.Channels)
-	case p.ZipfExponent < 0:
-		return fmt.Errorf("workload: negative Zipf exponent %v", p.ZipfExponent)
-	case p.BaseArrivalRate < 0:
-		return fmt.Errorf("workload: negative arrival rate %v", p.BaseArrivalRate)
-	case p.BaseLevel < 0:
-		return fmt.Errorf("workload: negative base level %v", p.BaseLevel)
-	case p.JumpMeanSeconds <= 0:
-		return fmt.Errorf("workload: non-positive jump interval %v", p.JumpMeanSeconds)
+	case !(p.ZipfExponent >= 0 && p.ZipfExponent <= math.MaxFloat64):
+		return fmt.Errorf("workload: Zipf exponent %v not finite and non-negative", p.ZipfExponent)
+	case !(p.BaseArrivalRate >= 0 && p.BaseArrivalRate <= math.MaxFloat64):
+		return fmt.Errorf("workload: arrival rate %v not finite and non-negative", p.BaseArrivalRate)
+	case !(p.BaseLevel >= 0 && p.BaseLevel <= math.MaxFloat64):
+		return fmt.Errorf("workload: base level %v not finite and non-negative", p.BaseLevel)
+	case !(p.JumpMeanSeconds > 0 && p.JumpMeanSeconds <= math.MaxFloat64):
+		return fmt.Errorf("workload: jump interval %v not positive and finite", p.JumpMeanSeconds)
 	}
 	for i, fc := range p.FlashCrowds {
-		if fc.WidthHours <= 0 {
-			return fmt.Errorf("workload: flash crowd %d: non-positive width %v", i, fc.WidthHours)
+		if !(fc.WidthHours > 0 && fc.WidthHours <= math.MaxFloat64) {
+			return fmt.Errorf("workload: flash crowd %d: width %v not positive and finite", i, fc.WidthHours)
 		}
-		if fc.Amplitude < 0 {
-			return fmt.Errorf("workload: flash crowd %d: negative amplitude %v", i, fc.Amplitude)
+		if !(fc.Amplitude >= 0 && fc.Amplitude <= math.MaxFloat64) {
+			return fmt.Errorf("workload: flash crowd %d: amplitude %v not finite and non-negative", i, fc.Amplitude)
 		}
-		if fc.PeakHour < 0 || fc.PeakHour >= 24 {
+		if !(fc.PeakHour >= 0 && fc.PeakHour < 24) {
 			return fmt.Errorf("workload: flash crowd %d: peak hour %v outside [0,24)", i, fc.PeakHour)
 		}
 	}

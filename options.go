@@ -1,7 +1,9 @@
 package cloudmedia
 
 import (
-	"cloudmedia/internal/config"
+	"fmt"
+	"math"
+
 	"cloudmedia/pkg/plan"
 	"cloudmedia/pkg/simulate"
 	"cloudmedia/pkg/trace"
@@ -19,31 +21,41 @@ import (
 //
 //	cheap := sc.With(cloudmedia.WithBudgets(50, 1))
 //
-// Option is one type across the module — cloudmedia.Option and
-// simulate.Option are aliases — so options built here flow into
-// pkg/simulate and pkg/sweep unchanged.
-type Option = config.Option
+// Option is one type across the module — cloudmedia.Option aliases
+// simulate.Option — so options built here flow into pkg/simulate and
+// pkg/sweep unchanged. Options apply in argument order and most write
+// their scenario field directly, so the last one wins; Scenario.With
+// documents the five demand knobs it resolves after every option has run.
+type Option = simulate.Option
+
+// set wraps a write that cannot fail as an Option.
+func set(write func(*simulate.Settings)) Option {
+	return func(s *simulate.Settings) error {
+		write(s)
+		return nil
+	}
+}
 
 // WithChunks sets J, the number of chunks each video is divided into.
 func WithChunks(n int) Option {
-	return func(s *config.Settings) { s.Chunks = &n }
+	return set(func(s *simulate.Settings) { s.Scenario.Channel.Chunks = n })
 }
 
 // WithPlaybackRate sets r, the streaming playback rate in bytes/s (the
 // paper uses 50e3, i.e. 400 Kbps).
 func WithPlaybackRate(bytesPerSecond float64) Option {
-	return func(s *config.Settings) { s.PlaybackRate = &bytesPerSecond }
+	return set(func(s *simulate.Settings) { s.Scenario.Channel.PlaybackRate = bytesPerSecond })
 }
 
 // WithChunkSeconds sets T₀, the playback time of one chunk.
 func WithChunkSeconds(seconds float64) Option {
-	return func(s *config.Settings) { s.ChunkSeconds = &seconds }
+	return set(func(s *simulate.Settings) { s.Scenario.Channel.ChunkSeconds = seconds })
 }
 
 // WithVMBandwidth sets R, the upload bandwidth allocated to each VM in
 // bytes/s (the paper uses 10 Mbps).
 func WithVMBandwidth(bytesPerSecond float64) Option {
-	return func(s *config.Settings) { s.VMBandwidth = &bytesPerSecond }
+	return set(func(s *simulate.Settings) { s.Scenario.Channel.VMBandwidth = bytesPerSecond })
 }
 
 // WithSlotsPerVM sets the capacity granularity of the queueing servers:
@@ -51,25 +63,25 @@ func WithVMBandwidth(bytesPerSecond float64) Option {
 // whole-VM mapping; larger values model the fractional VM shares Eqn. (7)
 // permits.
 func WithSlotsPerVM(slots int) Option {
-	return func(s *config.Settings) { s.SlotsPerVM = &slots }
+	return set(func(s *simulate.Settings) { s.Scenario.Channel.SlotsPerVM = slots })
 }
 
 // WithEntryFirstChunk sets α, the fraction of arrivals that start watching
 // at chunk 1 (the paper uses 0.7).
 func WithEntryFirstChunk(alpha float64) Option {
-	return func(s *config.Settings) { s.EntryFirstChunk = &alpha }
+	return set(func(s *simulate.Settings) { s.Scenario.Channel.EntryFirstChunk = alpha })
 }
 
 // WithTransfer sets the viewing-behaviour transfer matrix explicitly.
 // Pipeline only; Scenario derives its matrix from the workload's jump
 // parameters. Mutually exclusive with WithViewing.
 func WithTransfer(p plan.TransferMatrix) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if s.Viewing != nil {
-			s.Fail("cloudmedia: WithTransfer conflicts with WithViewing")
-			return
+			return fmt.Errorf("cloudmedia: WithTransfer conflicts with WithViewing")
 		}
 		s.Transfer = p
+		return nil
 	}
 }
 
@@ -77,12 +89,12 @@ func WithTransfer(p plan.TransferMatrix) Option {
 // per-chunk continuation probability and a jump probability (the paper
 // uses 0.9 and 1/3). Pipeline only. Mutually exclusive with WithTransfer.
 func WithViewing(cont, jump float64) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if s.Transfer != nil {
-			s.Fail("cloudmedia: WithViewing conflicts with WithTransfer")
-			return
+			return fmt.Errorf("cloudmedia: WithViewing conflicts with WithTransfer")
 		}
 		s.Viewing = &[2]float64{cont, jump}
+		return nil
 	}
 }
 
@@ -90,12 +102,12 @@ func WithViewing(cont, jump float64) Option {
 // one value per channel; a single value analyzes a single channel.
 // Pipeline only; Scenario arrivals come from the workload trace.
 func WithArrivalRate(usersPerSecond ...float64) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if len(usersPerSecond) == 0 {
-			s.Fail("cloudmedia: WithArrivalRate needs at least one rate")
-			return
+			return fmt.Errorf("cloudmedia: WithArrivalRate needs at least one rate")
 		}
 		s.Rates = usersPerSecond
+		return nil
 	}
 }
 
@@ -104,75 +116,86 @@ func WithArrivalRate(usersPerSecond ...float64) Option {
 // client-server system. Pipeline only; for a Scenario use WithUplinkRatio
 // or WithWorkload.
 func WithPeerUplink(bytesPerSecond float64) Option {
-	return func(s *config.Settings) { s.PeerUplink = &bytesPerSecond }
+	return set(func(s *simulate.Settings) { s.PeerUplink = bytesPerSecond })
 }
 
 // WithBudgets sets the hourly rental budgets: B_M for VMs and B_S for
 // storage, in dollars (the paper uses 100 and 1).
 func WithBudgets(vmPerHour, storagePerHour float64) Option {
-	return func(s *config.Settings) { s.Budgets = &[2]float64{vmPerHour, storagePerHour} }
+	return set(func(s *simulate.Settings) { s.Scenario.VMBudget, s.Scenario.StorageBudget = vmPerHour, storagePerHour })
 }
 
 // WithVMClusters overrides the VM rental catalog (default: the paper's
-// Table II).
+// Table II); called with no clusters it keeps the current catalog.
 func WithVMClusters(clusters ...plan.VMCluster) Option {
-	return func(s *config.Settings) { s.VMClusters = clusters }
+	return set(func(s *simulate.Settings) {
+		if clusters != nil {
+			s.Scenario.VMClusters = append([]plan.VMCluster(nil), clusters...)
+		}
+	})
 }
 
 // WithNFSClusters overrides the storage rental catalog (default: the
-// paper's Table III).
+// paper's Table III); called with no clusters it keeps the current one.
 func WithNFSClusters(clusters ...plan.NFSCluster) Option {
-	return func(s *config.Settings) { s.NFSClusters = clusters }
+	return set(func(s *simulate.Settings) {
+		if clusters != nil {
+			s.Scenario.NFSClusters = append([]plan.NFSCluster(nil), clusters...)
+		}
+	})
 }
 
 // WithHours sets the simulated duration. Scenario only.
 func WithHours(hours float64) Option {
-	return func(s *config.Settings) { s.Hours = &hours }
+	return set(func(s *simulate.Settings) { s.Scenario.Hours = hours })
 }
 
 // WithSeed sets the random seed; runs are reproducible per seed. Scenario
 // only.
 func WithSeed(seed int64) Option {
-	return func(s *config.Settings) { s.Seed = &seed }
+	return set(func(s *simulate.Settings) { s.Scenario.Seed = seed })
 }
 
 // WithScale sets the workload scale: in NewScenario, 1 targets ~250
 // concurrent viewers and 10 approaches the paper's ~2500. In
 // Scenario.With the scale is relative: it multiplies the derived
 // scenario's current arrival rate, so With(WithScale(2)) doubles the
-// crowd. The scale must be positive. Scenario only.
+// crowd. The scale must be positive and finite. Scenario only.
 func WithScale(scale float64) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if scale <= 0 {
-			s.Fail("cloudmedia: non-positive scale %v", scale)
-			return
+			return fmt.Errorf("cloudmedia: non-positive scale %v", scale)
+		}
+		if math.IsNaN(scale) || math.IsInf(scale, 0) {
+			return fmt.Errorf("cloudmedia: non-finite scale %v", scale)
 		}
 		s.Scale = &scale
+		return nil
 	}
 }
 
 // WithInterval sets the provisioning period T in seconds (default 3600,
 // the hourly rental granularity). Scenario only.
 func WithInterval(seconds float64) Option {
-	return func(s *config.Settings) { s.Interval = &seconds }
+	return set(func(s *simulate.Settings) { s.Scenario.IntervalSeconds = seconds })
 }
 
 // WithSampleSeconds sets the measurement sampling period (default 900).
 // Scenario only.
 func WithSampleSeconds(seconds float64) Option {
-	return func(s *config.Settings) { s.Sample = &seconds }
+	return set(func(s *simulate.Settings) { s.Scenario.SampleSeconds = seconds })
 }
 
 // WithUplinkRatio rescales the workload's peer uplinks so their mean is
 // ratio × the streaming rate — the paper's Fig. 11 sweep. Scenario only.
 func WithUplinkRatio(ratio float64) Option {
-	return func(s *config.Settings) { s.UplinkRatio = &ratio }
+	return set(func(s *simulate.Settings) { s.Scenario.UplinkRatio = ratio })
 }
 
 // WithChannels sets the number of video channels in the workload.
 // Scenario only; a Pipeline's channel count follows WithArrivalRate.
 func WithChannels(n int) Option {
-	return func(s *config.Settings) { s.Channels = &n }
+	return set(func(s *simulate.Settings) { s.Channels = &n })
 }
 
 // WithWorkers bounds the worker pool both engines use to step channels in
@@ -181,12 +204,12 @@ func WithChannels(n int) Option {
 // are bit-identical for every worker count on both engines — parallelism
 // is a throughput knob, never a behaviour knob. Scenario only.
 func WithWorkers(n int) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if n < 0 {
-			s.Fail("cloudmedia: negative workers %d", n)
-			return
+			return fmt.Errorf("cloudmedia: negative workers %d", n)
 		}
-		s.Workers = &n
+		s.Scenario.Workers = n
+		return nil
 	}
 }
 
@@ -195,12 +218,12 @@ func WithWorkers(n int) Option {
 // aggregate cohort integrator whose cost is independent of the crowd
 // size. Scenario only.
 func WithFidelity(f Fidelity) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if f != FidelityEvent && f != FidelityFluid {
-			s.Fail("cloudmedia: invalid fidelity %d", int(f))
-			return
+			return fmt.Errorf("cloudmedia: invalid fidelity %d", int(f))
 		}
-		s.Fidelity = f
+		s.Scenario.Fidelity = f
+		return nil
 	}
 }
 
@@ -210,19 +233,27 @@ func WithFidelity(f Fidelity) Option {
 // WithScale (n = 250 matches scale 1); combine it with
 // WithFidelity(FidelityFluid) for million-viewer runs. Scenario only.
 func WithViewerScale(n float64) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if n <= 0 {
-			s.Fail("cloudmedia: non-positive viewer scale %v", n)
-			return
+			return fmt.Errorf("cloudmedia: non-positive viewer scale %v", n)
+		}
+		if math.IsNaN(n) || math.IsInf(n, 0) {
+			return fmt.Errorf("cloudmedia: non-finite viewer scale %v", n)
 		}
 		s.ViewerScale = &n
+		return nil
 	}
 }
 
 // WithPredictor replaces the controller's arrival-rate forecaster (default
-// simulate.LastInterval, the paper's rule). Scenario only.
+// simulate.LastInterval, the paper's rule); nil keeps the current one.
+// Scenario only.
 func WithPredictor(p simulate.Predictor) Option {
-	return func(s *config.Settings) { s.Predictor = p }
+	return set(func(s *simulate.Settings) {
+		if p != nil {
+			s.Scenario.Predictor = p
+		}
+	})
 }
 
 // WithPolicy selects the provisioning policy that turns predicted demand
@@ -232,12 +263,12 @@ func WithPredictor(p simulate.Predictor) Option {
 // arrival trace (the perfect-prediction bound), and simulate.StaticPeak
 // rents the horizon's peak once and holds it. Scenario only.
 func WithPolicy(p simulate.Policy) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if p == nil {
-			s.Fail("cloudmedia: nil policy")
-			return
+			return fmt.Errorf("cloudmedia: nil policy")
 		}
-		s.Policy = p
+		s.Scenario.Policy = p
+		return nil
 	}
 }
 
@@ -246,12 +277,12 @@ func WithPolicy(p simulate.Policy) Option {
 // prices; simulate.ReservedPricing adds a discounted reserved tier with
 // an upfront fee per term). Scenario only.
 func WithPricing(p simulate.PricingPlan) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if err := p.Validate(); err != nil {
-			s.Fail("cloudmedia: %v", err)
-			return
+			return fmt.Errorf("cloudmedia: %v", err)
 		}
-		s.Pricing = &p
+		s.Scenario.Pricing = p
+		return nil
 	}
 }
 
@@ -268,29 +299,37 @@ func WithSpotPricing() Option {
 // WithFaults injects a declarative failure plan at the run's control
 // barriers: region outages, spot mass-preemptions, and capacity
 // degradations (simulate.FaultSchedule; build one literally or with
-// simulate.ParseFault). nil injects nothing. Fault runs stay
+// simulate.ParseFault). nil keeps the scenario's current schedule (the
+// defaults inject nothing). Fault runs stay
 // deterministic per seed and bit-identical across worker counts.
 // Scenario only.
 func WithFaults(f *simulate.FaultSchedule) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if err := f.Validate(); err != nil {
-			s.Fail("cloudmedia: %v", err)
-			return
+			return fmt.Errorf("cloudmedia: %v", err)
 		}
-		s.Faults = f.Clone()
+		if f != nil {
+			s.Scenario.Faults = f.Clone()
+		}
+		return nil
 	}
 }
 
 // WithScheduling selects the P2P uplink allocation policy (default
-// simulate.RarestFirst, the paper's scheme). Scenario only.
+// simulate.RarestFirst, the paper's scheme); zero keeps the current
+// policy. Scenario only.
 func WithScheduling(policy simulate.Scheduling) Option {
-	return func(s *config.Settings) { s.Scheduling = policy }
+	return set(func(s *simulate.Settings) {
+		if policy != 0 {
+			s.Scenario.Scheduling = policy
+		}
+	})
 }
 
 // WithWorkload replaces the whole workload trace configuration. Scenario
 // only; combine with simulate.DefaultWorkload to start from the paper's.
 func WithWorkload(w simulate.Workload) Option {
-	return func(s *config.Settings) { s.Workload = &w }
+	return set(func(s *simulate.Settings) { s.Workload = &w })
 }
 
 // WithWorkloadSource overrides the demand side of the workload with an
@@ -301,16 +340,15 @@ func WithWorkload(w simulate.Workload) Option {
 // supplying the behavioural knobs (VCR jumps, peer uplinks). Scenario
 // only. Mutually exclusive with WithTrace.
 func WithWorkloadSource(src simulate.Source) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if src == nil {
-			s.Fail("cloudmedia: nil workload source")
-			return
+			return fmt.Errorf("cloudmedia: nil workload source")
 		}
 		if s.Source != nil {
-			s.Fail("cloudmedia: WithWorkloadSource conflicts with an earlier demand source option")
-			return
+			return fmt.Errorf("cloudmedia: WithWorkloadSource conflicts with an earlier demand source option")
 		}
 		s.Source = src
+		return nil
 	}
 }
 
@@ -319,16 +357,15 @@ func WithWorkloadSource(src simulate.Source) Option {
 // from pkg/trace. Sugar for WithWorkloadSource(t). Scenario only.
 // Mutually exclusive with WithWorkloadSource.
 func WithTrace(t *trace.Trace) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if t == nil {
-			s.Fail("cloudmedia: nil trace")
-			return
+			return fmt.Errorf("cloudmedia: nil trace")
 		}
 		if s.Source != nil {
-			s.Fail("cloudmedia: WithTrace conflicts with an earlier demand source option")
-			return
+			return fmt.Errorf("cloudmedia: WithTrace conflicts with an earlier demand source option")
 		}
 		s.Source = t
+		return nil
 	}
 }
 
@@ -337,12 +374,12 @@ func WithTrace(t *trace.Trace) Option {
 // speed. Scenario only; batch Run ignores it, and serve.Run defaults to
 // ClockReal when unset.
 func WithClock(mode ClockMode) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if mode != ClockReal && mode != ClockSimulated {
-			s.Fail("cloudmedia: invalid clock mode %d", int(mode))
-			return
+			return fmt.Errorf("cloudmedia: invalid clock mode %d", int(mode))
 		}
-		s.Clock = mode
+		s.Scenario.Serve.Clock = mode
+		return nil
 	}
 }
 
@@ -351,12 +388,12 @@ func WithClock(mode ClockMode) Option {
 // day-long trace in an hour; factors beyond 24 suit tests and smoke
 // runs). Scenario only; batch Run ignores it.
 func WithTimeScale(factor float64) Option {
-	return func(s *config.Settings) {
+	return func(s *simulate.Settings) error {
 		if factor <= 0 {
-			s.Fail("cloudmedia: non-positive time scale %v", factor)
-			return
+			return fmt.Errorf("cloudmedia: non-positive time scale %v", factor)
 		}
-		s.TimeScale = &factor
+		s.Scenario.Serve.TimeScale = factor
+		return nil
 	}
 }
 
@@ -365,10 +402,5 @@ func WithTimeScale(factor float64) Option {
 // ":9090". Empty disables the endpoint. Scenario only; batch Run
 // ignores it.
 func WithMetricsAddr(addr string) Option {
-	return func(s *config.Settings) { s.MetricsAddr = &addr }
-}
-
-// apply runs the options and returns the accumulated settings.
-func apply(opts []Option) (*config.Settings, error) {
-	return config.Apply(opts)
+	return set(func(s *simulate.Settings) { s.Scenario.Serve.MetricsAddr = addr })
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cloudmedia/pkg/plan"
+	"cloudmedia/pkg/simulate"
 )
 
 // Pipeline is the one-shot CloudMedia analysis of Sec. IV/V: solve the
@@ -93,24 +94,35 @@ func (r *Result) TotalCloudDemand() float64 {
 // single channel, no peer uplink, B_M = $100/h, B_S = $1/h, Table II/III
 // catalogs — overridden by the given options.
 func NewPipeline(opts ...Option) (*Pipeline, error) {
-	s, err := apply(opts)
-	if err != nil {
-		return nil, err
+	s := simulate.Settings{Scenario: simulate.Scenario{
+		Channel:       plan.PaperChannel(),
+		VMBudget:      100,
+		StorageBudget: 1,
+		VMClusters:    plan.DefaultVMClusters(),
+		NFSClusters:   plan.DefaultNFSClusters(),
+	}}
+	for _, opt := range opts {
+		if err := opt(&s); err != nil {
+			return nil, err
+		}
 	}
 
+	sc := s.Scenario
 	p := &Pipeline{
-		channel:     s.Channel(plan.PaperChannel()),
+		channel:     sc.Channel,
 		rates:       []float64{0.25},
-		vmBudget:    100,
-		storBudget:  1,
-		vmClusters:  plan.DefaultVMClusters(),
-		nfsClusters: plan.DefaultNFSClusters(),
+		peerUplink:  s.PeerUplink,
+		vmBudget:    sc.VMBudget,
+		storBudget:  sc.StorageBudget,
+		vmClusters:  sc.VMClusters,
+		nfsClusters: sc.NFSClusters,
 	}
 	if err := p.channel.Validate(); err != nil {
 		return nil, err
 	}
 	// Copy every caller-provided slice: Pipeline promises immutability and
-	// concurrent-Run safety, so later caller mutations must not reach it.
+	// concurrent-Run safety, so later caller mutations must not reach it
+	// (the catalog options already copy theirs).
 	if s.Rates != nil {
 		p.rates = append([]float64(nil), s.Rates...)
 	}
@@ -119,20 +131,8 @@ func NewPipeline(opts ...Option) (*Pipeline, error) {
 			return nil, fmt.Errorf("cloudmedia: negative arrival rate %v for channel %d", r, i)
 		}
 	}
-	if s.PeerUplink != nil {
-		if *s.PeerUplink < 0 {
-			return nil, fmt.Errorf("cloudmedia: negative peer uplink %v", *s.PeerUplink)
-		}
-		p.peerUplink = *s.PeerUplink
-	}
-	if s.Budgets != nil {
-		p.vmBudget, p.storBudget = s.Budgets[0], s.Budgets[1]
-	}
-	if s.VMClusters != nil {
-		p.vmClusters = append([]plan.VMCluster(nil), s.VMClusters...)
-	}
-	if s.NFSClusters != nil {
-		p.nfsClusters = append([]plan.NFSCluster(nil), s.NFSClusters...)
+	if p.peerUplink < 0 {
+		return nil, fmt.Errorf("cloudmedia: negative peer uplink %v", p.peerUplink)
 	}
 
 	switch {

@@ -3,7 +3,6 @@ package simulate
 import (
 	"fmt"
 
-	"cloudmedia/internal/config"
 	"cloudmedia/internal/stack"
 	"cloudmedia/internal/workload"
 	"cloudmedia/pkg/plan"
@@ -11,29 +10,64 @@ import (
 
 // Option is a functional option shared with the root cloudmedia package:
 // cloudmedia.WithHours, cloudmedia.WithBudgets, and the rest apply here
-// unchanged (the two names alias one type). Scenario.With re-applies them
-// to a derived copy.
-type Option = config.Option
+// unchanged (the two names alias one type). An option writes its value
+// into the Settings it is given and returns an error when its argument
+// is invalid; options apply in argument order, so the last write to a
+// field wins. Scenario.With and NewPipeline run them.
+type Option func(*Settings) error
+
+// Settings is what an Option writes: the Scenario being built, plus the
+// knobs that do not land in a scenario field as soon as they are set.
+// Every other option writes its Scenario field directly.
+type Settings struct {
+	// Scenario is the scenario being derived. NewPipeline seeds it with
+	// its own defaults and reads the channel, budgets and catalogs back.
+	Scenario Scenario
+
+	// The demand knobs Scenario.With resolves after every option has run,
+	// because their precedence is not argument order (see With). A nil
+	// field was not set.
+	Scale       *float64
+	ViewerScale *float64
+	Workload    *Workload
+	Source      Source
+	Channels    *int
+
+	// The knobs only the one-shot cloudmedia.Pipeline reads; a Scenario
+	// ignores them. A nil or zero field was not set.
+	Rates      []float64
+	PeerUplink float64
+	Transfer   plan.TransferMatrix
+	Viewing    *[2]float64
+}
 
 // With returns a derived scenario: a deep copy of the receiver with the
-// options re-applied on top. The copy shares no mutable state with its
-// parent — workloads, catalogs, and every other reference field are
-// cloned — so parent and child can be mutated and run concurrently.
-// Pipeline-only options (WithArrivalRate, WithTransfer, …) are harmless
-// no-ops, matching NewScenario; WithScale is relative, multiplying the
-// current arrival rate. Option conflicts surface on the next Validate or
-// Run of the derived scenario, so derivation chains stay fluent:
+// options applied on top in argument order. The copy shares no mutable
+// state with its parent — workloads, catalogs, and every other reference
+// field are cloned — so parent and child can be mutated and run
+// concurrently. Pipeline-only options (WithArrivalRate, WithTransfer, …)
+// are harmless no-ops, matching NewScenario. The first failing option
+// stops the derivation; its error surfaces on the next Validate or Run of
+// the derived scenario, so derivation chains stay fluent:
 //
 //	base, _ := cloudmedia.NewScenario(cloudmedia.CloudAssisted, cloudmedia.WithHours(12))
 //	cheap := base.With(cloudmedia.WithBudgets(50, 1))
 //	crowded := cheap.With(cloudmedia.WithScale(2), cloudmedia.WithSeed(7))
+//
+// Five demand knobs are resolved after the options have run, whatever
+// their order: WithScale is relative and rescales the parent's demand,
+// WithViewerScale then pins the base rate absolutely, WithWorkload and
+// the demand-source options replace the demand wholesale, and
+// WithChannels sets the channel count of whichever workload results.
 func (sc Scenario) With(opts ...Option) Scenario {
-	out := sc.Clone()
-	s, err := config.Apply(opts)
-	if err != nil {
-		out.err = err
-		return out
+	s := Settings{Scenario: sc.Clone()}
+	for _, opt := range opts {
+		if err := opt(&s); err != nil {
+			s.Scenario.err = err
+			return s.Scenario
+		}
 	}
+	out := s.Scenario
 	// Scale first: it rescales the *current* workload (or the current
 	// demand source — a trace's arrival intensity is multiplied, since
 	// rescaling the unused parametric base rate would be a silent no-op),
@@ -69,80 +103,8 @@ func (sc Scenario) With(opts ...Option) Scenario {
 	if s.Source != nil {
 		out.Source = s.Source.CloneSource()
 	}
-	out.Channel = s.Channel(out.Channel)
 	if s.Channels != nil {
 		out.Workload.Channels = *s.Channels
 	}
-	if s.Hours != nil {
-		out.Hours = *s.Hours
-	}
-	if s.Seed != nil {
-		out.Seed = *s.Seed
-	}
-	if s.Interval != nil {
-		out.IntervalSeconds = *s.Interval
-	}
-	if s.Sample != nil {
-		out.SampleSeconds = *s.Sample
-	}
-	if s.UplinkRatio != nil {
-		out.UplinkRatio = *s.UplinkRatio
-	}
-	if s.Budgets != nil {
-		out.VMBudget, out.StorageBudget = s.Budgets[0], s.Budgets[1]
-	}
-	if s.VMClusters != nil {
-		out.VMClusters = append([]plan.VMCluster(nil), s.VMClusters...)
-	}
-	if s.NFSClusters != nil {
-		out.NFSClusters = append([]plan.NFSCluster(nil), s.NFSClusters...)
-	}
-	if s.Predictor != nil {
-		out.Predictor = s.Predictor
-	}
-	if s.Policy != nil {
-		out.Policy = s.Policy
-	}
-	if s.Pricing != nil {
-		out.Pricing = *s.Pricing
-	}
-	if s.Faults != nil {
-		out.Faults = s.Faults.Clone()
-	}
-	if s.Scheduling != 0 {
-		out.Scheduling = s.Scheduling
-	}
-	if s.Workers != nil {
-		out.Workers = *s.Workers
-	}
-	if s.Fidelity != 0 {
-		out.Fidelity = s.Fidelity
-	}
-	if s.Clock != 0 {
-		out.Serve.Clock = s.Clock
-	}
-	if s.TimeScale != nil {
-		out.Serve.TimeScale = *s.TimeScale
-	}
-	if s.MetricsAddr != nil {
-		out.Serve.MetricsAddr = *s.MetricsAddr
-	}
 	return out
-}
-
-// Clone returns a deep copy of the scenario: the workload (including its
-// flash-crowd list and cached popularity weights) and the rental catalogs
-// are reallocated, so mutating the copy never reaches the original.
-// Predictor and Policy values are shared; both are stateless specs (each
-// run builds its own planner and billing ledger from them, so two clones
-// running concurrently share no ledger or planner state).
-func (sc Scenario) Clone() Scenario {
-	sc.Workload = sc.Workload.Clone()
-	if sc.Source != nil {
-		sc.Source = sc.Source.CloneSource()
-	}
-	sc.VMClusters = append([]plan.VMCluster(nil), sc.VMClusters...)
-	sc.NFSClusters = append([]plan.NFSCluster(nil), sc.NFSClusters...)
-	sc.Faults = sc.Faults.Clone()
-	return sc
 }

@@ -123,6 +123,23 @@ func Default(mode Mode, scale float64) Scenario {
 	}
 }
 
+// Clone returns a deep copy of the scenario: the workload (including its
+// flash-crowd list and cached popularity weights) and the rental catalogs
+// are reallocated, so mutating the copy never reaches the original.
+// Predictor and Policy values are shared; both are stateless specs (each
+// run builds its own planner and billing ledger from them, so two clones
+// running concurrently share no ledger or planner state).
+func (sc Scenario) Clone() Scenario {
+	sc.Workload = sc.Workload.Clone()
+	if sc.Source != nil {
+		sc.Source = sc.Source.CloneSource()
+	}
+	sc.VMClusters = append([]plan.VMCluster(nil), sc.VMClusters...)
+	sc.NFSClusters = append([]plan.NFSCluster(nil), sc.NFSClusters...)
+	sc.Faults = sc.Faults.Clone()
+	return sc
+}
+
 // Validate reports the first violated scenario invariant without running
 // anything. Every failure wraps ErrInvalidScenario.
 func (sc Scenario) Validate() error {
