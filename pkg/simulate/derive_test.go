@@ -388,3 +388,46 @@ func TestValidateRejectsNegativeBudgets(t *testing.T) {
 		}
 	}
 }
+
+// Options apply in argument order into one Settings: writes before a
+// failing option are kept, and the first failure is the one reported.
+func TestWithKeepsWritesAndReportsFirstError(t *testing.T) {
+	first, second := errors.New("first"), errors.New("second")
+	opts := []simulate.Option{
+		func(s *simulate.Settings) error { s.Scenario.Channel.Chunks = 8; return nil },
+		func(*simulate.Settings) error { return first },
+		func(*simulate.Settings) error { return second },
+	}
+	sc := simulate.Default(simulate.CloudAssisted, 1).With(opts...)
+	if sc.Channel.Chunks != 8 {
+		t.Errorf("chunks = %d, want the write made before the failure (8)", sc.Channel.Chunks)
+	}
+	err := sc.Validate()
+	if !errors.Is(err, first) || errors.Is(err, second) {
+		t.Errorf("Validate = %v, want the first recorded failure only", err)
+	}
+	if !errors.Is(err, simulate.ErrInvalidScenario) {
+		t.Errorf("Validate = %v, want ErrInvalidScenario", err)
+	}
+	if _, err := cloudmedia.NewPipeline(opts...); err != first {
+		t.Errorf("NewPipeline = %v, want the first recorded failure", err)
+	}
+}
+
+// The channel-shape options write their own Scenario.Channel field and
+// leave the rest of the parent's channel as it was.
+func TestChannelOptionsWriteOnlyTheirField(t *testing.T) {
+	base := simulate.Default(simulate.CloudAssisted, 1)
+	base.Channel.Chunks, base.Channel.PlaybackRate = 8, 50e3
+	base.Channel.ChunkSeconds, base.Channel.VMBandwidth = 75, 1.25e6
+	got := base.With(cloudmedia.WithChunks(16), cloudmedia.WithPlaybackRate(25e3)).Channel
+	if got.Chunks != 16 || got.PlaybackRate != 25e3 {
+		t.Errorf("channel = %+v, want chunks 16 and playback rate 25e3", got)
+	}
+	if got.ChunkSeconds != 75 || got.VMBandwidth != 1.25e6 {
+		t.Errorf("untouched fields changed: %+v", got)
+	}
+	if base.Channel.Chunks != 8 || base.Channel.PlaybackRate != 50e3 {
+		t.Errorf("parent channel moved: %+v", base.Channel)
+	}
+}
