@@ -234,7 +234,9 @@ func paperChannel() (queueing.Config, queueing.TransferMatrix) {
 }
 
 // hundredMChannel is the channel of the 100M-viewer fluid day
-// (BenchmarkFluid100MViewers): 8 chunks of 75 s on 5-slot VMs.
+// (BenchmarkFluid100MViewers): 8 chunks of 75 s on 5-slot VMs. It is the
+// stack's default channel, so the minute-interval control day runs on it
+// too.
 func hundredMChannel() (queueing.Config, queueing.TransferMatrix) {
 	cfg := queueing.Config{
 		Chunks:          8,
@@ -268,6 +270,7 @@ func BenchmarkQueueingSolve(b *testing.B) {
 		{"100m-peak", peakCfg, peakP, 2000},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var servers int
 			for i := 0; i < b.N; i++ {
 				eq, err := queueing.Solve(bc.cfg, bc.p, bc.lambda, 0)
@@ -289,11 +292,33 @@ func BenchmarkP2PSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := p2p.Solve(p2p.Analysis{Equilibrium: eq, Transfer: p, PeerUpload: 34e3}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDeriveDemand measures the demand plane's per-channel unit of
+// work — traffic equations, M/M/m sizing, Proposition 1 and Eqn. (5) —
+// as the minute-interval control day runs it thousands of times: the
+// stack's 8-chunk channel on the paper's viewing matrix in P2P mode, at
+// one of its 24 Zipf channels' small loads (Λ = 0.05/s, a few servers
+// per chunk) with the ≈270 Kbps mean peer uplink.
+func BenchmarkDeriveDemand(b *testing.B) {
+	cfg, p := hundredMChannel()
+	in := core.ChannelInput{ArrivalRate: 0.05, Transfer: p, MeanUplink: 34e3}
+	b.ReportAllocs()
+	var demand float64
+	for i := 0; i < b.N; i++ {
+		d, err := core.DeriveDemand(cfg, in, true, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		demand = mathx.Sum(d.CloudDemand)
+	}
+	b.ReportMetric(demand, "cloud_Bps")
 }
 
 // BenchmarkErlangC measures the queueing primitive in the inner loop of

@@ -165,14 +165,15 @@ type Controller struct {
 
 	// Per-round scratch, reused across intervals so the steady control
 	// path stops allocating: the measurement inputs, the derived
-	// per-channel demands, and the flattened chunk-demand list handed to
-	// the planner. Safe because nothing downstream retains them — records
-	// get their own slices, planners copy before sorting, and apply reads
-	// synchronously within the round.
+	// per-channel demands, and the flattened chunk-demand lists (current
+	// and per lookahead step) handed to the planner. Safe because nothing
+	// downstream retains them — records get their own slices, planners
+	// copy before sorting, and apply reads synchronously within the round.
 	scratchInputs  []ChannelInput
 	scratchDemands []ChannelDemand
 	scratchErrs    []error
 	scratchFlat    []provision.ChunkDemand
+	scratchFuture  [][]provision.ChunkDemand // per lookahead step, see flattenFuture
 }
 
 // NewController builds a controller for a simulation backend and a cloud
@@ -392,9 +393,21 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 			prev, prevRate = steps[step-1][ch], in.ArrivalRate
 		}
 	})
-	future := make([][]provision.ChunkDemand, k)
+	return c.flattenFuture(steps)
+}
+
+// flattenFuture flattens each lookahead step into the controller's
+// per-step scratch, growing it only when the horizon or the demand set
+// outgrows it, so a steady lookahead round allocates nothing here. Safe
+// because planners do not retain PlanRequest.Future: maxDemands copies
+// the per-chunk maxima out of it.
+func (c *Controller) flattenFuture(steps [][]ChannelDemand) [][]provision.ChunkDemand {
+	if len(c.scratchFuture) < len(steps) {
+		c.scratchFuture = append(c.scratchFuture, make([][]provision.ChunkDemand, len(steps)-len(c.scratchFuture))...)
+	}
+	future := c.scratchFuture[:len(steps)]
 	for step := range future {
-		future[step] = FlattenDemands(steps[step])
+		future[step] = FlattenDemandsInto(future[step], steps[step])
 	}
 	return future
 }

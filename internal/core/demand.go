@@ -37,12 +37,12 @@ func DeriveDemand(cfg queueing.Config, in ChannelInput, p2pMode bool, maxServers
 	if err != nil {
 		return ChannelDemand{}, fmt.Errorf("core: demand analysis: %w", err)
 	}
-	out := ChannelDemand{
-		Equilibrium: eq,
-		CloudDemand: make([]float64, cfg.Chunks),
-		PeerSupply:  make([]float64, cfg.Chunks),
-	}
 	if !p2pMode || in.MeanUplink <= 0 {
+		out := ChannelDemand{
+			Equilibrium: eq,
+			CloudDemand: make([]float64, cfg.Chunks),
+			PeerSupply:  make([]float64, cfg.Chunks),
+		}
 		copy(out.CloudDemand, eq.Capacity)
 		return out, nil
 	}
@@ -54,9 +54,9 @@ func DeriveDemand(cfg queueing.Config, in ChannelInput, p2pMode bool, maxServers
 	if err != nil {
 		return ChannelDemand{}, fmt.Errorf("core: peer supply analysis: %w", err)
 	}
-	copy(out.CloudDemand, res.CloudDemand)
-	copy(out.PeerSupply, res.PeerSupply)
-	return out, nil
+	// The peer result is this call's own: hand its slices over rather
+	// than copying them.
+	return ChannelDemand{Equilibrium: eq, CloudDemand: res.CloudDemand, PeerSupply: res.PeerSupply}, nil
 }
 
 // FlattenDemands converts per-channel demands into the flat chunk-demand

@@ -44,3 +44,30 @@ func TestFlattenDemandsIntoAllocFree(t *testing.T) {
 		t.Fatalf("FlattenDemandsInto allocates %.1f times per round", allocs)
 	}
 }
+
+// The lookahead flatten refills the controller's per-step scratch: the
+// result matches a fresh flatten per step, a longer horizon grows the
+// scratch without disturbing earlier steps, and a steady round allocates
+// nothing.
+func TestFlattenFutureReusesScratch(t *testing.T) {
+	c := &Controller{}
+	short := [][]ChannelDemand{demandFixture()}
+	long := [][]ChannelDemand{demandFixture(), demandFixture()[1:], demandFixture()}
+	for _, steps := range [][][]ChannelDemand{short, long, short, long} {
+		got := c.flattenFuture(steps)
+		if len(got) != len(steps) {
+			t.Fatalf("flattened %d steps, want %d", len(got), len(steps))
+		}
+		for step := range steps {
+			if want := FlattenDemands(steps[step]); !reflect.DeepEqual(got[step], want) {
+				t.Fatalf("step %d:\n%v\nvs\n%v", step, got[step], want)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		c.flattenFuture(long)
+	})
+	if allocs > 0 {
+		t.Fatalf("flattenFuture allocates %.1f times per round", allocs)
+	}
+}

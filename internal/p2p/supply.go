@@ -2,7 +2,8 @@ package p2p
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/queueing"
@@ -54,8 +55,9 @@ func Solve(a Analysis) (Result, error) {
 	if err := a.Transfer.Validate(); err != nil {
 		return Result{}, fmt.Errorf("p2p: %w", err)
 	}
-	if a.PeerUpload < 0 {
-		return Result{}, fmt.Errorf("p2p: negative peer upload %v", a.PeerUpload)
+	// Written so NaN fails it; the MaxFloat64 bound rules out +Inf.
+	if !(a.PeerUpload >= 0 && a.PeerUpload <= math.MaxFloat64) {
+		return Result{}, fmt.Errorf("p2p: peer upload %v not non-negative and finite", a.PeerUpload)
 	}
 	if len(eq.ViewerLoad) != j || len(eq.Servers) != j {
 		return Result{}, fmt.Errorf("p2p: equilibrium arrays inconsistent with chunk count")
@@ -69,7 +71,6 @@ func Solve(a Analysis) (Result, error) {
 	res := Result{
 		OwnersByQueue: owners,
 		Owners:        make([]float64, j),
-		PeerSupply:    make([]float64, j),
 		CloudDemand:   make([]float64, j),
 	}
 	for i := 0; i < j; i++ {
@@ -98,49 +99,56 @@ func Solve(a Analysis) (Result, error) {
 //	x_q = Σ_{l≠i} x_l·P[l][q] + E[n_i]·P[i][q]
 //
 // i.e. (I − P̃ᵀ)·x = E[n_i]·P[i][·] where P̃ is P with row/column i removed.
+// All J systems are built in turn in one (J−1)²+2(J−1) workspace and the
+// result rows are views over one flat J×J backing, so the solve makes
+// three allocations whatever J is.
 func ownersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
 	j := len(meanUsers)
+	flat := make([]float64, j*j)
 	out := make([][]float64, j)
-	for i := 0; i < j; i++ {
-		out[i] = make([]float64, j)
+	for i := range out {
+		out[i] = flat[i*j : (i+1)*j : (i+1)*j]
 		out[i][i] = meanUsers[i]
-		if j == 1 {
-			continue
-		}
-		n := j - 1
-		// idx maps reduced index → full queue index.
-		idx := make([]int, 0, n)
-		for q := 0; q < j; q++ {
-			if q != i {
-				idx = append(idx, q)
-			}
-		}
-		a := make([][]float64, n)
-		b := make([]float64, n)
+	}
+	if j == 1 {
+		return out, nil
+	}
+	n := j - 1
+	work := make([]float64, n*n+2*n)
+	a, b, x := work[:n*n], work[n*n:n*n+n], work[n*n+n:]
+	for i := 0; i < j; i++ {
 		for r := 0; r < n; r++ {
-			a[r] = make([]float64, n)
-			for c := 0; c < n; c++ {
-				a[r][c] = -p[idx[c]][idx[r]] // −P̃ᵀ
+			qr := full(r, i)
+			row := a[r*n : (r+1)*n]
+			for c := range row {
+				row[c] = -p[full(c, i)][qr] // −P̃ᵀ
 			}
-			a[r][r] += 1
-			b[r] = meanUsers[i] * p[i][idx[r]]
+			row[r] += 1
+			b[r] = meanUsers[i] * p[i][qr]
 		}
-		x, err := mathx.SolveLinear(a, b)
-		if err != nil {
+		if err := mathx.SolveInPlace(a, b, x); err != nil {
 			return nil, fmt.Errorf("p2p: proposition 1 for chunk %d: %w", i, err)
 		}
-		for r := 0; r < n; r++ {
-			v := x[r]
+		for r, v := range x {
 			if v < 0 {
 				if v < -1e-6 {
-					return nil, fmt.Errorf("p2p: negative owner count %v for chunk %d in queue %d", v, i, idx[r])
+					return nil, fmt.Errorf("p2p: negative owner count %v for chunk %d in queue %d", v, i, full(r, i))
 				}
 				v = 0
 			}
-			out[i][idx[r]] = v
+			out[i][full(r, i)] = v
 		}
 	}
 	return out, nil
+}
+
+// full maps reduced index r of chunk i's Proposition-1 system to its full
+// queue index: the system drops queue i.
+func full(r, i int) int {
+	if r < i {
+		return r
+	}
+	return r + 1
 }
 
 // CoOwnership returns Ψ(a, b): the estimated probability that a random peer
@@ -152,7 +160,12 @@ func ownersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][]float64,
 // Per-queue ownership fractions are clamped to 1 since E[ν_iq] can slightly
 // exceed E[n_q] under the proposition's balance approximation.
 func CoOwnership(meanUsers []float64, owners [][]float64, a, b int) float64 {
-	total := mathx.Sum(meanUsers)
+	return coOwnership(meanUsers, mathx.Sum(meanUsers), owners, a, b)
+}
+
+// coOwnership is CoOwnership with N = Σ_q E[n_q] passed in, so Eqn. (5)'s
+// O(J²) co-owner terms do not re-sum the populations each time.
+func coOwnership(meanUsers []float64, total float64, owners [][]float64, a, b int) float64 {
 	if total <= 0 {
 		return 0
 	}
@@ -181,8 +194,18 @@ func peerSupply(eq queueing.Equilibrium, owners [][]float64, replicaCount []floa
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return replicaCount[order[a]] < replicaCount[order[b]]
+	// Ascending replica count, stable. The comparator is negative exactly
+	// when replicaCount[a] < replicaCount[b]: SortStableFunc then takes
+	// the same steps as sort.SliceStable with that less, which the
+	// bit-identity tests' reference uses, whatever the counts (NaN too).
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case replicaCount[a] < replicaCount[b]:
+			return -1
+		case replicaCount[a] > replicaCount[b]:
+			return 1
+		}
+		return 0
 	})
 
 	totalPeers := mathx.Sum(eq.ViewerLoad)
@@ -206,7 +229,7 @@ func peerSupply(eq queueing.Equilibrium, owners [][]float64, replicaCount []floa
 			if gamma[rarer] <= 0 || replicaCount[rarer] <= 0 {
 				continue
 			}
-			coOwners := CoOwnership(eq.ViewerLoad, owners, rarer, chunk) * totalPeers
+			coOwners := coOwnership(eq.ViewerLoad, totalPeers, owners, rarer, chunk) * totalPeers
 			available -= coOwners * gamma[rarer] / replicaCount[rarer]
 		}
 		if available < 0 {

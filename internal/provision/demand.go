@@ -1,9 +1,11 @@
 package provision
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // ErrInfeasible signals that the configured budget (or total cluster
@@ -27,8 +29,8 @@ func validateDemands(demands []ChunkDemand) error {
 		if d.Channel < 0 || d.Chunk < 0 {
 			return fmt.Errorf("provision: negative chunk identity (%d,%d)", d.Channel, d.Chunk)
 		}
-		if d.Demand < 0 {
-			return fmt.Errorf("provision: negative demand %v for chunk (%d,%d)", d.Demand, d.Channel, d.Chunk)
+		if err := checkDemand(d); err != nil {
+			return err
 		}
 		key := [2]int{d.Channel, d.Chunk}
 		if seen[key] {
@@ -39,21 +41,55 @@ func validateDemands(demands []ChunkDemand) error {
 	return nil
 }
 
+// checkDemand rejects a negative or non-finite Δ. The comparison is
+// written so NaN fails it; the MaxFloat64 bound rules out +Inf.
+func checkDemand(d ChunkDemand) error {
+	if !(d.Demand >= 0 && d.Demand <= math.MaxFloat64) {
+		return fmt.Errorf("provision: demand %v for chunk (%d,%d) not non-negative and finite", d.Demand, d.Channel, d.Chunk)
+	}
+	return nil
+}
+
+// checkHorizon applies checkDemand to the current demands and every
+// forecast step. The horizon planners need it before maxDemands, which
+// would otherwise let a forecast mask a bad current Δ or drop a NaN
+// forecast unseen (NaN > x is false).
+func checkHorizon(current []ChunkDemand, future [][]ChunkDemand) error {
+	for _, d := range current {
+		if err := checkDemand(d); err != nil {
+			return err
+		}
+	}
+	for step, demands := range future {
+		for _, d := range demands {
+			if err := checkDemand(d); err != nil {
+				return fmt.Errorf("forecast step %d: %w", step, err)
+			}
+		}
+	}
+	return nil
+}
+
 // sortByDemand returns the demands ordered by descending Δ, breaking ties
 // by (channel, chunk) so the greedy pass is deterministic and consecutive
 // chunks stay adjacent — that adjacency is what lets fractional VM shares
-// of one channel pack onto shared VMs.
+// of one channel pack onto shared VMs. Callers validate first, so every
+// Δ is finite and every (channel, chunk) unique: the key is a total order
+// and the sorted output is the only one possible.
 func sortByDemand(demands []ChunkDemand) []ChunkDemand {
 	out := make([]ChunkDemand, len(demands))
 	copy(out, demands)
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Demand != out[b].Demand {
-			return out[a].Demand > out[b].Demand
+	slices.SortStableFunc(out, func(a, b ChunkDemand) int {
+		if a.Demand != b.Demand {
+			if a.Demand > b.Demand {
+				return -1
+			}
+			return 1
 		}
-		if out[a].Channel != out[b].Channel {
-			return out[a].Channel < out[b].Channel
+		if c := cmp.Compare(a.Channel, b.Channel); c != 0 {
+			return c
 		}
-		return out[a].Chunk < out[b].Chunk
+		return cmp.Compare(a.Chunk, b.Chunk)
 	})
 	return out
 }

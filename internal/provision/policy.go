@@ -12,7 +12,9 @@ import (
 // one interval boundary: the predicted per-chunk cloud demands, the
 // negotiated cluster catalog, and the budgets. It is the exact planning
 // surface core.Controller consumed before the Policy seam existed, so any
-// policy sees precisely what the paper's greedy heuristic saw.
+// policy sees precisely what the paper's greedy heuristic saw. The
+// controller reuses the Demands and Future buffers from round to round,
+// so a planner must copy anything it keeps past Plan.
 type PlanRequest struct {
 	// Time is the simulated time of the round, seconds.
 	Time float64
@@ -280,6 +282,9 @@ func hedgeMultiplier(p cloud.PricingPlan, intervalSeconds float64) float64 {
 }
 
 func (p *lookaheadPlanner) Plan(req PlanRequest) (PlanResult, error) {
+	if err := checkHorizon(req.Demands, req.Future); err != nil {
+		return PlanResult{}, err
+	}
 	target := maxDemands(req.Demands, req.Future)
 	if p.hedge {
 		if m := hedgeMultiplier(req.Pricing, req.IntervalSeconds); m != 1 {
@@ -364,6 +369,9 @@ func (p *staticPeakPlanner) Plan(req PlanRequest) (PlanResult, error) {
 		res := p.first
 		res.StorageErr = nil
 		return res, nil
+	}
+	if err := checkHorizon(req.Demands, req.Future); err != nil {
+		return PlanResult{}, err
 	}
 	target := maxDemands(req.Demands, req.Future)
 	vmPlan, scale, err := planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)

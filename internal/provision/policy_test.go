@@ -2,6 +2,7 @@ package provision
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -395,5 +396,47 @@ func TestLookaheadSpotHedgeRentsAhead(t *testing.T) {
 	if hedgedSafe.VMPlan.TotalVMs() != plainSafe.VMPlan.TotalVMs() {
 		t.Errorf("hedge moved the plan without spot risk: %v vs %v VMs",
 			hedgedSafe.VMPlan.TotalVMs(), plainSafe.VMPlan.TotalVMs())
+	}
+}
+
+// TestPlannersRejectNonFiniteDemand: a NaN or infinite Δ used to slip
+// past validation (NaN < 0 is false) and come back as a plan with NaN VMs
+// and cost and no error. Every entry point must now refuse it.
+func TestPlannersRejectNonFiniteDemand(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		demands := demandGrid(2, 4, 1e6)
+		demands[5].Demand = bad
+		req := planRequest(demands)
+		if _, err := PlanVMs(demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour); err == nil {
+			t.Errorf("PlanVMs accepted demand %v", bad)
+		}
+		if _, err := PlanStorage(demands, req.ChunkBytes, req.NFSClusters, req.StorageBudgetPerHour); err == nil {
+			t.Errorf("PlanStorage accepted demand %v", bad)
+		}
+		for _, name := range PolicyNames() {
+			policy, err := ParsePolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := planRequest(demands)
+			if k := policy.Lookahead(); k > 0 {
+				for step := 0; step < k; step++ {
+					req.Future = append(req.Future, demandGrid(2, 4, 1e6))
+				}
+			}
+			if res, err := policy.NewPlanner().Plan(req); err == nil {
+				t.Errorf("%s planner accepted demand %v: %v VMs at $%v/h",
+					name, bad, res.VMPlan.TotalVMs(), res.VMPlan.CostPerHour)
+			}
+			if len(req.Future) == 0 {
+				continue
+			}
+			// A bad forecast alone must not be dropped by the max either.
+			req.Demands = demandGrid(2, 4, 1e6)
+			req.Future[0] = demands
+			if _, err := policy.NewPlanner().Plan(req); err == nil {
+				t.Errorf("%s planner accepted forecast demand %v", name, bad)
+			}
+		}
 	}
 }

@@ -99,6 +99,7 @@ func (c Config) ExternalArrivals(lambda float64) []float64 {
 //	λ_i = ext_i + Σ_j λ_j · P[j][i]
 //
 // i.e. (I − Pᵀ)·λ = ext, returning the per-queue aggregate arrival rates.
+// It allocates twice: the workspace and the returned rates.
 func SolveTraffic(p TransferMatrix, ext []float64) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -112,16 +113,20 @@ func SolveTraffic(p TransferMatrix, ext []float64) ([]float64, error) {
 			return nil, fmt.Errorf("queueing: negative external rate %v at queue %d", e, i)
 		}
 	}
-	a := make([][]float64, j)
-	for i := range a {
-		a[i] = make([]float64, j)
-		for k := 0; k < j; k++ {
-			a[i][k] = -p[k][i] // Pᵀ
+	// (I − Pᵀ) row-major, then the right-hand side, in one workspace;
+	// the rates get their own slice because the equilibrium keeps them.
+	work := make([]float64, j*j+j)
+	a, rhs := work[:j*j], work[j*j:]
+	for i := 0; i < j; i++ {
+		row := a[i*j : (i+1)*j]
+		for k := range row {
+			row[k] = -p[k][i] // Pᵀ
 		}
-		a[i][i] += 1
+		row[i] += 1
 	}
-	lambda, err := mathx.SolveLinear(a, ext)
-	if err != nil {
+	copy(rhs, ext)
+	lambda := make([]float64, j)
+	if err := mathx.SolveInPlace(a, rhs, lambda); err != nil {
 		return nil, fmt.Errorf("queueing: traffic equations: %w", err)
 	}
 	for i, l := range lambda {

@@ -1,0 +1,99 @@
+package queueing_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"cloudmedia/internal/queueing"
+	"cloudmedia/internal/testutil"
+	"cloudmedia/internal/viewing"
+)
+
+// referenceSolveTraffic is SolveTraffic as it was before the flat
+// workspace: a freshly allocated [][]float64 (I − Pᵀ) solved by the
+// reference elimination. Kept as the bit-identity oracle.
+func referenceSolveTraffic(p queueing.TransferMatrix, ext []float64) ([]float64, error) {
+	j := p.Size()
+	a := make([][]float64, j)
+	for i := range a {
+		a[i] = make([]float64, j)
+		for k := 0; k < j; k++ {
+			a[i][k] = -p[k][i]
+		}
+		a[i][i] += 1
+	}
+	lambda, err := testutil.ReferenceSolveLinear(a, ext)
+	if err != nil {
+		return nil, fmt.Errorf("queueing: traffic equations: %w", err)
+	}
+	for i, l := range lambda {
+		if l < 0 {
+			if l > -1e-9 {
+				lambda[i] = 0
+				continue
+			}
+			return nil, fmt.Errorf("queueing: negative arrival rate %v at queue %d (non-substochastic routing?)", l, i)
+		}
+	}
+	return lambda, nil
+}
+
+func TestSolveTrafficMatchesReferenceBits(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, j := range []int{1, 2, 3, 8, 20} {
+		paper, err := viewing.PaperDefault(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testutil.ChannelConfig(j, 75)
+		if j == 1 {
+			cfg.EntryFirstChunk = 1
+		}
+		for trial := 0; trial < 40; trial++ {
+			p := paper
+			if trial > 0 {
+				p = testutil.RandomSubstochastic(j, r.Float64)
+			}
+			ext := cfg.ExternalArrivals(0.01 + 5*r.Float64())
+			want, wantErr := referenceSolveTraffic(p, ext)
+			got, err := queueing.SolveTraffic(p, ext)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("J=%d trial %d: err = %v, reference err = %v", j, trial, err, wantErr)
+			}
+			if !testutil.SameBits(got, want) {
+				t.Fatalf("J=%d trial %d: rates %v, reference %v", j, trial, got, want)
+			}
+		}
+	}
+}
+
+// A singular routing (every viewer moves on, nobody leaves) must still
+// surface the elimination's ErrSingular through the flat solve.
+func TestSolveTrafficSingularMatchesReference(t *testing.T) {
+	p := queueing.TransferMatrix{{0, 1}, {1, 0}}
+	ext := []float64{1, 0}
+	_, wantErr := referenceSolveTraffic(p, ext)
+	_, err := queueing.SolveTraffic(p, ext)
+	if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("err = %v, reference err = %v", err, wantErr)
+	}
+}
+
+// SolveTraffic allocates its workspace and the returned rates, nothing
+// else.
+func TestSolveTrafficAllocations(t *testing.T) {
+	p, err := viewing.PaperDefault(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := testutil.ChannelConfig(8, 75).ExternalArrivals(0.25)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := queueing.SolveTraffic(p, ext); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("SolveTraffic allocates %.1f times at J=8, want at most 2", allocs)
+	}
+}

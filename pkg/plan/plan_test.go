@@ -104,3 +104,18 @@ func TestViewingBuilders(t *testing.T) {
 		}
 	}
 }
+
+// A NaN or infinite peer uplink used to pass the negative-only check and
+// come back as NaN cloud demand with no error.
+func TestSolvePeerSupplyRejectsNonFiniteUplink(t *testing.T) {
+	eq, _ := solve(t, 34e3)
+	m, err := plan.PaperViewing(eq.Config.Chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, uplink := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if supply, err := plan.SolvePeerSupply(eq, m, uplink); err == nil {
+			t.Errorf("uplink %v accepted: cloud demand %v", uplink, supply.CloudDemand)
+		}
+	}
+}

@@ -43,8 +43,10 @@ go test -run '^$' -bench 'BenchmarkFluidMillionViewers$|BenchmarkFluid10MViewers
 # Solver benches are sub-millisecond: a single iteration is all warm-up
 # jitter, so give them enough rounds for a stable ns/op. QueueingSolve
 # runs at the paper's load and at a 100M-day peak channel's;
-# SizeForSojourn is the M/M/m sizing search alone at a = 10, 1e3, 1e5.
-go test -run '^$' -bench 'BenchmarkQueueingSolve$|BenchmarkP2PSolve$' \
+# DeriveDemand is the demand plane's per-channel derivation at the
+# minute-interval control day's small loads; SizeForSojourn is the M/M/m
+# sizing search alone at a = 10, 1e3, 1e5.
+go test -run '^$' -bench 'BenchmarkQueueingSolve$|BenchmarkP2PSolve$|BenchmarkDeriveDemand$' \
     -benchtime 100x -count=3 . | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkSizeForSojourn$' -benchtime 20000x -count=3 ./internal/mathx | tee -a "$TMP"
 
