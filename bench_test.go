@@ -14,6 +14,7 @@ import (
 	"cloudmedia/internal/core"
 	"cloudmedia/internal/experiments"
 	"cloudmedia/internal/mathx"
+	"cloudmedia/internal/modes"
 	"cloudmedia/internal/p2p"
 	"cloudmedia/internal/provision"
 	"cloudmedia/internal/queueing"
@@ -27,8 +28,8 @@ import (
 )
 
 // benchScenario is the short-horizon configuration the figure benches use.
-func benchScenario(mode sim.Mode) stack.Scenario {
-	sc := stack.DefaultScenario(mode, 1)
+func benchScenario(mode modes.Mode) stack.Spec {
+	sc := stack.DefaultSpec(mode, 1)
 	sc.Hours = 2
 	sc.IntervalSeconds = 1800
 	sc.SampleSeconds = 600
@@ -88,7 +89,7 @@ func BenchmarkTable3StorageRental(b *testing.B) {
 func BenchmarkFig4Provisioning(b *testing.B) {
 	var p2pOverCS float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(benchScenario(sim.ClientServer))
+		res, err := experiments.Fig4(benchScenario(modes.ClientServer))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func BenchmarkFig4Provisioning(b *testing.B) {
 func BenchmarkFig5Quality(b *testing.B) {
 	var q float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(benchScenario(sim.ClientServer))
+		res, err := experiments.Fig5(benchScenario(modes.ClientServer))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func BenchmarkFig5Quality(b *testing.B) {
 func BenchmarkFig6QualityVsSize(b *testing.B) {
 	var q float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchScenario(sim.ClientServer))
+		res, err := experiments.Fig6(benchScenario(modes.ClientServer))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func BenchmarkFig6QualityVsSize(b *testing.B) {
 func BenchmarkFig7BandwidthVsSize(b *testing.B) {
 	var slope float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchScenario(sim.ClientServer))
+		res, err := experiments.Fig7(benchScenario(modes.ClientServer))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func BenchmarkFig7BandwidthVsSize(b *testing.B) {
 func BenchmarkFig8StorageUtility(b *testing.B) {
 	var u float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchScenario(sim.P2P))
+		res, err := experiments.Fig8(benchScenario(modes.CloudAssisted))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func BenchmarkFig8StorageUtility(b *testing.B) {
 func BenchmarkFig9VMUtility(b *testing.B) {
 	var u float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(benchScenario(sim.P2P))
+		res, err := experiments.Fig9(benchScenario(modes.CloudAssisted))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func BenchmarkFig9VMUtility(b *testing.B) {
 func BenchmarkFig10Cost(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(benchScenario(sim.ClientServer))
+		res, err := experiments.Fig10(benchScenario(modes.ClientServer))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func BenchmarkFig10Cost(b *testing.B) {
 func BenchmarkFig11PeerBandwidth(b *testing.B) {
 	var q float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(benchScenario(sim.P2P))
+		res, err := experiments.Fig11(benchScenario(modes.CloudAssisted))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func BenchmarkFig11PeerBandwidth(b *testing.B) {
 func BenchmarkVMStartupLatency(b *testing.B) {
 	var boot float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.VMLatency(stack.Scenario{})
+		res, err := experiments.VMLatency(stack.Spec{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func BenchmarkVMStartupLatency(b *testing.B) {
 func BenchmarkStorageCostLibrary(b *testing.B) {
 	var perDay float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.StorageCost(stack.DefaultScenario(sim.P2P, 1))
+		res, err := experiments.StorageCost(stack.DefaultSpec(modes.CloudAssisted, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,7 +376,7 @@ func BenchmarkAblationHeuristicVsNaive(b *testing.B) {
 func BenchmarkAblationPredictiveVsStatic(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		sc := benchScenario(sim.ClientServer)
+		sc := benchScenario(modes.ClientServer)
 		predictive, err := experiments.RunTimeline(sc)
 		if err != nil {
 			b.Fatal(err)
@@ -402,7 +403,7 @@ func BenchmarkAblationPredictiveVsStatic(b *testing.B) {
 // discipline. (The paper flags richer predictors as future work.)
 func BenchmarkAblationPredictors(b *testing.B) {
 	run := func(p core.Predictor) (quality, cost float64) {
-		sc := benchScenario(sim.ClientServer)
+		sc := benchScenario(modes.ClientServer)
 		sc.Hours = 3
 		sc.Predictor = p
 		sc.Workload.FlashCrowds = []workload.FlashCrowd{{PeakHour: 1.5, WidthHours: 0.5, Amplitude: 3}}
@@ -428,7 +429,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 // choice), reporting the quality each policy sustains for the same spend.
 func BenchmarkAblationPeerScheduling(b *testing.B) {
 	run := func(sched sim.PeerScheduling) float64 {
-		sc := benchScenario(sim.P2P)
+		sc := benchScenario(modes.CloudAssisted)
 		sc.Scheduling = sched
 		tl, err := experiments.RunTimeline(sc)
 		if err != nil {
@@ -614,7 +615,7 @@ func BenchmarkFluid100MViewers(b *testing.B) {
 // sharding: the same 12-channel scenario stepped serially and with the
 // pool (results are identical; only wall time moves).
 func BenchmarkEventParallelChannels(b *testing.B) {
-	base := stack.DefaultScenario(sim.ClientServer, 2)
+	base := stack.DefaultSpec(modes.ClientServer, 2)
 	for _, workers := range []int{1, 0} { // 0 = GOMAXPROCS-bounded
 		name := "serial"
 		if workers == 0 {

@@ -56,6 +56,14 @@ import (
 	"cloudmedia/pkg/trace"
 )
 
+// The -policy and -pricing usage strings, shared by the experiment
+// runner and the serve subcommand: every spelling ParsePolicy and
+// ParsePricing accept.
+const (
+	policyHelp  = "provisioning policy: greedy, lookahead, lookahead-hedged (or hedged), oracle, or staticpeak (or static-peak)"
+	pricingHelp = "cloud billing plan: on-demand (or ondemand), reserved, or spot"
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "cloudmedia:", err)
@@ -79,10 +87,10 @@ func run(args []string) error {
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
 		mode     = fs.String("mode", "client-server", "architecture under test: client-server, p2p, or cloud-assisted")
 		fidelity = fs.String("fidelity", "event", "simulation engine: event (per-viewer) or fluid (aggregate cohorts, million-viewer scale)")
-		policy   = fs.String("policy", "greedy", "provisioning policy: greedy, lookahead, lookahead-hedged, oracle, or staticpeak")
-		pricing  = fs.String("pricing", "on-demand", "cloud billing plan: on-demand, reserved, or spot")
+		policy   = fs.String("policy", "greedy", policyHelp)
+		pricing  = fs.String("pricing", "on-demand", pricingHelp)
 		faultIn  = fs.String("fault", "", "fault schedule: a preset ("+strings.Join(simulate.FaultPresetNames(), ", ")+") or events like outage@19.5h+2h,preempt@20h:0.6,degrade@18h+3h:0.5")
-		scale    = fs.Float64("scale", 2, "workload scale (1 ≈ 250 concurrent users, 10 ≈ paper scale)")
+		scale    = fs.Float64("scale", 2, "workload scale (1 ≈ 250 concurrent users, 10 ≈ paper scale); ignored with -trace")
 		traceIn  = fs.String("trace", "", "demand trace file (.csv or .json) replacing the parametric workload; see 'cloudmedia trace'")
 		hours    = fs.Float64("hours", 24, "simulated duration per run, hours")
 		seed     = fs.Int64("seed", 42, "random seed")
@@ -134,16 +142,16 @@ func run(args []string) error {
 	if *exp == "all" {
 		ids = paper.IDs()
 	}
-	opts := paper.Options{Mode: m, Fidelity: f, Policy: pol, Pricing: pri, Faults: flt, Scale: *scale, Hours: *hours, Seed: *seed, Workers: *workers}
+	sc := simulate.Default(m, *scale)
+	sc.Fidelity, sc.Policy, sc.Pricing, sc.Faults = f, pol, pri, flt
+	sc.Hours, sc.Seed, sc.Workers = *hours, *seed, *workers
 	if *traceIn != "" {
-		tr, err := trace.ReadFile(*traceIn)
-		if err != nil {
+		if sc.Source, err = trace.ReadFile(*traceIn); err != nil {
 			return err
 		}
-		opts.Source = tr
 	}
 	for _, id := range ids {
-		res, err := paper.Run(id, opts)
+		res, err := paper.Run(id, sc)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}

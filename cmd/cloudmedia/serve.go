@@ -23,8 +23,8 @@ func runServe(args []string, out io.Writer) error {
 	var (
 		mode      = fs.String("mode", "cloud-assisted", "architecture to serve: client-server, p2p, or cloud-assisted")
 		fidelity  = fs.String("fidelity", "event", "simulation engine: event or fluid")
-		policy    = fs.String("policy", "greedy", "provisioning policy: greedy, lookahead, oracle, or staticpeak")
-		pricing   = fs.String("pricing", "on-demand", "cloud billing plan: on-demand or reserved")
+		policy    = fs.String("policy", "greedy", policyHelp)
+		pricing   = fs.String("pricing", "on-demand", pricingHelp)
 		hours     = fs.Float64("hours", 24, "simulated duration, hours")
 		scale     = fs.Float64("scale", 2, "workload scale (parametric workload only)")
 		seed      = fs.Int64("seed", 42, "random seed")

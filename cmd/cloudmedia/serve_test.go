@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cloudmedia/pkg/simulate"
 )
 
 // TestServeSimulatedClock drives the subcommand end to end under the
@@ -122,6 +124,55 @@ func TestServeErrors(t *testing.T) {
 	} {
 		if err := runServe(args, io.Discard); err == nil {
 			t.Errorf("%s: accepted %v", name, args)
+		}
+	}
+}
+
+// usage captures what a flag set prints for -h.
+func usage(t *testing.T, call func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stderr
+	os.Stderr = w
+	callErr := call()
+	os.Stderr = orig
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if callErr == nil {
+		t.Error("-h: want flag.ErrHelp")
+	}
+	return string(out)
+}
+
+// TestUsageListsEverySpelling: the -policy and -pricing help of both the
+// experiment runner and serve names every spelling the parsers accept.
+func TestUsageListsEverySpelling(t *testing.T) {
+	policies := []string{"greedy", "lookahead", "lookahead-hedged", "hedged", "oracle", "staticpeak", "static-peak"}
+	pricings := []string{"on-demand", "ondemand", "reserved", "spot"}
+	for _, p := range policies {
+		if _, err := simulate.ParsePolicy(p); err != nil {
+			t.Errorf("policy %q: %v", p, err)
+		}
+	}
+	for _, p := range pricings {
+		if _, err := simulate.ParsePricing(p); err != nil {
+			t.Errorf("pricing %q: %v", p, err)
+		}
+	}
+	for name, text := range map[string]string{
+		"cloudmedia": usage(t, func() error { return run([]string{"-h"}) }),
+		"serve":      usage(t, func() error { return runServe([]string{"-h"}, io.Discard) }),
+	} {
+		for _, spelling := range append(policies, pricings...) {
+			if !strings.Contains(text, spelling) {
+				t.Errorf("%s usage omits %q", name, spelling)
+			}
 		}
 	}
 }

@@ -40,7 +40,8 @@
 // analytic building blocks, pkg/simulate the simulation engine and
 // streaming API, pkg/trace demand traces (codec, generators, recorder),
 // pkg/sweep the concurrent parameter-sweep harness, pkg/paper the
-// table/figure reproduction registry behind cmd/cloudmedia, and
+// table/figure reproduction registry behind cmd/cloudmedia (it runs
+// any experiment on a simulate.Scenario), and
 // pkg/tracker plus pkg/transport the Sec. V-B control/data plane over
 // real TCP. The implementation lives under
 // internal/ (queueing, p2p, provision, cloud, workload, sim, core,

@@ -30,7 +30,7 @@ func frontierPolicies() []provision.Policy {
 // pay; Lookahead sits in between. The second table breaks the
 // reserved-plan bill down per interval, the Fig. 10 view with
 // reserved/on-demand/storage dollars separated.
-func CostFrontier(sc stack.Scenario) (*Result, error) {
+func CostFrontier(sc stack.Spec) (*Result, error) {
 	sc = pinMode(sc, sc.Mode)
 	policies := frontierPolicies()
 	pricings := []cloud.PricingPlan{cloud.OnDemandPricing(), cloud.ReservedPricing()}
@@ -42,7 +42,7 @@ func CostFrontier(sc stack.Scenario) (*Result, error) {
 		fidelity modes.Fidelity
 	}
 	var combos []combo
-	var family []stack.Scenario
+	var family []stack.Spec
 	for _, fid := range fidelities {
 		for _, pricing := range pricings {
 			for _, policy := range policies {

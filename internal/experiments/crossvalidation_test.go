@@ -30,8 +30,8 @@ func relDiff(a, b float64) float64 {
 
 // fidelityPair returns the default fig4/5/10 scenario under both engine
 // fidelities — the shared fixture of every cross-validation test.
-func fidelityPair() (event, fluid stack.Scenario) {
-	event = stack.DefaultScenario(0, 1)
+func fidelityPair() (event, fluid stack.Spec) {
+	event = stack.DefaultSpec(0, 1)
 	fluid = event
 	fluid.Fidelity = modes.FidelityFluid
 	return event, fluid

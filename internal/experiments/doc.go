@@ -4,7 +4,7 @@
 // over simulated time, and emits the same rows/series the paper reports.
 //
 // Scale is configurable: the paper simulates a week of ~2500 concurrent
-// users; the default Scenario is reduced so the whole suite finishes on a
+// users; the default scenario is reduced so the whole suite finishes on a
 // laptop, and EXPERIMENTS.md records the scale each result was produced at.
 // Shapes (who wins, by what factor, where crossovers fall) are the
 // reproduction target, not absolute numbers.

@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"cloudmedia/internal/core"
+	"cloudmedia/internal/modes"
 	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 )
 
 // quickScenario keeps experiment tests fast: 3 simulated hours at small
 // scale with 20-minute provisioning rounds.
-func quickScenario(mode sim.Mode) stack.Scenario {
-	sc := stack.DefaultScenario(mode, 2)
+func quickScenario(mode modes.Mode) stack.Spec {
+	sc := stack.DefaultSpec(mode, 2)
 	sc.Hours = 3
 	sc.IntervalSeconds = 1200
 	sc.SampleSeconds = 600
@@ -20,9 +21,9 @@ func quickScenario(mode sim.Mode) stack.Scenario {
 }
 
 func TestDefaultScenarioShape(t *testing.T) {
-	sc := stack.DefaultScenario(sim.ClientServer, 1)
+	sc := stack.DefaultSpec(modes.ClientServer, 1)
 	// 6 channels is the documented laptop-scale reduction of the paper's 20
-	// (see the DefaultScenario doc comment and EXPERIMENTS.md).
+	// (see the DefaultSpec doc comment and EXPERIMENTS.md).
 	if sc.Workload.Channels != 6 {
 		t.Errorf("channels = %d, want 6", sc.Workload.Channels)
 	}
@@ -33,22 +34,22 @@ func TestDefaultScenarioShape(t *testing.T) {
 		t.Errorf("R/r = %v, want the paper's 25", sc.Channel.VMBandwidth/sc.Channel.PlaybackRate)
 	}
 	// Negative scale falls back to 1.
-	neg := stack.DefaultScenario(sim.P2P, -3)
-	if neg.Workload.BaseArrivalRate != stack.DefaultScenario(sim.P2P, 1).Workload.BaseArrivalRate {
+	neg := stack.DefaultSpec(modes.CloudAssisted, -3)
+	if neg.Workload.BaseArrivalRate != stack.DefaultSpec(modes.CloudAssisted, 1).Workload.BaseArrivalRate {
 		t.Error("non-positive scale should default to 1")
 	}
 }
 
 func TestBuildValidation(t *testing.T) {
-	sc := quickScenario(sim.ClientServer)
+	sc := quickScenario(modes.ClientServer)
 	sc.Hours = 0
-	if _, err := stack.Build(sc, stack.RegionID{}); err == nil {
+	if _, err := stack.Build(stack.Scenario{Spec: sc}, stack.RegionID{}); err == nil {
 		t.Error("zero hours: want error")
 	}
 }
 
 func TestRunTimelineProducesMeasurements(t *testing.T) {
-	tl, err := RunTimeline(quickScenario(sim.ClientServer))
+	tl, err := RunTimeline(quickScenario(modes.ClientServer))
 	if err != nil {
 		t.Fatalf("RunTimeline: %v", err)
 	}
@@ -65,7 +66,7 @@ func TestRunTimelineProducesMeasurements(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	res, err := Fig4(quickScenario(sim.ClientServer))
+	res, err := Fig4(quickScenario(modes.ClientServer))
 	if err != nil {
 		t.Fatalf("Fig4: %v", err)
 	}
@@ -86,7 +87,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res, err := Fig5(quickScenario(sim.ClientServer))
+	res, err := Fig5(quickScenario(modes.ClientServer))
 	if err != nil {
 		t.Fatalf("Fig5: %v", err)
 	}
@@ -98,7 +99,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(quickScenario(sim.ClientServer))
+	res, err := Fig6(quickScenario(modes.ClientServer))
 	if err != nil {
 		t.Fatalf("Fig6: %v", err)
 	}
@@ -112,7 +113,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := Fig7(quickScenario(sim.ClientServer))
+	res, err := Fig7(quickScenario(modes.ClientServer))
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
@@ -127,11 +128,11 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8And9Shape(t *testing.T) {
-	res8, err := Fig8(quickScenario(sim.P2P))
+	res8, err := Fig8(quickScenario(modes.CloudAssisted))
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
-	res9, err := Fig9(quickScenario(sim.P2P))
+	res9, err := Fig9(quickScenario(modes.CloudAssisted))
 	if err != nil {
 		t.Fatalf("Fig9: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestFig8And9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	res, err := Fig10(quickScenario(sim.ClientServer))
+	res, err := Fig10(quickScenario(modes.ClientServer))
 	if err != nil {
 		t.Fatalf("Fig10: %v", err)
 	}
@@ -163,7 +164,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	sc := quickScenario(sim.P2P)
+	sc := quickScenario(modes.CloudAssisted)
 	res, err := Fig11(sc)
 	if err != nil {
 		t.Fatalf("Fig11: %v", err)
@@ -180,14 +181,14 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestTable2Table3(t *testing.T) {
-	res2, err := Table2(stack.Scenario{})
+	res2, err := Table2(stack.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res2.Tables[0].Rows) != 3 {
 		t.Errorf("Table II rows = %d", len(res2.Tables[0].Rows))
 	}
-	res3, err := Table3(stack.Scenario{})
+	res3, err := Table3(stack.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestTable2Table3(t *testing.T) {
 }
 
 func TestVMLatency(t *testing.T) {
-	res, err := VMLatency(stack.Scenario{})
+	res, err := VMLatency(stack.Spec{})
 	if err != nil {
 		t.Fatalf("VMLatency: %v", err)
 	}
@@ -208,7 +209,7 @@ func TestVMLatency(t *testing.T) {
 }
 
 func TestStorageCostMatchesPaperBallpark(t *testing.T) {
-	res, err := StorageCost(stack.DefaultScenario(sim.P2P, 1))
+	res, err := StorageCost(stack.DefaultSpec(modes.CloudAssisted, 1))
 	if err != nil {
 		t.Fatalf("StorageCost: %v", err)
 	}
@@ -219,14 +220,18 @@ func TestStorageCostMatchesPaperBallpark(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
-	for _, id := range IDs() {
-		if _, ok := reg[id]; !ok {
-			t.Errorf("registry missing %q", id)
+	seen := map[string]bool{}
+	for _, e := range Registry() {
+		if e.ID == "" || e.Run == nil {
+			t.Errorf("incomplete registry entry %+v", e)
 		}
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment ID %q", e.ID)
+		}
+		seen[e.ID] = true
 	}
-	if len(reg) != len(IDs()) {
-		t.Errorf("registry has %d entries, IDs lists %d", len(reg), len(IDs()))
+	if len(seen) != 17 {
+		t.Errorf("registry has %d experiments, want 17", len(seen))
 	}
 }
 
@@ -241,7 +246,7 @@ func TestRepresentativeChannels(t *testing.T) {
 }
 
 func TestResultTablesRender(t *testing.T) {
-	res, err := Table2(stack.Scenario{})
+	res, err := Table2(stack.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +263,7 @@ func TestRicherPeersReduceCloudSpend(t *testing.T) {
 	// The effect the paper calls "quite intuitive" and omits from Fig. 11:
 	// cloud provisioning falls as peer uplink rises.
 	spend := func(ratio float64) float64 {
-		sc := quickScenario(sim.P2P)
+		sc := quickScenario(modes.CloudAssisted)
 		sc.UplinkRatio = ratio
 		tl, err := RunTimeline(sc)
 		if err != nil {
@@ -274,7 +279,7 @@ func TestRicherPeersReduceCloudSpend(t *testing.T) {
 }
 
 func TestSchedulingPolicyFlowsThroughScenario(t *testing.T) {
-	sc := quickScenario(sim.P2P)
+	sc := quickScenario(modes.CloudAssisted)
 	sc.Scheduling = sim.Proportional
 	tl, err := RunTimeline(sc)
 	if err != nil {
@@ -286,7 +291,7 @@ func TestSchedulingPolicyFlowsThroughScenario(t *testing.T) {
 }
 
 func TestPredictorFlowsThroughScenario(t *testing.T) {
-	sc := quickScenario(sim.ClientServer)
+	sc := quickScenario(modes.ClientServer)
 	sc.Predictor = core.PeakOfWindow{Window: 2}
 	tl, err := RunTimeline(sc)
 	if err != nil {

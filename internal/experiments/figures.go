@@ -5,7 +5,7 @@ import (
 
 	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/metrics"
-	"cloudmedia/internal/sim"
+	"cloudmedia/internal/modes"
 	"cloudmedia/internal/stack"
 )
 
@@ -17,13 +17,11 @@ type Result struct {
 	Summary map[string]float64
 }
 
-// pinMode returns a copy of the scenario locked to the given engine mode.
-// It also clears StaticProvisioning: a public "p2p" scenario carries the
-// hold-the-bootstrap override, but a figure that pins its own modes is
-// defined over dynamically provisioned runs and must not inherit it.
-func pinMode(sc stack.Scenario, m sim.Mode) stack.Scenario {
-	sc.Mode = m
-	sc.StaticProvisioning = false
+// pinMode returns a copy of the scenario locked to the given mode. The
+// experiments that pin a mode are defined over dynamically provisioned
+// runs, so the static P2P baseline becomes cloud-assisted.
+func pinMode(sc stack.Spec, m modes.Mode) stack.Spec {
+	sc.Mode = modes.Dynamic(m)
 	return sc
 }
 
@@ -31,8 +29,8 @@ func pinMode(sc stack.Scenario, m sim.Mode) stack.Scenario {
 // provisioned and used cloud bandwidth for both modes. The reproduction
 // targets: provisioned ≥ used in the great majority of hours, and P2P
 // provisioning far below client-server.
-func Fig4(sc stack.Scenario) (*Result, error) {
-	tls, err := RunTimelines(pinMode(sc, sim.ClientServer), pinMode(sc, sim.P2P))
+func Fig4(sc stack.Spec) (*Result, error) {
+	tls, err := RunTimelines(pinMode(sc, modes.ClientServer), pinMode(sc, modes.CloudAssisted))
 	if err != nil {
 		return nil, fmt.Errorf("fig4: %w", err)
 	}
@@ -64,8 +62,8 @@ func Fig4(sc stack.Scenario) (*Result, error) {
 // Fig5 reproduces "Average streaming quality in the VoD system": the
 // smooth-playback fraction over time for both modes. Paper averages:
 // C/S ≈ 0.97, P2P ≈ 0.95 (P2P slightly worse).
-func Fig5(sc stack.Scenario) (*Result, error) {
-	tls, err := RunTimelines(pinMode(sc, sim.ClientServer), pinMode(sc, sim.P2P))
+func Fig5(sc stack.Spec) (*Result, error) {
+	tls, err := RunTimelines(pinMode(sc, modes.ClientServer), pinMode(sc, modes.CloudAssisted))
 	if err != nil {
 		return nil, fmt.Errorf("fig5: %w", err)
 	}
@@ -92,8 +90,8 @@ func Fig5(sc stack.Scenario) (*Result, error) {
 // Fig6 reproduces "Channel streaming quality vs. channel size": a scatter
 // of per-channel quality against the channel's viewer count across a day
 // (client-server). The target shape: quality is good regardless of size.
-func Fig6(sc stack.Scenario) (*Result, error) {
-	sc = pinMode(sc, sim.ClientServer)
+func Fig6(sc stack.Spec) (*Result, error) {
+	sc = pinMode(sc, modes.ClientServer)
 	tl, err := RunTimeline(sc)
 	if err != nil {
 		return nil, fmt.Errorf("fig6 run: %w", err)
@@ -138,8 +136,8 @@ func Fig6(sc stack.Scenario) (*Result, error) {
 // channel, provisioned bandwidth against viewer count, for both modes. The
 // target shape: roughly linear growth for client-server, much flatter
 // (well-scaling) for P2P.
-func Fig7(sc stack.Scenario) (*Result, error) {
-	tls, err := RunTimelines(pinMode(sc, sim.ClientServer), pinMode(sc, sim.P2P))
+func Fig7(sc stack.Spec) (*Result, error) {
+	tls, err := RunTimelines(pinMode(sc, modes.ClientServer), pinMode(sc, modes.CloudAssisted))
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
@@ -174,7 +172,7 @@ func Fig7(sc stack.Scenario) (*Result, error) {
 // Fig8 reproduces "Evolution of aggregate storage utility" for four
 // channels of different sizes (P2P mode): utilities track popularity, the
 // adaptiveness claim of Sec. VI-C.
-func Fig8(sc stack.Scenario) (*Result, error) {
+func Fig8(sc stack.Spec) (*Result, error) {
 	return utilityFigure(sc, "fig8", "Fig. 8 — aggregate storage utility (P2P)", func(r intervalUtilities) map[int]float64 {
 		return r.storage
 	})
@@ -182,7 +180,7 @@ func Fig8(sc stack.Scenario) (*Result, error) {
 
 // Fig9 reproduces "Evolution of aggregate VM utility" for the same four
 // channels (P2P mode).
-func Fig9(sc stack.Scenario) (*Result, error) {
+func Fig9(sc stack.Spec) (*Result, error) {
 	return utilityFigure(sc, "fig9", "Fig. 9 — aggregate VM utility (P2P)", func(r intervalUtilities) map[int]float64 {
 		return r.vm
 	})
@@ -193,8 +191,8 @@ type intervalUtilities struct {
 	vm      map[int]float64
 }
 
-func utilityFigure(sc stack.Scenario, id, title string, pick func(intervalUtilities) map[int]float64) (*Result, error) {
-	sc = pinMode(sc, sim.P2P)
+func utilityFigure(sc stack.Spec, id, title string, pick func(intervalUtilities) map[int]float64) (*Result, error) {
+	sc = pinMode(sc, modes.CloudAssisted)
 	tl, err := RunTimeline(sc)
 	if err != nil {
 		return nil, fmt.Errorf("%s run: %w", id, err)
@@ -245,8 +243,8 @@ func representativeChannels(n int) []int {
 
 // Fig10 reproduces "Evolution of overall VM rental cost": hourly dollars
 // for both modes. Paper averages: C/S ≈ $48/h, P2P ≈ $4.27/h.
-func Fig10(sc stack.Scenario) (*Result, error) {
-	tls, err := RunTimelines(pinMode(sc, sim.ClientServer), pinMode(sc, sim.P2P))
+func Fig10(sc stack.Spec) (*Result, error) {
+	tls, err := RunTimelines(pinMode(sc, modes.ClientServer), pinMode(sc, modes.CloudAssisted))
 	if err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}
@@ -275,13 +273,13 @@ func Fig10(sc stack.Scenario) (*Result, error) {
 // peer average upload capacity over the streaming rate": P2P runs with
 // mean uplink at 0.9, 1.0, and 1.2 × r. Target: satisfactory quality in
 // all cases (the cloud absorbs the shortfall).
-func Fig11(sc stack.Scenario) (*Result, error) {
+func Fig11(sc stack.Spec) (*Result, error) {
 	ratios := []float64{0.9, 1.0, 1.2}
 	tbl := metrics.NewTable("Fig. 11 — P2P streaming quality vs peer uplink ratio", "hour", "r0.9", "r1.0", "r1.2")
 	summary := make(map[string]float64, len(ratios))
-	family := make([]stack.Scenario, len(ratios))
+	family := make([]stack.Spec, len(ratios))
 	for i, r := range ratios {
-		family[i] = pinMode(sc, sim.P2P)
+		family[i] = pinMode(sc, modes.CloudAssisted)
 		family[i].UplinkRatio = r
 	}
 	runs, err := RunTimelines(family...)

@@ -7,11 +7,10 @@ import (
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/fault"
 	"cloudmedia/internal/modes"
-	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 )
 
-// geoGoldens are the Regional summaries at DefaultScenario(P2P, 1), seed
+// geoGoldens are the Regional summaries at DefaultSpec(CloudAssisted, 1), seed
 // 42, captured at full precision from the deployment builder that
 // predates building each region through the single-region stack. The
 // "spot" leg adds SpotPricing and the preempt-peak schedule, which pins
@@ -98,7 +97,7 @@ var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 func TestRegionalGoldens(t *testing.T) {
 	for fid, legs := range geoGoldens {
 		for leg, want := range legs {
-			sc := stack.DefaultScenario(sim.P2P, 1)
+			sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 			sc.Fidelity = fid
 			if leg == "spot" {
 				sc.Pricing = cloud.SpotPricing()
@@ -127,7 +126,7 @@ func TestRegionalGoldens(t *testing.T) {
 // table row. The scenario carries SpotPricing on purpose: the outage leg
 // bills at the zero-value plan whatever the scenario's pricing is.
 func TestResilienceOutageGolden(t *testing.T) {
-	sc := stack.DefaultScenario(sim.P2P, 1)
+	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Pricing = cloud.SpotPricing()
 	summary := map[string]float64{}
 	tbl, err := resilienceOutage(sc, fault.Presets()["outage-flash"], summary)

@@ -5,13 +5,12 @@ import (
 
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
-	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 )
 
 // preSeamGoldens are the fig4/5/10 summary values produced by the
 // pre-refactor controller (greedy planning hard-coded in core.Controller)
-// at DefaultScenario(0, 1), captured at full precision immediately before
+// at DefaultSpec(0, 1), captured at full precision immediately before
 // the provision.Policy seam was extracted. The default Greedy policy must
 // reproduce them bit for bit on both engines: the seam is a pure
 // mechanical extraction, so any drift here is a behaviour change.
@@ -61,10 +60,10 @@ var preSeamGoldens = map[modes.Fidelity]map[string]map[string]float64{
 // policy, on both fidelities, against the pre-refactor goldens — exact
 // float equality, no tolerance.
 func TestGreedyPolicyBitIdenticalToPreSeamController(t *testing.T) {
-	figs := map[string]func(stack.Scenario) (*Result, error){"fig4": Fig4, "fig5": Fig5, "fig10": Fig10}
+	figs := map[string]func(stack.Spec) (*Result, error){"fig4": Fig4, "fig5": Fig5, "fig10": Fig10}
 	for fid, byFig := range preSeamGoldens {
 		for name, want := range byFig {
-			sc := stack.DefaultScenario(0, 1)
+			sc := stack.DefaultSpec(0, 1)
 			sc.Fidelity = fid
 			res, err := figs[name](sc)
 			if err != nil {
@@ -86,10 +85,10 @@ func TestGreedyPolicyBitIdenticalToPreSeamController(t *testing.T) {
 // collapse for any policy.
 func TestPolicyCostInvariant(t *testing.T) {
 	policies := []provision.Policy{provision.Oracle{}, provision.Greedy{}, provision.StaticPeak{}}
-	family := make([]stack.Scenario, len(policies))
+	family := make([]stack.Spec, len(policies))
 	for i, p := range policies {
 		// The paper's cloud-assisted system: P2P overlay + dynamic rounds.
-		sc := stack.DefaultScenario(sim.P2P, 1)
+		sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 		sc.Policy = p
 		family[i] = sc
 	}
@@ -131,7 +130,7 @@ func TestPolicyCostInvariant(t *testing.T) {
 // short horizon: 4 policies × 2 pricing plans × 2 fidelities, every
 // combo's bill broken down by tier.
 func TestCostFrontierExperiment(t *testing.T) {
-	sc := stack.DefaultScenario(sim.P2P, 1)
+	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Hours = 3
 	res, err := CostFrontier(sc)
 	if err != nil {

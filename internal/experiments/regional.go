@@ -21,8 +21,10 @@ import (
 // million-viewer regional deployments run on the fluid engine. Every
 // region is built from the scenario itself, so its predictor, policy,
 // pricing, scheduling and catalogs reach each region. Provisioning is
-// always dynamic: geo controllers run every interval.
-func Regional(sc stack.Scenario) (*Result, error) {
+// always dynamic: geo controllers run every interval, so p2p runs
+// cloud-assisted.
+func Regional(sc stack.Spec) (*Result, error) {
+	sc = pinMode(sc, sc.Mode)
 	// Regions derive their demand from the parametric workload, split by
 	// share; a trace source does not carry over to them.
 	sc.Source = nil

@@ -42,7 +42,7 @@ func resilienceCombos() []struct {
 // keep the spot discount's savings without giving the quality back when
 // the provider mass-preempts — against greedy-on-demand (safe, dear),
 // greedy-on-spot (cheap, fragile), and the oracle bound.
-func Resilience(sc stack.Scenario) (*Result, error) {
+func Resilience(sc stack.Spec) (*Result, error) {
 	sc = pinMode(sc, sc.Mode)
 	presets := fault.Presets()
 	faults := []struct {
@@ -60,7 +60,7 @@ func Resilience(sc stack.Scenario) (*Result, error) {
 		fidelity     modes.Fidelity
 	}
 	var meta []run
-	var family []stack.Scenario
+	var family []stack.Spec
 	for _, fid := range fidelities {
 		for _, f := range faults {
 			for _, c := range combos {
@@ -113,7 +113,7 @@ func Resilience(sc stack.Scenario) (*Result, error) {
 // deployment on both fidelities and reports the per-region outcome:
 // migrated arrival shares, failover transfer dollars, and the quality
 // cost of serving a failed region's crowd from the survivors.
-func resilienceOutage(sc stack.Scenario, sched *fault.Schedule, summary map[string]float64) (*metrics.Table, error) {
+func resilienceOutage(sc stack.Spec, sched *fault.Schedule, summary map[string]float64) (*metrics.Table, error) {
 	// The outage leg bills at the zero-value (on-demand) plan whatever
 	// the family's pricing, and its regions derive demand from the
 	// parametric workload.

@@ -7,7 +7,6 @@ import (
 	"cloudmedia/internal/fault"
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
-	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 )
 
@@ -22,7 +21,7 @@ func TestHedgedLookaheadBeatsGreedyUnderPreemption(t *testing.T) {
 		Preemptions: []fault.SpotPreemption{{At: 6 * 3600, Fraction: 0.6}},
 	}
 	for _, fid := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
-		base := stack.DefaultScenario(sim.P2P, 1)
+		base := stack.DefaultSpec(modes.CloudAssisted, 1)
 		base.Hours = 8
 		base.Fidelity = fid
 		base.Faults = preempt
@@ -59,7 +58,7 @@ func TestHedgedLookaheadBeatsGreedyUnderPreemption(t *testing.T) {
 // TestScenarioFaultsValidateAndClone: Build rejects a malformed fault
 // schedule, and the fault plumbing survives scenario derivation.
 func TestScenarioFaultsValidate(t *testing.T) {
-	sc := stack.DefaultScenario(sim.P2P, 1)
+	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Hours = 1
 	sc.Faults = &fault.Schedule{Preemptions: []fault.SpotPreemption{{At: -5, Fraction: 0.5}}}
 	if _, err := RunTimeline(sc); err == nil {
@@ -75,7 +74,7 @@ func TestResilienceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resilience family is a long run")
 	}
-	sc := stack.DefaultScenario(sim.P2P, 1)
+	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Hours = 24
 	res, err := Resilience(sc)
 	if err != nil {

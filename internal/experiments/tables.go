@@ -11,7 +11,7 @@ import (
 
 // Table2 emits the virtual cluster catalog (an input of the paper, shipped
 // verbatim as DefaultVMClusters).
-func Table2(stack.Scenario) (*Result, error) {
+func Table2(stack.Spec) (*Result, error) {
 	tbl := metrics.NewTable("Table II — virtual cluster configurations",
 		"type", "utility", "memory_mb", "cpu_mhz", "disk_gb", "price_per_hour", "max_vms")
 	for _, s := range cloud.DefaultVMClusters() {
@@ -23,7 +23,7 @@ func Table2(stack.Scenario) (*Result, error) {
 }
 
 // Table3 emits the NFS cluster catalog (Table III).
-func Table3(stack.Scenario) (*Result, error) {
+func Table3(stack.Spec) (*Result, error) {
 	tbl := metrics.NewTable("Table III — NFS cluster configurations",
 		"type", "utility", "rotation_rpm", "price_per_gb_hour", "capacity_gb")
 	for _, s := range cloud.DefaultNFSClusters() {
@@ -37,7 +37,7 @@ func Table3(stack.Scenario) (*Result, error) {
 // VMLatency reproduces the Sec. VI-C lifecycle measurements: launching a
 // VM takes ≈25 s, shutdown is faster, and launches proceed in parallel so
 // a whole batch becomes active together.
-func VMLatency(stack.Scenario) (*Result, error) {
+func VMLatency(stack.Spec) (*Result, error) {
 	cl, err := cloud.New(cloud.DefaultVMClusters(), cloud.DefaultNFSClusters())
 	if err != nil {
 		return nil, err
@@ -72,7 +72,7 @@ func VMLatency(stack.Scenario) (*Result, error) {
 // whole 20-channel library costs ≈$0.018/day — negligible next to VM
 // rental. It plans placement for the paper-scale library (20 channels ×
 // 20 chunks × 15 MB) with the real Table III prices.
-func StorageCost(sc stack.Scenario) (*Result, error) {
+func StorageCost(sc stack.Spec) (*Result, error) {
 	var demands []provision.ChunkDemand
 	for c := 0; c < 20; c++ {
 		for i := 0; i < 20; i++ {
@@ -101,32 +101,36 @@ func StorageCost(sc stack.Scenario) (*Result, error) {
 }
 
 // Runner is an experiment entry point.
-type Runner func(stack.Scenario) (*Result, error)
+type Runner func(stack.Spec) (*Result, error)
 
-// Registry maps experiment IDs (as used by the CLI) to runners.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"tab2":         Table2,
-		"tab3":         Table3,
-		"fig4":         Fig4,
-		"fig5":         Fig5,
-		"fig6":         Fig6,
-		"fig7":         Fig7,
-		"fig8":         Fig8,
-		"fig9":         Fig9,
-		"fig10":        Fig10,
-		"fig11":        Fig11,
-		"vmlat":        VMLatency,
-		"storcost":     StorageCost,
-		"timeline":     TimelineReport,
-		"regional":     Regional,
-		"costfrontier": CostFrontier,
-		"tracereplay":  TraceReplay,
-		"resilience":   Resilience,
-	}
+// Experiment is one registry entry: the ID the CLI names it by and its
+// runner.
+type Experiment struct {
+	ID  string
+	Run Runner
 }
 
-// IDs returns the experiment identifiers in a stable presentation order.
-func IDs() []string {
-	return []string{"tab2", "tab3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "vmlat", "storcost", "timeline", "regional", "costfrontier", "tracereplay", "resilience"}
+// Registry lists every experiment in the suite's presentation order: the
+// Table II/III catalogs first, then the figures in paper order, then the
+// microbenchmarks and the mode-sensitive entries.
+func Registry() []Experiment {
+	return []Experiment{
+		{"tab2", Table2},
+		{"tab3", Table3},
+		{"fig4", Fig4},
+		{"fig5", Fig5},
+		{"fig6", Fig6},
+		{"fig7", Fig7},
+		{"fig8", Fig8},
+		{"fig9", Fig9},
+		{"fig10", Fig10},
+		{"fig11", Fig11},
+		{"vmlat", VMLatency},
+		{"storcost", StorageCost},
+		{"timeline", TimelineReport},
+		{"regional", Regional},
+		{"costfrontier", CostFrontier},
+		{"tracereplay", TraceReplay},
+		{"resilience", Resilience},
+	}
 }

@@ -31,7 +31,6 @@ type Hourly struct {
 // Timeline is the full measurement record of one run; every figure is a
 // projection of it.
 type Timeline struct {
-	Scenario  stack.Scenario
 	Snapshots []Snapshot
 	Hourlies  []Hourly
 	Records   []core.IntervalRecord
@@ -51,16 +50,22 @@ type Timeline struct {
 func bytesPerSecToMbps(b float64) float64 { return b * 8 / 1e6 }
 
 // RunTimeline builds the system for the scenario, runs it for
-// Scenario.Hours of simulated time, and returns the measurement record.
-func RunTimeline(sc stack.Scenario) (*Timeline, error) {
+// Spec.Hours of simulated time, and returns the measurement record.
+func RunTimeline(sc stack.Spec) (*Timeline, error) {
+	return runTimeline(stack.Scenario{Spec: sc})
+}
+
+// runTimeline is RunTimeline with the scenario's run-time hooks wired.
+func runTimeline(sc stack.Scenario) (*Timeline, error) {
 	sys, err := stack.Build(sc, stack.RegionID{})
 	if err != nil {
 		return nil, err
 	}
-	tl := &Timeline{Scenario: sc}
+	tl := &Timeline{}
 	s := sys.Sim
+	sample := sys.Scenario.SampleSeconds
 
-	if err := s.ScheduleRepeating(sc.SampleSeconds, sc.SampleSeconds, func(now float64) {
+	if err := s.ScheduleRepeating(sample, sample, func(now float64) {
 		q := s.SampleQuality()
 		snap := Snapshot{
 			Time:                   now,
@@ -119,16 +124,16 @@ func RunTimeline(sc stack.Scenario) (*Timeline, error) {
 // timelines in input order. The figure experiments' run-families (mode
 // vs. mode, ratio vs. ratio) are independent simulations, so they fan out
 // across cores the same way pkg/sweep's worker pool fans out user grids;
-// each Scenario is passed by value and Build assembles a private engine,
+// each Spec is passed by value and Build assembles a private engine,
 // so runs share no mutable state. The first error (lowest input index)
 // wins.
-func RunTimelines(scs ...stack.Scenario) ([]*Timeline, error) {
+func RunTimelines(scs ...stack.Spec) ([]*Timeline, error) {
 	tls := make([]*Timeline, len(scs))
 	errs := make([]error, len(scs))
 	var wg sync.WaitGroup
 	for i, sc := range scs {
 		wg.Add(1)
-		go func(i int, sc stack.Scenario) {
+		go func(i int, sc stack.Spec) {
 			defer wg.Done()
 			tls[i], errs[i] = RunTimeline(sc)
 		}(i, sc)
@@ -144,20 +149,16 @@ func RunTimelines(scs ...stack.Scenario) ([]*Timeline, error) {
 
 // TimelineReport runs the scenario exactly as configured — unlike the
 // figure experiments, which pin the modes they are defined over, this is
-// the registry entry that honours the scenario's Mode and
-// StaticProvisioning — and reports the hourly provisioning view:
-// reserved vs used bandwidth, VM spend, and streaming quality.
-func TimelineReport(sc stack.Scenario) (*Result, error) {
+// the registry entry that honours the scenario's Mode, static P2P
+// included — and reports the hourly provisioning view: reserved vs used
+// bandwidth, VM spend, and streaming quality.
+func TimelineReport(sc stack.Spec) (*Result, error) {
 	tl, err := RunTimeline(sc)
 	if err != nil {
 		return nil, fmt.Errorf("timeline run: %w", err)
 	}
-	label := sc.Mode.String()
-	if sc.StaticProvisioning {
-		label += ", static provisioning"
-	}
 	tbl := metrics.NewTable(
-		fmt.Sprintf("Hourly provisioning timeline (%s)", label),
+		fmt.Sprintf("Hourly provisioning timeline (%v)", sc.Mode),
 		"hour", "reserved_mbps", "used_mbps", "vm_cost_per_hour")
 	for _, h := range tl.Hourlies {
 		tbl.AddRow(h.Hour, h.ReservedMbps, h.UsedMbps, h.VMCostPerHour)

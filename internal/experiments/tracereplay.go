@@ -5,7 +5,6 @@ import (
 
 	"cloudmedia/internal/metrics"
 	"cloudmedia/internal/modes"
-	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 	"cloudmedia/internal/trace"
 )
@@ -18,10 +17,7 @@ import (
 // bandwidth, and cost within the DESIGN.md "Engine fidelities"
 // tolerances — the cross-validation contract, now checkable against any
 // recorded workload rather than only the parametric one.
-func TraceReplay(sc stack.Scenario) (*Result, error) {
-	if sc.Mode == 0 {
-		sc.Mode = sim.ClientServer
-	}
+func TraceReplay(sc stack.Spec) (*Result, error) {
 	base := sc
 	base.Fidelity = modes.FidelityEvent // record on the per-viewer reference engine
 
@@ -36,8 +32,7 @@ func TraceReplay(sc stack.Scenario) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracereplay: %w", err)
 	}
-	base.OnArrivals = rec.Add
-	recorded, err := RunTimeline(base)
+	recorded, err := runTimeline(stack.Scenario{Spec: base, OnArrivals: rec.Add})
 	if err != nil {
 		return nil, fmt.Errorf("tracereplay: recording run: %w", err)
 	}
@@ -48,7 +43,6 @@ func TraceReplay(sc stack.Scenario) (*Result, error) {
 
 	replayEvent := sc
 	replayEvent.Fidelity = modes.FidelityEvent
-	replayEvent.OnArrivals = nil
 	replayEvent.Source = tr
 	// A different seed decorrelates the replay's Poisson thinning from
 	// the recording's: the replay must reproduce the aggregates because

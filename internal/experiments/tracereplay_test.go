@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cloudmedia/internal/modes"
-	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 	"cloudmedia/internal/trace"
 )
@@ -18,7 +17,7 @@ import (
 // tests pin). The replay runs on a different seed, so agreement means
 // the recovered intensity is right — not that the dice were re-rolled.
 func TestTraceReplayReproducesAggregates(t *testing.T) {
-	sc := stack.DefaultScenario(sim.ClientServer, 1)
+	sc := stack.DefaultSpec(modes.ClientServer, 1)
 	res, err := TraceReplay(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -63,11 +62,11 @@ func TestTraceSourceDrivesBothEngines(t *testing.T) {
 		name string
 		f    modes.Fidelity
 	}{{"event", modes.FidelityEvent}, {"fluid", modes.FidelityFluid}} {
-		sc := stack.DefaultScenario(sim.ClientServer, 1)
+		sc := stack.DefaultSpec(modes.ClientServer, 1)
 		sc.Hours = 1
 		sc.Fidelity = fidelity.f
 		sc.Source = tr
-		sys, err := stack.Build(sc, stack.RegionID{})
+		sys, err := stack.Build(stack.Scenario{Spec: sc}, stack.RegionID{})
 		if err != nil {
 			t.Fatalf("%s: %v", fidelity.name, err)
 		}
@@ -101,7 +100,7 @@ func TestTraceReplayHonoursScenarioSource(t *testing.T) {
 		Times: []float64{0, 3600, 7200},
 		Rates: [][]float64{{0.3, 0.5, 0.3}, {0.1, 0.2, 0.1}, {0.05, 0.05, 0.05}},
 	}
-	sc := stack.DefaultScenario(sim.ClientServer, 1)
+	sc := stack.DefaultSpec(modes.ClientServer, 1)
 	sc.Hours = 2
 	sc.Source = custom
 	res, err := TraceReplay(sc)

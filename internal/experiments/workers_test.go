@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cloudmedia/internal/modes"
-	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 )
 
@@ -28,10 +27,10 @@ func ensureParallelHost(t *testing.T, procs int) {
 // the plumbing end to end: the knob changes throughput, never results.
 func TestWorkersInvariantAcrossStack(t *testing.T) {
 	ensureParallelHost(t, 8)
-	for _, mode := range []sim.Mode{sim.ClientServer, sim.P2P} {
+	for _, mode := range []modes.Mode{modes.ClientServer, modes.CloudAssisted} {
 		for _, fid := range []modes.Fidelity{modes.FidelityFluid, modes.FidelityEvent} {
 			run := func(workers int) *Timeline {
-				sc := stack.DefaultScenario(mode, 1)
+				sc := stack.DefaultSpec(mode, 1)
 				sc.Fidelity = fid
 				sc.Hours = 4
 				sc.Workers = workers
@@ -39,9 +38,6 @@ func TestWorkersInvariantAcrossStack(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/%v workers=%d: %v", mode, fid, workers, err)
 				}
-				// The scenario embeds the differing Workers value itself;
-				// blank it so DeepEqual compares only what the run produced.
-				tl.Scenario = stack.Scenario{}
 				return tl
 			}
 			serial := run(1)

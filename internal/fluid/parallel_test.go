@@ -21,7 +21,7 @@ func ensureParallelHost(t *testing.T, procs int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// paperConfig mirrors stack.DefaultScenario's engine-facing half (6
+// paperConfig mirrors stack.DefaultSpec's engine-facing half (6
 // Zipf channels with diurnal arrivals and flash crowds, 8×75 s chunks, VCR
 // jumps every 225 s) without importing the experiments package — the
 // paper-figure scenario the worker-count invariance contract is pinned on.

@@ -33,6 +33,7 @@ import (
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/fault"
 	"cloudmedia/internal/mathx"
+	"cloudmedia/internal/modes"
 	"cloudmedia/internal/stack"
 	"cloudmedia/internal/workload"
 )
@@ -274,8 +275,9 @@ type Deployment struct {
 // and arms the scenario's outages as cross-region failover. Region i runs
 // a copy of sc whose workload is scaled by the region's share and
 // UplinkScale, whose demand reads through the region's share source, and
-// whose seed is sc.Seed + 7919·i; provisioning is always dynamic.
-func New(sc stack.Scenario, regions []Region) (*Deployment, error) {
+// whose seed is sc.Seed + 7919·i; provisioning is always dynamic, so a
+// static P2P spec runs cloud-assisted.
+func New(sc stack.Spec, regions []Region) (*Deployment, error) {
 	names, err := validateRegions(regions)
 	if err != nil {
 		return nil, err
@@ -309,7 +311,7 @@ func New(sc stack.Scenario, regions []Region) (*Deployment, error) {
 		return nil, fmt.Errorf("%w: outages can take down share %v, nothing left to fail over to", ErrConfig, down)
 	}
 	maxBoost := 1 / (1 - down)
-	sc.StaticProvisioning = false
+	sc.Mode = modes.Dynamic(sc.Mode)
 	d := &Deployment{handoffGB: sc.Channel.ChunkBytes() / 1e9}
 	for i, region := range regions {
 		rsc := sc
@@ -319,7 +321,7 @@ func New(sc stack.Scenario, regions []Region) (*Deployment, error) {
 		share := newShareFactor()
 		rsc.Source = &shareSource{src: rsc.Workload.Source(), factor: share, maxBoost: maxBoost}
 		rsc.Seed = sc.Seed + int64(i)*7919 // distinct stream per region
-		sys, err := stack.Build(rsc, stack.RegionID{Name: region.Name, FaultSeedOffset: 1})
+		sys, err := stack.Build(stack.Scenario{Spec: rsc}, stack.RegionID{Name: region.Name, FaultSeedOffset: 1})
 		if err != nil {
 			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
 		}

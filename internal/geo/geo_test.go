@@ -11,20 +11,19 @@ import (
 	"cloudmedia/internal/fault"
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/provision"
-	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 	"cloudmedia/internal/testutil"
 	"cloudmedia/internal/workload"
 )
 
-func testScenario() stack.Scenario {
+func testScenario() stack.Spec {
 	ch := testutil.ChannelConfig(5, 60)
 	ch.SlotsPerVM = 5
 	// The paper's default 15-minute jump interval, unlike the shortened
 	// intervals the engine tests use.
 	wl := testutil.FlatWorkload(2, 0.6, workload.Default().JumpMeanSeconds)
-	return stack.Scenario{
-		Mode:            sim.ClientServer,
+	return stack.Spec{
+		Mode:            modes.ClientServer,
 		Channel:         ch,
 		Workload:        wl,
 		Hours:           1,
@@ -243,7 +242,7 @@ func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
 // faultScenario is the adversarial deployment the failover tests share:
 // an outage taking the large region dark for one interval, a global spot
 // preemption while it is down, everything billed on the spot plan.
-func faultScenario() stack.Scenario {
+func faultScenario() stack.Spec {
 	sc := testScenario()
 	sc.Pricing = cloud.SpotPricing()
 	sc.Faults = &fault.Schedule{

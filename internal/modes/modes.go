@@ -100,6 +100,16 @@ func ParseFidelity(s string) (Fidelity, error) {
 	}
 }
 
+// Dynamic returns the mode a run that always provisions dynamically
+// uses for m: the static P2P baseline becomes CloudAssisted, the P2P
+// overlay under the periodic controller; other modes are unchanged.
+func Dynamic(m Mode) Mode {
+	if m == P2P {
+		return CloudAssisted
+	}
+	return m
+}
+
 // Engine maps the public mode onto the internal simulator mode and whether
 // the bootstrap rental is held statically (true = no periodic provisioning
 // rounds after t=0).

@@ -24,49 +24,71 @@ import (
 )
 
 // ViewersPerScale is the approximate steady-state concurrent viewer count
-// one unit of workload scale buys under DefaultScenario's session length
+// one unit of workload scale buys under DefaultSpec's session length
 // (the "scale 1 targets ~250 concurrent viewers" contract of the public
 // API). WithViewerScale converts absolute viewer targets through it.
 const ViewersPerScale = 250
 
 // BaseRateForViewers returns the aggregate base arrival rate that targets
-// the given steady-state concurrent viewer count under DefaultScenario's
+// the given steady-state concurrent viewer count under DefaultSpec's
 // session length — the absolute counterpart of the relative scale knob
-// (DefaultScenario uses 0.6 users/s per unit of scale).
+// (DefaultSpec uses 0.6 users/s per unit of scale).
 func BaseRateForViewers(viewers float64) float64 {
 	return 0.6 * viewers / ViewersPerScale
 }
 
-// Scenario bundles every knob one stack needs: the single internal spec
-// that pkg/simulate, the experiment harness and geo all build from.
-type Scenario struct {
-	Mode sim.Mode
-	// Fidelity selects the engine: zero or modes.FidelityEvent builds the
-	// per-viewer discrete-event simulator, modes.FidelityFluid the
-	// aggregate cohort integrator (for million-viewer scale).
-	Fidelity        modes.Fidelity
-	Channel         queueing.Config
-	Workload        workload.Params
-	Hours           float64 // simulated duration
-	IntervalSeconds float64 // controller period T
-	VMBudget        float64 // B_M, $/hour
-	StorageBudget   float64 // B_S, $/hour
-	Seed            int64
-	SampleSeconds   float64 // measurement sampling period
-	UplinkRatio     float64 // if > 0, rescale peer uplinks to ratio × r (Fig. 11)
+// Spec bundles every knob a user sets for one run: the single scenario
+// declaration that pkg/simulate embeds in its public Scenario, and that
+// the experiment harness and geo build from.
+type Spec struct {
+	// Mode is the architecture under test: client-server, p2p (the
+	// bootstrap rental held statically), or cloud-assisted.
+	Mode modes.Mode
+	// Fidelity selects the simulation engine: zero or FidelityEvent runs
+	// the per-viewer discrete-event simulator, FidelityFluid the
+	// aggregate cohort integrator whose state is O(channels × chunks)
+	// regardless of crowd size — the backend for million-viewer runs.
+	Fidelity modes.Fidelity
+	// Channel holds the per-channel parameters (channels are uniform, as
+	// in the paper).
+	Channel queueing.Config
+	// Workload drives the arrival trace.
+	Workload workload.Params
+	// Source, when non-nil, overrides the demand side of the workload
+	// with an arbitrary arrival-intensity source — most usefully a
+	// recorded or generated trace. The channel count then follows the
+	// source; Workload keeps supplying the behavioural parameters (VCR
+	// jumps, peer uplinks), and oracle policies plan on the source's true
+	// rates.
+	Source workload.Source
+	// Hours is the simulated duration.
+	Hours float64
+	// IntervalSeconds is the provisioning period T; 0 means hourly.
+	IntervalSeconds float64
+	// VMBudget is B_M in $/hour (the paper uses 100).
+	VMBudget float64
+	// StorageBudget is B_S in $/hour (the paper uses 1).
+	StorageBudget float64
+	// Seed drives all randomness; runs are reproducible per seed.
+	Seed int64
+	// SampleSeconds is the measurement sampling period; 0 means 900.
+	SampleSeconds float64
+	// UplinkRatio, if > 0, rescales peer uplinks so their mean is
+	// ratio × the streaming rate (the Fig. 11 sweep).
+	UplinkRatio float64
 	// Predictor overrides the controller's arrival-rate forecaster; nil
 	// uses the paper's last-interval rule.
 	Predictor core.Predictor
-	// Policy selects the provisioning policy; nil uses provision.Greedy,
-	// the paper's heuristic.
+	// Policy selects the provisioning policy (how predicted demand turns
+	// into rental plans); nil uses Greedy, the paper's heuristic.
 	Policy provision.Policy
-	// Pricing selects the billing plan the cloud ledger accrues under;
-	// the zero value is pure on-demand, the paper's literal pricing.
+	// Pricing selects the cloud billing plan; the zero value is pure
+	// on-demand, the paper's literal pricing.
 	Pricing cloud.PricingPlan
-	// Faults is the declarative failure plan injected at control barriers:
-	// spot preemptions and capacity degradations apply directly; region
-	// outages degenerate to full blackouts in a single-region run (the
-	// "regional" experiment realizes them as cross-region failover
+	// Faults is the declarative failure plan injected at the run's control
+	// barriers: spot preemptions and capacity degradations apply directly;
+	// region outages degenerate to full blackouts in a single-region run
+	// (the "regional" experiment realizes them as cross-region failover
 	// instead). nil injects nothing — though a spot Pricing plan with an
 	// interruption rate still drives its own seeded preemption process.
 	Faults *fault.Schedule
@@ -75,24 +97,19 @@ type Scenario struct {
 	Scheduling sim.PeerScheduling
 	// Workers bounds the worker pool both engines use to step channels in
 	// parallel between control barriers; 0 means GOMAXPROCS. Results are
-	// bit-identical for every value.
+	// bit-identical for every value — it is purely a throughput knob.
 	Workers int
-	// VMClusters and NFSClusters override the rental catalogs; nil uses the
-	// paper's Table II/III defaults. Regional price lists are the
+	// VMClusters and NFSClusters override the rental catalogs; nil uses
+	// the paper's Table II/III defaults. Regional price lists are the
 	// interesting knob (see examples/multiregion).
 	VMClusters  []cloud.VMClusterSpec
 	NFSClusters []cloud.NFSClusterSpec
-	// StaticProvisioning keeps the bootstrap (t=0) rental for the whole
-	// run instead of starting the periodic controller — the
-	// fixed-provisioning baseline the paper's dynamic scheme improves on.
-	StaticProvisioning bool
-	// Source overrides the demand side of the workload: per-channel
-	// arrival intensity over time (a recorded trace, a synthetic
-	// generator, …). nil keeps the parametric Workload demand. When set,
-	// the channel count follows the source; Workload still supplies the
-	// behavioural parameters (VCR jumps, peer uplinks) and the oracle
-	// policies' true rates come from the source.
-	Source workload.Source
+}
+
+// Scenario is a Spec plus the run-time hooks a caller wires into one
+// Build: the observers and the pacer are functions, not settings.
+type Scenario struct {
+	Spec
 	// OnArrivals observes every realized arrival (channel, time, mass) —
 	// the recording seam behind trace.Recorder. Calls for one channel are
 	// serialized; different channels may call concurrently from the event
@@ -111,7 +128,7 @@ type Scenario struct {
 	DiscardRecords bool
 }
 
-// DefaultScenario returns the reduced-scale counterpart of the paper's
+// DefaultSpec returns the reduced-scale counterpart of the paper's
 // setup: Zipf channels, diurnal arrivals with two flash crowds, hourly
 // provisioning, Table II/III clusters, B_M = $100/h, B_S = $1/h.
 //
@@ -124,7 +141,7 @@ type Scenario struct {
 // 150 VMs: client-server demand lands near the paper's ≈$48/h average
 // without saturating the clusters, leaving the P2P savings visible. Pass
 // scale > 1 to move toward paper-scale crowds.
-func DefaultScenario(mode sim.Mode, scale float64) Scenario {
+func DefaultSpec(mode modes.Mode, scale float64) Spec {
 	if scale <= 0 {
 		scale = 1
 	}
@@ -133,7 +150,7 @@ func DefaultScenario(mode sim.Mode, scale float64) Scenario {
 	wl.ZipfExponent = 0.8
 	wl.BaseArrivalRate = 0.6 * scale // ≈300·scale concurrent at mean session ≈7 min
 	wl.JumpMeanSeconds = 225         // 3 chunks, preserving the paper's jump:chunk ratio
-	return Scenario{
+	return Spec{
 		Mode: mode,
 		Channel: queueing.Config{
 			Chunks:          8,
@@ -156,12 +173,48 @@ func DefaultScenario(mode sim.Mode, scale float64) Scenario {
 	}
 }
 
-// Validate reports the first violated scenario invariant the engines
-// would not catch themselves (they validate the channel shape and the
-// workload). A zero interval or budget is valid: the controller applies
-// its defaults. Every number must be finite: a NaN would slip past the
-// sign checks and stall or silently zero the run.
-func (sc Scenario) Validate() error {
+// Validate reports the first violated scenario invariant. A zero
+// interval, sampling period or budget is valid: Build applies the
+// defaults. Every number must be finite: a NaN would slip past the sign
+// checks and stall or silently zero the run.
+func (sc Spec) Validate() error {
+	if _, _, err := modes.Engine(sc.Mode); err != nil {
+		return err
+	}
+	if sc.Fidelity != 0 && sc.Fidelity != modes.FidelityEvent && sc.Fidelity != modes.FidelityFluid {
+		return fmt.Errorf("invalid fidelity %d", int(sc.Fidelity))
+	}
+	if sc.SampleSeconds < 0 {
+		return fmt.Errorf("negative sampling period %v s", sc.SampleSeconds)
+	}
+	if err := sc.Channel.Validate(); err != nil {
+		return err
+	}
+	if err := sc.Workload.Validate(); err != nil {
+		return err
+	}
+	if sc.Source != nil {
+		if err := sc.Source.Validate(); err != nil {
+			return err
+		}
+		if sc.Source.NumChannels() <= 0 {
+			return fmt.Errorf("demand source has no channels")
+		}
+	}
+	if err := sc.Pricing.Validate(); err != nil {
+		return err
+	}
+	if err := sc.Faults.Validate(); err != nil {
+		return err
+	}
+	if v, ok := sc.Policy.(interface{ Validate() error }); ok && sc.Policy != nil {
+		if err := v.Validate(); err != nil {
+			return err
+		}
+	}
+	if sc.Workers < 0 {
+		return fmt.Errorf("negative workers %d", sc.Workers)
+	}
 	for _, f := range [...]struct {
 		name  string
 		value float64
@@ -188,11 +241,11 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// JumpPrior returns the analytic transfer-matrix prior for the
+// jumpPrior returns the analytic transfer-matrix prior for the
 // scenario's channel and workload: sequential viewing with 90% per-chunk
 // retention plus VCR jumps, whose per-chunk probability is T₀ over the
 // mean jump interval (capped at 1).
-func (sc Scenario) JumpPrior() (queueing.TransferMatrix, error) {
+func (sc Spec) jumpPrior() (queueing.TransferMatrix, error) {
 	jump := sc.Channel.ChunkSeconds / sc.Workload.JumpMeanSeconds
 	if jump > 1 {
 		jump = 1
@@ -206,7 +259,7 @@ type RegionID struct {
 	// Name scopes region-tagged fault events: an event naming another
 	// region skips this stack. "" applies only the global events.
 	Name string
-	// FaultSeedOffset is added to Scenario.Seed to seed the stack's
+	// FaultSeedOffset is added to Spec.Seed to seed the stack's
 	// spot-interruption process.
 	FaultSeedOffset int64
 }
@@ -232,7 +285,16 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if sc.SampleSeconds <= 0 {
+	engineMode, static, err := modes.Engine(sc.Mode)
+	if err != nil {
+		return nil, err
+	}
+	// The zero-means-default periods resolve here and nowhere else;
+	// System.Scenario carries the resolved values.
+	if sc.IntervalSeconds == 0 {
+		sc.IntervalSeconds = 3600
+	}
+	if sc.SampleSeconds == 0 {
 		sc.SampleSeconds = 900
 	}
 	// Resolve the demand source: the scenario's override (cloned so
@@ -257,12 +319,12 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 		}
 		sc.Workload.PeerUplink = up
 	}
-	transfer, err := sc.JumpPrior()
+	transfer, err := sc.jumpPrior()
 	if err != nil {
 		return nil, err
 	}
 	simCfg := sim.Config{
-		Mode:       sc.Mode,
+		Mode:       engineMode,
 		Channel:    sc.Channel,
 		Workload:   sc.Workload,
 		Source:     demand,
@@ -274,13 +336,10 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 		Seed:       sc.Seed,
 	}
 	var s sim.Backend
-	switch sc.Fidelity {
-	case 0, modes.FidelityEvent:
-		s, err = sim.New(simCfg)
-	case modes.FidelityFluid:
+	if sc.Fidelity == modes.FidelityFluid {
 		s, err = fluid.New(fluid.Config{Sim: simCfg})
-	default:
-		err = fmt.Errorf("stack: invalid fidelity %d", int(sc.Fidelity))
+	} else {
+		s, err = sim.New(simCfg)
 	}
 	if err != nil {
 		return nil, err
@@ -371,7 +430,9 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 		}
 	}
 	ctl.Provision(0, inputs)
-	if !sc.StaticProvisioning {
+	// P2P holds the bootstrap rental for the whole run — the static
+	// baseline the paper's dynamic scheme improves on.
+	if !static {
 		if err := ctl.Start(); err != nil {
 			return nil, err
 		}

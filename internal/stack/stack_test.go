@@ -3,7 +3,7 @@ package stack
 import (
 	"testing"
 
-	"cloudmedia/internal/sim"
+	"cloudmedia/internal/modes"
 )
 
 // TestValidateRejectsNegatives: the controller defaults only the == 0
@@ -13,15 +13,15 @@ import (
 func TestValidateRejectsNegatives(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Scenario)
+		mutate func(*Spec)
 	}{
-		{"negative interval", func(sc *Scenario) { sc.IntervalSeconds = -600 }},
-		{"negative vm budget", func(sc *Scenario) { sc.VMBudget = -100 }},
-		{"negative storage budget", func(sc *Scenario) { sc.StorageBudget = -1 }},
+		{"negative interval", func(sc *Spec) { sc.IntervalSeconds = -600 }},
+		{"negative vm budget", func(sc *Spec) { sc.VMBudget = -100 }},
+		{"negative storage budget", func(sc *Spec) { sc.StorageBudget = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := DefaultScenario(sim.P2P, 1)
+			sc := DefaultSpec(modes.CloudAssisted, 1)
 			if err := sc.Validate(); err != nil {
 				t.Fatalf("default scenario rejected: %v", err)
 			}
@@ -29,7 +29,7 @@ func TestValidateRejectsNegatives(t *testing.T) {
 			if err := sc.Validate(); err == nil {
 				t.Errorf("%s accepted by Validate", tc.name)
 			}
-			if _, err := Build(sc, RegionID{}); err == nil {
+			if _, err := Build(Scenario{Spec: sc}, RegionID{}); err == nil {
 				t.Errorf("%s accepted by Build", tc.name)
 			}
 		})

@@ -94,13 +94,13 @@ func (r *Result) TotalCloudDemand() float64 {
 // single channel, no peer uplink, B_M = $100/h, B_S = $1/h, Table II/III
 // catalogs — overridden by the given options.
 func NewPipeline(opts ...Option) (*Pipeline, error) {
-	s := simulate.Settings{Scenario: simulate.Scenario{
+	s := simulate.Settings{Scenario: simulate.Scenario{Spec: simulate.Spec{
 		Channel:       plan.PaperChannel(),
 		VMBudget:      100,
 		StorageBudget: 1,
 		VMClusters:    plan.DefaultVMClusters(),
 		NFSClusters:   plan.DefaultNFSClusters(),
-	}}
+	}}}
 	for _, opt := range opts {
 		if err := opt(&s); err != nil {
 			return nil, err

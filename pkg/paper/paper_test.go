@@ -1,12 +1,21 @@
 package paper_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"cloudmedia"
 	"cloudmedia/pkg/paper"
 	"cloudmedia/pkg/simulate"
 )
+
+// short returns a small, quick scenario in the given mode.
+func short(mode simulate.Mode, hours float64) simulate.Scenario {
+	sc := simulate.Default(mode, 1)
+	sc.Hours = hours
+	return sc
+}
 
 func TestIDs(t *testing.T) {
 	ids := paper.IDs()
@@ -32,7 +41,7 @@ func TestIDs(t *testing.T) {
 }
 
 func TestRunStatic(t *testing.T) {
-	res, err := paper.Run("tab2", paper.Options{})
+	res, err := paper.Run("tab2", simulate.Default(simulate.ClientServer, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,21 +52,21 @@ func TestRunStatic(t *testing.T) {
 
 func TestRunShortFigureAllModes(t *testing.T) {
 	for _, mode := range []simulate.Mode{simulate.ClientServer, simulate.P2P, simulate.CloudAssisted} {
-		if _, err := paper.Run("fig6", paper.Options{Mode: mode, Scale: 1, Hours: 1}); err != nil {
+		if _, err := paper.Run("fig6", short(mode, 1)); err != nil {
 			t.Errorf("fig6 %v: %v", mode, err)
 		}
 	}
 }
 
 func TestModeDoesNotLeakIntoPinnedFigures(t *testing.T) {
-	// fig6 is defined over client-server regardless of Options.Mode; in
+	// fig6 is defined over client-server regardless of the scenario's Mode; in
 	// particular the p2p mode's static-provisioning override must not leak
 	// into it, so the summaries are identical for any requested mode.
-	cs, err := paper.Run("fig6", paper.Options{Mode: simulate.ClientServer, Scale: 1, Hours: 2})
+	cs, err := paper.Run("fig6", short(simulate.ClientServer, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := paper.Run("fig6", paper.Options{Mode: simulate.P2P, Scale: 1, Hours: 2})
+	pp, err := paper.Run("fig6", short(simulate.P2P, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +75,27 @@ func TestModeDoesNotLeakIntoPinnedFigures(t *testing.T) {
 	}
 }
 
+// TestRunErrors pins the error contract: every invalid scenario — bad
+// mode, zero duration, a recorded option error — is rejected with an
+// error wrapping simulate.ErrInvalidScenario, and an unknown ID still
+// fails.
 func TestRunErrors(t *testing.T) {
-	if _, err := paper.Run("fig99", paper.Options{}); err == nil {
+	valid := simulate.Default(simulate.ClientServer, 2)
+	if _, err := paper.Run("fig99", valid); err == nil {
 		t.Error("unknown experiment: want error")
 	}
-	if _, err := paper.Run("tab2", paper.Options{Mode: simulate.Mode(42)}); err == nil {
-		t.Error("invalid mode: want error")
+	badMode := valid
+	badMode.Mode = simulate.Mode(42)
+	noHours := valid
+	noHours.Hours = 0
+	for name, sc := range map[string]simulate.Scenario{
+		"invalid mode":    badMode,
+		"zero hours":      noHours,
+		"recorded option": valid.With(cloudmedia.WithScale(-1)),
+	} {
+		_, err := paper.Run("tab2", sc)
+		if !errors.Is(err, simulate.ErrInvalidScenario) {
+			t.Errorf("%s: got %v, want an error wrapping ErrInvalidScenario", name, err)
+		}
 	}
 }

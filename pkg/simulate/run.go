@@ -128,16 +128,14 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 		opt(&rc)
 	}
 
-	esc, err := sc.internal()
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	rep := &Report{Mode: sc.Mode}
 	intervals := 0
-	esc.Pacer = rc.pacer
 	// The OnInterval hook below captures every round, so the controller
 	// never needs its own in-memory history.
-	esc.DiscardRecords = true
+	esc := stack.Scenario{Spec: sc.Spec, Pacer: rc.pacer, DiscardRecords: true}
 	if len(rc.onArrivals) > 0 {
 		fns := rc.onArrivals
 		esc.OnArrivals = func(channel int, t, n float64) {
@@ -189,8 +187,8 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 		}
 	}
 
-	end := esc.Hours * 3600
-	step := esc.SampleSeconds
+	end := sc.Hours * 3600
+	step := sys.Scenario.SampleSeconds
 	var runErr error
 	for now := 0.0; now < end; {
 		if err := ctx.Err(); err != nil {

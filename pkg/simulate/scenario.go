@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"cloudmedia/internal/modes"
 	"cloudmedia/internal/stack"
 	"cloudmedia/pkg/plan"
 )
@@ -17,69 +16,18 @@ import (
 //	if _, err := sc.Run(ctx); errors.Is(err, simulate.ErrInvalidScenario) { … }
 var ErrInvalidScenario = errors.New("simulate: invalid scenario")
 
+// Spec is every knob of a simulation run: the architecture, engine,
+// channel, workload and demand source, duration and periods, budgets,
+// seed, predictor, policy, pricing, faults, scheduling, workers and
+// rental catalogs. Scenario embeds it, so its fields read and write
+// directly on a Scenario (sc.Hours = 12).
+type Spec = stack.Spec
+
 // Scenario bundles every knob a simulation run needs. The zero value is
 // invalid; start from Default and override fields, or derive a variant
 // from an existing scenario with With.
 type Scenario struct {
-	// Mode is the architecture under test.
-	Mode Mode
-	// Fidelity selects the simulation engine: zero or FidelityEvent runs
-	// the per-viewer discrete-event simulator, FidelityFluid the
-	// aggregate cohort integrator whose state is O(channels × chunks)
-	// regardless of crowd size — the backend for million-viewer runs.
-	Fidelity Fidelity
-	// Channel holds the per-channel parameters (channels are uniform, as
-	// in the paper).
-	Channel plan.Channel
-	// Workload drives the arrival trace.
-	Workload Workload
-	// Source, when non-nil, overrides the demand side of the workload
-	// with an arbitrary arrival-intensity source — most usefully a
-	// recorded or generated *trace.Trace (pkg/trace). The channel count
-	// then follows the source; Workload keeps supplying the behavioural
-	// parameters (VCR jumps, peer uplinks), and oracle policies plan on
-	// the source's true rates.
-	Source Source
-	// Hours is the simulated duration.
-	Hours float64
-	// IntervalSeconds is the provisioning period T; 0 means hourly.
-	IntervalSeconds float64
-	// VMBudget is B_M in $/hour (the paper uses 100).
-	VMBudget float64
-	// StorageBudget is B_S in $/hour (the paper uses 1).
-	StorageBudget float64
-	// Seed drives all randomness; runs are reproducible per seed.
-	Seed int64
-	// SampleSeconds is the measurement sampling period; 0 means 900.
-	SampleSeconds float64
-	// UplinkRatio, if > 0, rescales peer uplinks so their mean is
-	// ratio × the streaming rate (the Fig. 11 sweep).
-	UplinkRatio float64
-	// Predictor overrides the controller's arrival-rate forecaster; nil
-	// uses the paper's last-interval rule.
-	Predictor Predictor
-	// Policy selects the provisioning policy (how predicted demand turns
-	// into rental plans); nil uses Greedy, the paper's heuristic.
-	Policy Policy
-	// Pricing selects the cloud billing plan; the zero value is pure
-	// on-demand, the paper's literal pricing.
-	Pricing PricingPlan
-	// Faults is the declarative failure plan injected at the run's control
-	// barriers; nil injects nothing. A spot Pricing plan with an
-	// interruption rate drives its own seeded preemption process even with
-	// no schedule.
-	Faults *FaultSchedule
-	// Scheduling overrides the P2P uplink allocation policy; zero uses
-	// rarest-first, the paper's scheme.
-	Scheduling Scheduling
-	// Workers bounds the worker pool both engines use to step channels in
-	// parallel between control barriers; 0 means GOMAXPROCS. Results are
-	// bit-identical for every value — it is purely a throughput knob.
-	Workers int
-	// VMClusters and NFSClusters override the rental catalogs; nil uses
-	// the paper's Table II/III defaults.
-	VMClusters  []plan.VMCluster
-	NFSClusters []plan.NFSCluster
+	Spec
 	// Serve configures live serving (pkg/serve); batch Run ignores it.
 	Serve ServeSettings
 
@@ -109,18 +57,7 @@ type ServeSettings struct {
 // hourly provisioning, Table II/III catalogs, B_M = $100/h, B_S = $1/h.
 // scale 1 targets ~250 concurrent viewers; 10 approaches paper scale.
 func Default(mode Mode, scale float64) Scenario {
-	base := stack.DefaultScenario(0, scale)
-	return Scenario{
-		Mode:            mode,
-		Channel:         base.Channel,
-		Workload:        base.Workload,
-		Hours:           base.Hours,
-		IntervalSeconds: base.IntervalSeconds,
-		VMBudget:        base.VMBudget,
-		StorageBudget:   base.StorageBudget,
-		Seed:            base.Seed,
-		SampleSeconds:   base.SampleSeconds,
-	}
+	return Scenario{Spec: stack.DefaultSpec(mode, scale)}
 }
 
 // Clone returns a deep copy of the scenario: the workload (including its
@@ -143,93 +80,25 @@ func (sc Scenario) Clone() Scenario {
 // Validate reports the first violated scenario invariant without running
 // anything. Every failure wraps ErrInvalidScenario.
 func (sc Scenario) Validate() error {
-	if _, err := sc.internal(); err != nil {
-		return err
+	err := sc.err
+	if err == nil {
+		err = sc.Spec.Validate()
+	}
+	if err == nil {
+		err = sc.Serve.validate()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
 	return nil
 }
 
-// internal converts the public scenario into the stack builder's spec,
-// applying the mode mapping.
-func (sc Scenario) internal() (stack.Scenario, error) {
-	if sc.err != nil {
-		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, sc.err)
+func (s ServeSettings) validate() error {
+	if c := s.Clock; c != 0 && c != ClockReal && c != ClockSimulated {
+		return fmt.Errorf("invalid clock mode %d", int(c))
 	}
-	engineMode, static, err := modes.Engine(sc.Mode)
-	if err != nil {
-		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
+	if ts := s.TimeScale; ts < 0 || math.IsNaN(ts) || math.IsInf(ts, 0) {
+		return fmt.Errorf("invalid time scale %v", ts)
 	}
-	if sc.Fidelity != 0 && sc.Fidelity != FidelityEvent && sc.Fidelity != FidelityFluid {
-		return stack.Scenario{}, fmt.Errorf("%w: invalid fidelity %d", ErrInvalidScenario, int(sc.Fidelity))
-	}
-	if sc.SampleSeconds < 0 {
-		return stack.Scenario{}, fmt.Errorf("%w: negative sampling period %v s", ErrInvalidScenario, sc.SampleSeconds)
-	}
-	if err := sc.Channel.Validate(); err != nil {
-		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
-	}
-	if err := sc.Workload.Validate(); err != nil {
-		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
-	}
-	if sc.Source != nil {
-		if err := sc.Source.Validate(); err != nil {
-			return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
-		}
-		if sc.Source.NumChannels() <= 0 {
-			return stack.Scenario{}, fmt.Errorf("%w: demand source has no channels", ErrInvalidScenario)
-		}
-	}
-	if err := sc.Pricing.Validate(); err != nil {
-		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
-	}
-	if err := sc.Faults.Validate(); err != nil {
-		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
-	}
-	if v, ok := sc.Policy.(interface{ Validate() error }); ok && sc.Policy != nil {
-		if err := v.Validate(); err != nil {
-			return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
-		}
-	}
-	if c := sc.Serve.Clock; c != 0 && c != ClockReal && c != ClockSimulated {
-		return stack.Scenario{}, fmt.Errorf("%w: invalid clock mode %d", ErrInvalidScenario, int(c))
-	}
-	if ts := sc.Serve.TimeScale; ts < 0 || math.IsNaN(ts) || math.IsInf(ts, 0) {
-		return stack.Scenario{}, fmt.Errorf("%w: invalid time scale %v", ErrInvalidScenario, ts)
-	}
-	if sc.Workers < 0 {
-		return stack.Scenario{}, fmt.Errorf("%w: negative workers %d", ErrInvalidScenario, sc.Workers)
-	}
-	out := stack.Scenario{
-		Mode:               engineMode,
-		Fidelity:           sc.Fidelity,
-		Channel:            sc.Channel,
-		Workload:           sc.Workload,
-		Source:             sc.Source,
-		Hours:              sc.Hours,
-		IntervalSeconds:    sc.IntervalSeconds,
-		VMBudget:           sc.VMBudget,
-		StorageBudget:      sc.StorageBudget,
-		Seed:               sc.Seed,
-		SampleSeconds:      sc.SampleSeconds,
-		UplinkRatio:        sc.UplinkRatio,
-		Predictor:          sc.Predictor,
-		Policy:             sc.Policy,
-		Pricing:            sc.Pricing,
-		Faults:             sc.Faults,
-		Scheduling:         sc.Scheduling,
-		Workers:            sc.Workers,
-		VMClusters:         sc.VMClusters,
-		NFSClusters:        sc.NFSClusters,
-		StaticProvisioning: static,
-	}
-	if out.IntervalSeconds == 0 {
-		out.IntervalSeconds = 3600
-	}
-	if out.SampleSeconds == 0 {
-		out.SampleSeconds = 900
-	}
-	if err := out.Validate(); err != nil {
-		return stack.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
-	}
-	return out, nil
+	return nil
 }
