@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/provision"
@@ -149,10 +149,15 @@ type Controller struct {
 	planner provision.Planner
 	workers int // resolved Options.Workers, see forEachChannel
 
-	records     []IntervalRecord
-	planCaps    map[[2]int]float64 // last planned per-chunk capacity targets, unscaled
-	lastCaps    map[[2]int]float64 // last applied per-chunk capacities (plan × fault factors)
-	rateHistory [][]float64        // per-channel observed arrival rates, oldest first
+	records []IntervalRecord
+	// planCaps holds the last planned per-chunk capacity targets,
+	// unscaled, and lastCaps the last applied capacities (plan × fault
+	// factors), both flat at ch*Chunks+chunk; capChannels is how many
+	// channels apply has recorded (0 before the first plan is applied).
+	planCaps    []float64
+	lastCaps    []float64
+	capChannels int
+	rateHistory [][]float64 // per-channel observed arrival rates, oldest first
 
 	// capFactor is the persistent capacity multiplier fault injection's
 	// capacity-degradation events set (1 = healthy); preemptScale is the
@@ -165,15 +170,32 @@ type Controller struct {
 
 	// Per-round scratch, reused across intervals so the steady control
 	// path stops allocating: the measurement inputs, the derived
-	// per-channel demands, and the flattened chunk-demand lists (current
-	// and per lookahead step) handed to the planner. Safe because nothing
-	// downstream retains them — records get their own slices, planners
-	// copy before sorting, and apply reads synchronously within the round.
+	// per-channel demands and their storage (current round and per
+	// lookahead step), the flattened chunk-demand lists handed to the
+	// planner, the catalog specs, and the capacity targets. Safe because
+	// nothing downstream retains them — records get their own slices,
+	// planners copy what they keep, and apply reads synchronously within
+	// the round. See DESIGN.md, "Sharded control plane".
+	derivers       []deriver // one per worker, see forEachChannel
 	scratchInputs  []ChannelInput
 	scratchDemands []ChannelDemand
 	scratchErrs    []error
+	scratchOut     []float64         // current round's demand storage, see demandSlot
+	scratchSteps   [][]ChannelDemand // lookahead step × channel
+	scratchStepOut []float64         // the steps' demand storage
 	scratchFlat    []provision.ChunkDemand
 	scratchFuture  [][]provision.ChunkDemand // per lookahead step, see flattenFuture
+	scratchVMs     []cloud.VMClusterSpec
+	scratchNFS     []cloud.NFSClusterSpec
+	scratchCaps    []float64
+	// freeRaises recycles the lists of delayed capacity raises, see apply.
+	freeRaises [][]capRaise
+}
+
+// capRaise is one chunk-capacity increase waiting for its VMs to boot.
+type capRaise struct {
+	ch, chunk int
+	target    float64
 }
 
 // NewController builds a controller for a simulation backend and a cloud
@@ -205,36 +227,55 @@ func NewController(s sim.Backend, cl *cloud.Cloud, broker *cloud.Broker, opts Op
 			return nil, err
 		}
 	}
+	workers := sim.EffectiveWorkers(opts.Workers, s.Channels())
 	return &Controller{
 		sim:          s,
 		broker:       broker,
 		cl:           cl,
 		opts:         opts,
 		planner:      opts.Policy.NewPlanner(),
-		workers:      sim.EffectiveWorkers(opts.Workers, s.Channels()),
-		planCaps:     make(map[[2]int]float64),
-		lastCaps:     make(map[[2]int]float64),
+		workers:      workers,
+		derivers:     make([]deriver, workers),
 		rateHistory:  make([][]float64, s.Channels()),
 		capFactor:    1,
 		preemptScale: 1,
 	}, nil
 }
 
-// forEachChannel runs fn for every channel index, sharding across the
-// controller's worker pool. fn must touch only channel-ch state (the
+// forEachChannel runs fn(w, ch) for every channel index ch, sharding
+// across the controller's worker pool; w is the running worker, which
+// indexes c.derivers. fn must touch only channel-ch state (the
 // per-channel estimator feed, rateHistory[ch], its own slots of the
-// scratch slices) plus read-only configuration; every cross-channel
-// reduction happens serially after the fan-out, in ascending channel
-// order, so rounds are bit-identical for any worker count. The serial
-// branch (effective workers == 1) runs on the calling goroutine.
-func (c *Controller) forEachChannel(n int, fn func(ch int)) {
+// scratch slices) plus worker-w scratch and read-only configuration;
+// every cross-channel reduction happens serially after the fan-out, in
+// ascending channel order, so rounds are bit-identical for any worker
+// count. The serial branch (effective workers == 1) runs on the calling
+// goroutine.
+func (c *Controller) forEachChannel(n int, fn func(w, ch int)) {
 	if c.workers <= 1 || n <= 1 {
 		for ch := 0; ch < n; ch++ {
-			fn(ch)
+			fn(0, ch)
 		}
 		return
 	}
-	sim.FanOut(c.workers, n, fn)
+	sim.FanOutWorkers(c.workers, n, fn)
+}
+
+// demandSlot returns slot k of buf as one channel's demand storage:
+// CloudDemand and PeerSupply, j entries each, capped so no append can
+// spill into a neighbour.
+func demandSlot(buf []float64, k, j int) (cloud, peer []float64) {
+	base := 2 * k * j
+	return buf[base : base+j : base+j], buf[base+j : base+2*j : base+2*j]
+}
+
+// growFloats returns buf resized to n, reusing its storage when large
+// enough; the contents are unspecified.
+func growFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Records returns the per-interval history (shared slice internals are not
@@ -256,18 +297,19 @@ func (c *Controller) Start() error {
 
 // runInterval executes one provisioning round using the statistics the
 // tracker accumulated since the previous round. The per-channel snapshot
-// — estimator read, forecast, matrix estimate, uplink probe, reset — is
-// sharded over the worker pool: each shard touches only its channel's
-// feed, history, and inputs slot, and the round runs at a control
-// barrier with no channel-stepping workers active, so the fan-out
-// observes a settled engine and writes disjoint state.
+// — estimator read, forecast, matrix estimate, uplink probe — is sharded
+// over the worker pool: each shard touches only its channel's feed,
+// history, and inputs slot, and the round runs at a control barrier with
+// no channel-stepping workers active, so the fan-out observes a settled
+// engine and writes disjoint state. The feeds are reset once the round
+// is planned: a feed's matrix stays valid only until its next Reset.
 func (c *Controller) runInterval(now float64) {
 	n := c.sim.Channels()
 	if cap(c.scratchInputs) < n {
 		c.scratchInputs = make([]ChannelInput, n)
 	}
 	inputs := c.scratchInputs[:n]
-	c.forEachChannel(n, func(ch int) {
+	c.forEachChannel(n, func(_, ch int) {
 		est, err := c.sim.Estimator(ch)
 		if err != nil {
 			return // unreachable: channel index from range
@@ -286,18 +328,25 @@ func (c *Controller) runInterval(now float64) {
 			uplink = 0
 		}
 		inputs[ch] = ChannelInput{ArrivalRate: rate, Transfer: matrix, MeanUplink: uplink}
-		est.Reset()
 	})
 	c.Provision(now, inputs)
+	for ch := 0; ch < n; ch++ {
+		if est, err := c.sim.Estimator(ch); err == nil {
+			est.Reset()
+		}
+	}
 }
 
 // forecast appends the observation to the channel's history and returns
-// the predictor's rate for the next interval.
+// the predictor's rate for the next interval. A full history shifts down
+// in place, so it keeps one backing array (and the spare capacity
+// futureDemands appends its forecasts into) for the whole run.
 func (c *Controller) forecast(channel int, observed float64) float64 {
-	h := append(c.rateHistory[channel], observed)
-	if len(h) > c.opts.HistoryLimit {
-		h = h[len(h)-c.opts.HistoryLimit:]
+	h := c.rateHistory[channel]
+	if limit := c.opts.HistoryLimit; len(h) >= limit {
+		h = h[:copy(h, h[len(h)-limit+1:])]
 	}
+	h = append(h, observed)
 	c.rateHistory[channel] = h
 	return c.opts.Predictor.Predict(h)
 }
@@ -317,33 +366,40 @@ func (c *Controller) wantsFuture() bool {
 	return true
 }
 
-// deriveOne runs the demand analysis for one channel and applies the
-// peer-supply trust and provisioning headroom, yielding the per-chunk
-// cloud demand the policy plans on. A channel whose analysis fails (e.g.
-// degenerate estimated matrix, or a chunk needing more servers than the
-// search bound) gets zero demand rather than aborting the round; the
-// error is returned for the caller to count and report.
-func (c *Controller) deriveOne(cfg queueing.Config, in ChannelInput, p2pMode bool) (ChannelDemand, error) {
+// deriveOne runs the demand analysis for one channel on the deriver d and
+// applies the peer-supply trust and provisioning headroom, yielding the
+// per-chunk cloud demand the policy plans on. It writes Δ into cloud and
+// Γ into peer (cfg.Chunks entries each, caller-owned) and returns them
+// as a ChannelDemand without its Equilibrium. A channel whose analysis
+// fails (e.g. degenerate estimated matrix, or a chunk needing more
+// servers than the search bound) gets zero demand rather than aborting
+// the round; the error is returned for the caller to count and report.
+func (c *Controller) deriveOne(d *deriver, cfg queueing.Config, in ChannelInput, p2pMode bool, cloud, peer []float64) (ChannelDemand, error) {
 	if in.Transfer == nil {
 		in.Transfer = c.opts.FallbackTransfer
 	}
-	d, err := DeriveDemand(cfg, in, p2pMode, c.opts.MaxServersPerChunk)
+	out := ChannelDemand{CloudDemand: cloud, PeerSupply: peer}
+	eq, peers, err := d.derive(cfg, in, p2pMode, c.opts.MaxServersPerChunk)
 	if err != nil {
-		return ChannelDemand{
-			CloudDemand: make([]float64, cfg.Chunks),
-			PeerSupply:  make([]float64, cfg.Chunks),
-		}, err
+		clear(cloud)
+		clear(peer)
+		return out, err
+	}
+	if peers.PeerSupply != nil {
+		copy(peer, peers.PeerSupply)
+	} else {
+		clear(peer)
 	}
 	// Apply peer-supply trust and provisioning headroom against the full
 	// equilibrium capacity (Δ = capacity − trust·Γ, then slack).
-	for i := range d.CloudDemand {
-		delta := d.Equilibrium.Capacity[i] - c.opts.PeerSupplyTrust*d.PeerSupply[i]
+	for i := range cloud {
+		delta := eq.Capacity[i] - c.opts.PeerSupplyTrust*peer[i]
 		if delta < 0 {
 			delta = 0
 		}
-		d.CloudDemand[i] = delta * c.opts.ProvisionHeadroom
+		cloud[i] = delta * c.opts.ProvisionHeadroom
 	}
-	return d, nil
+	return out, nil
 }
 
 // futureDemands forecasts per-chunk demand for the k intervals after the
@@ -363,18 +419,38 @@ func (c *Controller) deriveOne(cfg queueing.Config, in ChannelInput, p2pMode boo
 // serially afterwards in step then channel order, exactly the order the
 // old step-outer loop flattened in, so plans are bit-identical for any
 // worker count.
+//
+// The steps×channels matrix and every step's demand storage are
+// controller scratch. A step that repeats its rate shares the previous
+// step's (or the current round's) slices; a step that derives writes
+// only its own (step, channel) slot, so no step overwrites storage that
+// another step or the current round still reads. The predictor's
+// history is the channel's own, extended by this round's forecasts in
+// its spare capacity: rateHistory[ch] keeps its length, so the
+// forecasts are gone from it before the next round observes.
 func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, current []ChannelDemand, currentRates []float64, p2pMode bool, now float64, k int) [][]provision.ChunkDemand {
 	T := c.opts.IntervalSeconds
 	oracle := c.oracle()
-	steps := make([][]ChannelDemand, k)
-	for step := range steps {
-		steps[step] = make([]ChannelDemand, len(inputs))
+	n, j := len(inputs), cfg.Chunks
+	if len(c.scratchSteps) < k {
+		c.scratchSteps = append(c.scratchSteps, make([][]ChannelDemand, k-len(c.scratchSteps))...)
 	}
-	c.forEachChannel(len(inputs), func(ch int) {
+	steps := c.scratchSteps[:k]
+	for step := range steps {
+		if cap(steps[step]) < n {
+			steps[step] = make([]ChannelDemand, n)
+		}
+		steps[step] = steps[step][:n]
+	}
+	c.scratchStepOut = growFloats(c.scratchStepOut, 2*k*n*j)
+	c.forEachChannel(n, func(w, ch int) {
 		in := inputs[ch]
 		var hist []float64
 		if !oracle {
-			hist = append(append([]float64(nil), c.rateHistory[ch]...), in.ArrivalRate)
+			if h := c.rateHistory[ch]; cap(h)-len(h) < k+1 {
+				c.rateHistory[ch] = slices.Grow(h, k+1)
+			}
+			hist = append(c.rateHistory[ch], in.ArrivalRate)
 		}
 		prev, prevRate := current[ch], currentRates[ch]
 		for step := 1; step <= k; step++ {
@@ -387,8 +463,9 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 			if in.ArrivalRate == prevRate {
 				steps[step-1][ch] = prev
 			} else {
+				cloud, peer := demandSlot(c.scratchStepOut, (step-1)*n+ch, j)
 				//cloudmedia:allow noloss -- a failed forecast step plans at zero demand like a failed current round; DemandErrors counts the current round's failures
-				steps[step-1][ch], _ = c.deriveOne(cfg, in, p2pMode)
+				steps[step-1][ch], _ = c.deriveOne(&c.derivers[w], cfg, in, p2pMode, cloud, peer)
 			}
 			prev, prevRate = steps[step-1][ch], in.ArrivalRate
 		}
@@ -462,13 +539,15 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	// totals are reduced afterwards, serially.
 	demands := c.scratchDemands[:len(inputs)]
 	errs := c.scratchErrs[:len(inputs)]
-	c.forEachChannel(len(inputs), func(ch int) {
+	c.scratchOut = growFloats(c.scratchOut, 2*len(inputs)*cfg.Chunks)
+	c.forEachChannel(len(inputs), func(w, ch int) {
 		in := inputs[ch]
 		if oracle {
 			in.ArrivalRate = c.opts.TrueRates(ch, now, now+c.opts.IntervalSeconds)
 		}
 		rec.ArrivalRates[ch] = in.ArrivalRate
-		demands[ch], errs[ch] = c.deriveOne(cfg, in, p2pMode)
+		cloud, peer := demandSlot(c.scratchOut, ch, cfg.Chunks)
+		demands[ch], errs[ch] = c.deriveOne(&c.derivers[w], cfg, in, p2pMode, cloud, peer)
 	})
 	c.reduceDemands(&rec, demands, errs)
 	if rec.DemandErrors > 0 {
@@ -476,14 +555,16 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	}
 
 	catalog := c.broker.Negotiate()
-	vmSpecs := make([]cloud.VMClusterSpec, 0, len(catalog.VMClusters))
+	vmSpecs := c.scratchVMs[:0]
 	for _, a := range catalog.VMClusters {
 		vmSpecs = append(vmSpecs, a.Spec)
 	}
-	nfsSpecs := make([]cloud.NFSClusterSpec, 0, len(catalog.NFSClusters))
+	c.scratchVMs = vmSpecs
+	nfsSpecs := c.scratchNFS[:0]
 	for _, a := range catalog.NFSClusters {
 		nfsSpecs = append(nfsSpecs, a.Spec)
 	}
+	c.scratchNFS = nfsSpecs
 
 	c.scratchFlat = FlattenDemandsInto(c.scratchFlat, demands)
 	req := provision.PlanRequest{
@@ -522,7 +603,7 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 			c.opts.Policy.Name(), res.StorageErr)
 	}
 
-	c.apply(now, res.VMPlan, res.StoragePlan, catalog.VMBandwidth, demands)
+	c.apply(now, res.VMPlan, res.StoragePlan, catalog.VMBandwidth, cfg.Chunks, demands)
 	c.finish(now, rec)
 }
 
@@ -559,7 +640,7 @@ func (c *Controller) record(rec IntervalRecord) {
 
 // apply submits the SLA reconfiguration and updates the per-chunk serving
 // capacities in the running system.
-func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan provision.StoragePlan, vmBandwidth float64, demands []ChannelDemand) {
+func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan provision.StoragePlan, vmBandwidth float64, chunks int, demands []ChannelDemand) {
 	req := cloud.Request{Time: now, VMTargets: map[string]int{}, StorageGB: map[string]float64{}}
 	for _, spec := range c.cl.VMClusters() {
 		req.VMTargets[spec.Name] = 0
@@ -580,10 +661,34 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 		return
 	}
 
-	caps := vmPlan.CapacityPerChunk(vmBandwidth)
+	// The plan's per-chunk capacity, flat at ch*chunks+chunk and summed
+	// in allocation order as VMPlan.CapacityPerChunk sums it; allocations
+	// outside the demand set are ignored.
+	n := len(demands)
+	caps := growFloats(c.scratchCaps, n*chunks)
+	clear(caps)
+	c.scratchCaps = caps
+	for _, a := range vmPlan.Allocations {
+		if a.Channel >= 0 && a.Channel < n && a.Chunk >= 0 && a.Chunk < chunks {
+			caps[a.Channel*chunks+a.Chunk] += a.VMs * vmBandwidth
+		}
+	}
+	if n > c.capChannels {
+		grown := make([]float64, (n-c.capChannels)*chunks)
+		c.planCaps = append(c.planCaps, grown...)
+		c.lastCaps = append(c.lastCaps, grown...)
+		c.capChannels = n
+	}
 	delay := 0.0
 	if c.opts.ApplyBootLatency {
 		delay = c.cl.BootLatency()
+	}
+	// Increases wait for the new VMs to boot. They share one callback:
+	// scheduled one by one, their events would have fired back to back in
+	// this order, with nothing in between.
+	var raises []capRaise
+	if k := len(c.freeRaises); k > 0 && delay > 0 {
+		raises, c.freeRaises = c.freeRaises[k-1], c.freeRaises[:k-1]
 	}
 	// A fresh plan re-rents whatever a spot preemption killed, so the
 	// transient survivor scale resets here; the persistent degradation
@@ -591,12 +696,11 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 	c.preemptScale = 1
 	for ch, d := range demands {
 		for i := range d.CloudDemand {
-			key := [2]int{ch, i}
+			key := ch*chunks + i
 			c.planCaps[key] = caps[key]
 			target := caps[key] * c.capFactor
-			if target > c.lastCaps[key] {
-				// Increases wait for the new VMs to boot.
-				c.setCapacityAt(now, delay, ch, i, target)
+			if target > c.lastCaps[key] && delay > 0 {
+				raises = append(raises, capRaise{ch: ch, chunk: i, target: target})
 			} else {
 				// Decreases take effect immediately (shutdown is fast).
 				//cloudmedia:allow noloss -- channel/chunk come from the plan loop, which only visits valid indices
@@ -605,6 +709,20 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 			c.lastCaps[key] = target
 		}
 	}
+	if len(raises) == 0 {
+		if raises != nil {
+			c.freeRaises = append(c.freeRaises, raises)
+		}
+		return
+	}
+	//cloudmedia:allow noloss -- now+delay > now so ScheduleAt cannot fail
+	_ = c.sim.ScheduleAt(now+delay, func(float64) {
+		for _, r := range raises {
+			//cloudmedia:allow noloss -- channel/chunk come from the plan loop, which only visits valid indices
+			_ = c.sim.SetCloudCapacity(r.ch, r.chunk, r.target)
+		}
+		c.freeRaises = append(c.freeRaises, raises[:0])
+	})
 }
 
 // SetCapacityFactor sets the persistent capacity multiplier — fault
@@ -646,39 +764,18 @@ func (c *Controller) ScaleCapacity(now, factor float64) error {
 // system, immediately: degraded or preempted capacity disappears at once,
 // and a degradation clearing restores capacity that never stopped being
 // rented (already-booted VMs), so no boot latency applies on either edge.
-// Keys are applied in ascending (channel, chunk) order — planCaps is a
-// map, and float-effect ordering must not depend on Go's randomized
-// iteration.
+// Chunks are applied in ascending (channel, chunk) order, the flat
+// layout's order, so the float effects never depend on the worker count.
 func (c *Controller) reapplyCaps() {
-	keys := make([][2]int, 0, len(c.planCaps))
-	for key := range c.planCaps {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	f := c.capFactor * c.preemptScale
-	for _, key := range keys {
-		target := c.planCaps[key] * f
-		//cloudmedia:allow noloss -- keys were recorded by apply from valid plan indices
-		_ = c.sim.SetCloudCapacity(key[0], key[1], target)
-		c.lastCaps[key] = target
-	}
-}
-
-// setCapacityAt applies a capacity change after `delay` seconds.
-func (c *Controller) setCapacityAt(now, delay float64, ch, chunk int, target float64) {
-	if delay <= 0 {
-		//cloudmedia:allow noloss -- channel/chunk validated by the caller's plan loop
-		_ = c.sim.SetCloudCapacity(ch, chunk, target)
+	if c.capChannels == 0 {
 		return
 	}
-	//cloudmedia:allow noloss -- now+delay > now so ScheduleAt cannot fail
-	_ = c.sim.ScheduleAt(now+delay, func(float64) {
-		//cloudmedia:allow noloss -- channel/chunk validated by the caller's plan loop
-		_ = c.sim.SetCloudCapacity(ch, chunk, target)
-	})
+	chunks := len(c.planCaps) / c.capChannels
+	f := c.capFactor * c.preemptScale
+	for key, planned := range c.planCaps {
+		target := planned * f
+		//cloudmedia:allow noloss -- the key was recorded by apply from valid plan indices
+		_ = c.sim.SetCloudCapacity(key/chunks, key%chunks, target)
+		c.lastCaps[key] = target
+	}
 }

@@ -28,35 +28,58 @@ type ChannelDemand struct {
 
 // DeriveDemand runs the Sec. IV analysis for one channel. p2pMode selects
 // whether peer supply is subtracted. maxServers ≤ 0 uses the package
-// default.
+// default. The result owns its slices.
 func DeriveDemand(cfg queueing.Config, in ChannelInput, p2pMode bool, maxServers int) (ChannelDemand, error) {
-	if in.ArrivalRate < 0 {
-		return ChannelDemand{}, fmt.Errorf("core: negative arrival rate %v", in.ArrivalRate)
-	}
-	eq, err := queueing.Solve(cfg, in.Transfer, in.ArrivalRate, maxServers)
+	var d deriver
+	eq, peers, err := d.derive(cfg, in, p2pMode, maxServers)
 	if err != nil {
-		return ChannelDemand{}, fmt.Errorf("core: demand analysis: %w", err)
+		return ChannelDemand{}, err
+	}
+	out := ChannelDemand{
+		Equilibrium: eq,
+		CloudDemand: make([]float64, cfg.Chunks),
+		PeerSupply:  make([]float64, cfg.Chunks),
+	}
+	if peers.PeerSupply == nil {
+		copy(out.CloudDemand, eq.Capacity)
+	} else {
+		copy(out.CloudDemand, peers.CloudDemand)
+		copy(out.PeerSupply, peers.PeerSupply)
+	}
+	return out, nil
+}
+
+// deriver holds the solvers a demand derivation runs on. The controller
+// keeps one per worker, so a steady derivation allocates nothing.
+type deriver struct {
+	queue queueing.Solver
+	peers p2p.Solver
+}
+
+// derive runs the Sec. IV analysis for one channel into the deriver's
+// solvers: the equilibrium, and the peer result when peers were solved
+// (a zero Result, nil PeerSupply, otherwise). Both view the solvers'
+// buffers and stay valid until the next derive.
+func (d *deriver) derive(cfg queueing.Config, in ChannelInput, p2pMode bool, maxServers int) (queueing.Equilibrium, p2p.Result, error) {
+	if in.ArrivalRate < 0 {
+		return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: negative arrival rate %v", in.ArrivalRate)
+	}
+	eq, err := d.queue.Solve(cfg, in.Transfer, in.ArrivalRate, maxServers)
+	if err != nil {
+		return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: demand analysis: %w", err)
 	}
 	if !p2pMode || in.MeanUplink <= 0 {
-		out := ChannelDemand{
-			Equilibrium: eq,
-			CloudDemand: make([]float64, cfg.Chunks),
-			PeerSupply:  make([]float64, cfg.Chunks),
-		}
-		copy(out.CloudDemand, eq.Capacity)
-		return out, nil
+		return eq, p2p.Result{}, nil
 	}
-	res, err := p2p.Solve(p2p.Analysis{
+	res, err := d.peers.Solve(p2p.Analysis{
 		Equilibrium: eq,
 		Transfer:    in.Transfer,
 		PeerUpload:  in.MeanUplink,
 	})
 	if err != nil {
-		return ChannelDemand{}, fmt.Errorf("core: peer supply analysis: %w", err)
+		return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: peer supply analysis: %w", err)
 	}
-	// The peer result is this call's own: hand its slices over rather
-	// than copying them.
-	return ChannelDemand{Equilibrium: eq, CloudDemand: res.CloudDemand, PeerSupply: res.PeerSupply}, nil
+	return eq, res, nil
 }
 
 // FlattenDemands converts per-channel demands into the flat chunk-demand

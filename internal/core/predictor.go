@@ -37,7 +37,7 @@ type EWMA struct {
 
 // Validate checks the smoothing weight.
 func (e EWMA) Validate() error {
-	if e.Alpha <= 0 || e.Alpha > 1 {
+	if !(e.Alpha > 0 && e.Alpha <= 1) { // NaN fails too
 		return fmt.Errorf("core: EWMA alpha %v outside (0,1]", e.Alpha)
 	}
 	return nil

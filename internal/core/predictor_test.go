@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,12 +22,23 @@ func TestLastInterval(t *testing.T) {
 }
 
 func TestEWMAValidate(t *testing.T) {
-	if err := (EWMA{Alpha: 0.5}).Validate(); err != nil {
-		t.Errorf("valid alpha rejected: %v", err)
-	}
-	for _, a := range []float64{0, -0.1, 1.5} {
-		if err := (EWMA{Alpha: a}).Validate(); err == nil {
-			t.Errorf("alpha %v accepted", a)
+	for _, tc := range []struct {
+		alpha float64
+		ok    bool
+	}{
+		{0.5, true},
+		{1, true},
+		{math.SmallestNonzeroFloat64, true},
+		{0, false},
+		{-0.1, false},
+		{1.5, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		err := (EWMA{Alpha: tc.alpha}).Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("alpha %v: Validate() = %v, want ok=%v", tc.alpha, err, tc.ok)
 		}
 	}
 }

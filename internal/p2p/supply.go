@@ -44,6 +44,23 @@ func (r Result) TotalCloudDemand() float64 { return mathx.Sum(r.CloudDemand) }
 
 // Solve runs the full Sec. IV-C pipeline.
 func Solve(a Analysis) (Result, error) {
+	var s Solver
+	return s.Solve(a)
+}
+
+// Solver is Solve with storage it keeps between calls: the result it
+// returns views the solver's buffers and stays valid only until its next
+// Solve. A controller deriving many channels per round keeps one per
+// worker, so the steady solve allocates nothing. The zero value is ready.
+type Solver struct {
+	res   Result
+	flat  []float64 // OwnersByQueue's J×J backing
+	work  []float64 // one Proposition-1 system, see ownersByQueue
+	order []int     // peerSupply's rarest-first permutation
+}
+
+// Solve is the package-level Solve into the solver's buffers.
+func (s *Solver) Solve(a Analysis) (Result, error) {
 	eq := a.Equilibrium
 	j := eq.Config.Chunks
 	if j == 0 {
@@ -63,16 +80,15 @@ func Solve(a Analysis) (Result, error) {
 		return Result{}, fmt.Errorf("p2p: equilibrium arrays inconsistent with chunk count")
 	}
 
-	owners, err := ownersByQueue(eq.ViewerLoad, a.Transfer)
+	owners, err := s.ownersByQueue(eq.ViewerLoad, a.Transfer)
 	if err != nil {
 		return Result{}, err
 	}
 
-	res := Result{
-		OwnersByQueue: owners,
-		Owners:        make([]float64, j),
-		CloudDemand:   make([]float64, j),
-	}
+	res := &s.res
+	res.OwnersByQueue = owners
+	res.Owners = grow(res.Owners, j)
+	res.CloudDemand = grow(res.CloudDemand, j)
 	for i := 0; i < j; i++ {
 		var sum float64
 		for q := 0; q < j; q++ {
@@ -83,14 +99,25 @@ func Solve(a Analysis) (Result, error) {
 		res.Owners[i] = sum
 	}
 
-	res.PeerSupply = peerSupply(eq, owners, res.Owners, a.PeerUpload)
+	res.PeerSupply = grow(res.PeerSupply, j)
+	s.order = grow(s.order, j)
+	peerSupply(res.PeerSupply, s.order, eq, owners, res.Owners, a.PeerUpload)
 	for i := 0; i < j; i++ {
 		res.CloudDemand[i] = eq.Capacity[i] - res.PeerSupply[i]
 		if res.CloudDemand[i] < 0 {
 			res.CloudDemand[i] = 0
 		}
 	}
-	return res, nil
+	return *res, nil
+}
+
+// grow returns buf resized to n, reusing its storage when it is large
+// enough. The contents are unspecified: callers overwrite every entry.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // ownersByQueue solves Proposition 1 once per chunk. For chunk i the
@@ -100,22 +127,23 @@ func Solve(a Analysis) (Result, error) {
 //
 // i.e. (I − P̃ᵀ)·x = E[n_i]·P[i][·] where P̃ is P with row/column i removed.
 // All J systems are built in turn in one (J−1)²+2(J−1) workspace and the
-// result rows are views over one flat J×J backing, so the solve makes
-// three allocations whatever J is.
-func ownersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
+// result rows are views over one flat J×J backing, all kept by the
+// solver, so a steady solve allocates nothing whatever J is.
+func (s *Solver) ownersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
 	j := len(meanUsers)
-	flat := make([]float64, j*j)
-	out := make([][]float64, j)
+	s.flat = grow(s.flat, j*j)
+	clear(s.flat)
+	out := grow(s.res.OwnersByQueue, j)
 	for i := range out {
-		out[i] = flat[i*j : (i+1)*j : (i+1)*j]
+		out[i] = s.flat[i*j : (i+1)*j : (i+1)*j]
 		out[i][i] = meanUsers[i]
 	}
 	if j == 1 {
 		return out, nil
 	}
 	n := j - 1
-	work := make([]float64, n*n+2*n)
-	a, b, x := work[:n*n], work[n*n:n*n+n], work[n*n+n:]
+	s.work = grow(s.work, n*n+2*n)
+	a, b, x := s.work[:n*n], s.work[n*n:n*n+n], s.work[n*n+n:]
 	for i := 0; i < j; i++ {
 		for r := 0; r < n; r++ {
 			qr := full(r, i)
@@ -181,16 +209,15 @@ func coOwnership(meanUsers []float64, total float64, owners [][]float64, a, b in
 	return psi
 }
 
-// peerSupply evaluates Eqn. (5): chunks are served rarest-first, so the
-// upload bandwidth a chunk can draw from its owners is what those owners
-// have not already committed to rarer chunks.
-func peerSupply(eq queueing.Equilibrium, owners [][]float64, replicaCount []float64, upload float64) []float64 {
-	j := eq.Config.Chunks
-	gamma := make([]float64, j)
+// peerSupply evaluates Eqn. (5) into gamma (len J), with order (len J)
+// as scratch: chunks are served rarest-first, so the upload bandwidth a
+// chunk can draw from its owners is what those owners have not already
+// committed to rarer chunks.
+func peerSupply(gamma []float64, order []int, eq queueing.Equilibrium, owners [][]float64, replicaCount []float64, upload float64) {
+	clear(gamma)
 	if upload <= 0 {
-		return gamma
+		return
 	}
-	order := make([]int, j)
 	for i := range order {
 		order[i] = i
 	}
@@ -240,5 +267,4 @@ func peerSupply(eq queueing.Equilibrium, owners [][]float64, replicaCount []floa
 		}
 		gamma[chunk] = available
 	}
-	return gamma
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"cloudmedia/internal/cloud"
 )
 
 // ErrInfeasible signals that the configured budget (or total cluster
@@ -22,9 +24,67 @@ type ChunkDemand struct {
 	Demand  float64 // Δ(c,i), bytes/s
 }
 
+// planScratch is the working storage the planning heuristics reuse from
+// round to round. A planner keeps one; nothing in it is ever part of a
+// returned plan, so the plans a round returns stay the caller's to keep.
+// The zero value is ready, and the package-level PlanVMs and PlanStorage
+// run on a fresh one.
+type planScratch struct {
+	target []ChunkDemand    // maxDemands' output
+	sorted []ChunkDemand    // sortByDemand's copy
+	scaled []ChunkDemand    // planWithScaling's shrunk demands
+	index  map[[2]int]int   // maxDemands' key index, when positions do not line up
+	seen   map[[2]int]bool  // validateDemands' duplicate set, when keys are not ascending
+	vms    []cloud.VMClusterSpec
+	nfs    []cloud.NFSClusterSpec
+	slot   []int     // cluster order position → first position with its name
+	free   []float64 // per slot: capacity left
+	used   []float64 // per slot: VMs or GB taken
+	taken  []bool    // per slot: whether anything was taken
+}
+
+// keyLess orders chunk identities channel-major, the order the
+// controller emits them in.
+func keyLess(a, b ChunkDemand) bool {
+	return a.Channel < b.Channel || a.Channel == b.Channel && a.Chunk < b.Chunk
+}
+
+// ascending reports whether the chunk identities strictly increase, which
+// makes them unique.
+func ascending(demands []ChunkDemand) bool {
+	for k := 1; k < len(demands); k++ {
+		if !keyLess(demands[k-1], demands[k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // validateDemands checks demand invariants shared by both heuristics.
-func validateDemands(demands []ChunkDemand) error {
-	seen := make(map[[2]int]bool, len(demands))
+// Strictly ascending identities need no duplicate set; any other order
+// takes the set-based pass, which reports exactly what the one-pass
+// check always reported.
+func (s *planScratch) validateDemands(demands []ChunkDemand) error {
+	for k, d := range demands {
+		if k > 0 && !keyLess(demands[k-1], d) {
+			return s.validateWithSet(demands)
+		}
+		if d.Channel < 0 || d.Chunk < 0 {
+			return fmt.Errorf("provision: negative chunk identity (%d,%d)", d.Channel, d.Chunk)
+		}
+		if err := checkDemand(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *planScratch) validateWithSet(demands []ChunkDemand) error {
+	if s.seen == nil {
+		s.seen = make(map[[2]int]bool, len(demands))
+	}
+	seen := s.seen
+	clear(seen)
 	for _, d := range demands {
 		if d.Channel < 0 || d.Chunk < 0 {
 			return fmt.Errorf("provision: negative chunk identity (%d,%d)", d.Channel, d.Chunk)
@@ -75,11 +135,12 @@ func checkHorizon(current []ChunkDemand, future [][]ChunkDemand) error {
 // chunks stay adjacent — that adjacency is what lets fractional VM shares
 // of one channel pack onto shared VMs. Callers validate first, so every
 // Δ is finite and every (channel, chunk) unique: the key is a total order
-// and the sorted output is the only one possible.
-func sortByDemand(demands []ChunkDemand) []ChunkDemand {
-	out := make([]ChunkDemand, len(demands))
-	copy(out, demands)
-	slices.SortStableFunc(out, func(a, b ChunkDemand) int {
+// and the sorted output is the only one possible, which lets an unstable
+// sort produce it. The result is scratch, valid until the next call.
+func (s *planScratch) sortByDemand(demands []ChunkDemand) []ChunkDemand {
+	out := append(s.sorted[:0], demands...)
+	s.sorted = out
+	slices.SortFunc(out, func(a, b ChunkDemand) int {
 		if a.Demand != b.Demand {
 			if a.Demand > b.Demand {
 				return -1
@@ -92,4 +153,26 @@ func sortByDemand(demands []ChunkDemand) []ChunkDemand {
 		return cmp.Compare(a.Chunk, b.Chunk)
 	})
 	return out
+}
+
+// slotClusters fills s.slot for n clusters in planning order, mapping
+// each position to the first position that carries the same name, and
+// zeroes the per-slot free, used and taken tallies.
+func (s *planScratch) slotClusters(n int, name func(k int) string) {
+	s.slot = slices.Grow(s.slot[:0], n)[:n]
+	s.free = slices.Grow(s.free[:0], n)[:n]
+	s.used = slices.Grow(s.used[:0], n)[:n]
+	s.taken = slices.Grow(s.taken[:0], n)[:n]
+	clear(s.free)
+	clear(s.used)
+	clear(s.taken)
+	for k := range n {
+		s.slot[k] = k
+		for first := range k {
+			if name(first) == name(k) {
+				s.slot[k] = first
+				break
+			}
+		}
+	}
 }

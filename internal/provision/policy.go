@@ -154,15 +154,16 @@ func (Greedy) NewPlanner() Planner { return &greedyPlanner{} }
 
 type greedyPlanner struct {
 	storage storageState
+	scratch planScratch
 }
 
 func (p *greedyPlanner) Plan(req PlanRequest) (PlanResult, error) {
-	vmPlan, scale, err := planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	vmPlan, scale, err := p.scratch.planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		return PlanResult{}, err
 	}
 	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
-	res.StoragePlan, res.StorageErr = p.storage.plan(req, req.totalDemand())
+	res.StoragePlan, res.StorageErr = p.storage.plan(&p.scratch, req, req.totalDemand())
 	return res, nil
 }
 
@@ -252,6 +253,7 @@ type lookaheadPlanner struct {
 	hysteresis int
 	hedge      bool
 	storage    storageState
+	scratch    planScratch
 
 	have      bool
 	lastPlan  VMPlan
@@ -285,7 +287,7 @@ func (p *lookaheadPlanner) Plan(req PlanRequest) (PlanResult, error) {
 	if err := checkHorizon(req.Demands, req.Future); err != nil {
 		return PlanResult{}, err
 	}
-	target := maxDemands(req.Demands, req.Future)
+	target := p.scratch.maxDemands(req.Demands, req.Future)
 	if p.hedge {
 		if m := hedgeMultiplier(req.Pricing, req.IntervalSeconds); m != 1 {
 			for i := range target {
@@ -293,7 +295,7 @@ func (p *lookaheadPlanner) Plan(req PlanRequest) (PlanResult, error) {
 			}
 		}
 	}
-	vmPlan, scale, err := planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	vmPlan, scale, err := p.scratch.planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		return PlanResult{}, err
 	}
@@ -314,7 +316,7 @@ func (p *lookaheadPlanner) Plan(req PlanRequest) (PlanResult, error) {
 	p.have, p.lastPlan, p.lastVMs, p.lastScale = true, vmPlan, vms, scale
 
 	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
-	res.StoragePlan, res.StorageErr = p.storage.plan(req, req.totalDemand())
+	res.StoragePlan, res.StorageErr = p.storage.plan(&p.scratch, req, req.totalDemand())
 	return res, nil
 }
 
@@ -373,14 +375,15 @@ func (p *staticPeakPlanner) Plan(req PlanRequest) (PlanResult, error) {
 	if err := checkHorizon(req.Demands, req.Future); err != nil {
 		return PlanResult{}, err
 	}
-	target := maxDemands(req.Demands, req.Future)
-	vmPlan, scale, err := planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	var scratch planScratch
+	target := scratch.maxDemands(req.Demands, req.Future)
+	vmPlan, scale, err := scratch.planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		return PlanResult{}, err
 	}
 	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
 	var storage storageState
-	res.StoragePlan, res.StorageErr = storage.plan(req, req.totalDemand())
+	res.StoragePlan, res.StorageErr = storage.plan(&scratch, req, req.totalDemand())
 	p.planned, p.first = true, res
 	return res, nil
 }
@@ -388,21 +391,57 @@ func (p *staticPeakPlanner) Plan(req PlanRequest) (PlanResult, error) {
 // maxDemands returns the per-chunk maximum of the current demands and
 // every future forecast, in the current demands' order. Chunks that only
 // appear in a forecast are ignored: the chunk universe is fixed per run.
-func maxDemands(current []ChunkDemand, future [][]ChunkDemand) []ChunkDemand {
-	out := make([]ChunkDemand, len(current))
-	copy(out, current)
-	index := make(map[[2]int]int, len(current))
-	for i, d := range current {
-		index[[2]int{d.Channel, d.Chunk}] = i
-	}
+// The result is scratch, valid until the next call.
+//
+// A forecast step listing the current demands' (unique) chunks at the
+// same positions, as the controller's steps do, is merged position by
+// position; any other step goes through a key index, which maps a key
+// listed twice to its last position.
+func (s *planScratch) maxDemands(current []ChunkDemand, future [][]ChunkDemand) []ChunkDemand {
+	out := append(s.target[:0], current...)
+	s.target = out
+	unique := ascending(current)
+	indexed := false
 	for _, step := range future {
+		if unique && sameChunks(step, current) {
+			for i, d := range step {
+				if d.Demand > out[i].Demand {
+					out[i].Demand = d.Demand
+				}
+			}
+			continue
+		}
+		if !indexed {
+			if s.index == nil {
+				s.index = make(map[[2]int]int, len(current))
+			}
+			clear(s.index)
+			for i, d := range current {
+				s.index[[2]int{d.Channel, d.Chunk}] = i
+			}
+			indexed = true
+		}
 		for _, d := range step {
-			if i, ok := index[[2]int{d.Channel, d.Chunk}]; ok && d.Demand > out[i].Demand {
+			if i, ok := s.index[[2]int{d.Channel, d.Chunk}]; ok && d.Demand > out[i].Demand {
 				out[i].Demand = d.Demand
 			}
 		}
 	}
 	return out
+}
+
+// sameChunks reports whether a and b list the same chunks in the same
+// order.
+func sameChunks(a, b []ChunkDemand) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Channel != b[i].Channel || a[i].Chunk != b[i].Chunk {
+			return false
+		}
+	}
+	return true
 }
 
 // storageState is the Sec. V-B storage-replan trigger shared by the
@@ -419,11 +458,11 @@ type storageState struct {
 // planning failure keeps (and returns) the stale plan together with the
 // error, so the caller can surface the infeasibility instead of silently
 // carrying old capacity.
-func (s *storageState) plan(req PlanRequest, totalDemand float64) (StoragePlan, error) {
+func (s *storageState) plan(scratch *planScratch, req PlanRequest, totalDemand float64) (StoragePlan, error) {
 	if len(req.NFSClusters) == 0 || !s.stale(req.StorageChangeThreshold, totalDemand) {
 		return s.lastPlan, nil
 	}
-	sp, err := PlanStorage(req.Demands, req.ChunkBytes, req.NFSClusters, req.StorageBudgetPerHour)
+	sp, err := scratch.planStorage(req.Demands, req.ChunkBytes, req.NFSClusters, req.StorageBudgetPerHour)
 	if err != nil {
 		return s.lastPlan, err
 	}
@@ -454,8 +493,8 @@ func (s *storageState) stale(threshold, totalDemand float64) bool {
 // an upper bound on the feasible scale (cost is at least totalVMs × the
 // cheapest price, and VMs are bounded by total cluster capacity), then
 // backs off geometrically. Returns the plan and the final scale.
-func planWithScaling(flat []ChunkDemand, vmBandwidth float64, specs []cloud.VMClusterSpec, budget float64) (VMPlan, float64, error) {
-	plan, err := PlanVMs(flat, vmBandwidth, specs, budget)
+func (s *planScratch) planWithScaling(flat []ChunkDemand, vmBandwidth float64, specs []cloud.VMClusterSpec, budget float64) (VMPlan, float64, error) {
+	plan, err := s.planVMs(flat, vmBandwidth, specs, budget)
 	if err == nil {
 		return plan, 1, nil
 	}
@@ -472,10 +511,10 @@ func planWithScaling(flat []ChunkDemand, vmBandwidth float64, specs []cloud.VMCl
 	}
 	var capTotal float64
 	minPrice := math.Inf(1)
-	for _, s := range specs {
-		capTotal += float64(s.MaxVMs)
-		if s.PricePerHour < minPrice {
-			minPrice = s.PricePerHour
+	for _, spec := range specs {
+		capTotal += float64(spec.MaxVMs)
+		if spec.PricePerHour < minPrice {
+			minPrice = spec.PricePerHour
 		}
 	}
 	scale := 1.0
@@ -490,11 +529,12 @@ func planWithScaling(flat []ChunkDemand, vmBandwidth float64, specs []cloud.VMCl
 	scale *= 0.98
 
 	for attempt := 0; attempt < 30 && scale > 0; attempt++ {
-		scaled := make([]ChunkDemand, len(flat))
-		for i, d := range flat {
-			scaled[i] = ChunkDemand{Channel: d.Channel, Chunk: d.Chunk, Demand: d.Demand * scale}
+		scaled := s.scaled[:0]
+		for _, d := range flat {
+			scaled = append(scaled, ChunkDemand{Channel: d.Channel, Chunk: d.Chunk, Demand: d.Demand * scale})
 		}
-		plan, err := PlanVMs(scaled, vmBandwidth, specs, budget)
+		s.scaled = scaled
+		plan, err := s.planVMs(scaled, vmBandwidth, specs, budget)
 		if err == nil {
 			return plan, scale, nil
 		}

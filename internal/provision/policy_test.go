@@ -36,7 +36,7 @@ func planRequest(demands []ChunkDemand) PlanRequest {
 // TestPlanWithScalingFeasible: ample budget needs no scaling.
 func TestPlanWithScalingFeasible(t *testing.T) {
 	demands := demandGrid(2, 4, 2e6)
-	plan, scale, err := planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 100)
+	plan, scale, err := new(planScratch).planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPlanWithScalingFeasible(t *testing.T) {
 func TestPlanWithScalingScalesDownToBudget(t *testing.T) {
 	demands := demandGrid(3, 5, 5e6) // ≈60 VMs of demand
 	const budget = 2.0               // ≈4 standard VMs
-	plan, scale, err := planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), budget)
+	plan, scale, err := new(planScratch).planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPlanWithScalingScalesDownToBudget(t *testing.T) {
 // wraps ErrInfeasible so errors.Is works across the seam.
 func TestPlanWithScalingInfeasibleWrapsErrInfeasible(t *testing.T) {
 	demands := demandGrid(2, 4, 5e6)
-	_, scale, err := planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 0)
+	_, scale, err := new(planScratch).planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 0)
 	if err == nil {
 		t.Fatal("zero budget produced a plan")
 	}
@@ -96,7 +96,7 @@ func TestPlanWithScalingInfeasibleWrapsErrInfeasible(t *testing.T) {
 // (here a negative budget) must not trigger the scale search.
 func TestPlanWithScalingPassesThroughOtherErrors(t *testing.T) {
 	demands := demandGrid(1, 2, 1e6)
-	_, _, err := planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), -5)
+	_, _, err := new(planScratch).planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), -5)
 	if err == nil {
 		t.Fatal("negative budget produced a plan")
 	}
@@ -129,7 +129,7 @@ func TestGreedyMatchesRawHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVM, wantScale, err := planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	wantVM, wantScale, err := new(planScratch).planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestStaticPeakHoldsFirstPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The peak (4e6/chunk) must be what was rented, not the current 1e6.
-	myopic, _, err := planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	myopic, _, err := new(planScratch).planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestMaxDemandsIgnoresUnknownChunks(t *testing.T) {
 		{Channel: 0, Chunk: 0, Demand: 5},
 		{Channel: 7, Chunk: 9, Demand: 99}, // not in the chunk universe
 	}}
-	got := maxDemands(current, future)
+	got := new(planScratch).maxDemands(current, future)
 	if len(got) != 2 {
 		t.Fatalf("len = %d", len(got))
 	}

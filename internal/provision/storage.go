@@ -2,7 +2,7 @@ package provision
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cloudmedia/internal/cloud"
 )
@@ -33,7 +33,14 @@ type StoragePlan struct {
 // the uniform chunk size rT₀ in bytes; budgetPerHour is B_S. Every chunk is
 // stored exactly once or the plan is infeasible.
 func PlanStorage(demands []ChunkDemand, chunkBytes float64, clusters []cloud.NFSClusterSpec, budgetPerHour float64) (StoragePlan, error) {
-	if err := validateDemands(demands); err != nil {
+	var s planScratch
+	return s.planStorage(demands, chunkBytes, clusters, budgetPerHour)
+}
+
+// planStorage is PlanStorage on the planner's scratch, tracking clusters
+// per name as planVMs does.
+func (s *planScratch) planStorage(demands []ChunkDemand, chunkBytes float64, clusters []cloud.NFSClusterSpec, budgetPerHour float64) (StoragePlan, error) {
+	if err := s.validateDemands(demands); err != nil {
 		return StoragePlan{}, err
 	}
 	if chunkBytes <= 0 {
@@ -45,49 +52,57 @@ func PlanStorage(demands []ChunkDemand, chunkBytes float64, clusters []cloud.NFS
 	if budgetPerHour < 0 {
 		return StoragePlan{}, fmt.Errorf("provision: negative storage budget %v", budgetPerHour)
 	}
-	for _, s := range clusters {
-		if err := s.Validate(); err != nil {
+	for _, c := range clusters {
+		if err := c.Validate(); err != nil {
 			return StoragePlan{}, err
 		}
 	}
 
-	// Clusters by marginal utility per unit cost u_f/p_f, best first.
-	order := make([]cloud.NFSClusterSpec, len(clusters))
-	copy(order, clusters)
-	sort.SliceStable(order, func(a, b int) bool {
-		return order[a].MarginalUtility() > order[b].MarginalUtility()
+	// Clusters by marginal utility per unit cost u_f/p_f, best first,
+	// stable; see planVMs for why the comparator keeps the old order.
+	order := append(s.nfs[:0], clusters...)
+	s.nfs = order
+	slices.SortStableFunc(order, func(a, b cloud.NFSClusterSpec) int {
+		switch ma, mb := a.MarginalUtility(), b.MarginalUtility(); {
+		case ma > mb:
+			return -1
+		case ma < mb:
+			return 1
+		}
+		return 0
 	})
+	s.slotClusters(len(order), func(k int) string { return order[k].Name })
+	for k, c := range order {
+		s.free[s.slot[k]] = c.CapacityGB
+	}
 
 	chunkGB := chunkBytes / 1e9
 	plan := StoragePlan{
-		GBPerCluster:      make(map[string]float64, len(clusters)),
+		Placements:        make([]StoragePlacement, 0, len(demands)),
 		UtilityPerChannel: make(map[int]float64),
 	}
-	free := make(map[string]float64, len(order))
-	for _, s := range order {
-		free[s.Name] = s.CapacityGB
-	}
-
-	for _, d := range sortByDemand(demands) {
+	for _, d := range s.sortByDemand(demands) {
 		placed := false
-		for _, s := range order {
-			if free[s.Name] < chunkGB {
+		for k, c := range order {
+			slot := s.slot[k]
+			if s.free[slot] < chunkGB {
 				continue
 			}
-			cost := s.PricePerGBHour * chunkGB
+			cost := c.PricePerGBHour * chunkGB
 			if plan.CostPerHour+cost > budgetPerHour+1e-12 {
 				// The paper spends budget in greedy order; once the best
 				// available cluster busts the budget, cheaper clusters might
 				// still fit, so keep scanning.
 				continue
 			}
-			free[s.Name] -= chunkGB
-			plan.GBPerCluster[s.Name] += chunkGB
+			s.free[slot] -= chunkGB
+			s.used[slot] += chunkGB
+			s.taken[slot] = true
 			plan.CostPerHour += cost
-			plan.Utility += s.Utility * d.Demand
-			plan.UtilityPerChannel[d.Channel] += s.Utility * d.Demand
+			plan.Utility += c.Utility * d.Demand
+			plan.UtilityPerChannel[d.Channel] += c.Utility * d.Demand
 			plan.Placements = append(plan.Placements, StoragePlacement{
-				Channel: d.Channel, Chunk: d.Chunk, Cluster: s.Name,
+				Channel: d.Channel, Chunk: d.Chunk, Cluster: c.Name,
 			})
 			placed = true
 			break
@@ -95,6 +110,15 @@ func PlanStorage(demands []ChunkDemand, chunkBytes float64, clusters []cloud.NFS
 		if !placed {
 			return StoragePlan{}, fmt.Errorf(
 				"%w: chunk (%d,%d) unplaceable with budget $%.4f/h", ErrInfeasible, d.Channel, d.Chunk, budgetPerHour)
+		}
+	}
+	if len(plan.Placements) == 0 {
+		plan.Placements = nil // as when nothing was ever appended
+	}
+	plan.GBPerCluster = make(map[string]float64, len(order))
+	for k, c := range order {
+		if s.slot[k] == k && s.taken[k] {
+			plan.GBPerCluster[c.Name] = s.used[k]
 		}
 	}
 	return plan, nil

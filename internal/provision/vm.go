@@ -3,6 +3,7 @@ package provision
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cloudmedia/internal/cloud"
@@ -64,7 +65,16 @@ func (p VMPlan) TotalVMs() float64 {
 // filled from clusters in descending ũ_v/p̃_v order, splitting across
 // clusters when the best one runs out of VMs.
 func PlanVMs(demands []ChunkDemand, vmBandwidth float64, clusters []cloud.VMClusterSpec, budgetPerHour float64) (VMPlan, error) {
-	if err := validateDemands(demands); err != nil {
+	var s planScratch
+	return s.planVMs(demands, vmBandwidth, clusters, budgetPerHour)
+}
+
+// planVMs is PlanVMs on the planner's scratch. Clusters are tracked per
+// name, as a map keyed by name would track them: slot[k] is the first
+// position in the utility order holding order[k]'s name, and each slot's
+// free count and VM total advance in the same sequence a map entry did.
+func (s *planScratch) planVMs(demands []ChunkDemand, vmBandwidth float64, clusters []cloud.VMClusterSpec, budgetPerHour float64) (VMPlan, error) {
+	if err := s.validateDemands(demands); err != nil {
 		return VMPlan{}, err
 	}
 	if vmBandwidth <= 0 {
@@ -76,61 +86,85 @@ func PlanVMs(demands []ChunkDemand, vmBandwidth float64, clusters []cloud.VMClus
 	if budgetPerHour < 0 {
 		return VMPlan{}, fmt.Errorf("provision: negative VM budget %v", budgetPerHour)
 	}
-	for _, s := range clusters {
-		if err := s.Validate(); err != nil {
+	for _, c := range clusters {
+		if err := c.Validate(); err != nil {
 			return VMPlan{}, err
 		}
 	}
 
-	order := make([]cloud.VMClusterSpec, len(clusters))
-	copy(order, clusters)
-	sort.SliceStable(order, func(a, b int) bool {
-		return order[a].MarginalUtility() > order[b].MarginalUtility()
+	// Descending marginal utility, stable. The comparator is negative
+	// exactly when the old sort.SliceStable less held, so the order is
+	// the same whatever the utilities (NaN too).
+	order := append(s.vms[:0], clusters...)
+	s.vms = order
+	slices.SortStableFunc(order, func(a, b cloud.VMClusterSpec) int {
+		switch ma, mb := a.MarginalUtility(), b.MarginalUtility(); {
+		case ma > mb:
+			return -1
+		case ma < mb:
+			return 1
+		}
+		return 0
 	})
-
-	plan := VMPlan{
-		VMsPerCluster:     make(map[string]float64, len(clusters)),
-		UtilityPerChannel: make(map[int]float64),
-	}
-	free := make(map[string]float64, len(order))
-	for _, s := range order {
-		free[s.Name] = float64(s.MaxVMs)
+	s.slotClusters(len(order), func(k int) string { return order[k].Name })
+	for k, c := range order {
+		s.free[s.slot[k]] = float64(c.MaxVMs)
 	}
 
-	for _, d := range sortByDemand(demands) {
+	plan := VMPlan{UtilityPerChannel: make(map[int]float64)}
+	nonzero := 0
+	for _, d := range demands {
+		if d.Demand/vmBandwidth != 0 {
+			nonzero++
+		}
+	}
+	plan.Allocations = make([]VMAllocation, 0, nonzero+len(order)-1)
+
+	for _, d := range s.sortByDemand(demands) {
 		need := d.Demand / vmBandwidth
 		if need == 0 {
 			continue
 		}
-		for _, s := range order {
+		for k, c := range order {
 			if need <= 1e-12 {
 				break
 			}
-			avail := free[s.Name]
+			slot := s.slot[k]
+			avail := s.free[slot]
 			if avail <= 1e-12 {
 				continue
 			}
 			take := math.Min(need, avail)
 			// Respect the budget: shrink the take if it would overshoot.
-			if maxAffordable := (budgetPerHour - plan.CostPerHour) / s.PricePerHour; take > maxAffordable {
+			if maxAffordable := (budgetPerHour - plan.CostPerHour) / c.PricePerHour; take > maxAffordable {
 				take = maxAffordable
 			}
 			if take <= 1e-12 {
 				continue
 			}
-			free[s.Name] -= take
-			plan.VMsPerCluster[s.Name] += take
-			plan.CostPerHour += take * s.PricePerHour
-			plan.Utility += s.Utility * take
-			plan.UtilityPerChannel[d.Channel] += s.Utility * take
+			s.free[slot] -= take
+			s.used[slot] += take
+			s.taken[slot] = true
+			plan.CostPerHour += take * c.PricePerHour
+			plan.Utility += c.Utility * take
+			plan.UtilityPerChannel[d.Channel] += c.Utility * take
 			plan.Allocations = append(plan.Allocations, VMAllocation{
-				Channel: d.Channel, Chunk: d.Chunk, Cluster: s.Name, VMs: take,
+				Channel: d.Channel, Chunk: d.Chunk, Cluster: c.Name, VMs: take,
 			})
 			need -= take
 		}
 		if need > 1e-9 {
 			return VMPlan{}, fmt.Errorf(
 				"%w: chunk (%d,%d) still needs %.3f VMs with budget $%.2f/h", ErrInfeasible, d.Channel, d.Chunk, need, budgetPerHour)
+		}
+	}
+	if len(plan.Allocations) == 0 {
+		plan.Allocations = nil // as when nothing was ever appended
+	}
+	plan.VMsPerCluster = make(map[string]float64, len(order))
+	for k, c := range order {
+		if s.slot[k] == k && s.taken[k] {
+			plan.VMsPerCluster[c.Name] = s.used[k]
 		}
 	}
 	return plan, nil

@@ -82,16 +82,21 @@ func (c Config) ServiceRate() float64 { return c.SlotBandwidth() / c.ChunkBytes(
 // chunks 2..J (Sec. IV-A).
 func (c Config) ExternalArrivals(lambda float64) []float64 {
 	ext := make([]float64, c.Chunks)
+	c.externalArrivalsInto(ext, lambda)
+	return ext
+}
+
+// externalArrivalsInto is ExternalArrivals writing into ext (len Chunks).
+func (c Config) externalArrivalsInto(ext []float64, lambda float64) {
 	if c.Chunks == 1 {
 		ext[0] = lambda
-		return ext
+		return
 	}
 	ext[0] = c.EntryFirstChunk * lambda
 	rest := (1 - c.EntryFirstChunk) * lambda / float64(c.Chunks-1)
 	for i := 1; i < c.Chunks; i++ {
 		ext[i] = rest
 	}
-	return ext
 }
 
 // SolveTraffic solves the Jackson traffic equations (Eqn. 1):
@@ -101,22 +106,30 @@ func (c Config) ExternalArrivals(lambda float64) []float64 {
 // i.e. (I − Pᵀ)·λ = ext, returning the per-queue aggregate arrival rates.
 // It allocates twice: the workspace and the returned rates.
 func SolveTraffic(p TransferMatrix, ext []float64) ([]float64, error) {
-	if err := p.Validate(); err != nil {
+	lambda := make([]float64, len(p))
+	if err := solveTrafficInto(lambda, make([]float64, len(p)*len(p)+len(p)), p, ext); err != nil {
 		return nil, err
+	}
+	return lambda, nil
+}
+
+// solveTrafficInto is SolveTraffic writing the rates into lambda (len
+// J), with work (len ≥ J²+J) as the solve's scratch.
+func solveTrafficInto(lambda, work []float64, p TransferMatrix, ext []float64) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	j := p.Size()
 	if len(ext) != j {
-		return nil, fmt.Errorf("queueing: %d external rates for %d queues", len(ext), j)
+		return fmt.Errorf("queueing: %d external rates for %d queues", len(ext), j)
 	}
 	for i, e := range ext {
 		if e < 0 {
-			return nil, fmt.Errorf("queueing: negative external rate %v at queue %d", e, i)
+			return fmt.Errorf("queueing: negative external rate %v at queue %d", e, i)
 		}
 	}
-	// (I − Pᵀ) row-major, then the right-hand side, in one workspace;
-	// the rates get their own slice because the equilibrium keeps them.
-	work := make([]float64, j*j+j)
-	a, rhs := work[:j*j], work[j*j:]
+	// (I − Pᵀ) row-major, then the right-hand side, in one workspace.
+	a, rhs := work[:j*j], work[j*j:j*j+j]
 	for i := 0; i < j; i++ {
 		row := a[i*j : (i+1)*j]
 		for k := range row {
@@ -125,9 +138,8 @@ func SolveTraffic(p TransferMatrix, ext []float64) ([]float64, error) {
 		row[i] += 1
 	}
 	copy(rhs, ext)
-	lambda := make([]float64, j)
 	if err := mathx.SolveInPlace(a, rhs, lambda); err != nil {
-		return nil, fmt.Errorf("queueing: traffic equations: %w", err)
+		return fmt.Errorf("queueing: traffic equations: %w", err)
 	}
 	for i, l := range lambda {
 		if l < 0 {
@@ -135,10 +147,10 @@ func SolveTraffic(p TransferMatrix, ext []float64) ([]float64, error) {
 				lambda[i] = 0
 				continue
 			}
-			return nil, fmt.Errorf("queueing: negative arrival rate %v at queue %d (non-substochastic routing?)", l, i)
+			return fmt.Errorf("queueing: negative arrival rate %v at queue %d (non-substochastic routing?)", l, i)
 		}
 	}
-	return lambda, nil
+	return nil
 }
 
 // Equilibrium is the solved steady state of one channel: the demand side of
@@ -185,6 +197,21 @@ func (e Equilibrium) ExpectedPopulation() float64 { return mathx.Sum(e.MeanUsers
 // queue to the smallest m_i whose expected sojourn time is at most T₀
 // (Sec. IV-B). maxServers ≤ 0 selects DefaultMaxServers.
 func Solve(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equilibrium, error) {
+	var s Solver
+	return s.Solve(cfg, p, lambda, maxServers)
+}
+
+// Solver is Solve with storage it keeps between calls: the equilibrium it
+// returns views the solver's buffers and stays valid only until its next
+// Solve. A controller deriving many channels per round keeps one per
+// worker, so the steady solve allocates nothing. The zero value is ready.
+type Solver struct {
+	eq   Equilibrium
+	work []float64 // (I − Pᵀ), its right-hand side, and the external rates
+}
+
+// Solve is the package-level Solve into the solver's buffers.
+func (s *Solver) Solve(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equilibrium, error) {
 	if err := cfg.Validate(); err != nil {
 		return Equilibrium{}, err
 	}
@@ -201,21 +228,24 @@ func Solve(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equili
 		maxServers = DefaultMaxServers
 	}
 
-	rates, err := SolveTraffic(p, cfg.ExternalArrivals(lambda))
-	if err != nil {
+	j := cfg.Chunks
+	s.work = grow(s.work, j*j+2*j)
+	ext := s.work[j*j+j:]
+	cfg.externalArrivalsInto(ext, lambda)
+	eq := &s.eq
+	eq.Config = cfg
+	eq.ArrivalRates = grow(eq.ArrivalRates, j)
+	if err := solveTrafficInto(eq.ArrivalRates, s.work, p, ext); err != nil {
 		return Equilibrium{}, err
 	}
+	eq.Servers = grow(eq.Servers, j)
+	eq.MeanUsers = grow(eq.MeanUsers, j)
+	eq.ViewerLoad = grow(eq.ViewerLoad, j)
+	eq.Capacity = grow(eq.Capacity, j)
 
 	mu := cfg.ServiceRate()
-	eq := Equilibrium{
-		Config:       cfg,
-		ArrivalRates: rates,
-		Servers:      make([]int, cfg.Chunks),
-		MeanUsers:    make([]float64, cfg.Chunks),
-		ViewerLoad:   make([]float64, cfg.Chunks),
-		Capacity:     make([]float64, cfg.Chunks),
-	}
-	for i, li := range rates {
+	for i, li := range eq.ArrivalRates {
+		eq.Servers[i], eq.MeanUsers[i], eq.ViewerLoad[i], eq.Capacity[i] = 0, 0, 0, 0
 		if li == 0 {
 			continue // idle chunk: no capacity needed
 		}
@@ -228,5 +258,14 @@ func Solve(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equili
 		eq.MeanUsers[i] = q.MeanJobs()
 		eq.Capacity[i] = cfg.SlotBandwidth() * float64(q.Servers)
 	}
-	return eq, nil
+	return *eq, nil
+}
+
+// grow returns buf resized to n, reusing its storage when it is large
+// enough. The contents are unspecified: callers overwrite every entry.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -1,62 +1,72 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 )
 
-// Event is a cancellable scheduled callback.
-type Event struct {
-	at       float64
-	seq      uint64
-	index    int // heap index, -1 once popped
-	canceled bool
-	fn       func()
+// eventKind selects how a popped event is dispatched. The per-viewer
+// kinds name their owner by index, so an event is a plain value: no
+// per-event object, no closure, and no pointer for the collector to scan.
+type eventKind uint8
+
+const (
+	// kindCall runs the closure in Engine.calls[target]: the control
+	// callbacks (provisioning rounds, rebalances, delayed capacity) and
+	// the engine's own tests.
+	kindCall eventKind = iota
+	// kindArrival is the channel's next viewer arrival.
+	kindArrival
+	// kindPlayEnd ends the playback of a viewer's chunk; target is the
+	// viewer's slot.
+	kindPlayEnd
+	// kindJump is a viewer's VCR jump; target is the viewer's slot.
+	kindJump
+	// kindHead completes the head download of a pool; target is its chunk.
+	kindHead
+)
+
+// event is one queued firing. (at, seq) orders the queue; seq is unique
+// per engine, so the order is strict and total.
+type event struct {
+	at     float64
+	seq    uint64
+	kind   eventKind
+	target int32
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
+// before is the queue order: earlier time first, then scheduling order.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
+	return a.seq < b.seq
 }
 
-// eventHeap orders events by (time, sequence) for deterministic replay.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e, _ := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// call is one closure slot. seq is the sequence number of the event that
+// will run it, 0 once it ran or was cancelled.
+type call struct {
+	seq uint64
+	fn  func()
 }
 
-// Engine is a minimal deterministic discrete-event scheduler.
+// Engine is a minimal deterministic discrete-event scheduler over a binary
+// min-heap of value events.
+//
+// Cancellation is lazy: the owner of an event records the seq it armed,
+// and a popped event whose seq no longer matches its owner's is skipped
+// without touching the clock. A cancelled event therefore stays queued,
+// and counts in NextAt and Pending, until it is popped.
 type Engine struct {
 	now   float64
 	seq   uint64
-	queue eventHeap
+	queue []event
+
+	// ch owns the per-viewer kinds; nil on the control engines, which
+	// only ever queue closures.
+	ch *channelState
+
+	calls     []call
+	freeCalls []int32
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -65,35 +75,170 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Schedule queues fn to run at simulated time `at` and returns a handle for
-// cancellation. Scheduling in the past is an error: it would silently
-// reorder causality.
-func (e *Engine) Schedule(at float64, fn func()) (*Event, error) {
+// Schedule queues fn to run at simulated time `at` and returns the
+// event's sequence number, which Cancel takes. Scheduling in the past is
+// an error: it would silently reorder causality.
+func (e *Engine) Schedule(at float64, fn func()) (uint64, error) {
 	if at < e.now {
-		return nil, fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
+		return 0, fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
 	}
 	if fn == nil {
-		return nil, fmt.Errorf("sim: nil event function")
+		return 0, fmt.Errorf("sim: nil event function")
 	}
+	var slot int32
+	if n := len(e.freeCalls); n > 0 {
+		slot = e.freeCalls[n-1]
+		e.freeCalls = e.freeCalls[:n-1]
+	} else {
+		slot = int32(len(e.calls))
+		e.calls = append(e.calls, call{})
+	}
+	seq := e.push(at, kindCall, slot)
+	e.calls[slot] = call{seq: seq, fn: fn}
+	return seq, nil
+}
+
+// Cancel prevents the closure event with sequence number seq from firing.
+// Cancelling an event that already fired or was cancelled is a no-op.
+func (e *Engine) Cancel(seq uint64) {
+	if seq == 0 {
+		return
+	}
+	for i := range e.calls {
+		if e.calls[i].seq == seq {
+			e.releaseCall(int32(i))
+			return
+		}
+	}
+}
+
+func (e *Engine) releaseCall(slot int32) {
+	e.calls[slot] = call{}
+	e.freeCalls = append(e.freeCalls, slot)
+}
+
+// schedule queues a per-viewer event and returns its sequence number, or
+// 0 (never a valid number) when `at` lies in the past; the owner then
+// keeps no armed event, as a failed Schedule left it.
+func (e *Engine) schedule(at float64, kind eventKind, target int32) uint64 {
+	if at < e.now {
+		return 0
+	}
+	return e.push(at, kind, target)
+}
+
+// push appends the event and sifts it up. The sift makes exactly the
+// comparisons and moves of container/heap's up, so the layout, and the
+// pop order even for incomparable (NaN) times, match the heap it replaced.
+//
+//cloudmedia:hotpath
+func (e *Engine) push(at float64, kind eventKind, target int32) uint64 {
 	e.seq++
-	ev := &Event{at: at, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev, nil
+	ev := event{at: at, seq: e.seq, kind: kind, target: target}
+	e.queue = append(e.queue, ev)
+	q := e.queue
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(&q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = ev
+	return ev.seq
+}
+
+// pop removes and returns the earliest event, sifting the last one down
+// from the root with container/heap's comparisons.
+//
+//cloudmedia:hotpath
+func (e *Engine) pop() event {
+	q := e.queue
+	n := len(q) - 1
+	top := q[0]
+	last := q[n]
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].before(&q[j]) {
+			j = j2
+		}
+		if !q[j].before(&last) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = last
+	return top
 }
 
 // RunUntil processes events in timestamp order until the queue is empty or
 // the next event is after `until`, then advances the clock to `until`.
+//
+//cloudmedia:hotpath
 func (e *Engine) RunUntil(until float64) {
 	for len(e.queue) > 0 && e.queue[0].at <= until {
-		ev, _ := heap.Pop(&e.queue).(*Event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.at
-		ev.fn()
+		e.dispatch(e.pop())
 	}
 	if until > e.now {
 		e.now = until
+	}
+}
+
+// dispatch fires a popped event if its owner still has it armed: the
+// clock moves to the event only then, so a skipped (cancelled) event
+// leaves time where it was.
+//
+//cloudmedia:hotpath
+func (e *Engine) dispatch(ev event) {
+	switch ev.kind {
+	case kindCall:
+		c := e.calls[ev.target]
+		if c.seq != ev.seq {
+			return
+		}
+		e.releaseCall(ev.target)
+		e.now = ev.at
+		c.fn()
+	case kindArrival:
+		ch := e.ch
+		if ch.arrivalSeq != ev.seq {
+			return
+		}
+		e.now = ev.at
+		ch.sim.onArrival(ch)
+	case kindPlayEnd:
+		u := e.ch.slots[ev.target]
+		if u.playEndSeq != ev.seq {
+			return
+		}
+		e.now = ev.at
+		u.onPlayEnd()
+	case kindJump:
+		u := e.ch.slots[ev.target]
+		if u.jumpSeq != ev.seq {
+			return
+		}
+		e.now = ev.at
+		u.onJump()
+	case kindHead:
+		p := e.ch.pools[ev.target]
+		if p.headSeq != ev.seq {
+			return
+		}
+		e.now = ev.at
+		p.onHeadComplete()
 	}
 }
 

@@ -63,19 +63,18 @@ func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev, err := e.Schedule(1, func() { fired = true })
+	seq, err := e.Schedule(1, func() { fired = true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.Cancel()
+	e.Cancel(seq)
 	e.RunUntil(2)
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	// Cancelling nil or twice is safe.
-	var nilEv *Event
-	nilEv.Cancel()
-	ev.Cancel()
+	// Cancelling the zero sequence or twice is safe.
+	e.Cancel(0)
+	e.Cancel(seq)
 }
 
 func TestEngineSchedulePastRejected(t *testing.T) {

@@ -69,6 +69,22 @@ func FanOut(workers, n int, fn func(i int)) {
 		}
 		return
 	}
+	FanOutWorkers(workers, n, func(_, i int) { fn(i) })
+}
+
+// FanOutWorkers is FanOut that also tells fn which worker runs the shard:
+// fn(w, i) with w in [0, min(workers, n)), 0 on the serial path. No two
+// calls with the same w overlap, so w can index per-worker scratch.
+func FanOutWorkers(workers, n int, fn func(w, i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
 	poolSpawns.Add(int64(workers))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -81,7 +97,7 @@ func FanOut(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

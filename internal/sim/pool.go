@@ -35,7 +35,7 @@ type pool struct {
 	workDone   float64     // cumulative bytes delivered per member download
 	rate       float64     // current per-download rate, bytes/s
 	lastUpdate float64
-	headEvent  *Event
+	headSeq    uint64 // the armed head-completion event, 0 when none
 }
 
 // settle advances the pool's work counter to `now`, attributing served
@@ -70,8 +70,7 @@ func (p *pool) remainingOf(d *download) float64 {
 // reschedule recomputes the shared rate and re-arms the head-completion
 // event. Caller must have settled first.
 func (p *pool) reschedule(now float64) {
-	p.headEvent.Cancel()
-	p.headEvent = nil
+	p.headSeq = 0
 	n := len(p.active)
 	if n == 0 {
 		p.rate = 0
@@ -86,11 +85,7 @@ func (p *pool) reschedule(now float64) {
 		return // starved: resumes when capacity arrives
 	}
 	at := now + p.remainingOf(p.active[0])/rate
-	ev, err := p.ch.engine.Schedule(at, p.onHeadComplete)
-	if err != nil {
-		return // unreachable: at >= now by construction
-	}
-	p.headEvent = ev
+	p.headSeq = p.ch.engine.schedule(at, kindHead, int32(p.chunk))
 }
 
 // onHeadComplete fires when the oldest download finishes; several members
@@ -99,14 +94,17 @@ func (p *pool) reschedule(now float64) {
 // float rounding must not leave it re-armed at now+ε forever.
 func (p *pool) onHeadComplete() {
 	now := p.ch.engine.Now()
-	p.headEvent = nil
+	p.headSeq = 0
 	p.settle(now)
 	if len(p.active) == 0 {
 		p.reschedule(now)
 		return
 	}
 	tol := p.ch.sim.cfg.Channel.ChunkBytes() * 1e-9
-	done := []*download{p.active[0]}
+	// The channel's scratch is free here: completion callbacks only
+	// enroll, abort and arm events, and no event fires until this
+	// handler returns.
+	done := append(p.ch.done[:0], p.active[0])
 	p.active = p.active[1:]
 	for len(p.active) > 0 && p.remainingOf(p.active[0]) <= tol {
 		done = append(done, p.active[0])
@@ -119,6 +117,8 @@ func (p *pool) onHeadComplete() {
 	for _, d := range done {
 		d.user.onDownloadComplete(p.chunk)
 	}
+	clear(done)
+	p.ch.done = done[:0]
 }
 
 // add enrolls a new download at the FIFO tail (it has the most bytes left).

@@ -182,14 +182,28 @@ type channelState struct {
 	rng    *rand.Rand
 
 	pools  []*pool
-	users  map[*user]struct{}
 	owners []int // per-chunk count of viewers holding the chunk
+
+	// live holds the watching viewers in no particular order (they are
+	// only ever counted). slots holds every user struct the channel ever
+	// allocated, indexed by user.slot; freeSlots lists those whose viewer
+	// left, for newUser to reuse.
+	live      []*user
+	slots     []*user
+	freeSlots []int32
 
 	totalUplink      float64
 	estimator        *viewing.Estimator
 	cloudBytesServed float64
-	arrivalEvent     *Event
-	userSeq          int
+
+	// arrivalSeq is the armed arrival event; arrivalReal is false when
+	// that event is only the one-day re-arm of a thinning run that found
+	// no arrival.
+	arrivalSeq  uint64
+	arrivalReal bool
+
+	// done is onHeadComplete's scratch list of finished downloads.
+	done []*download
 
 	// rebalanceOrder is the scratch chunk permutation reused across
 	// rebalances so the 30-second rebalance tick stays allocation-free.
@@ -203,17 +217,48 @@ type channelState struct {
 }
 
 func (ch *channelState) addUser(u *user) {
-	ch.users[u] = struct{}{}
+	u.livePos = len(ch.live)
+	ch.live = append(ch.live, u)
 	ch.totalUplink += u.uplink
 	ch.estimator.RecordArrival()
 }
 
 func (ch *channelState) removeUser(u *user) {
-	delete(ch.users, u)
+	last := ch.live[len(ch.live)-1]
+	ch.live[u.livePos] = last
+	last.livePos = u.livePos
+	ch.live[len(ch.live)-1] = nil
+	ch.live = ch.live[:len(ch.live)-1]
 	ch.totalUplink -= u.uplink
 	if ch.totalUplink < 0 {
 		ch.totalUplink = 0
 	}
+	ch.freeSlots = append(ch.freeSlots, u.slot)
+}
+
+// newUser returns a zeroed viewer in a free slot, reusing the struct and
+// chunk bitmap of a viewer that left. Events still queued for the slot's
+// previous viewer are skipped: their sequence numbers match none the new
+// viewer arms.
+func (ch *channelState) newUser(uplink float64) *user {
+	if n := len(ch.freeSlots); n > 0 {
+		slot := ch.freeSlots[n-1]
+		ch.freeSlots = ch.freeSlots[:n-1]
+		u := ch.slots[slot]
+		owned := u.owned
+		clear(owned)
+		*u = user{slot: slot, channel: ch, sim: ch.sim, uplink: uplink, owned: owned}
+		return u
+	}
+	u := &user{
+		slot:    int32(len(ch.slots)),
+		channel: ch,
+		sim:     ch.sim,
+		uplink:  uplink,
+		owned:   make([]bool, ch.sim.cfg.Channel.Chunks),
+	}
+	ch.slots = append(ch.slots, u)
+	return u
 }
 
 // Simulator is the per-viewer discrete-event Backend. It is
@@ -289,11 +334,11 @@ func New(cfg Config) (*Simulator, error) {
 			sim:            s,
 			engine:         NewEngine(),
 			rng:            rand.New(rand.NewSource(channelSeed(cfg.Seed, c))),
-			users:          make(map[*user]struct{}),
 			owners:         make([]int, cfg.Channel.Chunks),
 			estimator:      est,
 			rebalanceOrder: make([]int, cfg.Channel.Chunks),
 		}
+		ch.engine.ch = ch
 		ch.pools = make([]*pool, cfg.Channel.Chunks)
 		for i := range ch.pools {
 			ch.pools[i] = &pool{ch: ch, chunk: i}
@@ -402,31 +447,29 @@ func (s *Simulator) scheduleArrival(ch *channelState) error {
 		fire = horizon
 		arrived = false
 	}
-	ev, err := ch.engine.Schedule(fire, func() {
-		if arrived {
-			s.spawnUser(ch)
-		}
-		//cloudmedia:allow noloss -- re-arm fails only when the engine has stopped; the arrival chain just ends
-		_ = s.scheduleArrival(ch)
-	})
-	if err != nil {
-		return err
+	seq := ch.engine.schedule(fire, kindArrival, 0)
+	if seq == 0 {
+		return fmt.Errorf("sim: schedule arrival at %v before now %v", fire, now)
 	}
-	ch.arrivalEvent = ev
+	ch.arrivalSeq, ch.arrivalReal = seq, arrived
 	return nil
+}
+
+// onArrival fires the channel's armed arrival event: a viewer joins
+// (unless the event is a bare re-arm) and the next arrival is armed.
+func (s *Simulator) onArrival(ch *channelState) {
+	ch.arrivalSeq = 0
+	if ch.arrivalReal {
+		s.spawnUser(ch)
+	}
+	//cloudmedia:allow noloss -- re-arm fails only when the engine has stopped; the arrival chain just ends
+	_ = s.scheduleArrival(ch)
 }
 
 // spawnUser creates a viewer at the configured entry distribution: chunk 1
 // with probability α, uniform over the others otherwise.
 func (s *Simulator) spawnUser(ch *channelState) {
-	ch.userSeq++
-	u := &user{
-		id:      ch.userSeq,
-		channel: ch,
-		sim:     s,
-		uplink:  s.cfg.Workload.SampleUplink(ch.rng),
-		owned:   make([]bool, s.cfg.Channel.Chunks),
-	}
+	u := ch.newUser(s.cfg.Workload.SampleUplink(ch.rng))
 	start := 0
 	if s.cfg.Channel.Chunks > 1 && ch.rng.Float64() >= s.cfg.Channel.EntryFirstChunk {
 		start = 1 + ch.rng.Intn(s.cfg.Channel.Chunks-1)
@@ -447,7 +490,7 @@ func (s *Simulator) spawnUser(ch *channelState) {
 //
 //cloudmedia:hotpath
 func (s *Simulator) rebalancePeers(ch *channelState) {
-	n := len(ch.users)
+	n := len(ch.live)
 	if n == 0 {
 		for _, p := range ch.pools {
 			if p.peerCap != 0 {
@@ -637,14 +680,14 @@ func (s *Simulator) Users(channel int) (int, error) {
 	if channel < 0 || channel >= len(s.channels) {
 		return 0, fmt.Errorf("sim: channel %d outside [0,%d)", channel, len(s.channels))
 	}
-	return len(s.channels[channel].users), nil
+	return len(s.channels[channel].live), nil
 }
 
 // TotalUsers returns the viewer count across all channels.
 func (s *Simulator) TotalUsers() int {
 	var n int
 	for _, ch := range s.channels {
-		n += len(ch.users)
+		n += len(ch.live)
 	}
 	return n
 }
@@ -656,10 +699,10 @@ func (s *Simulator) MeanUplink(channel int) (float64, error) {
 		return 0, fmt.Errorf("sim: channel %d outside [0,%d)", channel, len(s.channels))
 	}
 	ch := s.channels[channel]
-	if len(ch.users) == 0 {
+	if len(ch.live) == 0 {
 		return 0, nil
 	}
-	return ch.totalUplink / float64(len(ch.users)), nil
+	return ch.totalUplink / float64(len(ch.live)), nil
 }
 
 // Estimator exposes a channel's measurement feed for the controller, which
@@ -692,13 +735,12 @@ func (s *Simulator) SampleQuality() QualitySample {
 	var smooth, total int
 	for c, ch := range s.channels {
 		chSmooth := 0
-		for u := range ch.users {
+		for _, u := range ch.live {
 			if u.smoothAt(now, win) {
-				//cloudmedia:allow determinism -- integer count over the user set; addition order cannot change the result
 				chSmooth++
 			}
 		}
-		n := len(ch.users)
+		n := len(ch.live)
 		sample.UsersPerChannel[c] = n
 		if n == 0 {
 			sample.PerChannel[c] = 1

@@ -22,9 +22,12 @@ const (
 
 // user is one VoD viewer. All of a user's events live on its channel's
 // private engine and random stream, which is what lets channels step in
-// parallel between control barriers.
+// parallel between control barriers. A user occupies one of its
+// channel's slots for life; after it leaves, the slot and the struct are
+// reused by a later arrival (see channelState.newUser).
 type user struct {
-	id      int
+	slot    int32 // index in channelState.slots: the target of its events
+	livePos int   // index in channelState.live while watching
 	channel *channelState
 	sim     *Simulator
 
@@ -36,10 +39,15 @@ type user struct {
 	playingChunk int
 	nextChunk    int // successor chosen at playback start; -1 = departure
 	nextReady    bool
-	dl           *download
+	dl           *download // the in-flight transfer, nil when none
+	download     download  // backing for dl: a user fetches one chunk at a time
 
-	playEnd *Event
-	jumpEv  *Event
+	// playEndSeq and jumpSeq are the sequence numbers of the armed
+	// playback-end and jump events, 0 when none is armed. Clearing one
+	// cancels its event: the engine skips a popped event whose number no
+	// longer matches.
+	playEndSeq uint64
+	jumpSeq    uint64
 
 	joinedAt     float64
 	lastStallEnd float64
@@ -66,9 +74,9 @@ func (u *user) startFetch(chunk int) {
 		u.onChunkReady(chunk)
 		return
 	}
-	d := &download{user: u}
-	u.dl = d
-	u.channel.pools[chunk].add(d)
+	u.download = download{user: u}
+	u.dl = &u.download
+	u.channel.pools[chunk].add(u.dl)
 }
 
 // onDownloadComplete is called by the pool when a transfer finishes.
@@ -122,15 +130,14 @@ func (u *user) beginPlayback(chunk int) {
 		_ = u.channel.estimator.RecordTransition(chunk, viewing.Departed)
 	}
 
-	ev, err := u.channel.engine.Schedule(now+u.sim.cfg.Channel.ChunkSeconds, u.onPlayEnd)
-	if err == nil {
-		u.playEnd = ev
+	if seq := u.channel.engine.schedule(now+u.sim.cfg.Channel.ChunkSeconds, kindPlayEnd, u.slot); seq != 0 {
+		u.playEndSeq = seq
 	}
 }
 
 // onPlayEnd fires when the current chunk's playback time elapses.
 func (u *user) onPlayEnd() {
-	u.playEnd = nil
+	u.playEndSeq = 0
 	if u.nextChunk < 0 {
 		u.leave()
 		return
@@ -160,9 +167,8 @@ func (u *user) sampleNext(chunk int) int {
 // scheduleJump arms the next VCR-jump timer.
 func (u *user) scheduleJump() {
 	delay := u.sim.cfg.Workload.NextJump(u.channel.rng)
-	ev, err := u.channel.engine.Schedule(u.channel.engine.Now()+delay, u.onJump)
-	if err == nil {
-		u.jumpEv = ev
+	if seq := u.channel.engine.schedule(u.channel.engine.Now()+delay, kindJump, u.slot); seq != 0 {
+		u.jumpSeq = seq
 	}
 }
 
@@ -170,7 +176,7 @@ func (u *user) scheduleJump() {
 // any) is aborted, playback restarts at the target once it is available.
 // Seek latency is not counted as a stall.
 func (u *user) onJump() {
-	u.jumpEv = nil
+	u.jumpSeq = 0
 	u.scheduleJump()
 
 	target := u.channel.rng.Intn(u.sim.cfg.Channel.Chunks)
@@ -182,8 +188,7 @@ func (u *user) onJump() {
 		u.dl.pool.remove(u.dl)
 		u.dl = nil
 	}
-	u.playEnd.Cancel()
-	u.playEnd = nil
+	u.playEndSeq = 0
 	if u.state == stateStalled {
 		// The seek resolves the stall (the user moved elsewhere).
 		u.lastStallEnd = u.channel.engine.Now()
@@ -198,10 +203,8 @@ func (u *user) onJump() {
 // leave tears the viewer down: events cancelled, downloads aborted, cached
 // chunks removed from the channel's supplier counts.
 func (u *user) leave() {
-	u.jumpEv.Cancel()
-	u.jumpEv = nil
-	u.playEnd.Cancel()
-	u.playEnd = nil
+	u.jumpSeq = 0
+	u.playEndSeq = 0
 	if u.dl != nil && u.dl.pool != nil {
 		u.dl.pool.remove(u.dl)
 		u.dl = nil

@@ -212,6 +212,11 @@ func (sc Spec) Validate() error {
 			return err
 		}
 	}
+	if v, ok := sc.Predictor.(interface{ Validate() error }); ok && sc.Predictor != nil {
+		if err := v.Validate(); err != nil {
+			return err
+		}
+	}
 	if sc.Workers < 0 {
 		return fmt.Errorf("negative workers %d", sc.Workers)
 	}

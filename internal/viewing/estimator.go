@@ -23,6 +23,11 @@ type Estimator struct {
 	arrivals    int
 	transitions [][]int // transitions[i][j]: completed chunk i then fetched j
 	departures  []int   // departures[i]: completed chunk i then left
+
+	// matrix is the storage Matrix returns, rebuilt in place each call;
+	// trusted is the last fallback that passed validation.
+	matrix  queueing.TransferMatrix
+	trusted queueing.TransferMatrix
 }
 
 // NewEstimator returns an estimator for a channel with the given chunk count.
@@ -80,16 +85,28 @@ func (e *Estimator) ArrivalRate(intervalSeconds float64) (float64, error) {
 // a valid matrix of the same size); with a nil fallback, unobserved rows are
 // all-departure. This keeps cold chunks provisionable from the prior when
 // an interval saw no traffic on them.
+//
+// The matrix is the estimator's own storage, rebuilt in place: it stays
+// valid until the next Matrix or Reset call, and callers must not modify
+// it. A fallback is validated when it differs from the last one that
+// passed, so the controller's fixed prior is checked once, not every
+// interval; a fallback must not change after it was passed in.
 func (e *Estimator) Matrix(fallback queueing.TransferMatrix) (queueing.TransferMatrix, error) {
 	if fallback != nil {
 		if fallback.Size() != e.chunks {
 			return nil, fmt.Errorf("viewing: fallback size %d != chunks %d", fallback.Size(), e.chunks)
 		}
-		if err := fallback.Validate(); err != nil {
-			return nil, fmt.Errorf("viewing: fallback: %w", err)
+		if e.trusted == nil || &fallback[0] != &e.trusted[0] {
+			if err := fallback.Validate(); err != nil {
+				return nil, fmt.Errorf("viewing: fallback: %w", err)
+			}
+			e.trusted = fallback
 		}
 	}
-	p := queueing.NewTransferMatrix(e.chunks)
+	if e.matrix == nil {
+		e.matrix = queueing.NewTransferMatrix(e.chunks)
+	}
+	p := e.matrix
 	for i := 0; i < e.chunks; i++ {
 		total := e.departures[i]
 		for _, n := range e.transitions[i] {
@@ -98,6 +115,8 @@ func (e *Estimator) Matrix(fallback queueing.TransferMatrix) (queueing.TransferM
 		if total == 0 {
 			if fallback != nil {
 				copy(p[i], fallback[i])
+			} else {
+				clear(p[i])
 			}
 			continue
 		}

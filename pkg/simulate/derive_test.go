@@ -3,6 +3,7 @@ package simulate_test
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -429,5 +430,21 @@ func TestChannelOptionsWriteOnlyTheirField(t *testing.T) {
 	}
 	if base.Channel.Chunks != 8 || base.Channel.PlaybackRate != 50e3 {
 		t.Errorf("parent channel moved: %+v", base.Channel)
+	}
+}
+
+// An invalid predictor is a scenario error: Validate rejects it up front
+// instead of letting Run fail inside the controller.
+func TestValidateRejectsInvalidPredictor(t *testing.T) {
+	for name, p := range map[string]simulate.Predictor{
+		"EWMA alpha 2":     simulate.EWMA{Alpha: 2},
+		"EWMA alpha NaN":   simulate.EWMA{Alpha: math.NaN()},
+		"EWMA alpha +Inf":  simulate.EWMA{Alpha: math.Inf(1)},
+		"diurnal period 0": simulate.DiurnalMemory{Period: 0},
+	} {
+		sc := simulate.Default(simulate.CloudAssisted, 1).With(cloudmedia.WithPredictor(p))
+		if err := sc.Validate(); !errors.Is(err, simulate.ErrInvalidScenario) {
+			t.Errorf("%s: Validate() = %v, want ErrInvalidScenario", name, err)
+		}
 	}
 }
