@@ -539,13 +539,14 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	// totals are reduced afterwards, serially.
 	demands := c.scratchDemands[:len(inputs)]
 	errs := c.scratchErrs[:len(inputs)]
+	rates := rec.ArrivalRates // captured instead of rec, which stays on the stack
 	c.scratchOut = growFloats(c.scratchOut, 2*len(inputs)*cfg.Chunks)
 	c.forEachChannel(len(inputs), func(w, ch int) {
 		in := inputs[ch]
 		if oracle {
 			in.ArrivalRate = c.opts.TrueRates(ch, now, now+c.opts.IntervalSeconds)
 		}
-		rec.ArrivalRates[ch] = in.ArrivalRate
+		rates[ch] = in.ArrivalRate
 		cloud, peer := demandSlot(c.scratchOut, ch, cfg.Chunks)
 		demands[ch], errs[ch] = c.deriveOne(&c.derivers[w], cfg, in, p2pMode, cloud, peer)
 	})

@@ -30,11 +30,11 @@ type ChunkDemand struct {
 // The zero value is ready, and the package-level PlanVMs and PlanStorage
 // run on a fresh one.
 type planScratch struct {
-	target []ChunkDemand    // maxDemands' output
-	sorted []ChunkDemand    // sortByDemand's copy
-	scaled []ChunkDemand    // planWithScaling's shrunk demands
-	index  map[[2]int]int   // maxDemands' key index, when positions do not line up
-	seen   map[[2]int]bool  // validateDemands' duplicate set, when keys are not ascending
+	target []ChunkDemand   // maxDemands' output
+	sorted []ChunkDemand   // sortByDemand's copy
+	scaled []ChunkDemand   // planWithScaling's shrunk demands
+	index  map[[2]int]int  // maxDemands' key index, when positions do not line up
+	seen   map[[2]int]bool // validateDemands' duplicate set, when keys are not ascending
 	vms    []cloud.VMClusterSpec
 	nfs    []cloud.NFSClusterSpec
 	slot   []int     // cluster order position → first position with its name

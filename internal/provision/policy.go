@@ -13,8 +13,9 @@ import (
 // negotiated cluster catalog, and the budgets. It is the exact planning
 // surface core.Controller consumed before the Policy seam existed, so any
 // policy sees precisely what the paper's greedy heuristic saw. The
-// controller reuses the Demands and Future buffers from round to round,
-// so a planner must copy anything it keeps past Plan.
+// controller reuses the Demands, Future, VMClusters and NFSClusters
+// buffers from round to round, so a planner must copy anything it keeps
+// past Plan.
 type PlanRequest struct {
 	// Time is the simulated time of the round, seconds.
 	Time float64

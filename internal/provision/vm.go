@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"cloudmedia/internal/cloud"
 )
@@ -48,11 +47,12 @@ func (p VMPlan) RentalVMs() map[string]int {
 // sorted cluster order so the float result does not depend on map
 // iteration order.
 func (p VMPlan) TotalVMs() float64 {
-	names := make([]string, 0, len(p.VMsPerCluster))
+	var buf [8]string // catalogs are small: no allocation up to 8 clusters
+	names := buf[:0]
 	for name := range p.VMsPerCluster {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	var t float64
 	for _, name := range names {
 		t += p.VMsPerCluster[name]

@@ -79,6 +79,8 @@ type Feed interface {
 	ArrivalRate(intervalSeconds float64) (float64, error)
 	// Matrix returns the empirical transfer matrix, with unobserved rows
 	// taken from fallback (which must be a valid matrix of the same size).
+	// The feed may reuse the matrix's storage: it is valid until the
+	// feed's next Matrix or Reset call.
 	Matrix(fallback queueing.TransferMatrix) (queueing.TransferMatrix, error)
 	// Reset clears the recorded observations, starting a new interval.
 	Reset()

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
+
+	"cloudmedia/internal/queueing"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -109,5 +112,75 @@ func TestEngineEventsScheduleEvents(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0", e.Pending())
+	}
+}
+
+// One steady per-viewer cycle, a playback end that arms the next one, is
+// a value event pushed and popped: no per-event object, no closure.
+func TestSteadyViewerEventCycleAllocatesNothing(t *testing.T) {
+	cfg := smallConfig(t, ClientServer)
+	cfg.Workload.BaseArrivalRate = 1e-9 // the arrival chain stays a day out
+	j := cfg.Channel.Chunks
+	cyclic := queueing.NewTransferMatrix(j)
+	for i := range cyclic {
+		cyclic[i][(i+1)%j] = 1 // never departs
+	}
+	cfg.Transfer = cyclic
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := s.channels[0]
+	u := ch.newUser(0)
+	for i := range u.owned {
+		u.owned[i] = true // every chunk cached: playback never waits on a pool
+	}
+	ch.addUser(u)
+	u.beginPlayback(0)
+	fires := 0
+	cycle := func() {
+		ch.engine.RunUntil(ch.engine.Now() + cfg.Channel.ChunkSeconds)
+		fires++
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("per-viewer schedule-and-fire cycle allocates %.1f times", allocs)
+	}
+	if u.playingChunk != fires%j || u.state != statePlaying {
+		t.Fatalf("after %d cycles the viewer plays chunk %d in state %d, want chunk %d playing", fires, u.playingChunk, u.state, fires%j)
+	}
+	if got := ch.engine.Pending(); got != 2 {
+		t.Errorf("Pending = %d, want 2 (the next playback end and the arrival)", got)
+	}
+}
+
+// eventHeapDepth is the mean per-channel queue depth of the minute-round
+// control day (24 channels, scale 1), sampled at every barrier.
+const eventHeapDepth = 38
+
+// BenchmarkEventHeap is the per-viewer event mix at the control day's
+// queue depth: each op pops the earliest event, re-arms its owner if the
+// event was still armed (a fire) or skips it (a lazily cancelled one),
+// and every fourth op cancels an owner's armed event by re-arming it
+// elsewhere, leaving the stale entry queued.
+func BenchmarkEventHeap(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	e := NewEngine()
+	armed := make([]uint64, eventHeapDepth)
+	for i := range armed {
+		armed[i] = e.push(rng.Float64()*100, kindJump, int32(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := range b.N {
+		ev := e.pop()
+		if armed[ev.target] == ev.seq {
+			e.now = ev.at
+			armed[ev.target] = e.push(e.now+rng.Float64()*100, kindJump, ev.target)
+		}
+		if op%4 == 0 {
+			owner := rng.Intn(eventHeapDepth)
+			armed[owner] = e.push(e.now+rng.Float64()*100, kindJump, int32(owner))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -75,6 +76,38 @@ func TestFanOutParallelCoversEveryShard(t *testing.T) {
 	for i, n := range hits {
 		if n != 1 {
 			t.Errorf("shard %d ran %d times, want 1", i, n)
+		}
+	}
+}
+
+// FanOutWorkers names each shard's worker: indices stay below the pool
+// size, the serial path is worker 0, and no two shards run on one worker
+// at the same time, so per-worker scratch is never shared.
+func TestFanOutWorkersIndexesDisjointScratch(t *testing.T) {
+	ensureParallelHost(t, 8)
+	const shards = 200
+	for _, workers := range []int{1, 3, 8} {
+		var busy [8]atomic.Bool
+		hits := make([]int, shards)
+		var overlap atomic.Bool
+		FanOutWorkers(workers, shards, func(w, i int) {
+			if w < 0 || w >= workers {
+				t.Errorf("workers %d: shard %d on worker %d", workers, i, w)
+				return
+			}
+			if busy[w].Swap(true) {
+				overlap.Store(true)
+			}
+			hits[i]++
+			busy[w].Store(false)
+		})
+		if overlap.Load() {
+			t.Errorf("workers %d: two shards ran on one worker at once", workers)
+		}
+		for i, n := range hits {
+			if n != 1 {
+				t.Errorf("workers %d: shard %d ran %d times, want 1", workers, i, n)
+			}
 		}
 	}
 }

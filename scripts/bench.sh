@@ -53,11 +53,18 @@ go test -run '^$' -bench 'BenchmarkSizeForSojourn$' -benchtime 20000x -count=3 .
 # Hot-path micro benches: enough iterations for stable ns/op and the
 # allocs/op guard to mean something.
 go test -run '^$' -bench 'BenchmarkRebalancePeers$' -benchtime 2000x -count=3 ./internal/sim | tee -a "$TMP"
+# EventHeap is the per-viewer schedule/cancel/pop mix at the control
+# day's per-channel queue depth.
+go test -run '^$' -bench 'BenchmarkEventHeap$' -benchtime 200000x -count=3 ./internal/sim | tee -a "$TMP"
 
 # Control-path benches: plans/s per provisioning policy and the billing
 # ledger's accrual rate.
 go test -run '^$' -bench 'BenchmarkPolicyPlan' -benchtime 200x -count=3 ./internal/provision | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkLedgerAccrual$' -benchtime 5000x -count=3 ./internal/cloud | tee -a "$TMP"
+# ControlRound is one steady minute round of the control day's
+# controller: snapshot, forecasts, derivation, hedged lookahead plan,
+# apply.
+go test -run '^$' -bench 'BenchmarkControlRound$' -benchtime 500x -count=3 ./internal/core | tee -a "$TMP"
 
 # Convert `go test -bench` lines into JSON, keeping the fastest of the
 # -count samples for each benchmark (see the noise note above):
