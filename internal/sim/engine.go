@@ -117,10 +117,10 @@ func (e *Engine) releaseCall(slot int32) {
 	e.freeCalls = append(e.freeCalls, slot)
 }
 
-// schedule queues a per-viewer event and returns its sequence number, or
-// 0 (never a valid number) when `at` lies in the past; the owner then
-// keeps no armed event, as a failed Schedule left it.
-func (e *Engine) schedule(at float64, kind eventKind, target int32) uint64 {
+// arm queues a per-viewer event and returns its sequence number, or 0
+// (never a valid number) when `at` lies in the past; the owner then keeps
+// whatever it had armed before, as a failed Schedule left it.
+func (e *Engine) arm(at float64, kind eventKind, target int32) uint64 {
 	if at < e.now {
 		return 0
 	}

@@ -85,7 +85,7 @@ func (p *pool) reschedule(now float64) {
 		return // starved: resumes when capacity arrives
 	}
 	at := now + p.remainingOf(p.active[0])/rate
-	p.headSeq = p.ch.engine.schedule(at, kindHead, int32(p.chunk))
+	p.headSeq = p.ch.engine.arm(at, kindHead, int32(p.chunk))
 }
 
 // onHeadComplete fires when the oldest download finishes; several members

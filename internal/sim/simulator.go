@@ -447,7 +447,7 @@ func (s *Simulator) scheduleArrival(ch *channelState) error {
 		fire = horizon
 		arrived = false
 	}
-	seq := ch.engine.schedule(fire, kindArrival, 0)
+	seq := ch.engine.arm(fire, kindArrival, 0)
 	if seq == 0 {
 		return fmt.Errorf("sim: schedule arrival at %v before now %v", fire, now)
 	}

@@ -130,7 +130,7 @@ func (u *user) beginPlayback(chunk int) {
 		_ = u.channel.estimator.RecordTransition(chunk, viewing.Departed)
 	}
 
-	if seq := u.channel.engine.schedule(now+u.sim.cfg.Channel.ChunkSeconds, kindPlayEnd, u.slot); seq != 0 {
+	if seq := u.channel.engine.arm(now+u.sim.cfg.Channel.ChunkSeconds, kindPlayEnd, u.slot); seq != 0 {
 		u.playEndSeq = seq
 	}
 }
@@ -167,7 +167,7 @@ func (u *user) sampleNext(chunk int) int {
 // scheduleJump arms the next VCR-jump timer.
 func (u *user) scheduleJump() {
 	delay := u.sim.cfg.Workload.NextJump(u.channel.rng)
-	if seq := u.channel.engine.schedule(u.channel.engine.Now()+delay, kindJump, u.slot); seq != 0 {
+	if seq := u.channel.engine.arm(u.channel.engine.Now()+delay, kindJump, u.slot); seq != 0 {
 		u.jumpSeq = seq
 	}
 }
