@@ -59,7 +59,7 @@ func (s *planScratch) planStorage(demands []ChunkDemand, chunkBytes float64, clu
 	}
 
 	// Clusters by marginal utility per unit cost u_f/p_f, best first,
-	// stable; see planVMs for why the comparator keeps the old order.
+	// stable, with planVMs' comparator shape.
 	order := append(s.nfs[:0], clusters...)
 	s.nfs = order
 	slices.SortStableFunc(order, func(a, b cloud.NFSClusterSpec) int {
@@ -113,7 +113,7 @@ func (s *planScratch) planStorage(demands []ChunkDemand, chunkBytes float64, clu
 		}
 	}
 	if len(plan.Placements) == 0 {
-		plan.Placements = nil // as when nothing was ever appended
+		plan.Placements = nil // an empty plan keeps a nil list: records marshal it as null
 	}
 	plan.GBPerCluster = make(map[string]float64, len(order))
 	for k, c := range order {

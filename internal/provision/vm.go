@@ -93,8 +93,9 @@ func (s *planScratch) planVMs(demands []ChunkDemand, vmBandwidth float64, cluste
 	}
 
 	// Descending marginal utility, stable. The comparator is negative
-	// exactly when the old sort.SliceStable less held, so the order is
-	// the same whatever the utilities (NaN too).
+	// exactly when ma > mb, so the stable sort takes the steps
+	// sort.SliceStable takes with that less, whatever the utilities (NaN
+	// too).
 	order := append(s.vms[:0], clusters...)
 	s.vms = order
 	slices.SortStableFunc(order, func(a, b cloud.VMClusterSpec) int {
@@ -159,7 +160,7 @@ func (s *planScratch) planVMs(demands []ChunkDemand, vmBandwidth float64, cluste
 		}
 	}
 	if len(plan.Allocations) == 0 {
-		plan.Allocations = nil // as when nothing was ever appended
+		plan.Allocations = nil // an empty plan keeps a nil list: records marshal it as null
 	}
 	plan.VMsPerCluster = make(map[string]float64, len(order))
 	for k, c := range order {

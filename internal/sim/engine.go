@@ -118,8 +118,8 @@ func (e *Engine) releaseCall(slot int32) {
 }
 
 // arm queues a per-viewer event and returns its sequence number, or 0
-// (never a valid number) when `at` lies in the past; the owner then keeps
-// whatever it had armed before, as a failed Schedule left it.
+// (never a valid number) when `at` lies in the past, in which case the
+// owner keeps whatever it had armed before.
 func (e *Engine) arm(at float64, kind eventKind, target int32) uint64 {
 	if at < e.now {
 		return 0
