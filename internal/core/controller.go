@@ -269,15 +269,6 @@ func demandSlot(buf []float64, k, j int) (cloud, peer []float64) {
 	return buf[base : base+j : base+j], buf[base+j : base+2*j : base+2*j]
 }
 
-// growFloats returns buf resized to n, reusing its storage when large
-// enough; the contents are unspecified.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
 // Records returns the per-interval history (shared slice internals are not
 // exposed: a copy is returned).
 func (c *Controller) Records() []IntervalRecord {
@@ -442,7 +433,8 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 		}
 		steps[step] = steps[step][:n]
 	}
-	c.scratchStepOut = growFloats(c.scratchStepOut, 2*k*n*j)
+	size := 2 * k * n * j
+	c.scratchStepOut = slices.Grow(c.scratchStepOut[:0], size)[:size]
 	c.forEachChannel(n, func(w, ch int) {
 		in := inputs[ch]
 		var hist []float64
@@ -540,7 +532,8 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	demands := c.scratchDemands[:len(inputs)]
 	errs := c.scratchErrs[:len(inputs)]
 	rates := rec.ArrivalRates // captured instead of rec, which stays on the stack
-	c.scratchOut = growFloats(c.scratchOut, 2*len(inputs)*cfg.Chunks)
+	size := 2 * len(inputs) * cfg.Chunks
+	c.scratchOut = slices.Grow(c.scratchOut[:0], size)[:size]
 	c.forEachChannel(len(inputs), func(w, ch int) {
 		in := inputs[ch]
 		if oracle {
@@ -666,7 +659,7 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 	// in allocation order as VMPlan.CapacityPerChunk sums it; allocations
 	// outside the demand set are ignored.
 	n := len(demands)
-	caps := growFloats(c.scratchCaps, n*chunks)
+	caps := slices.Grow(c.scratchCaps[:0], n*chunks)[:n*chunks]
 	clear(caps)
 	c.scratchCaps = caps
 	for _, a := range vmPlan.Allocations {

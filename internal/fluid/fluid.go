@@ -629,7 +629,7 @@ func (b *Backend) allocatePeers(c int) {
 // ScheduleAt runs fn at simulated time t, with the ODE state integrated
 // exactly to t.
 func (b *Backend) ScheduleAt(t float64, fn func(now float64)) error {
-	_, err := b.engine.Schedule(t, func() { fn(b.engine.Now()) })
+	err := b.engine.Schedule(t, func() { fn(b.engine.Now()) })
 	return err
 }
 
@@ -644,9 +644,9 @@ func (b *Backend) ScheduleRepeating(start, interval float64, fn func(now float64
 		fn(b.engine.Now())
 		at += interval
 		//cloudmedia:allow noloss -- at > now by construction, Schedule cannot fail
-		_, _ = b.engine.Schedule(at, tick)
+		_ = b.engine.Schedule(at, tick)
 	}
-	_, err := b.engine.Schedule(start, tick)
+	err := b.engine.Schedule(start, tick)
 	return err
 }
 

@@ -87,8 +87,8 @@ func (s *Solver) Solve(a Analysis) (Result, error) {
 
 	res := &s.res
 	res.OwnersByQueue = owners
-	res.Owners = grow(res.Owners, j)
-	res.CloudDemand = grow(res.CloudDemand, j)
+	res.Owners = resize(res.Owners, j)
+	res.CloudDemand = resize(res.CloudDemand, j)
 	for i := 0; i < j; i++ {
 		var sum float64
 		for q := 0; q < j; q++ {
@@ -99,8 +99,8 @@ func (s *Solver) Solve(a Analysis) (Result, error) {
 		res.Owners[i] = sum
 	}
 
-	res.PeerSupply = grow(res.PeerSupply, j)
-	s.order = grow(s.order, j)
+	res.PeerSupply = resize(res.PeerSupply, j)
+	s.order = resize(s.order, j)
 	peerSupply(res.PeerSupply, s.order, eq, owners, res.Owners, a.PeerUpload)
 	for i := 0; i < j; i++ {
 		res.CloudDemand[i] = eq.Capacity[i] - res.PeerSupply[i]
@@ -111,9 +111,12 @@ func (s *Solver) Solve(a Analysis) (Result, error) {
 	return *res, nil
 }
 
-// grow returns buf resized to n, reusing its storage when it is large
-// enough. The contents are unspecified: callers overwrite every entry.
-func grow[T any](buf []T, n int) []T {
+// resize returns buf resized to n, reusing its storage when it is large
+// enough; callers overwrite every entry. It is slices.Grow(buf[:0], n)[:n]
+// in one allocation: under the race detector's instrumentation that
+// expression allocates twice when it grows, which TestSolveAllocations'
+// per-solve bound would count.
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
@@ -131,9 +134,9 @@ func grow[T any](buf []T, n int) []T {
 // solver, so a steady solve allocates nothing whatever J is.
 func (s *Solver) ownersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
 	j := len(meanUsers)
-	s.flat = grow(s.flat, j*j)
+	s.flat = resize(s.flat, j*j)
 	clear(s.flat)
-	out := grow(s.res.OwnersByQueue, j)
+	out := resize(s.res.OwnersByQueue, j)
 	for i := range out {
 		out[i] = s.flat[i*j : (i+1)*j : (i+1)*j]
 		out[i][i] = meanUsers[i]
@@ -142,7 +145,7 @@ func (s *Solver) ownersByQueue(meanUsers []float64, p queueing.TransferMatrix) (
 		return out, nil
 	}
 	n := j - 1
-	s.work = grow(s.work, n*n+2*n)
+	s.work = resize(s.work, n*n+2*n)
 	a, b, x := s.work[:n*n], s.work[n*n:n*n+n], s.work[n*n+n:]
 	for i := 0; i < j; i++ {
 		for r := 0; r < n; r++ {

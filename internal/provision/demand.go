@@ -33,8 +33,8 @@ type planScratch struct {
 	target []ChunkDemand   // maxDemands' output
 	sorted []ChunkDemand   // sortByDemand's copy
 	scaled []ChunkDemand   // planWithScaling's shrunk demands
-	index  map[[2]int]int  // maxDemands' key index, when positions do not line up
-	seen   map[[2]int]bool // validateDemands' duplicate set, when keys are not ascending
+	index  map[[2]int]int  // maxDemands' key index
+	seen   map[[2]int]bool // validateDemands' duplicate set
 	vms    []cloud.VMClusterSpec
 	nfs    []cloud.NFSClusterSpec
 	slot   []int     // cluster order position → first position with its name
@@ -43,43 +43,9 @@ type planScratch struct {
 	taken  []bool    // per slot: whether anything was taken
 }
 
-// keyLess orders chunk identities channel-major, the order the
-// controller emits them in.
-func keyLess(a, b ChunkDemand) bool {
-	return a.Channel < b.Channel || a.Channel == b.Channel && a.Chunk < b.Chunk
-}
-
-// ascending reports whether the chunk identities strictly increase, which
-// makes them unique.
-func ascending(demands []ChunkDemand) bool {
-	for k := 1; k < len(demands); k++ {
-		if !keyLess(demands[k-1], demands[k]) {
-			return false
-		}
-	}
-	return true
-}
-
 // validateDemands checks demand invariants shared by both heuristics.
-// Strictly ascending identities need no duplicate set; any other order
-// takes the set-based pass, which reports exactly what the one-pass
-// check always reported.
+// The duplicate set is scratch, cleared on every call.
 func (s *planScratch) validateDemands(demands []ChunkDemand) error {
-	for k, d := range demands {
-		if k > 0 && !keyLess(demands[k-1], d) {
-			return s.validateWithSet(demands)
-		}
-		if d.Channel < 0 || d.Chunk < 0 {
-			return fmt.Errorf("provision: negative chunk identity (%d,%d)", d.Channel, d.Chunk)
-		}
-		if err := checkDemand(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *planScratch) validateWithSet(demands []ChunkDemand) error {
 	if s.seen == nil {
 		s.seen = make(map[[2]int]bool, len(demands))
 	}

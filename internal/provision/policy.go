@@ -392,57 +392,26 @@ func (p *staticPeakPlanner) Plan(req PlanRequest) (PlanResult, error) {
 // maxDemands returns the per-chunk maximum of the current demands and
 // every future forecast, in the current demands' order. Chunks that only
 // appear in a forecast are ignored: the chunk universe is fixed per run.
-// The result is scratch, valid until the next call.
-//
-// A forecast step listing the current demands' (unique) chunks at the
-// same positions, as the controller's steps do, is merged position by
-// position; any other step goes through a key index, which maps a key
-// listed twice to its last position.
+// The result and the key index are scratch, valid until the next call.
 func (s *planScratch) maxDemands(current []ChunkDemand, future [][]ChunkDemand) []ChunkDemand {
 	out := append(s.target[:0], current...)
 	s.target = out
-	unique := ascending(current)
-	indexed := false
+	if s.index == nil {
+		s.index = make(map[[2]int]int, len(current))
+	}
+	index := s.index
+	clear(index)
+	for i, d := range current {
+		index[[2]int{d.Channel, d.Chunk}] = i
+	}
 	for _, step := range future {
-		if unique && sameChunks(step, current) {
-			for i, d := range step {
-				if d.Demand > out[i].Demand {
-					out[i].Demand = d.Demand
-				}
-			}
-			continue
-		}
-		if !indexed {
-			if s.index == nil {
-				s.index = make(map[[2]int]int, len(current))
-			}
-			clear(s.index)
-			for i, d := range current {
-				s.index[[2]int{d.Channel, d.Chunk}] = i
-			}
-			indexed = true
-		}
 		for _, d := range step {
-			if i, ok := s.index[[2]int{d.Channel, d.Chunk}]; ok && d.Demand > out[i].Demand {
+			if i, ok := index[[2]int{d.Channel, d.Chunk}]; ok && d.Demand > out[i].Demand {
 				out[i].Demand = d.Demand
 			}
 		}
 	}
 	return out
-}
-
-// sameChunks reports whether a and b list the same chunks in the same
-// order.
-func sameChunks(a, b []ChunkDemand) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Channel != b[i].Channel || a[i].Chunk != b[i].Chunk {
-			return false
-		}
-	}
-	return true
 }
 
 // storageState is the Sec. V-B storage-replan trigger shared by the

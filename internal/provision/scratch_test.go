@@ -2,89 +2,14 @@ package provision
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"cloudmedia/internal/cloud"
 )
 
-// randomDemands returns a channel-major grid with random Δ; a few
-// entries are damaged (negative identity, NaN or negative Δ, a repeated
-// identity) when bad is set.
-func randomDemands(rng *rand.Rand, bad bool) []ChunkDemand {
-	d := demandGrid(1+rng.Intn(4), 1+rng.Intn(5), 0)
-	for i := range d {
-		d[i].Demand = rng.Float64() * 5e6
-	}
-	if bad {
-		for range 1 + rng.Intn(2) {
-			i := rng.Intn(len(d))
-			switch rng.Intn(4) {
-			case 0:
-				d[i].Chunk = -1
-			case 1:
-				d[i].Demand = math.NaN()
-			case 2:
-				d[i].Demand = -1
-			default:
-				j := rng.Intn(len(d))
-				d[i].Channel, d[i].Chunk = d[j].Channel, d[j].Chunk
-			}
-		}
-	}
-	return d
-}
-
-func errText(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
-// The ascending fast path of validateDemands reports exactly what the
-// set-based pass reports, on valid and damaged inputs, in either order.
-func TestValidateDemandsFastPathMatchesSetPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var s planScratch
-	for n := range 2000 {
-		d := randomDemands(rng, n%2 == 1)
-		if n%3 == 0 {
-			rng.Shuffle(len(d), func(i, j int) { d[i], d[j] = d[j], d[i] })
-		}
-		if got, want := errText(s.validateDemands(d)), errText(s.validateWithSet(d)); got != want {
-			t.Fatalf("case %d: validateDemands = %q, set pass = %q for %v", n, got, want, d)
-		}
-	}
-}
-
-// maxDemands merges an aligned forecast step position by position and a
-// reordered or partial one through the key index; both give the same
-// per-chunk maxima, and a steady call allocates nothing.
-func TestMaxDemandsAlignedAndIndexedAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var fast, indexed planScratch
-	for n := range 500 {
-		current := randomDemands(rng, false)
-		var aligned, shuffled [][]ChunkDemand
-		for range 1 + rng.Intn(3) {
-			step := randomDemands(rng, false)[:0]
-			for _, d := range current {
-				step = append(step, ChunkDemand{Channel: d.Channel, Chunk: d.Chunk, Demand: rng.Float64() * 5e6})
-			}
-			aligned = append(aligned, step)
-			perm := append([]ChunkDemand(nil), step...)
-			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			shuffled = append(shuffled, append(perm, ChunkDemand{Channel: 99, Chunk: 0, Demand: 1e9}))
-		}
-		got := append([]ChunkDemand(nil), fast.maxDemands(current, aligned)...)
-		want := indexed.maxDemands(current, shuffled)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: aligned merge %v, indexed merge %v", n, got, want)
-		}
-	}
+// A steady maxDemands call reuses its output and key index.
+func TestMaxDemandsSteadyCallAllocatesNothing(t *testing.T) {
 	current := demandGrid(24, 8, 1e6)
 	future := [][]ChunkDemand{demandGrid(24, 8, 2e6), demandGrid(24, 8, 3e6), demandGrid(24, 8, 4e6)}
 	var s planScratch

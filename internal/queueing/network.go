@@ -3,6 +3,7 @@ package queueing
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cloudmedia/internal/mathx"
 )
@@ -229,19 +230,19 @@ func (s *Solver) Solve(cfg Config, p TransferMatrix, lambda float64, maxServers 
 	}
 
 	j := cfg.Chunks
-	s.work = grow(s.work, j*j+2*j)
+	s.work = slices.Grow(s.work[:0], j*j+2*j)[:j*j+2*j]
 	ext := s.work[j*j+j:]
 	cfg.externalArrivalsInto(ext, lambda)
 	eq := &s.eq
 	eq.Config = cfg
-	eq.ArrivalRates = grow(eq.ArrivalRates, j)
+	eq.ArrivalRates = slices.Grow(eq.ArrivalRates[:0], j)[:j]
 	if err := solveTrafficInto(eq.ArrivalRates, s.work, p, ext); err != nil {
 		return Equilibrium{}, err
 	}
-	eq.Servers = grow(eq.Servers, j)
-	eq.MeanUsers = grow(eq.MeanUsers, j)
-	eq.ViewerLoad = grow(eq.ViewerLoad, j)
-	eq.Capacity = grow(eq.Capacity, j)
+	eq.Servers = slices.Grow(eq.Servers[:0], j)[:j]
+	eq.MeanUsers = slices.Grow(eq.MeanUsers[:0], j)[:j]
+	eq.ViewerLoad = slices.Grow(eq.ViewerLoad[:0], j)[:j]
+	eq.Capacity = slices.Grow(eq.Capacity[:0], j)[:j]
 
 	mu := cfg.ServiceRate()
 	for i, li := range eq.ArrivalRates {
@@ -259,13 +260,4 @@ func (s *Solver) Solve(cfg Config, p TransferMatrix, lambda float64, maxServers 
 		eq.Capacity[i] = cfg.SlotBandwidth() * float64(q.Servers)
 	}
 	return *eq, nil
-}
-
-// grow returns buf resized to n, reusing its storage when it is large
-// enough. The contents are unspecified: callers overwrite every entry.
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }

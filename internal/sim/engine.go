@@ -42,13 +42,6 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// call is one closure slot. seq is the sequence number of the event that
-// will run it, 0 once it ran or was cancelled.
-type call struct {
-	seq uint64
-	fn  func()
-}
-
 // Engine is a minimal deterministic discrete-event scheduler over a binary
 // min-heap of value events.
 //
@@ -65,7 +58,9 @@ type Engine struct {
 	// only ever queue closures.
 	ch *channelState
 
-	calls     []call
+	// calls holds the queued closures by slot; freeCalls lists the
+	// slots whose closure already ran.
+	calls     []func()
 	freeCalls []int32
 }
 
@@ -75,15 +70,15 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Schedule queues fn to run at simulated time `at` and returns the
-// event's sequence number, which Cancel takes. Scheduling in the past is
-// an error: it would silently reorder causality.
-func (e *Engine) Schedule(at float64, fn func()) (uint64, error) {
+// Schedule queues fn to run at simulated time `at`. Scheduling in the
+// past is an error: it would silently reorder causality. A closure
+// cannot be cancelled; only the per-viewer kinds are, by their owners.
+func (e *Engine) Schedule(at float64, fn func()) error {
 	if at < e.now {
-		return 0, fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
+		return fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
 	}
 	if fn == nil {
-		return 0, fmt.Errorf("sim: nil event function")
+		return fmt.Errorf("sim: nil event function")
 	}
 	var slot int32
 	if n := len(e.freeCalls); n > 0 {
@@ -91,30 +86,11 @@ func (e *Engine) Schedule(at float64, fn func()) (uint64, error) {
 		e.freeCalls = e.freeCalls[:n-1]
 	} else {
 		slot = int32(len(e.calls))
-		e.calls = append(e.calls, call{})
+		e.calls = append(e.calls, nil)
 	}
-	seq := e.push(at, kindCall, slot)
-	e.calls[slot] = call{seq: seq, fn: fn}
-	return seq, nil
-}
-
-// Cancel prevents the closure event with sequence number seq from firing.
-// Cancelling an event that already fired or was cancelled is a no-op.
-func (e *Engine) Cancel(seq uint64) {
-	if seq == 0 {
-		return
-	}
-	for i := range e.calls {
-		if e.calls[i].seq == seq {
-			e.releaseCall(int32(i))
-			return
-		}
-	}
-}
-
-func (e *Engine) releaseCall(slot int32) {
-	e.calls[slot] = call{}
-	e.freeCalls = append(e.freeCalls, slot)
+	e.calls[slot] = fn
+	e.push(at, kindCall, slot)
+	return nil
 }
 
 // arm queues a per-viewer event and returns its sequence number, or 0
@@ -196,21 +172,20 @@ func (e *Engine) RunUntil(until float64) {
 	}
 }
 
-// dispatch fires a popped event if its owner still has it armed: the
-// clock moves to the event only then, so a skipped (cancelled) event
-// leaves time where it was.
+// dispatch fires a popped event. A closure always runs; a per-viewer
+// event runs only if its owner still has it armed, and the clock moves to
+// the event only then, so a skipped (cancelled) event leaves time where
+// it was.
 //
 //cloudmedia:hotpath
 func (e *Engine) dispatch(ev event) {
 	switch ev.kind {
 	case kindCall:
-		c := e.calls[ev.target]
-		if c.seq != ev.seq {
-			return
-		}
-		e.releaseCall(ev.target)
+		fn := e.calls[ev.target]
+		e.calls[ev.target] = nil
+		e.freeCalls = append(e.freeCalls, ev.target)
 		e.now = ev.at
-		c.fn()
+		fn()
 	case kindArrival:
 		ch := e.ch
 		if ch.arrivalSeq != ev.seq {

@@ -77,60 +77,139 @@ func (e *refEngine) nextAt() (float64, bool) {
 	return e.queue[0].at, true
 }
 
-// oracleSide is one engine under the harness: what it fired, how many
-// more follow-ups its callbacks may chain, its cancel handle per event
-// id, and its count of rejected schedules.
+// oracleOwners is the number of per-viewer owners the harness arms
+// events for.
+const oracleOwners = 6
+
+// oracleSide is one engine under the harness. Closure events log their
+// id when they fire; per-viewer owners hold at most one armed event
+// each, and their firings are collected into the log (as -1-owner, in
+// owner order) before each closure runs and after each step, so the log
+// shows which owners fired between two closures.
 type oracleSide struct {
-	log     []int
-	budget  int
-	cancels []func()
-	errs    int
-	now     func() float64
-	sched   func(at float64, fn func()) (cancel func(), err error)
+	log    []int
+	budget int
+	errs   int
+	now    func() float64
+	sched  func(at float64, fn func()) error
+	// arm arms the owner's event at `at`, replacing any event it had
+	// armed, and reports false when `at` lies in the past; cancel clears
+	// the owner's armed event; fired lists and resets the owners whose
+	// event fired since the last call, in owner order.
+	arm    func(owner int, at float64) bool
+	cancel func(owner int)
+	fired  func() []int
 }
 
-// add schedules event id at `at`. Every third event chains a follow-up
-// at the same or a later time when it fires, so events are also
-// scheduled from inside callbacks, ties included.
+func (s *oracleSide) collect() {
+	for _, o := range s.fired() {
+		s.log = append(s.log, -1-o)
+	}
+}
+
+// add schedules closure event id at `at`. Every third event chains a
+// follow-up at the same or a later time when it fires, so closures are
+// also scheduled from inside callbacks, ties included.
 func (s *oracleSide) add(id int, at float64) {
 	fn := func() {
+		s.collect()
 		s.log = append(s.log, id)
 		if id%3 == 0 && s.budget > 0 {
 			s.budget--
-			if _, err := s.sched(s.now()+float64(s.budget%4)*0.5, func() { s.log = append(s.log, -1) }); err != nil {
+			if err := s.sched(s.now()+float64(s.budget%4)*0.5, func() { s.collect(); s.log = append(s.log, 1<<20) }); err != nil {
 				s.errs++
 			}
 		}
 	}
-	cancel, err := s.sched(at, fn)
-	if err != nil {
+	if err := s.sched(at, fn); err != nil {
 		s.errs++
-		cancel = func() {}
 	}
-	s.cancels = append(s.cancels, cancel)
 }
 
+func (s *oracleSide) armOwner(owner int, at float64) {
+	if !s.arm(owner, at) {
+		s.errs++
+	}
+}
+
+// newEngineSide drives the per-viewer owners the way the simulator does:
+// a viewer keeps the seq it armed (a failed arm keeps the old one), and
+// clears it to cancel.
 func newEngineSide(e *Engine) *oracleSide {
-	return &oracleSide{budget: 200, now: e.Now, sched: func(at float64, fn func()) (func(), error) {
-		seq, err := e.Schedule(at, fn)
-		return func() { e.Cancel(seq) }, err
-	}}
+	owners := testOwners(e, oracleOwners)
+	return &oracleSide{
+		budget: 200,
+		now:    e.Now,
+		sched:  e.Schedule,
+		arm: func(o int, at float64) bool {
+			seq := e.arm(at, kindPlayEnd, int32(o))
+			if seq != 0 {
+				owners[o].playEndSeq = seq
+			}
+			return seq != 0
+		},
+		cancel: func(o int) { owners[o].playEndSeq = 0 },
+		fired: func() []int {
+			var out []int
+			for o, u := range owners {
+				if u.state == stateStalled {
+					out = append(out, o)
+					u.state = statePlaying
+				}
+			}
+			return out
+		},
+	}
 }
 
+// newRefSide gives each owner a handle on its armed reference event and
+// cancels through the handle's flag.
 func newRefSide(e *refEngine) *oracleSide {
-	return &oracleSide{budget: 200, now: func() float64 { return e.now }, sched: func(at float64, fn func()) (func(), error) {
-		ev, err := e.schedule(at, fn)
-		if err != nil {
-			return nil, err
-		}
-		return func() { ev.canceled = true }, nil
-	}}
+	armed := make([]*refEvent, oracleOwners)
+	hit := make([]bool, oracleOwners)
+	return &oracleSide{
+		budget: 200,
+		now:    func() float64 { return e.now },
+		sched: func(at float64, fn func()) error {
+			_, err := e.schedule(at, fn)
+			return err
+		},
+		arm: func(o int, at float64) bool {
+			ev, err := e.schedule(at, func() { hit[o], armed[o] = true, nil })
+			if err != nil {
+				return false
+			}
+			if armed[o] != nil {
+				armed[o].canceled = true
+			}
+			armed[o] = ev
+			return true
+		},
+		cancel: func(o int) {
+			if armed[o] != nil {
+				armed[o].canceled = true
+				armed[o] = nil
+			}
+		},
+		fired: func() []int {
+			var out []int
+			for o := range hit {
+				if hit[o] {
+					out = append(out, o)
+					hit[o] = false
+				}
+			}
+			return out
+		},
+	}
 }
 
 func checkOracle(t *testing.T, step int, eng *Engine, ref *refEngine, got, want *oracleSide) {
 	t.Helper()
+	got.collect()
+	want.collect()
 	if len(got.log) != len(want.log) {
-		t.Fatalf("step %d: fired %d events, reference %d", step, len(got.log), len(want.log))
+		t.Fatalf("step %d: logged %d firings, reference %d", step, len(got.log), len(want.log))
 	}
 	for i := range got.log {
 		if got.log[i] != want.log[i] {
@@ -155,28 +234,35 @@ func checkOracle(t *testing.T, step int, eng *Engine, ref *refEngine, got, want 
 
 // The value-typed engine must fire exactly what container/heap fired, in
 // the same order, with the same clock and the same queue view at every
-// step, under seeded random schedules, cancellations (including of fired
-// and already-cancelled events), equal timestamps, events scheduled from
-// callbacks, scheduling in the past, and RunUntil calls that stop before,
-// on and after queued times.
+// step. The sequences are seeded and random: closures (some scheduled
+// from callbacks), per-viewer events armed, re-armed and cancelled the
+// way the simulator does it (lazily, by clearing the owner's seq;
+// cancelling after the event fired included), equal timestamps,
+// scheduling in the past, and RunUntil calls that stop before, on and
+// after queued times.
 func TestEngineMatchesContainerHeapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		eng, ref := NewEngine(), &refEngine{}
 		got, want := newEngineSide(eng), newRefSide(ref)
+		ids := 0
 		for step := 0; step < 600; step++ {
+			// Coarse delays make many ties; a negative one is a schedule
+			// in the past, which both must reject.
+			at := ref.now + float64(rng.Intn(12)-1)*0.5
 			switch op := rng.Intn(10); {
-			case op < 5:
-				// Coarse delays make many ties; a negative one is a
-				// schedule in the past, which both must reject.
-				at := ref.now + float64(rng.Intn(12)-1)*0.5
-				id := len(want.cancels)
-				got.add(id, at)
-				want.add(id, at)
-			case op < 7 && len(want.cancels) > 0:
-				id := rng.Intn(len(want.cancels))
-				got.cancels[id]()
-				want.cancels[id]()
+			case op < 3:
+				got.add(ids, at)
+				want.add(ids, at)
+				ids++
+			case op < 6:
+				o := rng.Intn(oracleOwners)
+				got.armOwner(o, at)
+				want.armOwner(o, at)
+			case op < 7:
+				o := rng.Intn(oracleOwners)
+				got.cancel(o)
+				want.cancel(o)
 			default:
 				until := ref.now + float64(rng.Intn(5))*0.5
 				if at, ok := ref.nextAt(); ok && rng.Intn(3) == 0 {

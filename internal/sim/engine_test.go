@@ -11,7 +11,7 @@ func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	add := func(at float64, id int) {
-		if _, err := e.Schedule(at, func() { order = append(order, id) }); err != nil {
+		if err := e.Schedule(at, func() { order = append(order, id) }); err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
 	}
@@ -32,7 +32,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		id := i
-		if _, err := e.Schedule(1, func() { order = append(order, id) }); err != nil {
+		if err := e.Schedule(1, func() { order = append(order, id) }); err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	if _, err := e.Schedule(10, func() { fired = true }); err != nil {
+	if err := e.Schedule(10, func() { fired = true }); err != nil {
 		t.Fatal(err)
 	}
 	e.RunUntil(5)
@@ -63,30 +63,54 @@ func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
 	}
 }
 
+// testOwners attaches a bare channel with n viewer slots to e, so tests
+// can arm per-viewer events. Each viewer is mid-playback with its next
+// chunk not yet downloaded: its playback-end handler only marks it
+// stalled, which is how a test sees that the event fired.
+func testOwners(e *Engine, n int) []*user {
+	ch := &channelState{engine: e}
+	e.ch = ch
+	for i := range n {
+		ch.slots = append(ch.slots, &user{slot: int32(i), channel: ch, state: statePlaying})
+	}
+	return ch.slots
+}
+
+// An owner cancels its event by clearing the seq it armed: the engine
+// skips the event when it pops it, and the event counts in Pending until
+// then. Clearing again, or after the event fired, changes nothing.
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	seq, err := e.Schedule(1, func() { fired = true })
-	if err != nil {
-		t.Fatal(err)
+	owners := testOwners(e, 2)
+	for _, u := range owners {
+		u.playEndSeq = e.arm(1, kindPlayEnd, u.slot)
 	}
-	e.Cancel(seq)
+	owners[0].playEndSeq = 0
+	if e.Pending() != 2 {
+		t.Errorf("Pending = %d after a cancel, want 2", e.Pending())
+	}
 	e.RunUntil(2)
-	if fired {
+	if owners[0].state == stateStalled {
 		t.Error("cancelled event fired")
 	}
-	// Cancelling the zero sequence or twice is safe.
-	e.Cancel(0)
-	e.Cancel(seq)
+	if owners[1].state != stateStalled || owners[1].playEndSeq != 0 {
+		t.Error("armed event did not fire")
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after draining, want 0", e.Pending())
+	}
+	owners[0].playEndSeq = 0
+	owners[1].playEndSeq = 0
+	e.RunUntil(3)
 }
 
 func TestEngineSchedulePastRejected(t *testing.T) {
 	e := NewEngine()
 	e.RunUntil(10)
-	if _, err := e.Schedule(5, func() {}); err == nil {
+	if err := e.Schedule(5, func() {}); err == nil {
 		t.Error("scheduling in the past: want error")
 	}
-	if _, err := e.Schedule(11, nil); err == nil {
+	if err := e.Schedule(11, nil); err == nil {
 		t.Error("nil fn: want error")
 	}
 }
@@ -98,12 +122,12 @@ func TestEngineEventsScheduleEvents(t *testing.T) {
 	chain = func() {
 		times = append(times, e.Now())
 		if e.Now() < 3 {
-			if _, err := e.Schedule(e.Now()+1, chain); err != nil {
+			if err := e.Schedule(e.Now()+1, chain); err != nil {
 				t.Errorf("Schedule: %v", err)
 			}
 		}
 	}
-	if _, err := e.Schedule(1, chain); err != nil {
+	if err := e.Schedule(1, chain); err != nil {
 		t.Fatal(err)
 	}
 	e.RunUntil(100)

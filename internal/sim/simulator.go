@@ -409,7 +409,7 @@ func (s *Simulator) advanceChannels(t float64) {
 // ScheduleAt runs fn at simulated time t. The callback runs at a control
 // barrier: every channel is settled at t when it fires.
 func (s *Simulator) ScheduleAt(t float64, fn func(now float64)) error {
-	_, err := s.control.Schedule(t, func() { fn(s.control.Now()) })
+	err := s.control.Schedule(t, func() { fn(s.control.Now()) })
 	return err
 }
 
@@ -425,9 +425,9 @@ func (s *Simulator) ScheduleRepeating(start, interval float64, fn func(now float
 		fn(s.control.Now())
 		at += interval
 		//cloudmedia:allow noloss -- at > now by construction, Schedule cannot fail
-		_, _ = s.control.Schedule(at, tick)
+		_ = s.control.Schedule(at, tick)
 	}
-	_, err := s.control.Schedule(start, tick)
+	err := s.control.Schedule(start, tick)
 	return err
 }
 

@@ -24,10 +24,8 @@ type Estimator struct {
 	transitions [][]int // transitions[i][j]: completed chunk i then fetched j
 	departures  []int   // departures[i]: completed chunk i then left
 
-	// matrix is the storage Matrix returns, rebuilt in place each call;
-	// trusted is the last fallback that passed validation.
-	matrix  queueing.TransferMatrix
-	trusted queueing.TransferMatrix
+	// matrix is the storage Matrix returns, rebuilt in place each call.
+	matrix queueing.TransferMatrix
 }
 
 // NewEstimator returns an estimator for a channel with the given chunk count.
@@ -88,19 +86,14 @@ func (e *Estimator) ArrivalRate(intervalSeconds float64) (float64, error) {
 //
 // The matrix is the estimator's own storage, rebuilt in place: it stays
 // valid until the next Matrix or Reset call, and callers must not modify
-// it. A fallback is validated when it differs from the last one that
-// passed, so the controller's fixed prior is checked once, not every
-// interval; a fallback must not change after it was passed in.
+// it.
 func (e *Estimator) Matrix(fallback queueing.TransferMatrix) (queueing.TransferMatrix, error) {
 	if fallback != nil {
 		if fallback.Size() != e.chunks {
 			return nil, fmt.Errorf("viewing: fallback size %d != chunks %d", fallback.Size(), e.chunks)
 		}
-		if e.trusted == nil || &fallback[0] != &e.trusted[0] {
-			if err := fallback.Validate(); err != nil {
-				return nil, fmt.Errorf("viewing: fallback: %w", err)
-			}
-			e.trusted = fallback
+		if err := fallback.Validate(); err != nil {
+			return nil, fmt.Errorf("viewing: fallback: %w", err)
 		}
 	}
 	if e.matrix == nil {
