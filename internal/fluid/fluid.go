@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 
 	"cloudmedia/internal/queueing"
 	"cloudmedia/internal/sim"
@@ -60,6 +61,9 @@ type Backend struct {
 	peerCap  []float64 // Γ per chunk, bytes/s (recomputed every step)
 
 	// Scratch arrays reused across steps, same channel*J + j indexing.
+	// order is the one exception that carries meaning between steps: each
+	// channel's rarest-first visiting order starts as the identity at New
+	// and is re-sorted from the previous step's order (see allocatePeers).
 	inWait []float64
 	inPlay []float64
 	demand []float64
@@ -75,14 +79,12 @@ type Backend struct {
 	feeds            []*feed
 
 	// Transfer-matrix constants, precomputed once at New: the constant
-	// row sums and a nonzero-entry index so the playback-completion loop
-	// walks only live entries instead of scanning all J² cells. Row j's
-	// nonzero destinations are nzK[nzOff[j]:nzOff[j+1]] with probabilities
-	// nzP at the same positions.
+	// row sums and a dense row-major copy of the matrix, trans[j*J+k], in
+	// which every cell that is not positive (zero, negative zero, NaN) is
+	// stored as +0. The completion pass walks each row once, unit stride,
+	// fused with the jump pass (see stepChannel).
 	rowSum []float64
-	nzOff  []int
-	nzK    []int
-	nzP    []float64
+	trans  []float64
 
 	// workers bounds the pool that integrates channels in parallel within
 	// each batched fan-out (see Config.Workers on the shared sim.Config).
@@ -165,6 +167,9 @@ func New(cfg Config) (*Backend, error) {
 	b.inPlay = make([]float64, C*J)
 	b.demand = make([]float64, C*J)
 	b.order = make([]int, C*J)
+	for i := range b.order {
+		b.order[i] = i % J
+	}
 	b.cloudBytesServed = make([]float64, C)
 	b.smooth = make([]float64, C)
 	b.capTotal = make([]float64, C)
@@ -174,23 +179,20 @@ func New(cfg Config) (*Backend, error) {
 		b.smooth[c] = 1
 		b.feeds[c] = newFeed(J)
 	}
-	// Precompute the transfer matrix's constant row sums and the nonzero
-	// index. The row sum accumulates live entries in ascending destination
-	// order, matching the order the old per-step scan added them in, so
-	// the departure flow comp·(1−rowSum) is unchanged.
+	// Precompute the transfer matrix's constant row sums and its dense
+	// copy. The row sum accumulates the positive entries in ascending
+	// destination order, matching the order a per-step scan would add
+	// them in, so the departure flow comp·(1−rowSum) is unchanged.
 	b.rowSum = make([]float64, J)
-	b.nzOff = make([]int, J+1)
+	b.trans = make([]float64, J*J)
 	for j := 0; j < J; j++ {
-		b.nzOff[j] = len(b.nzK)
 		for k := 0; k < J; k++ {
 			if p := sc.Transfer[j][k]; p > 0 {
 				b.rowSum[j] += p
-				b.nzK = append(b.nzK, k)
-				b.nzP = append(b.nzP, p)
+				b.trans[j*J+k] = p
 			}
 		}
 	}
-	b.nzOff[J] = len(b.nzK)
 	b.rates = make([]float64, batchSteps*C)
 	b.times = make([]float64, batchSteps)
 	b.dts = make([]float64, batchSteps)
@@ -351,14 +353,16 @@ func (b *Backend) channelUsers(c int) float64 {
 //
 // Everything invariant within the step is hoisted out of the per-chunk
 // loops — config scalars, int→float conversions, the channel's slice
-// headers — and the old per-step passes are fused: one loop computes the
+// headers, resliced to one proven length so the loops carry no bounds
+// checks — and the per-step passes are fused: one loop computes the
 // viewer stock and cached-copy sum, the clear pass is folded into
 // arrival seeding (direct stores replace clear-then-add), and playback
-// completions and VCR jumps share one loop carrying playing[j] in a
-// local — without reordering a single float operation. Every memory cell
-// and every scalar accumulator sees the exact per-step sequence the
-// unfused passes produced, which is what keeps goldens and the
-// fluid-vs-event cross-validation unchanged.
+// completions and VCR jumps share one dense pass per transition row —
+// without reordering a single float operation. Every memory cell and
+// every scalar accumulator sees the exact per-step sequence the unfused
+// passes produced, apart from added +0 terms that change no value (see
+// step 2+3), which is what keeps goldens and the fluid-vs-event
+// cross-validation unchanged; the oracle test pins this bit for bit.
 //
 //cloudmedia:hotpath
 func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
@@ -371,19 +375,19 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 	fJ := float64(J)
 
 	playing := b.playing[base : base+J]
-	waiting := b.waiting[base : base+J]
-	owners := b.owners[base : base+J]
-	cloudCap := b.cloudCap[base : base+J]
-	peerCap := b.peerCap[base : base+J]
-	inWait := b.inWait[base : base+J]
-	inPlay := b.inPlay[base : base+J]
+	waiting := b.waiting[base : base+J][:len(playing)]
+	owners := b.owners[base : base+J][:len(playing)]
+	cloudCap := b.cloudCap[base : base+J][:len(playing)]
+	peerCap := b.peerCap[base : base+J][:len(playing)]
+	inWait := b.inWait[base : base+J][:len(playing)]
+	inPlay := b.inPlay[base : base+J][:len(playing)]
 	feed := b.feeds[c]
 
 	// Viewer stock and cached-copy sum, fused into one pass. Each
 	// accumulator keeps its own index-ordered sequence; the copy sum is
 	// simply discarded for an empty channel.
 	var stock, copies float64
-	for j := 0; j < J; j++ {
+	for j := range playing {
 		stock += playing[j] + waiting[j]
 		copies += owners[j]
 	}
@@ -413,61 +417,73 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 		inWait[0] = arrivals * entry
 		inPlay[0] = 0
 		rest := arrivals * (1 - entry) / float64(J-1)
-		for j := 1; j < J; j++ {
+		for j := 1; j < len(inWait); j++ {
 			inWait[j] = rest
 			inPlay[j] = 0
 		}
 	}
 
-	// 2+3. Playback completions and VCR jumps, fused: completions flow
-	// along the transfer matrix's live entries (precomputed nonzero
-	// index; the constant row sum replaces per-step accumulation) with
-	// the remainder departing, then the same chunk's jump outflow leaves
-	// from the post-completion stock — exactly the value the separate
-	// jump pass used to read, carried here in a register instead of
-	// re-loaded. Cross-chunk state (inWait scatter, transition rows) is
-	// only ever touched by its own chunk's iteration in both orderings,
-	// so fusion changes no accumulation order.
-	transitions := feed.transitions
+	// 2+3. Playback completions and VCR jumps, fused into one dense pass
+	// per transition row: completions flow along row j of the transfer
+	// matrix (the constant row sum gives the departing remainder), then
+	// the chunk's jump outflow leaves from the post-completion stock and
+	// spreads uniformly over the row. Each cell sees the per-cell
+	// sequence trow[k] + flow + per that the separate completion scatter
+	// and jump pass produced, because the terms they skipped are +0 — a
+	// cell the matrix does not reach gets comp·0, a row with no jump gets
+	// per = 0 — and adding +0 changes no value except −0. The transition
+	// accumulators never hold −0: they start at +0 and receive only
+	// non-negative products. inWait holds −0 only after a −0 arrival
+	// rate, and every read of it adds a waiting count that is +0 or
+	// larger, so the sign of that zero never reaches a result. Cross-
+	// chunk state (inWait, transition rows) is only ever touched by its
+	// own chunk's iteration, so fusion changes no accumulation order.
+	transitions := feed.transitions[:J*J]
+	trans := b.trans[:J*J]
+	rowSum := b.rowSum[:len(playing)]
+	departed := feed.departures[:len(playing)]
 	jumpRate := dt / b.cfg.Workload.JumpMeanSeconds
 	var departures, jumpTotal float64
-	for j := 0; j < J; j++ {
+	for j := range playing {
 		p := playing[j]
 		comp := p * dt / T0
 		if comp > 0 {
-			row := j * J
-			for i := b.nzOff[j]; i < b.nzOff[j+1]; i++ {
-				k := b.nzK[i]
-				flow := comp * b.nzP[i]
-				transitions[row+k] += flow
-				inWait[k] += flow
-			}
-			leave := comp * (1 - b.rowSum[j])
+			leave := comp * (1 - rowSum[j])
 			if leave < 0 {
 				leave = 0
 			}
-			feed.departures[j] += leave
+			departed[j] += leave
 			departures += leave
 			p -= comp
 		}
 		// Uniform jump destination; a cached destination replays
 		// immediately (no download), an uncached one queues.
 		jump := p * jumpRate
+		per := 0.0
 		if jump > 0 {
 			jumpTotal += jump
 			p -= jump
-			per := jump / fJ
-			trow := transitions[j*J : (j+1)*J]
-			for k := 0; k < J; k++ {
-				trow[k] += per
-			}
+			per = jump / fJ
 		}
 		playing[j] = p
+		// A jump without a completion means comp underflowed to +0, so
+		// comp is never negative here and its flows are +0 or positive.
+		if comp > 0 || jump > 0 {
+			row := j * J
+			prow := trans[row : row+J]
+			trow := transitions[row : row+J][:len(prow)]
+			dst := inWait[:len(prow)]
+			for k, pk := range prow {
+				flow := comp * pk
+				trow[k] = trow[k] + flow + per
+				dst[k] += flow
+			}
+		}
 	}
 	if jumpTotal > 0 {
 		perHit := jumpTotal * ownedFrac / fJ
 		perMiss := jumpTotal * (1 - ownedFrac) / fJ
-		for k := 0; k < J; k++ {
+		for k := range inPlay {
 			inPlay[k] += perHit
 			inWait[k] += perMiss
 		}
@@ -480,14 +496,14 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 		if f > 1 {
 			f = 1
 		}
-		for j := 0; j < J; j++ {
+		for j := range owners {
 			owners[j] -= owners[j] * f
 		}
 	}
 
 	// 5. Allocate peer uplink for this step (P2P only): the fluid
 	// counterpart of the event engine's 30-second rebalance, run every
-	// step because it is O(J).
+	// step because it is O(J) when owner counts drift slowly.
 	if b.cfg.Mode == sim.P2P {
 		b.allocatePeers(c)
 	}
@@ -497,7 +513,7 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 	// viewers into the playing cohort and add cached copies.
 	served := b.cloudBytesServed[c]
 	var demandBps, servedBps float64
-	for j := 0; j < J; j++ {
+	for j := range playing {
 		queue := waiting[j] + inWait[j]
 		if queue <= 0 {
 			waiting[j] = 0
@@ -553,73 +569,99 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 }
 
 // allocatePeers splits the channel's aggregate peer uplink across chunks,
-// mirroring the event engine's rebalance: rarest-first visits chunks by
-// ascending copy count; proportional splits by demand. Each chunk draws at
-// most owners×meanUplink (only cached copies can upload) and at most the
-// remaining budget. The viewer stock is re-read here — mid-step, after
-// completions and jumps drained the playing cohorts — because the uplink
-// budget must reflect the viewers actually present while the queues drain.
+// the fluid counterpart of the event engine's rebalance: rarest-first
+// visits chunks by ascending copy count; proportional splits by demand.
+// Each chunk draws at most owners×meanUplink (only cached copies can
+// upload) and at most the remaining budget. The viewer stock is re-read
+// here — mid-step, after completions and jumps drained the playing
+// cohorts — because the uplink budget must reflect the viewers actually
+// present while the queues drain.
 //
 //cloudmedia:hotpath
 func (b *Backend) allocatePeers(c int) {
 	J := b.J
 	base := c * J
 	peerCap := b.peerCap[base : base+J]
-	n := b.channelUsers(c)
+	playing := b.playing[base : base+J][:len(peerCap)]
+	waiting := b.waiting[base : base+J][:len(peerCap)]
+	owners := b.owners[base : base+J][:len(peerCap)]
+	inWait := b.inWait[base : base+J][:len(peerCap)]
+	demand := b.demand[base : base+J][:len(peerCap)]
+	order := b.order[base : base+J]
+	R := b.cfg.Channel.VMBandwidth
+	mu := b.meanUplink
+
+	// The viewer stock (accumulated in index order, as channelUsers does)
+	// and the per-chunk download demand in one pass. demand is scratch
+	// read only below, so filling it for an empty channel is harmless.
+	var n float64
+	for j := range peerCap {
+		n += playing[j] + waiting[j]
+		demand[j] = (waiting[j] + inWait[j]) * R
+	}
 	if n <= 0 {
-		for j := 0; j < J; j++ {
+		for j := range peerCap {
 			peerCap[j] = 0
 		}
 		return
 	}
-	waiting := b.waiting[base : base+J]
-	owners := b.owners[base : base+J]
-	inWait := b.inWait[base : base+J]
-	demand := b.demand[base : base+J]
-	order := b.order[base : base+J]
-	R := b.cfg.Channel.VMBandwidth
-	budget := n * b.meanUplink
-	for j := 0; j < J; j++ {
-		demand[j] = (waiting[j] + inWait[j]) * R
-	}
+	budget := n * mu
 
 	if b.cfg.Scheduling == sim.Proportional {
 		var total float64
-		for j := 0; j < J; j++ {
+		for j := range peerCap {
 			if owners[j] > 0 {
 				total += demand[j]
 			}
 		}
-		for j := 0; j < J; j++ {
+		for j := range peerCap {
 			take := 0.0
 			if owners[j] > 0 && total > 0 {
 				share := budget * demand[j] / total
-				take = min(demand[j], share, owners[j]*b.meanUplink)
+				take = min(demand[j], share, owners[j]*mu)
 			}
 			peerCap[j] = take
 		}
 		return
 	}
 
-	for j := range order {
-		order[j] = j
-	}
-	// Allocation-free stable insertion sort: this runs every integration
-	// step, so it must stay off the garbage collector (mirrors
-	// sim.sortByOwners).
-	for i := 1; i < J; i++ {
+	// Rarest first. The channel's order is kept across steps and
+	// re-sorted in place by insertion sort under the strict total order
+	// (owners, index). A strict total order has exactly one sorted
+	// permutation, so the result is the one a stable sort of the identity
+	// gives — whatever order it starts from — while copy counts that
+	// drift slowly leave it nearly sorted, making the pass about O(J).
+	// The order is total because owners are finite: they are built from
+	// finite flows, and SetCloudCapacity rejects NaN and +Inf capacities.
+	for i := 1; i < len(order); i++ {
 		v := order[i]
+		ov := owners[v]
 		k := i - 1
-		for k >= 0 && owners[order[k]] > owners[v] {
-			order[k+1] = order[k]
-			k--
+		for ; k >= 0; k-- {
+			u := order[k]
+			if ou := owners[u]; ou < ov || (ou == ov && u < v) {
+				break
+			}
+			order[k+1] = u
 		}
 		order[k+1] = v
 	}
+	// The draw is min(demand, budget, owners×meanUplink) as two compares.
+	// They differ from the built-in min only on NaN operands and when the
+	// later operand is −0 against an earlier +0, and neither occurs here:
+	// all three are finite, budget is positive inside the branch and the
+	// owners' uplink is +0 or positive, so only demand can be −0, and
+	// then both forms return it.
 	for _, j := range order {
 		take := 0.0
 		if owners[j] > 0 && budget > 0 {
-			take = min(demand[j], budget, owners[j]*b.meanUplink)
+			take = demand[j]
+			if budget < take {
+				take = budget
+			}
+			if up := owners[j] * mu; up < take {
+				take = up
+			}
 		}
 		peerCap[j] = take
 		budget -= take
@@ -667,8 +709,8 @@ func (b *Backend) SetCloudCapacity(channel, chunk int, bytesPerSecond float64) e
 	if chunk < 0 || chunk >= b.J {
 		return fmt.Errorf("fluid: chunk %d outside [0,%d)", chunk, b.J)
 	}
-	if bytesPerSecond < 0 {
-		return fmt.Errorf("fluid: negative capacity %v", bytesPerSecond)
+	if !(bytesPerSecond >= 0) || math.IsInf(bytesPerSecond, 1) {
+		return fmt.Errorf("fluid: capacity %v is not a finite non-negative rate", bytesPerSecond)
 	}
 	b.cloudCap[channel*b.J+chunk] = bytesPerSecond
 	b.capDirty[channel] = true

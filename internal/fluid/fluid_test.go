@@ -113,6 +113,43 @@ func TestP2PCloudAttributionBounded(t *testing.T) {
 	}
 }
 
+// TestSetCloudCapacityRejectsNonFinite: a capacity must be a finite
+// non-negative rate. NaN and ±Inf are rejected like negative values (a NaN
+// would also break the total order the rarest-first sort relies on), and
+// a rejected write leaves the provisioned capacity as it was.
+func TestSetCloudCapacityRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		v  float64
+		ok bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-1, false},
+		{0, true},
+		{250e3, true},
+	} {
+		b, err := New(smallConfig(t, sim.P2P))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetCloudCapacity(0, 0, 1e3); err != nil {
+			t.Fatal(err)
+		}
+		err = b.SetCloudCapacity(0, 0, tc.v)
+		if (err == nil) != tc.ok {
+			t.Errorf("SetCloudCapacity(%v): err = %v, want ok %v", tc.v, err, tc.ok)
+		}
+		want := 1e3
+		if tc.ok {
+			want = tc.v
+		}
+		if got, err := b.CloudCapacity(0); err != nil || got != want {
+			t.Errorf("after SetCloudCapacity(%v): capacity %v (err %v), want %v", tc.v, got, err, want)
+		}
+	}
+}
+
 // TestDeterminism: the fluid model has no randomness — two backends over
 // the same scenario must agree bit for bit.
 func TestDeterminism(t *testing.T) {

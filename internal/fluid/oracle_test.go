@@ -1,0 +1,496 @@
+package fluid
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"cloudmedia/internal/queueing"
+	"cloudmedia/internal/sim"
+	"cloudmedia/internal/testutil"
+)
+
+// oracleKernel is a reference copy of the fluid step kernel in its
+// earlier, straightforward form: completions scatter through a CSR index
+// of the transfer matrix's positive entries, VCR jumps take a second pass
+// over the transition row, the rarest-first order is re-sorted from the
+// identity on every step, and draws use the built-in min. The production
+// kernel must reproduce it bit for bit (TestKernelMatchesOracle).
+type oracleKernel struct {
+	rowSum []float64
+	nzOff  []int
+	nzK    []int
+	nzP    []float64
+}
+
+func newOracleKernel(p queueing.TransferMatrix) *oracleKernel {
+	J := len(p)
+	o := &oracleKernel{rowSum: make([]float64, J), nzOff: make([]int, J+1)}
+	for j := 0; j < J; j++ {
+		o.nzOff[j] = len(o.nzK)
+		for k := 0; k < J; k++ {
+			if v := p[j][k]; v > 0 {
+				o.rowSum[j] += v
+				o.nzK = append(o.nzK, k)
+				o.nzP = append(o.nzP, v)
+			}
+		}
+	}
+	o.nzOff[J] = len(o.nzK)
+	return o
+}
+
+// stepChannel is the reference per-channel Euler step.
+func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
+	cfg := b.cfg.Channel
+	J := b.J
+	base := c * J
+	T0 := cfg.ChunkSeconds
+	B := cfg.ChunkBytes()
+	R := cfg.VMBandwidth
+	fJ := float64(J)
+
+	playing := b.playing[base : base+J]
+	waiting := b.waiting[base : base+J]
+	owners := b.owners[base : base+J]
+	cloudCap := b.cloudCap[base : base+J]
+	peerCap := b.peerCap[base : base+J]
+	inWait := b.inWait[base : base+J]
+	inPlay := b.inPlay[base : base+J]
+	feed := b.feeds[c]
+
+	// Viewer stock and cached-copy sum, fused into one pass. Each
+	// accumulator keeps its own index-ordered sequence; the copy sum is
+	// simply discarded for an empty channel.
+	var stock, copies float64
+	for j := 0; j < J; j++ {
+		stock += playing[j] + waiting[j]
+		copies += owners[j]
+	}
+	// Average fraction of the library a viewer holds: the probability a
+	// VCR jump lands on a cached chunk and replays without a download.
+	ownedFrac := 0.0
+	if stock > 0 {
+		ownedFrac = copies / (stock * fJ)
+		if ownedFrac > 1 {
+			ownedFrac = 1
+		}
+	}
+
+	// 1. External arrivals: chunk 1 with probability α, uniform
+	// otherwise. Seeding stores directly, absorbing the old clear pass
+	// (rates are non-negative, so 0+x and x are the same value).
+	arrivals := lambda * dt
+	feed.arrivals += arrivals
+	if b.cfg.OnArrivals != nil && arrivals > 0 {
+		b.cfg.OnArrivals(c, t, arrivals)
+	}
+	if J == 1 {
+		inWait[0] = arrivals
+		inPlay[0] = 0
+	} else {
+		entry := cfg.EntryFirstChunk
+		inWait[0] = arrivals * entry
+		inPlay[0] = 0
+		rest := arrivals * (1 - entry) / float64(J-1)
+		for j := 1; j < J; j++ {
+			inWait[j] = rest
+			inPlay[j] = 0
+		}
+	}
+
+	// 2+3. Playback completions and VCR jumps, fused: completions flow
+	// along the transfer matrix's live entries (precomputed nonzero
+	// index; the constant row sum replaces per-step accumulation) with
+	// the remainder departing, then the same chunk's jump outflow leaves
+	// from the post-completion stock — exactly the value the separate
+	// jump pass used to read, carried here in a register instead of
+	// re-loaded. Cross-chunk state (inWait scatter, transition rows) is
+	// only ever touched by its own chunk's iteration in both orderings,
+	// so fusion changes no accumulation order.
+	transitions := feed.transitions
+	jumpRate := dt / b.cfg.Workload.JumpMeanSeconds
+	var departures, jumpTotal float64
+	for j := 0; j < J; j++ {
+		p := playing[j]
+		comp := p * dt / T0
+		if comp > 0 {
+			row := j * J
+			for i := o.nzOff[j]; i < o.nzOff[j+1]; i++ {
+				k := o.nzK[i]
+				flow := comp * o.nzP[i]
+				transitions[row+k] += flow
+				inWait[k] += flow
+			}
+			leave := comp * (1 - o.rowSum[j])
+			if leave < 0 {
+				leave = 0
+			}
+			feed.departures[j] += leave
+			departures += leave
+			p -= comp
+		}
+		// Uniform jump destination; a cached destination replays
+		// immediately (no download), an uncached one queues.
+		jump := p * jumpRate
+		if jump > 0 {
+			jumpTotal += jump
+			p -= jump
+			per := jump / fJ
+			trow := transitions[j*J : (j+1)*J]
+			for k := 0; k < J; k++ {
+				trow[k] += per
+			}
+		}
+		playing[j] = p
+	}
+	if jumpTotal > 0 {
+		perHit := jumpTotal * ownedFrac / fJ
+		perMiss := jumpTotal * (1 - ownedFrac) / fJ
+		for k := 0; k < J; k++ {
+			inPlay[k] += perHit
+			inWait[k] += perMiss
+		}
+	}
+
+	// 4. Remove the departing viewers' cached copies (each departing
+	// viewer holds owners[j]/stock of chunk j on average).
+	if departures > 0 && stock > 0 {
+		f := departures / stock
+		if f > 1 {
+			f = 1
+		}
+		for j := 0; j < J; j++ {
+			owners[j] -= owners[j] * f
+		}
+	}
+
+	// 5. Allocate peer uplink for this step (P2P only): the fluid
+	// counterpart of the event engine's 30-second rebalance, run every
+	// step because it is O(J).
+	if b.cfg.Mode == sim.P2P {
+		o.allocatePeers(b, c)
+	}
+
+	// 6. Serve the download queues: each chunk drains at the provisioned
+	// capacity, bounded by a per-download rate of R. Completions move
+	// viewers into the playing cohort and add cached copies.
+	served := b.cloudBytesServed[c]
+	var demandBps, servedBps float64
+	for j := 0; j < J; j++ {
+		queue := waiting[j] + inWait[j]
+		if queue <= 0 {
+			waiting[j] = 0
+			playing[j] += inPlay[j]
+			continue
+		}
+		capJ := cloudCap[j] + peerCap[j]
+		rate := queue * R
+		if rate > capJ {
+			rate = capJ
+		}
+		drained := rate * dt / B
+		if drained > queue {
+			drained = queue
+		}
+		bytes := drained * B
+		peerShare := min(bytes, peerCap[j]*dt)
+		served += bytes - peerShare
+
+		waiting[j] = queue - drained
+		playing[j] += drained + inPlay[j]
+		owners[j] += drained
+
+		// Smoothness pressure: the bandwidth needed to serve this step's
+		// requests plus the backlog within the chunk-playback grace
+		// period, against what the capacity actually delivered.
+		need := (inWait[j]/dt + waiting[j]/T0) * B
+		got := need
+		if capJ < got {
+			got = capJ
+		}
+		demandBps += need
+		servedBps += got
+	}
+	b.cloudBytesServed[c] = served
+
+	// 7. Windowed quality: exponential window matching the event engine's
+	// trailing stall window.
+	instant := 1.0
+	if demandBps > 0 {
+		instant = servedBps / demandBps
+	}
+	w := b.cfg.QualityWindowSeconds
+	if w <= 0 {
+		b.smooth[c] = instant
+	} else {
+		a := dt / w
+		if a > 1 {
+			a = 1
+		}
+		b.smooth[c] += a * (instant - b.smooth[c])
+	}
+}
+
+// allocatePeers is the reference rarest-first / proportional split: a
+// cold stable insertion sort from the identity order every step, and the
+// built-in three-way min.
+func (o *oracleKernel) allocatePeers(b *Backend, c int) {
+	J := b.J
+	base := c * J
+	peerCap := b.peerCap[base : base+J]
+	n := b.channelUsers(c)
+	if n <= 0 {
+		for j := 0; j < J; j++ {
+			peerCap[j] = 0
+		}
+		return
+	}
+	waiting := b.waiting[base : base+J]
+	owners := b.owners[base : base+J]
+	inWait := b.inWait[base : base+J]
+	demand := b.demand[base : base+J]
+	order := b.order[base : base+J]
+	R := b.cfg.Channel.VMBandwidth
+	budget := n * b.meanUplink
+	for j := 0; j < J; j++ {
+		demand[j] = (waiting[j] + inWait[j]) * R
+	}
+
+	if b.cfg.Scheduling == sim.Proportional {
+		var total float64
+		for j := 0; j < J; j++ {
+			if owners[j] > 0 {
+				total += demand[j]
+			}
+		}
+		for j := 0; j < J; j++ {
+			take := 0.0
+			if owners[j] > 0 && total > 0 {
+				share := budget * demand[j] / total
+				take = min(demand[j], share, owners[j]*b.meanUplink)
+			}
+			peerCap[j] = take
+		}
+		return
+	}
+
+	for j := range order {
+		order[j] = j
+	}
+	// Allocation-free stable insertion sort: this runs every integration
+	// step, so it must stay off the garbage collector (mirrors
+	// sim.sortByOwners).
+	for i := 1; i < J; i++ {
+		v := order[i]
+		k := i - 1
+		for k >= 0 && owners[order[k]] > owners[v] {
+			order[k+1] = order[k]
+			k--
+		}
+		order[k+1] = v
+	}
+	for _, j := range order {
+		take := 0.0
+		if owners[j] > 0 && budget > 0 {
+			take = min(demand[j], budget, owners[j]*b.meanUplink)
+		}
+		peerCap[j] = take
+		budget -= take
+	}
+}
+
+// randomTransfer draws a J×J substochastic matrix whose rows mix the
+// shapes the kernel branches on: all-zero rows (every viewer departs),
+// sparse rows, dense rows, and rows summing to exactly 1 up to rounding
+// (no departure remainder, exercising the leave clamp).
+func randomTransfer(rng *rand.Rand, J int) queueing.TransferMatrix {
+	p := queueing.NewTransferMatrix(J)
+	for j := 0; j < J; j++ {
+		shape := rng.IntN(4)
+		if shape == 0 {
+			continue
+		}
+		var sum float64
+		for k := 0; k < J; k++ {
+			if shape == 1 && rng.IntN(3) != 0 {
+				continue
+			}
+			p[j][k] = rng.Float64()
+			sum += p[j][k]
+		}
+		if sum == 0 {
+			continue
+		}
+		scale := 1.0
+		if shape != 3 {
+			scale = 0.05 + 0.9*rng.Float64()
+		}
+		for k := 0; k < J; k++ {
+			p[j][k] *= scale / sum
+		}
+	}
+	return p
+}
+
+// kernelPair is one scenario stepped by the production kernel (fast) and
+// by the oracle (ref) from identical starting states.
+type kernelPair struct {
+	fast, ref *Backend
+	oracle    *oracleKernel
+}
+
+func newKernelPair(t *testing.T, rng *rand.Rand, J int, mode sim.Mode, sched sim.PeerScheduling, zeroCap bool) kernelPair {
+	t.Helper()
+	chCfg := testutil.ChannelConfig(J, 20+80*rng.Float64())
+	chCfg.VMBandwidth = 100e3 + 400e3*rng.Float64()
+	if J == 1 {
+		chCfg.EntryFirstChunk = 1
+	}
+	cfg := Config{Sim: sim.Config{
+		Mode:       mode,
+		Channel:    chCfg,
+		Workload:   testutil.FlatWorkload(3, 1, 60+600*rng.Float64()),
+		Transfer:   randomTransfer(rng, J),
+		Scheduling: sched,
+		Seed:       1,
+	}}
+	fast, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kp := kernelPair{fast: fast, ref: ref, oracle: newOracleKernel(cfg.Sim.Transfer)}
+	if !zeroCap {
+		kp.setCaps(t, rng)
+	}
+	return kp
+}
+
+// setCaps provisions random per-chunk capacities on both backends, a
+// quarter of them zero.
+func (kp kernelPair) setCaps(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	for c := 0; c < kp.fast.C; c++ {
+		for j := 0; j < kp.fast.J; j++ {
+			v := 0.0
+			if rng.IntN(4) != 0 {
+				v = 2e6 * rng.Float64()
+			}
+			if err := kp.fast.SetCloudCapacity(c, j, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := kp.ref.SetCloudCapacity(c, j, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// tieOwners rounds every cached-copy count on both backends to a coarse
+// grid, so later rarest-first sorts see ties between non-zero counts.
+func (kp kernelPair) tieOwners() {
+	for i, v := range kp.fast.owners {
+		v = float64(int(v/4)) * 4
+		kp.fast.owners[i] = v
+		kp.ref.owners[i] = v
+	}
+}
+
+// compare fails on the first state array or accumulator whose bits
+// differ. demand is scratch the oracle leaves stale for an empty channel,
+// so it is not state; order is, since both kernels keep it across steps
+// and must agree on the sorted permutation.
+func (kp kernelPair) compare(t *testing.T, step int) {
+	t.Helper()
+	f, r := kp.fast, kp.ref
+	for _, a := range []struct {
+		name     string
+		got, ref []float64
+	}{
+		{"playing", f.playing, r.playing},
+		{"waiting", f.waiting, r.waiting},
+		{"owners", f.owners, r.owners},
+		{"peerCap", f.peerCap, r.peerCap},
+		{"inWait", f.inWait, r.inWait},
+		{"inPlay", f.inPlay, r.inPlay},
+		{"cloudBytesServed", f.cloudBytesServed, r.cloudBytesServed},
+		{"smooth", f.smooth, r.smooth},
+	} {
+		if !testutil.SameBits(a.got, a.ref) {
+			t.Fatalf("step %d: %s = %v, oracle %v", step, a.name, a.got, a.ref)
+		}
+	}
+	for i, v := range f.order {
+		if r.order[i] != v {
+			t.Fatalf("step %d: order = %v, oracle %v", step, f.order, r.order)
+		}
+	}
+	for c := range f.feeds {
+		ff, rf := f.feeds[c], r.feeds[c]
+		if !testutil.SameBits([]float64{ff.arrivals}, []float64{rf.arrivals}) ||
+			!testutil.SameBits(ff.transitions, rf.transitions) ||
+			!testutil.SameBits(ff.departures, rf.departures) {
+			t.Fatalf("step %d channel %d: feed accumulators differ from the oracle", step, c)
+		}
+	}
+}
+
+// TestKernelMatchesOracle drives the production kernel and the oracle
+// through the same seeded steps and requires every state array and feed
+// accumulator to agree bit for bit after each one. It covers random
+// substochastic matrices (sparse, dense and all-zero rows), chunk counts
+// from 1 to 20, owner ties at zero (the empty start) and later ties,
+// rarest-first, proportional and client-server (no peer step) modes,
+// zero capacity, mid-run capacity changes and feed resets.
+func TestKernelMatchesOracle(t *testing.T) {
+	const steps = 240
+	modes := []struct {
+		name  string
+		mode  sim.Mode
+		sched sim.PeerScheduling
+	}{
+		{"rarest", sim.P2P, sim.RarestFirst},
+		{"proportional", sim.P2P, sim.Proportional},
+		{"client-server", sim.ClientServer, sim.RarestFirst},
+	}
+	for _, J := range []int{1, 2, 3, 8, 20} {
+		for _, m := range modes {
+			for _, zeroCap := range []bool{false, true} {
+				name := fmt.Sprintf("J=%d/%s/zeroCap=%v", J, m.name, zeroCap)
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewPCG(uint64(J), uint64(len(name))))
+					kp := newKernelPair(t, rng, J, m.mode, m.sched, zeroCap)
+					now := 0.0
+					for s := 0; s < steps; s++ {
+						dt := 0.25 + 0.75*rng.Float64()
+						for c := 0; c < kp.fast.C; c++ {
+							lambda := 0.0
+							if rng.IntN(5) != 0 {
+								lambda = 5 * rng.Float64()
+							}
+							kp.fast.stepChannel(c, now, dt, lambda)
+							kp.oracle.stepChannel(kp.ref, c, now, dt, lambda)
+						}
+						now += dt
+						kp.compare(t, s)
+						switch {
+						case s%60 == 59:
+							for c := range kp.fast.feeds {
+								kp.fast.feeds[c].Reset()
+								kp.ref.feeds[c].Reset()
+							}
+						case s%50 == 49 && !zeroCap:
+							kp.setCaps(t, rng)
+						case s%40 == 39:
+							kp.tieOwners()
+						}
+					}
+				})
+			}
+		}
+	}
+}

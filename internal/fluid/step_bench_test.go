@@ -1,0 +1,160 @@
+package fluid
+
+import (
+	"testing"
+
+	"cloudmedia/internal/cloud"
+	"cloudmedia/internal/queueing"
+	"cloudmedia/internal/sim"
+	"cloudmedia/internal/viewing"
+	"cloudmedia/internal/workload"
+)
+
+// peakChannels and peakHour place BenchmarkFluidStep at the 100M-viewer
+// day's evening peak: 48 channels of 8×75 s chunks under the default
+// diurnal workload, whose largest flash crowd peaks at hour 20.
+const (
+	peakChannels = 48
+	peakHour     = 20
+)
+
+// hundredMConfig is the engine-facing half of the 100M-viewer fluid day
+// (stack.DefaultSpec with the 34M viewer scale and 48 channels): the
+// paper's 8-chunk channel, rarest-first peer allocation, serial stepping.
+// The base rate is stack.BaseRateForViewers(34e6), 0.6 users/s per 250
+// viewers.
+func hundredMConfig(tb testing.TB) Config {
+	tb.Helper()
+	wl := workload.Default()
+	wl.Channels = peakChannels
+	wl.ZipfExponent = 0.8
+	wl.BaseArrivalRate = 0.6 * 34e6 / 250
+	wl.JumpMeanSeconds = 225
+	transfer, err := viewing.PaperDefault(8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Config{Sim: sim.Config{
+		Mode: sim.P2P,
+		Channel: queueing.Config{
+			Chunks:          8,
+			PlaybackRate:    50e3,
+			ChunkSeconds:    75,
+			VMBandwidth:     cloud.DefaultVMBandwidth,
+			EntryFirstChunk: 0.7,
+			SlotsPerVM:      5,
+		},
+		Workload: wl,
+		Transfer: transfer,
+		Workers:  1,
+	}}
+}
+
+// provisionHalfFlow sets every chunk's cloud capacity to half the byte
+// flow its Jackson traffic rate needs at time t, leaving the rest to the
+// peers — a stand-in for the controller's hourly plan.
+func provisionHalfFlow(tb testing.TB, b *Backend, t float64) {
+	tb.Helper()
+	cfg := b.cfg
+	J := b.J
+	ext := make([]float64, J)
+	for c := 0; c < b.C; c++ {
+		rate, err := b.src.Rate(c, t)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ext[0] = rate * cfg.Channel.EntryFirstChunk
+		for j := 1; j < J; j++ {
+			ext[j] = rate * (1 - cfg.Channel.EntryFirstChunk) / float64(J-1)
+		}
+		traffic, err := queueing.SolveTraffic(cfg.Transfer, ext)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for j, l := range traffic {
+			if err := b.SetCloudCapacity(c, j, 0.5*l*cfg.Channel.ChunkBytes()); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// kernelState is the part of a Backend one batch of steps mutates.
+type kernelState struct {
+	playing, waiting, owners, peerCap []float64
+	cloudBytes, smooth                []float64
+	arrivals                          []float64
+	transitions, departures           [][]float64
+	order                             []int
+}
+
+func saveKernelState(b *Backend) *kernelState {
+	s := &kernelState{
+		playing:    append([]float64(nil), b.playing...),
+		waiting:    append([]float64(nil), b.waiting...),
+		owners:     append([]float64(nil), b.owners...),
+		peerCap:    append([]float64(nil), b.peerCap...),
+		cloudBytes: append([]float64(nil), b.cloudBytesServed...),
+		smooth:     append([]float64(nil), b.smooth...),
+		order:      append([]int(nil), b.order...),
+	}
+	for _, f := range b.feeds {
+		s.arrivals = append(s.arrivals, f.arrivals)
+		s.transitions = append(s.transitions, append([]float64(nil), f.transitions...))
+		s.departures = append(s.departures, append([]float64(nil), f.departures...))
+	}
+	return s
+}
+
+func (s *kernelState) restore(b *Backend) {
+	copy(b.playing, s.playing)
+	copy(b.waiting, s.waiting)
+	copy(b.owners, s.owners)
+	copy(b.peerCap, s.peerCap)
+	copy(b.cloudBytesServed, s.cloudBytes)
+	copy(b.smooth, s.smooth)
+	copy(b.order, s.order)
+	for c, f := range b.feeds {
+		f.arrivals = s.arrivals[c]
+		copy(f.transitions, s.transitions[c])
+		copy(f.departures, s.departures[c])
+	}
+}
+
+// BenchmarkFluidStep is the fluid kernel alone: one batch of batchSteps
+// (256) one-second Euler steps of every channel of the 100M-viewer day,
+// starting from its evening-peak state, with the batch's arrival rates
+// resolved beforehand so the demand plane is not timed. The state comes
+// from integrating the last two hours before the peak with capacity
+// re-provisioned hourly, and is restored before every batch so each
+// iteration does the same work. ns/chunk-step divides the time by
+// steps × channels × chunks, the unit daybench's fluid.ns_per_chunk_step
+// reports.
+func BenchmarkFluidStep(b *testing.B) {
+	be, err := New(hundredMConfig(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	be.now = (peakHour - 2) * 3600
+	for h := peakHour - 2; h < peakHour; h++ {
+		provisionHalfFlow(b, be, float64(h)*3600)
+		be.RunUntil(float64(h+1) * 3600)
+	}
+	for s := 0; s < batchSteps; s++ {
+		be.times[s] = be.now + float64(s)
+		be.dts[s] = 1
+	}
+	be.fillRates(batchSteps)
+	peak := saveKernelState(be)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		peak.restore(be)
+		b.StartTimer()
+		be.runBatch(batchSteps)
+	}
+	chunkSteps := float64(b.N) * batchSteps * float64(be.C*be.J)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/chunkSteps, "ns/chunk-step")
+}

@@ -594,8 +594,8 @@ func (s *Simulator) SetCloudCapacity(channel, chunk int, bytesPerSecond float64)
 	if chunk < 0 || chunk >= s.cfg.Channel.Chunks {
 		return fmt.Errorf("sim: chunk %d outside [0,%d)", chunk, s.cfg.Channel.Chunks)
 	}
-	if bytesPerSecond < 0 {
-		return fmt.Errorf("sim: negative capacity %v", bytesPerSecond)
+	if !(bytesPerSecond >= 0) || math.IsInf(bytesPerSecond, 1) {
+		return fmt.Errorf("sim: capacity %v is not a finite non-negative rate", bytesPerSecond)
 	}
 	s.channels[channel].pools[chunk].setCapacity(bytesPerSecond, -1)
 	s.channels[channel].cloudCapDirty = true

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"cloudmedia/internal/mathx"
@@ -253,6 +254,42 @@ func TestSeedChangesRun(t *testing.T) {
 	s2.RunUntil(600)
 	if s1.CloudBytesServed() == s2.CloudBytesServed() && s1.TotalUsers() == s2.TotalUsers() {
 		t.Error("different seeds produced identical runs (suspicious)")
+	}
+}
+
+// TestSetCloudCapacityRejectsNonFinite: a capacity must be a finite
+// non-negative rate. NaN and ±Inf are rejected like negative values, and a
+// rejected write leaves the provisioned capacity as it was.
+func TestSetCloudCapacityRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		v  float64
+		ok bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-1, false},
+		{0, true},
+		{250e3, true},
+	} {
+		s, err := New(smallConfig(t, ClientServer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetCloudCapacity(0, 0, 1e3); err != nil {
+			t.Fatal(err)
+		}
+		err = s.SetCloudCapacity(0, 0, tc.v)
+		if (err == nil) != tc.ok {
+			t.Errorf("SetCloudCapacity(%v): err = %v, want ok %v", tc.v, err, tc.ok)
+		}
+		want := 1e3
+		if tc.ok {
+			want = tc.v
+		}
+		if got, err := s.CloudCapacity(0); err != nil || got != want {
+			t.Errorf("after SetCloudCapacity(%v): capacity %v (err %v), want %v", tc.v, got, err, want)
+		}
 	}
 }
 
