@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -110,4 +111,48 @@ func TestRequestLogIsCopy(t *testing.T) {
 	if b.RequestLog()[0].Time != 1 {
 		t.Error("RequestLog exposes internal storage")
 	}
+}
+
+// brokerDayHours is one day of hourly provisioning rounds, both ends
+// included, as in the 100M-viewer fluid day.
+const brokerDayHours = 25
+
+// BenchmarkBrokerApply replays the cloud side of the 100M-viewer fluid
+// day: two 4.2M-VM clusters and 25 hourly Broker.Submit targets on a
+// diurnal curve (5% of capacity at 09:00, 95% at 21:00), each followed by
+// TotalActiveVMs and Advance, as the controller issues them. Each
+// iteration is one day on a fresh cloud.
+func BenchmarkBrokerApply(b *testing.B) {
+	const maxVMs = 4_200_000
+	specs := []VMClusterSpec{
+		{Name: "mega-a", Utility: 1.0, PricePerHour: 0.64, MaxVMs: maxVMs},
+		{Name: "mega-b", Utility: 0.9, PricePerHour: 0.60, MaxVMs: maxVMs},
+	}
+	reqs := make([]Request, brokerDayHours)
+	for h := range reqs {
+		f := 0.5 - 0.45*math.Cos(2*math.Pi*float64(h-9)/24)
+		reqs[h] = Request{Time: float64(h) * 3600, VMTargets: map[string]int{
+			"mega-a": int(f * maxVMs),
+			"mega-b": int(0.8 * f * maxVMs),
+		}}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c, err := New(specs, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		br, err := NewBroker(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, req := range reqs {
+			if err := br.Submit(req); err != nil {
+				b.Fatal(err)
+			}
+			c.TotalActiveVMs(req.Time)
+			c.Advance(req.Time)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*brokerDayHours), "ns/submit")
 }

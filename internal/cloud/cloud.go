@@ -1,9 +1,11 @@
 package cloud
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 )
 
@@ -42,8 +44,44 @@ func WithPricing(plan PricingPlan) Option {
 type vmClusterState struct {
 	spec      VMClusterSpec
 	allocated int // VMs currently rented (billed), including those booting
-	// boots holds the ready times of VMs still booting, kept sorted.
-	boots []float64
+	// boots holds the VMs still booting as batches, one per distinct ready
+	// time, strictly ascending by ready time. A batch's VMs count toward
+	// allocated; activeAt retires batches whose ready time has passed.
+	boots []bootBatch
+}
+
+// bootBatch is n VMs that finish booting at the same ready time.
+type bootBatch struct {
+	ready float64
+	n     int
+}
+
+// addBoots starts n VMs that become ready at time ready, merging them into
+// the batch with the same ready time or inserting a new batch in order
+// (at the tail, when time only moves forward).
+func (s *vmClusterState) addBoots(ready float64, n int) {
+	i, found := slices.BinarySearchFunc(s.boots, ready, func(b bootBatch, r float64) int {
+		return cmp.Compare(b.ready, r)
+	})
+	if found {
+		s.boots[i].n += n
+		return
+	}
+	s.boots = slices.Insert(s.boots, i, bootBatch{ready: ready, n: n})
+}
+
+// dropBoots releases up to n booting VMs, latest ready time first: they
+// are the furthest from serving.
+func (s *vmClusterState) dropBoots(n int) {
+	for n > 0 && len(s.boots) > 0 {
+		last := &s.boots[len(s.boots)-1]
+		take := min(last.n, n)
+		last.n -= take
+		n -= take
+		if last.n == 0 {
+			s.boots = s.boots[:len(s.boots)-1]
+		}
+	}
 }
 
 // nfsClusterState tracks one NFS cluster at runtime.
@@ -53,8 +91,10 @@ type nfsClusterState struct {
 }
 
 // Cloud is the simulated IaaS infrastructure. All methods are safe for
-// concurrent use; simulated time flows through the `now` parameters, which
-// must be non-decreasing across calls (enforced for billing).
+// concurrent use. Simulated time flows through the `now` parameters, which
+// callers keep non-decreasing. Mutators reject a non-finite now; an
+// earlier now than the last billed one is accepted but bills no time, and
+// boot ready times stay ordered whatever order they arrive in.
 type Cloud struct {
 	mu sync.Mutex
 
@@ -73,6 +113,19 @@ type Cloud struct {
 	lastBilled  float64
 	vmCost      float64
 	storageCost float64
+
+	// vmUse and nfsUse are accrueLocked's scratch, sized once in New so
+	// that billing does not allocate. Guarded by mu.
+	vmUse  []vmUsage
+	nfsUse []storageUsage
+}
+
+// checkTime rejects a NaN or infinite simulated time.
+func checkTime(now float64) error {
+	if math.IsNaN(now) || math.IsInf(now, 0) {
+		return fmt.Errorf("cloud: non-finite time %v", now)
+	}
+	return nil
 }
 
 // New builds a Cloud with the given cluster catalogs. Cluster names must be
@@ -108,14 +161,18 @@ func New(vmSpecs []VMClusterSpec, nfsSpecs []NFSClusterSpec, opts ...Option) (*C
 		c.nfs[s.Name] = &nfsClusterState{spec: s}
 		c.nfsOr = append(c.nfsOr, s.Name)
 	}
+	c.vmUse = make([]vmUsage, 0, len(c.vmOrder))
+	c.nfsUse = make([]storageUsage, 0, len(c.nfsOr))
 	for _, o := range opts {
 		o(c)
 	}
-	if c.vmBandwidth <= 0 {
-		return nil, fmt.Errorf("cloud: non-positive VM bandwidth %v", c.vmBandwidth)
+	if !(c.vmBandwidth > 0) || math.IsInf(c.vmBandwidth, 1) {
+		return nil, fmt.Errorf("cloud: VM bandwidth %v not positive and finite", c.vmBandwidth)
 	}
-	if c.bootSeconds < 0 || c.shutdownSeconds < 0 {
-		return nil, fmt.Errorf("cloud: negative lifecycle latency")
+	for _, l := range []float64{c.bootSeconds, c.shutdownSeconds} {
+		if !(l >= 0) || math.IsInf(l, 1) {
+			return nil, fmt.Errorf("cloud: lifecycle latency %v not non-negative and finite", l)
+		}
 	}
 	if err := c.pricing.Validate(); err != nil {
 		return nil, err
@@ -164,6 +221,9 @@ func (c *Cloud) SetVMs(now float64, name string, target int) error {
 	if target < 0 {
 		return fmt.Errorf("cloud: negative VM target %d", target)
 	}
+	if err := checkTime(now); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.vms[name]
@@ -176,18 +236,11 @@ func (c *Cloud) SetVMs(now float64, name string, target int) error {
 	c.accrueLocked(now)
 	switch {
 	case target > st.allocated:
-		ready := now + c.bootSeconds
-		for i := st.allocated; i < target; i++ {
-			st.boots = append(st.boots, ready)
-		}
+		st.addBoots(now+c.bootSeconds, target-st.allocated)
 	case target < st.allocated:
 		// Release booting VMs first (they contribute no capacity yet), then
-		// running ones. boots is sorted ascending; drop the latest first.
-		drop := st.allocated - target
-		for drop > 0 && len(st.boots) > 0 {
-			st.boots = st.boots[:len(st.boots)-1]
-			drop--
-		}
+		// running ones.
+		st.dropBoots(st.allocated - target)
 	}
 	st.allocated = target
 	return nil
@@ -234,17 +287,16 @@ func (c *Cloud) ActiveBandwidth(now float64) float64 {
 	return float64(c.TotalActiveVMs(now)) * c.vmBandwidth
 }
 
+// activeAt counts the VMs serving at time now: every allocated VM except
+// those in batches whose ready time is still after now. Batches that have
+// finished booting are retired.
 func (s *vmClusterState) activeAt(now float64) int {
-	sort.Float64s(s.boots)
-	booting := 0
-	for i := len(s.boots) - 1; i >= 0 && s.boots[i] > now; i-- {
-		booting++
+	booting, i := 0, len(s.boots)
+	for i > 0 && s.boots[i-1].ready > now {
+		i--
+		booting += s.boots[i].n
 	}
-	// Retire completed boot records so the slice stays small.
-	done := len(s.boots) - booting
-	if done > 0 {
-		s.boots = append(s.boots[:0], s.boots[done:]...)
-	}
+	s.boots = slices.Delete(s.boots, 0, i)
 	return s.allocated - booting
 }
 
@@ -256,6 +308,9 @@ func (c *Cloud) FailVMs(now float64, name string, count int) (int, error) {
 	if count < 0 {
 		return 0, fmt.Errorf("cloud: negative failure count %d", count)
 	}
+	if err := checkTime(now); err != nil {
+		return 0, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.vms[name]
@@ -263,16 +318,9 @@ func (c *Cloud) FailVMs(now float64, name string, count int) (int, error) {
 		return 0, fmt.Errorf("%w: VM cluster %q", ErrUnknownCluster, name)
 	}
 	c.accrueLocked(now)
-	failed := count
-	if failed > st.allocated {
-		failed = st.allocated
-	}
+	failed := min(count, st.allocated)
 	// Kill booting instances first (cheapest interpretation), then running.
-	drop := failed
-	for drop > 0 && len(st.boots) > 0 {
-		st.boots = st.boots[:len(st.boots)-1]
-		drop--
-	}
+	st.dropBoots(failed)
 	st.allocated -= failed
 	return failed, nil
 }
@@ -289,6 +337,9 @@ func (c *Cloud) FailVMs(now float64, name string, count int) (int, error) {
 func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction float64, err error) {
 	if fraction < 0 || fraction > 1 {
 		return 0, 0, fmt.Errorf("cloud: preemption fraction %v outside [0,1]", fraction)
+	}
+	if err := checkTime(now); err != nil {
+		return 0, 0, err
 	}
 	c.mu.Lock()
 	if c.pricing.SpotFraction <= 0 {
@@ -314,11 +365,7 @@ func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction flo
 		}
 		// Kill booting instances first (they contribute no capacity yet),
 		// then running ones — the FailVMs convention.
-		drop := kill
-		for drop > 0 && len(st.boots) > 0 {
-			st.boots = st.boots[:len(st.boots)-1]
-			drop--
-		}
+		st.dropBoots(kill)
 		st.allocated -= kill
 		killed += kill
 	}
@@ -337,6 +384,9 @@ func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction flo
 func (c *Cloud) SetStorage(now float64, name string, gb float64) error {
 	if gb < 0 {
 		return fmt.Errorf("cloud: negative storage %v GB", gb)
+	}
+	if err := checkTime(now); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -371,10 +421,11 @@ func (c *Cloud) Advance(now float64) {
 	c.accrueLocked(now)
 }
 
-// accrueLocked integrates rental costs from lastBilled to now.
+// accrueLocked integrates rental costs from lastBilled to now. A
+// non-finite now bills no time, so it cannot poison the costs.
 // Caller holds c.mu.
 func (c *Cloud) accrueLocked(now float64) {
-	if now <= c.lastBilled {
+	if !(now > c.lastBilled) || math.IsInf(now, 1) {
 		return
 	}
 	hours := (now - c.lastBilled) / 3600
@@ -390,12 +441,12 @@ func (c *Cloud) accrueLocked(now float64) {
 		c.storageCost += st.storedGB * st.spec.PricePerGBHour * hours
 	}
 	if c.ledger != nil {
-		vms := make([]vmUsage, 0, len(c.vmOrder))
+		vms := c.vmUse[:0]
 		for _, name := range c.vmOrder {
 			st := c.vms[name]
 			vms = append(vms, vmUsage{name: name, price: st.spec.PricePerHour, allocated: st.allocated})
 		}
-		nfs := make([]storageUsage, 0, len(c.nfsOr))
+		nfs := c.nfsUse[:0]
 		for _, name := range c.nfsOr {
 			st := c.nfs[name]
 			nfs = append(nfs, storageUsage{price: st.spec.PricePerGBHour, gb: st.storedGB})

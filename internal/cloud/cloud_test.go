@@ -2,6 +2,9 @@ package cloud
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"cloudmedia/internal/mathx"
@@ -309,5 +312,181 @@ func TestFailVMsKillsBootingFirst(t *testing.T) {
 	}
 	if got, _ := c.ActiveVMs(130, "standard"); got != 7 {
 		t.Errorf("active at 130 = %d, want 7", got)
+	}
+}
+
+// TestNonFiniteOptionsRejected: New refuses NaN and infinite lifecycle
+// latencies and VM bandwidths, alongside the negative ones it always
+// refused.
+func TestNonFiniteOptionsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		ok   bool
+	}{
+		{"boot NaN", WithBootLatency(nan), false},
+		{"boot +Inf", WithBootLatency(inf), false},
+		{"boot -Inf", WithBootLatency(-inf), false},
+		{"boot -1", WithBootLatency(-1), false},
+		{"boot 0", WithBootLatency(0), true},
+		{"boot 60", WithBootLatency(60), true},
+		{"shutdown NaN", WithShutdownLatency(nan), false},
+		{"shutdown +Inf", WithShutdownLatency(inf), false},
+		{"shutdown -Inf", WithShutdownLatency(-inf), false},
+		{"shutdown -1", WithShutdownLatency(-1), false},
+		{"shutdown 0", WithShutdownLatency(0), true},
+		{"bandwidth NaN", WithVMBandwidth(nan), false},
+		{"bandwidth +Inf", WithVMBandwidth(inf), false},
+		{"bandwidth -Inf", WithVMBandwidth(-inf), false},
+		{"bandwidth -1", WithVMBandwidth(-1), false},
+		{"bandwidth 0", WithVMBandwidth(0), false},
+		{"bandwidth 2e6", WithVMBandwidth(2e6), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(DefaultVMClusters(), nil, tc.opt)
+			if (err == nil) != tc.ok {
+				t.Errorf("New err = %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
+}
+
+// TestNonFiniteTimeRejected: every mutator refuses a NaN or infinite now
+// and leaves the cloud as it was, and Advance at such a time bills
+// nothing, so the bill stays finite and the next real hour bills exactly
+// one hour.
+func TestNonFiniteTimeRejected(t *testing.T) {
+	for _, now := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(now), func(t *testing.T) {
+			c := newTestCloud(t, WithPricing(SpotPricing()))
+			if err := c.SetVMs(0, "standard", 10); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetStorage(0, "standard", 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetVMs(now, "standard", 20); err == nil {
+				t.Error("SetVMs accepted the time")
+			}
+			if _, err := c.FailVMs(now, "standard", 1); err == nil {
+				t.Error("FailVMs accepted the time")
+			}
+			if _, _, err := c.PreemptSpot(now, 1); err == nil {
+				t.Error("PreemptSpot accepted the time")
+			}
+			if err := c.SetStorage(now, "standard", 1); err == nil {
+				t.Error("SetStorage accepted the time")
+			}
+			c.Advance(now)
+			if got, _ := c.AllocatedVMs("standard"); got != 10 {
+				t.Errorf("allocated = %d, want 10", got)
+			}
+			if got, _ := c.StoredGB("standard"); got != 5 {
+				t.Errorf("stored = %v GB, want 5", got)
+			}
+			if vm, storage := c.Costs(); vm != 0 || storage != 0 {
+				t.Errorf("costs = (%v, %v) before any time passed, want 0", vm, storage)
+			}
+			c.Advance(3600)
+			vm, storage := c.Costs()
+			if !mathx.ApproxEqual(vm, 10*0.45, 1e-12) || !mathx.ApproxEqual(storage, 5*1.11e-4, 1e-12) {
+				t.Errorf("one hour billed (%v, %v), want (%v, %v)", vm, storage, 10*0.45, 5*1.11e-4)
+			}
+			if total := c.Ledger().Totals().TotalUSD(); math.IsNaN(total) || math.IsInf(total, 0) {
+				t.Errorf("ledger total %v", total)
+			}
+		})
+	}
+}
+
+// TestBootBatchesStayOrdered: scale-ups that arrive out of time order
+// still leave one batch per distinct ready time in ascending order (a new
+// ready time is inserted in place, a repeated one merges), releases take
+// the latest ready time first, and a query at a ready time counts that
+// batch as serving.
+func TestBootBatchesStayOrdered(t *testing.T) {
+	c := newTestCloud(t) // 25 s boot latency
+	for _, step := range []struct {
+		now    float64
+		target int
+	}{
+		{100, 4}, // ready 125
+		{50, 6},  // ready 75, before it
+		{100, 9}, // ready 125, merges with the last batch
+		{75, 10}, // ready 100, between the two
+		{50, 12}, // ready 75, merges with the first batch
+	} {
+		if err := c.SetVMs(step.now, "standard", step.target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.vms["standard"]
+	if want := []bootBatch{{75, 4}, {100, 1}, {125, 7}}; !slices.Equal(st.boots, want) {
+		t.Fatalf("boots = %v, want %v", st.boots, want)
+	}
+	if err := c.SetVMs(110, "standard", 6); err != nil { // release 6 of the 125 batch
+		t.Fatal(err)
+	}
+	if want := []bootBatch{{75, 4}, {100, 1}, {125, 1}}; !slices.Equal(st.boots, want) {
+		t.Fatalf("after release boots = %v, want %v", st.boots, want)
+	}
+	if got, _ := c.ActiveVMs(100, "standard"); got != 5 {
+		t.Errorf("active at 100 = %d, want 5 (the 75 and 100 batches)", got)
+	}
+	if want := []bootBatch{{125, 1}}; !slices.Equal(st.boots, want) {
+		t.Errorf("after query boots = %v, want the finished batches retired: %v", st.boots, want)
+	}
+}
+
+// TestBootLedgerIndependentOfVMCount drives a 4.2M-VM cluster through the
+// 100M-viewer day's shape, 25 hourly targets from 0 up to 4.2M and back.
+// The boot ledger must follow the number of distinct ready times, not the
+// number of VMs: a scale-up allocates at most once (one batch), and the
+// ledger never holds more batches than ready times still pending. The
+// 2.5 h boot latency keeps up to three hourly batches booting at once.
+func TestBootLedgerIndependentOfVMCount(t *testing.T) {
+	const maxVMs = 4_200_000
+	c, err := New([]VMClusterSpec{{Name: "mega", Utility: 1, PricePerHour: 0.64, MaxVMs: maxVMs}}, nil,
+		WithBootLatency(2.5*3600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.vms["mega"]
+	var pending []float64 // ready times issued and not yet passed
+	prev := 0
+	for h := 0; h <= 24; h++ {
+		now := float64(h) * 3600
+		target := int(math.Round(maxVMs * math.Sin(math.Pi*float64(h)/24)))
+		// AllocsPerRun calls f once to warm up before measuring; skip that
+		// call so the target is applied exactly once, inside the
+		// measurement.
+		warm := true
+		var setErr error
+		allocs := testing.AllocsPerRun(1, func() {
+			if warm {
+				warm = false
+				return
+			}
+			setErr = c.SetVMs(now, "mega", target)
+		})
+		if setErr != nil {
+			t.Fatalf("hour %d: SetVMs(%d): %v", h, target, setErr)
+		}
+		if target > prev {
+			pending = append(pending, now+c.BootLatency())
+			if allocs > 1 {
+				t.Errorf("hour %d: scale-up %d → %d made %v allocations, want ≤ 1", h, prev, target, allocs)
+			}
+		}
+		if len(st.boots) > len(pending) {
+			t.Fatalf("hour %d: %d boot records for %d pending ready times", h, len(st.boots), len(pending))
+		}
+		c.TotalActiveVMs(now)
+		pending = slices.DeleteFunc(pending, func(r float64) bool { return r <= now })
+		prev = target
+	}
+	if prev != 0 || c.TotalActiveVMs(24*3600) != 0 {
+		t.Errorf("day ends with %d VMs targeted, %d active; want 0", prev, c.TotalActiveVMs(24*3600))
 	}
 }
