@@ -313,7 +313,7 @@ func BenchmarkDeriveDemand(b *testing.B) {
 	b.ReportAllocs()
 	var demand float64
 	for i := 0; i < b.N; i++ {
-		d, err := core.DeriveDemand(cfg, in, true, 0)
+		d, err := core.DeriveDemand(cfg, in, true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,10 +10,12 @@ import (
 	"cloudmedia/internal/sim"
 )
 
-// Options configures the provisioning controller.
+// Options configures the provisioning controller. The stack builder
+// resolves every zero-means-default value before it gets here, and
+// NewController rejects one that arrives unresolved.
 type Options struct {
-	// IntervalSeconds is T, the provisioning period. Defaults to 3600 (the
-	// hourly rental granularity of Sec. V-B).
+	// IntervalSeconds is T, the provisioning period (Sec. V-B rents
+	// hourly).
 	IntervalSeconds float64
 	// VMBudgetPerHour is B_M. The paper uses $100/hour.
 	VMBudgetPerHour float64
@@ -22,36 +24,17 @@ type Options struct {
 	// FallbackTransfer seeds transfer-matrix rows that saw no traffic in an
 	// interval. Usually the analytic prior (viewing.PaperDefault).
 	FallbackTransfer queueing.TransferMatrix
-	// MaxServersPerChunk bounds the queueing search; ≤0 uses the default.
-	MaxServersPerChunk int
-	// ApplyBootLatency delays capacity increases by the cloud's VM boot
-	// latency, modelling that freshly requested VMs serve only once booted.
-	ApplyBootLatency bool
-	// PeerSupplyTrust discounts the analytic peer contribution before
-	// computing the cloud residual: Δ = capacity − trust·Γ. The analysis
-	// assumes equilibrium chunk ownership; trusting it fully leaves no
-	// margin when the live overlay lags the model (channel churn, cold
-	// chunks). 0 means 1 (full trust).
-	PeerSupplyTrust float64
-	// ProvisionHeadroom multiplies every chunk's cloud demand before
-	// planning, the over-provisioning slack visible in the paper's Fig. 4
-	// (reserved ≈ 1.5–2× used). 0 means 1 (no headroom).
-	ProvisionHeadroom float64
 	// Predictor forecasts next-interval arrival rates from the observed
-	// history. nil uses LastInterval, the paper's rule.
+	// history; the paper's rule is LastInterval.
 	Predictor Predictor
-	// Policy turns predicted demand into rental plans each interval. nil
-	// uses provision.Greedy, the paper's heuristic with infeasibility
-	// scaling.
+	// Policy turns predicted demand into rental plans each interval; the
+	// paper's heuristic with infeasibility scaling is provision.Greedy.
 	Policy provision.Policy
 	// TrueRates, when non-nil, exposes the workload trace's true mean
 	// arrival rate for a channel over [start, end) — the realized-arrival
 	// source oracle policies (Policy.Oracle() == true) plan on. Policies
 	// that do not ask for it never see it.
 	TrueRates func(channel int, start, end float64) float64
-	// HistoryLimit bounds the per-channel rate history kept for the
-	// predictor; 0 means 168 (a week of hourly intervals).
-	HistoryLimit int
 	// StorageChangeThreshold implements the Sec. V-B trigger: the NFS
 	// storage rental is recomputed only when total demand has moved by more
 	// than this fraction since the last storage plan (or on the first
@@ -77,32 +60,22 @@ type Options struct {
 	Workers int
 }
 
-func (o *Options) applyDefaults() {
-	if o.IntervalSeconds == 0 {
-		o.IntervalSeconds = 3600
-	}
-	if o.VMBudgetPerHour == 0 {
-		o.VMBudgetPerHour = 100
-	}
-	if o.StorageBudgetPerHour == 0 {
-		o.StorageBudgetPerHour = 1
-	}
-	if o.PeerSupplyTrust == 0 {
-		o.PeerSupplyTrust = 1
-	}
-	if o.ProvisionHeadroom == 0 {
-		o.ProvisionHeadroom = 1
-	}
-	if o.Predictor == nil {
-		o.Predictor = LastInterval{}
-	}
-	if o.Policy == nil {
-		o.Policy = provision.Greedy{}
-	}
-	if o.HistoryLimit == 0 {
-		o.HistoryLimit = 168
-	}
-}
+// The controller's run constants (see DESIGN.md, "Run constants").
+const (
+	// peerSupplyTrust discounts the analytic peer contribution before
+	// computing the cloud residual: Δ = capacity − trust·Γ. The analysis
+	// assumes equilibrium chunk ownership; trusting it fully leaves no
+	// margin when the live overlay lags the model (channel churn, cold
+	// chunks).
+	peerSupplyTrust = 0.7
+	// provisionHeadroom multiplies every chunk's cloud demand before
+	// planning: the over-provisioning slack visible in the paper's Fig. 4
+	// (reserved ≈ 1.5–2× used).
+	provisionHeadroom = 1.2
+	// historyLimit bounds the per-channel rate history kept for the
+	// predictor: a week of hourly intervals.
+	historyLimit = 168
+)
 
 // IntervalRecord captures one provisioning round for later analysis; the
 // experiment harness turns these into the paper's figures.
@@ -204,9 +177,13 @@ func NewController(s sim.Backend, cl *cloud.Cloud, broker *cloud.Broker, opts Op
 	if s == nil || cl == nil || broker == nil {
 		return nil, fmt.Errorf("core: nil simulator, cloud, or broker")
 	}
-	opts.applyDefaults()
-	if opts.IntervalSeconds <= 0 {
+	switch {
+	case opts.IntervalSeconds <= 0:
 		return nil, fmt.Errorf("core: non-positive interval %v", opts.IntervalSeconds)
+	case opts.VMBudgetPerHour == 0 || opts.StorageBudgetPerHour == 0:
+		return nil, fmt.Errorf("core: unresolved zero budget (VM %v, storage %v $/h)", opts.VMBudgetPerHour, opts.StorageBudgetPerHour)
+	case opts.Predictor == nil || opts.Policy == nil:
+		return nil, fmt.Errorf("core: nil predictor or policy")
 	}
 	if opts.FallbackTransfer != nil {
 		if err := opts.FallbackTransfer.Validate(); err != nil {
@@ -334,8 +311,8 @@ func (c *Controller) runInterval(now float64) {
 // futureDemands appends its forecasts into) for the whole run.
 func (c *Controller) forecast(channel int, observed float64) float64 {
 	h := c.rateHistory[channel]
-	if limit := c.opts.HistoryLimit; len(h) >= limit {
-		h = h[:copy(h, h[len(h)-limit+1:])]
+	if len(h) >= historyLimit {
+		h = h[:copy(h, h[len(h)-historyLimit+1:])]
 	}
 	h = append(h, observed)
 	c.rateHistory[channel] = h
@@ -370,7 +347,7 @@ func (c *Controller) deriveOne(d *deriver, cfg queueing.Config, in ChannelInput,
 		in.Transfer = c.opts.FallbackTransfer
 	}
 	out := ChannelDemand{CloudDemand: cloud, PeerSupply: peer}
-	eq, peers, err := d.derive(cfg, in, p2pMode, c.opts.MaxServersPerChunk)
+	eq, peers, err := d.derive(cfg, in, p2pMode)
 	if err != nil {
 		clear(cloud)
 		clear(peer)
@@ -384,11 +361,11 @@ func (c *Controller) deriveOne(d *deriver, cfg queueing.Config, in ChannelInput,
 	// Apply peer-supply trust and provisioning headroom against the full
 	// equilibrium capacity (Δ = capacity − trust·Γ, then slack).
 	for i := range cloud {
-		delta := eq.Capacity[i] - c.opts.PeerSupplyTrust*peer[i]
+		delta := eq.Capacity[i] - peerSupplyTrust*peer[i]
 		if delta < 0 {
 			delta = 0
 		}
-		cloud[i] = delta * c.opts.ProvisionHeadroom
+		cloud[i] = delta * provisionHeadroom
 	}
 	return out, nil
 }
@@ -652,6 +629,7 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 	if err := c.broker.Submit(req); err != nil {
 		// Capacity races are not fatal: the system keeps last interval's
 		// allocation and tries again next interval.
+		c.cl.Ledger().Notef(now, "%s policy: SLA submit rejected, previous rental kept: %v", c.opts.Policy.Name(), err)
 		return
 	}
 
@@ -673,13 +651,11 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 		c.lastCaps = append(c.lastCaps, grown...)
 		c.capChannels = n
 	}
-	delay := 0.0
-	if c.opts.ApplyBootLatency {
-		delay = c.cl.BootLatency()
-	}
-	// Increases wait for the new VMs to boot. They share one callback:
-	// scheduled one by one, their events would have fired back to back in
-	// this order, with nothing in between.
+	delay := c.cl.BootLatency()
+	// Increases wait for the new VMs to boot: freshly requested VMs serve
+	// only once booted. They share one callback: scheduled one by one,
+	// their events would have fired back to back in this order, with
+	// nothing in between.
 	var raises []capRaise
 	if k := len(c.freeRaises); k > 0 && delay > 0 {
 		raises, c.freeRaises = c.freeRaises[k-1], c.freeRaises[:k-1]

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudmedia/internal/cloud"
+	"cloudmedia/internal/provision"
 	"cloudmedia/internal/queueing"
 	"cloudmedia/internal/sim"
 	"cloudmedia/internal/testutil"
@@ -18,22 +19,31 @@ func testSystem(t *testing.T, mode sim.Mode) (*sim.Simulator, *cloud.Cloud, *Con
 	t.Helper()
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 	s, cl, broker := testutil.Stack(t, sim.Config{
-		Mode:             mode,
-		Channel:          testutil.ChannelConfig(5, 60),
-		Workload:         testutil.FlatWorkload(3, 0.3, 300),
-		Transfer:         transfer,
-		RebalanceSeconds: 10,
-		Seed:             7,
+		Mode:     mode,
+		Channel:  testutil.ChannelConfig(5, 60),
+		Workload: testutil.FlatWorkload(3, 0.3, 300),
+		Transfer: transfer,
+		Seed:     7,
 	})
-	ctl, err := NewController(s, cl, broker, Options{
-		IntervalSeconds:  600, // 10-minute rounds keep the test quick
-		FallbackTransfer: transfer,
-		ApplyBootLatency: true,
-	})
+	ctl, err := NewController(s, cl, broker, resolvedOptions(transfer))
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
 	return s, cl, ctl
+}
+
+// resolvedOptions returns the options stack.Build passes for a default
+// scenario, at 10-minute rounds so the tests stay quick. NewController
+// takes no zero-means-default value: Build resolves them.
+func resolvedOptions(transfer queueing.TransferMatrix) Options {
+	return Options{
+		IntervalSeconds:      600,
+		VMBudgetPerHour:      100,
+		StorageBudgetPerHour: 1,
+		FallbackTransfer:     transfer,
+		Predictor:            LastInterval{},
+		Policy:               provision.Greedy{},
+	}
 }
 
 // bootstrapInputs builds analytic t=0 inputs from the workload parameters.
@@ -60,15 +70,35 @@ func TestNewControllerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewController(nil, cl, broker, Options{}); err == nil {
+	opts := resolvedOptions(testutil.SequentialWithJumps(t, 5, 0.9, 0.2))
+	if _, err := NewController(nil, cl, broker, opts); err == nil {
 		t.Error("nil sim: want error")
 	}
-	if _, err := NewController(s, nil, broker, Options{}); err == nil {
+	if _, err := NewController(s, nil, broker, opts); err == nil {
 		t.Error("nil cloud: want error")
 	}
-	bad := queueing.NewTransferMatrix(2)
-	if _, err := NewController(s, cl, broker, Options{FallbackTransfer: bad}); err == nil {
+	bad := opts
+	bad.FallbackTransfer = queueing.NewTransferMatrix(2)
+	if _, err := NewController(s, cl, broker, bad); err == nil {
 		t.Error("fallback size mismatch: want error")
+	}
+	// The zero-means-default values resolve in stack.Build; one that
+	// arrives unresolved is rejected, not filled in.
+	for name, mutate := range map[string]func(*Options){
+		"zero interval":       func(o *Options) { o.IntervalSeconds = 0 },
+		"zero VM budget":      func(o *Options) { o.VMBudgetPerHour = 0 },
+		"zero storage budget": func(o *Options) { o.StorageBudgetPerHour = 0 },
+		"nil predictor":       func(o *Options) { o.Predictor = nil },
+		"nil policy":          func(o *Options) { o.Policy = nil },
+	} {
+		o := opts
+		mutate(&o)
+		if _, err := NewController(s, cl, broker, o); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+	if _, err := NewController(s, cl, broker, opts); err != nil {
+		t.Errorf("resolved options rejected: %v", err)
 	}
 }
 
@@ -115,13 +145,9 @@ func TestControllerP2PCheaperThanClientServer(t *testing.T) {
 		transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 		wl := testutil.FlatWorkload(3, 2.5, 300) // ≈750 concurrent users
 		s, cl, broker := testutil.Stack(t, sim.Config{
-			Mode: mode, Channel: testutil.ChannelConfig(5, 60), Workload: wl, Transfer: transfer,
-			RebalanceSeconds: 10, Seed: 7,
+			Mode: mode, Channel: testutil.ChannelConfig(5, 60), Workload: wl, Transfer: transfer, Seed: 7,
 		})
-		ctl, err := NewController(s, cl, broker, Options{
-			IntervalSeconds:  600,
-			FallbackTransfer: transfer,
-		})
+		ctl, err := NewController(s, cl, broker, resolvedOptions(transfer))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +179,9 @@ func TestControllerRecordsDemandScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
-	ctl, err := NewController(s, cl2, broker2, Options{
-		IntervalSeconds:  600,
-		VMBudgetPerHour:  0.5, // ≈1 VM: far below demand
-		FallbackTransfer: transfer,
-	})
+	opts := resolvedOptions(transfer)
+	opts.VMBudgetPerHour = 0.5 // ≈1 VM: far below demand
+	ctl, err := NewController(s, cl2, broker2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +228,9 @@ func TestStorageRecomputeThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
-	ctl, err := NewController(s, cl, broker, Options{
-		IntervalSeconds:        600,
-		FallbackTransfer:       transfer,
-		StorageChangeThreshold: 0.25,
-	})
+	opts := resolvedOptions(transfer)
+	opts.StorageChangeThreshold = 0.25
+	ctl, err := NewController(s, cl, broker, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,10 @@ type ChannelDemand struct {
 }
 
 // DeriveDemand runs the Sec. IV analysis for one channel. p2pMode selects
-// whether peer supply is subtracted. maxServers ≤ 0 uses the package
-// default. The result owns its slices.
-func DeriveDemand(cfg queueing.Config, in ChannelInput, p2pMode bool, maxServers int) (ChannelDemand, error) {
+// whether peer supply is subtracted. The result owns its slices.
+func DeriveDemand(cfg queueing.Config, in ChannelInput, p2pMode bool) (ChannelDemand, error) {
 	var d deriver
-	eq, peers, err := d.derive(cfg, in, p2pMode, maxServers)
+	eq, peers, err := d.derive(cfg, in, p2pMode)
 	if err != nil {
 		return ChannelDemand{}, err
 	}
@@ -59,12 +58,13 @@ type deriver struct {
 // derive runs the Sec. IV analysis for one channel into the deriver's
 // solvers: the equilibrium, and the peer result when peers were solved
 // (a zero Result, nil PeerSupply, otherwise). Both view the solvers'
-// buffers and stay valid until the next derive.
-func (d *deriver) derive(cfg queueing.Config, in ChannelInput, p2pMode bool, maxServers int) (queueing.Equilibrium, p2p.Result, error) {
+// buffers and stay valid until the next derive. Every chunk is sized
+// within queueing.DefaultMaxServers.
+func (d *deriver) derive(cfg queueing.Config, in ChannelInput, p2pMode bool) (queueing.Equilibrium, p2p.Result, error) {
 	if in.ArrivalRate < 0 {
 		return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: negative arrival rate %v", in.ArrivalRate)
 	}
-	eq, err := d.queue.Solve(cfg, in.Transfer, in.ArrivalRate, maxServers)
+	eq, err := d.queue.Solve(cfg, in.Transfer, in.ArrivalRate, queueing.DefaultMaxServers)
 	if err != nil {
 		return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: demand analysis: %w", err)
 	}

@@ -24,7 +24,7 @@ func TestDeriveDemandClientServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DeriveDemand(cfg, ChannelInput{ArrivalRate: 0.2, Transfer: p}, false, 0)
+	d, err := DeriveDemand(cfg, ChannelInput{ArrivalRate: 0.2, Transfer: p}, false)
 	if err != nil {
 		t.Fatalf("DeriveDemand: %v", err)
 	}
@@ -46,11 +46,11 @@ func TestDeriveDemandP2PReducesCloud(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := ChannelInput{ArrivalRate: 0.2, Transfer: p, MeanUplink: 60e3}
-	cs, err := DeriveDemand(cfg, in, false, 0)
+	cs, err := DeriveDemand(cfg, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := DeriveDemand(cfg, in, true, 0)
+	pp, err := DeriveDemand(cfg, in, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDeriveDemandZeroUplinkFallsBackToFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := ChannelInput{ArrivalRate: 0.2, Transfer: p, MeanUplink: 0}
-	d, err := DeriveDemand(cfg, in, true, 0)
+	d, err := DeriveDemand(cfg, in, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestDeriveDemandErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DeriveDemand(cfg, ChannelInput{ArrivalRate: -1, Transfer: p}, false, 0); err == nil {
+	if _, err := DeriveDemand(cfg, ChannelInput{ArrivalRate: -1, Transfer: p}, false); err == nil {
 		t.Error("negative rate: want error")
 	}
 	closed := queueing.TransferMatrix{{0, 1}, {1, 0}}
 	small := cfg
 	small.Chunks = 2
-	if _, err := DeriveDemand(small, ChannelInput{ArrivalRate: 1, Transfer: closed}, false, 0); err == nil {
+	if _, err := DeriveDemand(small, ChannelInput{ArrivalRate: 1, Transfer: closed}, false); err == nil {
 		t.Error("closed matrix: want error")
 	}
 }

@@ -29,31 +29,27 @@ func runControllerWithWorkers(t *testing.T, mode sim.Mode, pol provision.Policy,
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 	wl := testutil.FlatWorkload(6, 0.6, 300) // 6 channels: enough shards for an 8-worker pool
 	s, cl, broker := testutil.Stack(t, sim.Config{
-		Mode:             mode,
-		Channel:          testutil.ChannelConfig(5, 60),
-		Workload:         wl,
-		Transfer:         transfer,
-		RebalanceSeconds: 10,
-		Seed:             7,
-		Workers:          1,
+		Mode:     mode,
+		Channel:  testutil.ChannelConfig(5, 60),
+		Workload: wl,
+		Transfer: transfer,
+		Seed:     7,
+		Workers:  1,
 	})
-	ctl, err := NewController(s, cl, broker, Options{
-		IntervalSeconds:  600,
-		FallbackTransfer: transfer,
-		ApplyBootLatency: true,
-		Policy:           pol,
-		Predictor:        pred,
-		// The oracle feed: pure reads over the workload parameters, safe
-		// for the per-channel fan-out by construction.
-		TrueRates: func(channel int, start, end float64) float64 {
-			r, err := wl.MeanChannelRate(channel, start, end)
-			if err != nil {
-				return 0
-			}
-			return r
-		},
-		Workers: workers,
-	})
+	opts := resolvedOptions(transfer)
+	opts.Policy = pol
+	opts.Predictor = pred
+	// The oracle feed: pure reads over the workload parameters, safe for
+	// the per-channel fan-out by construction.
+	opts.TrueRates = func(channel int, start, end float64) float64 {
+		r, err := wl.MeanChannelRate(channel, start, end)
+		if err != nil {
+			return 0
+		}
+		return r
+	}
+	opts.Workers = workers
+	ctl, err := NewController(s, cl, broker, opts)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -81,9 +77,9 @@ func TestControllerWorkerInvariance(t *testing.T) {
 		pol  provision.Policy
 		pred Predictor
 	}{
-		{"greedy", nil, nil},
+		{"greedy", provision.Greedy{}, LastInterval{}},
 		{"lookahead-ewma", provision.Lookahead{K: 2}, EWMA{Alpha: 0.5}},
-		{"oracle", provision.Oracle{}, nil},
+		{"oracle", provision.Oracle{}, LastInterval{}},
 	}
 	for _, mode := range []sim.Mode{sim.ClientServer, sim.P2P} {
 		for _, tc := range policies {

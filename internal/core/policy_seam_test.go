@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,11 +39,9 @@ func flatInputs(s *sim.Simulator, transfer queueing.TransferMatrix, rate float64
 // keep the stale plan with no trace).
 func TestStorageInfeasibilityIsVisible(t *testing.T) {
 	s, cl, broker, transfer := buildStack(t)
-	ctl, err := NewController(s, cl, broker, Options{
-		IntervalSeconds:      600,
-		StorageBudgetPerHour: 1e-12, // no chunk is placeable under this budget
-		FallbackTransfer:     transfer,
-	})
+	opts := resolvedOptions(transfer)
+	opts.StorageBudgetPerHour = 1e-12 // no chunk is placeable under this budget
+	ctl, err := NewController(s, cl, broker, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +85,9 @@ func TestVMPlanFailureIsVisible(t *testing.T) {
 	// A negative budget is rejected by PlanVMs with a non-infeasible
 	// error, which planWithScaling passes straight through — the
 	// planning-failed path without any scale search.
-	ctl, err := NewController(s, cl, broker, Options{
-		IntervalSeconds:  600,
-		VMBudgetPerHour:  -1,
-		FallbackTransfer: transfer,
-	})
+	opts := resolvedOptions(transfer)
+	opts.VMBudgetPerHour = -1
+	ctl, err := NewController(s, cl, broker, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +113,17 @@ func TestDemandErrorsAreVisible(t *testing.T) {
 	var serial IntervalRecord
 	for _, workers := range []int{1, 4} {
 		s, cl, broker, transfer := buildStack(t)
-		ctl, err := NewController(s, cl, broker, Options{
-			IntervalSeconds:    600,
-			FallbackTransfer:   transfer,
-			MaxServersPerChunk: 1, // a loaded chunk needs more: its sizing fails
-			Workers:            workers,
-		})
+		opts := resolvedOptions(transfer)
+		opts.Workers = workers
+		ctl, err := NewController(s, cl, broker, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		inputs := flatInputs(s, transfer, 0) // idle channels size nothing
 		for ch := 1; ch < len(inputs); ch++ {
-			inputs[ch].ArrivalRate = 5
+			// An offered load of millions of servers per chunk: beyond
+			// queueing.DefaultMaxServers, so its sizing fails.
+			inputs[ch].ArrivalRate = 1e6
 		}
 		ctl.Provision(0, inputs)
 		rec := ctl.Records()[0]
@@ -154,6 +150,84 @@ func TestDemandErrorsAreVisible(t *testing.T) {
 		} else if !reflect.DeepEqual(serial, rec) {
 			t.Errorf("Workers=%d: record %+v diverged from serial %+v", workers, rec, serial)
 		}
+	}
+}
+
+// overPlanPolicy plans its first round with Greedy, then asks for one VM
+// more than the first cluster's MaxVMs: a plan the broker must reject.
+type overPlanPolicy struct{}
+
+func (overPlanPolicy) Name() string   { return "overplan" }
+func (overPlanPolicy) Lookahead() int { return 0 }
+func (overPlanPolicy) Oracle() bool   { return false }
+func (overPlanPolicy) NewPlanner() provision.Planner {
+	return &overPlanner{inner: provision.Greedy{}.NewPlanner()}
+}
+
+type overPlanner struct {
+	inner  provision.Planner
+	rounds int
+}
+
+func (p *overPlanner) Plan(req provision.PlanRequest) (provision.PlanResult, error) {
+	p.rounds++
+	if p.rounds == 1 {
+		return p.inner.Plan(req)
+	}
+	spec := req.VMClusters[0]
+	vms := float64(spec.MaxVMs + 1)
+	return provision.PlanResult{
+		VMPlan: provision.VMPlan{
+			Allocations:   []provision.VMAllocation{{Channel: 0, Chunk: 0, Cluster: spec.Name, VMs: vms}},
+			VMsPerCluster: map[string]float64{spec.Name: vms},
+		},
+		DemandScale: 1,
+	}, nil
+}
+
+// TestRejectedSubmitIsVisible: a plan the broker rejects leaves a ledger
+// note, and the previous round's chunk capacities stay applied.
+func TestRejectedSubmitIsVisible(t *testing.T) {
+	s, cl, broker, transfer := buildStack(t)
+	opts := resolvedOptions(transfer)
+	opts.Policy = overPlanPolicy{}
+	ctl, err := NewController(s, cl, broker, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	channelCaps := func() []float64 {
+		out := make([]float64, s.Channels())
+		for ch := range out {
+			if out[ch], err = s.CloudCapacity(ch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	ctl.Provision(0, flatInputs(s, transfer, 0.2))
+	s.RunUntil(cl.BootLatency() + 1) // the first plan's VMs have booted
+	chunkCaps, caps := slices.Clone(ctl.lastCaps), channelCaps()
+	if s.TotalCloudCapacity() <= 0 {
+		t.Fatal("first plan applied no capacity")
+	}
+
+	now := s.Now()
+	ctl.Provision(now, flatInputs(s, transfer, 0.2))
+	s.RunUntil(now + cl.BootLatency() + 1)
+	var notes []string
+	for _, n := range cl.Ledger().Diagnostics() {
+		if strings.Contains(n.Msg, "SLA submit rejected") {
+			notes = append(notes, n.Msg)
+		}
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "overplan policy") || !strings.Contains(notes[0], "capacity") {
+		t.Errorf("ledger notes %q, want one note for the rejected submit", notes)
+	}
+	if !reflect.DeepEqual(ctl.lastCaps, chunkCaps) {
+		t.Errorf("chunk capacities %v after the rejected submit, want the previous %v", ctl.lastCaps, chunkCaps)
+	}
+	if got := channelCaps(); !reflect.DeepEqual(got, caps) {
+		t.Errorf("channel capacities %v after the rejected submit, want the previous %v", got, caps)
 	}
 }
 
@@ -187,12 +261,10 @@ func (p *capturePlanner) Plan(req provision.PlanRequest) (provision.PlanResult, 
 func TestControllerFillsPlanRequest(t *testing.T) {
 	s, cl, broker, transfer := buildStack(t)
 	var reqs []provision.PlanRequest
-	ctl, err := NewController(s, cl, broker, Options{
-		IntervalSeconds:  600,
-		VMBudgetPerHour:  42,
-		FallbackTransfer: transfer,
-		Policy:           capturePolicy{lookahead: 2, reqs: &reqs},
-	})
+	opts := resolvedOptions(transfer)
+	opts.VMBudgetPerHour = 42
+	opts.Policy = capturePolicy{lookahead: 2, reqs: &reqs}
+	ctl, err := NewController(s, cl, broker, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +302,10 @@ func TestOraclePolicySeesTrueRates(t *testing.T) {
 	s, cl, broker, transfer := buildStack(t)
 	const trueRate = 0.123
 	var reqs []provision.PlanRequest
-	ctl, err := NewController(s, cl, broker, Options{
-		IntervalSeconds:  600,
-		FallbackTransfer: transfer,
-		Policy:           capturePolicy{oracle: true, lookahead: 1, reqs: &reqs},
-		TrueRates:        func(int, float64, float64) float64 { return trueRate },
-	})
+	opts := resolvedOptions(transfer)
+	opts.Policy = capturePolicy{oracle: true, lookahead: 1, reqs: &reqs}
+	opts.TrueRates = func(int, float64, float64) float64 { return trueRate }
+	ctl, err := NewController(s, cl, broker, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +326,9 @@ func TestOraclePolicySeesTrueRates(t *testing.T) {
 // controller construction.
 func TestPolicyValidationSurfaces(t *testing.T) {
 	s, cl, broker, transfer := buildStack(t)
-	_, err := NewController(s, cl, broker, Options{
-		FallbackTransfer: transfer,
-		Policy:           provision.Lookahead{K: -1},
-	})
+	opts := resolvedOptions(transfer)
+	opts.Policy = provision.Lookahead{K: -1}
+	_, err := NewController(s, cl, broker, opts)
 	if err == nil {
 		t.Error("negative lookahead accepted")
 	}

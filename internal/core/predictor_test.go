@@ -9,6 +9,7 @@ import (
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/sim"
+	"cloudmedia/internal/testutil"
 )
 
 func TestLastInterval(t *testing.T) {
@@ -138,7 +139,9 @@ func TestControllerRejectsInvalidPredictor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewController(s, cl, broker, Options{Predictor: EWMA{Alpha: -1}}); err == nil {
+	opts := resolvedOptions(testutil.SequentialWithJumps(t, 5, 0.9, 0.2))
+	opts.Predictor = EWMA{Alpha: -1}
+	if _, err := NewController(s, cl, broker, opts); err == nil {
 		t.Error("invalid EWMA accepted")
 	}
 }

@@ -51,8 +51,6 @@ func (b *roundBackend) SetCloudCapacity(int, int, float64) error                
 func (b *roundBackend) CloudCapacity(int) (float64, error)                          { return 0, nil }
 func (b *roundBackend) TotalCloudCapacity() float64                                 { return 0 }
 func (b *roundBackend) CloudBytesServed() float64                                   { return 0 }
-func (b *roundBackend) ChannelCloudBytes(int) (float64, error)                      { return 0, nil }
-func (b *roundBackend) Users(int) (int, error)                                      { return 0, nil }
 func (b *roundBackend) TotalUsers() int                                             { return 0 }
 func (b *roundBackend) MeanUplink(int) (float64, error)                             { return 55e3, nil }
 func (b *roundBackend) SampleQuality() sim.QualitySample                            { return sim.QualitySample{} }
@@ -87,15 +85,14 @@ func newControlRound(tb testing.TB) *controlRound {
 		tb.Fatal(err)
 	}
 	ctl, err := NewController(be, cl, broker, Options{
-		IntervalSeconds:   60,
-		FallbackTransfer:  prior,
-		ApplyBootLatency:  true,
-		PeerSupplyTrust:   0.7,
-		ProvisionHeadroom: 1.2,
-		Predictor:         EWMA{Alpha: 0.4},
-		Policy:            provision.Lookahead{SpotHedge: true},
-		DiscardHistory:    true,
-		Workers:           1,
+		IntervalSeconds:      60,
+		VMBudgetPerHour:      100,
+		StorageBudgetPerHour: 1,
+		FallbackTransfer:     prior,
+		Predictor:            EWMA{Alpha: 0.4},
+		Policy:               provision.Lookahead{SpotHedge: true},
+		DiscardHistory:       true,
+		Workers:              1,
 	})
 	if err != nil {
 		tb.Fatal(err)

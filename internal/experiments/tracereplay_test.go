@@ -74,14 +74,8 @@ func TestTraceSourceDrivesBothEngines(t *testing.T) {
 			t.Fatalf("%s: engine has %d channels, want 2 (from the trace)", fidelity.name, got)
 		}
 		sys.Sim.RunUntil(3600)
-		busy, err := sys.Sim.Users(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		silent, err := sys.Sim.Users(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		users := sys.Sim.SampleQuality().UsersPerChannel
+		busy, silent := users[0], users[1]
 		if busy == 0 {
 			t.Errorf("%s: busy trace channel stayed empty", fidelity.name)
 		}

@@ -9,18 +9,11 @@ import (
 	"cloudmedia/internal/workload"
 )
 
-// Config assembles a fluid-mode scenario. The simulation parameters are
-// shared with the event engine (sim.Config); StepSeconds is the only knob
-// specific to the integrator.
-type Config struct {
-	Sim sim.Config
-	// StepSeconds is the Euler integration step. 0 uses 1 s, small enough
-	// for every paper scenario (chunk playback is 75–300 s and jump
-	// intervals minutes). The step is additionally clamped to a quarter of
-	// the chunk playback time and of the mean jump interval so outflow
-	// fractions stay well below 1.
-	StepSeconds float64
-}
+// stepSeconds is the Euler integration step, small enough for every
+// paper scenario (chunk playback is 75–300 s and jump intervals minutes).
+// New clamps it to a quarter of the chunk playback time and of the mean
+// jump interval so outflow fractions stay well below 1.
+const stepSeconds = 1
 
 // batchSteps caps how many Euler steps one worker fan-out integrates
 // before the pool re-synchronizes. The cap bounds the per-step rates
@@ -101,43 +94,18 @@ type Backend struct {
 
 var _ sim.Backend = (*Backend)(nil)
 
-// New builds a fluid backend for the scenario.
-func New(cfg Config) (*Backend, error) {
-	sc := cfg.Sim
-	// Mirror sim.New's defaulting for the parameters the fluid model uses.
-	if sc.QualityWindowSeconds == 0 {
-		sc.QualityWindowSeconds = 300
-	}
-	if sc.Scheduling == 0 {
-		sc.Scheduling = sim.RarestFirst
-	}
-	if sc.RebalanceSeconds == 0 {
-		sc.RebalanceSeconds = 30
-	}
-	if sc.Source != nil {
-		// Mirror sim.New: the demand source owns the channel count.
-		sc.Workload.Channels = sc.Source.NumChannels()
-	}
-	if err := sc.Validate(); err != nil {
+// New builds a fluid backend for the scenario, which it resolves exactly
+// as the event engine does (sim.Config.Resolve).
+func New(cfg sim.Config) (*Backend, error) {
+	sc, err := cfg.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	src := sc.Source
 	if src == nil {
 		src = sc.Workload.Source()
 	}
-	step := cfg.StepSeconds
-	if step == 0 {
-		step = 1
-	}
-	if step < 0 {
-		return nil, fmt.Errorf("fluid: negative step %v", step)
-	}
-	if lim := sc.Channel.ChunkSeconds / 4; step > lim {
-		step = lim
-	}
-	if lim := sc.Workload.JumpMeanSeconds / 4; step > lim {
-		step = lim
-	}
+	step := min(stepSeconds, sc.Channel.ChunkSeconds/4, sc.Workload.JumpMeanSeconds/4)
 	C := sc.Workload.Channels
 	J := sc.Channel.Chunks
 	workers := sim.EffectiveWorkers(sc.Workers, C)
@@ -556,16 +524,8 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 	if demandBps > 0 {
 		instant = servedBps / demandBps
 	}
-	w := b.cfg.QualityWindowSeconds
-	if w <= 0 {
-		b.smooth[c] = instant
-	} else {
-		a := dt / w
-		if a > 1 {
-			a = 1
-		}
-		b.smooth[c] += a * (instant - b.smooth[c])
-	}
+	a := min(dt/sim.QualityWindowSeconds, 1)
+	b.smooth[c] += a * (instant - b.smooth[c])
 }
 
 // allocatePeers splits the channel's aggregate peer uplink across chunks,
@@ -771,23 +731,6 @@ func (b *Backend) CloudBytesServed() float64 {
 		total += b.cloudBytesServed[c]
 	}
 	return total
-}
-
-// ChannelCloudBytes splits CloudBytesServed by channel.
-func (b *Backend) ChannelCloudBytes(channel int) (float64, error) {
-	if channel < 0 || channel >= b.C {
-		return 0, fmt.Errorf("fluid: channel %d outside [0,%d)", channel, b.C)
-	}
-	return b.cloudBytesServed[channel], nil
-}
-
-// Users returns the channel's viewer count, rounded to the nearest whole
-// viewer.
-func (b *Backend) Users(channel int) (int, error) {
-	if channel < 0 || channel >= b.C {
-		return 0, fmt.Errorf("fluid: channel %d outside [0,%d)", channel, b.C)
-	}
-	return int(b.channelUsers(channel) + 0.5), nil
 }
 
 // TotalUsers returns the viewer count across all channels.

@@ -10,17 +10,17 @@ import (
 
 // smallConfig mirrors the event engine's test scenario: 2 channels of 5
 // chunks, 10-second chunks, steady arrivals.
-func smallConfig(t *testing.T, mode sim.Mode) Config {
+func smallConfig(t *testing.T, mode sim.Mode) sim.Config {
 	t.Helper()
 	chCfg := testutil.ChannelConfig(5, 10)
 	chCfg.VMBandwidth = 250e3
-	return Config{Sim: sim.Config{
+	return sim.Config{
 		Mode:     mode,
 		Channel:  chCfg,
 		Workload: testutil.FlatWorkload(2, 0.2, 120),
 		Transfer: testutil.Sequential(t, chCfg.Chunks, 0.9),
 		Seed:     1,
-	}}
+	}
 }
 
 func provisionGenerously(t *testing.T, b *Backend) {

@@ -220,7 +220,7 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 	if demandBps > 0 {
 		instant = servedBps / demandBps
 	}
-	w := b.cfg.QualityWindowSeconds
+	w := float64(sim.QualityWindowSeconds)
 	if w <= 0 {
 		b.smooth[c] = instant
 	} else {
@@ -347,14 +347,14 @@ func newKernelPair(t *testing.T, rng *rand.Rand, J int, mode sim.Mode, sched sim
 	if J == 1 {
 		chCfg.EntryFirstChunk = 1
 	}
-	cfg := Config{Sim: sim.Config{
+	cfg := sim.Config{
 		Mode:       mode,
 		Channel:    chCfg,
 		Workload:   testutil.FlatWorkload(3, 1, 60+600*rng.Float64()),
 		Transfer:   randomTransfer(rng, J),
 		Scheduling: sched,
 		Seed:       1,
-	}}
+	}
 	fast, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func newKernelPair(t *testing.T, rng *rand.Rand, J int, mode sim.Mode, sched sim
 	if err != nil {
 		t.Fatal(err)
 	}
-	kp := kernelPair{fast: fast, ref: ref, oracle: newOracleKernel(cfg.Sim.Transfer)}
+	kp := kernelPair{fast: fast, ref: ref, oracle: newOracleKernel(cfg.Transfer)}
 	if !zeroCap {
 		kp.setCaps(t, rng)
 	}

@@ -13,7 +13,7 @@ func TestFluidPacerCalledPerBarrier(t *testing.T) {
 	cfg := smallConfig(t, sim.ClientServer)
 	var barriers []float64
 	var b *Backend
-	cfg.Sim.Pacer = func(simNow float64) {
+	cfg.Pacer = func(simNow float64) {
 		if b.Now() >= simNow {
 			t.Fatalf("pacer at %v called after state advanced to %v", simNow, b.Now())
 		}
@@ -43,7 +43,7 @@ func TestFluidPacerDoesNotPerturbRun(t *testing.T) {
 	run := func(withPacer bool) (float64, float64) {
 		cfg := smallConfig(t, sim.ClientServer)
 		if withPacer {
-			cfg.Sim.Pacer = func(float64) {}
+			cfg.Pacer = func(float64) {}
 		}
 		b, err := New(cfg)
 		if err != nil {
@@ -72,7 +72,7 @@ func TestFluidPacerDoesNotPerturbRun(t *testing.T) {
 // multi-step batch case).
 func TestFluidSteadySteppingAllocFree(t *testing.T) {
 	cfg := smallConfig(t, sim.ClientServer)
-	cfg.Sim.Workers = 1
+	cfg.Workers = 1
 	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

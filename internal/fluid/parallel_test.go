@@ -25,7 +25,7 @@ func ensureParallelHost(t *testing.T, procs int) {
 // Zipf channels with diurnal arrivals and flash crowds, 8×75 s chunks, VCR
 // jumps every 225 s) without importing the experiments package — the
 // paper-figure scenario the worker-count invariance contract is pinned on.
-func paperConfig(t *testing.T, mode sim.Mode, workers int) Config {
+func paperConfig(t *testing.T, mode sim.Mode, workers int) sim.Config {
 	t.Helper()
 	wl := workload.Default()
 	wl.Channels = 6
@@ -36,7 +36,7 @@ func paperConfig(t *testing.T, mode sim.Mode, workers int) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{Sim: sim.Config{
+	return sim.Config{
 		Mode: mode,
 		Channel: queueing.Config{
 			Chunks:          8,
@@ -50,7 +50,7 @@ func paperConfig(t *testing.T, mode sim.Mode, workers int) Config {
 		Transfer: transfer,
 		Workers:  workers,
 		Seed:     42,
-	}}
+	}
 }
 
 // fluidState is the complete observable state of a run, snapshotted for
@@ -150,8 +150,8 @@ func TestFluidParallelOnArrivalsContract(t *testing.T) {
 		times []float64
 		mass  float64
 	}
-	logs := make([]channelLog, cfg.Sim.Workload.Channels)
-	cfg.Sim.OnArrivals = func(channel int, at, n float64) {
+	logs := make([]channelLog, cfg.Workload.Channels)
+	cfg.OnArrivals = func(channel int, at, n float64) {
 		// Per-channel state only, no mutex: exactly what the contract
 		// permits. The race detector fails this test if two workers ever
 		// call for the same channel concurrently.

@@ -23,7 +23,7 @@ const (
 // paper's 8-chunk channel, rarest-first peer allocation, serial stepping.
 // The base rate is stack.BaseRateForViewers(34e6), 0.6 users/s per 250
 // viewers.
-func hundredMConfig(tb testing.TB) Config {
+func hundredMConfig(tb testing.TB) sim.Config {
 	tb.Helper()
 	wl := workload.Default()
 	wl.Channels = peakChannels
@@ -34,7 +34,7 @@ func hundredMConfig(tb testing.TB) Config {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return Config{Sim: sim.Config{
+	return sim.Config{
 		Mode: sim.P2P,
 		Channel: queueing.Config{
 			Chunks:          8,
@@ -47,7 +47,7 @@ func hundredMConfig(tb testing.TB) Config {
 		Workload: wl,
 		Transfer: transfer,
 		Workers:  1,
-	}}
+	}
 }
 
 // provisionHalfFlow sets every chunk's cloud capacity to half the byte

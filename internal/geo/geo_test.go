@@ -153,11 +153,8 @@ func TestRegionsAreIndependentSeedStreams(t *testing.T) {
 	regions, _, _ := d.Report()
 	// Equal shares but distinct seed streams: byte-identical populations at
 	// every instant would indicate correlated randomness.
-	a, errA := d.Regions()[0].Sim.ChannelCloudBytes(0)
-	b, errB := d.Regions()[1].Sim.ChannelCloudBytes(0)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
+	a := d.Regions()[0].Sim.CloudBytesServed()
+	b := d.Regions()[1].Sim.CloudBytesServed()
 	if a == b && regions[0].Users == regions[1].Users {
 		t.Error("regions appear to share a random stream")
 	}

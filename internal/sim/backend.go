@@ -50,11 +50,7 @@ type Backend interface {
 	// CloudBytesServed returns the cumulative bytes served from cloud
 	// capacity since the start of the run (Fig. 4's "used" curve).
 	CloudBytesServed() float64
-	// ChannelCloudBytes splits CloudBytesServed by channel.
-	ChannelCloudBytes(channel int) (float64, error)
 
-	// Users returns the current viewer count of a channel.
-	Users(channel int) (int, error)
 	// TotalUsers returns the viewer count across all channels.
 	TotalUsers() int
 	// MeanUplink returns the average upload bandwidth of a channel's

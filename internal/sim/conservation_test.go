@@ -44,7 +44,6 @@ func TestCloudBytesNeverExceedCapacityIntegral(t *testing.T) {
 // what the cloud capacity could deliver, regardless of peer activity.
 func TestP2PCloudAttributionBounded(t *testing.T) {
 	cfg := smallConfig(t, P2P)
-	cfg.RebalanceSeconds = 5
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +96,7 @@ func TestSimInvariantsProperty(t *testing.T) {
 			mode = P2P
 		}
 		s, err := New(Config{
-			Mode: mode, Channel: chCfg, Workload: wl, Transfer: transfer,
-			RebalanceSeconds: 5, Seed: seed,
+			Mode: mode, Channel: chCfg, Workload: wl, Transfer: transfer, Seed: seed,
 		})
 		if err != nil {
 			return false

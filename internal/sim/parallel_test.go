@@ -111,11 +111,7 @@ func TestChannelStreamsIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.RunUntil(600)
-		n, err := s.Users(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+		return s.SampleQuality().UsersPerChannel[0]
 	}
 	if a, b := run(cfg2), run(cfg3); a != b {
 		t.Errorf("channel 0 population %d with 2 channels vs %d with 3: streams not independent", a, b)

@@ -90,16 +90,10 @@ type Config struct {
 	// the engine; it may only sleep or return.
 	Pacer func(simNow float64)
 
-	// Scheduling selects the P2P uplink allocation policy. Defaults to
-	// RarestFirst, the paper's scheme.
+	// Scheduling selects the P2P uplink allocation policy. Zero means
+	// RarestFirst, the paper's scheme; see Resolve.
 	Scheduling PeerScheduling
 
-	// RebalanceSeconds is the peer bandwidth reallocation period in P2P
-	// mode. Defaults to 30 s.
-	RebalanceSeconds float64
-	// QualityWindowSeconds is the trailing window of the smooth-playback
-	// metric. Defaults to 300 s (the paper's 5 minutes).
-	QualityWindowSeconds float64
 	// Seed drives all randomness; runs are reproducible per seed. Each
 	// channel derives an independent stream from (Seed, channel index),
 	// so results do not depend on Workers.
@@ -114,16 +108,25 @@ type Config struct {
 	Workers int
 }
 
-func (c *Config) applyDefaults() {
-	if c.RebalanceSeconds == 0 {
-		c.RebalanceSeconds = 30
-	}
-	if c.QualityWindowSeconds == 0 {
-		c.QualityWindowSeconds = 300
-	}
+// RebalanceSeconds is the P2P peer-bandwidth reallocation period.
+const RebalanceSeconds = 30
+
+// QualityWindowSeconds is the trailing window of the smooth-playback
+// metric, the paper's 5 minutes (Fig. 5). Both engines measure over it.
+const QualityWindowSeconds = 300
+
+// Resolve returns the config with its zero values resolved — a zero
+// Scheduling is RarestFirst, and a demand Source owns the channel count,
+// leaving Workload only its behavioural role (jumps, uplinks) — and
+// validated. Both engines' constructors resolve through it.
+func (c Config) Resolve() (Config, error) {
 	if c.Scheduling == 0 {
 		c.Scheduling = RarestFirst
 	}
+	if c.Source != nil {
+		c.Workload.Channels = c.Source.NumChannels()
+	}
+	return c, c.Validate()
 }
 
 // Validate checks the scenario invariants.
@@ -142,9 +145,6 @@ func (c Config) Validate() error {
 	}
 	if c.Transfer.Size() != c.Channel.Chunks {
 		return fmt.Errorf("sim: transfer matrix size %d != chunks %d", c.Transfer.Size(), c.Channel.Chunks)
-	}
-	if c.RebalanceSeconds < 0 || c.QualityWindowSeconds < 0 {
-		return fmt.Errorf("sim: negative timing parameter")
 	}
 	if c.Scheduling != RarestFirst && c.Scheduling != Proportional {
 		return fmt.Errorf("sim: invalid peer scheduling %d", int(c.Scheduling))
@@ -293,13 +293,8 @@ var _ Backend = (*Simulator)(nil)
 // New builds a simulator, wires per-channel arrival processes, and (in P2P
 // mode) starts the periodic peer-bandwidth rebalancer.
 func New(cfg Config) (*Simulator, error) {
-	cfg.applyDefaults()
-	if cfg.Source != nil {
-		// The demand source owns the channel count; Workload keeps only
-		// the behavioural role (jumps, uplinks).
-		cfg.Workload.Channels = cfg.Source.NumChannels()
-	}
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	src := cfg.Source
@@ -349,7 +344,7 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	if cfg.Mode == P2P {
-		if err := s.ScheduleRepeating(cfg.RebalanceSeconds, cfg.RebalanceSeconds, func(float64) {
+		if err := s.ScheduleRepeating(RebalanceSeconds, RebalanceSeconds, func(float64) {
 			for _, ch := range s.channels {
 				s.rebalancePeers(ch)
 			}
@@ -665,24 +660,6 @@ func (ch *channelState) settlePools() {
 	}
 }
 
-// ChannelCloudBytes returns the cumulative cloud bytes served to a channel.
-func (s *Simulator) ChannelCloudBytes(channel int) (float64, error) {
-	if channel < 0 || channel >= len(s.channels) {
-		return 0, fmt.Errorf("sim: channel %d outside [0,%d)", channel, len(s.channels))
-	}
-	ch := s.channels[channel]
-	ch.settlePools()
-	return ch.cloudBytesServed, nil
-}
-
-// Users returns the current viewer count of a channel.
-func (s *Simulator) Users(channel int) (int, error) {
-	if channel < 0 || channel >= len(s.channels) {
-		return 0, fmt.Errorf("sim: channel %d outside [0,%d)", channel, len(s.channels))
-	}
-	return len(s.channels[channel].live), nil
-}
-
 // TotalUsers returns the viewer count across all channels.
 func (s *Simulator) TotalUsers() int {
 	var n int
@@ -726,7 +703,6 @@ type QualitySample struct {
 // viewers with no stall inside the trailing window (Fig. 5's metric).
 func (s *Simulator) SampleQuality() QualitySample {
 	now := s.now
-	win := s.cfg.QualityWindowSeconds
 	sample := QualitySample{
 		Time:            now,
 		PerChannel:      make([]float64, len(s.channels)),
@@ -736,7 +712,7 @@ func (s *Simulator) SampleQuality() QualitySample {
 	for c, ch := range s.channels {
 		chSmooth := 0
 		for _, u := range ch.live {
-			if u.smoothAt(now, win) {
+			if u.smoothAt(now, QualityWindowSeconds) {
 				chSmooth++
 			}
 		}

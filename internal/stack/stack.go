@@ -258,6 +258,33 @@ func (sc Spec) jumpPrior() (queueing.TransferMatrix, error) {
 	return viewing.SequentialWithJumps(sc.Channel.Chunks, 0.9, jump)
 }
 
+// Resolve returns the Spec with its zero-means-default values filled
+// in: hourly provisioning, 900 s sampling, B_M = $100/h, B_S = $1/h, the
+// paper's last-interval forecast and the Greedy policy. It is the one
+// place these defaults are written; Build resolves every Spec through
+// it. A zero Scheduling is left to the engines (sim.Config.Resolve).
+func Resolve(sc Spec) Spec {
+	if sc.IntervalSeconds == 0 {
+		sc.IntervalSeconds = 3600
+	}
+	if sc.SampleSeconds == 0 {
+		sc.SampleSeconds = 900
+	}
+	if sc.VMBudget == 0 {
+		sc.VMBudget = 100
+	}
+	if sc.StorageBudget == 0 {
+		sc.StorageBudget = 1
+	}
+	if sc.Predictor == nil {
+		sc.Predictor = core.LastInterval{}
+	}
+	if sc.Policy == nil {
+		sc.Policy = provision.Greedy{}
+	}
+	return sc
+}
+
 // RegionID identifies one regional stack of a multi-region deployment.
 // The zero value is the single-region stack.
 type RegionID struct {
@@ -294,14 +321,8 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The zero-means-default periods resolve here and nowhere else;
 	// System.Scenario carries the resolved values.
-	if sc.IntervalSeconds == 0 {
-		sc.IntervalSeconds = 3600
-	}
-	if sc.SampleSeconds == 0 {
-		sc.SampleSeconds = 900
-	}
+	sc.Spec = Resolve(sc.Spec)
 	// Resolve the demand source: the scenario's override (cloned so
 	// concurrent runs share no lazy caches) or the parametric workload.
 	// Everything downstream — the engines' arrival sampling, the
@@ -342,7 +363,7 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 	}
 	var s sim.Backend
 	if sc.Fidelity == modes.FidelityFluid {
-		s, err = fluid.New(fluid.Config{Sim: simCfg})
+		s, err = fluid.New(simCfg)
 	} else {
 		s, err = sim.New(simCfg)
 	}
@@ -370,14 +391,8 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 		VMBudgetPerHour:      sc.VMBudget,
 		StorageBudgetPerHour: sc.StorageBudget,
 		FallbackTransfer:     transfer,
-		ApplyBootLatency:     true,
-		// The live overlay lags the equilibrium ownership model, so trust
-		// 70% of the analytic peer supply and keep 20% provisioning slack
-		// — the reserved ≈ 1.5–2× used margin visible in the paper's Fig. 4.
-		PeerSupplyTrust:   0.7,
-		ProvisionHeadroom: 1.2,
-		Predictor:         sc.Predictor,
-		Policy:            sc.Policy,
+		Predictor:            sc.Predictor,
+		Policy:               sc.Policy,
 		// Oracle policies plan on the true arrival intensity of the
 		// demand source — parametric or trace alike; the feed is always
 		// wired, and only policies that declare Oracle() == true ever

@@ -1,15 +1,20 @@
 package stack
 
 import (
+	"reflect"
 	"testing"
 
+	"cloudmedia/internal/cloud"
+	"cloudmedia/internal/core"
 	"cloudmedia/internal/modes"
+	"cloudmedia/internal/provision"
+	"cloudmedia/internal/sim"
 )
 
-// TestValidateRejectsNegatives: the controller defaults only the == 0
-// spellings of the interval and budgets, so negatives must be rejected
-// here or they slip through into the controllers — where a negative
-// budget fails every plan round and bills $0.
+// TestValidateRejectsNegatives: Build resolves only the == 0 spellings of
+// the interval and budgets, so negatives must be rejected here or they
+// slip through into the controller — where a negative budget fails every
+// plan round and bills $0.
 func TestValidateRejectsNegatives(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -33,5 +38,58 @@ func TestValidateRejectsNegatives(t *testing.T) {
 				t.Errorf("%s accepted by Build", tc.name)
 			}
 		})
+	}
+}
+
+// TestBuildResolvesDefaults: a Spec that leaves every zero-means-default
+// value unset runs exactly like one that spells the defaults out, on both
+// engines: Resolve, which Build calls, is the one place they resolve
+// (sim.Config.Resolve, for Scheduling).
+func TestBuildResolvesDefaults(t *testing.T) {
+	for _, fidelity := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
+		run := func(sc Spec) (Spec, []core.IntervalRecord, cloud.LedgerTotals) {
+			t.Helper()
+			sc.Fidelity = fidelity
+			sc.Hours = 3
+			sys, err := Build(Scenario{Spec: sc}, RegionID{})
+			if err != nil {
+				t.Fatalf("%v: %v", fidelity, err)
+			}
+			end := sc.Hours * 3600
+			sys.Sim.RunUntil(end)
+			sys.Cloud.Advance(end)
+			return sys.Scenario.Spec, sys.Controller.Records(), sys.Cloud.Ledger().Totals()
+		}
+		unset := DefaultSpec(modes.CloudAssisted, 1)
+		unset.IntervalSeconds, unset.SampleSeconds = 0, 0
+		unset.VMBudget, unset.StorageBudget = 0, 0
+		explicit := DefaultSpec(modes.CloudAssisted, 1)
+		explicit.IntervalSeconds, explicit.SampleSeconds = 3600, 900
+		explicit.VMBudget, explicit.StorageBudget = 100, 1
+		explicit.Predictor = core.LastInterval{}
+		explicit.Policy = provision.Greedy{}
+		explicit.Scheduling = sim.RarestFirst
+
+		gotSpec, gotRecs, gotBill := run(unset)
+		wantSpec, wantRecs, wantBill := run(explicit)
+		// The budgets do not bind on this day, so the records alone would
+		// not catch a wrong budget default: compare the resolved Specs
+		// too. Scheduling is the engines' to resolve, so Build keeps it.
+		if gotSpec.Scheduling != 0 {
+			t.Errorf("%v: Build resolved Scheduling to %v; the engines resolve it", fidelity, gotSpec.Scheduling)
+		}
+		gotSpec.Scheduling = sim.RarestFirst
+		if !reflect.DeepEqual(gotSpec, wantSpec) {
+			t.Errorf("%v: Build resolved %+v, want %+v", fidelity, gotSpec, wantSpec)
+		}
+		if len(wantRecs) != 4 {
+			t.Fatalf("%v: %d records, want the bootstrap and 3 hourly rounds", fidelity, len(wantRecs))
+		}
+		if !reflect.DeepEqual(gotRecs, wantRecs) {
+			t.Errorf("%v: records with the defaults unset differ from the explicit defaults", fidelity)
+		}
+		if !reflect.DeepEqual(gotBill, wantBill) {
+			t.Errorf("%v: bill %+v with the defaults unset, want %+v", fidelity, gotBill, wantBill)
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	iserve "cloudmedia/internal/serve"
+	"cloudmedia/internal/stack"
 	"cloudmedia/pkg/simulate"
 )
 
@@ -105,6 +106,9 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	// The metrics need the resolved interval and sampling period, and
+	// the timing wrapper a policy to wrap; the run resolves the same.
+	sc.Spec = stack.Resolve(sc.Spec)
 
 	mode := sc.Serve.Clock
 	if mode == 0 {
@@ -132,11 +136,7 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 		return nil, err
 	}
 
-	// Time every policy Plan call; nil means the controller would default
-	// to Greedy, so pin that before wrapping.
-	if sc.Policy == nil {
-		sc.Policy = simulate.Greedy{}
-	}
+	// Time every policy Plan call.
 	sc.Policy = iserve.TimedPolicy(sc.Policy, metrics.ObservePlanLatency)
 
 	var srv *iserve.HTTPServer
@@ -156,9 +156,6 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 	}
 
 	interval := sc.IntervalSeconds
-	if interval == 0 {
-		interval = 3600
-	}
 	vmBandwidth := sc.Channel.VMBandwidth
 
 	// Both callbacks run on the simulation goroutine, so the cumulative
