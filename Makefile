@@ -1,12 +1,20 @@
 # Developer entry points; CI runs the same targets.
 
-.PHONY: test race bench lint verify profile
+.PHONY: test shuffle race daybench bench lint verify profile
 
 test:
 	go build ./... && go test ./...
 
+# Tests in random order, so accidental order dependence surfaces.
+shuffle:
+	go test -shuffle=on ./...
+
 race:
 	go test -race ./...
+
+# daybench/ is a nested module that ./... stops at: vet and test it too.
+daybench:
+	cd daybench && go vet ./... && go test ./...
 
 # Key benchmarks → the next BENCH_PR<N>.json snapshot (the cross-PR perf
 # trajectory), then the gate against the newest committed snapshot: fail
@@ -30,4 +38,4 @@ lint:
 	go build ./...
 	go run ./cmd/cloudmedialint ./...
 
-verify: test race lint
+verify: test shuffle race lint daybench

@@ -84,14 +84,6 @@ func (o *oracleCloud) activeAt(now float64, i int) int {
 	return o.alloc[i] - booting
 }
 
-func (o *oracleCloud) failVMs(now float64, i, count int) int {
-	o.accrue(now)
-	failed := min(count, o.alloc[i])
-	o.release(i, failed)
-	o.alloc[i] -= failed
-	return failed
-}
-
 func (o *oracleCloud) preemptSpot(now, fraction float64) (int, float64) {
 	if o.plan.SpotFraction <= 0 {
 		return 0, 0
@@ -139,7 +131,7 @@ func oracleClusters() []VMClusterSpec {
 func checkBootLedger(t testing.TB, cfg bootLedgerConfig, draw func(n int) int, more func() bool, ops int) {
 	t.Helper()
 	specs := oracleClusters()
-	c, err := New(specs, nil, WithBootLatency(cfg.boot), WithPricing(cfg.plan))
+	c, err := New(specs, nil, withBootLatency(cfg.boot), WithPricing(cfg.plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +171,7 @@ func checkBootLedger(t testing.TB, cfg bootLedgerConfig, draw func(n int) int, m
 		}
 		name, maxVMs := specs[i].Name, specs[i].MaxVMs
 		var what string
-		switch draw(8) {
+		switch draw(7) {
 		case 0:
 			target := draw(maxVMs + 1)
 			what = fmt.Sprintf("SetVMs(%v, %s, %d)", now, name, target)
@@ -202,16 +194,6 @@ func checkBootLedger(t testing.TB, cfg bootLedgerConfig, draw func(n int) int, m
 			}
 			o.setVMs(now, i, target)
 		case 3:
-			count := draw(o.alloc[i]/2 + 3)
-			what = fmt.Sprintf("FailVMs(%v, %s, %d)", now, name, count)
-			got, err := c.FailVMs(now, name, count)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			if want := o.failVMs(now, i, count); got != want {
-				t.Fatalf("%s = %d, oracle %d", what, got, want)
-			}
-		case 4:
 			fraction := []float64{0, 0.25, 0.5, 1, float64(draw(101)) / 100}[draw(5)]
 			what = fmt.Sprintf("PreemptSpot(%v, %v)", now, fraction)
 			killed, lost, err := c.PreemptSpot(now, fraction)
@@ -221,11 +203,11 @@ func checkBootLedger(t testing.TB, cfg bootLedgerConfig, draw func(n int) int, m
 			if wantKilled, wantLost := o.preemptSpot(now, fraction); killed != wantKilled || lost != wantLost {
 				t.Fatalf("%s = (%d, %v), oracle (%d, %v)", what, killed, lost, wantKilled, wantLost)
 			}
-		case 5:
+		case 4:
 			what = fmt.Sprintf("Advance(%v)", now)
 			c.Advance(now)
 			o.accrue(now)
-		case 6:
+		case 5:
 			what = fmt.Sprintf("ActiveVMs(%v, %s)", now, name)
 			got, err := c.ActiveVMs(now, name)
 			if err != nil {
@@ -234,7 +216,7 @@ func checkBootLedger(t testing.TB, cfg bootLedgerConfig, draw func(n int) int, m
 			if want := o.activeAt(now, i); got != want {
 				t.Fatalf("%s = %d, oracle %d", what, got, want)
 			}
-		case 7:
+		case 6:
 			what = fmt.Sprintf("TotalActiveVMs(%v)", now)
 			want := 0
 			for k := range specs {

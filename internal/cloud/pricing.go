@@ -108,9 +108,6 @@ func ParsePricing(s string) (PricingPlan, error) {
 	}
 }
 
-// PricingNames lists the ParsePricing spellings, for CLI help and sweeps.
-func PricingNames() []string { return []string{"on-demand", "reserved", "spot"} }
-
 // Validate checks plan invariants.
 func (p PricingPlan) Validate() error {
 	switch {

@@ -712,9 +712,6 @@ func (c *Controller) SetCapacityFactor(now, factor float64) error {
 	return nil
 }
 
-// CapacityFactor returns the current persistent capacity multiplier.
-func (c *Controller) CapacityFactor() float64 { return c.capFactor }
-
 // ScaleCapacity multiplies the transient post-preemption capacity scale —
 // fault injection's spot-preemption hook, called with the survivor
 // fraction after Cloud.PreemptSpot removed the billed VMs. The scale

@@ -15,7 +15,7 @@ import (
 // testSystem builds a small but complete CloudMedia stack: simulator,
 // cloud, broker, controller. The scenario pieces come from the shared
 // internal/testutil builders.
-func testSystem(t *testing.T, mode sim.Mode) (*sim.Simulator, *cloud.Cloud, *Controller) {
+func testSystem(t *testing.T, mode sim.Mode, opts ...cloud.Option) (*sim.Simulator, *cloud.Cloud, *Controller) {
 	t.Helper()
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 	s, cl, broker := testutil.Stack(t, sim.Config{
@@ -24,7 +24,7 @@ func testSystem(t *testing.T, mode sim.Mode) (*sim.Simulator, *cloud.Cloud, *Con
 		Workload: testutil.FlatWorkload(3, 0.3, 300),
 		Transfer: transfer,
 		Seed:     7,
-	})
+	}, opts...)
 	ctl, err := NewController(s, cl, broker, resolvedOptions(transfer))
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
@@ -281,7 +281,7 @@ func TestControllerHonorsBootLatencyOnIncrease(t *testing.T) {
 }
 
 func TestControllerRecoversFromVMFailures(t *testing.T) {
-	s, cl, ctl := testSystem(t, sim.ClientServer)
+	s, cl, ctl := testSystem(t, sim.ClientServer, cloud.WithPricing(cloud.SpotPricing()))
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 	inputs := make([]ChannelInput, s.Channels())
 	for c := range inputs {
@@ -299,21 +299,23 @@ func TestControllerRecoversFromVMFailures(t *testing.T) {
 	if before == 0 {
 		t.Skip("no standard VMs allocated in this scenario")
 	}
-	// Kill everything mid-interval; the next round's absolute SLA targets
-	// must restore the fleet.
-	if _, err := cl.FailVMs(s.Now(), "standard", before); err != nil {
+	// Preempt every spot VM mid-interval; the next round's absolute SLA
+	// targets must restore the fleet.
+	killed, _, err := cl.PreemptSpot(s.Now(), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := cl.AllocatedVMs("standard"); got != 0 {
-		t.Fatalf("failure did not clear allocation: %d", got)
+	failed, _ := cl.AllocatedVMs("standard")
+	if killed == 0 || failed >= before {
+		t.Fatalf("preemption did not shrink the allocation: %d → %d VMs", before, failed)
 	}
 	s.RunUntil(2 * 600) // past the next provisioning round
 	after, err := cl.AllocatedVMs("standard")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after == 0 {
-		t.Error("controller did not restore the failed VMs on the next round")
+	if after <= failed {
+		t.Errorf("controller did not restore the preempted VMs on the next round: %d after preemption, %d after the round", failed, after)
 	}
 }
 
@@ -330,7 +332,7 @@ func TestCapacityHooksRejectOutOfRange(t *testing.T) {
 			t.Errorf("ScaleCapacity(%v) accepted", f)
 		}
 	}
-	if got := ctl.CapacityFactor(); got != 1 {
+	if got := ctl.capFactor; got != 1 {
 		t.Errorf("rejected factors moved the capacity factor to %v", got)
 	}
 	for _, f := range []float64{0, 0.5, 1} {

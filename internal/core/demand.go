@@ -82,18 +82,14 @@ func (d *deriver) derive(cfg queueing.Config, in ChannelInput, p2pMode bool) (qu
 	return eq, res, nil
 }
 
-// FlattenDemands converts per-channel demands into the flat chunk-demand
-// list the provisioning heuristics consume.
-func FlattenDemands(demands []ChannelDemand) []provision.ChunkDemand {
-	return FlattenDemandsInto(nil, demands)
-}
-
-// FlattenDemandsInto is FlattenDemands appending into a reused scratch
-// buffer: dst is truncated and refilled, growing only when the demand set
-// outgrows its capacity, so a controller that flattens every interval
-// allocates nothing in steady state. Safe to reuse across rounds because
-// no planner retains the request's demand slice (Greedy copies before
-// sorting, Lookahead/StaticPeak copy their per-chunk maxima).
+// FlattenDemandsInto converts per-channel demands into the flat
+// chunk-demand list the provisioning heuristics consume, appending into a
+// reused scratch buffer: dst is truncated and refilled, growing only when
+// the demand set outgrows its capacity, so a controller that flattens
+// every interval allocates nothing in steady state. Safe to reuse across
+// rounds because no planner retains the request's demand slice (Greedy
+// copies before sorting, Lookahead/StaticPeak copy their per-chunk
+// maxima).
 //
 //cloudmedia:hotpath
 func FlattenDemandsInto(dst []provision.ChunkDemand, demands []ChannelDemand) []provision.ChunkDemand {

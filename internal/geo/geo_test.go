@@ -271,8 +271,8 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 	if got, want := west.share.get(), 1/(1-0.7); math.Abs(got-want) > 1e-12 {
 		t.Errorf("survivor share factor %v, want %v", got, want)
 	}
-	if got := east.Controller.CapacityFactor(); got != 0 {
-		t.Errorf("failed region capacity factor %v, want 0", got)
+	if got := east.Sim.TotalCloudCapacity(); got != 0 {
+		t.Errorf("failed region serves %v bytes/s of cloud capacity, want 0", got)
 	}
 	if west.Cloud.Ledger().Totals().TransferUSD <= 0 {
 		t.Error("survivor charged no failover transfer")
@@ -281,13 +281,17 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 		t.Error("spot preemption at t=900 left no interruption record")
 	}
 
+	// Recovery at t=1200 lifts the capacity factor back to 1, which
+	// reapplies the region's planned capacity at once.
+	d.RunUntil(1300)
+	if got := east.Sim.TotalCloudCapacity(); got <= 0 {
+		t.Errorf("recovered region serves %v bytes/s of cloud capacity, want it restored", got)
+	}
+
 	d.RunUntil(1800) // past recovery
 	if east.down || east.share.get() != 1 || west.share.get() != 1 {
 		t.Errorf("shares not restored after recovery: east=%v west=%v",
 			east.share.get(), west.share.get())
-	}
-	if got := east.Controller.CapacityFactor(); got != 1 {
-		t.Errorf("recovered region capacity factor %v, want 1", got)
 	}
 	if east.Cloud.Ledger().Totals().TransferUSD <= 0 {
 		t.Error("recovered region charged no fail-back transfer")

@@ -82,42 +82,6 @@ func Exponential(rng *rand.Rand, mean float64) float64 {
 	return rng.ExpFloat64() * mean
 }
 
-// PoissonCount draws a Poisson-distributed count with the given mean using
-// Knuth's method for small means and a normal approximation beyond 500 to
-// stay O(1) for the flash-crowd peaks.
-func PoissonCount(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		n := int(math.Round(mean + math.Sqrt(mean)*rng.NormFloat64()))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	limit := math.Exp(-mean)
-	p := 1.0
-	n := 0
-	for {
-		p *= rng.Float64()
-		if p <= limit {
-			return n
-		}
-		n++
-	}
-}
-
-// NextPoissonArrival returns the time of the next event of a homogeneous
-// Poisson process with the given rate (events per unit time), measured from
-// now. A non-positive rate yields +Inf (no arrival).
-func NextPoissonArrival(rng *rand.Rand, now, rate float64) float64 {
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return now + rng.ExpFloat64()/rate
-}
-
 // NextNHPPArrival returns the next arrival time of a non-homogeneous Poisson
 // process with instantaneous rate rate(t), simulated by thinning against the
 // envelope rateMax (which must dominate rate(t) on the horizon). It returns
@@ -136,30 +100,4 @@ func NextNHPPArrival(rng *rand.Rand, now, horizon, rateMax float64, rate func(t 
 			return t
 		}
 	}
-}
-
-// WeightedChoice returns an index drawn with probability proportional to
-// weights[i]. Weights must be non-negative with a positive sum; otherwise
-// -1 is returned.
-func WeightedChoice(rng *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return -1
-	}
-	u := rng.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		u -= w
-		if u <= 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

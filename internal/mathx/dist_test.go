@@ -82,56 +82,26 @@ func TestBoundedParetoEmpiricalMeanMatchesAnalytic(t *testing.T) {
 		t.Fatalf("NewBoundedPareto: %v", err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	var s Summary
-	for i := 0; i < 200000; i++ {
-		s.Add(p.Sample(rng))
+	xs := make([]float64, 200000)
+	for i := range xs {
+		xs[i] = p.Sample(rng)
 	}
-	if !ApproxEqual(s.Mean(), p.Mean(), 0.02) {
-		t.Errorf("empirical mean %v vs analytic %v", s.Mean(), p.Mean())
+	if got := Sum(xs) / float64(len(xs)); !ApproxEqual(got, p.Mean(), 0.02) {
+		t.Errorf("empirical mean %v vs analytic %v", got, p.Mean())
 	}
 }
 
 func TestExponentialMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var s Summary
-	for i := 0; i < 100000; i++ {
-		s.Add(Exponential(rng, 15))
+	xs := make([]float64, 100000)
+	for i := range xs {
+		xs[i] = Exponential(rng, 15)
 	}
-	if !ApproxEqual(s.Mean(), 15, 0.05) {
-		t.Errorf("empirical mean %v, want ≈15", s.Mean())
+	if got := Sum(xs) / float64(len(xs)); !ApproxEqual(got, 15, 0.05) {
+		t.Errorf("empirical mean %v, want ≈15", got)
 	}
 	if Exponential(rng, 0) != 0 {
 		t.Error("zero mean should give 0")
-	}
-}
-
-func TestPoissonCountMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, mean := range []float64{0.5, 5, 60, 800} {
-		var s Summary
-		for i := 0; i < 20000; i++ {
-			s.Add(float64(PoissonCount(rng, mean)))
-		}
-		if !ApproxEqual(s.Mean(), mean, 0.08) {
-			t.Errorf("Poisson(%v): empirical mean %v", mean, s.Mean())
-		}
-	}
-	if PoissonCount(rng, 0) != 0 {
-		t.Error("zero mean should give 0")
-	}
-}
-
-func TestNextPoissonArrival(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	if !math.IsInf(NextPoissonArrival(rng, 0, 0), 1) {
-		t.Error("zero rate should give +Inf")
-	}
-	var s Summary
-	for i := 0; i < 50000; i++ {
-		s.Add(NextPoissonArrival(rng, 100, 2) - 100)
-	}
-	if !ApproxEqual(s.Mean(), 0.5, 0.05) {
-		t.Errorf("inter-arrival mean %v, want ≈0.5", s.Mean())
 	}
 }
 
@@ -161,38 +131,6 @@ func TestNextNHPPArrivalZeroEnvelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	if !math.IsInf(NextNHPPArrival(rng, 0, 10, 0, func(float64) float64 { return 1 }), 1) {
 		t.Error("zero envelope should give +Inf")
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	counts := make([]int, 3)
-	w := []float64{1, 2, 7}
-	for i := 0; i < 100000; i++ {
-		idx := WeightedChoice(rng, w)
-		if idx < 0 || idx > 2 {
-			t.Fatalf("index %d out of range", idx)
-		}
-		counts[idx]++
-	}
-	if f := float64(counts[2]) / 100000; !ApproxEqual(f, 0.7, 0.05) {
-		t.Errorf("heaviest weight frequency %v, want ≈0.7", f)
-	}
-	if WeightedChoice(rng, []float64{0, 0}) != -1 {
-		t.Error("all-zero weights should return -1")
-	}
-	if WeightedChoice(rng, nil) != -1 {
-		t.Error("nil weights should return -1")
-	}
-}
-
-func TestWeightedChoiceSkipsNegativeAndZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	w := []float64{0, -3, 5, 0}
-	for i := 0; i < 1000; i++ {
-		if idx := WeightedChoice(rng, w); idx != 2 {
-			t.Fatalf("index %d, want 2 (only positive weight)", idx)
-		}
 	}
 }
 

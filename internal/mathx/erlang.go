@@ -77,15 +77,6 @@ func NewMMm(lambda, mu float64, m int) (MMm, error) {
 	}, nil
 }
 
-// OfferedLoad returns a = λ/µ.
-func (q MMm) OfferedLoad() float64 { return q.offered }
-
-// Utilization returns ρ = λ/(m·µ) ∈ [0, 1).
-func (q MMm) Utilization() float64 { return q.offered / float64(q.Servers) }
-
-// DelayProbability returns the Erlang-C probability that an arrival waits.
-func (q MMm) DelayProbability() float64 { return q.delayP }
-
 // MeanQueueLength returns E[L_q], the expected number of jobs waiting
 // (excluding jobs in service).
 func (q MMm) MeanQueueLength() float64 {
@@ -102,14 +93,6 @@ func (q MMm) MeanJobs() float64 {
 	return q.offered + q.MeanQueueLength()
 }
 
-// MeanWait returns E[W_q], the expected waiting time before service starts.
-func (q MMm) MeanWait() float64 {
-	if q.Lambda == 0 {
-		return 0
-	}
-	return q.MeanQueueLength() / q.Lambda
-}
-
 // MeanSojourn returns E[T], the expected total time in system (waiting plus
 // service). By Little's law E[T] = E[n]/λ.
 func (q MMm) MeanSojourn() float64 {
@@ -117,46 +100,6 @@ func (q MMm) MeanSojourn() float64 {
 		return 1 / q.Mu
 	}
 	return q.MeanJobs() / q.Lambda
-}
-
-// StateProbability returns p(k), the equilibrium probability of exactly k
-// jobs in the system (Eqn. (2) of the paper).
-func (q MMm) StateProbability(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	p0 := q.emptyProbability()
-	a := q.offered
-	m := q.Servers
-	if k <= m {
-		// p0 · a^k / k!  computed incrementally to avoid overflow.
-		p := p0
-		for i := 1; i <= k; i++ {
-			p *= a / float64(i)
-		}
-		return p
-	}
-	// p(m) · (a/m)^(k−m)
-	pm := p0
-	for i := 1; i <= m; i++ {
-		pm *= a / float64(i)
-	}
-	return pm * math.Pow(a/float64(m), float64(k-m))
-}
-
-// emptyProbability returns p(0) using the standard M/M/m normalization.
-func (q MMm) emptyProbability() float64 {
-	a := q.offered
-	m := q.Servers
-	sum := 0.0
-	term := 1.0 // a^k/k! for k = 0
-	for k := 0; k < m; k++ {
-		sum += term
-		term *= a / float64(k+1)
-	}
-	// term is now a^m/m!; add the waiting-tail mass a^m/m! · m/(m−a).
-	sum += term * float64(m) / (float64(m) - a)
-	return 1 / sum
 }
 
 // seriesThreshold is the offered load a = λ/µ from which the sizing search

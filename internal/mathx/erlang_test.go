@@ -98,7 +98,7 @@ func TestMMmStateProbabilitiesSumToOne(t *testing.T) {
 	}
 	var sum float64
 	for k := 0; k < 300; k++ {
-		sum += q.StateProbability(k)
+		sum += q.stateProbability(k)
 	}
 	if !ApproxEqual(sum, 1, 1e-9) {
 		t.Errorf("state probabilities sum to %v, want 1", sum)
@@ -114,7 +114,7 @@ func TestMMmMeanJobsMatchesStateSum(t *testing.T) {
 	}
 	var byState float64
 	for k := 0; k < 500; k++ {
-		byState += float64(k) * q.StateProbability(k)
+		byState += float64(k) * q.stateProbability(k)
 	}
 	if got := q.MeanJobs(); !ApproxEqual(got, byState, 1e-6) {
 		t.Errorf("MeanJobs=%v, Σk·p(k)=%v", got, byState)
@@ -369,4 +369,45 @@ func BenchmarkSizeForSojourn(b *testing.B) {
 			b.ReportMetric(float64(q.Servers), "servers")
 		})
 	}
+}
+
+// stateProbability returns p(k), the equilibrium probability of exactly k
+// jobs in the system (Eqn. (2) of the paper): the state-by-state reference
+// the closed-form MeanJobs is held to.
+func (q MMm) stateProbability(k int) float64 {
+	if k < 0 {
+		return 0
+	}
+	p0 := q.emptyProbability()
+	a := q.offered
+	m := q.Servers
+	if k <= m {
+		// p0 · a^k / k!  computed incrementally to avoid overflow.
+		p := p0
+		for i := 1; i <= k; i++ {
+			p *= a / float64(i)
+		}
+		return p
+	}
+	// p(m) · (a/m)^(k−m)
+	pm := p0
+	for i := 1; i <= m; i++ {
+		pm *= a / float64(i)
+	}
+	return pm * math.Pow(a/float64(m), float64(k-m))
+}
+
+// emptyProbability returns p(0) using the standard M/M/m normalization.
+func (q MMm) emptyProbability() float64 {
+	a := q.offered
+	m := q.Servers
+	sum := 0.0
+	term := 1.0 // a^k/k! for k = 0
+	for k := 0; k < m; k++ {
+		sum += term
+		term *= a / float64(k+1)
+	}
+	// term is now a^m/m!; add the waiting-tail mass a^m/m! · m/(m−a).
+	sum += term * float64(m) / (float64(m) - a)
+	return 1 / sum
 }

@@ -2,48 +2,12 @@ package mathx
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
-// ErrSingular is returned by SolveLinear when the coefficient matrix is
+// ErrSingular is returned by SolveInPlace when the coefficient matrix is
 // singular (or numerically so close to singular that elimination fails).
 var ErrSingular = errors.New("mathx: singular matrix")
-
-// SolveLinear solves the dense linear system A·x = b using Gaussian
-// elimination with partial pivoting and returns x.
-//
-// A must be square with len(A) == len(b); A and b are not modified.
-// The chunk-transfer systems in this codebase have dimension J ≈ 20, so a
-// direct O(n³) solve is both exact and cheap. SolveLinear validates the
-// shape, copies A and b into one flat buffer (its only allocation), and
-// runs SolveInPlace on it.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 {
-		return nil, errors.New("mathx: empty system")
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("mathx: dimension mismatch: %d rows, %d rhs entries", n, len(b))
-	}
-	for i, row := range a {
-		if len(row) != n {
-			return nil, fmt.Errorf("mathx: row %d has %d columns, want %d", i, len(row), n)
-		}
-	}
-	// One buffer: the n×n matrix row-major, then the right-hand side,
-	// then the solution (capped so appending to it cannot reach back).
-	buf := make([]float64, n*n+2*n)
-	m, rhs, x := buf[:n*n], buf[n*n:n*n+n], buf[n*n+n:n*n+2*n:n*n+2*n]
-	for i, row := range a {
-		copy(m[i*n:(i+1)*n], row)
-	}
-	copy(rhs, b)
-	if err := SolveInPlace(m, rhs, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
 
 // errShape is SolveInPlace's dimension error, preallocated so the hot
 // path formats nothing.
@@ -54,12 +18,12 @@ var errShape = errors.New("mathx: SolveInPlace needs len(m) == n*n and len(x) ==
 // overwrites m with the eliminated upper triangle and rhs with the
 // transformed right-hand side, so callers reuse both as workspace.
 //
-// This is the single elimination behind SolveLinear: partial pivoting
-// on the largest magnitude in the column, ErrSingular below 1e-13,
-// physical row swaps, rows whose multiplier is exactly zero skipped, and
-// back-substitution in descending row order. Tests hold it bit for bit
-// to the [][]float64 reference elimination (testutil.ReferenceSolveLinear),
-// so keep every floating-point operation and its order.
+// The elimination pivots on the largest magnitude in the column, reports
+// ErrSingular below 1e-13, swaps rows physically, skips rows whose
+// multiplier is exactly zero, and back-substitutes in descending row
+// order. Tests hold it bit for bit to the [][]float64 reference
+// elimination (testutil.ReferenceSolveLinear), so keep every
+// floating-point operation and its order.
 //
 //cloudmedia:hotpath
 func SolveInPlace(m, rhs, x []float64) error {
@@ -112,30 +76,4 @@ func SolveInPlace(m, rhs, x []float64) error {
 		x[i] = sum / row[i]
 	}
 	return nil
-}
-
-// MatVec returns A·x for a dense matrix A.
-func MatVec(a [][]float64, x []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, row := range a {
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Residual returns the max-norm of A·x − b, used by tests and by callers
-// that want to sanity-check a solve.
-func Residual(a [][]float64, x, b []float64) float64 {
-	ax := MatVec(a, x)
-	var worst float64
-	for i := range ax {
-		if d := math.Abs(ax[i] - b[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

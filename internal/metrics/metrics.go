@@ -1,84 +1,13 @@
-// Package metrics provides the time-series recording and tabular reporting
-// used by the experiment harness: every figure in the paper is a set of
-// (time, value) series or an (x, y) scatter, rendered as aligned text
-// columns or CSV.
+// Package metrics provides the tabular reporting used by the experiment
+// harness: every figure in the paper is a set of (time, value) series or
+// an (x, y) scatter, rendered as aligned text columns or CSV.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"strings"
-
-	"cloudmedia/internal/mathx"
 )
-
-// TimeSeries is an append-only sequence of (time, value) samples.
-type TimeSeries struct {
-	Name   string
-	times  []float64
-	values []float64
-}
-
-// NewTimeSeries returns an empty named series.
-func NewTimeSeries(name string) *TimeSeries {
-	return &TimeSeries{Name: name}
-}
-
-// Add appends one sample. Times should be non-decreasing; Add enforces this
-// to catch misuse of the simulated clock.
-func (ts *TimeSeries) Add(t, v float64) error {
-	if n := len(ts.times); n > 0 && t < ts.times[n-1] {
-		return fmt.Errorf("metrics: time %v before last sample %v in %q", t, ts.times[n-1], ts.Name)
-	}
-	ts.times = append(ts.times, t)
-	ts.values = append(ts.values, v)
-	return nil
-}
-
-// Len returns the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.values) }
-
-// At returns the i-th sample.
-func (ts *TimeSeries) At(i int) (t, v float64) { return ts.times[i], ts.values[i] }
-
-// Values returns a copy of the sample values.
-func (ts *TimeSeries) Values() []float64 {
-	out := make([]float64, len(ts.values))
-	copy(out, ts.values)
-	return out
-}
-
-// Times returns a copy of the sample times.
-func (ts *TimeSeries) Times() []float64 {
-	out := make([]float64, len(ts.times))
-	copy(out, ts.times)
-	return out
-}
-
-// Mean returns the mean sample value (0 when empty).
-func (ts *TimeSeries) Mean() float64 { return mathx.Mean(ts.values) }
-
-// Max returns the largest sample value (0 when empty).
-func (ts *TimeSeries) Max() float64 {
-	var m float64
-	for i, v := range ts.values {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the smallest sample value (0 when empty).
-func (ts *TimeSeries) Min() float64 {
-	var m float64
-	for i, v := range ts.values {
-		if i == 0 || v < m {
-			m = v
-		}
-	}
-	return m
-}
 
 // Table is a simple column-oriented result table for experiment output.
 type Table struct {
@@ -156,41 +85,4 @@ func (t *Table) RenderCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SeriesTable aligns several time series that share sampling times into a
-// table with one time column. Series shorter than the longest are padded
-// with empty cells.
-func SeriesTable(title, timeHeader string, series ...*TimeSeries) *Table {
-	headers := make([]string, 0, len(series)+1)
-	headers = append(headers, timeHeader)
-	longest := 0
-	for _, s := range series {
-		headers = append(headers, s.Name)
-		if s.Len() > longest {
-			longest = s.Len()
-		}
-	}
-	tbl := NewTable(title, headers...)
-	for i := 0; i < longest; i++ {
-		row := make([]any, 0, len(series)+1)
-		var tm float64
-		for _, s := range series {
-			if s.Len() > i {
-				tm, _ = s.At(i)
-				break
-			}
-		}
-		row = append(row, tm)
-		for _, s := range series {
-			if s.Len() > i {
-				_, v := s.At(i)
-				row = append(row, v)
-			} else {
-				row = append(row, "")
-			}
-		}
-		tbl.AddRow(row...)
-	}
-	return tbl
 }

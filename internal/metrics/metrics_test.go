@@ -3,55 +3,7 @@ package metrics
 import (
 	"strings"
 	"testing"
-
-	"cloudmedia/internal/mathx"
 )
-
-func TestTimeSeriesBasics(t *testing.T) {
-	ts := NewTimeSeries("bw")
-	for i, v := range []float64{10, 30, 20} {
-		if err := ts.Add(float64(i), v); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
-	if ts.Len() != 3 {
-		t.Fatalf("Len = %d", ts.Len())
-	}
-	if tm, v := ts.At(1); tm != 1 || v != 30 {
-		t.Errorf("At(1) = %v,%v", tm, v)
-	}
-	if !mathx.ApproxEqual(ts.Mean(), 20, 1e-12) {
-		t.Errorf("Mean = %v", ts.Mean())
-	}
-	if ts.Max() != 30 || ts.Min() != 10 {
-		t.Errorf("Max/Min = %v/%v", ts.Max(), ts.Min())
-	}
-}
-
-func TestTimeSeriesRejectsBackwardsTime(t *testing.T) {
-	ts := NewTimeSeries("x")
-	if err := ts.Add(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.Add(4, 1); err == nil {
-		t.Error("backwards time: want error")
-	}
-}
-
-func TestTimeSeriesCopies(t *testing.T) {
-	ts := NewTimeSeries("x")
-	_ = ts.Add(0, 7)
-	vals := ts.Values()
-	vals[0] = 99
-	if _, v := ts.At(0); v != 7 {
-		t.Error("Values exposes internal storage")
-	}
-	times := ts.Times()
-	times[0] = 99
-	if tm, _ := ts.At(0); tm != 0 {
-		t.Error("Times exposes internal storage")
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tbl := NewTable("demo", "hour", "cost")
@@ -77,23 +29,5 @@ func TestTableRenderCSV(t *testing.T) {
 	want := "a,b\nx,1.25\n"
 	if sb.String() != want {
 		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestSeriesTable(t *testing.T) {
-	a := NewTimeSeries("cs")
-	b := NewTimeSeries("p2p")
-	_ = a.Add(0, 100)
-	_ = a.Add(1, 200)
-	_ = b.Add(0, 10)
-	tbl := SeriesTable("fig", "hour", a, b)
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
-	}
-	if tbl.Rows[0][1] != "100" || tbl.Rows[0][2] != "10" {
-		t.Errorf("row 0 = %v", tbl.Rows[0])
-	}
-	if tbl.Rows[1][2] != "" {
-		t.Errorf("short series should pad: %v", tbl.Rows[1])
 	}
 }

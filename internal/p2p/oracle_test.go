@@ -61,7 +61,7 @@ func referenceOwnersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][
 }
 
 // referenceSolve is Solve as it was before this package went flat: the
-// reference owner solve, CoOwnership re-summing N on every call, and the
+// reference owner solve, co-ownership re-summing N on every call, and the
 // reflect-based stable sort for the rarest-first order.
 func referenceSolve(a Analysis) (Result, error) {
 	eq := a.Equilibrium

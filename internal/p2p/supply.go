@@ -182,20 +182,16 @@ func full(r, i int) int {
 	return r + 1
 }
 
-// CoOwnership returns Ψ(a, b): the estimated probability that a random peer
-// in the channel simultaneously holds chunks a and b. With N = Σ_q E[n_q]
-// and conditional independence of ownership given the peer's current queue:
+// coOwnership returns Ψ(a, b): the estimated probability that a random
+// peer in the channel simultaneously holds chunks a and b. With
+// total = N = Σ_q E[n_q] (passed in, so Eqn. (5)'s O(J²) co-owner terms do
+// not re-sum the populations each time) and conditional independence of
+// ownership given the peer's current queue:
 //
 //	Ψ(a,b) = Σ_q (E[n_q]/N) · (E[ν_aq]/E[n_q]) · (E[ν_bq]/E[n_q])
 //
 // Per-queue ownership fractions are clamped to 1 since E[ν_iq] can slightly
 // exceed E[n_q] under the proposition's balance approximation.
-func CoOwnership(meanUsers []float64, owners [][]float64, a, b int) float64 {
-	return coOwnership(meanUsers, mathx.Sum(meanUsers), owners, a, b)
-}
-
-// coOwnership is CoOwnership with N = Σ_q E[n_q] passed in, so Eqn. (5)'s
-// O(J²) co-owner terms do not re-sum the populations each time.
 func coOwnership(meanUsers []float64, total float64, owners [][]float64, a, b int) float64 {
 	if total <= 0 {
 		return 0

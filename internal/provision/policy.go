@@ -129,11 +129,6 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// PolicyNames lists the ParsePolicy spellings, for CLI help and sweeps.
-func PolicyNames() []string {
-	return []string{"greedy", "lookahead", "lookahead-hedged", "oracle", "staticpeak"}
-}
-
 // Greedy is the paper's policy (Sec. V-A/V-B): every interval, run the
 // greedy VM heuristic on the predicted demand, shrinking demand when the
 // budget is infeasible, and replan storage when total demand has moved by

@@ -105,8 +105,11 @@ func TestPlanWithScalingPassesThroughOtherErrors(t *testing.T) {
 	}
 }
 
+// policyNames lists every ParsePolicy spelling.
+var policyNames = []string{"greedy", "lookahead", "lookahead-hedged", "oracle", "staticpeak"}
+
 func TestParsePolicy(t *testing.T) {
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		p, err := ParsePolicy(name)
 		if err != nil {
 			t.Errorf("ParsePolicy(%q): %v", name, err)
@@ -413,7 +416,7 @@ func TestPlannersRejectNonFiniteDemand(t *testing.T) {
 		if _, err := PlanStorage(demands, req.ChunkBytes, req.NFSClusters, req.StorageBudgetPerHour); err == nil {
 			t.Errorf("PlanStorage accepted demand %v", bad)
 		}
-		for _, name := range PolicyNames() {
+		for _, name := range policyNames {
 			policy, err := ParsePolicy(name)
 			if err != nil {
 				t.Fatal(err)

@@ -158,14 +158,15 @@ func (s *LiveSource) Samples() int {
 
 // Feed ingests the line protocol from r until EOF, a malformed line, or
 // context cancellation. Each line is a trace-CSV row — "time_s,rate0,
-// rate1,…" with one rate per channel — and blank lines, '#' comments,
-// and a leading header line are skipped, so `cloudmedia trace gen`
-// output pipes straight in:
+// rate1,…" with one rate per channel. Blank lines and '#' comments are
+// skipped, and so is a header: the first other line, when its time field
+// is not a number. So `cloudmedia trace gen` output pipes straight in:
 //
 //	cloudmedia trace gen -kind weekweekend -days 2 | cloudmedia serve -stdin …
 func (s *LiveSource) Feed(ctx context.Context, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	line := 0
+	first := true // the next content line may be the header
 	for sc.Scan() {
 		line++
 		if err := ctx.Err(); err != nil {
@@ -175,10 +176,12 @@ func (s *LiveSource) Feed(ctx context.Context, r io.Reader) error {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
+		header := first
+		first = false
 		fields := strings.Split(text, ",")
 		t, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
 		if err != nil {
-			if line == 1 {
+			if header {
 				continue // header row ("time_s,ch0,…")
 			}
 			return fmt.Errorf("serve: line %d: bad time %q", line, fields[0])
@@ -226,9 +229,19 @@ func (s *LiveSource) Rate(channel int, t float64) (float64, error) {
 	if s.times[i] == t {
 		return s.samples[i][channel], nil
 	}
-	t0, t1 := s.times[i-1], s.times[i]
-	f := (t - t0) / (t1 - t0)
+	f := segmentFraction(t, s.times[i-1], s.times[i])
 	return s.samples[i-1][channel] + f*(s.samples[i][channel]-s.samples[i-1][channel]), nil
+}
+
+// segmentFraction returns (t − t0)/(t1 − t0) for t0 < t < t1. When the
+// span t1 − t0 overflows, as between huge times of opposite sign, every
+// operand is halved first, so the fraction stays finite; otherwise the
+// plain quotient is returned bit for bit.
+func segmentFraction(t, t0, t1 float64) float64 {
+	if span := t1 - t0; !math.IsInf(span, 0) {
+		return (t - t0) / span
+	}
+	return (t/2 - t0/2) / (t1/2 - t0/2)
 }
 
 // RatesInto implements workload.BatchSource under one lock acquisition
@@ -259,8 +272,7 @@ func (s *LiveSource) RatesInto(t float64, dst []float64) error {
 			copy(dst, s.samples[i])
 			return nil
 		}
-		t0, t1 := s.times[i-1], s.times[i]
-		f := (t - t0) / (t1 - t0)
+		f := segmentFraction(t, s.times[i-1], s.times[i])
 		for c := range dst {
 			dst[c] = s.samples[i-1][c] + f*(s.samples[i][c]-s.samples[i-1][c])
 		}

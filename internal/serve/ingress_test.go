@@ -183,9 +183,22 @@ func TestLiveSourceFeed(t *testing.T) {
 	if err := s.Feed(context.Background(), strings.NewReader("20,1\n")); err == nil {
 		t.Fatal("short row accepted")
 	}
-	// Non-numeric time past line 1 is an error, not a header.
+	// Non-numeric time past the first data line is an error, not a header.
 	if err := s.Feed(context.Background(), strings.NewReader("30,1,1\nnope,1,1\n")); err == nil {
 		t.Fatal("mid-stream bad time accepted")
+	}
+	// The header is the first line that is neither blank nor a comment,
+	// wherever it sits.
+	for _, input := range []string{
+		"# generated\ntime_s,ch0,ch1\n10,1,1\n",
+		"\ntime_s,ch0,ch1\n10,1,1\n",
+	} {
+		hs := mustLive(t, 2, 100)
+		if err := hs.Feed(context.Background(), strings.NewReader(input)); err != nil {
+			t.Errorf("Feed(%q): %v", input, err)
+		} else if n := hs.Samples(); n != 1 {
+			t.Errorf("Feed(%q) kept %d samples, want 1", input, n)
+		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

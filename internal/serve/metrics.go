@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -213,13 +212,6 @@ func (m *Metrics) stateLocked() State {
 		}
 	}
 	return st
-}
-
-// WriteJSON writes the /state document.
-func (m *Metrics) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m.State())
 }
 
 // WriteProm writes the store in the Prometheus text exposition format

@@ -7,10 +7,9 @@ import (
 	"sync"
 )
 
-// Point is one raw observation in the rolling store.
+// Point is one observation fed to the rolling store.
 type Point struct {
 	Sim          float64 // simulated seconds
-	Real         float64 // wall-clock seconds since clock start
 	Viewers      int
 	Quality      float64
 	DemandBps    float64 // total cloud demand, bytes/s
@@ -18,7 +17,7 @@ type Point struct {
 	CostUSD      float64 // cumulative bill at this point
 }
 
-// Bin is one aggregated timeline entry: means over the raw points whose
+// Bin is one aggregated timeline entry: means over the points whose
 // simulated time falls in [Start, Start+Width).
 type Bin struct {
 	Start        float64 `json:"start_s"`
@@ -31,17 +30,13 @@ type Bin struct {
 	CostUSD      float64 `json:"cost_usd"` // last cumulative bill seen in the bin
 }
 
-// Rolling retains raw observations for a bounded window of simulated
-// time and aggregates everything — including points later pruned from
-// the raw window — into fixed-width bins, so a long-running daemon keeps
-// a full-run timeline at constant resolution while raw points stay
-// bounded.
+// Rolling aggregates every observation into fixed-width bins of
+// simulated time without keeping the points, so a long-running daemon
+// keeps a full-run timeline at constant resolution and bounded memory.
 type Rolling struct {
-	mu     sync.Mutex
-	retain float64 // raw window, simulated seconds
-	width  float64 // aggregation bin width, simulated seconds
-	raw    []Point
-	bins   map[int]*binAcc
+	mu    sync.Mutex
+	width float64 // aggregation bin width, simulated seconds
+	bins  map[int]*binAcc
 }
 
 type binAcc struct {
@@ -54,38 +49,22 @@ type binAcc struct {
 	lastSim      float64
 }
 
-// NewRolling builds a store retaining raw points for retainSeconds of
-// simulated time and aggregating at binSeconds resolution. Zero values
-// pick defaults (raw window 6h, bins 15min).
-func NewRolling(retainSeconds, binSeconds float64) (*Rolling, error) {
-	if retainSeconds == 0 {
-		retainSeconds = 6 * 3600
-	}
+// NewRolling builds a store aggregating at binSeconds resolution; zero
+// picks 15-minute bins.
+func NewRolling(binSeconds float64) (*Rolling, error) {
 	if binSeconds == 0 {
 		binSeconds = 900
-	}
-	if retainSeconds < 0 || math.IsNaN(retainSeconds) || math.IsInf(retainSeconds, 0) {
-		return nil, fmt.Errorf("serve: invalid raw retention %v", retainSeconds)
 	}
 	if binSeconds <= 0 || math.IsNaN(binSeconds) || math.IsInf(binSeconds, 0) {
 		return nil, fmt.Errorf("serve: invalid bin width %v", binSeconds)
 	}
-	return &Rolling{retain: retainSeconds, width: binSeconds, bins: make(map[int]*binAcc)}, nil
+	return &Rolling{width: binSeconds, bins: make(map[int]*binAcc)}, nil
 }
 
-// Add records one observation and prunes raw points that fell out of the
-// retention window. Aggregation is unaffected by pruning.
+// Add folds one observation into its bin.
 func (r *Rolling) Add(p Point) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.raw = append(r.raw, p)
-	cut := 0
-	for cut < len(r.raw)-1 && r.raw[cut].Sim < p.Sim-r.retain {
-		cut++
-	}
-	if cut > 0 {
-		r.raw = append(r.raw[:0], r.raw[cut:]...)
-	}
 	idx := int(math.Floor(p.Sim / r.width))
 	acc := r.bins[idx]
 	if acc == nil {
@@ -103,15 +82,8 @@ func (r *Rolling) Add(p Point) {
 	}
 }
 
-// Raw returns a copy of the currently retained raw points.
-func (r *Rolling) Raw() []Point {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Point(nil), r.raw...)
-}
-
 // Timeline returns the aggregated bins in simulated-time order, covering
-// the whole run regardless of raw retention.
+// the whole run.
 func (r *Rolling) Timeline() []Bin {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -48,7 +48,7 @@ func (a *event) before(b *event) bool {
 // Cancellation is lazy: the owner of an event records the seq it armed,
 // and a popped event whose seq no longer matches its owner's is skipped
 // without touching the clock. A cancelled event therefore stays queued,
-// and counts in NextAt and Pending, until it is popped.
+// and counts in NextAt and in the queue length, until it is popped.
 type Engine struct {
 	now   float64
 	seq   uint64
@@ -226,7 +226,3 @@ func (e *Engine) NextAt() (float64, bool) {
 	}
 	return e.queue[0].at, true
 }
-
-// Pending returns the number of queued (possibly cancelled) events; used by
-// tests to detect leaks.
-func (e *Engine) Pending() int { return len(e.queue) }

@@ -224,8 +224,8 @@ func checkOracle(t *testing.T, step int, eng *Engine, ref *refEngine, got, want 
 	if at != rat || ok != rok {
 		t.Fatalf("step %d: NextAt = (%v, %v), reference (%v, %v)", step, at, ok, rat, rok)
 	}
-	if eng.Pending() != len(ref.queue) {
-		t.Fatalf("step %d: Pending = %d, reference %d", step, eng.Pending(), len(ref.queue))
+	if len(eng.queue) != len(ref.queue) {
+		t.Fatalf("step %d: queued = %d, reference %d", step, len(eng.queue), len(ref.queue))
 	}
 	if got.errs != want.errs {
 		t.Fatalf("step %d: %d schedule errors, reference %d", step, got.errs, want.errs)
@@ -276,8 +276,8 @@ func TestEngineMatchesContainerHeapOracle(t *testing.T) {
 		eng.RunUntil(ref.now + 1e9)
 		ref.runUntil(ref.now + 1e9)
 		checkOracle(t, -1, eng, ref, got, want)
-		if eng.Pending() != 0 {
-			t.Fatalf("seed %d: %d events left after draining", seed, eng.Pending())
+		if len(eng.queue) != 0 {
+			t.Fatalf("seed %d: %d events left after draining", seed, len(eng.queue))
 		}
 	}
 }

@@ -77,7 +77,7 @@ func testOwners(e *Engine, n int) []*user {
 }
 
 // An owner cancels its event by clearing the seq it armed: the engine
-// skips the event when it pops it, and the event counts in Pending until
+// skips the event when it pops it, and the event counts in the queue until
 // then. Clearing again, or after the event fired, changes nothing.
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
@@ -86,8 +86,8 @@ func TestEngineCancel(t *testing.T) {
 		u.playEndSeq = e.arm(1, kindPlayEnd, u.slot)
 	}
 	owners[0].playEndSeq = 0
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d after a cancel, want 2", e.Pending())
+	if len(e.queue) != 2 {
+		t.Errorf("queued = %d after a cancel, want 2", len(e.queue))
 	}
 	e.RunUntil(2)
 	if owners[0].state == stateStalled {
@@ -96,8 +96,8 @@ func TestEngineCancel(t *testing.T) {
 	if owners[1].state != stateStalled || owners[1].playEndSeq != 0 {
 		t.Error("armed event did not fire")
 	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after draining, want 0", e.Pending())
+	if len(e.queue) != 0 {
+		t.Errorf("queued = %d after draining, want 0", len(e.queue))
 	}
 	owners[0].playEndSeq = 0
 	owners[1].playEndSeq = 0
@@ -134,8 +134,8 @@ func TestEngineEventsScheduleEvents(t *testing.T) {
 	if len(times) != 3 || times[0] != 1 || times[2] != 3 {
 		t.Errorf("times = %v, want [1 2 3]", times)
 	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0", e.Pending())
+	if len(e.queue) != 0 {
+		t.Errorf("queued = %d, want 0", len(e.queue))
 	}
 }
 
@@ -173,8 +173,8 @@ func TestSteadyViewerEventCycleAllocatesNothing(t *testing.T) {
 	if u.playingChunk != fires%j || u.state != statePlaying {
 		t.Fatalf("after %d cycles the viewer plays chunk %d in state %d, want chunk %d playing", fires, u.playingChunk, u.state, fires%j)
 	}
-	if got := ch.engine.Pending(); got != 2 {
-		t.Errorf("Pending = %d, want 2 (the next playback end and the arrival)", got)
+	if got := len(ch.engine.queue); got != 2 {
+		t.Errorf("queued = %d, want 2 (the next playback end and the arrival)", got)
 	}
 }
 

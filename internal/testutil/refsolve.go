@@ -7,12 +7,13 @@ import (
 	"cloudmedia/internal/queueing"
 )
 
-// ReferenceSolveLinear is the [][]float64 Gaussian elimination that
-// mathx.SolveLinear ran before it moved onto flat storage, kept verbatim
-// as the oracle for the bit-identity tests of mathx.SolveInPlace and of
-// the traffic and Proposition-1 solves built on it. It copies A row by
-// row, pivots on the largest magnitude, reports mathx.ErrSingular below
-// 1e-13, swaps row slices, skips zero multipliers and back-substitutes.
+// ReferenceSolveLinear is the [][]float64 Gaussian elimination the
+// linear solve ran before it moved onto flat storage (mathx.SolveInPlace),
+// kept verbatim as the oracle for the bit-identity tests of
+// mathx.SolveInPlace and of the traffic and Proposition-1 solves built on
+// it. It copies A row by row, pivots on the largest magnitude, reports
+// mathx.ErrSingular below 1e-13, swaps row slices, skips zero multipliers
+// and back-substitutes.
 // Inputs are assumed well-shaped (square, len(b) == len(a) > 0).
 func ReferenceSolveLinear(a [][]float64, b []float64) ([]float64, error) {
 	n := len(a)

@@ -77,16 +77,16 @@ func SequentialWithJumps(tb testing.TB, chunks int, cont, jump float64) queueing
 }
 
 // Stack assembles the engine-layer system under test — simulator on the
-// given config, a default-catalog cloud, and its broker — failing the
-// test on any construction error. Controllers are the one piece left to
-// the caller: every test picks its own core.Options.
-func Stack(tb testing.TB, cfg sim.Config) (*sim.Simulator, *cloud.Cloud, *cloud.Broker) {
+// given config, a default-catalog cloud built with opts, and its broker —
+// failing the test on any construction error. Controllers are the one
+// piece left to the caller: every test picks its own core.Options.
+func Stack(tb testing.TB, cfg sim.Config, opts ...cloud.Option) (*sim.Simulator, *cloud.Cloud, *cloud.Broker) {
 	tb.Helper()
 	s, err := sim.New(cfg)
 	if err != nil {
 		tb.Fatalf("testutil: sim.New: %v", err)
 	}
-	cl, err := cloud.New(cloud.DefaultVMClusters(), cloud.DefaultNFSClusters())
+	cl, err := cloud.New(cloud.DefaultVMClusters(), cloud.DefaultNFSClusters(), opts...)
 	if err != nil {
 		tb.Fatalf("testutil: cloud.New: %v", err)
 	}

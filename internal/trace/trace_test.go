@@ -180,15 +180,10 @@ func TestTraceImplementsSourceSeam(t *testing.T) {
 	if err := src.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	w, err := workload.Weights(src, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w[0]+w[1]-1) > 1e-12 {
-		t.Errorf("weights sum to %v", w[0]+w[1])
-	}
-	if w[0] != 0.6 || w[1] != 0.4 { // rates 3 and 2 at t=200
-		t.Errorf("weights = %v, want [0.6 0.4]", w)
+	for c, want := range []float64{3, 2} { // the ramp's rates at t=200
+		if got, err := src.Rate(c, 200); err != nil || got != want {
+			t.Errorf("Rate(%d, 200) = %v, %v; want %v", c, got, err, want)
+		}
 	}
 }
 

@@ -41,12 +41,6 @@ func NewEstimator(chunks int) (*Estimator, error) {
 	return e, nil
 }
 
-// Chunks returns the channel's chunk count.
-func (e *Estimator) Chunks() int { return e.chunks }
-
-// Arrivals returns the number of arrivals recorded this interval.
-func (e *Estimator) Arrivals() int { return e.arrivals }
-
 // RecordArrival notes one external user arrival to the channel.
 func (e *Estimator) RecordArrival() { e.arrivals++ }
 

@@ -16,8 +16,8 @@ func TestNewEstimatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEstimator: %v", err)
 	}
-	if e.Chunks() != 5 {
-		t.Errorf("Chunks = %d, want 5", e.Chunks())
+	if e.chunks != 5 {
+		t.Errorf("chunks = %d, want 5", e.chunks)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestEstimatorReset(t *testing.T) {
 	e.RecordArrival()
 	mustRecord(t, e, 0, 1)
 	e.Reset()
-	if e.Arrivals() != 0 {
+	if e.arrivals != 0 {
 		t.Error("arrivals not reset")
 	}
 	p, err := e.Matrix(nil)

@@ -134,24 +134,14 @@ func (s *paramsSource) CloneSource() Source { return &paramsSource{p: s.p.Clone(
 
 func (s *paramsSource) Validate() error { return s.p.Validate() }
 
-// NextArrivalFrom samples the next arrival time for channel c after `now`,
-// before `horizon`, from the non-homogeneous Poisson process whose
-// intensity the source describes. It returns +Inf if no arrival occurs
-// before the horizon. For a parametric source this consumes exactly the
-// random stream Params.NextArrival consumes, so replacing one with the
-// other never perturbs a seeded run.
-func NextArrivalFrom(rng *rand.Rand, src Source, c int, now, horizon float64) (float64, error) {
-	envelope, err := src.MaxRate(c)
-	if err != nil {
-		return 0, err
-	}
-	return NextArrivalThinned(rng, src, c, envelope, now, horizon), nil
-}
-
-// NextArrivalThinned is the engine-facing variant of NextArrivalFrom: the
-// event engine precomputes each channel's envelope once at construction
-// and passes it here from the per-channel arrival loop, so the thinning
-// logic lives in exactly one place.
+// NextArrivalThinned samples the next arrival time for channel c after
+// `now`, before `horizon`, from the non-homogeneous Poisson process whose
+// intensity the source describes, thinning against envelope (the
+// channel's MaxRate, which the event engine precomputes once at
+// construction). It returns +Inf if no arrival occurs before the horizon.
+// For a parametric source this consumes exactly the random stream
+// Params.NextArrival consumes, so replacing one with the other never
+// perturbs a seeded run.
 func NextArrivalThinned(rng *rand.Rand, src Source, c int, envelope, now, horizon float64) float64 {
 	return mathx.NextNHPPArrival(rng, now, horizon, envelope, func(at float64) float64 {
 		//cloudmedia:allow noloss -- thinning callback: on a rate error the zero fallback rejects the candidate arrival
@@ -218,36 +208,6 @@ func (s *scaledSource) CloneSource() Source {
 }
 
 func (s *scaledSource) Validate() error { return s.src.Validate() }
-
-// Weights returns the source's popularity weights at time t: each
-// channel's share of the aggregate arrival intensity, summing to 1. When
-// every channel is idle at t the split is uniform.
-func Weights(src Source, t float64) ([]float64, error) {
-	n := src.NumChannels()
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: source has no channels")
-	}
-	w := make([]float64, n)
-	var total float64
-	for c := 0; c < n; c++ {
-		r, err := src.Rate(c, t)
-		if err != nil {
-			return nil, err
-		}
-		w[c] = r
-		total += r
-	}
-	if total <= 0 {
-		for c := range w {
-			w[c] = 1 / float64(n)
-		}
-		return w, nil
-	}
-	for c := range w {
-		w[c] /= total
-	}
-	return w, nil
-}
 
 // rateBufLenError is the cold half of the RatesInto length guards, kept
 // out of line so the annotated hot bodies contain no fmt machinery.

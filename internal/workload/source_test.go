@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// TestNextArrivalFromBitIdenticalToParams pins the seam's core promise:
-// sampling arrivals through the Source interface consumes exactly the
-// random stream Params.NextArrival consumes, so the refactored engines
-// reproduce every pre-seam seeded run bit for bit.
-func TestNextArrivalFromBitIdenticalToParams(t *testing.T) {
+// TestNextArrivalThinnedBitIdenticalToParams pins the seam's core promise:
+// sampling arrivals through the Source interface, as the event engine
+// does, consumes exactly the random stream Params.NextArrival consumes,
+// so the refactored engines reproduce every pre-seam seeded run bit for
+// bit.
+func TestNextArrivalThinnedBitIdenticalToParams(t *testing.T) {
 	p := Default()
 	p.Channels = 5
 	src := p.Source()
@@ -24,10 +25,11 @@ func TestNextArrivalFromBitIdenticalToParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NextArrivalFrom(seam, src, c, now, now+24*3600)
+		envelope, err := src.MaxRate(c)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := NextArrivalThinned(seam, src, c, envelope, now, now+24*3600)
 		if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 			t.Fatalf("arrival %d: seam %v, direct %v", i, got, want)
 		}
@@ -68,44 +70,5 @@ func TestSourceIsIndependentOfParams(t *testing.T) {
 	o1, _ := src.Rate(1, 0)
 	if c1 != o1 {
 		t.Fatalf("clone rate %v != source rate %v", c1, o1)
-	}
-}
-
-// TestWeightsNormalizes covers the popularity-weights helper, including
-// the all-idle uniform fallback.
-func TestWeightsNormalizes(t *testing.T) {
-	p := Default()
-	p.Channels = 4
-	w, err := Weights(p.Source(), 12*3600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for i, v := range w {
-		if v <= 0 {
-			t.Errorf("weight %d = %v", i, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("weights sum to %v", sum)
-	}
-	// Zipf ordering survives normalization.
-	for i := 1; i < len(w); i++ {
-		if w[i] > w[i-1] {
-			t.Errorf("weights not monotone: w[%d]=%v > w[%d]=%v", i, w[i], i-1, w[i-1])
-		}
-	}
-
-	idle := p
-	idle.BaseArrivalRate = 0
-	w, err = Weights(idle.Source(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range w {
-		if v != 0.25 {
-			t.Errorf("idle fallback weight = %v, want 0.25", v)
-		}
 	}
 }

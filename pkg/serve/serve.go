@@ -63,7 +63,7 @@ type Report struct {
 	// an interval's compute outran its real-time allowance.
 	AchievedTimeScale float64
 	// Timeline is the run's aggregated metric history (full run coverage
-	// at fixed resolution, independent of the raw retention window).
+	// at fixed resolution).
 	Timeline []Bin
 	// Addr is the observability endpoint's listen address, empty when no
 	// endpoint was configured.
@@ -131,7 +131,7 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 		channels = sc.Source.NumChannels()
 	}
 	metrics.ObserveRun(timeScale, channels)
-	rolling, err := iserve.NewRolling(0, sc.SampleSeconds)
+	rolling, err := iserve.NewRolling(sc.SampleSeconds)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,6 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 		})
 		rolling.Add(iserve.Point{
 			Sim:          s.Time,
-			Real:         clock.RealElapsed(),
 			Viewers:      s.Users,
 			Quality:      s.Quality,
 			DemandBps:    lastDemand,
