@@ -395,7 +395,11 @@ func (c *Controller) deriveOne(d *deriver, cfg queueing.Config, in ChannelInput,
 // another step or the current round still reads. The predictor's
 // history is the channel's own, extended by this round's forecasts in
 // its spare capacity: rateHistory[ch] keeps its length, so the
-// forecasts are gone from it before the next round observes.
+// forecasts are gone from it before the next round observes. A
+// predictor that folds its history (an extender) predicts step 1 from
+// that history and each later step by extending the previous forecast
+// with itself, which is the same fold, so the forecasts are
+// bit-identical to re-predicting each step.
 func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, current []ChannelDemand, currentRates []float64, p2pMode bool, now float64, k int) [][]provision.ChunkDemand {
 	T := c.opts.IntervalSeconds
 	oracle := c.oracle()
@@ -414,6 +418,7 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 	c.scratchStepOut = slices.Grow(c.scratchStepOut[:0], size)[:size]
 	c.forEachChannel(n, func(w, ch int) {
 		in := inputs[ch]
+		ext, folds := c.opts.Predictor.(extender)
 		var hist []float64
 		if !oracle {
 			if h := c.rateHistory[ch]; cap(h)-len(h) < k+1 {
@@ -423,9 +428,12 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 		}
 		prev, prevRate := current[ch], currentRates[ch]
 		for step := 1; step <= k; step++ {
-			if oracle {
+			switch {
+			case oracle:
 				in.ArrivalRate = c.opts.TrueRates(ch, now+float64(step)*T, now+float64(step+1)*T)
-			} else {
+			case folds && step > 1:
+				in.ArrivalRate = ext.extend(in.ArrivalRate, in.ArrivalRate)
+			default:
 				in.ArrivalRate = c.opts.Predictor.Predict(hist)
 				hist = append(hist, in.ArrivalRate)
 			}

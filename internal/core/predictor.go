@@ -17,6 +17,14 @@ type Predictor interface {
 	Predict(history []float64) float64
 }
 
+// extender is implemented by predictors whose forecast is a left fold
+// over the history: extend(Predict(h), x) equals Predict(h ++ [x]) bit
+// for bit, so a forecast chain can grow by one step in O(1) instead of
+// re-folding the whole history.
+type extender interface {
+	extend(prev, x float64) float64
+}
+
 // LastInterval is the paper's predictor: next interval's rate equals the
 // rate just observed (Sec. V-B).
 type LastInterval struct{}
@@ -25,6 +33,8 @@ type LastInterval struct{}
 func (LastInterval) Predict(history []float64) float64 {
 	return history[len(history)-1]
 }
+
+func (LastInterval) extend(_, x float64) float64 { return x }
 
 // EWMA forecasts with an exponentially weighted moving average:
 // f ← α·observed + (1−α)·f. Smooths arrival noise at the cost of lagging
@@ -47,9 +57,14 @@ func (e EWMA) Validate() error {
 func (e EWMA) Predict(history []float64) float64 {
 	f := history[0]
 	for _, x := range history[1:] {
-		f = e.Alpha*x + (1-e.Alpha)*f
+		f = e.extend(f, x)
 	}
 	return f
+}
+
+// extend is one step of Predict's fold.
+func (e EWMA) extend(prev, x float64) float64 {
+	return e.Alpha*x + (1-e.Alpha)*prev
 }
 
 // PeakOfWindow forecasts the maximum over the trailing window — a

@@ -17,8 +17,9 @@ import (
 type feed struct {
 	chunks      int
 	arrivals    float64
-	transitions []float64 // transitions[i*chunks+j]: flow that finished chunk i then fetched j
-	departures  []float64 // departures[i]: flow that finished chunk i then left
+	transitions []float64               // transitions[i*chunks+j]: flow that finished chunk i then fetched j
+	departures  []float64               // departures[i]: flow that finished chunk i then left
+	matrix      queueing.TransferMatrix // Matrix's result, rebuilt in place on every call
 }
 
 func newFeed(chunks int) *feed {
@@ -40,7 +41,8 @@ func (f *feed) ArrivalRate(intervalSeconds float64) (float64, error) {
 
 // Matrix returns the empirical transfer matrix from the accumulated
 // flows; rows with (numerically) no observed mass fall back to the
-// corresponding row of fallback, mirroring viewing.Estimator.Matrix.
+// corresponding row of fallback, mirroring viewing.Estimator.Matrix. The
+// matrix is the feed's own storage, valid until the next Matrix call.
 func (f *feed) Matrix(fallback queueing.TransferMatrix) (queueing.TransferMatrix, error) {
 	if fallback != nil {
 		if fallback.Size() != f.chunks {
@@ -50,7 +52,10 @@ func (f *feed) Matrix(fallback queueing.TransferMatrix) (queueing.TransferMatrix
 			return nil, fmt.Errorf("fluid: fallback: %w", err)
 		}
 	}
-	p := queueing.NewTransferMatrix(f.chunks)
+	if f.matrix == nil {
+		f.matrix = queueing.NewTransferMatrix(f.chunks)
+	}
+	p := f.matrix
 	for i := 0; i < f.chunks; i++ {
 		row := f.transitions[i*f.chunks : (i+1)*f.chunks]
 		total := f.departures[i]
@@ -60,6 +65,8 @@ func (f *feed) Matrix(fallback queueing.TransferMatrix) (queueing.TransferMatrix
 		if total <= 1e-12 {
 			if fallback != nil {
 				copy(p[i], fallback[i])
+			} else {
+				clear(p[i])
 			}
 			continue
 		}

@@ -2,8 +2,10 @@ package fluid
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"cloudmedia/internal/queueing"
 	"cloudmedia/internal/sim"
 	"cloudmedia/internal/testutil"
 )
@@ -242,6 +244,40 @@ func TestFeedMatrixNormalized(t *testing.T) {
 	feed.Reset()
 	if r, _ := feed.ArrivalRate(1800); r != 0 {
 		t.Errorf("arrival rate %v after Reset, want 0", r)
+	}
+}
+
+// TestFeedMatrixReusesStorage: Matrix rebuilds one feed-owned matrix in
+// place, so an unobserved row must show this call's fallback (or zeros
+// without one), never the previous call's row, and a steady call
+// allocates nothing.
+func TestFeedMatrixReusesStorage(t *testing.T) {
+	f := newFeed(3)
+	f.transitions[0*3+1] = 2 // chunk 0 → 1 twice; chunk 0 → exit once
+	f.departures[0] = 1
+	f.transitions[1*3+2] = 4 // chunk 1 → 2; chunk 2 unobserved
+	fallback := queueing.TransferMatrix{{0, 0.5, 0}, {0, 0, 1}, {0.25, 0, 0}}
+	first, err := f.Matrix(fallback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := queueing.TransferMatrix{{0, 2.0 / 3, 0}, {0, 0, 1}, {0.25, 0, 0}}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("Matrix(fallback) = %v, want %v", first, want)
+	}
+	second, err := f.Matrix(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[2] = []float64{0, 0, 0}
+	if !reflect.DeepEqual(second, want) {
+		t.Errorf("Matrix(nil) = %v, want %v", second, want)
+	}
+	if &first[0][0] != &second[0][0] {
+		t.Error("Matrix allocated a new matrix on its second call")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.Matrix(fallback) }); allocs != 0 {
+		t.Errorf("steady Matrix allocates %.1f times", allocs)
 	}
 }
 

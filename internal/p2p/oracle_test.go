@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -60,6 +61,36 @@ func referenceOwnersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][
 	return out, nil
 }
 
+// referenceCoOwnership is Ψ(a, b) as it was before the per-solve tables:
+// N re-summed and both fractions divided out on every call.
+func referenceCoOwnership(meanUsers []float64, owners [][]float64, a, b int) float64 {
+	total := mathx.Sum(meanUsers)
+	if total <= 0 {
+		return 0
+	}
+	var psi float64
+	for q, nq := range meanUsers {
+		if nq <= 0 {
+			continue
+		}
+		fa := mathx.Clamp(owners[a][q]/nq, 0, 1)
+		fb := mathx.Clamp(owners[b][q]/nq, 0, 1)
+		psi += (nq / total) * fa * fb
+	}
+	return psi
+}
+
+// tableCoOwnership is Ψ(a, b) through the solver's path: ownershipTables
+// once, then coOwnership on its rows.
+func tableCoOwnership(meanUsers []float64, owners [][]float64, a, b int) float64 {
+	j := len(meanUsers)
+	var s Solver
+	w := s.workspace(j)
+	total := mathx.Sum(meanUsers)
+	ownershipTables(w, meanUsers, total, owners)
+	return coOwnership(meanUsers, total, w.weight, w.frac[a*j:(a+1)*j], w.frac[b*j:(b+1)*j])
+}
+
 // referenceSolve is Solve as it was before this package went flat: the
 // reference owner solve, co-ownership re-summing N on every call, and the
 // reflect-based stable sort for the rarest-first order.
@@ -79,22 +110,6 @@ func referenceSolve(a Analysis) (Result, error) {
 			}
 		}
 		res.Owners[i] = sum
-	}
-	coOwnership := func(a, b int) float64 {
-		total := mathx.Sum(eq.ViewerLoad)
-		if total <= 0 {
-			return 0
-		}
-		var psi float64
-		for q, nq := range eq.ViewerLoad {
-			if nq <= 0 {
-				continue
-			}
-			fa := mathx.Clamp(owners[a][q]/nq, 0, 1)
-			fb := mathx.Clamp(owners[b][q]/nq, 0, 1)
-			psi += (nq / total) * fa * fb
-		}
-		return psi
 	}
 	gamma := make([]float64, j)
 	if a.PeerUpload > 0 {
@@ -117,7 +132,7 @@ func referenceSolve(a Analysis) (Result, error) {
 				if gamma[rarer] <= 0 || res.Owners[rarer] <= 0 {
 					continue
 				}
-				available -= coOwnership(rarer, chunk) * totalPeers * gamma[rarer] / res.Owners[rarer]
+				available -= referenceCoOwnership(eq.ViewerLoad, owners, rarer, chunk) * totalPeers * gamma[rarer] / res.Owners[rarer]
 			}
 			if available < 0 {
 				available = 0
@@ -161,6 +176,23 @@ func checkSolveBits(t *testing.T, label string, a Analysis) {
 		!testutil.SameBits(got.CloudDemand, want.CloudDemand) {
 		t.Fatalf("%s: result %+v, reference %+v", label, got, want)
 	}
+	load := a.Equilibrium.ViewerLoad
+	for x := range want.OwnersByQueue {
+		for y := range want.OwnersByQueue {
+			got := tableCoOwnership(load, want.OwnersByQueue, x, y)
+			ref := referenceCoOwnership(load, want.OwnersByQueue, x, y)
+			if !testutil.SameBits([]float64{got}, []float64{ref}) {
+				t.Fatalf("%s: Ψ(%d,%d) = %v from the tables, reference %v", label, x, y, got, ref)
+			}
+		}
+	}
+}
+
+// withLoad returns eq with its per-queue viewer load replaced by load,
+// leaving the other arrays shared.
+func withLoad(eq queueing.Equilibrium, load []float64) queueing.Equilibrium {
+	eq.ViewerLoad = load
+	return eq
 }
 
 // channelAt solves the equilibrium of a j-chunk channel on matrix p.
@@ -192,9 +224,36 @@ func TestSolveMatchesReferenceBits(t *testing.T) {
 			}
 			lambda := 0.05 + 2*r.Float64()
 			eq := channelAt(t, j, p, lambda)
-			for _, uplink := range []float64{0, 20e3, 34e3, 60e3 + 200e3*r.Float64()} {
-				label := fmt.Sprintf("J=%d trial %d uplink %v", j, trial, uplink)
-				checkSolveBits(t, label, Analysis{Equilibrium: eq, Transfer: p, PeerUpload: uplink})
+			// The solved load, then the same channel with its even queues
+			// emptied (E[n_q] = 0: the co-ownership skips), with every
+			// queue empty (N = 0), and with loads that cancel to N = 0.
+			gaps := slices.Clone(eq.ViewerLoad)
+			cancel := slices.Clone(eq.ViewerLoad)
+			for q := range gaps {
+				if q%2 == 0 {
+					gaps[q] = 0
+				}
+				if q%2 == 1 {
+					cancel[q] = -cancel[q-1]
+				}
+			}
+			if j%2 == 1 {
+				cancel[j-1] = 0
+			}
+			loads := []struct {
+				name string
+				eq   queueing.Equilibrium
+			}{
+				{"solved", eq},
+				{"empty even queues", withLoad(eq, gaps)},
+				{"all queues empty", withLoad(eq, make([]float64, j))},
+				{"cancelling loads", withLoad(eq, cancel)},
+			}
+			for _, l := range loads {
+				for _, uplink := range []float64{0, 20e3, 34e3, 60e3 + 200e3*r.Float64()} {
+					label := fmt.Sprintf("J=%d trial %d %s uplink %v", j, trial, l.name, uplink)
+					checkSolveBits(t, label, Analysis{Equilibrium: l.eq, Transfer: p, PeerUpload: uplink})
+				}
 			}
 		}
 	}

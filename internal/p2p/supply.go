@@ -55,8 +55,34 @@ func Solve(a Analysis) (Result, error) {
 type Solver struct {
 	res   Result
 	flat  []float64 // OwnersByQueue's J×J backing
-	work  []float64 // one Proposition-1 system, see ownersByQueue
+	work  []float64 // I−Pᵀ, one Proposition-1 system and Eqn. (5)'s tables, see workspace
 	order []int     // peerSupply's rarest-first permutation
+}
+
+// workspace is the solver's scratch for one J-chunk solve, cut from one
+// reused buffer.
+type workspace struct {
+	transpose []float64 // J×J: I − Pᵀ, row q holding δ_qc − P[c][q]
+	system    []float64 // (J−1)×(J−1): one chunk's reduced I − P̃ᵀ
+	rhs, x    []float64 // J−1 each
+	weight    []float64 // J: E[n_q]/N, set where E[n_q] > 0
+	frac      []float64 // J×J: row a holds clamp(E[ν_aq]/E[n_q], 0, 1), set where E[n_q] > 0
+}
+
+// workspace resizes s.work for j chunks and cuts it into its parts.
+func (s *Solver) workspace(j int) workspace {
+	n := j - 1
+	s.work = resize(s.work, 2*j*j+j+n*n+2*n)
+	var w workspace
+	rest := s.work
+	cut := func(size int) []float64 {
+		part := rest[:size:size]
+		rest = rest[size:]
+		return part
+	}
+	w.transpose, w.frac, w.weight = cut(j*j), cut(j*j), cut(j)
+	w.system, w.rhs, w.x = cut(n*n), cut(n), cut(n)
+	return w
 }
 
 // Solve is the package-level Solve into the solver's buffers.
@@ -80,7 +106,8 @@ func (s *Solver) Solve(a Analysis) (Result, error) {
 		return Result{}, fmt.Errorf("p2p: equilibrium arrays inconsistent with chunk count")
 	}
 
-	owners, err := s.ownersByQueue(eq.ViewerLoad, a.Transfer)
+	w := s.workspace(j)
+	owners, err := s.ownersByQueue(w, eq.ViewerLoad, a.Transfer)
 	if err != nil {
 		return Result{}, err
 	}
@@ -101,7 +128,7 @@ func (s *Solver) Solve(a Analysis) (Result, error) {
 
 	res.PeerSupply = resize(res.PeerSupply, j)
 	s.order = resize(s.order, j)
-	peerSupply(res.PeerSupply, s.order, eq, owners, res.Owners, a.PeerUpload)
+	peerSupply(res.PeerSupply, s.order, w, eq, owners, res.Owners, a.PeerUpload)
 	for i := 0; i < j; i++ {
 		res.CloudDemand[i] = eq.Capacity[i] - res.PeerSupply[i]
 		if res.CloudDemand[i] < 0 {
@@ -129,10 +156,11 @@ func resize[T any](buf []T, n int) []T {
 //	x_q = Σ_{l≠i} x_l·P[l][q] + E[n_i]·P[i][q]
 //
 // i.e. (I − P̃ᵀ)·x = E[n_i]·P[i][·] where P̃ is P with row/column i removed.
-// All J systems are built in turn in one (J−1)²+2(J−1) workspace and the
-// result rows are views over one flat J×J backing, all kept by the
-// solver, so a steady solve allocates nothing whatever J is.
-func (s *Solver) ownersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
+// I − Pᵀ is built once; each chunk's system is cut out of it, every row
+// as the two runs either side of column i. The result rows are views over
+// one flat J×J backing kept by the solver, so a steady solve allocates
+// nothing whatever J is.
+func (s *Solver) ownersByQueue(w workspace, meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
 	j := len(meanUsers)
 	s.flat = resize(s.flat, j*j)
 	clear(s.flat)
@@ -144,17 +172,27 @@ func (s *Solver) ownersByQueue(meanUsers []float64, p queueing.TransferMatrix) (
 	if j == 1 {
 		return out, nil
 	}
+	for q := 0; q < j; q++ {
+		row := w.transpose[q*j : (q+1)*j]
+		for c := range row {
+			row[c] = -p[c][q]
+		}
+		row[q] += 1
+	}
 	n := j - 1
-	s.work = resize(s.work, n*n+2*n)
-	a, b, x := s.work[:n*n], s.work[n*n:n*n+n], s.work[n*n+n:]
+	a, b, x := w.system, w.rhs, w.x
 	for i := 0; i < j; i++ {
 		for r := 0; r < n; r++ {
 			qr := full(r, i)
-			row := a[r*n : (r+1)*n]
-			for c := range row {
-				row[c] = -p[full(c, i)][qr] // −P̃ᵀ
+			src, row := w.transpose[qr*j:(qr+1)*j], a[r*n:(r+1)*n]
+			// Element loops: at J ≈ 8 the runs are a few entries long,
+			// shorter than a copy call costs.
+			for c := 0; c < i; c++ {
+				row[c] = src[c]
 			}
-			row[r] += 1
+			for c := i; c < n; c++ {
+				row[c] = src[c+1]
+			}
 			b[r] = meanUsers[i] * p[i][qr]
 		}
 		if err := mathx.SolveInPlace(a, b, x); err != nil {
@@ -182,17 +220,35 @@ func full(r, i int) int {
 	return r + 1
 }
 
+// ownershipTables fills Eqn. (5)'s per-solve constants: each populated
+// queue's weight E[n_q]/N and every chunk's clamped ownership fraction
+// E[ν_aq]/E[n_q] in it. Queues with E[n_q] ≤ 0 are left unset: the
+// co-ownership sum skips them.
+func ownershipTables(w workspace, meanUsers []float64, total float64, owners [][]float64) {
+	j := len(meanUsers)
+	for q, nq := range meanUsers {
+		if nq <= 0 {
+			continue
+		}
+		w.weight[q] = nq / total
+		for a := range owners {
+			w.frac[a*j+q] = mathx.Clamp(owners[a][q]/nq, 0, 1)
+		}
+	}
+}
+
 // coOwnership returns Ψ(a, b): the estimated probability that a random
 // peer in the channel simultaneously holds chunks a and b. With
-// total = N = Σ_q E[n_q] (passed in, so Eqn. (5)'s O(J²) co-owner terms do
-// not re-sum the populations each time) and conditional independence of
-// ownership given the peer's current queue:
+// N = Σ_q E[n_q] and conditional independence of ownership given the
+// peer's current queue:
 //
 //	Ψ(a,b) = Σ_q (E[n_q]/N) · (E[ν_aq]/E[n_q]) · (E[ν_bq]/E[n_q])
 //
-// Per-queue ownership fractions are clamped to 1 since E[ν_iq] can slightly
-// exceed E[n_q] under the proposition's balance approximation.
-func coOwnership(meanUsers []float64, total float64, owners [][]float64, a, b int) float64 {
+// weight and the fraction rows fa, fb come from ownershipTables, so
+// Eqn. (5)'s O(J²) calls neither re-sum N nor repeat the divisions.
+// Per-queue ownership fractions are clamped to 1 since E[ν_iq] can
+// slightly exceed E[n_q] under the proposition's balance approximation.
+func coOwnership(meanUsers []float64, total float64, weight, fa, fb []float64) float64 {
 	if total <= 0 {
 		return 0
 	}
@@ -201,18 +257,16 @@ func coOwnership(meanUsers []float64, total float64, owners [][]float64, a, b in
 		if nq <= 0 {
 			continue
 		}
-		fa := mathx.Clamp(owners[a][q]/nq, 0, 1)
-		fb := mathx.Clamp(owners[b][q]/nq, 0, 1)
-		psi += (nq / total) * fa * fb
+		psi += weight[q] * fa[q] * fb[q]
 	}
 	return psi
 }
 
 // peerSupply evaluates Eqn. (5) into gamma (len J), with order (len J)
-// as scratch: chunks are served rarest-first, so the upload bandwidth a
-// chunk can draw from its owners is what those owners have not already
-// committed to rarer chunks.
-func peerSupply(gamma []float64, order []int, eq queueing.Equilibrium, owners [][]float64, replicaCount []float64, upload float64) {
+// and w's ownership tables as scratch: chunks are served rarest-first,
+// so the upload bandwidth a chunk can draw from its owners is what those
+// owners have not already committed to rarer chunks.
+func peerSupply(gamma []float64, order []int, w workspace, eq queueing.Equilibrium, owners [][]float64, replicaCount []float64, upload float64) {
 	clear(gamma)
 	if upload <= 0 {
 		return
@@ -235,6 +289,8 @@ func peerSupply(gamma []float64, order []int, eq queueing.Equilibrium, owners []
 	})
 
 	totalPeers := mathx.Sum(eq.ViewerLoad)
+	ownershipTables(w, eq.ViewerLoad, totalPeers, owners)
+	j := len(order)
 	// Demand cap per chunk. Eqn. (5) prints this as m_i·r, but with the
 	// paper's own parameters (R = 25r) that would bound peer savings at 4%,
 	// contradicting the 5–10× cloud-cost reductions of Figs. 4 and 10. The
@@ -255,7 +311,7 @@ func peerSupply(gamma []float64, order []int, eq queueing.Equilibrium, owners []
 			if gamma[rarer] <= 0 || replicaCount[rarer] <= 0 {
 				continue
 			}
-			coOwners := coOwnership(eq.ViewerLoad, totalPeers, owners, rarer, chunk) * totalPeers
+			coOwners := coOwnership(eq.ViewerLoad, totalPeers, w.weight, w.frac[rarer*j:(rarer+1)*j], w.frac[chunk*j:(chunk+1)*j]) * totalPeers
 			available -= coOwners * gamma[rarer] / replicaCount[rarer]
 		}
 		if available < 0 {

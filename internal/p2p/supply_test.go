@@ -174,11 +174,11 @@ func TestCoOwnershipProperties(t *testing.T) {
 	j := eq.Config.Chunks
 	for a := 0; a < j; a++ {
 		for b := 0; b < j; b++ {
-			psi := coOwnership(eq.ViewerLoad, mathx.Sum(eq.ViewerLoad), res.OwnersByQueue, a, b)
+			psi := tableCoOwnership(eq.ViewerLoad, res.OwnersByQueue, a, b)
 			if psi < 0 || psi > 1 {
 				t.Errorf("Ψ(%d,%d) = %v outside [0,1]", a, b, psi)
 			}
-			back := coOwnership(eq.ViewerLoad, mathx.Sum(eq.ViewerLoad), res.OwnersByQueue, b, a)
+			back := tableCoOwnership(eq.ViewerLoad, res.OwnersByQueue, b, a)
 			if !mathx.ApproxEqual(psi, back, 1e-9) {
 				t.Errorf("Ψ not symmetric: (%d,%d)=%v vs %v", a, b, psi, back)
 			}
@@ -187,7 +187,7 @@ func TestCoOwnershipProperties(t *testing.T) {
 }
 
 func TestCoOwnershipEmptyChannel(t *testing.T) {
-	if got := coOwnership([]float64{0, 0}, 0, [][]float64{{0, 0}, {0, 0}}, 0, 1); got != 0 {
+	if got := tableCoOwnership([]float64{0, 0}, [][]float64{{0, 0}, {0, 0}}, 0, 1); got != 0 {
 		t.Errorf("Ψ on empty channel = %v, want 0", got)
 	}
 }

@@ -30,11 +30,12 @@ type ChunkDemand struct {
 // The zero value is ready, and the package-level PlanVMs and PlanStorage
 // run on a fresh one.
 type planScratch struct {
-	target []ChunkDemand   // maxDemands' output
-	sorted []ChunkDemand   // sortByDemand's copy
-	scaled []ChunkDemand   // planWithScaling's shrunk demands
-	index  map[[2]int]int  // maxDemands' key index
-	seen   map[[2]int]bool // validateDemands' duplicate set
+	target []ChunkDemand // maxDemands' output
+	sorted []ChunkDemand // sortByDemand's output
+	spare  []ChunkDemand // sortByDemand's second radix buffer
+	scaled []ChunkDemand // planWithScaling's shrunk demands
+	order  []int         // keyOrder of the demands being checked, merged or sorted
+	step   []int         // maxDemands' keyOrder of one forecast step
 	vms    []cloud.VMClusterSpec
 	nfs    []cloud.NFSClusterSpec
 	slot   []int     // cluster order position → first position with its name
@@ -43,28 +44,78 @@ type planScratch struct {
 	taken  []bool    // per slot: whether anything was taken
 }
 
-// validateDemands checks demand invariants shared by both heuristics.
-// The duplicate set is scratch, cleared on every call.
+// keyLess orders demands by (channel, chunk).
+func keyLess(a, b ChunkDemand) bool {
+	return a.Channel < b.Channel || a.Channel == b.Channel && a.Chunk < b.Chunk
+}
+
+// sameKey reports whether a and b are the same chunk.
+func sameKey(a, b ChunkDemand) bool {
+	return a.Channel == b.Channel && a.Chunk == b.Chunk
+}
+
+// keyOrder returns order refilled with the indices of demands in
+// ascending (channel, chunk) order, equal keys by index. The controller
+// emits demands in that order already, which one comparison per demand
+// confirms; any other list has its indices sorted.
+func keyOrder(order []int, demands []ChunkDemand) []int {
+	order = slices.Grow(order[:0], len(demands))[:len(demands)]
+	ordered := true
+	for i := range demands {
+		order[i] = i
+		if i > 0 && keyLess(demands[i], demands[i-1]) {
+			ordered = false
+		}
+	}
+	if !ordered {
+		slices.SortFunc(order, func(a, b int) int {
+			switch {
+			case keyLess(demands[a], demands[b]):
+				return -1
+			case keyLess(demands[b], demands[a]):
+				return 1
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	return order
+}
+
+// validateDemands checks demand invariants shared by both heuristics and
+// reports the first offending demand in input order: a negative identity,
+// a bad Δ, or a (channel, chunk) an earlier demand already has.
 func (s *planScratch) validateDemands(demands []ChunkDemand) error {
-	if s.seen == nil {
-		s.seen = make(map[[2]int]bool, len(demands))
-	}
-	seen := s.seen
-	clear(seen)
-	for _, d := range demands {
+	n, err := len(demands), error(nil)
+	for i, d := range demands {
 		if d.Channel < 0 || d.Chunk < 0 {
-			return fmt.Errorf("provision: negative chunk identity (%d,%d)", d.Channel, d.Chunk)
+			err = fmt.Errorf("provision: negative chunk identity (%d,%d)", d.Channel, d.Chunk)
+		} else {
+			err = checkDemand(d)
 		}
-		if err := checkDemand(d); err != nil {
-			return err
+		if err != nil {
+			n = i
+			break
 		}
-		key := [2]int{d.Channel, d.Chunk}
-		if seen[key] {
-			return fmt.Errorf("provision: duplicate chunk (%d,%d)", d.Channel, d.Chunk)
-		}
-		seen[key] = true
 	}
-	return nil
+	if i := s.firstRepeat(demands[:n]); i >= 0 {
+		return fmt.Errorf("provision: duplicate chunk (%d,%d)", demands[i].Channel, demands[i].Chunk)
+	}
+	return err
+}
+
+// firstRepeat returns the smallest index whose (channel, chunk) an
+// earlier demand already has, or −1 when every key is unique. In key
+// order a repeat sits right after an equal key.
+func (s *planScratch) firstRepeat(demands []ChunkDemand) int {
+	s.order = keyOrder(s.order, demands)
+	first := -1
+	for k := 1; k < len(s.order); k++ {
+		i := s.order[k]
+		if sameKey(demands[s.order[k-1]], demands[i]) && (first < 0 || i < first) {
+			first = i
+		}
+	}
+	return first
 }
 
 // checkDemand rejects a negative or non-finite Δ. The comparison is
@@ -100,25 +151,55 @@ func checkHorizon(current []ChunkDemand, future [][]ChunkDemand) error {
 // by (channel, chunk) so the greedy pass is deterministic and consecutive
 // chunks stay adjacent — that adjacency is what lets fractional VM shares
 // of one channel pack onto shared VMs. Callers validate first, so every
-// Δ is finite and every (channel, chunk) unique: the key is a total order
-// and the sorted output is the only one possible, which lets an unstable
-// sort produce it. The result is scratch, valid until the next call.
+// Δ is finite and non-negative and every (channel, chunk) unique: the
+// order is total. It takes the demands in key order and sorts them
+// stably by Δ alone, which yields exactly that order. The result is
+// scratch, valid until the next call.
 func (s *planScratch) sortByDemand(demands []ChunkDemand) []ChunkDemand {
-	out := append(s.sorted[:0], demands...)
-	s.sorted = out
-	slices.SortFunc(out, func(a, b ChunkDemand) int {
-		if a.Demand != b.Demand {
-			if a.Demand > b.Demand {
-				return -1
-			}
-			return 1
+	n := len(demands)
+	s.order = keyOrder(s.order, demands)
+	out := slices.Grow(s.sorted[:0], n)[:n]
+	for k, i := range s.order {
+		out[k] = demands[i]
+	}
+	s.sorted, s.spare = radixByDemand(out, slices.Grow(s.spare[:0], n)[:n])
+	return s.sorted
+}
+
+// radixByDemand sorts a stably by descending Δ with an LSD radix sort
+// over bytes, using b (as long as a) as the other buffer, and returns the
+// sorted and the spare buffer. For non-negative Δ, ^bits(Δ+0) ascends as
+// Δ descends; the +0 folds −0 into +0, which Δ comparisons treat as
+// equal. Byte positions where every key agrees are skipped.
+func radixByDemand(a, b []ChunkDemand) (sorted, spare []ChunkDemand) {
+	key := func(d ChunkDemand) uint64 { return ^math.Float64bits(d.Demand + 0) }
+	and, or := ^uint64(0), uint64(0)
+	for _, d := range a {
+		k := key(d)
+		and &= k
+		or |= k
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if (and^or)>>shift&0xff == 0 {
+			continue
 		}
-		if c := cmp.Compare(a.Channel, b.Channel); c != 0 {
-			return c
+		var next [256]int
+		for _, d := range a {
+			next[key(d)>>shift&0xff]++
 		}
-		return cmp.Compare(a.Chunk, b.Chunk)
-	})
-	return out
+		pos := 0
+		for digit, count := range next {
+			next[digit] = pos
+			pos += count
+		}
+		for _, d := range a {
+			digit := key(d) >> shift & 0xff
+			b[next[digit]] = d
+			next[digit]++
+		}
+		a, b = b, a
+	}
+	return a, b
 }
 
 // slotClusters fills s.slot for n clusters in planning order, mapping

@@ -387,22 +387,30 @@ func (p *staticPeakPlanner) Plan(req PlanRequest) (PlanResult, error) {
 // maxDemands returns the per-chunk maximum of the current demands and
 // every future forecast, in the current demands' order. Chunks that only
 // appear in a forecast are ignored: the chunk universe is fixed per run.
-// The result and the key index are scratch, valid until the next call.
+// Each step is merged by walking both lists in key order; a key repeated
+// in current takes the maximum on its last copy only. The result is
+// scratch, valid until the next call.
 func (s *planScratch) maxDemands(current []ChunkDemand, future [][]ChunkDemand) []ChunkDemand {
 	out := append(s.target[:0], current...)
 	s.target = out
-	if s.index == nil {
-		s.index = make(map[[2]int]int, len(current))
-	}
-	index := s.index
-	clear(index)
-	for i, d := range current {
-		index[[2]int{d.Channel, d.Chunk}] = i
-	}
+	s.order = keyOrder(s.order, out)
+	order := s.order
 	for _, step := range future {
-		for _, d := range step {
-			if i, ok := index[[2]int{d.Channel, d.Chunk}]; ok && d.Demand > out[i].Demand {
-				out[i].Demand = d.Demand
+		s.step = keyOrder(s.step, step)
+		k := 0
+		for _, i := range s.step {
+			d := step[i]
+			for k < len(order) && keyLess(out[order[k]], d) {
+				k++
+			}
+			for k+1 < len(order) && sameKey(out[order[k+1]], d) {
+				k++
+			}
+			if k == len(order) {
+				break
+			}
+			if o := &out[order[k]]; sameKey(*o, d) && d.Demand > o.Demand {
+				o.Demand = d.Demand
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"cloudmedia/internal/cloud"
 )
 
-// A steady maxDemands call reuses its output and key index.
+// A steady maxDemands call reuses its output and its key orders.
 func TestMaxDemandsSteadyCallAllocatesNothing(t *testing.T) {
 	current := demandGrid(24, 8, 1e6)
 	future := [][]ChunkDemand{demandGrid(24, 8, 2e6), demandGrid(24, 8, 3e6), demandGrid(24, 8, 4e6)}
