@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same targets.
 
-.PHONY: test shuffle race daybench bench lint verify profile
+.PHONY: test shuffle race daybench bench fmt vet lint verify profile
 
 test:
 	go build ./... && go test ./...
@@ -31,6 +31,13 @@ profile:
 	    -cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "wrote cpu.pprof and mem.pprof; open with: go tool pprof cpu.pprof"
 
+# gofmt must have nothing to rewrite. CI's lint job runs the same check.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+vet:
+	go vet ./...
+
 # The project's own analyzers (determinism, boundary, noloss, hotpath)
 # over the whole module. Suppress a finding only with a justified
 # //cloudmedia:allow <analyzer> -- <reason> directive; see DESIGN.md.
@@ -38,4 +45,7 @@ lint:
 	go build ./...
 	go run ./cmd/cloudmedialint ./...
 
-verify: test shuffle race lint daybench
+# Everything CI's lint and build-and-test jobs run apart from benches,
+# smokes and staticcheck, which stays CI-only because it needs a
+# download.
+verify: fmt vet test shuffle race lint daybench

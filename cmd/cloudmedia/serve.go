@@ -33,7 +33,7 @@ func runServe(args []string, out io.Writer) error {
 		channels  = fs.Int("channels", 6, "channel count for -stdin ingestion")
 		maxRate   = fs.Float64("max-rate", 10, "per-channel arrival-rate ceiling (users/s) for -stdin ingestion")
 		workers   = fs.Int("workers", 0, "engine worker pool size for parallel channel stepping; 0 = GOMAXPROCS (results are identical for any value)")
-		timeScale = fs.Float64("time-scale", 1, "time compression: simulated seconds per real second (24 replays a day in an hour)")
+		timeScale = fs.Float64("time-scale", 1, "time compression: simulated seconds per real second (24 replays a day in an hour; 0 means 1)")
 		clockSpec = fs.String("clock", "real", "pacing clock: real (wall-clock) or simulated (full speed)")
 		metrics   = fs.String("metrics", "", "address for the /metrics, /healthz, /state endpoint, e.g. :9090 (empty disables)")
 	)

@@ -73,9 +73,7 @@ func run() error {
 			cloudmedia.WithChunks(8),
 			cloudmedia.WithChunkSeconds(75),
 			cloudmedia.WithSlotsPerVM(5),
-		}
-		if r.vmClusters != nil {
-			opts = append(opts, cloudmedia.WithVMClusters(r.vmClusters...))
+			cloudmedia.WithVMClusters(r.vmClusters...),
 		}
 		sc, err := cloudmedia.NewScenario(cloudmedia.CloudAssisted, opts...)
 		if err != nil {

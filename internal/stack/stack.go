@@ -99,8 +99,8 @@ type Spec struct {
 	// parallel between control barriers; 0 means GOMAXPROCS. Results are
 	// bit-identical for every value — it is purely a throughput knob.
 	Workers int
-	// VMClusters and NFSClusters override the rental catalogs; nil uses
-	// the paper's Table II/III defaults. Regional price lists are the
+	// VMClusters and NFSClusters override the rental catalogs; nil or
+	// empty uses the paper's Table II/III defaults. Regional price lists are the
 	// interesting knob (see examples/multiregion).
 	VMClusters  []cloud.VMClusterSpec
 	NFSClusters []cloud.NFSClusterSpec
@@ -260,9 +260,11 @@ func (sc Spec) jumpPrior() (queueing.TransferMatrix, error) {
 
 // Resolve returns the Spec with its zero-means-default values filled
 // in: hourly provisioning, 900 s sampling, B_M = $100/h, B_S = $1/h, the
-// paper's last-interval forecast and the Greedy policy. It is the one
-// place these defaults are written; Build resolves every Spec through
-// it. A zero Scheduling is left to the engines (sim.Config.Resolve).
+// paper's Table II/III catalogs, the paper's last-interval forecast and
+// the Greedy policy. It is the one place these defaults are written;
+// Build resolves every Spec through it, and so does the root package's
+// NewPipeline. A zero Scheduling is left to the engines
+// (sim.Config.Resolve).
 func Resolve(sc Spec) Spec {
 	if sc.IntervalSeconds == 0 {
 		sc.IntervalSeconds = 3600
@@ -275,6 +277,13 @@ func Resolve(sc Spec) Spec {
 	}
 	if sc.StorageBudget == 0 {
 		sc.StorageBudget = 1
+	}
+	// An empty catalog is unset too, as it is after Scenario.Clone.
+	if len(sc.VMClusters) == 0 {
+		sc.VMClusters = cloud.DefaultVMClusters()
+	}
+	if len(sc.NFSClusters) == 0 {
+		sc.NFSClusters = cloud.DefaultNFSClusters()
 	}
 	if sc.Predictor == nil {
 		sc.Predictor = core.LastInterval{}
@@ -370,15 +379,7 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	vmSpecs := sc.VMClusters
-	if vmSpecs == nil {
-		vmSpecs = cloud.DefaultVMClusters()
-	}
-	nfsSpecs := sc.NFSClusters
-	if nfsSpecs == nil {
-		nfsSpecs = cloud.DefaultNFSClusters()
-	}
-	cl, err := cloud.New(vmSpecs, nfsSpecs, cloud.WithPricing(sc.Pricing))
+	cl, err := cloud.New(sc.VMClusters, sc.NFSClusters, cloud.WithPricing(sc.Pricing))
 	if err != nil {
 		return nil, err
 	}

@@ -42,9 +42,10 @@ func TestValidateRejectsNegatives(t *testing.T) {
 }
 
 // TestBuildResolvesDefaults: a Spec that leaves every zero-means-default
-// value unset runs exactly like one that spells the defaults out, on both
-// engines: Resolve, which Build calls, is the one place they resolve
-// (sim.Config.Resolve, for Scheduling).
+// value unset (an empty catalog counts as unset) runs exactly like one
+// that spells the defaults out, on both engines: Resolve, which Build
+// calls, is the one place they resolve (sim.Config.Resolve, for
+// Scheduling).
 func TestBuildResolvesDefaults(t *testing.T) {
 	for _, fidelity := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
 		run := func(sc Spec) (Spec, []core.IntervalRecord, cloud.LedgerTotals) {
@@ -63,9 +64,11 @@ func TestBuildResolvesDefaults(t *testing.T) {
 		unset := DefaultSpec(modes.CloudAssisted, 1)
 		unset.IntervalSeconds, unset.SampleSeconds = 0, 0
 		unset.VMBudget, unset.StorageBudget = 0, 0
+		unset.VMClusters, unset.NFSClusters = []cloud.VMClusterSpec{}, nil
 		explicit := DefaultSpec(modes.CloudAssisted, 1)
 		explicit.IntervalSeconds, explicit.SampleSeconds = 3600, 900
 		explicit.VMBudget, explicit.StorageBudget = 100, 1
+		explicit.VMClusters, explicit.NFSClusters = cloud.DefaultVMClusters(), cloud.DefaultNFSClusters()
 		explicit.Predictor = core.LastInterval{}
 		explicit.Policy = provision.Greedy{}
 		explicit.Scheduling = sim.RarestFirst

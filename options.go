@@ -23,12 +23,15 @@ import (
 //
 // Option is one type across the module — cloudmedia.Option aliases
 // simulate.Option — so options built here flow into pkg/simulate and
-// pkg/sweep unchanged. Options apply in argument order and most write
-// their scenario field directly, so the last one wins; Scenario.With
-// documents the five demand knobs it resolves after every option has run.
+// pkg/sweep unchanged. Options apply in argument order. An option that
+// sets a scenario field writes it and nothing else, so the last one
+// wins, a zero or nil argument restores the field's default, and an
+// invalid argument fails the scenario's Validate (and Run) wrapped in
+// simulate.ErrInvalidScenario. Scenario.With documents the five demand
+// knobs it resolves after every option has run.
 type Option = simulate.Option
 
-// set wraps a write that cannot fail as an Option.
+// set wraps a field write as an Option.
 func set(write func(*simulate.Settings)) Option {
 	return func(s *simulate.Settings) error {
 		write(s)
@@ -120,29 +123,21 @@ func WithPeerUplink(bytesPerSecond float64) Option {
 }
 
 // WithBudgets sets the hourly rental budgets: B_M for VMs and B_S for
-// storage, in dollars (the paper uses 100 and 1).
+// storage, in dollars; zero restores the default, the paper's 100 and 1.
 func WithBudgets(vmPerHour, storagePerHour float64) Option {
 	return set(func(s *simulate.Settings) { s.Scenario.VMBudget, s.Scenario.StorageBudget = vmPerHour, storagePerHour })
 }
 
-// WithVMClusters overrides the VM rental catalog (default: the paper's
-// Table II); called with no clusters it keeps the current catalog.
+// WithVMClusters sets the VM rental catalog; called with no clusters it
+// restores the default, the paper's Table II.
 func WithVMClusters(clusters ...plan.VMCluster) Option {
-	return set(func(s *simulate.Settings) {
-		if clusters != nil {
-			s.Scenario.VMClusters = append([]plan.VMCluster(nil), clusters...)
-		}
-	})
+	return set(func(s *simulate.Settings) { s.Scenario.VMClusters = append([]plan.VMCluster(nil), clusters...) })
 }
 
-// WithNFSClusters overrides the storage rental catalog (default: the
-// paper's Table III); called with no clusters it keeps the current one.
+// WithNFSClusters sets the storage rental catalog; called with no
+// clusters it restores the default, the paper's Table III.
 func WithNFSClusters(clusters ...plan.NFSCluster) Option {
-	return set(func(s *simulate.Settings) {
-		if clusters != nil {
-			s.Scenario.NFSClusters = append([]plan.NFSCluster(nil), clusters...)
-		}
-	})
+	return set(func(s *simulate.Settings) { s.Scenario.NFSClusters = append([]plan.NFSCluster(nil), clusters...) })
 }
 
 // WithHours sets the simulated duration. Scenario only.
@@ -204,27 +199,15 @@ func WithChannels(n int) Option {
 // are bit-identical for every worker count on both engines — parallelism
 // is a throughput knob, never a behaviour knob. Scenario only.
 func WithWorkers(n int) Option {
-	return func(s *simulate.Settings) error {
-		if n < 0 {
-			return fmt.Errorf("cloudmedia: negative workers %d", n)
-		}
-		s.Scenario.Workers = n
-		return nil
-	}
+	return set(func(s *simulate.Settings) { s.Scenario.Workers = n })
 }
 
-// WithFidelity selects the simulation engine: FidelityEvent (the default)
-// runs the per-viewer discrete-event simulator, FidelityFluid the
-// aggregate cohort integrator whose cost is independent of the crowd
-// size. Scenario only.
+// WithFidelity selects the simulation engine: FidelityEvent (the
+// default, also selected by zero) runs the per-viewer discrete-event
+// simulator, FidelityFluid the aggregate cohort integrator whose cost is
+// independent of the crowd size. Scenario only.
 func WithFidelity(f Fidelity) Option {
-	return func(s *simulate.Settings) error {
-		if f != FidelityEvent && f != FidelityFluid {
-			return fmt.Errorf("cloudmedia: invalid fidelity %d", int(f))
-		}
-		s.Scenario.Fidelity = f
-		return nil
-	}
+	return set(func(s *simulate.Settings) { s.Scenario.Fidelity = f })
 }
 
 // WithViewerScale targets an absolute steady-state crowd size: the
@@ -245,85 +228,49 @@ func WithViewerScale(n float64) Option {
 	}
 }
 
-// WithPredictor replaces the controller's arrival-rate forecaster (default
-// simulate.LastInterval, the paper's rule); nil keeps the current one.
+// WithPredictor sets the controller's arrival-rate forecaster; nil
+// restores the default, simulate.LastInterval (the paper's rule).
 // Scenario only.
 func WithPredictor(p simulate.Predictor) Option {
-	return set(func(s *simulate.Settings) {
-		if p != nil {
-			s.Scenario.Predictor = p
-		}
-	})
+	return set(func(s *simulate.Settings) { s.Scenario.Predictor = p })
 }
 
 // WithPolicy selects the provisioning policy that turns predicted demand
-// into rental plans each interval (default simulate.Greedy, the paper's
-// heuristic): simulate.Lookahead plans for the max of the next k
-// forecasts with tear-down hysteresis, simulate.Oracle plans on the true
-// arrival trace (the perfect-prediction bound), and simulate.StaticPeak
-// rents the horizon's peak once and holds it. Scenario only.
+// into rental plans each interval (nil restores the default,
+// simulate.Greedy, the paper's heuristic): simulate.Lookahead plans for
+// the max of the next k forecasts with tear-down hysteresis,
+// simulate.Oracle plans on the true arrival trace (the
+// perfect-prediction bound), and simulate.StaticPeak rents the horizon's
+// peak once and holds it. Scenario only.
 func WithPolicy(p simulate.Policy) Option {
-	return func(s *simulate.Settings) error {
-		if p == nil {
-			return fmt.Errorf("cloudmedia: nil policy")
-		}
-		s.Scenario.Policy = p
-		return nil
-	}
+	return set(func(s *simulate.Settings) { s.Scenario.Policy = p })
 }
 
 // WithPricing selects the cloud pricing plan the run is billed under
-// (default simulate.OnDemandPricing, the paper's literal pay-as-you-go
-// prices; simulate.ReservedPricing adds a discounted reserved tier with
-// an upfront fee per term). Scenario only.
+// (the zero plan is the default, simulate.OnDemandPricing, the paper's
+// literal pay-as-you-go prices; simulate.ReservedPricing adds a
+// discounted reserved tier with an upfront fee per term, and
+// simulate.SpotPricing discounted capacity the provider may preempt —
+// hedge that with WithPolicy(simulate.Lookahead{SpotHedge: true})).
+// Scenario only.
 func WithPricing(p simulate.PricingPlan) Option {
-	return func(s *simulate.Settings) error {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("cloudmedia: %v", err)
-		}
-		s.Scenario.Pricing = p
-		return nil
-	}
-}
-
-// WithSpotPricing selects the spot-heavy billing plan: 70% of the
-// elastic capacity at 30% of the catalog rate, with an expected 0.25
-// interruption events per hour realized by the fault layer's seeded
-// preemption process. Sugar for WithPricing(simulate.SpotPricing());
-// hedge the interruption risk with
-// WithPolicy(simulate.Lookahead{SpotHedge: true}). Scenario only.
-func WithSpotPricing() Option {
-	return WithPricing(simulate.SpotPricing())
+	return set(func(s *simulate.Settings) { s.Scenario.Pricing = p })
 }
 
 // WithFaults injects a declarative failure plan at the run's control
 // barriers: region outages, spot mass-preemptions, and capacity
 // degradations (simulate.FaultSchedule; build one literally or with
-// simulate.ParseFault). nil keeps the scenario's current schedule (the
-// defaults inject nothing). Fault runs stay
-// deterministic per seed and bit-identical across worker counts.
-// Scenario only.
+// simulate.ParseFault). nil restores the default, which injects
+// nothing. Fault runs stay deterministic per seed and bit-identical
+// across worker counts. Scenario only.
 func WithFaults(f *simulate.FaultSchedule) Option {
-	return func(s *simulate.Settings) error {
-		if err := f.Validate(); err != nil {
-			return fmt.Errorf("cloudmedia: %v", err)
-		}
-		if f != nil {
-			s.Scenario.Faults = f.Clone()
-		}
-		return nil
-	}
+	return set(func(s *simulate.Settings) { s.Scenario.Faults = f.Clone() })
 }
 
-// WithScheduling selects the P2P uplink allocation policy (default
-// simulate.RarestFirst, the paper's scheme); zero keeps the current
-// policy. Scenario only.
+// WithScheduling selects the P2P uplink allocation policy; zero restores
+// the default, simulate.RarestFirst (the paper's scheme). Scenario only.
 func WithScheduling(policy simulate.Scheduling) Option {
-	return set(func(s *simulate.Settings) {
-		if policy != 0 {
-			s.Scenario.Scheduling = policy
-		}
-	})
+	return set(func(s *simulate.Settings) { s.Scenario.Scheduling = policy })
 }
 
 // WithWorkload replaces the whole workload trace configuration. Scenario
@@ -371,30 +318,19 @@ func WithTrace(t *trace.Trace) Option {
 
 // WithClock selects how a live serving run (pkg/serve) paces simulated
 // time: ClockReal against the wall clock, ClockSimulated at full engine
-// speed. Scenario only; batch Run ignores it, and serve.Run defaults to
-// ClockReal when unset.
+// speed; zero restores the default, ClockReal. Scenario only; batch Run
+// ignores it.
 func WithClock(mode ClockMode) Option {
-	return func(s *simulate.Settings) error {
-		if mode != ClockReal && mode != ClockSimulated {
-			return fmt.Errorf("cloudmedia: invalid clock mode %d", int(mode))
-		}
-		s.Scenario.Serve.Clock = mode
-		return nil
-	}
+	return set(func(s *simulate.Settings) { s.Scenario.Serve.Clock = mode })
 }
 
 // WithTimeScale sets the live-serving time compression: one simulated
 // second takes 1/factor real seconds under the real clock (24 replays a
 // day-long trace in an hour; factors beyond 24 suit tests and smoke
-// runs). Scenario only; batch Run ignores it.
+// runs); zero restores the default, 1. Scenario only; batch Run ignores
+// it.
 func WithTimeScale(factor float64) Option {
-	return func(s *simulate.Settings) error {
-		if factor <= 0 {
-			return fmt.Errorf("cloudmedia: non-positive time scale %v", factor)
-		}
-		s.Scenario.Serve.TimeScale = factor
-		return nil
-	}
+	return set(func(s *simulate.Settings) { s.Scenario.Serve.TimeScale = factor })
 }
 
 // WithMetricsAddr sets the TCP address the live serving run's

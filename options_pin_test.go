@@ -2,12 +2,14 @@ package cloudmedia
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,7 +32,8 @@ func pinTrace(t *testing.T, totalRate float64) *trace.Trace {
 }
 
 // optionPinCases applies every root option, the argument checks, the
-// nil-keeps-current forms, and the order-sensitive demand combinations.
+// zero and nil forms that restore a default, and the order-sensitive
+// demand combinations.
 func optionPinCases(t *testing.T) []struct {
 	name string
 	opts []Option
@@ -106,7 +109,6 @@ func optionPinCases(t *testing.T) []struct {
 		{"policy-nil", o(WithPolicy(nil))},
 		{"pricing", o(WithPricing(ReservedPricing()))},
 		{"pricing-bad", o(WithPricing(badPricing))},
-		{"spot-pricing", o(WithSpotPricing())},
 		{"faults", o(WithFaults(preempt))},
 		{"faults-nil", o(WithFaults(nil))},
 		{"faults-bad", o(WithFaults(badFaults))},
@@ -134,8 +136,9 @@ func optionPinCases(t *testing.T) []struct {
 		{"scale+trace", o(WithScale(2), WithTrace(tr2))},
 		{"trace+viewer-scale", o(WithTrace(tr2), WithViewerScale(500))},
 		{"channel-shape", o(WithChunks(12), WithPlaybackRate(40e3), WithChunkSeconds(50), WithVMBandwidth(2e6), WithSlotsPerVM(3), WithEntryFirstChunk(0.6))},
-		// The first failing option is the one reported, not a later one.
-		{"first-error", o(WithHours(3), WithScale(-1), WithWorkers(-2), WithPolicy(nil))},
+		// The first failing option is the one reported, not a later one,
+		// and not a bad field value written before it.
+		{"first-error", o(WithHours(3), WithWorkers(-2), WithScale(-1), WithArrivalRate())},
 	}
 }
 
@@ -243,5 +246,60 @@ func TestOptionSemanticsPinned(t *testing.T) {
 		if got[i] != wantLines[i] {
 			t.Errorf("line %d drifted\n got: %s\nwant: %s", i+1, got[i], wantLines[i])
 		}
+	}
+}
+
+// TestZeroOptionRestoresDefault: a zero or nil option argument restores
+// the field's default, whatever the parent set. A parent that overrides
+// faults, predictor, policy, scheduling and both catalogs, derived with
+// the zero form of each option, runs exactly like the defaults on both
+// engines; and a pipeline given zero budgets and empty catalogs runs
+// exactly like one given none.
+func TestZeroOptionRestoresDefault(t *testing.T) {
+	ctx := context.Background()
+	run := func(sc Scenario) *Report {
+		t.Helper()
+		rep, err := sc.Run(ctx, simulate.KeepHistory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for _, fidelity := range []Fidelity{FidelityEvent, FidelityFluid} {
+		def := simulate.Default(CloudAssisted, 1)
+		def.Hours, def.Fidelity = 2, fidelity
+		parent := def.Clone()
+		parent.Faults = simulate.FaultPresets()["preempt-peak"]
+		parent.Predictor = simulate.EWMA{Alpha: 0.4}
+		parent.Policy = simulate.Lookahead{K: 2}
+		parent.Scheduling = simulate.Proportional
+		parent.VMClusters = plan.DefaultVMClusters()[:1]
+		parent.NFSClusters = plan.DefaultNFSClusters()[:1]
+		derived := parent.With(WithFaults(nil), WithPredictor(nil), WithPolicy(nil),
+			WithScheduling(0), WithVMClusters(), WithNFSClusters())
+
+		want := run(def)
+		if reflect.DeepEqual(run(parent), want) {
+			t.Fatalf("%v: the parent runs like the defaults, so the test shows nothing", fidelity)
+		}
+		if got := run(derived); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: the zero options did not restore the defaults:\n got %+v\nwant %+v", fidelity, got, want)
+		}
+	}
+
+	runPipeline := func(opts ...Option) *Result {
+		t.Helper()
+		p, err := NewPipeline(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if got, want := runPipeline(WithBudgets(0, 0), WithVMClusters(), WithNFSClusters()), runPipeline(); !reflect.DeepEqual(got, want) {
+		t.Errorf("pipeline with zero budgets and empty catalogs:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"cloudmedia/internal/stack"
 	"cloudmedia/pkg/plan"
 	"cloudmedia/pkg/simulate"
 )
@@ -91,23 +92,19 @@ func (r *Result) TotalCloudDemand() float64 {
 
 // NewPipeline builds a pipeline from the paper's defaults — the 20-chunk
 // PaperChannel, sequential-with-jumps viewing, Λ = 0.25 users/s on a
-// single channel, no peer uplink, B_M = $100/h, B_S = $1/h, Table II/III
-// catalogs — overridden by the given options.
+// single channel, no peer uplink, and a scenario's budget and catalog
+// defaults (B_M = $100/h, B_S = $1/h, Table II/III) — overridden by the
+// given options. Budgets and catalogs resolve exactly as a scenario's do,
+// so a zero budget or an empty catalog means the default here too.
 func NewPipeline(opts ...Option) (*Pipeline, error) {
-	s := simulate.Settings{Scenario: simulate.Scenario{Spec: simulate.Spec{
-		Channel:       plan.PaperChannel(),
-		VMBudget:      100,
-		StorageBudget: 1,
-		VMClusters:    plan.DefaultVMClusters(),
-		NFSClusters:   plan.DefaultNFSClusters(),
-	}}}
+	s := simulate.Settings{Scenario: simulate.Scenario{Spec: simulate.Spec{Channel: plan.PaperChannel()}}}
 	for _, opt := range opts {
 		if err := opt(&s); err != nil {
 			return nil, err
 		}
 	}
 
-	sc := s.Scenario
+	sc := stack.Resolve(s.Scenario.Spec)
 	p := &Pipeline{
 		channel:     sc.Channel,
 		rates:       []float64{0.25},

@@ -11,9 +11,13 @@ import (
 // Option is a functional option shared with the root cloudmedia package:
 // cloudmedia.WithHours, cloudmedia.WithBudgets, and the rest apply here
 // unchanged (the two names alias one type). An option writes its value
-// into the Settings it is given and returns an error when its argument
-// is invalid; options apply in argument order, so the last write to a
-// field wins. Scenario.With and NewPipeline run them.
+// into the Settings it is given; options apply in argument order, so the
+// last write to a field wins. An option that sets a Scenario field judges
+// nothing: a zero or nil argument means the field's default, and an
+// invalid one fails Validate, wrapped in ErrInvalidScenario. Only an
+// option whose argument is not a field value (a scale, a demand source,
+// a rate list) returns an error itself, for a bad argument or a conflict
+// with an earlier option. Scenario.With and NewPipeline run them.
 type Option func(*Settings) error
 
 // Settings is what an Option writes: the Scenario being built, plus the
@@ -21,7 +25,8 @@ type Option func(*Settings) error
 // Every other option writes its Scenario field directly.
 type Settings struct {
 	// Scenario is the scenario being derived. NewPipeline seeds it with
-	// its own defaults and reads the channel, budgets and catalogs back.
+	// the paper's channel and reads the channel, budgets and catalogs
+	// back, filling a zero budget or a nil catalog with a run's default.
 	Scenario Scenario
 
 	// The demand knobs Scenario.With resolves after every option has run,

@@ -290,13 +290,11 @@ func TestWithPolicyAndPricing(t *testing.T) {
 	}
 }
 
+// A nil policy is not invalid: it restores the default, Greedy (see
+// TestZeroOptionRestoresDefault in the root package).
 func TestWithPolicyAndPricingRejectInvalid(t *testing.T) {
-	sc := simulate.Default(simulate.ClientServer, 1).With(cloudmedia.WithPolicy(nil))
-	if err := sc.Validate(); !errors.Is(err, simulate.ErrInvalidScenario) {
-		t.Errorf("nil policy: err = %v, want ErrInvalidScenario", err)
-	}
 	bad := simulate.PricingPlan{ReservedFraction: 2, TermHours: 24}
-	sc = simulate.Default(simulate.ClientServer, 1).With(cloudmedia.WithPricing(bad))
+	sc := simulate.Default(simulate.ClientServer, 1).With(cloudmedia.WithPricing(bad))
 	if err := sc.Validate(); !errors.Is(err, simulate.ErrInvalidScenario) {
 		t.Errorf("bad pricing: err = %v, want ErrInvalidScenario", err)
 	}

@@ -71,8 +71,7 @@ func OnDemandPricing() PricingPlan { return simulate.OnDemandPricing() }
 func ReservedPricing() PricingPlan { return simulate.ReservedPricing() }
 
 // SpotPricing returns a spot-heavy plan: deeply discounted elastic
-// capacity that the provider may mass-preempt (pass to WithPricing, or
-// use WithSpotPricing).
+// capacity that the provider may mass-preempt. Pass it to WithPricing.
 func SpotPricing() PricingPlan { return simulate.SpotPricing() }
 
 // FaultSchedule is a declarative failure plan — region outages, spot
