@@ -2,14 +2,10 @@
 // internal/analysis): determinism, boundary, noloss, and hotpath. It is
 // the teeth behind `make lint`.
 //
-// Standalone (the usual entry point, from anywhere in the module):
+// Run it from anywhere in the module:
 //
 //	go run ./cmd/cloudmedialint ./...
 //	cloudmedialint ./internal/fluid ./internal/sim
-//
-// As a vet tool (one package per invocation, driven by the go command):
-//
-//	go vet -vettool=$(which cloudmedialint) ./...
 //
 // Exit status is 1 when any diagnostic is reported, 0 on a clean tree.
 package main
@@ -18,28 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cloudmedia/internal/analysis"
 )
 
 func main() {
-	// go vet probes its tool with -V=full (version for the build cache)
-	// and -flags (supported analyzer flags, as a JSON list — this suite
-	// has none) before handing it package config files; the unit
-	// protocol itself is handled in vet.go.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		fmt.Printf("cloudmedialint version cloudmedia-lint-1\n")
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(vetUnit(os.Args[1]))
-	}
-
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cloudmedialint [packages]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {

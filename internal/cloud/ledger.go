@@ -51,7 +51,8 @@ func (t LedgerTotals) VMCostUSD() float64 {
 	return t.ReservedUSD + t.OnDemandUSD + t.SpotUSD + t.UpfrontUSD
 }
 
-func (t *LedgerTotals) add(o LedgerTotals) {
+// Add accumulates o into t, field by field.
+func (t *LedgerTotals) Add(o LedgerTotals) {
 	t.ReservedVMHours += o.ReservedVMHours
 	t.OnDemandVMHours += o.OnDemandVMHours
 	t.SpotVMHours += o.SpotVMHours
@@ -184,8 +185,8 @@ func (l *Ledger) accrue(from, to float64, vms []vmUsage, nfs []storageUsage) {
 		inc.GBHours += u.gb * hours
 		inc.StorageUSD += u.gb * u.price * l.plan.storageRate() * hours
 	}
-	l.totals.add(inc)
-	l.interval.add(inc)
+	l.totals.Add(inc)
+	l.interval.Add(inc)
 }
 
 // Totals returns the cumulative bill accrued so far.

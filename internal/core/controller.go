@@ -35,19 +35,11 @@ type Options struct {
 	// source oracle policies (Policy.Oracle() == true) plan on. Policies
 	// that do not ask for it never see it.
 	TrueRates func(channel int, start, end float64) float64
-	// StorageChangeThreshold implements the Sec. V-B trigger: the NFS
-	// storage rental is recomputed only when total demand has moved by more
-	// than this fraction since the last storage plan (or on the first
-	// round). 0 recomputes every interval.
-	StorageChangeThreshold float64
 	// OnInterval, when non-nil, receives every IntervalRecord as soon as
-	// its provisioning round completes. It runs on the simulator goroutine,
-	// so it must not call back into the simulator.
+	// its provisioning round completes; it is the only way a round leaves
+	// the controller, which keeps no history of its own. It runs on the
+	// simulator goroutine, so it must not call back into the simulator.
 	OnInterval func(IntervalRecord)
-	// DiscardHistory stops the controller from accumulating records in
-	// memory; long streaming runs set it together with OnInterval so memory
-	// stays bounded by one interval.
-	DiscardHistory bool
 	// Workers bounds the pool that shards the per-channel control-plane
 	// work — measurement snapshots, demand derivation, and lookahead
 	// forecasting — mirroring sim.Config.Workers on the engines. 0 uses
@@ -122,7 +114,6 @@ type Controller struct {
 	planner provision.Planner
 	workers int // resolved Options.Workers, see forEachChannel
 
-	records []IntervalRecord
 	// planCaps holds the last planned per-chunk capacity targets,
 	// unscaled, and lastCaps the last applied capacities (plan × fault
 	// factors), both flat at ch*Chunks+chunk; capChannels is how many
@@ -244,14 +235,6 @@ func (c *Controller) forEachChannel(n int, fn func(w, ch int)) {
 func demandSlot(buf []float64, k, j int) (cloud, peer []float64) {
 	base := 2 * k * j
 	return buf[base : base+j : base+j], buf[base+j : base+2*j : base+2*j]
-}
-
-// Records returns the per-interval history (shared slice internals are not
-// exposed: a copy is returned).
-func (c *Controller) Records() []IntervalRecord {
-	out := make([]IntervalRecord, len(c.records))
-	copy(out, c.records)
-	return out
 }
 
 // Start schedules the periodic provisioning rounds, beginning one interval
@@ -547,17 +530,16 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 
 	c.scratchFlat = FlattenDemandsInto(c.scratchFlat, demands)
 	req := provision.PlanRequest{
-		Time:                   now,
-		IntervalSeconds:        c.opts.IntervalSeconds,
-		Demands:                c.scratchFlat,
-		VMBandwidth:            catalog.VMBandwidth,
-		ChunkBytes:             cfg.ChunkBytes(),
-		VMClusters:             vmSpecs,
-		NFSClusters:            nfsSpecs,
-		VMBudgetPerHour:        c.opts.VMBudgetPerHour,
-		StorageBudgetPerHour:   c.opts.StorageBudgetPerHour,
-		StorageChangeThreshold: c.opts.StorageChangeThreshold,
-		Pricing:                c.cl.Ledger().Plan(),
+		Time:                 now,
+		IntervalSeconds:      c.opts.IntervalSeconds,
+		Demands:              c.scratchFlat,
+		VMBandwidth:          catalog.VMBandwidth,
+		ChunkBytes:           cfg.ChunkBytes(),
+		VMClusters:           vmSpecs,
+		NFSClusters:          nfsSpecs,
+		VMBudgetPerHour:      c.opts.VMBudgetPerHour,
+		StorageBudgetPerHour: c.opts.StorageBudgetPerHour,
+		Pricing:              c.cl.Ledger().Plan(),
 	}
 	if k := c.opts.Policy.Lookahead(); k > 0 && c.wantsFuture() {
 		req.Future = c.futureDemands(cfg, inputs, demands, rec.ArrivalRates, p2pMode, now, k)
@@ -599,21 +581,12 @@ func (c *Controller) noteDemandErrors(now float64, errs []error, n int) {
 }
 
 // finish settles the bill for the interval that just ended, stamps it on
-// the record, and delivers the record.
+// the record, and delivers the record to the OnInterval subscriber.
 func (c *Controller) finish(now float64, rec IntervalRecord) {
 	c.cl.Advance(now)
 	rec.Cost = c.cl.Ledger().Checkpoint()
-	c.record(rec)
-}
-
-// record delivers a finished round to the OnInterval subscriber and the
-// in-memory history, honouring DiscardHistory.
-func (c *Controller) record(rec IntervalRecord) {
 	if c.opts.OnInterval != nil {
 		c.opts.OnInterval(rec)
-	}
-	if !c.opts.DiscardHistory {
-		c.records = append(c.records, rec)
 	}
 }
 

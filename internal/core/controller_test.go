@@ -46,6 +46,14 @@ func resolvedOptions(transfer queueing.TransferMatrix) Options {
 	}
 }
 
+// recordRounds collects every round ctl finishes from now on through its
+// OnInterval hook, the only way a round leaves the controller.
+func recordRounds(ctl *Controller) *[]IntervalRecord {
+	recs := new([]IntervalRecord)
+	ctl.opts.OnInterval = func(rec IntervalRecord) { *recs = append(*recs, rec) }
+	return recs
+}
+
 // bootstrapInputs builds analytic t=0 inputs from the workload parameters.
 func bootstrapInputs(t *testing.T, s *sim.Simulator, wl *workload.Params, transfer queueing.TransferMatrix) []ChannelInput {
 	t.Helper()
@@ -107,6 +115,7 @@ func TestControllerEndToEndClientServer(t *testing.T) {
 	wl := testutil.FlatWorkload(3, 0.3, 300)
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 
+	rounds := recordRounds(ctl)
 	ctl.Provision(0, bootstrapInputs(t, s, &wl, transfer))
 	if err := ctl.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -114,7 +123,7 @@ func TestControllerEndToEndClientServer(t *testing.T) {
 	s.RunUntil(3 * 600)
 	cl.Advance(s.Now())
 
-	recs := ctl.Records()
+	recs := *rounds
 	if len(recs) < 3 {
 		t.Fatalf("records = %d, want ≥3 (bootstrap + 2 rounds)", len(recs))
 	}
@@ -189,8 +198,9 @@ func TestControllerRecordsDemandScale(t *testing.T) {
 	for c := range inputs {
 		inputs[c] = ChannelInput{ArrivalRate: 0.2, Transfer: transfer}
 	}
+	rounds := recordRounds(ctl)
 	ctl.Provision(0, inputs)
-	recs := ctl.Records()
+	recs := *rounds
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -209,8 +219,9 @@ func TestControllerZeroTrafficKeepsZeroDemand(t *testing.T) {
 	for c := range inputs {
 		inputs[c] = ChannelInput{ArrivalRate: 0, Transfer: transfer}
 	}
+	rounds := recordRounds(ctl)
 	ctl.Provision(0, inputs)
-	recs := ctl.Records()
+	recs := *rounds
 	if recs[0].TotalDemand != 0 {
 		t.Errorf("TotalDemand = %v, want 0", recs[0].TotalDemand)
 	}
@@ -218,46 +229,6 @@ func TestControllerZeroTrafficKeepsZeroDemand(t *testing.T) {
 	vmCost, _ := cl.Costs()
 	if vmCost != 0 {
 		t.Errorf("vm cost %v for an idle system", vmCost)
-	}
-}
-
-func TestStorageRecomputeThreshold(t *testing.T) {
-	s, cl, _ := testSystem(t, sim.ClientServer)
-	broker, err := cloud.NewBroker(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
-	opts := resolvedOptions(transfer)
-	opts.StorageChangeThreshold = 0.25
-	ctl, err := NewController(s, cl, broker, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := func(rate float64) []ChannelInput {
-		in := make([]ChannelInput, s.Channels())
-		for c := range in {
-			in[c] = ChannelInput{ArrivalRate: rate, Transfer: transfer}
-		}
-		return in
-	}
-	// First round always plans storage.
-	ctl.Provision(0, inputs(0.2))
-	first := ctl.Records()[0].StoragePlan
-	if len(first.Placements) == 0 {
-		t.Fatal("no initial storage plan")
-	}
-	// A small demand wiggle (<25%) keeps the previous plan object.
-	ctl.Provision(600, inputs(0.21))
-	second := ctl.Records()[1].StoragePlan
-	if second.Utility != first.Utility {
-		t.Errorf("storage replanned for a small change: %v vs %v", second.Utility, first.Utility)
-	}
-	// A large demand jump forces a recompute.
-	ctl.Provision(1200, inputs(2.0))
-	third := ctl.Records()[2].StoragePlan
-	if third.Utility == first.Utility {
-		t.Error("storage not replanned after a large demand change")
 	}
 }
 

@@ -53,13 +53,14 @@ func runControllerWithWorkers(t *testing.T, mode sim.Mode, pol provision.Policy,
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
+	rounds := recordRounds(ctl)
 	ctl.Provision(0, bootstrapInputs(t, s, &wl, transfer))
 	if err := ctl.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	s.RunUntil(4 * 600)
 	cl.Advance(s.Now())
-	return ctl.Records(), cl.Ledger().Totals()
+	return *rounds, cl.Ledger().Totals()
 }
 
 // TestControllerWorkerInvariance pins the control-plane tentpole: the

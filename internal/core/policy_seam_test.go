@@ -45,8 +45,9 @@ func TestStorageInfeasibilityIsVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rounds := recordRounds(ctl)
 	ctl.Provision(0, flatInputs(s, transfer, 0.2))
-	recs := ctl.Records()
+	recs := *rounds
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -91,8 +92,9 @@ func TestVMPlanFailureIsVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rounds := recordRounds(ctl)
 	ctl.Provision(0, flatInputs(s, transfer, 0.5))
-	rec := ctl.Records()[0]
+	rec := (*rounds)[0]
 	if rec.PlanErr == "" {
 		t.Fatal("failed VM planning round recorded no PlanErr")
 	}
@@ -125,8 +127,9 @@ func TestDemandErrorsAreVisible(t *testing.T) {
 			// queueing.DefaultMaxServers, so its sizing fails.
 			inputs[ch].ArrivalRate = 1e6
 		}
+		rounds := recordRounds(ctl)
 		ctl.Provision(0, inputs)
-		rec := ctl.Records()[0]
+		rec := (*rounds)[0]
 		if want := len(inputs) - 1; rec.DemandErrors != want {
 			t.Fatalf("Workers=%d: DemandErrors = %d, want %d", workers, rec.DemandErrors, want)
 		}
@@ -309,8 +312,9 @@ func TestOraclePolicySeesTrueRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rounds := recordRounds(ctl)
 	ctl.Provision(0, flatInputs(s, transfer, 0.9)) // predictor input says 0.9
-	rec := ctl.Records()[0]
+	rec := (*rounds)[0]
 	for ch, r := range rec.ArrivalRates {
 		if r != trueRate {
 			t.Errorf("channel %d planned on rate %v, want the oracle's %v", ch, r, trueRate)

@@ -91,7 +91,6 @@ func newControlRound(tb testing.TB) *controlRound {
 		FallbackTransfer:     prior,
 		Predictor:            EWMA{Alpha: 0.4},
 		Policy:               provision.Lookahead{SpotHedge: true},
-		DiscardHistory:       true,
 		Workers:              1,
 	})
 	if err != nil {

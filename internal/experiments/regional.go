@@ -38,14 +38,7 @@ func Regional(sc stack.Spec) (*Result, error) {
 	regions, totalVM, totalStorage := dep.Report()
 	var bill cloud.LedgerTotals
 	for _, r := range dep.Regions() {
-		t := r.Cloud.Ledger().Totals()
-		bill.ReservedUSD += t.ReservedUSD
-		bill.OnDemandUSD += t.OnDemandUSD
-		bill.SpotUSD += t.SpotUSD
-		bill.UpfrontUSD += t.UpfrontUSD
-		bill.StorageUSD += t.StorageUSD
-		bill.TransferUSD += t.TransferUSD
-		bill.Interruptions += t.Interruptions
+		bill.Add(r.Cloud.Ledger().Totals())
 	}
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Regional deployment — per-region outcome (%v)", sc.Mode),

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/core"
 	"cloudmedia/internal/metrics"
+	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 )
 
@@ -55,13 +55,15 @@ func RunTimeline(sc stack.Spec) (*Timeline, error) {
 	return runTimeline(stack.Scenario{Spec: sc})
 }
 
-// runTimeline is RunTimeline with the scenario's run-time hooks wired.
+// runTimeline is RunTimeline with the scenario's run-time hooks wired;
+// it collects the records through OnInterval, replacing any set there.
 func runTimeline(sc stack.Scenario) (*Timeline, error) {
+	tl := &Timeline{}
+	sc.OnInterval = func(rec core.IntervalRecord) { tl.Records = append(tl.Records, rec) }
 	sys, err := stack.Build(sc, stack.RegionID{})
 	if err != nil {
 		return nil, err
 	}
-	tl := &Timeline{}
 	s := sys.Sim
 	sample := sys.Scenario.SampleSeconds
 
@@ -108,7 +110,6 @@ func runTimeline(sc stack.Scenario) (*Timeline, error) {
 	tl.VMCostTotal, tl.StorageCostTotal = sys.Cloud.Costs()
 	tl.Bill = sys.Cloud.Ledger().Totals()
 	tl.LedgerNotes = sys.Cloud.Ledger().Diagnostics()
-	tl.Records = sys.Controller.Records()
 
 	var qSum float64
 	for _, snap := range tl.Snapshots {
@@ -123,22 +124,15 @@ func runTimeline(sc stack.Scenario) (*Timeline, error) {
 // RunTimelines runs the scenarios concurrently and returns their
 // timelines in input order. The figure experiments' run-families (mode
 // vs. mode, ratio vs. ratio) are independent simulations, so they fan out
-// across cores the same way pkg/sweep's worker pool fans out user grids;
-// each Spec is passed by value and Build assembles a private engine,
-// so runs share no mutable state. The first error (lowest input index)
-// wins.
+// over a pool of at most GOMAXPROCS workers; each Spec is passed by value
+// and Build assembles a private engine, so runs share no mutable state.
+// The first error (lowest input index) wins.
 func RunTimelines(scs ...stack.Spec) ([]*Timeline, error) {
 	tls := make([]*Timeline, len(scs))
 	errs := make([]error, len(scs))
-	var wg sync.WaitGroup
-	for i, sc := range scs {
-		wg.Add(1)
-		go func(i int, sc stack.Spec) {
-			defer wg.Done()
-			tls[i], errs[i] = RunTimeline(sc)
-		}(i, sc)
-	}
-	wg.Wait()
+	sim.FanOut(sim.EffectiveWorkers(0, len(scs)), len(scs), func(i int) {
+		tls[i], errs[i] = RunTimeline(scs[i])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("run %d (%v): %w", i, scs[i].Mode, err)

@@ -161,7 +161,7 @@ type Target struct {
 	// Events carrying a region apply only when it matches.
 	Region string
 	// IntervalSeconds is the control period (the interruption process
-	// cadence); 0 means 3600.
+	// cadence), already resolved by the stack builder.
 	IntervalSeconds float64
 	// Seed drives the stochastic interruption process. Derive it from
 	// the run seed (geo offsets it per region) so reruns reproduce.
@@ -171,13 +171,6 @@ type Target struct {
 // matches reports whether an event scoped to region `r` applies to the
 // target ("" is global).
 func (t Target) matches(r string) bool { return r == "" || r == t.Region }
-
-func (t Target) interval() float64 {
-	if t.IntervalSeconds <= 0 {
-		return 3600
-	}
-	return t.IntervalSeconds
-}
 
 // preempt realizes one spot preemption on the target: kill the billed
 // spot VMs, then scale the serving plane by the survivor fraction. The
@@ -244,7 +237,7 @@ func attachInterruptions(t Target, sched *Schedule) error {
 	if plan.SpotFraction <= 0 || plan.SpotInterruption <= 0 {
 		return nil
 	}
-	interval := t.interval()
+	interval := t.IntervalSeconds
 	pInt := plan.SpotInterruption * interval / 3600
 	if pInt > 1 {
 		pInt = 1

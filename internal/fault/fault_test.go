@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"cloudmedia/internal/cloud"
+	"cloudmedia/internal/sim"
+	"cloudmedia/internal/testutil"
 )
 
 func TestValidate(t *testing.T) {
@@ -88,11 +92,24 @@ func TestTargetScoping(t *testing.T) {
 	if !na.matches("") || !na.matches("na") || na.matches("eu") {
 		t.Error("region scoping wrong")
 	}
-	if got := (Target{}).interval(); got != 3600 {
-		t.Errorf("default interval %v, want 3600", got)
+}
+
+// TestAttachNeedsResolvedInterval: the stack builder resolves the control
+// interval before attaching faults, so a Target that arrives with 0 fails
+// to schedule the spot-interruption process instead of guessing an hour.
+func TestAttachNeedsResolvedInterval(t *testing.T) {
+	s, cl, _ := testutil.Stack(t, sim.Config{
+		Mode:     sim.ClientServer,
+		Channel:  testutil.ChannelConfig(5, 60),
+		Workload: testutil.FlatWorkload(2, 0.3, 300),
+		Transfer: testutil.SequentialWithJumps(t, 5, 0.9, 0.2),
+		Seed:     7,
+	}, cloud.WithPricing(cloud.SpotPricing()))
+	if err := Attach(Target{Backend: s, Cloud: cl}, nil); err == nil {
+		t.Error("zero interval accepted")
 	}
-	if got := (Target{IntervalSeconds: 600}).interval(); got != 600 {
-		t.Errorf("interval %v, want 600", got)
+	if err := Attach(Target{Backend: s, Cloud: cl, IntervalSeconds: 600}, nil); err != nil {
+		t.Errorf("resolved interval rejected: %v", err)
 	}
 }
 

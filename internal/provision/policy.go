@@ -39,26 +39,11 @@ type PlanRequest struct {
 	// VMBudgetPerHour and StorageBudgetPerHour are B_M and B_S in $/hour.
 	VMBudgetPerHour      float64
 	StorageBudgetPerHour float64
-	// StorageChangeThreshold is the Sec. V-B trigger: storage is replanned
-	// only when total demand moved by more than this fraction since the
-	// last storage plan. 0 replans every round.
-	StorageChangeThreshold float64
 	// Pricing is the plan the ledger bills this run under. Risk-aware
 	// policies read the spot tier from it (fraction at risk, interruption
 	// probability) to fold expected interruption loss into their targets;
 	// the zero value is pure on-demand and carries no risk.
 	Pricing cloud.PricingPlan
-}
-
-// totalDemand sums the request's current-interval demand in input order
-// (the same accumulation order the pre-seam controller used, so totals are
-// bit-identical).
-func (r PlanRequest) totalDemand() float64 {
-	var t float64
-	for _, d := range r.Demands {
-		t += d.Demand
-	}
-	return t
 }
 
 // PlanResult is one policy decision: the plans to apply plus diagnostics.
@@ -159,7 +144,7 @@ func (p *greedyPlanner) Plan(req PlanRequest) (PlanResult, error) {
 		return PlanResult{}, err
 	}
 	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
-	res.StoragePlan, res.StorageErr = p.storage.plan(&p.scratch, req, req.totalDemand())
+	res.StoragePlan, res.StorageErr = p.storage.plan(&p.scratch, req)
 	return res, nil
 }
 
@@ -312,7 +297,7 @@ func (p *lookaheadPlanner) Plan(req PlanRequest) (PlanResult, error) {
 	p.have, p.lastPlan, p.lastVMs, p.lastScale = true, vmPlan, vms, scale
 
 	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
-	res.StoragePlan, res.StorageErr = p.storage.plan(&p.scratch, req, req.totalDemand())
+	res.StoragePlan, res.StorageErr = p.storage.plan(&p.scratch, req)
 	return res, nil
 }
 
@@ -379,7 +364,7 @@ func (p *staticPeakPlanner) Plan(req PlanRequest) (PlanResult, error) {
 	}
 	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
 	var storage storageState
-	res.StoragePlan, res.StorageErr = storage.plan(&scratch, req, req.totalDemand())
+	res.StoragePlan, res.StorageErr = storage.plan(&scratch, req)
 	p.planned, p.first = true, res
 	return res, nil
 }
@@ -417,48 +402,26 @@ func (s *planScratch) maxDemands(current []ChunkDemand, future [][]ChunkDemand) 
 	return out
 }
 
-// storageState is the Sec. V-B storage-replan trigger shared by the
-// planners: the last plan, the demand it was sized for, and whether one
-// exists yet.
+// storageState is the storage side shared by the planners: the last
+// storage plan, which a failed replan keeps in force.
 type storageState struct {
-	lastPlan   StoragePlan
-	lastDemand float64
-	planned    bool
+	lastPlan StoragePlan
 }
 
-// plan replans storage when the catalog is non-empty and the demand moved
-// past the change threshold; otherwise it returns the previous plan. A
-// planning failure keeps (and returns) the stale plan together with the
-// error, so the caller can surface the infeasibility instead of silently
-// carrying old capacity.
-func (s *storageState) plan(scratch *planScratch, req PlanRequest, totalDemand float64) (StoragePlan, error) {
-	if len(req.NFSClusters) == 0 || !s.stale(req.StorageChangeThreshold, totalDemand) {
+// plan replans storage whenever the catalog is non-empty; otherwise it
+// returns the previous plan. A planning failure keeps (and returns) the
+// stale plan together with the error, so the caller can surface the
+// infeasibility instead of silently carrying old capacity.
+func (s *storageState) plan(scratch *planScratch, req PlanRequest) (StoragePlan, error) {
+	if len(req.NFSClusters) == 0 {
 		return s.lastPlan, nil
 	}
 	sp, err := scratch.planStorage(req.Demands, req.ChunkBytes, req.NFSClusters, req.StorageBudgetPerHour)
 	if err != nil {
 		return s.lastPlan, err
 	}
-	s.lastPlan, s.lastDemand, s.planned = sp, totalDemand, true
+	s.lastPlan = sp
 	return sp, nil
-}
-
-func (s *storageState) stale(threshold, totalDemand float64) bool {
-	if !s.planned {
-		return true
-	}
-	if threshold <= 0 {
-		return true
-	}
-	base := s.lastDemand
-	if base == 0 {
-		return totalDemand > 0
-	}
-	change := totalDemand/base - 1
-	if change < 0 {
-		change = -change
-	}
-	return change > threshold
 }
 
 // planWithScaling runs the VM heuristic, shrinking demand until the plan

@@ -74,8 +74,10 @@ type State struct {
 	CostUSD            float64 `json:"cost_usd"`
 	CostReservedUSD    float64 `json:"cost_reserved_usd"`
 	CostOnDemandUSD    float64 `json:"cost_on_demand_usd"`
+	CostSpotUSD        float64 `json:"cost_spot_usd"`
 	CostUpfrontUSD     float64 `json:"cost_upfront_usd"`
 	CostStorageUSD     float64 `json:"cost_storage_usd"`
+	CostTransferUSD    float64 `json:"cost_transfer_usd"`
 	CostRatePerHourUSD float64 `json:"cost_usd_per_hour"`
 }
 
@@ -163,18 +165,14 @@ func (m *Metrics) ObserveInterval(u IntervalUpdate) {
 	if u.StorageErr {
 		m.st.StorageErrors++
 	}
-	m.cost.ReservedVMHours += u.Cost.ReservedVMHours
-	m.cost.OnDemandVMHours += u.Cost.OnDemandVMHours
-	m.cost.GBHours += u.Cost.GBHours
-	m.cost.ReservedUSD += u.Cost.ReservedUSD
-	m.cost.OnDemandUSD += u.Cost.OnDemandUSD
-	m.cost.UpfrontUSD += u.Cost.UpfrontUSD
-	m.cost.StorageUSD += u.Cost.StorageUSD
+	m.cost.Add(u.Cost)
 	m.st.CostUSD = m.cost.TotalUSD()
 	m.st.CostReservedUSD = m.cost.ReservedUSD
 	m.st.CostOnDemandUSD = m.cost.OnDemandUSD
+	m.st.CostSpotUSD = m.cost.SpotUSD
 	m.st.CostUpfrontUSD = m.cost.UpfrontUSD
 	m.st.CostStorageUSD = m.cost.StorageUSD
+	m.st.CostTransferUSD = m.cost.TransferUSD
 	if u.IntervalSeconds > 0 {
 		m.st.CostRatePerHourUSD = u.Cost.TotalUSD() / (u.IntervalSeconds / 3600)
 	}
@@ -270,8 +268,10 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	p.head("cloudmedia_cost_usd", "Cumulative ledger bill by pricing tier.", "counter")
 	p.row("cloudmedia_cost_usd", `tier="reserved"`, st.CostReservedUSD)
 	p.row("cloudmedia_cost_usd", `tier="on_demand"`, st.CostOnDemandUSD)
+	p.row("cloudmedia_cost_usd", `tier="spot"`, st.CostSpotUSD)
 	p.row("cloudmedia_cost_usd", `tier="upfront"`, st.CostUpfrontUSD)
 	p.row("cloudmedia_cost_usd", `tier="storage"`, st.CostStorageUSD)
+	p.row("cloudmedia_cost_usd", `tier="transfer"`, st.CostTransferUSD)
 	p.counter("cloudmedia_cost_usd_total", "Cumulative ledger bill, all tiers.", st.CostUSD)
 	p.gauge("cloudmedia_cost_usd_per_hour", "Ledger accrual rate over the last provisioning interval.", st.CostRatePerHourUSD)
 	return p.err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,54 @@ func TestMetricsStateAndProm(t *testing.T) {
 	st.VMs["east"] = -1
 	if again := m.State(); again.ArrivalRates[0] == -1 || again.VMs["east"] == -1 {
 		t.Fatal("State shares slices/maps with the store")
+	}
+}
+
+// TestCostTiersSumToBill: every ledger tier reaches /state and the
+// cloudmedia_cost_usd rows, so the tier rows, the cumulative CostUSD and
+// the per-hour rate all agree with LedgerTotals.TotalUSD — spot and
+// transfer dollars included.
+func TestCostTiersSumToBill(t *testing.T) {
+	bill := cloud.LedgerTotals{OnDemandUSD: 2, SpotUSD: 5, TransferUSD: 1, SpotVMHours: 20, Interruptions: 1}
+	m := NewMetrics()
+	m.ObserveInterval(IntervalUpdate{Time: 3600, IntervalSeconds: 3600, DemandScale: 1, Cost: bill})
+
+	st := m.State()
+	if st.CostUSD != bill.TotalUSD() || st.CostRatePerHourUSD != bill.TotalUSD() {
+		t.Errorf("CostUSD = %v, rate = %v/h, want both %v", st.CostUSD, st.CostRatePerHourUSD, bill.TotalUSD())
+	}
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if fields["cost_spot_usd"] != bill.SpotUSD || fields["cost_transfer_usd"] != bill.TransferUSD {
+		t.Errorf("/state spot %v, transfer %v; want %v, %v",
+			fields["cost_spot_usd"], fields["cost_transfer_usd"], bill.SpotUSD, bill.TransferUSD)
+	}
+
+	var sb strings.Builder
+	if err := m.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var tiers float64
+	for _, line := range strings.Split(sb.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "cloudmedia_cost_usd{tier=")
+		if !ok {
+			continue
+		}
+		_, value, _ := strings.Cut(rest, " ")
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("tier row %q: %v", line, err)
+		}
+		tiers += v
+	}
+	if tiers != bill.TotalUSD() {
+		t.Errorf("cloudmedia_cost_usd tier rows sum to %v, want %v", tiers, bill.TotalUSD())
 	}
 }
 

@@ -123,9 +123,6 @@ type Scenario struct {
 	// serving layer can sleep the run against a wall clock. nil runs the
 	// engines at full speed.
 	Pacer func(simNow float64)
-	// DiscardRecords drops the controller's in-memory interval history so
-	// long streaming runs hold only the current round.
-	DiscardRecords bool
 }
 
 // DefaultSpec returns the reduced-scale counterpart of the paper's
@@ -406,8 +403,7 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 			}
 			return r
 		},
-		OnInterval:     sc.OnInterval,
-		DiscardHistory: sc.DiscardRecords,
+		OnInterval: sc.OnInterval,
 		// The control plane shards per-channel work over the same worker
 		// budget as the engines; results are worker-count-invariant on
 		// both planes.

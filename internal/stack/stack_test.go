@@ -52,14 +52,15 @@ func TestBuildResolvesDefaults(t *testing.T) {
 			t.Helper()
 			sc.Fidelity = fidelity
 			sc.Hours = 3
-			sys, err := Build(Scenario{Spec: sc}, RegionID{})
+			var recs []core.IntervalRecord
+			sys, err := Build(Scenario{Spec: sc, OnInterval: func(rec core.IntervalRecord) { recs = append(recs, rec) }}, RegionID{})
 			if err != nil {
 				t.Fatalf("%v: %v", fidelity, err)
 			}
 			end := sc.Hours * 3600
 			sys.Sim.RunUntil(end)
 			sys.Cloud.Advance(end)
-			return sys.Scenario.Spec, sys.Controller.Records(), sys.Cloud.Ledger().Totals()
+			return sys.Scenario.Spec, recs, sys.Cloud.Ledger().Totals()
 		}
 		unset := DefaultSpec(modes.CloudAssisted, 1)
 		unset.IntervalSeconds, unset.SampleSeconds = 0, 0

@@ -133,9 +133,7 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 	}
 	rep := &Report{Mode: sc.Mode}
 	intervals := 0
-	// The OnInterval hook below captures every round, so the controller
-	// never needs its own in-memory history.
-	esc := stack.Scenario{Spec: sc.Spec, Pacer: rc.pacer, DiscardRecords: true}
+	esc := stack.Scenario{Spec: sc.Spec, Pacer: rc.pacer}
 	if len(rc.onArrivals) > 0 {
 		fns := rc.onArrivals
 		esc.OnArrivals = func(channel int, t, n float64) {
