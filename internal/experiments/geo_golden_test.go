@@ -15,7 +15,9 @@ import (
 // predates building each region through the single-region stack. The
 // "spot" leg adds SpotPricing and the preempt-peak schedule, which pins
 // the per-region fault seed and the region-scoped fault path. Any drift
-// is a behaviour change in how geo assembles its regions.
+// is a behaviour change in how geo assembles its regions. The fluid legs
+// were regenerated once since, when the fluid kernel's update became
+// exact in dt and its step rose from 1 s to 3 s.
 var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 	modes.FidelityEvent: {
 		"default": {
@@ -55,38 +57,38 @@ var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 	},
 	modes.FidelityFluid: {
 		"default": {
-			"bill_on_demand_usd":     394.65000000000003,
+			"bill_on_demand_usd":     395.55000000000007,
 			"bill_reserved_usd":      0,
 			"bill_spot_usd":          0,
-			"bill_total_usd":         394.65143856000003,
+			"bill_total_usd":         395.55143856000007,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          0,
-			"quality_apac":           0.99999999999998357,
-			"quality_eu":             0.99999999999998324,
-			"quality_na":             0.99999999999998335,
+			"quality_apac":           0.99999999999999434,
+			"quality_eu":             0.99999999999999456,
+			"quality_na":             0.99999999999999434,
 			"storage_cost_total_usd": 0.0014385600000000008,
 			"vm_cost_apac_usd":       131.39999999999998,
 			"vm_cost_eu_usd":         124.20000000000005,
-			"vm_cost_na_usd":         139.05000000000001,
-			"vm_cost_total_usd":      394.65000000000003,
+			"vm_cost_na_usd":         139.95000000000002,
+			"vm_cost_total_usd":      395.55000000000007,
 		},
 		"spot": {
-			"bill_on_demand_usd":     116.09999999999999,
+			"bill_on_demand_usd":     117,
 			"bill_reserved_usd":      0,
 			"bill_spot_usd":          80.054999999999978,
-			"bill_total_usd":         196.15643855999997,
+			"bill_total_usd":         197.05643855999998,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          15,
-			"quality_apac":           0.99999999999998357,
-			"quality_eu":             0.99999999999998324,
-			"quality_na":             0.99999999999998335,
+			"quality_apac":           0.99999999999999445,
+			"quality_eu":             0.99999999999999456,
+			"quality_na":             0.99999999999999456,
 			"storage_cost_total_usd": 0.0014385600000000011,
 			"vm_cost_apac_usd":       129.59999999999999,
 			"vm_cost_eu_usd":         119.47500000000004,
-			"vm_cost_na_usd":         133.875,
-			"vm_cost_total_usd":      382.95000000000005,
+			"vm_cost_na_usd":         134.77500000000003,
+			"vm_cost_total_usd":      383.85000000000002,
 		},
 	},
 }
@@ -145,9 +147,9 @@ func TestResilienceOutageGolden(t *testing.T) {
 		{"event", "na", "0", "1", "0.04688", "115.2"},
 		{"event", "eu", "59", "1", "0.03623", "133.2"},
 		{"event", "apac", "36", "1", "0.02415", "133.7"},
-		{"fluid", "na", "75", "1", "0.0375", "126.5"},
-		{"fluid", "eu", "45", "1", "0.02858", "131.9"},
-		{"fluid", "apac", "30", "1", "0.01905", "134.6"},
+		{"fluid", "na", "78", "1", "0.03909", "126.5"},
+		{"fluid", "eu", "47", "1", "0.0297", "131.9"},
+		{"fluid", "apac", "31", "1", "0.0198", "134.6"},
 	}
 	if !reflect.DeepEqual(tbl.Rows, wantRows) {
 		t.Errorf("outage rows = %q, want %q", tbl.Rows, wantRows)

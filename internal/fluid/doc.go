@@ -6,11 +6,14 @@
 // an object — its playback position, cached chunks, and several scheduled
 // events per chunk transition — this package tracks *cohorts*: the
 // expected number of viewers playing each chunk and the expected number
-// waiting on each chunk's download, advanced by explicit Euler
-// integration of the flow-balance equations the paper's Sec. IV Jackson
-// analysis is built on. Arrivals, playback completions, VCR jumps, and
-// departures become continuous flows; download queues become
-// demand-vs-capacity deficits. A million-viewer day integrates in
+// waiting on each chunk's download, advanced in fixed steps through the
+// flow-balance equations the paper's Sec. IV Jackson analysis is built
+// on. Arrivals, playback completions, VCR jumps, and departures become
+// continuous flows; download queues become demand-vs-capacity deficits.
+// The step update is exact in the step length for the linear flows —
+// exponential playback, jump and quality-window factors and a
+// closed-form drain of each download queue — so the step bounds
+// accuracy, not stability. A million-viewer day integrates in
 // milliseconds because the crowd size only changes the magnitudes of the
 // flows, never the amount of state.
 //

@@ -9,17 +9,18 @@ import (
 	"cloudmedia/internal/workload"
 )
 
-// stepSeconds is the Euler integration step, small enough for every
-// paper scenario (chunk playback is 75–300 s and jump intervals minutes).
-// New clamps it to a quarter of the chunk playback time and of the mean
-// jump interval so outflow fractions stay well below 1.
-const stepSeconds = 1
+// stepSeconds is the integration step. The kernel integrates the linear
+// flows exactly over a step (see stepConst and drainStep), so the step
+// bounds accuracy, not stability. It is the largest divisor of a minute
+// whose error TestStepConvergence accepts: no larger than a 1 s explicit
+// Euler step's (DESIGN.md "Engine fidelities" has the table).
+const stepSeconds = 3
 
-// batchSteps caps how many Euler steps one worker fan-out integrates
-// before the pool re-synchronizes. The cap bounds the per-step rates
-// scratch (batchSteps × channels floats) while still amortizing the pool
-// handoff over hundreds of steps: with the default 1 s step a 24 h day
-// pays ~340 handoffs instead of 86 400.
+// batchSteps caps how many steps one worker fan-out integrates before
+// the pool re-synchronizes. The cap bounds the per-step rates scratch
+// (batchSteps × channels floats) while still amortizing the pool handoff
+// over hundreds of steps: with the default 3 s step and 900 s samples a
+// 24 h day pays ~200 handoffs instead of 28 800.
 const batchSteps = 256
 
 // Backend integrates the fluid-cohort model. It implements sim.Backend,
@@ -29,7 +30,7 @@ const batchSteps = 256
 // results are bit-identical for every worker count (see integrateTo).
 //
 // The per-channel state lives in struct-of-arrays layout: one contiguous
-// backing array per field, indexed channel*J + j. Each Euler step walks
+// backing array per field, indexed channel*J + j. Each step walks
 // the arrays with unit stride, so the hot loops stay in cache regardless
 // of the channel count — the state for a 64-channel day is a handful of
 // small flat arrays, not a pointer chase across per-channel objects.
@@ -84,12 +85,14 @@ type Backend struct {
 	workers int
 
 	// Batched-step scratch: integrateTo pre-resolves up to batchSteps
-	// Euler steps serially — per-step start times, step sizes, and the
+	// steps serially — per-step start times, the step constants, and the
 	// full arrival-rate matrix rates[s*C+c] — then fans the channels out
 	// over the worker pool, each integrating through the whole batch.
-	rates []float64
-	times []float64
-	dts   []float64
+	// Every step of a batch but the last is a full step; the last is cut
+	// short when the barrier falls inside it, so it has its own constants.
+	rates      []float64
+	times      []float64
+	full, last stepConst
 }
 
 var _ sim.Backend = (*Backend)(nil)
@@ -105,6 +108,10 @@ func New(cfg sim.Config) (*Backend, error) {
 	if src == nil {
 		src = sc.Workload.Source()
 	}
+	// Short chunks or frequent jumps shrink the step: a step of a quarter
+	// of either time constant keeps the per-step lumping of arrivals and
+	// of the queues' inflow a small share of what the cohorts hold, which
+	// is what the step's accuracy rests on.
 	step := min(stepSeconds, sc.Channel.ChunkSeconds/4, sc.Workload.JumpMeanSeconds/4)
 	C := sc.Workload.Channels
 	J := sc.Channel.Chunks
@@ -163,7 +170,6 @@ func New(cfg sim.Config) (*Backend, error) {
 	}
 	b.rates = make([]float64, batchSteps*C)
 	b.times = make([]float64, batchSteps)
-	b.dts = make([]float64, batchSteps)
 	return b, nil
 }
 
@@ -190,9 +196,9 @@ func (b *Backend) RunUntil(t float64) {
 	}
 }
 
-// integrateTo advances the ODE state to time t with fixed Euler steps,
-// batched between control barriers: up to batchSteps steps are resolved
-// serially (start time and step size), the batch's arrival-rate matrix is
+// integrateTo advances the ODE state to time t with fixed steps, batched
+// between control barriers: up to batchSteps steps are resolved serially
+// (start times and step constants), the batch's arrival-rate matrix is
 // filled by the parallel demand plane (fillRates), then every channel
 // integrates through the whole batch on the worker pool. Channels are
 // independent within a span — arrival rates are pre-batched into b.rates
@@ -206,16 +212,17 @@ func (b *Backend) integrateTo(t float64) {
 	for b.now < t {
 		now := b.now
 		n := 0
+		dt := b.step
 		for now < t && n < batchSteps {
-			dt := b.step
 			if now+dt > t {
 				dt = t - now
 			}
 			b.times[n] = now
-			b.dts[n] = dt
 			now += dt
 			n++
 		}
+		b.full = newStep(b.step, b.cfg.Channel, b.cfg.Workload.JumpMeanSeconds)
+		b.last = newStep(dt, b.cfg.Channel, b.cfg.Workload.JumpMeanSeconds)
 		b.fillRates(n)
 		b.runBatch(n)
 		b.now = now
@@ -270,7 +277,7 @@ func (b *Backend) zeroRates(step int) {
 
 // runBatch integrates every channel through the first n pre-resolved
 // steps, fanning the channels out over the worker pool. Workers share
-// only read-only state (the rates/times/dts scratch, the transfer
+// only read-only state (the rates/times scratch, the step and transfer
 // constants); every mutable array is partitioned by channel, so the
 // shards never touch the same cache line's worth of state twice. The
 // serial branch (effective workers == 1: explicit Workers==1, a
@@ -299,9 +306,10 @@ func (b *Backend) runBatch(n int) {
 // scope to batch-lifetime locals pushes the hot inner loops into stack
 // spills (measured ~10% slower on FluidMillionViewers).
 func (b *Backend) integrateChannel(c, n int) {
-	for s := 0; s < n; s++ {
-		b.stepChannel(c, b.times[s], b.dts[s], b.rates[s*b.C+c])
+	for s := 0; s < n-1; s++ {
+		b.stepChannel(c, b.times[s], b.rates[s*b.C+c], &b.full)
 	}
+	b.stepChannel(c, b.times[n-1], b.rates[(n-1)*b.C+c], &b.last)
 }
 
 // channelUsers returns the viewer stock of one channel.
@@ -314,10 +322,18 @@ func (b *Backend) channelUsers(c int) float64 {
 	return n
 }
 
-// stepChannel advances one channel by dt seconds starting at time t, with
-// external arrival rate lambda (pre-batched by integrateTo) — the
-// engine's fused kernel. It allocates nothing: all state and scratch was
-// sized at New.
+// stepChannel advances one channel by one step starting at time t, with
+// external arrival rate lambda (pre-batched by integrateTo) and the
+// step's constants st — the engine's fused kernel. It allocates nothing:
+// all state and scratch was sized at New.
+//
+// The update is exact in dt for the linear flows: playback completions
+// and VCR jumps leave a cohort at the competing-exponential fractions in
+// st, each download queue drains by the closed-form solution of its
+// saturating drain over the step (drainStep), and the quality window
+// decays by its exponential factor. The step's arrivals, completions and
+// jumps are lumped into the queues' inflow, which drainStep spreads
+// evenly over the step.
 //
 // Everything invariant within the step is hoisted out of the per-chunk
 // loops — config scalars, int→float conversions, the channel's slice
@@ -328,18 +344,17 @@ func (b *Backend) channelUsers(c int) float64 {
 // completions and VCR jumps share one dense pass per transition row —
 // without reordering a single float operation. Every memory cell and
 // every scalar accumulator sees the exact per-step sequence the unfused
-// passes produced, apart from added +0 terms that change no value (see
-// step 2+3), which is what keeps goldens and the fluid-vs-event
-// cross-validation unchanged; the oracle test pins this bit for bit.
+// passes produce, apart from added +0 terms that change no value (see
+// step 2+3); the oracle test pins this bit for bit.
 //
 //cloudmedia:hotpath
-func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
+func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 	cfg := b.cfg.Channel
 	J := b.J
 	base := c * J
 	T0 := cfg.ChunkSeconds
 	B := cfg.ChunkBytes()
-	R := cfg.VMBandwidth
+	dt := st.dt
 	fJ := float64(J)
 
 	playing := b.playing[base : base+J]
@@ -392,16 +407,17 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 	}
 
 	// 2+3. Playback completions and VCR jumps, fused into one dense pass
-	// per transition row: completions flow along row j of the transfer
-	// matrix (the constant row sum gives the departing remainder), then
-	// the chunk's jump outflow leaves from the post-completion stock and
-	// spreads uniformly over the row. Each cell sees the per-cell
-	// sequence trow[k] + flow + per that the separate completion scatter
-	// and jump pass produced, because the terms they skipped are +0 — a
-	// cell the matrix does not reach gets comp·0, a row with no jump gets
-	// per = 0 — and adding +0 changes no value except −0. The transition
-	// accumulators never hold −0: they start at +0 and receive only
-	// non-negative products. inWait holds −0 only after a −0 arrival
+	// per transition row. Both leave the step-start cohort at their
+	// competing-exponential shares; completions flow along row j of the
+	// transfer matrix (the constant row sum gives the departing
+	// remainder) and jumps spread uniformly over the row. Each cell sees
+	// the per-cell sequence trow[k] + flow + per that a completion
+	// scatter over the positive entries followed by a jump pass over the
+	// row produces, because the terms the dense pass adds beyond them are
+	// +0 — a cell the matrix does not reach gets comp·0, a row with no
+	// jump gets per = 0 — and adding +0 changes no value except −0. The
+	// transition accumulators never hold −0: they start at +0 and receive
+	// only non-negative products. inWait holds −0 only after a −0 arrival
 	// rate, and every read of it adds a waiting count that is +0 or
 	// larger, so the sign of that zero never reaches a result. Cross-
 	// chunk state (inWait, transition rows) is only ever touched by its
@@ -410,11 +426,12 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 	trans := b.trans[:J*J]
 	rowSum := b.rowSum[:len(playing)]
 	departed := feed.departures[:len(playing)]
-	jumpRate := dt / b.cfg.Workload.JumpMeanSeconds
+	compFrac, jumpFrac := st.comp, st.jump
 	var departures, jumpTotal float64
 	for j := range playing {
 		p := playing[j]
-		comp := p * dt / T0
+		comp := p * compFrac
+		jump := p * jumpFrac
 		if comp > 0 {
 			leave := comp * (1 - rowSum[j])
 			if leave < 0 {
@@ -426,7 +443,6 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 		}
 		// Uniform jump destination; a cached destination replays
 		// immediately (no download), an uncached one queues.
-		jump := p * jumpRate
 		per := 0.0
 		if jump > 0 {
 			jumpTotal += jump
@@ -477,26 +493,23 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 	}
 
 	// 6. Serve the download queues: each chunk drains at the provisioned
-	// capacity, bounded by a per-download rate of R. Completions move
-	// viewers into the playing cohort and add cached copies.
+	// capacity, bounded by a per-download rate of R (drainStep).
+	// Completions move viewers into the playing cohort and add cached
+	// copies.
 	served := b.cloudBytesServed[c]
+	invDt := st.invDt
 	var demandBps, servedBps float64
 	for j := range playing {
-		queue := waiting[j] + inWait[j]
+		q0 := waiting[j]
+		in := inWait[j]
+		queue := q0 + in
 		if queue <= 0 {
 			waiting[j] = 0
 			playing[j] += inPlay[j]
 			continue
 		}
 		capJ := cloudCap[j] + peerCap[j]
-		rate := queue * R
-		if rate > capJ {
-			rate = capJ
-		}
-		drained := rate * dt / B
-		if drained > queue {
-			drained = queue
-		}
+		drained, backlog := drainStep(q0, in, capJ, st)
 		bytes := drained * B
 		peerShare := min(bytes, peerCap[j]*dt)
 		served += bytes - peerShare
@@ -506,9 +519,10 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 		owners[j] += drained
 
 		// Smoothness pressure: the bandwidth needed to serve this step's
-		// requests plus the backlog within the chunk-playback grace
-		// period, against what the capacity actually delivered.
-		need := (inWait[j]/dt + waiting[j]/T0) * B
+		// requests plus the step's mean backlog within the
+		// chunk-playback grace period, against what the capacity
+		// actually delivered.
+		need := (in*invDt + backlog/T0) * B
 		got := need
 		if capJ < got {
 			got = capJ
@@ -524,8 +538,7 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 	if demandBps > 0 {
 		instant = servedBps / demandBps
 	}
-	a := min(dt/sim.QualityWindowSeconds, 1)
-	b.smooth[c] += a * (instant - b.smooth[c])
+	b.smooth[c] += st.window * (instant - b.smooth[c])
 }
 
 // allocatePeers splits the channel's aggregate peer uplink across chunks,
@@ -537,6 +550,11 @@ func (b *Backend) stepChannel(c int, t, dt, lambda float64) {
 // cohorts — because the uplink budget must reflect the viewers actually
 // present while the queues drain.
 //
+// A chunk's demand is its step-start queue's download rate, waiting×R.
+// The step's inflow is not counted: drainStep spreads it over the step,
+// and counting it as if it waited from the step start overstates demand
+// by a term that grows with dt.
+//
 //cloudmedia:hotpath
 func (b *Backend) allocatePeers(c int) {
 	J := b.J
@@ -545,7 +563,6 @@ func (b *Backend) allocatePeers(c int) {
 	playing := b.playing[base : base+J][:len(peerCap)]
 	waiting := b.waiting[base : base+J][:len(peerCap)]
 	owners := b.owners[base : base+J][:len(peerCap)]
-	inWait := b.inWait[base : base+J][:len(peerCap)]
 	demand := b.demand[base : base+J][:len(peerCap)]
 	order := b.order[base : base+J]
 	R := b.cfg.Channel.VMBandwidth
@@ -557,7 +574,7 @@ func (b *Backend) allocatePeers(c int) {
 	var n float64
 	for j := range peerCap {
 		n += playing[j] + waiting[j]
-		demand[j] = (waiting[j] + inWait[j]) * R
+		demand[j] = waiting[j] * R
 	}
 	if n <= 0 {
 		for j := range peerCap {

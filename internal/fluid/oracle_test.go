@@ -11,11 +11,12 @@ import (
 )
 
 // oracleKernel is a reference copy of the fluid step kernel in its
-// earlier, straightforward form: completions scatter through a CSR index
-// of the transfer matrix's positive entries, VCR jumps take a second pass
-// over the transition row, the rarest-first order is re-sorted from the
-// identity on every step, and draws use the built-in min. The production
-// kernel must reproduce it bit for bit (TestKernelMatchesOracle).
+// straightforward form: completions scatter through a CSR index of the
+// transfer matrix's positive entries, VCR jumps take a second pass over
+// the transition row, every queue drains through drainStep, the
+// rarest-first order is re-sorted from the identity on every step, and
+// draws use the built-in min. The production kernel must reproduce it
+// bit for bit (TestKernelMatchesOracle).
 type oracleKernel struct {
 	rowSum []float64
 	nzOff  []int
@@ -40,14 +41,15 @@ func newOracleKernel(p queueing.TransferMatrix) *oracleKernel {
 	return o
 }
 
-// stepChannel is the reference per-channel Euler step.
+// stepChannel is the reference per-channel step of length dt. It derives
+// the step's constants itself, as New's callers' steps do.
 func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 	cfg := b.cfg.Channel
+	st := newStep(dt, cfg, b.cfg.Workload.JumpMeanSeconds)
 	J := b.J
 	base := c * J
 	T0 := cfg.ChunkSeconds
 	B := cfg.ChunkBytes()
-	R := cfg.VMBandwidth
 	fJ := float64(J)
 
 	playing := b.playing[base : base+J]
@@ -59,9 +61,6 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 	inPlay := b.inPlay[base : base+J]
 	feed := b.feeds[c]
 
-	// Viewer stock and cached-copy sum, fused into one pass. Each
-	// accumulator keeps its own index-ordered sequence; the copy sum is
-	// simply discarded for an empty channel.
 	var stock, copies float64
 	for j := 0; j < J; j++ {
 		stock += playing[j] + waiting[j]
@@ -78,8 +77,7 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 	}
 
 	// 1. External arrivals: chunk 1 with probability α, uniform
-	// otherwise. Seeding stores directly, absorbing the old clear pass
-	// (rates are non-negative, so 0+x and x are the same value).
+	// otherwise.
 	arrivals := lambda * dt
 	feed.arrivals += arrivals
 	if b.cfg.OnArrivals != nil && arrivals > 0 {
@@ -99,21 +97,15 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 		}
 	}
 
-	// 2+3. Playback completions and VCR jumps, fused: completions flow
-	// along the transfer matrix's live entries (precomputed nonzero
-	// index; the constant row sum replaces per-step accumulation) with
-	// the remainder departing, then the same chunk's jump outflow leaves
-	// from the post-completion stock — exactly the value the separate
-	// jump pass used to read, carried here in a register instead of
-	// re-loaded. Cross-chunk state (inWait scatter, transition rows) is
-	// only ever touched by its own chunk's iteration in both orderings,
-	// so fusion changes no accumulation order.
+	// 2. Playback completions along the transfer matrix's live entries,
+	// the remainder departing; 3. VCR jumps from the same step-start
+	// cohort, spread uniformly over the transition row.
 	transitions := feed.transitions
-	jumpRate := dt / b.cfg.Workload.JumpMeanSeconds
 	var departures, jumpTotal float64
 	for j := 0; j < J; j++ {
 		p := playing[j]
-		comp := p * dt / T0
+		comp := p * st.comp
+		jump := p * st.jump
 		if comp > 0 {
 			row := j * J
 			for i := o.nzOff[j]; i < o.nzOff[j+1]; i++ {
@@ -130,9 +122,6 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 			departures += leave
 			p -= comp
 		}
-		// Uniform jump destination; a cached destination replays
-		// immediately (no download), an uncached one queues.
-		jump := p * jumpRate
 		if jump > 0 {
 			jumpTotal += jump
 			p -= jump
@@ -153,8 +142,7 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 		}
 	}
 
-	// 4. Remove the departing viewers' cached copies (each departing
-	// viewer holds owners[j]/stock of chunk j on average).
+	// 4. Remove the departing viewers' cached copies.
 	if departures > 0 && stock > 0 {
 		f := departures / stock
 		if f > 1 {
@@ -165,16 +153,12 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 		}
 	}
 
-	// 5. Allocate peer uplink for this step (P2P only): the fluid
-	// counterpart of the event engine's 30-second rebalance, run every
-	// step because it is O(J).
+	// 5. Allocate peer uplink (P2P only).
 	if b.cfg.Mode == sim.P2P {
 		o.allocatePeers(b, c)
 	}
 
-	// 6. Serve the download queues: each chunk drains at the provisioned
-	// capacity, bounded by a per-download rate of R. Completions move
-	// viewers into the playing cohort and add cached copies.
+	// 6. Serve the download queues in closed form.
 	served := b.cloudBytesServed[c]
 	var demandBps, servedBps float64
 	for j := 0; j < J; j++ {
@@ -185,51 +169,26 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 			continue
 		}
 		capJ := cloudCap[j] + peerCap[j]
-		rate := queue * R
-		if rate > capJ {
-			rate = capJ
-		}
-		drained := rate * dt / B
-		if drained > queue {
-			drained = queue
-		}
+		drained, backlog := drainStep(waiting[j], inWait[j], capJ, &st)
 		bytes := drained * B
-		peerShare := min(bytes, peerCap[j]*dt)
-		served += bytes - peerShare
+		served += bytes - min(bytes, peerCap[j]*dt)
 
 		waiting[j] = queue - drained
 		playing[j] += drained + inPlay[j]
 		owners[j] += drained
 
-		// Smoothness pressure: the bandwidth needed to serve this step's
-		// requests plus the backlog within the chunk-playback grace
-		// period, against what the capacity actually delivered.
-		need := (inWait[j]/dt + waiting[j]/T0) * B
-		got := need
-		if capJ < got {
-			got = capJ
-		}
+		need := (inWait[j]*st.invDt + backlog/T0) * B
 		demandBps += need
-		servedBps += got
+		servedBps += min(need, capJ)
 	}
 	b.cloudBytesServed[c] = served
 
-	// 7. Windowed quality: exponential window matching the event engine's
-	// trailing stall window.
+	// 7. Windowed quality.
 	instant := 1.0
 	if demandBps > 0 {
 		instant = servedBps / demandBps
 	}
-	w := float64(sim.QualityWindowSeconds)
-	if w <= 0 {
-		b.smooth[c] = instant
-	} else {
-		a := dt / w
-		if a > 1 {
-			a = 1
-		}
-		b.smooth[c] += a * (instant - b.smooth[c])
-	}
+	b.smooth[c] += st.window * (instant - b.smooth[c])
 }
 
 // allocatePeers is the reference rarest-first / proportional split: a
@@ -248,13 +207,12 @@ func (o *oracleKernel) allocatePeers(b *Backend, c int) {
 	}
 	waiting := b.waiting[base : base+J]
 	owners := b.owners[base : base+J]
-	inWait := b.inWait[base : base+J]
 	demand := b.demand[base : base+J]
 	order := b.order[base : base+J]
 	R := b.cfg.Channel.VMBandwidth
 	budget := n * b.meanUplink
 	for j := 0; j < J; j++ {
-		demand[j] = (waiting[j] + inWait[j]) * R
+		demand[j] = waiting[j] * R
 	}
 
 	if b.cfg.Scheduling == sim.Proportional {
@@ -445,7 +403,8 @@ func (kp kernelPair) compare(t *testing.T, step int) {
 // substochastic matrices (sparse, dense and all-zero rows), chunk counts
 // from 1 to 20, owner ties at zero (the empty start) and later ties,
 // rarest-first, proportional and client-server (no peer step) modes,
-// zero capacity, mid-run capacity changes and feed resets.
+// zero capacity, mid-run capacity changes and feed resets, at full and
+// partial steps.
 func TestKernelMatchesOracle(t *testing.T) {
 	const steps = 240
 	modes := []struct {
@@ -466,13 +425,19 @@ func TestKernelMatchesOracle(t *testing.T) {
 					kp := newKernelPair(t, rng, J, m.mode, m.sched, zeroCap)
 					now := 0.0
 					for s := 0; s < steps; s++ {
-						dt := 0.25 + 0.75*rng.Float64()
+						// Mostly full steps, and partial ones as a
+						// barrier cuts them.
+						dt := kp.fast.step
+						if rng.IntN(3) == 0 {
+							dt *= 1 - rng.Float64()
+						}
+						st := newStep(dt, kp.fast.cfg.Channel, kp.fast.cfg.Workload.JumpMeanSeconds)
 						for c := 0; c < kp.fast.C; c++ {
 							lambda := 0.0
 							if rng.IntN(5) != 0 {
 								lambda = 5 * rng.Float64()
 							}
-							kp.fast.stepChannel(c, now, dt, lambda)
+							kp.fast.stepChannel(c, now, lambda, &st)
 							kp.oracle.stepChannel(kp.ref, c, now, dt, lambda)
 						}
 						now += dt

@@ -64,7 +64,7 @@ func TestFluidPacerDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// The Euler loop's batched rate reads must not allocate once the scratch
+// The step loop's batched rate reads must not allocate once the scratch
 // buffer exists: steady integration is the million-viewer hot path.
 // Workers is pinned to 1: the serial path must be alloc-free, while the
 // pool path pays its per-batch goroutine handoff (amortized over up to

@@ -186,7 +186,7 @@ func TestFluidParallelOnArrivalsContract(t *testing.T) {
 
 // TestFluidBatchedInnerLoopAllocFree pins AllocsPerRun == 0 on the batched
 // multi-step path: one RunUntil stride spans several full batches
-// (batchSteps Euler steps each), so the measurement covers integrateTo's
+// (batchSteps steps each), so the measurement covers integrateTo's
 // batch assembly, fillRates' serial demand reads, runBatch's serial
 // dispatch, and every fused stepChannel step in between. Workers=1
 // isolates the inner loop from the pool's per-batch goroutine handoff,

@@ -122,14 +122,16 @@ func (s *kernelState) restore(b *Backend) {
 }
 
 // BenchmarkFluidStep is the fluid kernel alone: one batch of batchSteps
-// (256) one-second Euler steps of every channel of the 100M-viewer day,
-// starting from its evening-peak state, with the batch's arrival rates
-// resolved beforehand so the demand plane is not timed. The state comes
-// from integrating the last two hours before the peak with capacity
-// re-provisioned hourly, and is restored before every batch so each
-// iteration does the same work. ns/chunk-step divides the time by
-// steps × channels × chunks, the unit daybench's fluid.ns_per_chunk_step
-// reports.
+// (256) steps, at the engine's own step length, of every channel of the
+// 100M-viewer day, starting from its evening-peak state, with the batch's
+// arrival rates resolved beforehand so the demand plane is not timed.
+// The state comes from integrating the last two hours before the peak
+// with capacity re-provisioned hourly, and is restored before every
+// batch so each iteration does the same work. ns/chunk-step divides the
+// time by steps × channels × chunks, the unit daybench's
+// fluid.ns_per_chunk_step reports; ns/sim-s divides it by the simulated
+// seconds the batch covers, so a longer step's higher cost per step and
+// lower cost per simulated day both show.
 func BenchmarkFluidStep(b *testing.B) {
 	be, err := New(hundredMConfig(b))
 	if err != nil {
@@ -141,9 +143,10 @@ func BenchmarkFluidStep(b *testing.B) {
 		be.RunUntil(float64(h+1) * 3600)
 	}
 	for s := 0; s < batchSteps; s++ {
-		be.times[s] = be.now + float64(s)
-		be.dts[s] = 1
+		be.times[s] = be.now + float64(s)*be.step
 	}
+	be.full = newStep(be.step, be.cfg.Channel, be.cfg.Workload.JumpMeanSeconds)
+	be.last = be.full
 	be.fillRates(batchSteps)
 	peak := saveKernelState(be)
 
@@ -155,6 +158,8 @@ func BenchmarkFluidStep(b *testing.B) {
 		b.StartTimer()
 		be.runBatch(batchSteps)
 	}
-	chunkSteps := float64(b.N) * batchSteps * float64(be.C*be.J)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/chunkSteps, "ns/chunk-step")
+	steps := float64(b.N) * batchSteps
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/(steps*float64(be.C*be.J)), "ns/chunk-step")
+	b.ReportMetric(ns/(steps*be.step), "ns/sim-s")
 }

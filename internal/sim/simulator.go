@@ -102,7 +102,7 @@ type Config struct {
 	// between control-event barriers (channels only interact through the
 	// controller at interval boundaries, so their event queues are
 	// independent in between). The fluid engine honours the same knob for
-	// its batched Euler fan-out. 0 uses min(GOMAXPROCS, channels); 1 runs
+	// its batched step fan-out. 0 uses min(GOMAXPROCS, channels); 1 runs
 	// serially. Results are identical for every worker count on both
 	// engines.
 	Workers int

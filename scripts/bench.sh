@@ -56,9 +56,9 @@ go test -run '^$' -bench 'BenchmarkRebalancePeers$' -benchtime 2000x -count=3 ./
 # EventHeap is the per-viewer schedule/cancel/pop mix at the control
 # day's per-channel queue depth.
 go test -run '^$' -bench 'BenchmarkEventHeap$' -benchtime 200000x -count=3 ./internal/sim | tee -a "$TMP"
-# FluidStep is the fluid kernel alone: one 256-step batch of the
-# 100M-viewer day's 48 channels at its evening-peak state, with an
-# ns/chunk-step metric.
+# FluidStep is the fluid kernel alone: one 256-step batch, at the
+# engine's own step, of the 100M-viewer day's 48 channels at its
+# evening-peak state, with ns/chunk-step and ns/sim-s metrics.
 go test -run '^$' -bench 'BenchmarkFluidStep$' -benchtime 50x -count=3 ./internal/fluid | tee -a "$TMP"
 
 # Control-path benches: plans/s per provisioning policy and the billing
