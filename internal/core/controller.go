@@ -122,6 +122,7 @@ type Controller struct {
 	lastCaps    []float64
 	capChannels int
 	rateHistory [][]float64 // per-channel observed arrival rates, oldest first
+	forecasts   []float64   // per channel: Predictor.Predict(rateHistory[ch]), see forecast
 
 	// capFactor is the persistent capacity multiplier fault injection's
 	// capacity-degradation events set (1 = healthy); preemptScale is the
@@ -205,6 +206,7 @@ func NewController(s sim.Backend, cl *cloud.Cloud, broker *cloud.Broker, opts Op
 		workers:      workers,
 		derivers:     make([]deriver, workers),
 		rateHistory:  make([][]float64, s.Channels()),
+		forecasts:    make([]float64, s.Channels()),
 		capFactor:    1,
 		preemptScale: 1,
 	}, nil
@@ -289,9 +291,10 @@ func (c *Controller) runInterval(now float64) {
 }
 
 // forecast appends the observation to the channel's history and returns
-// the predictor's rate for the next interval. A full history shifts down
-// in place, so it keeps one backing array (and the spare capacity
-// futureDemands appends its forecasts into) for the whole run.
+// the predictor's rate for the next interval, which it also keeps for
+// futureDemands. A full history shifts down in place, so it keeps one
+// backing array (and the spare capacity futureDemands appends its
+// forecasts into) for the whole run.
 func (c *Controller) forecast(channel int, observed float64) float64 {
 	h := c.rateHistory[channel]
 	if len(h) >= historyLimit {
@@ -299,7 +302,8 @@ func (c *Controller) forecast(channel int, observed float64) float64 {
 	}
 	h = append(h, observed)
 	c.rateHistory[channel] = h
-	return c.opts.Predictor.Predict(h)
+	c.forecasts[channel] = c.opts.Predictor.Predict(h)
+	return c.forecasts[channel]
 }
 
 // oracle reports whether this run plans on true arrival rates: the policy
@@ -379,10 +383,12 @@ func (c *Controller) deriveOne(d *deriver, cfg queueing.Config, in ChannelInput,
 // history is the channel's own, extended by this round's forecasts in
 // its spare capacity: rateHistory[ch] keeps its length, so the
 // forecasts are gone from it before the next round observes. A
-// predictor that folds its history (an extender) predicts step 1 from
-// that history and each later step by extending the previous forecast
-// with itself, which is the same fold, so the forecasts are
-// bit-identical to re-predicting each step.
+// predictor that folds its history (an extender) extends the forecast
+// the round already made from that history by the round's rate for
+// step 1 (re-folding it only in the bootstrap round, which has no
+// history), and each later step by extending the previous forecast with
+// itself. Each is the same fold, so the forecasts are bit-identical to
+// re-predicting each step.
 func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, current []ChannelDemand, currentRates []float64, p2pMode bool, now float64, k int) [][]provision.ChunkDemand {
 	T := c.opts.IntervalSeconds
 	oracle := c.oracle()
@@ -414,6 +420,8 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 			switch {
 			case oracle:
 				in.ArrivalRate = c.opts.TrueRates(ch, now+float64(step)*T, now+float64(step+1)*T)
+			case folds && step == 1 && len(c.rateHistory[ch]) > 0:
+				in.ArrivalRate = ext.extend(c.forecasts[ch], in.ArrivalRate)
 			case folds && step > 1:
 				in.ArrivalRate = ext.extend(in.ArrivalRate, in.ArrivalRate)
 			default:

@@ -288,9 +288,11 @@ func (f foldLog) extend(prev, x float64) float64 {
 }
 
 // The rates a round is handed need not be the predictor's own forecast
-// (the bootstrap round's come from the workload), so lookahead step 1
-// re-folds the history with the handed rate appended; the extension
-// starts at step 2.
+// (the bootstrap round's come from the workload), so in the bootstrap
+// round lookahead step 1 re-folds the history with the handed rate
+// appended and the extension starts at step 2. Every later round has a
+// history and the forecast made from it, so step 1 extends that
+// forecast and no lookahead step re-folds.
 func TestLookaheadExtendsFromStepTwo(t *testing.T) {
 	s, cl, broker, transfer := buildStack(t)
 	var log []string
@@ -308,6 +310,17 @@ func TestLookaheadExtendsFromStepTwo(t *testing.T) {
 		want = append(want, "predict 1", "extend", "extend")
 	}
 	if !slices.Equal(log, want) {
-		t.Errorf("lookahead calls %v, want %v", log, want)
+		t.Errorf("bootstrap lookahead calls %v, want %v", log, want)
+	}
+	log, want = log[:0], want[:0]
+	ctl.runInterval(opts.IntervalSeconds)
+	for range s.Channels() {
+		want = append(want, "predict 1") // the round's own forecast
+	}
+	for range s.Channels() {
+		want = append(want, "extend", "extend", "extend")
+	}
+	if !slices.Equal(log, want) {
+		t.Errorf("second-round calls %v, want %v", log, want)
 	}
 }

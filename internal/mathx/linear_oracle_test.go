@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cloudmedia/internal/mathx"
@@ -36,8 +37,9 @@ func pivotingSystem(r *rand.Rand, n int) ([][]float64, []float64) {
 	return a, b
 }
 
-// checkAgainstReference solves a·x = b with SolveLinear and SolveInPlace
-// and requires both to match the reference elimination bit for bit, or
+// checkAgainstReference solves a·x = b with SolveLinear and SolveInPlace,
+// and with SolveManyInPlace taking b and b reversed as its two columns,
+// and requires each to match the reference elimination bit for bit, or
 // to fail with the same ErrSingular.
 func checkAgainstReference(t *testing.T, a [][]float64, b []float64) {
 	t.Helper()
@@ -59,6 +61,34 @@ func checkAgainstReference(t *testing.T, a [][]float64, b []float64) {
 	if wantErr == nil && !testutil.SameBits(x, want) {
 		t.Fatalf("SolveInPlace = %v, reference = %v", x, want)
 	}
+
+	n := len(b)
+	rev := slices.Clone(b)
+	slices.Reverse(rev)
+	wantRev, _ := testutil.ReferenceSolveLinear(a, rev)
+	cols := make([]float64, 2*n)
+	for i := range b {
+		cols[2*i], cols[2*i+1] = b[i], rev[i]
+	}
+	err = mathx.SolveManyInPlace(flatten(a), cols, 2)
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("SolveManyInPlace err = %v, reference err = %v", err, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	for i := range b {
+		if !sameBitsOrNaN(cols[2*i], want[i]) || !sameBitsOrNaN(cols[2*i+1], wantRev[i]) {
+			t.Fatalf("SolveManyInPlace row %d = %v, %v, reference %v, %v", i, cols[2*i], cols[2*i+1], want[i], wantRev[i])
+		}
+	}
+}
+
+// sameBitsOrNaN is bit equality up to the NaN's sign and payload: which
+// operand's NaN an IEEE operation passes on is left to the compiled
+// instruction order, which differs between loops of different shape.
+func sameBitsOrNaN(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
 func TestSolveInPlaceMatchesReferenceBits(t *testing.T) {
@@ -97,6 +127,23 @@ func TestSolveInPlaceShapeErrors(t *testing.T) {
 			t.Errorf("%s: err = %v, want failure %v", tc.name, err, tc.shouldFail)
 		}
 	}
+	for _, tc := range []struct {
+		name       string
+		m, b       []float64
+		k          int
+		shouldFail bool
+	}{
+		{"empty", nil, nil, 1, true},
+		{"no columns", []float64{1}, []float64{1}, 0, true},
+		{"ragged columns", make([]float64, 4), make([]float64, 5), 2, true},
+		{"short matrix", make([]float64, 3), make([]float64, 4), 2, true},
+		{"ok", []float64{2, 0, 0, 4}, []float64{2, 4, 8, 4}, 2, false},
+	} {
+		err := mathx.SolveManyInPlace(tc.m, tc.b, tc.k)
+		if (err != nil) != tc.shouldFail {
+			t.Errorf("SolveManyInPlace %s: err = %v, want failure %v", tc.name, err, tc.shouldFail)
+		}
+	}
 }
 
 // SolveInPlace allocates nothing; SolveLinear allocates its one buffer.
@@ -114,6 +161,21 @@ func TestSolveAllocations(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("SolveInPlace allocates %.1f times per solve, want 0", allocs)
 	}
+	cols := make([]float64, len(b)*len(b))
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i, row := range a {
+			copy(m[i*len(b):], row)
+		}
+		clear(cols)
+		for i := range b {
+			cols[i*len(b)+i] = 1
+		}
+		if err := mathx.SolveManyInPlace(m, cols, len(b)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("SolveManyInPlace allocates %.1f times per solve, want 0", allocs)
+	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := mathx.SolveLinear(a, b); err != nil {
 			t.Fatal(err)
@@ -126,7 +188,8 @@ func TestSolveAllocations(t *testing.T) {
 // FuzzSolveLinear feeds arbitrary small systems — ties, zeros, infinities
 // and NaNs included — through SolveLinear and requires it never to panic,
 // never to mutate its inputs, and to agree with the reference elimination
-// bit for bit (or fail the same way).
+// bit for bit (or fail the same way); SolveInPlace and SolveManyInPlace
+// are held to the same reference through checkAgainstReference.
 func FuzzSolveLinear(f *testing.F) {
 	f.Add(uint8(2), []byte{8, 0, 0, 8, 16, 24}, 1.0)                   // identity-like
 	f.Add(uint8(2), []byte{0, 8, 8, 0, 56, 72}, 1.0)                   // needs a swap

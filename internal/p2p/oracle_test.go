@@ -1,7 +1,9 @@
 package p2p
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -13,10 +15,10 @@ import (
 	"cloudmedia/internal/viewing"
 )
 
-// referenceOwnersByQueue is ownersByQueue as it was before the flat
-// workspace: one freshly allocated [][]float64 system and idx map per
-// chunk, solved by the reference elimination. Kept as the bit-identity
-// oracle.
+// referenceOwnersByQueue is Proposition 1 solved the direct way: one
+// freshly allocated reduced (J−1)×(J−1) system and idx map per chunk,
+// solved by the reference elimination. It is the oracle ownersByQueue's
+// single factorization of I − Pᵀ is held to within tolerance.
 func referenceOwnersByQueue(meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
 	j := len(meanUsers)
 	out := make([][]float64, j)
@@ -91,9 +93,10 @@ func tableCoOwnership(meanUsers []float64, owners [][]float64, a, b int) float64
 	return coOwnership(meanUsers, total, w.weight, w.frac[a*j:(a+1)*j], w.frac[b*j:(b+1)*j])
 }
 
-// referenceSolve is Solve as it was before this package went flat: the
-// reference owner solve, co-ownership re-summing N on every call, and the
-// reflect-based stable sort for the rarest-first order.
+// referenceSolve is Solve the direct way: the per-chunk owner solve,
+// co-ownership re-summing N on every call, and the reflect-based stable
+// sort for the rarest-first order, comparing replica counts rounded to
+// 30 mantissa bits as rarityKey does.
 func referenceSolve(a Analysis) (Result, error) {
 	eq := a.Equilibrium
 	j := eq.Config.Chunks
@@ -117,8 +120,9 @@ func referenceSolve(a Analysis) (Result, error) {
 		for i := range order {
 			order[i] = i
 		}
+		key := func(x float64) float64 { return math.Float64frombits((math.Float64bits(x) + 1<<21) >> 22 << 22) }
 		sort.SliceStable(order, func(x, y int) bool {
-			return res.Owners[order[x]] < res.Owners[order[y]]
+			return key(res.Owners[order[x]]) < key(res.Owners[order[y]])
 		})
 		totalPeers := mathx.Sum(eq.ViewerLoad)
 		for k, chunk := range order {
@@ -153,28 +157,55 @@ func referenceSolve(a Analysis) (Result, error) {
 	return res, nil
 }
 
-// checkSolveBits requires Solve to reproduce the reference pipeline bit
-// for bit, or to fail with the same message.
-func checkSolveBits(t *testing.T, label string, a Analysis) {
+// Tolerances of Solve against referenceSolve. The owner counts come
+// from a different elimination of the same M-matrix, so they agree to a
+// few ulps; ownerFloor is the smallest scale (in viewers) the relative
+// bound is taken against, so a count that is zero on one side and
+// rounding residue on the other passes. Γ and Δ go through Eqn. (5)'s
+// subtractions, so they are held relative to the chunk's capacity
+// R·m_i, the scale they are differences within.
+const (
+	ownerTol   = 1e-12
+	ownerFloor = 1e-9
+	supplyTol  = 1e-9
+)
+
+// within reports |got − want| ≤ tol·max(|want|, floor).
+func within(got, want, tol, floor float64) bool {
+	return math.Abs(got-want) <= tol*max(math.Abs(want), floor)
+}
+
+// checkSolve requires Solve to match the reference pipeline within the
+// tolerances above, or to fail as it does.
+func checkSolve(t *testing.T, label string, a Analysis) {
 	t.Helper()
 	want, wantErr := referenceSolve(a)
 	got, err := Solve(a)
-	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+	if (err == nil) != (wantErr == nil) || errors.Is(err, mathx.ErrSingular) != errors.Is(wantErr, mathx.ErrSingular) {
 		t.Fatalf("%s: err = %v, reference err = %v", label, err, wantErr)
 	}
 	if err != nil {
 		return
 	}
-	for i := range want.OwnersByQueue {
-		if !testutil.SameBits(got.OwnersByQueue[i], want.OwnersByQueue[i]) {
-			t.Fatalf("%s: OwnersByQueue[%d] = %v, reference %v", label, i, got.OwnersByQueue[i], want.OwnersByQueue[i])
-		}
-	}
-	if len(got.OwnersByQueue) != len(want.OwnersByQueue) ||
-		!testutil.SameBits(got.Owners, want.Owners) ||
-		!testutil.SameBits(got.PeerSupply, want.PeerSupply) ||
-		!testutil.SameBits(got.CloudDemand, want.CloudDemand) {
+	j := len(want.OwnersByQueue)
+	if len(got.OwnersByQueue) != j || len(got.Owners) != j || len(got.PeerSupply) != j || len(got.CloudDemand) != j {
 		t.Fatalf("%s: result %+v, reference %+v", label, got, want)
+	}
+	for i := range want.OwnersByQueue {
+		for q, w := range want.OwnersByQueue[i] {
+			if g := got.OwnersByQueue[i][q]; !within(g, w, ownerTol, ownerFloor) {
+				t.Fatalf("%s: E[ν_%d,%d] = %v, reference %v", label, i, q, g, w)
+			}
+		}
+		if !within(got.Owners[i], want.Owners[i], ownerTol, ownerFloor) {
+			t.Fatalf("%s: Owners[%d] = %v, reference %v", label, i, got.Owners[i], want.Owners[i])
+		}
+		scale := a.Equilibrium.Capacity[i]
+		if !within(got.PeerSupply[i], want.PeerSupply[i], supplyTol, scale) ||
+			!within(got.CloudDemand[i], want.CloudDemand[i], supplyTol, scale) {
+			t.Fatalf("%s: chunk %d Γ, Δ = %v, %v, reference %v, %v (capacity %v)",
+				label, i, got.PeerSupply[i], got.CloudDemand[i], want.PeerSupply[i], want.CloudDemand[i], scale)
+		}
 	}
 	load := a.Equilibrium.ViewerLoad
 	for x := range want.OwnersByQueue {
@@ -195,68 +226,174 @@ func withLoad(eq queueing.Equilibrium, load []float64) queueing.Equilibrium {
 	return eq
 }
 
-// channelAt solves the equilibrium of a j-chunk channel on matrix p.
-func channelAt(t *testing.T, j int, p queueing.TransferMatrix, lambda float64) queueing.Equilibrium {
-	t.Helper()
+// solveChannel solves the equilibrium of a j-chunk channel on matrix p.
+func solveChannel(j int, p queueing.TransferMatrix, lambda float64) (queueing.Equilibrium, error) {
 	cfg := testutil.ChannelConfig(j, 75)
 	cfg.SlotsPerVM = 5
 	if j == 1 {
 		cfg.EntryFirstChunk = 1
 	}
-	eq, err := queueing.Solve(cfg, p, lambda, 0)
-	if err != nil {
-		t.Fatalf("queueing.Solve(J=%d): %v", j, err)
-	}
-	return eq
+	return queueing.Solve(cfg, p, lambda, 0)
 }
 
-func TestSolveMatchesReferenceBits(t *testing.T) {
+// estimatedMatrix returns a j×j transfer matrix as viewing.Estimator
+// builds it from one short round: per row a few departures and a few
+// transitions, small integer counts drawn from next (values in [0, 1)),
+// and the paper's matrix for a row with no observations. Rows without
+// departures are common, so some of these matrices have a closed class
+// and a singular I − Pᵀ.
+func estimatedMatrix(j int, next func() float64) queueing.TransferMatrix {
+	est, err := viewing.NewEstimator(j)
+	if err != nil {
+		panic(err) // j ≥ 1 by construction
+	}
+	record := func(from, to, n int) {
+		for range n {
+			if err := est.RecordTransition(from, to); err != nil {
+				panic(err) // indices in range by construction
+			}
+		}
+	}
+	for i := 0; i < j; i++ {
+		record(i, viewing.Departed, int(3*next()))
+		for k := 0; k < j; k++ {
+			if next() < 0.3 {
+				record(i, k, 1+int(3*next()))
+			}
+		}
+	}
+	fallback, err := viewing.PaperDefault(j)
+	if err != nil {
+		panic(err)
+	}
+	p, err := est.Matrix(fallback)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// loadVariants returns eq's solved load and the same channel with its
+// even queues emptied (E[n_q] = 0: the co-ownership skips), with every
+// queue empty (N = 0), and with loads that cancel to N = 0.
+func loadVariants(eq queueing.Equilibrium) []struct {
+	name string
+	eq   queueing.Equilibrium
+} {
+	j := len(eq.ViewerLoad)
+	gaps := slices.Clone(eq.ViewerLoad)
+	cancel := slices.Clone(eq.ViewerLoad)
+	for q := range gaps {
+		if q%2 == 0 {
+			gaps[q] = 0
+		}
+		if q%2 == 1 {
+			cancel[q] = -cancel[q-1]
+		}
+	}
+	if j%2 == 1 {
+		cancel[j-1] = 0
+	}
+	return []struct {
+		name string
+		eq   queueing.Equilibrium
+	}{
+		{"solved", eq},
+		{"empty even queues", withLoad(eq, gaps)},
+		{"all queues empty", withLoad(eq, make([]float64, j))},
+		{"cancelling loads", withLoad(eq, cancel)},
+	}
+}
+
+// Solve against the per-chunk reference on the paper's matrix, random
+// substochastic matrices and count-estimated ones (the kind the
+// controller plans on every round), each under every load variant and
+// a spread of uplinks. A count-estimated matrix whose I − Pᵀ is singular
+// fails queueing's traffic solve, so no in-tree caller reaches Solve
+// with it; those are skipped here and covered by
+// TestSolveSingularWithoutDeparture.
+func TestSolveMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
+	solved := 0
 	for _, j := range []int{1, 2, 3, 8, 20} {
 		paper, err := viewing.PaperDefault(j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 25; trial++ {
+		for trial := 0; trial < 40; trial++ {
 			p := paper
-			if trial > 0 {
+			switch {
+			case trial > 0 && trial%2 == 0:
 				p = testutil.RandomSubstochastic(j, r.Float64)
+			case trial%2 == 1:
+				p = estimatedMatrix(j, r.Float64)
 			}
 			lambda := 0.05 + 2*r.Float64()
-			eq := channelAt(t, j, p, lambda)
-			// The solved load, then the same channel with its even queues
-			// emptied (E[n_q] = 0: the co-ownership skips), with every
-			// queue empty (N = 0), and with loads that cancel to N = 0.
-			gaps := slices.Clone(eq.ViewerLoad)
-			cancel := slices.Clone(eq.ViewerLoad)
-			for q := range gaps {
-				if q%2 == 0 {
-					gaps[q] = 0
+			eq, err := solveChannel(j, p, lambda)
+			if err != nil {
+				if trial%2 == 0 {
+					t.Fatalf("J=%d trial %d: queueing.Solve: %v", j, trial, err)
 				}
-				if q%2 == 1 {
-					cancel[q] = -cancel[q-1]
-				}
+				continue
 			}
-			if j%2 == 1 {
-				cancel[j-1] = 0
-			}
-			loads := []struct {
-				name string
-				eq   queueing.Equilibrium
-			}{
-				{"solved", eq},
-				{"empty even queues", withLoad(eq, gaps)},
-				{"all queues empty", withLoad(eq, make([]float64, j))},
-				{"cancelling loads", withLoad(eq, cancel)},
-			}
-			for _, l := range loads {
+			solved++
+			for _, l := range loadVariants(eq) {
 				for _, uplink := range []float64{0, 20e3, 34e3, 60e3 + 200e3*r.Float64()} {
 					label := fmt.Sprintf("J=%d trial %d %s uplink %v", j, trial, l.name, uplink)
-					checkSolveBits(t, label, Analysis{Equilibrium: l.eq, Transfer: p, PeerUpload: uplink})
+					checkSolve(t, label, Analysis{Equilibrium: l.eq, Transfer: p, PeerUpload: uplink})
 				}
 			}
 		}
 	}
+	if solved < 150 {
+		t.Errorf("only %d of 200 channels solved; the count-estimated trials are mostly singular", solved)
+	}
+}
+
+// FuzzOwnersMatchReference holds Solve to the per-chunk reference on
+// fuzzer-built channels: J from 1 to 20, a random substochastic or a
+// count-estimated matrix drawn from data, every load variant, and an
+// arbitrary uplink. Channels whose queueing solve fails are skipped, as
+// in TestSolveMatchesReference.
+func FuzzOwnersMatchReference(f *testing.F) {
+	f.Add(uint8(7), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(0), 0.25, 34e3)
+	f.Add(uint8(7), []byte{200, 30, 90, 10, 250, 3, 77, 128, 64}, uint8(1), 0.25, 34e3)
+	f.Add(uint8(19), []byte{255, 0, 17, 99, 180, 42}, uint8(6), 1.5, 60e3)
+	f.Add(uint8(0), []byte{}, uint8(3), 0.05, 0.0)
+	f.Fuzz(func(t *testing.T, size uint8, data []byte, kind uint8, lambda, uplink float64) {
+		j := 1 + int(size%20)
+		pos := 0
+		next := func() float64 {
+			if len(data) == 0 {
+				return 0.5
+			}
+			v := data[pos%len(data)]
+			pos++
+			return float64(v) / 256
+		}
+		var p queueing.TransferMatrix
+		if kind%2 == 0 {
+			p = testutil.RandomSubstochastic(j, next)
+		} else {
+			p = estimatedMatrix(j, next)
+		}
+		// Keep λ and u in the ranges the controller hands in; NaN and
+		// ±Inf fall back to the seeds' values.
+		if lambda = math.Abs(lambda); !(lambda < math.MaxFloat64) {
+			lambda = 0.25
+		}
+		if uplink = math.Abs(uplink); !(uplink < math.MaxFloat64) {
+			uplink = 34e3
+		}
+		lambda = 0.01 + math.Mod(lambda, 5)
+		uplink = math.Mod(uplink, 300e3)
+		eq, err := solveChannel(j, p, lambda)
+		if err != nil {
+			return
+		}
+		l := loadVariants(eq)[int(kind/2)%4]
+		checkSolve(t, fmt.Sprintf("J=%d %s", j, l.name), Analysis{Equilibrium: l.eq, Transfer: p, PeerUpload: uplink})
+	})
 }
 
 // p2p.Solve allocates a fixed handful of times whatever J is: the owner
@@ -267,7 +404,11 @@ func TestSolveAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Analysis{Equilibrium: channelAt(t, 8, p, 0.25), Transfer: p, PeerUpload: 34e3}
+	eq, err := solveChannel(8, p, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Analysis{Equilibrium: eq, Transfer: p, PeerUpload: 34e3}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := Solve(a); err != nil {
 			t.Fatal(err)

@@ -55,7 +55,7 @@ func Solve(a Analysis) (Result, error) {
 type Solver struct {
 	res   Result
 	flat  []float64 // OwnersByQueue's J×J backing
-	work  []float64 // I−Pᵀ, one Proposition-1 system and Eqn. (5)'s tables, see workspace
+	work  []float64 // I−Pᵀ, its inverse and Eqn. (5)'s tables, see workspace
 	order []int     // peerSupply's rarest-first permutation
 }
 
@@ -63,16 +63,14 @@ type Solver struct {
 // reused buffer.
 type workspace struct {
 	transpose []float64 // J×J: I − Pᵀ, row q holding δ_qc − P[c][q]
-	system    []float64 // (J−1)×(J−1): one chunk's reduced I − P̃ᵀ
-	rhs, x    []float64 // J−1 each
+	inverse   []float64 // J×J: (I − Pᵀ)⁻¹, column i solving (I − Pᵀ)·w = e_i
 	weight    []float64 // J: E[n_q]/N, set where E[n_q] > 0
 	frac      []float64 // J×J: row a holds clamp(E[ν_aq]/E[n_q], 0, 1), set where E[n_q] > 0
 }
 
 // workspace resizes s.work for j chunks and cuts it into its parts.
 func (s *Solver) workspace(j int) workspace {
-	n := j - 1
-	s.work = resize(s.work, 2*j*j+j+n*n+2*n)
+	s.work = resize(s.work, 3*j*j+j)
 	var w workspace
 	rest := s.work
 	cut := func(size int) []float64 {
@@ -80,8 +78,7 @@ func (s *Solver) workspace(j int) workspace {
 		rest = rest[size:]
 		return part
 	}
-	w.transpose, w.frac, w.weight = cut(j*j), cut(j*j), cut(j)
-	w.system, w.rhs, w.x = cut(n*n), cut(n), cut(n)
+	w.transpose, w.inverse, w.frac, w.weight = cut(j*j), cut(j*j), cut(j*j), cut(j)
 	return w
 }
 
@@ -150,16 +147,19 @@ func resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// ownersByQueue solves Proposition 1 once per chunk. For chunk i the
-// unknowns are x_q = E[ν_iq] for q ≠ i, satisfying
+// ownersByQueue solves Proposition 1 for every chunk from one
+// factorization of M = I − Pᵀ. For chunk i the unknowns x_q = E[ν_iq],
+// q ≠ i, satisfy
 //
 //	x_q = Σ_{l≠i} x_l·P[l][q] + E[n_i]·P[i][q]
 //
-// i.e. (I − P̃ᵀ)·x = E[n_i]·P[i][·] where P̃ is P with row/column i removed.
-// I − Pᵀ is built once; each chunk's system is cut out of it, every row
-// as the two runs either side of column i. The result rows are views over
-// one flat J×J backing kept by the solver, so a steady solve allocates
-// nothing whatever J is.
+// with x_i = E[n_i]: rows q ≠ i of M·x = 0. Column i of M⁻¹, w = M⁻¹e_i,
+// satisfies exactly those rows, and w_i = N_ii ≥ 1 for the fundamental
+// matrix N = (I − P)⁻¹ = (M⁻¹)ᵀ, so x = E[n_i]·w/w_i (Kemeny & Snell's
+// fundamental-matrix identity). One elimination of M with J right-hand
+// sides replaces J reduced (J−1)×(J−1) eliminations. The result rows are
+// views over one flat J×J backing kept by the solver, so a steady solve
+// allocates nothing whatever J is. See DESIGN.md, "Proposition 1".
 func (s *Solver) ownersByQueue(w workspace, meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
 	j := len(meanUsers)
 	s.flat = resize(s.flat, j*j)
@@ -172,52 +172,34 @@ func (s *Solver) ownersByQueue(w workspace, meanUsers []float64, p queueing.Tran
 	if j == 1 {
 		return out, nil
 	}
+	clear(w.inverse)
 	for q := 0; q < j; q++ {
 		row := w.transpose[q*j : (q+1)*j]
 		for c := range row {
 			row[c] = -p[c][q]
 		}
 		row[q] += 1
+		w.inverse[q*j+q] = 1
 	}
-	n := j - 1
-	a, b, x := w.system, w.rhs, w.x
+	if err := mathx.SolveManyInPlace(w.transpose, w.inverse, j); err != nil {
+		return nil, fmt.Errorf("p2p: proposition 1: %w", err)
+	}
 	for i := 0; i < j; i++ {
-		for r := 0; r < n; r++ {
-			qr := full(r, i)
-			src, row := w.transpose[qr*j:(qr+1)*j], a[r*n:(r+1)*n]
-			// Element loops: at J ≈ 8 the runs are a few entries long,
-			// shorter than a copy call costs.
-			for c := 0; c < i; c++ {
-				row[c] = src[c]
+		for q := 0; q < j; q++ {
+			if q == i {
+				continue
 			}
-			for c := i; c < n; c++ {
-				row[c] = src[c+1]
-			}
-			b[r] = meanUsers[i] * p[i][qr]
-		}
-		if err := mathx.SolveInPlace(a, b, x); err != nil {
-			return nil, fmt.Errorf("p2p: proposition 1 for chunk %d: %w", i, err)
-		}
-		for r, v := range x {
+			v := meanUsers[i] * w.inverse[q*j+i] / w.inverse[i*j+i]
 			if v < 0 {
 				if v < -1e-6 {
-					return nil, fmt.Errorf("p2p: negative owner count %v for chunk %d in queue %d", v, i, full(r, i))
+					return nil, fmt.Errorf("p2p: negative owner count %v for chunk %d in queue %d", v, i, q)
 				}
 				v = 0
 			}
-			out[i][full(r, i)] = v
+			out[i][q] = v
 		}
 	}
 	return out, nil
-}
-
-// full maps reduced index r of chunk i's Proposition-1 system to its full
-// queue index: the system drops queue i.
-func full(r, i int) int {
-	if r < i {
-		return r
-	}
-	return r + 1
 }
 
 // ownershipTables fills Eqn. (5)'s per-solve constants: each populated
@@ -262,6 +244,21 @@ func coOwnership(meanUsers []float64, total float64, weight, fa, fb []float64) f
 	return psi
 }
 
+// rarityKey is the replica count Eqn. (5)'s rarest-first order compares:
+// x rounded to 30 of its 52 mantissa bits, a relative precision of
+// 2⁻³⁰ ≈ 1e-9. Chunks whose counts are equal in exact arithmetic (a
+// symmetric viewing pattern, a count-estimated matrix) come out of
+// Proposition 1 a few ulps apart, and which ulp wins depends on the
+// elimination's rounding, not on the model; at this precision they tie
+// and go in index order. Such counts are often exactly representable
+// (101.453125 from small integer counts), which puts them on a
+// truncation boundary but at the centre of a rounding bucket, so the key
+// rounds to nearest. Rounding is monotone, so the key never reverses the
+// order of two counts.
+func rarityKey(x float64) float64 {
+	return math.Float64frombits((math.Float64bits(x) + 1<<21) &^ (1<<22 - 1))
+}
+
 // peerSupply evaluates Eqn. (5) into gamma (len J), with order (len J)
 // and w's ownership tables as scratch: chunks are served rarest-first,
 // so the upload bandwidth a chunk can draw from its owners is what those
@@ -274,15 +271,14 @@ func peerSupply(gamma []float64, order []int, w workspace, eq queueing.Equilibri
 	for i := range order {
 		order[i] = i
 	}
-	// Ascending replica count, stable. The comparator is negative exactly
-	// when replicaCount[a] < replicaCount[b]: SortStableFunc then takes
-	// the same steps as sort.SliceStable with that less, which the
-	// bit-identity tests' reference uses, whatever the counts (NaN too).
+	// Ascending replica count at rarityKey's precision, stable, so ties
+	// keep index order.
 	slices.SortStableFunc(order, func(a, b int) int {
+		ka, kb := rarityKey(replicaCount[a]), rarityKey(replicaCount[b])
 		switch {
-		case replicaCount[a] < replicaCount[b]:
+		case ka < kb:
 			return -1
-		case replicaCount[a] > replicaCount[b]:
+		case ka > kb:
 			return 1
 		}
 		return 0

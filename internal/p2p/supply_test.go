@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -254,5 +256,49 @@ func TestSolveInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Replica counts that differ only in their last bit are equal up to the
+// rounding of the elimination that produced them, so Eqn. (5) visits
+// them in index order: chunk 0, whose count is one ulp larger, first.
+// 101.453125 is such a count from a count-estimated matrix, exactly
+// representable, so it sits on a truncation boundary.
+func TestPeerSupplyTiesAtRoundingGoInIndexOrder(t *testing.T) {
+	x := 101.453125
+	counts := []float64{x, math.Nextafter(x, 0)}
+	eq := queueing.Equilibrium{ViewerLoad: []float64{400, 300}, Capacity: []float64{5e6, 5e6}}
+	owners := [][]float64{{400, x}, {x, 300}}
+	var s Solver
+	gamma, order := make([]float64, 2), make([]int, 2)
+	peerSupply(gamma, order, s.workspace(2), eq, owners, counts, 34e3)
+	if order[0] != 0 || order[1] != 1 {
+		t.Fatalf("rarest-first order %v, want [0 1]", order)
+	}
+	if gamma[0] != x*34e3 || !(gamma[1] < counts[1]*34e3) {
+		t.Errorf("Γ = %v: chunk 0 should draw its owners' full uplink %v and chunk 1 less", gamma, x*34e3)
+	}
+}
+
+// A chain with no departure path has a singular I − Pᵀ: Solve reports
+// mathx.ErrSingular, as queueing's traffic solve on the same matrix
+// already does, even though each chunk's reduced system (the cycle with
+// that chunk cut out) is nonsingular.
+func TestSolveSingularWithoutDeparture(t *testing.T) {
+	cycle := queueing.NewTransferMatrix(3)
+	cycle[0][1], cycle[1][2], cycle[2][0] = 1, 1, 1
+	cfg := testutil.ChannelConfig(3, 75)
+	if _, err := queueing.Solve(cfg, cycle, 0, 0); !errors.Is(err, mathx.ErrSingular) {
+		t.Fatalf("queueing.Solve on the cycle: err = %v, want ErrSingular", err)
+	}
+	eq, p := solvedChannel(t, cfg, 0.9, 0.3)
+	if _, err := Solve(Analysis{Equilibrium: eq, Transfer: cycle, PeerUpload: 34e3}); !errors.Is(err, mathx.ErrSingular) {
+		t.Fatalf("Solve on the cycle: err = %v, want ErrSingular", err)
+	}
+	if _, err := referenceOwnersByQueue(eq.ViewerLoad, cycle); err != nil {
+		t.Fatalf("per-chunk reference on the cycle: %v, want its reduced systems to solve", err)
+	}
+	if _, err := Solve(Analysis{Equilibrium: eq, Transfer: p, PeerUpload: 34e3}); err != nil {
+		t.Fatalf("Solve on the sequential chain: %v", err)
 	}
 }

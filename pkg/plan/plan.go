@@ -132,7 +132,10 @@ func SolveEquilibrium(ch Channel, p TransferMatrix, lambda float64) (Equilibrium
 // SolvePeerSupply runs the Sec. IV-C analysis on a solved equilibrium:
 // expected chunk ownership via Proposition 1, then rarest-first peer upload
 // allocation (Eqn. 5). peerUplink is the mean per-peer upload bandwidth u
-// in bytes/s.
+// in bytes/s. A transfer matrix in which some chunks have no path to a
+// departure (viewers who reach them never leave) makes I − Pᵀ singular,
+// and SolvePeerSupply then returns an error, as SolveEquilibrium does
+// for that matrix.
 func SolvePeerSupply(eq Equilibrium, p TransferMatrix, peerUplink float64) (PeerSupply, error) {
 	return p2p.Solve(p2p.Analysis{Equilibrium: eq, Transfer: p, PeerUpload: peerUplink})
 }
