@@ -64,18 +64,24 @@ func (d *deriver) derive(cfg queueing.Config, in ChannelInput, p2pMode bool) (qu
 	if in.ArrivalRate < 0 {
 		return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: negative arrival rate %v", in.ArrivalRate)
 	}
-	eq, err := d.queue.Solve(cfg, in.Transfer, in.ArrivalRate, queueing.DefaultMaxServers)
+	if !p2pMode || in.MeanUplink <= 0 {
+		eq, err := d.queue.Solve(cfg, in.Transfer, in.ArrivalRate, queueing.DefaultMaxServers)
+		if err != nil {
+			return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: demand analysis: %w", err)
+		}
+		return eq, p2p.Result{}, nil
+	}
+	// One elimination of I − Pᵀ serves the traffic equations and
+	// Proposition 1, and the matrix is validated once, by the first.
+	eq, inverse, err := d.queue.SolveWithInverse(cfg, in.Transfer, in.ArrivalRate, queueing.DefaultMaxServers)
 	if err != nil {
 		return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: demand analysis: %w", err)
 	}
-	if !p2pMode || in.MeanUplink <= 0 {
-		return eq, p2p.Result{}, nil
-	}
-	res, err := d.peers.Solve(p2p.Analysis{
+	res, err := d.peers.SolveWithInverse(p2p.Analysis{
 		Equilibrium: eq,
 		Transfer:    in.Transfer,
 		PeerUpload:  in.MeanUplink,
-	})
+	}, inverse)
 	if err != nil {
 		return queueing.Equilibrium{}, p2p.Result{}, fmt.Errorf("core: peer supply analysis: %w", err)
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"cloudmedia/internal/mathx"
+	"cloudmedia/internal/p2p"
 	"cloudmedia/internal/queueing"
+	"cloudmedia/internal/testutil"
 	"cloudmedia/internal/viewing"
 )
 
@@ -115,5 +118,33 @@ func TestFlattenDemands(t *testing.T) {
 	}
 	if flat[2].Channel != 1 || flat[2].Chunk != 0 || flat[2].Demand != 3 {
 		t.Errorf("flat[2] = %+v", flat[2])
+	}
+}
+
+// A derivation with peers factors I − Pᵀ once for the traffic equations
+// and Proposition 1, and validates the matrix once; its result is the
+// separate queueing.Solve and p2p.Solve results bit for bit.
+func TestDeriveDemandMatchesSeparateSolves(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	cfg := chanCfg()
+	for trial := 0; trial < 40; trial++ {
+		p := testutil.RandomSubstochastic(cfg.Chunks, r.Float64)
+		in := ChannelInput{ArrivalRate: 0.01 + r.Float64(), Transfer: p, MeanUplink: r.Float64() * 120e3}
+		got, err := DeriveDemand(cfg, in, true)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		eq, err := queueing.Solve(cfg, p, in.ArrivalRate, queueing.DefaultMaxServers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p2p.Solve(p2p.Analysis{Equilibrium: eq, Transfer: p, PeerUpload: in.MeanUplink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !testutil.SameBits(got.Equilibrium.ArrivalRates, eq.ArrivalRates) || !testutil.SameBits(got.Equilibrium.Capacity, eq.Capacity) ||
+			!testutil.SameBits(got.PeerSupply, want.PeerSupply) || !testutil.SameBits(got.CloudDemand, want.CloudDemand) {
+			t.Fatalf("trial %d: derivation differs from the separate solves", trial)
+		}
 	}
 }

@@ -84,6 +84,24 @@ func (s *Solver) workspace(j int) workspace {
 
 // Solve is the package-level Solve into the solver's buffers.
 func (s *Solver) Solve(a Analysis) (Result, error) {
+	return s.solve(a, nil)
+}
+
+// SolveWithInverse is Solve for an equilibrium whose solve already
+// factored M = I − Pᵀ: inverse is M⁻¹, J×J row-major, as
+// queueing.Solver.SolveWithInverse returns it for a.Transfer. It skips
+// the transfer-matrix validation, which that solve ran, and Proposition
+// 1's elimination; every other check, and every bit of the result, is
+// Solve's.
+func (s *Solver) SolveWithInverse(a Analysis, inverse []float64) (Result, error) {
+	if j := a.Equilibrium.Config.Chunks; len(inverse) != j*j {
+		return Result{}, fmt.Errorf("p2p: inverse of %d entries for %d chunks", len(inverse), j)
+	}
+	return s.solve(a, inverse)
+}
+
+// solve is Solve, taking Proposition 1 from inverse when it is not nil.
+func (s *Solver) solve(a Analysis, inverse []float64) (Result, error) {
 	eq := a.Equilibrium
 	j := eq.Config.Chunks
 	if j == 0 {
@@ -92,8 +110,10 @@ func (s *Solver) Solve(a Analysis) (Result, error) {
 	if a.Transfer.Size() != j {
 		return Result{}, fmt.Errorf("p2p: transfer matrix size %d != chunks %d", a.Transfer.Size(), j)
 	}
-	if err := a.Transfer.Validate(); err != nil {
-		return Result{}, fmt.Errorf("p2p: %w", err)
+	if inverse == nil {
+		if err := a.Transfer.Validate(); err != nil {
+			return Result{}, fmt.Errorf("p2p: %w", err)
+		}
 	}
 	// Written so NaN fails it; the MaxFloat64 bound rules out +Inf.
 	if !(a.PeerUpload >= 0 && a.PeerUpload <= math.MaxFloat64) {
@@ -104,7 +124,7 @@ func (s *Solver) Solve(a Analysis) (Result, error) {
 	}
 
 	w := s.workspace(j)
-	owners, err := s.ownersByQueue(w, eq.ViewerLoad, a.Transfer)
+	owners, err := s.ownersByQueue(w, eq.ViewerLoad, a.Transfer, inverse)
 	if err != nil {
 		return Result{}, err
 	}
@@ -157,10 +177,12 @@ func resize[T any](buf []T, n int) []T {
 // satisfies exactly those rows, and w_i = N_ii ≥ 1 for the fundamental
 // matrix N = (I − P)⁻¹ = (M⁻¹)ᵀ, so x = E[n_i]·w/w_i (Kemeny & Snell's
 // fundamental-matrix identity). One elimination of M with J right-hand
-// sides replaces J reduced (J−1)×(J−1) eliminations. The result rows are
-// views over one flat J×J backing kept by the solver, so a steady solve
-// allocates nothing whatever J is. See DESIGN.md, "Proposition 1".
-func (s *Solver) ownersByQueue(w workspace, meanUsers []float64, p queueing.TransferMatrix) ([][]float64, error) {
+// sides replaces J reduced (J−1)×(J−1) eliminations; a non-nil inverse
+// is M⁻¹ from the caller's elimination and replaces this one. The result
+// rows are views over one flat J×J backing kept by the solver, so a
+// steady solve allocates nothing whatever J is. See DESIGN.md,
+// "Proposition 1".
+func (s *Solver) ownersByQueue(w workspace, meanUsers []float64, p queueing.TransferMatrix, inverse []float64) ([][]float64, error) {
 	j := len(meanUsers)
 	s.flat = resize(s.flat, j*j)
 	clear(s.flat)
@@ -172,24 +194,27 @@ func (s *Solver) ownersByQueue(w workspace, meanUsers []float64, p queueing.Tran
 	if j == 1 {
 		return out, nil
 	}
-	clear(w.inverse)
-	for q := 0; q < j; q++ {
-		row := w.transpose[q*j : (q+1)*j]
-		for c := range row {
-			row[c] = -p[c][q]
+	if inverse == nil {
+		inverse = w.inverse
+		clear(inverse)
+		for q := 0; q < j; q++ {
+			row := w.transpose[q*j : (q+1)*j]
+			for c := range row {
+				row[c] = -p[c][q]
+			}
+			row[q] += 1
+			inverse[q*j+q] = 1
 		}
-		row[q] += 1
-		w.inverse[q*j+q] = 1
-	}
-	if err := mathx.SolveManyInPlace(w.transpose, w.inverse, j); err != nil {
-		return nil, fmt.Errorf("p2p: proposition 1: %w", err)
+		if err := mathx.SolveManyInPlace(w.transpose, inverse, j); err != nil {
+			return nil, fmt.Errorf("p2p: proposition 1: %w", err)
+		}
 	}
 	for i := 0; i < j; i++ {
 		for q := 0; q < j; q++ {
 			if q == i {
 				continue
 			}
-			v := meanUsers[i] * w.inverse[q*j+i] / w.inverse[i*j+i]
+			v := meanUsers[i] * inverse[q*j+i] / inverse[i*j+i]
 			if v < 0 {
 				if v < -1e-6 {
 					return nil, fmt.Errorf("p2p: negative owner count %v for chunk %d in queue %d", v, i, q)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -300,5 +301,63 @@ func TestSolveSingularWithoutDeparture(t *testing.T) {
 	}
 	if _, err := Solve(Analysis{Equilibrium: eq, Transfer: p, PeerUpload: 34e3}); err != nil {
 		t.Fatalf("Solve on the sequential chain: %v", err)
+	}
+}
+
+// Solve validates the transfer matrix itself: a row summing above 1
+// fails although each of its entries lies in [0, 1]. Only
+// SolveWithInverse, whose caller's traffic solve validated the matrix,
+// skips the check.
+func TestSolveRejectsRowAboveOne(t *testing.T) {
+	eq, p := solvedChannel(t, paperConfig(), 0.9, 0.3)
+	bad := queueing.NewTransferMatrix(p.Size())
+	for i := range p {
+		copy(bad[i], p[i])
+	}
+	bad[2][0] = 0.5 // row 2 already moves on to chunk 3 with 0.9
+	if _, err := Solve(Analysis{Equilibrium: eq, Transfer: bad, PeerUpload: 34e3}); err == nil || !strings.Contains(err.Error(), "sums to") {
+		t.Fatalf("row summing to 1.4: err = %v, want the row-sum error", err)
+	}
+}
+
+// SolveWithInverse, given the inverse of queueing's traffic solve,
+// returns Solve's result bit for bit, and rejects an inverse of the
+// wrong size.
+func TestSolveWithInverseMatchesSolve(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var qs queueing.Solver
+	var s Solver
+	for trial := 0; trial < 60; trial++ {
+		j := 1 + r.Intn(12)
+		cfg := testutil.ChannelConfig(j, 300)
+		if j == 1 {
+			cfg.EntryFirstChunk = 1
+		}
+		p := testutil.RandomSubstochastic(j, r.Float64)
+		eq, inv, err := qs.SolveWithInverse(cfg, p, 0.01+r.Float64(), 0)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		a := Analysis{Equilibrium: eq, Transfer: p, PeerUpload: r.Float64() * 120e3}
+		want, err := Solve(a)
+		if err != nil {
+			t.Fatalf("trial %d: Solve: %v", trial, err)
+		}
+		got, err := s.SolveWithInverse(a, inv)
+		if err != nil {
+			t.Fatalf("trial %d: SolveWithInverse: %v", trial, err)
+		}
+		for i := range want.OwnersByQueue {
+			if !testutil.SameBits(got.OwnersByQueue[i], want.OwnersByQueue[i]) {
+				t.Fatalf("trial %d: owners of chunk %d %v, Solve's %v", trial, i, got.OwnersByQueue[i], want.OwnersByQueue[i])
+			}
+		}
+		if !testutil.SameBits(got.Owners, want.Owners) || !testutil.SameBits(got.PeerSupply, want.PeerSupply) ||
+			!testutil.SameBits(got.CloudDemand, want.CloudDemand) {
+			t.Fatalf("trial %d: result differs from Solve's", trial)
+		}
+		if _, err := s.SolveWithInverse(a, inv[1:]); err == nil {
+			t.Fatalf("trial %d: an inverse one entry short was accepted", trial)
+		}
 	}
 }

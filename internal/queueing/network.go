@@ -108,15 +108,19 @@ func (c Config) externalArrivalsInto(ext []float64, lambda float64) {
 // It allocates twice: the workspace and the returned rates.
 func SolveTraffic(p TransferMatrix, ext []float64) ([]float64, error) {
 	lambda := make([]float64, len(p))
-	if err := solveTrafficInto(lambda, make([]float64, len(p)*len(p)+len(p)), p, ext); err != nil {
+	if err := solveTrafficInto(lambda, nil, make([]float64, len(p)*len(p)+len(p)), p, ext); err != nil {
 		return nil, err
 	}
 	return lambda, nil
 }
 
 // solveTrafficInto is SolveTraffic writing the rates into lambda (len
-// J), with work (len ≥ J²+J) as the solve's scratch.
-func solveTrafficInto(lambda, work []float64, p TransferMatrix, ext []float64) error {
+// J), with work as the solve's scratch: len ≥ J²+J, or 2J²+J when inv
+// is not nil. A non-nil inv (len J²) also receives (I − Pᵀ)⁻¹, row-major,
+// from the same elimination: the identity rides beside the external
+// rates as J more right-hand sides. mathx.SolveManyInPlace gives each
+// column SolveInPlace's bits, so the rates are the same either way.
+func solveTrafficInto(lambda, inv, work []float64, p TransferMatrix, ext []float64) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -129,8 +133,8 @@ func solveTrafficInto(lambda, work []float64, p TransferMatrix, ext []float64) e
 			return fmt.Errorf("queueing: negative external rate %v at queue %d", e, i)
 		}
 	}
-	// (I − Pᵀ) row-major, then the right-hand side, in one workspace.
-	a, rhs := work[:j*j], work[j*j:j*j+j]
+	// (I − Pᵀ) row-major, then the right-hand sides, in one workspace.
+	a := work[:j*j]
 	for i := 0; i < j; i++ {
 		row := a[i*j : (i+1)*j]
 		for k := range row {
@@ -138,9 +142,27 @@ func solveTrafficInto(lambda, work []float64, p TransferMatrix, ext []float64) e
 		}
 		row[i] += 1
 	}
-	copy(rhs, ext)
-	if err := mathx.SolveInPlace(a, rhs, lambda); err != nil {
-		return fmt.Errorf("queueing: traffic equations: %w", err)
+	if inv == nil {
+		rhs := work[j*j : j*j+j]
+		copy(rhs, ext)
+		if err := mathx.SolveInPlace(a, rhs, lambda); err != nil {
+			return fmt.Errorf("queueing: traffic equations: %w", err)
+		}
+	} else {
+		// Row q of the J×(J+1) right-hand sides is [ext_q | e_q].
+		k := j + 1
+		b := work[j*j : j*j+j*k]
+		clear(b)
+		for q, e := range ext {
+			b[q*k], b[q*k+1+q] = e, 1
+		}
+		if err := mathx.SolveManyInPlace(a, b, k); err != nil {
+			return fmt.Errorf("queueing: traffic equations: %w", err)
+		}
+		for q := range lambda {
+			lambda[q] = b[q*k]
+			copy(inv[q*j:(q+1)*j], b[q*k+1:(q+1)*k])
+		}
 	}
 	for i, l := range lambda {
 		if l < 0 {
@@ -208,11 +230,31 @@ func Solve(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equili
 // worker, so the steady solve allocates nothing. The zero value is ready.
 type Solver struct {
 	eq   Equilibrium
-	work []float64 // (I − Pᵀ), its right-hand side, and the external rates
+	work []float64 // (I − Pᵀ), its right-hand sides, and the external rates
+	inv  []float64 // (I − Pᵀ)⁻¹ for SolveWithInverse
 }
 
 // Solve is the package-level Solve into the solver's buffers.
 func (s *Solver) Solve(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equilibrium, error) {
+	return s.solve(cfg, p, lambda, maxServers, false)
+}
+
+// SolveWithInverse is Solve that also returns M⁻¹ for M = I − Pᵀ, J×J
+// row-major, from the one elimination that solves the traffic
+// equations; the equilibrium has Solve's bits. The inverse views the
+// solver's buffer like the equilibrium does. It is what
+// p2p.Solver.SolveWithInverse takes, so a derivation with peers
+// factors M once.
+func (s *Solver) SolveWithInverse(cfg Config, p TransferMatrix, lambda float64, maxServers int) (Equilibrium, []float64, error) {
+	eq, err := s.solve(cfg, p, lambda, maxServers, true)
+	if err != nil {
+		return Equilibrium{}, nil, err
+	}
+	return eq, s.inv, nil
+}
+
+// solve is Solve, filling s.inv as well when withInverse is set.
+func (s *Solver) solve(cfg Config, p TransferMatrix, lambda float64, maxServers int, withInverse bool) (Equilibrium, error) {
 	if err := cfg.Validate(); err != nil {
 		return Equilibrium{}, err
 	}
@@ -230,13 +272,20 @@ func (s *Solver) Solve(cfg Config, p TransferMatrix, lambda float64, maxServers 
 	}
 
 	j := cfg.Chunks
-	s.work = slices.Grow(s.work[:0], j*j+2*j)[:j*j+2*j]
-	ext := s.work[j*j+j:]
+	rhs := j
+	var inv []float64
+	if withInverse {
+		rhs = j * (j + 1)
+		s.inv = slices.Grow(s.inv[:0], j*j)[:j*j]
+		inv = s.inv
+	}
+	s.work = slices.Grow(s.work[:0], j*j+rhs+j)[:j*j+rhs+j]
+	ext := s.work[j*j+rhs:]
 	cfg.externalArrivalsInto(ext, lambda)
 	eq := &s.eq
 	eq.Config = cfg
 	eq.ArrivalRates = slices.Grow(eq.ArrivalRates[:0], j)[:j]
-	if err := solveTrafficInto(eq.ArrivalRates, s.work, p, ext); err != nil {
+	if err := solveTrafficInto(eq.ArrivalRates, inv, s.work, p, ext); err != nil {
 		return Equilibrium{}, err
 	}
 	eq.Servers = slices.Grow(eq.Servers[:0], j)[:j]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/queueing"
 	"cloudmedia/internal/testutil"
 	"cloudmedia/internal/viewing"
@@ -95,5 +96,69 @@ func TestSolveTrafficAllocations(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("SolveTraffic allocates %.1f times at J=8, want at most 2", allocs)
+	}
+}
+
+// SolveWithInverse's one elimination gives the equilibrium Solve gives,
+// bit for bit, and (I − Pᵀ)⁻¹ with the bits of a separate elimination of
+// the same matrix against the identity; a singular matrix fails with
+// Solve's error. A steady call allocates nothing.
+func TestSolveWithInverseMatchesSolve(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var s queueing.Solver
+	for _, j := range []int{1, 2, 3, 8, 20} {
+		cfg := testutil.ChannelConfig(j, 75)
+		if j == 1 {
+			cfg.EntryFirstChunk = 1
+		}
+		for trial := 0; trial < 20; trial++ {
+			p := testutil.RandomSubstochastic(j, r.Float64)
+			lambda := 0.01 + 5*r.Float64()
+			want, err := queueing.Solve(cfg, p, lambda, 0)
+			if err != nil {
+				t.Fatalf("J=%d trial %d: Solve: %v", j, trial, err)
+			}
+			got, inv, err := s.SolveWithInverse(cfg, p, lambda, 0)
+			if err != nil {
+				t.Fatalf("J=%d trial %d: SolveWithInverse: %v", j, trial, err)
+			}
+			if !testutil.SameBits(got.ArrivalRates, want.ArrivalRates) || !testutil.SameBits(got.MeanUsers, want.MeanUsers) ||
+				!testutil.SameBits(got.Capacity, want.Capacity) || !testutil.SameBits(got.ViewerLoad, want.ViewerLoad) {
+				t.Fatalf("J=%d trial %d: equilibrium differs from Solve's", j, trial)
+			}
+			m, ident := make([]float64, j*j), make([]float64, j*j)
+			for q := 0; q < j; q++ {
+				for c := 0; c < j; c++ {
+					m[q*j+c] = -p[c][q]
+				}
+				m[q*j+q] += 1
+				ident[q*j+q] = 1
+			}
+			if err := mathx.SolveManyInPlace(m, ident, j); err != nil {
+				t.Fatal(err)
+			}
+			if !testutil.SameBits(inv, ident) {
+				t.Fatalf("J=%d trial %d: inverse %v, separate elimination %v", j, trial, inv, ident)
+			}
+		}
+	}
+	closed := queueing.TransferMatrix{{0, 1}, {1, 0}}
+	cfg := testutil.ChannelConfig(2, 75)
+	_, wantErr := queueing.Solve(cfg, closed, 0, 0)
+	if _, _, err := s.SolveWithInverse(cfg, closed, 0, 0); wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("singular matrix: err = %v, Solve's %v", err, wantErr)
+	}
+	p, err := viewing.PaperDefault(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = testutil.ChannelConfig(8, 75)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := s.SolveWithInverse(cfg, p, 0.25, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a steady SolveWithInverse allocates %.1f times, want 0", allocs)
 	}
 }

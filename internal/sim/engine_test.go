@@ -76,6 +76,10 @@ func testOwners(e *Engine, n int) []*user {
 	return ch.slots
 }
 
+// queued is the number of entries on the engine's heap and lane,
+// cancelled ones included.
+func queued(e *Engine) int { return len(e.queue) + e.laneLen }
+
 // An owner cancels its event by clearing the seq it armed: the engine
 // skips the event when it pops it, and the event counts in the queue until
 // then. Clearing again, or after the event fired, changes nothing.
@@ -83,11 +87,11 @@ func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	owners := testOwners(e, 2)
 	for _, u := range owners {
-		u.playEndSeq = e.arm(1, kindPlayEnd, u.slot)
+		u.playEndSeq = e.armPlayEnd(1, u.slot)
 	}
 	owners[0].playEndSeq = 0
-	if len(e.queue) != 2 {
-		t.Errorf("queued = %d after a cancel, want 2", len(e.queue))
+	if e.laneLen != 2 || len(e.queue) != 0 {
+		t.Errorf("lane holds %d and heap %d after a cancel, want 2 and 0", e.laneLen, len(e.queue))
 	}
 	e.RunUntil(2)
 	if owners[0].state == stateStalled {
@@ -96,8 +100,8 @@ func TestEngineCancel(t *testing.T) {
 	if owners[1].state != stateStalled || owners[1].playEndSeq != 0 {
 		t.Error("armed event did not fire")
 	}
-	if len(e.queue) != 0 {
-		t.Errorf("queued = %d after draining, want 0", len(e.queue))
+	if n := queued(e); n != 0 {
+		t.Errorf("queued = %d after draining, want 0", n)
 	}
 	owners[0].playEndSeq = 0
 	owners[1].playEndSeq = 0
@@ -173,8 +177,43 @@ func TestSteadyViewerEventCycleAllocatesNothing(t *testing.T) {
 	if u.playingChunk != fires%j || u.state != statePlaying {
 		t.Fatalf("after %d cycles the viewer plays chunk %d in state %d, want chunk %d playing", fires, u.playingChunk, u.state, fires%j)
 	}
-	if got := len(ch.engine.queue); got != 2 {
-		t.Errorf("queued = %d, want 2 (the next playback end and the arrival)", got)
+	if ch.engine.laneLen != 1 || len(ch.engine.queue) != 1 {
+		t.Errorf("lane holds %d and heap %d, want 1 (the next playback end) and 1 (the arrival)", ch.engine.laneLen, len(ch.engine.queue))
+	}
+}
+
+// A pool re-arms its head on every change of membership or capacity.
+// Each re-arm re-keys the queued entry, so a thousand of them leave one
+// head entry queued, and it fires once, when the download completes.
+func TestPoolHeadRearmsInPlace(t *testing.T) {
+	cfg := smallConfig(t, ClientServer)
+	cfg.Workload.BaseArrivalRate = 1e-9 // the arrival chain stays a day out
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := s.channels[0]
+	u := ch.newUser(0)
+	u.download = download{user: u}
+	u.dl = &u.download
+	p := ch.pools[0]
+	p.add(u.dl)
+	bw := cfg.Channel.VMBandwidth
+	for i := range 1000 {
+		p.setCapacity(bw*(1+float64(i%7)), -1)
+	}
+	heads := 0
+	for _, ev := range ch.engine.queue {
+		if ev.kind == kindHead {
+			heads++
+		}
+	}
+	if heads != 1 || len(ch.engine.queue) != 2 {
+		t.Fatalf("heap holds %d head entries of %d, want 1 of 2 (the head and the arrival)", heads, len(ch.engine.queue))
+	}
+	ch.engine.RunUntil(ch.engine.Now() + cfg.Channel.ChunkSeconds)
+	if u.dl != nil || p.headPos != 0 || len(ch.engine.queue) != 1 {
+		t.Fatalf("after the completion: download %v, head position %d, %d queued; want nil, 0 and the arrival", u.dl, p.headPos, len(ch.engine.queue))
 	}
 }
 
@@ -183,28 +222,86 @@ func TestSteadyViewerEventCycleAllocatesNothing(t *testing.T) {
 const eventHeapDepth = 38
 
 // BenchmarkEventHeap is the per-viewer event mix at the control day's
-// queue depth: each op pops the earliest event, re-arms its owner if the
-// event was still armed (a fire) or skips it (a lazily cancelled one),
-// and every fourth op cancels an owner's armed event by re-arming it
-// elsewhere, leaving the stale entry queued.
+// queue depth: each op pops the earliest event and re-arms its owner (a
+// fire), and every fourth op re-arms an owner's queued event elsewhere,
+// which re-keys the entry in place, so no cancelled entry is ever
+// queued.
 func BenchmarkEventHeap(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	e := NewEngine()
-	armed := make([]uint64, eventHeapDepth)
-	for i := range armed {
-		armed[i] = e.push(rng.Float64()*100, kindJump, int32(i))
+	owners := testOwners(e, eventHeapDepth)
+	for _, u := range owners {
+		u.jumpSeq = e.arm(u.jumpPos, rng.Float64()*100, kindJump, u.slot)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for op := range b.N {
 		ev := e.pop()
-		if armed[ev.target] == ev.seq {
+		if u := owners[ev.target]; u.jumpSeq == ev.seq {
 			e.now = ev.at
-			armed[ev.target] = e.push(e.now+rng.Float64()*100, kindJump, ev.target)
+			u.jumpSeq = e.arm(u.jumpPos, e.now+rng.Float64()*100, kindJump, u.slot)
 		}
 		if op%4 == 0 {
-			owner := rng.Intn(eventHeapDepth)
-			armed[owner] = e.push(e.now+rng.Float64()*100, kindJump, int32(owner))
+			u := owners[rng.Intn(eventHeapDepth)]
+			u.jumpSeq = e.arm(u.jumpPos, e.now+rng.Float64()*100, kindJump, u.slot)
 		}
+	}
+}
+
+// A departed viewer's jump entry stays queued, cancelled. The next viewer
+// in its slot takes the entry over with its first jump instead of
+// pushing a second one.
+func TestReusedSlotTakesOverJumpEntry(t *testing.T) {
+	cfg := smallConfig(t, ClientServer)
+	cfg.Workload.BaseArrivalRate = 1e-9 // the arrival chain stays a day out
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := s.channels[0]
+	u := ch.newUser(0)
+	u.join(0)
+	u.leave()
+	v := ch.newUser(0)
+	if v != u {
+		t.Fatal("the departed viewer's slot was not reused")
+	}
+	v.join(0)
+	jumps := 0
+	for _, ev := range ch.engine.queue {
+		if ev.kind == kindJump && ev.target == v.slot {
+			jumps++
+		}
+	}
+	if jumps != 1 || v.jumpPos == 0 || ch.engine.queue[v.jumpPos-1].seq != v.jumpSeq {
+		t.Fatalf("slot %d has %d jump entries queued (position %d), want its one armed entry", v.slot, jumps, v.jumpPos)
+	}
+}
+
+// Over a busy P2P simulation, where pools re-arm their heads and viewers
+// their jumps from inside the handlers that fire them, every queued head
+// and jump entry stays where its owner records it.
+func TestOwnerPositionsStayExact(t *testing.T) {
+	cfg := smallConfig(t, P2P)
+	cfg.Workload.BaseArrivalRate = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < s.Channels(); c++ {
+		for i := 0; i < cfg.Channel.Chunks; i++ {
+			if err := s.SetCloudCapacity(c, i, cfg.Channel.PlaybackRate*float64(1+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for step := 1; step <= 240; step++ {
+		s.RunUntil(float64(step) * 15)
+		for _, ch := range s.channels {
+			checkPositions(t, step, ch.engine)
+		}
+	}
+	if s.channels[0].engine.seq < 10000 {
+		t.Fatalf("only %d events armed on channel 0: the run is too quiet to test anything", s.channels[0].engine.seq)
 	}
 }

@@ -36,6 +36,7 @@ type pool struct {
 	rate       float64     // current per-download rate, bytes/s
 	lastUpdate float64
 	headSeq    uint64 // the armed head-completion event, 0 when none
+	headPos    int32  // 1 + the heap index of the queued head entry, 0 when none (Engine.track)
 }
 
 // settle advances the pool's work counter to `now`, attributing served
@@ -68,7 +69,8 @@ func (p *pool) remainingOf(d *download) float64 {
 }
 
 // reschedule recomputes the shared rate and re-arms the head-completion
-// event. Caller must have settled first.
+// event, re-keying the queued entry when there is one. Caller must have
+// settled first.
 func (p *pool) reschedule(now float64) {
 	p.headSeq = 0
 	n := len(p.active)
@@ -85,7 +87,7 @@ func (p *pool) reschedule(now float64) {
 		return // starved: resumes when capacity arrives
 	}
 	at := now + p.remainingOf(p.active[0])/rate
-	p.headSeq = p.ch.engine.arm(at, kindHead, int32(p.chunk))
+	p.headSeq = p.ch.engine.arm(p.headPos, at, kindHead, int32(p.chunk))
 }
 
 // onHeadComplete fires when the oldest download finishes; several members

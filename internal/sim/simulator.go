@@ -239,7 +239,8 @@ func (ch *channelState) removeUser(u *user) {
 // newUser returns a zeroed viewer in a free slot, reusing the struct and
 // chunk bitmap of a viewer that left. Events still queued for the slot's
 // previous viewer are skipped: their sequence numbers match none the new
-// viewer arms.
+// viewer arms. The slot keeps its jump entry's heap position, so the new
+// viewer's first jump re-keys that entry instead of pushing another.
 func (ch *channelState) newUser(uplink float64) *user {
 	if n := len(ch.freeSlots); n > 0 {
 		slot := ch.freeSlots[n-1]
@@ -247,7 +248,7 @@ func (ch *channelState) newUser(uplink float64) *user {
 		u := ch.slots[slot]
 		owned := u.owned
 		clear(owned)
-		*u = user{slot: slot, channel: ch, sim: ch.sim, uplink: uplink, owned: owned}
+		*u = user{slot: slot, channel: ch, sim: ch.sim, uplink: uplink, owned: owned, jumpPos: u.jumpPos}
 		return u
 	}
 	u := &user{
@@ -442,7 +443,7 @@ func (s *Simulator) scheduleArrival(ch *channelState) error {
 		fire = horizon
 		arrived = false
 	}
-	seq := ch.engine.arm(fire, kindArrival, 0)
+	seq := ch.engine.arm(0, fire, kindArrival, 0)
 	if seq == 0 {
 		return fmt.Errorf("sim: schedule arrival at %v before now %v", fire, now)
 	}

@@ -26,8 +26,14 @@ const (
 // channel's slots for life; after it leaves, the slot and the struct are
 // reused by a later arrival (see channelState.newUser).
 type user struct {
-	slot    int32 // index in channelState.slots: the target of its events
-	livePos int   // index in channelState.live while watching
+	slot int32 // index in channelState.slots: the target of its events
+	// jumpPos is 1 + the heap index of the slot's queued jump entry, 0
+	// when none (Engine.track). It outlives the viewer: the slot's next
+	// viewer takes the entry over with its first jump. It sits beside
+	// slot, in what would be padding, so a user stays in its 176-byte
+	// allocation class.
+	jumpPos int32
+	livePos int // index in channelState.live while watching
 	channel *channelState
 	sim     *Simulator
 
@@ -130,7 +136,7 @@ func (u *user) beginPlayback(chunk int) {
 		_ = u.channel.estimator.RecordTransition(chunk, viewing.Departed)
 	}
 
-	if seq := u.channel.engine.arm(now+u.sim.cfg.Channel.ChunkSeconds, kindPlayEnd, u.slot); seq != 0 {
+	if seq := u.channel.engine.armPlayEnd(now+u.sim.cfg.Channel.ChunkSeconds, u.slot); seq != 0 {
 		u.playEndSeq = seq
 	}
 }
@@ -164,10 +170,11 @@ func (u *user) sampleNext(chunk int) int {
 	return -1
 }
 
-// scheduleJump arms the next VCR-jump timer.
+// scheduleJump arms the next VCR-jump timer, re-keying the slot's queued
+// jump entry when there is one.
 func (u *user) scheduleJump() {
 	delay := u.sim.cfg.Workload.NextJump(u.channel.rng)
-	if seq := u.channel.engine.arm(u.channel.engine.Now()+delay, kindJump, u.slot); seq != 0 {
+	if seq := u.channel.engine.arm(u.jumpPos, u.channel.engine.Now()+delay, kindJump, u.slot); seq != 0 {
 		u.jumpSeq = seq
 	}
 }

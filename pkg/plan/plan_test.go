@@ -119,3 +119,24 @@ func TestSolvePeerSupplyRejectsNonFiniteUplink(t *testing.T) {
 		}
 	}
 }
+
+// A transfer matrix with a row summing above 1 is rejected, although
+// each of its entries lies in [0, 1].
+func TestSolvePeerSupplyRejectsRowAboveOne(t *testing.T) {
+	eq, _ := solve(t, 34e3)
+	m, err := plan.PaperViewing(eq.Config.Chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, v := range m[0] {
+		sum += v
+	}
+	m[0][0] += 1.2 - sum // row 0 now sums to 1.2
+	if m[0][0] > 1 {
+		t.Fatalf("test matrix: P[0][0] = %v", m[0][0])
+	}
+	if supply, err := plan.SolvePeerSupply(eq, m, 34e3); err == nil {
+		t.Errorf("row summing to 1.2 accepted: cloud demand %v", supply.CloudDemand)
+	}
+}
