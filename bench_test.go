@@ -564,8 +564,8 @@ func BenchmarkFluid10MViewers(b *testing.B) {
 // dynamic provisioning included. At this scale the PR 8 engine was
 // bottlenecked outside the integrator — the serial per-batch RatesInto
 // prologue and the controller's per-interval snapshot/derive/forecast
-// loop — so this bench caps the sharded demand plane, the sharded
-// control plane, and the fused step kernel together. Serial and pool
+// loop — so this bench caps the demand plane, the sharded control
+// plane, and the fused step kernel together. Serial and pool
 // results are bit-identical (pinned by the worker-invariance tests);
 // only wall time moves. Guarded by -short so `go test ./...` stays
 // fast; the bench snapshot (scripts/bench.sh) runs it.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -13,85 +12,74 @@ import (
 	"cloudmedia/pkg/simulate"
 )
 
-// TestDriversDecideAlike runs one day through both run drivers — the
-// figure harness (RunTimeline) and the public simulate.Scenario.Run — and
-// requires the same provisioning decisions, across modes, pricing plans
-// and engines.
-//
-// Dollars are held to 1e-12 relative rather than bit-identity: Run
-// commits the cloud's billing accrual at every sample, the harness once
-// an hour, and float addition is not associative, so interval costs and
-// the run's totals differ in the last bits (under spot pricing, in a few
-// records). Everything else is exact.
+// TestDriversDecideAlike runs one day through both callers of the run
+// loop — the figure harness (RunTimeline) and the public
+// simulate.Scenario.Run — and requires bit-identical records, quality and
+// dollars, across modes, pricing plans and engines. Two more cases use a
+// sampling period that does not divide the hour: the loop then also
+// stops on whole hours, so the harness keeps one Hourly row per hour
+// while Run snapshots only the 86 samples and the end of the day.
 func TestDriversDecideAlike(t *testing.T) {
 	pricings := map[string]cloud.PricingPlan{"on-demand": {}, "spot": cloud.SpotPricing()}
 	for _, mode := range []modes.Mode{modes.ClientServer, modes.CloudAssisted} {
 		for _, pricingName := range []string{"on-demand", "spot"} {
 			for _, fidelity := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
-				name := fmt.Sprintf("%v/%s/%v", mode, pricingName, fidelity)
-				t.Run(name, func(t *testing.T) {
-					sc := stack.DefaultSpec(mode, 1)
-					sc.Pricing = pricings[pricingName]
-					sc.Fidelity = fidelity
-					tl, err := RunTimeline(sc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := simulate.Scenario{Spec: sc}.Run(context.Background(), simulate.KeepHistory())
-					if err != nil {
-						t.Fatal(err)
-					}
-					compareDrivers(t, tl, rep)
+				sc := stack.DefaultSpec(mode, 1)
+				sc.Pricing = pricings[pricingName]
+				sc.Fidelity = fidelity
+				t.Run(fmt.Sprintf("%v/%s/%v", mode, pricingName, fidelity), func(t *testing.T) {
+					runBothDrivers(t, sc, 96)
 				})
 			}
 		}
 	}
+	for _, fidelity := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
+		sc := stack.DefaultSpec(modes.CloudAssisted, 1)
+		sc.Fidelity = fidelity
+		sc.SampleSeconds = 1000
+		t.Run(fmt.Sprintf("%v/on-demand/%v/sample-1000s", sc.Mode, fidelity), func(t *testing.T) {
+			runBothDrivers(t, sc, 87)
+		})
+	}
 }
 
-func compareDrivers(t *testing.T, tl *Timeline, rep *simulate.Report) {
+// runBothDrivers runs a day of sc through the harness and through Run,
+// and requires the two to agree exactly, with one Hourly row per hour and
+// the given number of snapshots, the last at the end of the day.
+func runBothDrivers(t *testing.T, sc stack.Spec, snapshots int) {
 	t.Helper()
+	tl, err := RunTimeline(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := simulate.Scenario{Spec: sc}.Run(context.Background(), simulate.KeepHistory())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tl.Records) != 25 || len(rep.Records) != len(tl.Records) {
 		t.Fatalf("records: harness %d, Run %d; want the bootstrap and 24 hourly rounds", len(tl.Records), len(rep.Records))
 	}
 	for i := range tl.Records {
-		a, b := tl.Records[i], rep.Records[i]
-		if !closeTotals(a.Cost, b.Cost) {
-			t.Errorf("record %d: cost %+v vs %+v", i, a.Cost, b.Cost)
-		}
-		a.Cost, b.Cost = cloud.LedgerTotals{}, cloud.LedgerTotals{}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("record %d differs beyond its cost:\nharness %+v\nRun     %+v", i, a, b)
+		if !reflect.DeepEqual(tl.Records[i], rep.Records[i]) {
+			t.Errorf("record %d differs:\nharness %+v\nRun     %+v", i, tl.Records[i], rep.Records[i])
 		}
 	}
 	if tl.MeanQuality != rep.MeanQuality {
 		t.Errorf("mean quality: harness %v, Run %v", tl.MeanQuality, rep.MeanQuality)
 	}
-	if !closeFloat(tl.VMCostTotal, rep.VMCostTotal) || !closeFloat(tl.StorageCostTotal, rep.StorageCostTotal) {
+	if tl.VMCostTotal != rep.VMCostTotal || tl.StorageCostTotal != rep.StorageCostTotal {
 		t.Errorf("cost totals: harness %v/%v, Run %v/%v", tl.VMCostTotal, tl.StorageCostTotal, rep.VMCostTotal, rep.StorageCostTotal)
 	}
-	if !closeTotals(tl.Bill, rep.Bill) {
+	if tl.Bill != rep.Bill {
 		t.Errorf("bill: harness %+v, Run %+v", tl.Bill, rep.Bill)
 	}
-}
-
-// closeFloat reports whether a and b agree to 1e-12 relative.
-func closeFloat(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// closeTotals compares two bills field by field: dollars and hours to
-// 1e-12 relative, counts exactly.
-func closeTotals(a, b cloud.LedgerTotals) bool {
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	for i := range va.NumField() {
-		fa, fb := va.Field(i), vb.Field(i)
-		if fa.Kind() == reflect.Float64 {
-			if !closeFloat(fa.Float(), fb.Float()) {
-				return false
-			}
-		} else if fa.Int() != fb.Int() {
-			return false
-		}
+	if len(tl.Hourlies) != 24 {
+		t.Errorf("harness hourlies = %d, want 24", len(tl.Hourlies))
 	}
-	return true
+	if len(tl.Snapshots) != snapshots || len(rep.Snapshots) != snapshots {
+		t.Fatalf("snapshots: harness %d, Run %d; want %d", len(tl.Snapshots), len(rep.Snapshots), snapshots)
+	}
+	if last := rep.Snapshots[snapshots-1].Time; last != 86400 {
+		t.Errorf("last snapshot at %v s, want the end of the day", last)
+	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"cloudmedia/internal/cloud"
@@ -57,6 +58,8 @@ func RunTimeline(sc stack.Spec) (*Timeline, error) {
 
 // runTimeline is RunTimeline with the scenario's run-time hooks wired;
 // it collects the records through OnInterval, replacing any set there.
+// The system's run loop (stack.System.Run) drives it: every sample stop
+// adds a Snapshot and every whole-hour stop an Hourly row.
 func runTimeline(sc stack.Scenario) (*Timeline, error) {
 	tl := &Timeline{}
 	sc.OnInterval = func(rec core.IntervalRecord) { tl.Records = append(tl.Records, rec) }
@@ -65,58 +68,45 @@ func runTimeline(sc stack.Scenario) (*Timeline, error) {
 		return nil, err
 	}
 	s := sys.Sim
-	sample := sys.Scenario.SampleSeconds
-
-	if err := s.ScheduleRepeating(sample, sample, func(now float64) {
-		q := s.SampleQuality()
-		snap := Snapshot{
-			Time:                   now,
-			Quality:                q.Overall,
-			PerChannelQuality:      q.PerChannel,
-			PerChannelUsers:        q.UsersPerChannel,
-			PerChannelReservedMbps: make([]float64, s.Channels()),
-			TotalUsers:             s.TotalUsers(),
-		}
-		for c := 0; c < s.Channels(); c++ {
-			cap, err := s.CloudCapacity(c)
-			if err == nil {
-				snap.PerChannelReservedMbps[c] = bytesPerSecToMbps(cap)
+	var qSum, prevBytes, prevCost float64
+	if err := sys.Run(context.Background(), func(stop stack.Stop) {
+		if stop.Sample {
+			q := s.SampleQuality()
+			reserved := make([]float64, s.Channels())
+			for c := range reserved {
+				if cap, err := s.CloudCapacity(c); err == nil {
+					reserved[c] = bytesPerSecToMbps(cap)
+				}
 			}
+			tl.Snapshots = append(tl.Snapshots, Snapshot{
+				Time:                   stop.Time,
+				Quality:                q.Overall,
+				PerChannelQuality:      q.PerChannel,
+				PerChannelUsers:        q.UsersPerChannel,
+				PerChannelReservedMbps: reserved,
+				TotalUsers:             s.TotalUsers(),
+			})
+			qSum += q.Overall
 		}
-		tl.Snapshots = append(tl.Snapshots, snap)
+		if stop.Hour {
+			vmCost, _ := sys.Cloud.Costs()
+			served := s.CloudBytesServed()
+			tl.Hourlies = append(tl.Hourlies, Hourly{
+				Hour:          stop.Time / 3600,
+				ReservedMbps:  bytesPerSecToMbps(s.TotalCloudCapacity()),
+				UsedMbps:      bytesPerSecToMbps((served - prevBytes) / 3600),
+				VMCostPerHour: vmCost - prevCost,
+			})
+			prevBytes, prevCost = served, vmCost
+		}
 	}); err != nil {
 		return nil, err
 	}
-
-	var prevBytes, prevCost float64
-	if err := s.ScheduleRepeating(3600, 3600, func(now float64) {
-		sys.Cloud.Advance(now)
-		vmCost, _ := sys.Cloud.Costs()
-		served := s.CloudBytesServed()
-		tl.Hourlies = append(tl.Hourlies, Hourly{
-			Hour:          now / 3600,
-			ReservedMbps:  bytesPerSecToMbps(s.TotalCloudCapacity()),
-			UsedMbps:      bytesPerSecToMbps((served - prevBytes) / 3600),
-			VMCostPerHour: vmCost - prevCost,
-		})
-		prevBytes = served
-		prevCost = vmCost
-	}); err != nil {
-		return nil, err
-	}
-
-	s.RunUntil(sc.Hours * 3600)
-	sys.Cloud.Advance(s.Now())
 	tl.VMCostTotal, tl.StorageCostTotal = sys.Cloud.Costs()
 	tl.Bill = sys.Cloud.Ledger().Totals()
 	tl.LedgerNotes = sys.Cloud.Ledger().Diagnostics()
-
-	var qSum float64
-	for _, snap := range tl.Snapshots {
-		qSum += snap.Quality
-	}
-	if len(tl.Snapshots) > 0 {
-		tl.MeanQuality = qSum / float64(len(tl.Snapshots))
+	if n := len(tl.Snapshots); n > 0 {
+		tl.MeanQuality = qSum / float64(n)
 	}
 	return tl, nil
 }
@@ -170,42 +160,36 @@ func TimelineReport(sc stack.Spec) (*Result, error) {
 	}, nil
 }
 
-// MeanHourlyVMCost returns the average of the hourly VM rental costs.
-func (tl *Timeline) MeanHourlyVMCost() float64 {
+// meanHourly averages f over the hourly rows, 0 when there are none.
+func (tl *Timeline) meanHourly(f func(Hourly) float64) float64 {
 	if len(tl.Hourlies) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, h := range tl.Hourlies {
-		sum += h.VMCostPerHour
+		sum += f(h)
 	}
 	return sum / float64(len(tl.Hourlies))
 }
 
+// MeanHourlyVMCost returns the average of the hourly VM rental costs.
+func (tl *Timeline) MeanHourlyVMCost() float64 {
+	return tl.meanHourly(func(h Hourly) float64 { return h.VMCostPerHour })
+}
+
 // MeanReservedMbps returns the average provisioned cloud bandwidth.
 func (tl *Timeline) MeanReservedMbps() float64 {
-	if len(tl.Hourlies) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, h := range tl.Hourlies {
-		sum += h.ReservedMbps
-	}
-	return sum / float64(len(tl.Hourlies))
+	return tl.meanHourly(func(h Hourly) float64 { return h.ReservedMbps })
 }
 
 // ReservedCoversUsedFraction returns the fraction of hours in which the
 // provisioned bandwidth was at least the used bandwidth — Fig. 4's
 // "provisioned is larger than used in the majority of time".
 func (tl *Timeline) ReservedCoversUsedFraction() float64 {
-	if len(tl.Hourlies) == 0 {
-		return 0
-	}
-	covered := 0
-	for _, h := range tl.Hourlies {
+	return tl.meanHourly(func(h Hourly) float64 {
 		if h.ReservedMbps >= h.UsedMbps {
-			covered++
+			return 1
 		}
-	}
-	return float64(covered) / float64(len(tl.Hourlies))
+		return 0
+	})
 }

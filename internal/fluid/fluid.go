@@ -198,13 +198,12 @@ func (b *Backend) RunUntil(t float64) {
 
 // integrateTo advances the ODE state to time t with fixed steps, batched
 // between control barriers: up to batchSteps steps are resolved serially
-// (start times and step constants), the batch's arrival-rate matrix is
-// filled by the parallel demand plane (fillRates), then every channel
-// integrates through the whole batch on the worker pool. Channels are
-// independent within a span — arrival rates are pre-batched into b.rates
-// and all mutation is per-channel state — so each channel's arithmetic is
-// the exact serial sequence regardless of the worker count, and
-// reductions over channels stay index-ordered. Results are therefore
+// (start times, step constants and the arrival-rate matrix, fillRates),
+// then every channel integrates through the whole batch on the worker
+// pool. Channels are independent within a span — arrival rates are
+// pre-batched into b.rates and all mutation is per-channel state — so
+// each channel's arithmetic is the exact serial sequence regardless of
+// the worker count, and reductions over channels stay index-ordered. Results are therefore
 // bit-identical for any Workers value.
 //
 //cloudmedia:hotpath
@@ -232,46 +231,20 @@ func (b *Backend) integrateTo(t float64) {
 
 // fillRates resolves the batch's arrival-rate matrix — the demand plane.
 // Each step s gets one batched source query at its start time, writing
-// the disjoint row b.rates[s*C:(s+1)*C]; batching per step (rather than
-// per channel) keeps the source's shared-work fast path (the diurnal
+// the row b.rates[s*C:(s+1)*C]; batching per step (rather than per
+// channel) keeps the source's shared-work fast path (the diurnal
 // multiplier, the trace's interpolation segment) resolved once per
-// instant. Steps are fanned over the worker pool: rows are disjoint and
-// sources are read-only after construction (see workload.BatchSource), so
-// every row holds exactly the bytes the serial loop would produce and the
-// fan-out is deterministic by construction. The serial branch runs before
-// the closure is built, so the workers==1 path stays allocation-free
-// (mirroring runBatch, the fan-out wrapper itself carries no hotpath
-// annotation — the hot body is fillRate).
-func (b *Backend) fillRates(n int) {
-	if b.workers <= 1 || n == 1 {
-		for s := 0; s < n; s++ {
-			b.fillRate(s)
-		}
-		return
-	}
-	sim.FanOut(b.workers, n, func(s int) {
-		b.fillRate(s)
-	})
-}
-
-// fillRate resolves one step's rate row — the demand plane's per-shard
-// kernel, called once per step from fillRates' serial loop or its worker
-// pool.
+// instant. It runs serially: the demand plane is a sliver of the day
+// next to the channel integration, and a worker fan-out here measured
+// within noise of this loop.
 //
 //cloudmedia:hotpath
-func (b *Backend) fillRate(s int) {
-	if err := workload.RatesInto(b.src, b.times[s], b.rates[s*b.C:(s+1)*b.C]); err != nil {
-		b.zeroRates(s)
-	}
-}
-
-// zeroRates clears one step's rate row. Unreachable in practice — the
-// channel count always matches the source — but hoisted out of the hot
-// loop so the annotated body stays allocation-free.
-func (b *Backend) zeroRates(step int) {
-	row := b.rates[step*b.C : (step+1)*b.C]
-	for i := range row {
-		row[i] = 0
+func (b *Backend) fillRates(n int) {
+	for s := 0; s < n; s++ {
+		row := b.rates[s*b.C : (s+1)*b.C]
+		if err := workload.RatesInto(b.src, b.times[s], row); err != nil {
+			clear(row) // unreachable: the channel count always matches the source
+		}
 	}
 }
 

@@ -191,7 +191,7 @@ func TestFluidParallelOnArrivalsContract(t *testing.T) {
 // dispatch, and every fused stepChannel step in between. Workers=1
 // isolates the inner loop from the pool's per-batch goroutine handoff,
 // which is the one deliberate allocation of the parallel path (and is why
-// both fan-outs branch serial before building their closures).
+// runBatch branches serial before building its closure).
 func TestFluidBatchedInnerLoopAllocFree(t *testing.T) {
 	cfg := paperConfig(t, sim.P2P, 1)
 	b, err := New(cfg)

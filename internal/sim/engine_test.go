@@ -305,3 +305,49 @@ func TestOwnerPositionsStayExact(t *testing.T) {
 		t.Fatalf("only %d events armed on channel 0: the run is too quiet to test anything", s.channels[0].engine.seq)
 	}
 }
+
+// A pool whose occupancy never exceeds k keeps one backing array for its
+// FIFO, however many downloads pass through it: finished heads are
+// compacted away in place, so add's append never reallocates.
+func TestPoolFIFOKeepsItsBackingArray(t *testing.T) {
+	const k = 4
+	cfg := smallConfig(t, ClientServer)
+	cfg.Workload.BaseArrivalRate = 1e-9 // the arrival chain stays a day out
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := s.channels[0]
+	p := ch.pools[0]
+	p.setCapacity(k*cfg.Channel.VMBandwidth, -1) // every download runs at R
+	users := make([]*user, k+1)
+	for i := range users {
+		users[i] = ch.newUser(0)
+	}
+	// Adds come just over a k-th of a download apart, so at most k
+	// downloads overlap.
+	spacing := 1.01 * cfg.Channel.ChunkBytes() / cfg.Channel.VMBandwidth / k
+	var backing **download
+	for i := range 1000 {
+		u := users[i%len(users)]
+		if u.dl != nil {
+			t.Fatalf("cycle %d: user %d's previous download is still in flight", i, i%len(users))
+		}
+		u.download = download{user: u}
+		u.dl = &u.download
+		p.add(u.dl)
+		if len(p.active) > k {
+			t.Fatalf("cycle %d: %d downloads in flight, want at most %d", i, len(p.active), k)
+		}
+		if i == k {
+			backing = &p.active[:1][0]
+		}
+		if i > k && &p.active[:1][0] != backing {
+			t.Fatalf("cycle %d: the FIFO moved to a new backing array (cap %d)", i, cap(p.active))
+		}
+		ch.engine.RunUntil(ch.engine.Now() + spacing)
+	}
+	if cap(p.active) > k {
+		t.Errorf("cap(active) = %d after 1000 downloads, want at most %d", cap(p.active), k)
+	}
+}

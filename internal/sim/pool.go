@@ -107,11 +107,14 @@ func (p *pool) onHeadComplete() {
 	// enroll, abort and arm events, and no event fires until this
 	// handler returns.
 	done := append(p.ch.done[:0], p.active[0])
-	p.active = p.active[1:]
-	for len(p.active) > 0 && p.remainingOf(p.active[0]) <= tol {
-		done = append(done, p.active[0])
-		p.active = p.active[1:]
+	for len(done) < len(p.active) && p.remainingOf(p.active[len(done)]) <= tol {
+		done = append(done, p.active[len(done)])
 	}
+	// Compact in place: reslicing the finished head off would walk add's
+	// appends through the backing array and reallocate it again and again.
+	n := copy(p.active, p.active[len(done):])
+	clear(p.active[n:])
+	p.active = p.active[:n]
 	for _, d := range done {
 		d.pool = nil
 	}

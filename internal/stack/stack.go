@@ -4,10 +4,11 @@
 // analytic t=0 estimates of Sec. V-B. It is the single stack builder:
 // the experiment harness builds every single-region run through it, and
 // internal/geo builds each region of a multi-region deployment through
-// it.
+// it. System.Run is the single run loop of a single-region run.
 package stack
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -455,4 +456,46 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 		}
 	}
 	return sys, nil
+}
+
+// Stop is one instant at which System.Run hands the settled system to
+// its observer. Sample marks the sampling grid (every SampleSeconds) or
+// the end of the run; Hour marks a whole simulated hour.
+type Stop struct {
+	Time         float64
+	Sample, Hour bool
+}
+
+// Run drives the system for Spec.Hours of simulated time. It is the one
+// run loop: simulate.Scenario.Run and the figure harness are its
+// callers. Each stop is the earliest of the next sample, the next whole
+// hour and the end of the run, so a sampling period that divides the
+// hour stops only on its own grid. At each stop Run advances the engine
+// (Sim.RunUntil), commits the cloud's billing accrual (Cloud.Advance),
+// then calls observe. The context is checked between stops; on
+// cancellation Run returns its error with the engine and the bill
+// settled at the last stop.
+func (sys *System) Run(ctx context.Context, observe func(Stop)) error {
+	end := sys.Scenario.Hours * 3600
+	period := sys.Scenario.SampleSeconds
+	nextSample, nextHour := period, 3600.0
+	var err error
+	for now := 0.0; now < end; {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		now = min(nextSample, nextHour, end)
+		stop := Stop{Time: now, Sample: now == nextSample || now == end, Hour: now == nextHour}
+		sys.Sim.RunUntil(now)
+		sys.Cloud.Advance(now)
+		observe(stop)
+		if now == nextSample {
+			nextSample += period
+		}
+		if stop.Hour {
+			nextHour += 3600
+		}
+	}
+	sys.Cloud.Advance(sys.Sim.Now())
+	return err
 }

@@ -18,11 +18,10 @@ import (
 //
 // Implementations must be usable read-only from concurrent goroutines
 // after construction: the event engine queries Rate from its per-channel
-// workers, and the fluid integrator's demand plane fans batched RatesInto
-// reads — at distinct time instants — across its worker pool. Any lazy
-// caching must happen on the first call, which both engines guarantee to
-// make serially during construction (MaxRate for every channel is primed
-// before workers start), or behind the implementation's own lock.
+// workers. Any lazy caching must happen on the first call, which both
+// engines guarantee to make serially during construction (MaxRate for
+// every channel is primed before workers start), or behind the
+// implementation's own lock.
 type Source interface {
 	// NumChannels returns the number of channels the source describes.
 	NumChannels() int

@@ -7,7 +7,7 @@ import (
 )
 
 // Snapshot is one periodic measurement of the running system, taken every
-// Scenario.SampleSeconds of simulated time.
+// Scenario.SampleSeconds of simulated time and at the end of the run.
 type Snapshot struct {
 	// Time is the simulated clock in seconds.
 	Time float64
@@ -118,10 +118,12 @@ func KeepHistory() RunOption {
 
 // Run builds the system, applies bootstrap provisioning from the analytic
 // t=0 estimates, and advances the simulation for Scenario.Hours of
-// simulated time. The context is checked between sampling steps
-// (Scenario.SampleSeconds of simulated time); on cancellation Run returns
-// the context error together with a report covering the time simulated so
-// far.
+// simulated time. The run stops at every sample, at every whole simulated
+// hour and at its end; at each stop the cloud's billing accrual is
+// committed, and a sampling period that divides the hour stops only on
+// its own grid. The context is checked between stops; on cancellation Run
+// returns the context error together with a report covering the time
+// simulated so far.
 func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) {
 	var rc runConfig
 	for _, opt := range opts {
@@ -132,7 +134,6 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 		return nil, err
 	}
 	rep := &Report{Mode: sc.Mode}
-	intervals := 0
 	esc := stack.Scenario{Spec: sc.Spec, Pacer: rc.pacer}
 	if len(rc.onArrivals) > 0 {
 		fns := rc.onArrivals
@@ -143,7 +144,7 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 		}
 	}
 	esc.OnInterval = func(rec IntervalRecord) {
-		intervals++
+		rep.Intervals++
 		for _, fn := range rc.onInterval {
 			fn(rec)
 		}
@@ -159,12 +160,14 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 
 	var qualitySum, reservedSum float64
 	samples := 0
-	observe := func(now float64) {
-		sys.Cloud.Advance(now)
+	runErr := sys.Run(ctx, func(stop stack.Stop) {
+		if !stop.Sample {
+			return
+		}
 		vmCost, storageCost := sys.Cloud.Costs()
 		q := sys.Sim.SampleQuality()
 		snap := Snapshot{
-			Time:              now,
+			Time:              stop.Time,
 			Quality:           q.Overall,
 			PerChannelQuality: q.PerChannel,
 			Users:             sys.Sim.TotalUsers(),
@@ -183,27 +186,9 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 		if rc.keepHistory {
 			rep.Snapshots = append(rep.Snapshots, snap)
 		}
-	}
+	})
 
-	end := sc.Hours * 3600
-	step := sys.Scenario.SampleSeconds
-	var runErr error
-	for now := 0.0; now < end; {
-		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
-		}
-		now += step
-		if now > end {
-			now = end
-		}
-		sys.Sim.RunUntil(now)
-		observe(now)
-	}
-
-	sys.Cloud.Advance(sys.Sim.Now())
 	rep.Hours = sys.Sim.Now() / 3600
-	rep.Intervals = intervals
 	rep.VMCostTotal, rep.StorageCostTotal = sys.Cloud.Costs()
 	rep.Bill = sys.Cloud.Ledger().Totals()
 	rep.FinalUsers = sys.Sim.TotalUsers()
