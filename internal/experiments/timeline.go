@@ -40,10 +40,7 @@ type Timeline struct {
 	StorageCostTotal float64
 	// Bill is the ledger's view of the run under the scenario's pricing
 	// plan, dollars split reserved / on-demand / upfront / storage.
-	Bill cloud.LedgerTotals
-	// LedgerNotes carries the ledger diagnostics (infeasible budgets,
-	// failed storage plans) accumulated over the run.
-	LedgerNotes []cloud.Note
+	Bill        cloud.LedgerTotals
 	MeanQuality float64
 }
 
@@ -104,7 +101,6 @@ func runTimeline(sc stack.Scenario) (*Timeline, error) {
 	}
 	tl.VMCostTotal, tl.StorageCostTotal = sys.Cloud.Costs()
 	tl.Bill = sys.Cloud.Ledger().Totals()
-	tl.LedgerNotes = sys.Cloud.Ledger().Diagnostics()
 	if n := len(tl.Snapshots); n > 0 {
 		tl.MeanQuality = qSum / float64(n)
 	}

@@ -17,6 +17,13 @@
 // milliseconds because the crowd size only changes the magnitudes of the
 // flows, never the amount of state.
 //
+// A channel's step is a row pass (completions and jumps leave each
+// playing cohort) and a chunk pass (each queue gathers its inflow along
+// the transfer matrix P, drains, and scores quality) around the peer
+// split. The measurement feed keeps per source chunk only the completion
+// and jump sums Cᵢ and Uᵢ, and rebuilds the transitions once per read as
+// Tᵢₖ = Pᵢₖ·Cᵢ + Uᵢ/J.
+//
 // The fidelity trade-offs (what the fluid model drops relative to the
 // event engine) are documented in DESIGN.md's "Engine fidelities"
 // section; the cross-validation test in internal/experiments pins the

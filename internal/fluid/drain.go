@@ -81,6 +81,9 @@ func newStep(dt float64, ch queueing.Config, jumpMean float64) stepConst {
 // crossed). A crossing hands over to drainRise or drainFall, which find
 // the switch time with one log or finish with one exp.
 //
+// stepChannel inlines the two one-regime cases (this function is over
+// the inlining budget); the oracle test holds that copy to this one.
+//
 //cloudmedia:hotpath
 func drainStep(q0, in, capJ float64, s *stepConst) (drained, mean float64) {
 	queue := q0 + in

@@ -11,22 +11,35 @@ import (
 // accumulates expected flows directly, so the controller sees exact
 // per-interval rates with no rounding noise.
 //
-// The transition accumulator is a flat row-major array: one allocation at
-// construction, unit-stride accumulation and resets. Cell (i,j) lives at
-// transitions[i*chunks+j], matching the engine's channel*J+j state layout.
+// The kernel keeps two sums per source chunk i instead of a J×J cell
+// accumulator: the completion flow Cᵢ and the jump flow Uᵢ that left
+// chunk i over the interval. Completions follow row i of the constant
+// transfer matrix P and jumps spread uniformly, so Matrix rebuilds the
+// observed cells once per read as Tᵢₖ = Pᵢₖ·Cᵢ + Uᵢ/J and the row's
+// departures as max(Cᵢ·(1−rowSumᵢ), 0). That equals the per-step cell
+// accumulation up to the order of the additions, a relative difference
+// that TestFeedMatrixMatchesReference bounds by feedMatrixTol.
 type feed struct {
-	chunks      int
-	arrivals    float64
-	transitions []float64               // transitions[i*chunks+j]: flow that finished chunk i then fetched j
-	departures  []float64               // departures[i]: flow that finished chunk i then left
-	matrix      queueing.TransferMatrix // Matrix's result, rebuilt in place on every call
+	chunks    int
+	arrivals  float64
+	completed []float64               // completed[i]: Cᵢ, flow that finished chunk i
+	jumped    []float64               // jumped[i]: Uᵢ, flow that jumped away from chunk i
+	trans     []float64               // P row-major, trans[i*chunks+k]; shared with the backend, read-only
+	rowSum    []float64               // Σₖ Pᵢₖ; shared with the backend, read-only
+	matrix    queueing.TransferMatrix // Matrix's result, rebuilt in place on every call
 }
 
-func newFeed(chunks int) *feed {
+// emptyRowMass is the observed row mass at or below which Matrix takes
+// the fallback row.
+const emptyRowMass = 1e-12
+
+func newFeed(chunks int, trans, rowSum []float64) *feed {
 	return &feed{
-		chunks:      chunks,
-		transitions: make([]float64, chunks*chunks),
-		departures:  make([]float64, chunks),
+		chunks:    chunks,
+		completed: make([]float64, chunks),
+		jumped:    make([]float64, chunks),
+		trans:     trans,
+		rowSum:    rowSum,
 	}
 }
 
@@ -56,22 +69,27 @@ func (f *feed) Matrix(fallback queueing.TransferMatrix) (queueing.TransferMatrix
 		f.matrix = queueing.NewTransferMatrix(f.chunks)
 	}
 	p := f.matrix
+	fJ := float64(f.chunks)
 	for i := 0; i < f.chunks; i++ {
-		row := f.transitions[i*f.chunks : (i+1)*f.chunks]
-		total := f.departures[i]
-		for _, v := range row {
+		row := p[i]
+		comp := f.completed[i]
+		per := f.jumped[i] / fJ
+		total := max(comp*(1-f.rowSum[i]), 0)
+		for k, pk := range f.trans[i*f.chunks : (i+1)*f.chunks] {
+			v := pk*comp + per
+			row[k] = v
 			total += v
 		}
-		if total <= 1e-12 {
+		if total <= emptyRowMass {
 			if fallback != nil {
-				copy(p[i], fallback[i])
+				copy(row, fallback[i])
 			} else {
-				clear(p[i])
+				clear(row)
 			}
 			continue
 		}
-		for j, v := range row {
-			p[i][j] = v / total
+		for k := range row {
+			row[k] /= total
 		}
 	}
 	return p, nil
@@ -80,10 +98,6 @@ func (f *feed) Matrix(fallback queueing.TransferMatrix) (queueing.TransferMatrix
 // Reset clears the accumulated flows, starting a new interval.
 func (f *feed) Reset() {
 	f.arrivals = 0
-	for i := range f.transitions {
-		f.transitions[i] = 0
-	}
-	for i := range f.departures {
-		f.departures[i] = 0
-	}
+	clear(f.completed)
+	clear(f.jumped)
 }

@@ -54,14 +54,13 @@ type Backend struct {
 	cloudCap []float64 // Δ per chunk, bytes/s
 	peerCap  []float64 // Γ per chunk, bytes/s (recomputed every step)
 
-	// Scratch arrays reused across steps, same channel*J + j indexing.
-	// order is the one exception that carries meaning between steps: each
-	// channel's rarest-first visiting order starts as the identity at New
-	// and is re-sorted from the previous step's order (see allocatePeers).
-	inWait []float64
-	inPlay []float64
-	demand []float64
-	order  []int
+	// flow is scratch reused across steps, same channel*J + j indexing:
+	// the completion flow each chunk's row sends along the transfer matrix
+	// this step. order carries meaning between steps: each channel's
+	// rarest-first visiting order starts as the identity at New and is
+	// re-sorted from the previous step's order (see allocatePeers).
+	flow  []float64
+	order []int
 
 	// Per-channel scalars (length C).
 	cloudBytesServed []float64
@@ -73,12 +72,13 @@ type Backend struct {
 	feeds            []*feed
 
 	// Transfer-matrix constants, precomputed once at New: the constant
-	// row sums and a dense row-major copy of the matrix, trans[j*J+k], in
-	// which every cell that is not positive (zero, negative zero, NaN) is
-	// stored as +0. The completion pass walks each row once, unit stride,
-	// fused with the jump pass (see stepChannel).
+	// row sums and a dense transposed copy of the matrix, transT[k*J+j] =
+	// P[j][k], in which every cell that is not positive (zero, negative
+	// zero, NaN) is stored as +0. The chunk pass gathers each chunk's
+	// completion inflow from one unit-stride column (see stepChannel).
+	// The feeds share the row sums and a row-major copy.
 	rowSum []float64
-	trans  []float64
+	transT []float64
 
 	// workers bounds the pool that integrates channels in parallel within
 	// each batched fan-out (see Config.Workers on the shared sim.Config).
@@ -138,12 +138,26 @@ func New(cfg sim.Config) (*Backend, error) {
 	b.owners = make([]float64, C*J)
 	b.cloudCap = make([]float64, C*J)
 	b.peerCap = make([]float64, C*J)
-	b.inWait = make([]float64, C*J)
-	b.inPlay = make([]float64, C*J)
-	b.demand = make([]float64, C*J)
+	b.flow = make([]float64, C*J)
 	b.order = make([]int, C*J)
 	for i := range b.order {
 		b.order[i] = i % J
+	}
+	// Precompute the transfer matrix's constant row sums and its dense
+	// copies. The row sum accumulates the positive entries in ascending
+	// destination order, matching the order a per-step scan would add
+	// them in, so the departure flow comp·(1−rowSum) is unchanged.
+	b.rowSum = make([]float64, J)
+	b.transT = make([]float64, J*J)
+	trans := make([]float64, J*J)
+	for j := 0; j < J; j++ {
+		for k := 0; k < J; k++ {
+			if p := sc.Transfer[j][k]; p > 0 {
+				b.rowSum[j] += p
+				trans[j*J+k] = p
+				b.transT[k*J+j] = p
+			}
+		}
 	}
 	b.cloudBytesServed = make([]float64, C)
 	b.smooth = make([]float64, C)
@@ -152,21 +166,7 @@ func New(cfg sim.Config) (*Backend, error) {
 	b.feeds = make([]*feed, C)
 	for c := 0; c < C; c++ {
 		b.smooth[c] = 1
-		b.feeds[c] = newFeed(J)
-	}
-	// Precompute the transfer matrix's constant row sums and its dense
-	// copy. The row sum accumulates the positive entries in ascending
-	// destination order, matching the order a per-step scan would add
-	// them in, so the departure flow comp·(1−rowSum) is unchanged.
-	b.rowSum = make([]float64, J)
-	b.trans = make([]float64, J*J)
-	for j := 0; j < J; j++ {
-		for k := 0; k < J; k++ {
-			if p := sc.Transfer[j][k]; p > 0 {
-				b.rowSum[j] += p
-				b.trans[j*J+k] = p
-			}
-		}
+		b.feeds[c] = newFeed(J, trans, b.rowSum)
 	}
 	b.rates = make([]float64, batchSteps*C)
 	b.times = make([]float64, batchSteps)
@@ -251,21 +251,26 @@ func (b *Backend) fillRates(n int) {
 // runBatch integrates every channel through the first n pre-resolved
 // steps, fanning the channels out over the worker pool. Workers share
 // only read-only state (the rates/times scratch, the step and transfer
-// constants); every mutable array is partitioned by channel, so the
-// shards never touch the same cache line's worth of state twice. The
-// serial branch (effective workers == 1: explicit Workers==1, a
-// single-core host, or one channel) runs on the calling goroutine before
-// the fan-out closure is built, keeping that path allocation- and
-// goroutine-free.
+// constants); every mutable array is partitioned by channel, and worker
+// k takes the contiguous block of channels [k·C/w, (k+1)·C/w), so two
+// workers meet only at the one cache line a block edge may split. Handing
+// out single channels instead interleaves neighbours across workers,
+// and the pool then ran slower than serial. The serial branch (effective
+// workers == 1: explicit Workers==1, a single-core host, or one channel)
+// runs on the calling goroutine before the fan-out closure is built,
+// keeping that path allocation- and goroutine-free.
 func (b *Backend) runBatch(n int) {
-	if b.workers <= 1 || b.C == 1 {
+	w := b.workers
+	if w <= 1 || b.C == 1 {
 		for c := 0; c < b.C; c++ {
 			b.integrateChannel(c, n)
 		}
 		return
 	}
-	sim.FanOut(b.workers, b.C, func(c int) {
-		b.integrateChannel(c, n)
+	sim.FanOut(w, w, func(k int) {
+		for c := k * b.C / w; c < (k+1)*b.C/w; c++ {
+			b.integrateChannel(c, n)
+		}
 	})
 }
 
@@ -297,8 +302,8 @@ func (b *Backend) channelUsers(c int) float64 {
 
 // stepChannel advances one channel by one step starting at time t, with
 // external arrival rate lambda (pre-batched by integrateTo) and the
-// step's constants st — the engine's fused kernel. It allocates nothing:
-// all state and scratch was sized at New.
+// step's constants st — the engine's kernel. It allocates nothing: all
+// state and scratch was sized at New.
 //
 // The update is exact in dt for the linear flows: playback completions
 // and VCR jumps leave a cohort at the competing-exponential fractions in
@@ -308,17 +313,14 @@ func (b *Backend) channelUsers(c int) float64 {
 // jumps are lumped into the queues' inflow, which drainStep spreads
 // evenly over the step.
 //
-// Everything invariant within the step is hoisted out of the per-chunk
-// loops — config scalars, int→float conversions, the channel's slice
-// headers, resliced to one proven length so the loops carry no bounds
-// checks — and the per-step passes are fused: one loop computes the
-// viewer stock and cached-copy sum, the clear pass is folded into
-// arrival seeding (direct stores replace clear-then-add), and playback
-// completions and VCR jumps share one dense pass per transition row —
-// without reordering a single float operation. Every memory cell and
-// every scalar accumulator sees the exact per-step sequence the unfused
-// passes produce, apart from added +0 terms that change no value (see
-// step 2+3); the oracle test pins this bit for bit.
+// The step is a row pass over source chunks (cohorts out, feed sums,
+// stock sums) and a chunk pass over destination chunks (inflow gathered
+// along transT, drain, quality sums) around the peer split.
+//
+// Every state cell and scalar accumulator sees the operation sequence of
+// the unfused reference (per-pass loops and a scatter of completions
+// over the matrix's positive entries), apart from added +0 terms that
+// change no value; TestKernelMatchesOracle pins this bit for bit.
 //
 //cloudmedia:hotpath
 func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
@@ -335,161 +337,144 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 	owners := b.owners[base : base+J][:len(playing)]
 	cloudCap := b.cloudCap[base : base+J][:len(playing)]
 	peerCap := b.peerCap[base : base+J][:len(playing)]
-	inWait := b.inWait[base : base+J][:len(playing)]
-	inPlay := b.inPlay[base : base+J][:len(playing)]
+	flow := b.flow[base : base+J][:len(playing)]
+	rowSum := b.rowSum[:len(playing)]
+	transT := b.transT[:J*J]
 	feed := b.feeds[c]
+	completed := feed.completed[:len(playing)]
+	jumped := feed.jumped[:len(playing)]
 
-	// Viewer stock and cached-copy sum, fused into one pass. Each
-	// accumulator keeps its own index-ordered sequence; the copy sum is
-	// simply discarded for an empty channel.
-	var stock, copies float64
-	for j := range playing {
-		stock += playing[j] + waiting[j]
-		copies += owners[j]
-	}
-	// Average fraction of the library a viewer holds: the probability a
-	// VCR jump lands on a cached chunk and replays without a download.
-	ownedFrac := 0.0
-	if stock > 0 {
-		ownedFrac = copies / (stock * fJ)
-		if ownedFrac > 1 {
-			ownedFrac = 1
-		}
-	}
-
-	// 1. External arrivals: chunk 1 with probability α, uniform
-	// otherwise. Seeding stores directly, absorbing the old clear pass
-	// (rates are non-negative, so 0+x and x are the same value).
+	// External arrivals: chunk 1 with probability α, uniform otherwise.
 	arrivals := lambda * dt
 	feed.arrivals += arrivals
 	if b.cfg.OnArrivals != nil && arrivals > 0 {
 		b.cfg.OnArrivals(c, t, arrivals)
 	}
-	if J == 1 {
-		inWait[0] = arrivals
-		inPlay[0] = 0
-	} else {
+	first, rest := arrivals, 0.0
+	if J > 1 {
 		entry := cfg.EntryFirstChunk
-		inWait[0] = arrivals * entry
-		inPlay[0] = 0
-		rest := arrivals * (1 - entry) / float64(J-1)
-		for j := 1; j < len(inWait); j++ {
-			inWait[j] = rest
-			inPlay[j] = 0
-		}
+		first = arrivals * entry
+		rest = arrivals * (1 - entry) / float64(J-1)
 	}
 
-	// 2+3. Playback completions and VCR jumps, fused into one dense pass
-	// per transition row. Both leave the step-start cohort at their
-	// competing-exponential shares; completions flow along row j of the
-	// transfer matrix (the constant row sum gives the departing
-	// remainder) and jumps spread uniformly over the row. Each cell sees
-	// the per-cell sequence trow[k] + flow + per that a completion
-	// scatter over the positive entries followed by a jump pass over the
-	// row produces, because the terms the dense pass adds beyond them are
-	// +0 — a cell the matrix does not reach gets comp·0, a row with no
-	// jump gets per = 0 — and adding +0 changes no value except −0. The
-	// transition accumulators never hold −0: they start at +0 and receive
-	// only non-negative products. inWait holds −0 only after a −0 arrival
-	// rate, and every read of it adds a waiting count that is +0 or
-	// larger, so the sign of that zero never reaches a result. Cross-
-	// chunk state (inWait, transition rows) is only ever touched by its
-	// own chunk's iteration, so fusion changes no accumulation order.
-	transitions := feed.transitions[:J*J]
-	trans := b.trans[:J*J]
-	rowSum := b.rowSum[:len(playing)]
-	departed := feed.departures[:len(playing)]
+	// Row pass. Completions flow along row j of the transfer matrix (the
+	// constant row sum gives the departing remainder) and jumps spread
+	// uniformly over the row, both from the step-start cohort; the feed
+	// keeps their per-row sums and flow the completions for the gather.
+	// present is the mid-step stock the peer split budgets from. Each
+	// accumulator keeps its own index-ordered sequence.
 	compFrac, jumpFrac := st.comp, st.jump
-	var departures, jumpTotal float64
+	var stock, copies, present, departures, jumpTotal float64
 	for j := range playing {
 		p := playing[j]
+		w := waiting[j]
+		stock += p + w
+		copies += owners[j]
 		comp := p * compFrac
 		jump := p * jumpFrac
+		out := 0.0
 		if comp > 0 {
 			leave := comp * (1 - rowSum[j])
 			if leave < 0 {
 				leave = 0
 			}
-			departed[j] += leave
 			departures += leave
+			completed[j] += comp
 			p -= comp
+			out = comp
 		}
-		// Uniform jump destination; a cached destination replays
-		// immediately (no download), an uncached one queues.
-		per := 0.0
 		if jump > 0 {
 			jumpTotal += jump
+			jumped[j] += jump
 			p -= jump
-			per = jump / fJ
 		}
 		playing[j] = p
-		// A jump without a completion means comp underflowed to +0, so
-		// comp is never negative here and its flows are +0 or positive.
-		if comp > 0 || jump > 0 {
-			row := j * J
-			prow := trans[row : row+J]
-			trow := transitions[row : row+J][:len(prow)]
-			dst := inWait[:len(prow)]
-			for k, pk := range prow {
-				flow := comp * pk
-				trow[k] = trow[k] + flow + per
-				dst[k] += flow
-			}
-		}
+		flow[j] = out
+		present += p + w
 	}
+	// Average fraction of the library a viewer holds: the probability a
+	// VCR jump lands on a cached chunk and replays without a download.
+	// Uniform jump destinations: a cached one replays at once (perHit),
+	// an uncached one queues (perMiss).
+	var perHit, perMiss float64
 	if jumpTotal > 0 {
-		perHit := jumpTotal * ownedFrac / fJ
-		perMiss := jumpTotal * (1 - ownedFrac) / fJ
-		for k := range inPlay {
-			inPlay[k] += perHit
-			inWait[k] += perMiss
+		ownedFrac := 0.0
+		if stock > 0 {
+			ownedFrac = min(copies/(stock*fJ), 1)
 		}
+		perHit = jumpTotal * ownedFrac / fJ
+		perMiss = jumpTotal * (1 - ownedFrac) / fJ
 	}
 
-	// 4. Remove the departing viewers' cached copies (each departing
-	// viewer holds owners[j]/stock of chunk j on average).
+	// Remove the departing viewers' cached copies (each departing viewer
+	// holds owners[j]/stock of chunk j on average).
 	if departures > 0 && stock > 0 {
-		f := departures / stock
-		if f > 1 {
-			f = 1
-		}
+		f := min(departures/stock, 1)
 		for j := range owners {
 			owners[j] -= owners[j] * f
 		}
 	}
 
-	// 5. Allocate peer uplink for this step (P2P only): the fluid
+	// Allocate peer uplink for this step (P2P only): the fluid
 	// counterpart of the event engine's 30-second rebalance, run every
 	// step because it is O(J) when owner counts drift slowly.
 	if b.cfg.Mode == sim.P2P {
-		b.allocatePeers(c)
+		b.allocatePeers(c, present)
 	}
 
-	// 6. Serve the download queues: each chunk drains at the provisioned
-	// capacity, bounded by a per-download rate of R (drainStep).
-	// Completions move viewers into the playing cohort and add cached
-	// copies.
+	// Chunk pass: gather each queue's inflow and serve it. Each chunk
+	// drains at the provisioned capacity, bounded by a per-download rate
+	// of R (drainStep). Completions move viewers into the playing cohort
+	// and add cached copies. The gather adds flow[j]·P[j][k] in source
+	// order j, the order the reference scatter reaches cell k in; the
+	// terms the scatter skips are +0 (DESIGN.md "Column gather").
 	served := b.cloudBytesServed[c]
 	invDt := st.invDt
 	var demandBps, servedBps float64
-	for j := range playing {
-		q0 := waiting[j]
-		in := inWait[j]
+	for k := range playing {
+		in := rest
+		if k == 0 {
+			in = first
+		}
+		col := transT[k*J : k*J+J][:len(flow)]
+		for j, pjk := range col {
+			in += flow[j] * pjk
+		}
+		in += perMiss
+
+		q0 := waiting[k]
 		queue := q0 + in
 		if queue <= 0 {
-			waiting[j] = 0
-			playing[j] += inPlay[j]
+			waiting[k] = 0
+			playing[k] += perHit
 			continue
 		}
-		capJ := cloudCap[j] + peerCap[j]
-		drained, backlog := drainStep(q0, in, capJ, st)
+		capJ := cloudCap[k] + peerCap[k]
+		// drainStep, with its two one-regime cases inlined: the call
+		// costs ~5% of BenchmarkFluidStep.
+		var drained, backlog float64
+		if q0*st.rate < capJ {
+			drained = q0*st.qGone + in*st.inGone
+			if (queue-drained)*st.rate <= capJ {
+				backlog = drained * st.invKdt
+			} else {
+				drained, backlog = drainRise(q0, in, capJ, st)
+			}
+		} else {
+			drained = capJ * st.dtOverB
+			if (queue-drained)*st.rate >= capJ {
+				backlog = 0.5 * (q0 + queue - drained)
+			} else {
+				drained, backlog = drainFall(q0, in, capJ, st)
+			}
+		}
 		bytes := drained * B
-		peerShare := min(bytes, peerCap[j]*dt)
+		peerShare := min(bytes, peerCap[k]*dt)
 		served += bytes - peerShare
 
-		waiting[j] = queue - drained
-		playing[j] += drained + inPlay[j]
-		owners[j] += drained
+		waiting[k] = queue - drained
+		playing[k] += drained + perHit
+		owners[k] += drained
 
 		// Smoothness pressure: the bandwidth needed to serve this step's
 		// requests plus the step's mean backlog within the
@@ -505,7 +490,7 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 	}
 	b.cloudBytesServed[c] = served
 
-	// 7. Windowed quality: exponential window matching the event engine's
+	// Windowed quality: exponential window matching the event engine's
 	// trailing stall window.
 	instant := 1.0
 	if demandBps > 0 {
@@ -518,10 +503,10 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 // the fluid counterpart of the event engine's rebalance: rarest-first
 // visits chunks by ascending copy count; proportional splits by demand.
 // Each chunk draws at most owners×meanUplink (only cached copies can
-// upload) and at most the remaining budget. The viewer stock is re-read
-// here — mid-step, after completions and jumps drained the playing
-// cohorts — because the uplink budget must reflect the viewers actually
-// present while the queues drain.
+// upload) and at most the remaining budget. The budget comes from n, the
+// viewer stock the row pass summed mid-step — after completions and
+// jumps drained the playing cohorts — because it must reflect the
+// viewers actually present while the queues drain.
 //
 // A chunk's demand is its step-start queue's download rate, waiting×R.
 // The step's inflow is not counted: drainStep spreads it over the step,
@@ -529,46 +514,34 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 // by a term that grows with dt.
 //
 //cloudmedia:hotpath
-func (b *Backend) allocatePeers(c int) {
+func (b *Backend) allocatePeers(c int, n float64) {
 	J := b.J
 	base := c * J
 	peerCap := b.peerCap[base : base+J]
-	playing := b.playing[base : base+J][:len(peerCap)]
+	if n <= 0 {
+		clear(peerCap)
+		return
+	}
 	waiting := b.waiting[base : base+J][:len(peerCap)]
 	owners := b.owners[base : base+J][:len(peerCap)]
-	demand := b.demand[base : base+J][:len(peerCap)]
 	order := b.order[base : base+J]
 	R := b.cfg.Channel.VMBandwidth
 	mu := b.meanUplink
-
-	// The viewer stock (accumulated in index order, as channelUsers does)
-	// and the per-chunk download demand in one pass. demand is scratch
-	// read only below, so filling it for an empty channel is harmless.
-	var n float64
-	for j := range peerCap {
-		n += playing[j] + waiting[j]
-		demand[j] = waiting[j] * R
-	}
-	if n <= 0 {
-		for j := range peerCap {
-			peerCap[j] = 0
-		}
-		return
-	}
 	budget := n * mu
 
 	if b.cfg.Scheduling == sim.Proportional {
 		var total float64
 		for j := range peerCap {
 			if owners[j] > 0 {
-				total += demand[j]
+				total += waiting[j] * R
 			}
 		}
 		for j := range peerCap {
 			take := 0.0
 			if owners[j] > 0 && total > 0 {
-				share := budget * demand[j] / total
-				take = min(demand[j], share, owners[j]*mu)
+				demand := waiting[j] * R
+				share := budget * demand / total
+				take = min(demand, share, owners[j]*mu)
 			}
 			peerCap[j] = take
 		}
@@ -605,7 +578,7 @@ func (b *Backend) allocatePeers(c int) {
 	for _, j := range order {
 		take := 0.0
 		if owners[j] > 0 && budget > 0 {
-			take = demand[j]
+			take = waiting[j] * R
 			if budget < take {
 				take = budget
 			}

@@ -49,9 +49,10 @@ func TestPopulationBalance(t *testing.T) {
 
 	var arrived, departed, stock float64
 	for c := 0; c < b.C; c++ {
-		arrived += b.feeds[c].arrivals
-		for _, d := range b.feeds[c].departures {
-			departed += d
+		f := b.feeds[c]
+		arrived += f.arrivals
+		for i, comp := range f.completed {
+			departed += max(comp*(1-f.rowSum[i]), 0)
 		}
 		stock += b.channelUsers(c)
 	}
@@ -252,10 +253,12 @@ func TestFeedMatrixNormalized(t *testing.T) {
 // without one), never the previous call's row, and a steady call
 // allocates nothing.
 func TestFeedMatrixReusesStorage(t *testing.T) {
-	f := newFeed(3)
-	f.transitions[0*3+1] = 2 // chunk 0 → 1 twice; chunk 0 → exit once
-	f.departures[0] = 1
-	f.transitions[1*3+2] = 4 // chunk 1 → 2; chunk 2 unobserved
+	// Chunk 0 goes on to 1 with probability 2/3 and leaves otherwise,
+	// chunk 1 always goes on to 2, and chunk 2 is never reached.
+	trans := []float64{0, 2.0 / 3, 0, 0, 0, 1, 0, 0, 0}
+	f := newFeed(3, trans, []float64{2.0 / 3, 1, 0})
+	f.completed[0] = 3 // chunk 0 → 1 twice; chunk 0 → exit once
+	f.completed[1] = 4 // chunk 1 → 2; chunk 2 unobserved
 	fallback := queueing.TransferMatrix{{0, 0.5, 0}, {0, 0, 1}, {0.25, 0, 0}}
 	first, err := f.Matrix(fallback)
 	if err != nil {

@@ -12,21 +12,75 @@ import (
 
 // oracleKernel is a reference copy of the fluid step kernel in its
 // straightforward form: completions scatter through a CSR index of the
-// transfer matrix's positive entries, VCR jumps take a second pass over
-// the transition row, every queue drains through drainStep, the
-// rarest-first order is re-sorted from the identity on every step, and
-// draws use the built-in min. The production kernel must reproduce it
-// bit for bit (TestKernelMatchesOracle).
+// transfer matrix's positive entries into an inflow scratch, VCR jumps
+// join that scratch in a separate pass after every row's completions,
+// every queue drains through drainStep, the rarest-first order is
+// re-sorted from the identity on every step, and draws use the built-in
+// min. The production kernel must reproduce its state bit for bit
+// (TestKernelMatchesOracle).
+//
+// The oracle also keeps the reference feed: the per-step J×J transition
+// accumulator and per-row departures of each channel, from which
+// refMatrix estimates the transfer matrix the way the feed once did.
+// The production feed keeps per-row sums instead, and
+// TestFeedMatrixMatchesReference holds its Matrix to this one.
 type oracleKernel struct {
+	p      queueing.TransferMatrix
 	rowSum []float64
 	nzOff  []int
 	nzK    []int
 	nzP    []float64
+
+	inWait, inPlay, demand []float64 // per-step scratch, J each
+	ref                    []refFeed // per channel
 }
 
-func newOracleKernel(p queueing.TransferMatrix) *oracleKernel {
+// refFeed is one channel's reference transition accumulator:
+// transitions[i*J+k] is the flow that finished or jumped away from chunk
+// i and then fetched k, departures[i] the flow that finished i and left.
+type refFeed struct {
+	transitions, departures []float64
+}
+
+func (r refFeed) reset() {
+	clear(r.transitions)
+	clear(r.departures)
+}
+
+// add accumulates one step's completion and jump flow out of chunk i as
+// the kernel's reference does: completions along the positive entries of
+// row i, the remainder departing, and jumps uniformly over the row.
+func (r refFeed) add(p queueing.TransferMatrix, rowSum float64, i int, comp, jump float64) {
 	J := len(p)
-	o := &oracleKernel{rowSum: make([]float64, J), nzOff: make([]int, J+1)}
+	if comp > 0 {
+		for k, v := range p[i] {
+			if v > 0 {
+				r.transitions[i*J+k] += comp * v
+			}
+		}
+		r.departures[i] += max(comp*(1-rowSum), 0)
+	}
+	if jump > 0 {
+		per := jump / float64(J)
+		for k := 0; k < J; k++ {
+			r.transitions[i*J+k] += per
+		}
+	}
+}
+
+func newOracleKernel(p queueing.TransferMatrix, C int) *oracleKernel {
+	J := len(p)
+	o := &oracleKernel{
+		p:      p,
+		rowSum: make([]float64, J),
+		nzOff:  make([]int, J+1),
+		inWait: make([]float64, J),
+		inPlay: make([]float64, J),
+		demand: make([]float64, J),
+	}
+	for c := 0; c < C; c++ {
+		o.ref = append(o.ref, refFeed{make([]float64, J*J), make([]float64, J)})
+	}
 	for j := 0; j < J; j++ {
 		o.nzOff[j] = len(o.nzK)
 		for k := 0; k < J; k++ {
@@ -57,9 +111,10 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 	owners := b.owners[base : base+J]
 	cloudCap := b.cloudCap[base : base+J]
 	peerCap := b.peerCap[base : base+J]
-	inWait := b.inWait[base : base+J]
-	inPlay := b.inPlay[base : base+J]
+	inWait := o.inWait
+	inPlay := o.inPlay
 	feed := b.feeds[c]
+	ref := o.ref[c]
 
 	var stock, copies float64
 	for j := 0; j < J; j++ {
@@ -100,36 +155,26 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 	// 2. Playback completions along the transfer matrix's live entries,
 	// the remainder departing; 3. VCR jumps from the same step-start
 	// cohort, spread uniformly over the transition row.
-	transitions := feed.transitions
 	var departures, jumpTotal float64
 	for j := 0; j < J; j++ {
 		p := playing[j]
 		comp := p * st.comp
 		jump := p * st.jump
+		ref.add(o.p, o.rowSum[j], j, comp, jump)
 		if comp > 0 {
-			row := j * J
 			for i := o.nzOff[j]; i < o.nzOff[j+1]; i++ {
-				k := o.nzK[i]
-				flow := comp * o.nzP[i]
-				transitions[row+k] += flow
-				inWait[k] += flow
+				inWait[o.nzK[i]] += comp * o.nzP[i]
 			}
 			leave := comp * (1 - o.rowSum[j])
 			if leave < 0 {
 				leave = 0
 			}
-			feed.departures[j] += leave
 			departures += leave
 			p -= comp
 		}
 		if jump > 0 {
 			jumpTotal += jump
 			p -= jump
-			per := jump / fJ
-			trow := transitions[j*J : (j+1)*J]
-			for k := 0; k < J; k++ {
-				trow[k] += per
-			}
 		}
 		playing[j] = p
 	}
@@ -207,7 +252,7 @@ func (o *oracleKernel) allocatePeers(b *Backend, c int) {
 	}
 	waiting := b.waiting[base : base+J]
 	owners := b.owners[base : base+J]
-	demand := b.demand[base : base+J]
+	demand := o.demand
 	order := b.order[base : base+J]
 	R := b.cfg.Channel.VMBandwidth
 	budget := n * b.meanUplink
@@ -321,7 +366,7 @@ func newKernelPair(t *testing.T, rng *rand.Rand, J int, mode sim.Mode, sched sim
 	if err != nil {
 		t.Fatal(err)
 	}
-	kp := kernelPair{fast: fast, ref: ref, oracle: newOracleKernel(cfg.Transfer)}
+	kp := kernelPair{fast: fast, ref: ref, oracle: newOracleKernel(cfg.Transfer, fast.C)}
 	if !zeroCap {
 		kp.setCaps(t, rng)
 	}
@@ -358,10 +403,11 @@ func (kp kernelPair) tieOwners() {
 	}
 }
 
-// compare fails on the first state array or accumulator whose bits
-// differ. demand is scratch the oracle leaves stale for an empty channel,
-// so it is not state; order is, since both kernels keep it across steps
-// and must agree on the sorted permutation.
+// compare fails on the first state array whose bits differ. order is
+// state, since both kernels keep it across steps and must agree on the
+// sorted permutation. The feed's transition sums are not: the oracle
+// keeps the reference J×J accumulator instead, and compareMatrix holds
+// the two estimates to each other.
 func (kp kernelPair) compare(t *testing.T, step int) {
 	t.Helper()
 	f, r := kp.fast, kp.ref
@@ -373,8 +419,6 @@ func (kp kernelPair) compare(t *testing.T, step int) {
 		{"waiting", f.waiting, r.waiting},
 		{"owners", f.owners, r.owners},
 		{"peerCap", f.peerCap, r.peerCap},
-		{"inWait", f.inWait, r.inWait},
-		{"inPlay", f.inPlay, r.inPlay},
 		{"cloudBytesServed", f.cloudBytesServed, r.cloudBytesServed},
 		{"smooth", f.smooth, r.smooth},
 	} {
@@ -388,24 +432,38 @@ func (kp kernelPair) compare(t *testing.T, step int) {
 		}
 	}
 	for c := range f.feeds {
-		ff, rf := f.feeds[c], r.feeds[c]
-		if !testutil.SameBits([]float64{ff.arrivals}, []float64{rf.arrivals}) ||
-			!testutil.SameBits(ff.transitions, rf.transitions) ||
-			!testutil.SameBits(ff.departures, rf.departures) {
-			t.Fatalf("step %d channel %d: feed accumulators differ from the oracle", step, c)
+		if !testutil.SameBits([]float64{f.feeds[c].arrivals}, []float64{r.feeds[c].arrivals}) {
+			t.Fatalf("step %d channel %d: arrivals differ from the oracle", step, c)
 		}
 	}
 }
 
-// TestKernelMatchesOracle drives the production kernel and the oracle
-// through the same seeded steps and requires every state array and feed
-// accumulator to agree bit for bit after each one. It covers random
-// substochastic matrices (sparse, dense and all-zero rows), chunk counts
-// from 1 to 20, owner ties at zero (the empty start) and later ties,
-// rarest-first, proportional and client-server (no peer step) modes,
-// zero capacity, mid-run capacity changes and feed resets, at full and
-// partial steps.
-func TestKernelMatchesOracle(t *testing.T) {
+// compareMatrix holds every channel's feed.Matrix to the matrix the
+// oracle's reference accumulator estimates.
+func (kp kernelPair) compareMatrix(t *testing.T, step int) {
+	t.Helper()
+	J := kp.fast.J
+	fallback := distinctFallback(J)
+	for c, f := range kp.fast.feeds {
+		got, err := f.Matrix(fallback)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, totals := refMatrix(kp.oracle.ref[c], J, fallback)
+		if msg := matrixMismatch(got, want, totals, fallback); msg != "" {
+			t.Fatalf("step %d channel %d: %s", step, c, msg)
+		}
+	}
+}
+
+// forEachOracleCase runs every oracle scenario — random substochastic
+// matrices (sparse, dense and all-zero rows), chunk counts from 1 to 20,
+// owner ties at zero (the empty start) and later ties, rarest-first,
+// proportional and client-server (no peer step) modes, zero capacity,
+// mid-run capacity changes and feed resets, at full and partial steps —
+// stepping the production kernel and the oracle alike, and calls check
+// after every step.
+func forEachOracleCase(t *testing.T, check func(kp kernelPair, t *testing.T, step int)) {
 	const steps = 240
 	modes := []struct {
 		name  string
@@ -441,12 +499,13 @@ func TestKernelMatchesOracle(t *testing.T) {
 							kp.oracle.stepChannel(kp.ref, c, now, dt, lambda)
 						}
 						now += dt
-						kp.compare(t, s)
+						check(kp, t, s)
 						switch {
 						case s%60 == 59:
 							for c := range kp.fast.feeds {
 								kp.fast.feeds[c].Reset()
 								kp.ref.feeds[c].Reset()
+								kp.oracle.ref[c].reset()
 							}
 						case s%50 == 49 && !zeroCap:
 							kp.setCaps(t, rng)
@@ -458,4 +517,20 @@ func TestKernelMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelMatchesOracle drives the production kernel and the oracle
+// through the same seeded steps and requires every state array and the
+// feed's arrivals to agree bit for bit after each one.
+func TestKernelMatchesOracle(t *testing.T) {
+	forEachOracleCase(t, kernelPair.compare)
+}
+
+// TestFeedMatrixMatchesReference holds the feed's estimated transfer
+// matrix, rebuilt from per-row completion and jump sums, to the one the
+// reference J×J accumulator gives, after every step of every oracle
+// case: within feedMatrixTol per cell, with the same fallback choice on
+// every row.
+func TestFeedMatrixMatchesReference(t *testing.T) {
+	forEachOracleCase(t, kernelPair.compareMatrix)
 }

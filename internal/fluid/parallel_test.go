@@ -59,8 +59,7 @@ type fluidState struct {
 	Playing, Waiting, Owners []float64
 	CloudBytes, Smooth       []float64
 	Arrivals                 []float64
-	Transitions              [][]float64
-	Departures               [][]float64
+	Completed, Jumped        [][]float64
 	Quality                  sim.QualitySample
 	TotalUsers               int
 	TotalServed              float64
@@ -81,8 +80,8 @@ func snapshot(b *Backend) fluidState {
 	}
 	for c := 0; c < b.C; c++ {
 		st.Arrivals = append(st.Arrivals, b.feeds[c].arrivals)
-		st.Transitions = append(st.Transitions, append([]float64(nil), b.feeds[c].transitions...))
-		st.Departures = append(st.Departures, append([]float64(nil), b.feeds[c].departures...))
+		st.Completed = append(st.Completed, append([]float64(nil), b.feeds[c].completed...))
+		st.Jumped = append(st.Jumped, append([]float64(nil), b.feeds[c].jumped...))
 	}
 	return st
 }

@@ -84,7 +84,7 @@ type kernelState struct {
 	playing, waiting, owners, peerCap []float64
 	cloudBytes, smooth                []float64
 	arrivals                          []float64
-	transitions, departures           [][]float64
+	completed, jumped                 [][]float64
 	order                             []int
 }
 
@@ -100,8 +100,8 @@ func saveKernelState(b *Backend) *kernelState {
 	}
 	for _, f := range b.feeds {
 		s.arrivals = append(s.arrivals, f.arrivals)
-		s.transitions = append(s.transitions, append([]float64(nil), f.transitions...))
-		s.departures = append(s.departures, append([]float64(nil), f.departures...))
+		s.completed = append(s.completed, append([]float64(nil), f.completed...))
+		s.jumped = append(s.jumped, append([]float64(nil), f.jumped...))
 	}
 	return s
 }
@@ -116,8 +116,8 @@ func (s *kernelState) restore(b *Backend) {
 	copy(b.order, s.order)
 	for c, f := range b.feeds {
 		f.arrivals = s.arrivals[c]
-		copy(f.transitions, s.transitions[c])
-		copy(f.departures, s.departures[c])
+		copy(f.completed, s.completed[c])
+		copy(f.jumped, s.jumped[c])
 	}
 }
 

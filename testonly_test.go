@@ -30,6 +30,9 @@ var testOnlyAllowed = map[string]string{
 		"provisions its peak state through it",
 	"cloudmedia/internal/cloud.Cloud.TotalActiveVMs": "the gated BenchmarkBrokerApply in scripts/bench.sh " +
 		"queries the serving fleet through it",
+	"cloudmedia/internal/cloud.Ledger.Diagnostics": "the ledger's notes (infeasible budgets, failed storage " +
+		"plans, spot interruptions) have no run-level reader until the run journal surfaces them; " +
+		"the ledger and policy-seam tests assert them through it",
 }
 
 // TestNoTestOnlyInternalAPI fails when an exported function, method or
