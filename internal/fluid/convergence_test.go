@@ -8,6 +8,7 @@ import (
 	"cloudmedia/internal/core"
 	"cloudmedia/internal/fluid"
 	"cloudmedia/internal/modes"
+	"cloudmedia/internal/sim"
 	"cloudmedia/internal/stack"
 	"cloudmedia/internal/workload"
 )
@@ -25,9 +26,10 @@ const (
 // hour 2 of a 4-hour run, on 4 channels at a million-viewer base scale —
 // small enough that no chunk needs more than the sizing search's server
 // cap, so the controller plans every channel at its measured demand. A
-// positive dt overrides the engine's step; zero keeps the default. It
-// returns the mean sampled quality and the bill.
-func peakDay(t *testing.T, dt float64) (quality, bill float64) {
+// positive dt overrides the engine's step; zero keeps the default. A
+// non-nil tweak edits the scenario before it is built. It returns the
+// mean sampled quality and the bill.
+func peakDay(t *testing.T, dt float64, tweak func(*stack.Spec)) (quality, bill float64) {
 	t.Helper()
 	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Fidelity = modes.FidelityFluid
@@ -42,6 +44,9 @@ func peakDay(t *testing.T, dt float64) (quality, bill float64) {
 		{Name: "mega-b", MaxVMs: 4_200_000, PricePerHour: 0.60, Utility: 0.9},
 	}
 	sc.Workers = 1
+	if tweak != nil {
+		tweak(&sc)
+	}
 	demandErrors := 0
 	sys, err := stack.Build(stack.Scenario{
 		Spec:       sc,
@@ -80,7 +85,7 @@ func TestStepConvergence(t *testing.T) {
 	quality := make([]float64, len(steps))
 	bill := make([]float64, len(steps))
 	for i, dt := range steps {
-		quality[i], bill[i] = peakDay(t, dt)
+		quality[i], bill[i] = peakDay(t, dt, nil)
 		t.Logf("dt %5.3g s: quality %.6f, bill $%.2f", dt, quality[i], bill[i])
 	}
 	for i := 0; i+2 < len(steps); i++ {
@@ -94,7 +99,7 @@ func TestStepConvergence(t *testing.T) {
 	n := len(steps)
 	limitQ := 2*quality[n-1] - quality[n-2]
 	limitBill := 2*bill[n-1] - bill[n-2]
-	q, b := peakDay(t, 0)
+	q, b := peakDay(t, 0, nil)
 	t.Logf("default step: quality %.6f (error %.5f, Euler at 1 s %.5f), bill $%.2f (error $%.2f, Euler at 1 s $%.2f)",
 		q, q-limitQ, eulerQuality-limitQ, b, b-limitBill, eulerBill-limitBill)
 	if math.Abs(q-limitQ) > math.Abs(eulerQuality-limitQ) {
@@ -104,5 +109,46 @@ func TestStepConvergence(t *testing.T) {
 	if math.Abs(b-limitBill) > math.Abs(eulerBill-limitBill) {
 		t.Errorf("default step's bill $%.2f is $%.2f from the dt → 0 estimate $%.2f, the Euler kernel's at 1 s only $%.2f",
 			b, b-limitBill, limitBill, eulerBill-limitBill)
+	}
+}
+
+// TestStepConvergenceAcrossScenarios holds the default step to half of
+// TestStepConvergence's bar on variants of its peak day, one knob apart
+// each: the default step's quality must lie within half the Euler
+// kernel's 1 s error of the first-order Richardson estimate from 0.25 s
+// and 0.125 s steps. The variants move what the step's error rests on:
+// the peer split (client-server has none, proportional scheduling and a
+// halved uplink change it), the crowd's growth (a steeper flash crowd),
+// the cohorts' time constants (rarer jumps, shorter chunks) and the
+// queues' scale (a 10k-viewer base).
+func TestStepConvergenceAcrossScenarios(t *testing.T) {
+	rows := []struct {
+		name  string
+		tweak func(*stack.Spec)
+	}{
+		{"peak day", nil},
+		{"client-server", func(sc *stack.Spec) { sc.Mode = modes.ClientServer }},
+		{"proportional", func(sc *stack.Spec) { sc.Scheduling = sim.Proportional }},
+		{"flash amplitude 3", func(sc *stack.Spec) { sc.Workload.FlashCrowds[0].Amplitude = 3 }},
+		{"jump mean 900 s", func(sc *stack.Spec) { sc.Workload.JumpMeanSeconds = 900 }},
+		{"16 chunks of 40 s", func(sc *stack.Spec) { sc.Channel.Chunks, sc.Channel.ChunkSeconds = 16, 40 }},
+		{"uplink ratio 0.5", func(sc *stack.Spec) { sc.UplinkRatio = 0.5 }},
+		{"10k-viewer base", func(sc *stack.Spec) { sc.Workload.BaseArrivalRate = stack.BaseRateForViewers(1e4) }},
+	}
+	// Half of TestStepConvergence's bar: the Euler kernel's 1 s quality
+	// error on the peak day, 0.0089.
+	const bar = 0.0045
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			qFine, _ := peakDay(t, 0.25, row.tweak)
+			qFinest, _ := peakDay(t, 0.125, row.tweak)
+			est := 2*qFinest - qFine
+			q, _ := peakDay(t, 0, row.tweak)
+			t.Logf("default step: quality %.6f, dt → 0 estimate %.6f, error %.2e (bar %.2e)", q, est, q-est, bar)
+			if math.Abs(q-est) > bar {
+				t.Errorf("default step's quality %v is %.5f from the dt → 0 estimate %v, more than half the Euler kernel's 1 s error (%v)",
+					q, q-est, est, bar)
+			}
+		})
 	}
 }

@@ -20,7 +20,8 @@
 // A channel's step is a row pass (completions and jumps leave each
 // playing cohort) and a chunk pass (each queue gathers its inflow along
 // the transfer matrix P, drains, and scores quality) around the peer
-// split. The measurement feed keeps per source chunk only the completion
+// split, which budgets from the step's mean viewer stock: the trapezoid
+// of the stock before and after the row pass. The measurement feed keeps per source chunk only the completion
 // and jump sums Cᵢ and Uᵢ, and rebuilds the transitions once per read as
 // Tᵢₖ = Pᵢₖ·Cᵢ + Uᵢ/J.
 //

@@ -17,7 +17,7 @@ import (
 // rounds to within about n·ε relative, so over an n-step interval a cell
 // and its row total each move by a few n·ε and the normalized cell by
 // their sum. 1e-12 covers intervals of several thousand steps; a control
-// round of an hour is 1,200 steps of 3 s.
+// round of an hour is 360 steps of 10 s.
 const feedMatrixTol = 1e-12
 
 // refMatrix estimates the transfer matrix from a reference accumulator

@@ -10,18 +10,24 @@ import (
 )
 
 // stepSeconds is the integration step. The kernel integrates the linear
-// flows exactly over a step (see stepConst and drainStep), so the step
-// bounds accuracy, not stability. It is the largest divisor of a minute
-// whose error TestStepConvergence accepts: no larger than a 1 s explicit
-// Euler step's (DESIGN.md "Engine fidelities" has the table).
-const stepSeconds = 3
+// flows exactly over a step (see stepConst and drainStep) and budgets the
+// peer split from the step's mean viewer stock (see allocatePeers), so
+// the step bounds accuracy, not stability. At 10 s the quality error on
+// TestStepConvergence's peak day is about a ninth of that test's bar (a
+// 1 s explicit Euler step's error), and on every variant
+// TestStepConvergenceAcrossScenarios runs it is within half of the bar.
+// A 15 s step passes both tests too, with errors about twice as large;
+// 10 s keeps the margin (DESIGN.md "Engine fidelities" has the tables).
+const stepSeconds = 10
 
-// batchSteps caps how many steps one worker fan-out integrates before
-// the pool re-synchronizes. The cap bounds the per-step rates scratch
-// (batchSteps × channels floats) while still amortizing the pool handoff
-// over hundreds of steps: with the default 3 s step and 900 s samples a
-// 24 h day pays ~200 handoffs instead of 28 800.
-const batchSteps = 256
+// batchSeconds is the simulated time one worker fan-out integrates
+// before the pool re-synchronizes: the default sampling period, whose
+// barriers cut every batch anyway. New sizes the per-step scratch to
+// the steps of one such period (ceil(batchSeconds/step) × channels
+// floats), which amortizes the pool handoff over every step between two
+// samples: a 24 h day at the default 10 s step pays ~100 handoffs
+// instead of 8 640.
+const batchSeconds = 900
 
 // Backend integrates the fluid-cohort model. It implements sim.Backend,
 // so the provisioning controller and the public run loop drive it exactly
@@ -85,11 +91,13 @@ type Backend struct {
 	workers int
 
 	// Batched-step scratch: integrateTo pre-resolves up to batchSteps
-	// steps serially — per-step start times, the step constants, and the
-	// full arrival-rate matrix rates[s*C+c] — then fans the channels out
-	// over the worker pool, each integrating through the whole batch.
+	// steps (one batchSeconds period) serially — per-step start times,
+	// the step constants, and the full arrival-rate matrix rates[s*C+c]
+	// — then fans the channels out over the worker pool, each
+	// integrating through the whole batch.
 	// Every step of a batch but the last is a full step; the last is cut
 	// short when the barrier falls inside it, so it has its own constants.
+	batchSteps int
 	rates      []float64
 	times      []float64
 	full, last stepConst
@@ -119,7 +127,6 @@ func New(cfg sim.Config) (*Backend, error) {
 	b := &Backend{
 		cfg:        sc,
 		src:        src,
-		step:       step,
 		engine:     sim.NewEngine(),
 		meanUplink: sc.Workload.PeerUplink.Mean(),
 		C:          C,
@@ -168,9 +175,17 @@ func New(cfg sim.Config) (*Backend, error) {
 		b.smooth[c] = 1
 		b.feeds[c] = newFeed(J, trans, b.rowSum)
 	}
-	b.rates = make([]float64, batchSteps*C)
-	b.times = make([]float64, batchSteps)
+	b.setStep(step)
 	return b, nil
+}
+
+// setStep sets the integration step and sizes the batch scratch to the
+// steps of one batchSeconds period.
+func (b *Backend) setStep(dt float64) {
+	b.step = dt
+	b.batchSteps = int(math.Ceil(batchSeconds / dt))
+	b.rates = make([]float64, b.batchSteps*b.C)
+	b.times = make([]float64, b.batchSteps)
 }
 
 // Now returns the simulated clock in seconds.
@@ -197,7 +212,7 @@ func (b *Backend) RunUntil(t float64) {
 }
 
 // integrateTo advances the ODE state to time t with fixed steps, batched
-// between control barriers: up to batchSteps steps are resolved serially
+// between control barriers: up to b.batchSteps steps are resolved serially
 // (start times, step constants and the arrival-rate matrix, fillRates),
 // then every channel integrates through the whole batch on the worker
 // pool. Channels are independent within a span — arrival rates are
@@ -212,7 +227,7 @@ func (b *Backend) integrateTo(t float64) {
 		now := b.now
 		n := 0
 		dt := b.step
-		for now < t && n < batchSteps {
+		for now < t && n < b.batchSteps {
 			if now+dt > t {
 				dt = t - now
 			}
@@ -361,7 +376,8 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 	// constant row sum gives the departing remainder) and jumps spread
 	// uniformly over the row, both from the step-start cohort; the feed
 	// keeps their per-row sums and flow the completions for the gather.
-	// present is the mid-step stock the peer split budgets from. Each
+	// stock and present are the viewer stock before and after the
+	// cohorts' outflow; the peer split budgets from their mean. Each
 	// accumulator keeps its own index-ordered sequence.
 	compFrac, jumpFrac := st.comp, st.jump
 	var stock, copies, present, departures, jumpTotal float64
@@ -419,7 +435,7 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 	// counterpart of the event engine's 30-second rebalance, run every
 	// step because it is O(J) when owner counts drift slowly.
 	if b.cfg.Mode == sim.P2P {
-		b.allocatePeers(c, present)
+		b.allocatePeers(c, 0.5*(stock+present))
 	}
 
 	// Chunk pass: gather each queue's inflow and serve it. Each chunk
@@ -503,10 +519,16 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 // the fluid counterpart of the event engine's rebalance: rarest-first
 // visits chunks by ascending copy count; proportional splits by demand.
 // Each chunk draws at most owners×meanUplink (only cached copies can
-// upload) and at most the remaining budget. The budget comes from n, the
-// viewer stock the row pass summed mid-step — after completions and
-// jumps drained the playing cohorts — because it must reflect the
-// viewers actually present while the queues drain.
+// upload) and at most the remaining budget, n×meanUplink. The caller
+// passes n as the step's mean viewer stock: the trapezoid of the stock
+// at the step start and after completions and jumps left the playing
+// cohorts. Either end alone is off by a term proportional to dt, with
+// opposite signs — the step-start stock still counts the viewers who
+// depart during the step, the later one misses those on their way to a
+// queue — and their first-order terms cancel in the mean.
+// TestStepConvergence's peak day shows it: at a 3 s step the quality is
+// 0.0073 above its dt → 0 estimate when budgeted from the start stock,
+// 0.0068 below from the later one, and 0.00013 above from the mean.
 //
 // A chunk's demand is its step-start queue's download rate, waiting×R.
 // The step's inflow is not counted: drainStep spreads it over the step,

@@ -198,9 +198,10 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 		}
 	}
 
-	// 5. Allocate peer uplink (P2P only).
+	// 5. Allocate peer uplink (P2P only), budgeted from the mean of the
+	// step-start stock and the stock the cohorts' outflow left.
 	if b.cfg.Mode == sim.P2P {
-		o.allocatePeers(b, c)
+		o.allocatePeers(b, c, 0.5*(stock+b.channelUsers(c)))
 	}
 
 	// 6. Serve the download queues in closed form.
@@ -236,14 +237,13 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 	b.smooth[c] += st.window * (instant - b.smooth[c])
 }
 
-// allocatePeers is the reference rarest-first / proportional split: a
-// cold stable insertion sort from the identity order every step, and the
-// built-in three-way min.
-func (o *oracleKernel) allocatePeers(b *Backend, c int) {
+// allocatePeers is the reference rarest-first / proportional split of
+// the budget of n viewers' uplink: a cold stable insertion sort from the
+// identity order every step, and the built-in three-way min.
+func (o *oracleKernel) allocatePeers(b *Backend, c int, n float64) {
 	J := b.J
 	base := c * J
 	peerCap := b.peerCap[base : base+J]
-	n := b.channelUsers(c)
 	if n <= 0 {
 		for j := 0; j < J; j++ {
 			peerCap[j] = 0
@@ -456,6 +456,19 @@ func (kp kernelPair) compareMatrix(t *testing.T, step int) {
 	}
 }
 
+// oracleMode is one peer mode the oracle cases cover.
+type oracleMode struct {
+	name  string
+	mode  sim.Mode
+	sched sim.PeerScheduling
+}
+
+var oracleModes = []oracleMode{
+	{"rarest", sim.P2P, sim.RarestFirst},
+	{"proportional", sim.P2P, sim.Proportional},
+	{"client-server", sim.ClientServer, sim.RarestFirst},
+}
+
 // forEachOracleCase runs every oracle scenario — random substochastic
 // matrices (sparse, dense and all-zero rows), chunk counts from 1 to 20,
 // owner ties at zero (the empty start) and later ties, rarest-first,
@@ -464,57 +477,55 @@ func (kp kernelPair) compareMatrix(t *testing.T, step int) {
 // stepping the production kernel and the oracle alike, and calls check
 // after every step.
 func forEachOracleCase(t *testing.T, check func(kp kernelPair, t *testing.T, step int)) {
-	const steps = 240
-	modes := []struct {
-		name  string
-		mode  sim.Mode
-		sched sim.PeerScheduling
-	}{
-		{"rarest", sim.P2P, sim.RarestFirst},
-		{"proportional", sim.P2P, sim.Proportional},
-		{"client-server", sim.ClientServer, sim.RarestFirst},
-	}
 	for _, J := range []int{1, 2, 3, 8, 20} {
-		for _, m := range modes {
+		for _, m := range oracleModes {
 			for _, zeroCap := range []bool{false, true} {
 				name := fmt.Sprintf("J=%d/%s/zeroCap=%v", J, m.name, zeroCap)
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewPCG(uint64(J), uint64(len(name))))
-					kp := newKernelPair(t, rng, J, m.mode, m.sched, zeroCap)
-					now := 0.0
-					for s := 0; s < steps; s++ {
-						// Mostly full steps, and partial ones as a
-						// barrier cuts them.
-						dt := kp.fast.step
-						if rng.IntN(3) == 0 {
-							dt *= 1 - rng.Float64()
-						}
-						st := newStep(dt, kp.fast.cfg.Channel, kp.fast.cfg.Workload.JumpMeanSeconds)
-						for c := 0; c < kp.fast.C; c++ {
-							lambda := 0.0
-							if rng.IntN(5) != 0 {
-								lambda = 5 * rng.Float64()
-							}
-							kp.fast.stepChannel(c, now, lambda, &st)
-							kp.oracle.stepChannel(kp.ref, c, now, dt, lambda)
-						}
-						now += dt
-						check(kp, t, s)
-						switch {
-						case s%60 == 59:
-							for c := range kp.fast.feeds {
-								kp.fast.feeds[c].Reset()
-								kp.ref.feeds[c].Reset()
-								kp.oracle.ref[c].reset()
-							}
-						case s%50 == 49 && !zeroCap:
-							kp.setCaps(t, rng)
-						case s%40 == 39:
-							kp.tieOwners()
-						}
-					}
+					runOracleCase(t, rng, J, m, zeroCap, 240, check)
 				})
 			}
+		}
+	}
+}
+
+// runOracleCase steps one oracle scenario drawn from rng for the given
+// number of steps, calling check after each: mostly full steps and some
+// partial ones, with feed resets, capacity changes and owner ties
+// between them.
+func runOracleCase(t *testing.T, rng *rand.Rand, J int, m oracleMode, zeroCap bool, steps int, check func(kp kernelPair, t *testing.T, step int)) {
+	t.Helper()
+	kp := newKernelPair(t, rng, J, m.mode, m.sched, zeroCap)
+	now := 0.0
+	for s := 0; s < steps; s++ {
+		// Mostly full steps, and partial ones as a barrier cuts them.
+		dt := kp.fast.step
+		if rng.IntN(3) == 0 {
+			dt *= 1 - rng.Float64()
+		}
+		st := newStep(dt, kp.fast.cfg.Channel, kp.fast.cfg.Workload.JumpMeanSeconds)
+		for c := 0; c < kp.fast.C; c++ {
+			lambda := 0.0
+			if rng.IntN(5) != 0 {
+				lambda = 5 * rng.Float64()
+			}
+			kp.fast.stepChannel(c, now, lambda, &st)
+			kp.oracle.stepChannel(kp.ref, c, now, dt, lambda)
+		}
+		now += dt
+		check(kp, t, s)
+		switch {
+		case s%60 == 59:
+			for c := range kp.fast.feeds {
+				kp.fast.feeds[c].Reset()
+				kp.ref.feeds[c].Reset()
+				kp.oracle.ref[c].reset()
+			}
+		case s%50 == 49 && !zeroCap:
+			kp.setCaps(t, rng)
+		case s%40 == 39:
+			kp.tieOwners()
 		}
 	}
 }
@@ -533,4 +544,19 @@ func TestKernelMatchesOracle(t *testing.T) {
 // every row.
 func TestFeedMatrixMatchesReference(t *testing.T) {
 	forEachOracleCase(t, kernelPair.compareMatrix)
+}
+
+// FuzzKernelMatchesOracle holds the production kernel to the oracle bit
+// for bit on fuzzed oracle cases: J = 1…20 chunks, the peer mode and
+// scheduling, zero capacity and the seed of the case's matrix, rates,
+// capacities and step lengths, over 60 steps of the oracle case loop.
+func FuzzKernelMatchesOracle(f *testing.F) {
+	f.Add(uint8(7), uint8(0), false, uint64(1), uint64(2))
+	f.Add(uint8(0), uint8(1), true, uint64(3), uint64(4))
+	f.Add(uint8(19), uint8(2), false, uint64(5), uint64(6))
+	f.Fuzz(func(t *testing.T, jSel, modeSel uint8, zeroCap bool, seed1, seed2 uint64) {
+		J := 1 + int(jSel)%20
+		m := oracleModes[int(modeSel)%len(oracleModes)]
+		runOracleCase(t, rand.New(rand.NewPCG(seed1, seed2)), J, m, zeroCap, 60, kernelPair.compare)
+	})
 }

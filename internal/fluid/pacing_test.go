@@ -67,9 +67,9 @@ func TestFluidPacerDoesNotPerturbRun(t *testing.T) {
 // The step loop's batched rate reads must not allocate once the scratch
 // buffer exists: steady integration is the million-viewer hot path.
 // Workers is pinned to 1: the serial path must be alloc-free, while the
-// pool path pays its per-batch goroutine handoff (amortized over up to
-// batchSteps steps; see TestFluidBatchedInnerLoopAllocFree for the
-// multi-step batch case).
+// pool path pays its per-batch goroutine handoff (amortized over the
+// steps of up to batchSeconds; see TestFluidBatchedInnerLoopAllocFree for
+// the multi-step batch case).
 func TestFluidSteadySteppingAllocFree(t *testing.T) {
 	cfg := smallConfig(t, sim.ClientServer)
 	cfg.Workers = 1

@@ -185,7 +185,7 @@ func TestFluidParallelOnArrivalsContract(t *testing.T) {
 
 // TestFluidBatchedInnerLoopAllocFree pins AllocsPerRun == 0 on the batched
 // multi-step path: one RunUntil stride spans several full batches
-// (batchSteps steps each), so the measurement covers integrateTo's
+// (batchSeconds of steps each), so the measurement covers integrateTo's
 // batch assembly, fillRates' serial demand reads, runBatch's serial
 // dispatch, and every fused stepChannel step in between. Workers=1
 // isolates the inner loop from the pool's per-batch goroutine handoff,
@@ -206,13 +206,13 @@ func TestFluidBatchedInnerLoopAllocFree(t *testing.T) {
 	}
 	b.RunUntil(1200) // warm up feeds and scratch
 	now := 1200.0
-	const stride = 3 * batchSteps // several full batches per measured run
+	const stride = 3 * batchSeconds // several full batches per measured run
 	allocs := testing.AllocsPerRun(20, func() {
 		now += stride
 		b.RunUntil(now)
 	})
 	if allocs > 0 {
-		t.Fatalf("batched stepping allocates %.1f times per %d-step stride", allocs, stride)
+		t.Fatalf("batched stepping allocates %.1f times per %d s stride", allocs, stride)
 	}
 }
 

@@ -121,8 +121,8 @@ func (s *kernelState) restore(b *Backend) {
 	}
 }
 
-// BenchmarkFluidStep is the fluid kernel alone: one batch of batchSteps
-// (256) steps, at the engine's own step length, of every channel of the
+// BenchmarkFluidStep is the fluid kernel alone: one batch (batchSeconds
+// of steps, 90 at the engine's own 10 s step), of every channel of the
 // 100M-viewer day, starting from its evening-peak state, with the batch's
 // arrival rates resolved beforehand so the demand plane is not timed.
 // The state comes from integrating the last two hours before the peak
@@ -142,12 +142,13 @@ func BenchmarkFluidStep(b *testing.B) {
 		provisionHalfFlow(b, be, float64(h)*3600)
 		be.RunUntil(float64(h+1) * 3600)
 	}
-	for s := 0; s < batchSteps; s++ {
+	n := be.batchSteps
+	for s := 0; s < n; s++ {
 		be.times[s] = be.now + float64(s)*be.step
 	}
 	be.full = newStep(be.step, be.cfg.Channel, be.cfg.Workload.JumpMeanSeconds)
 	be.last = be.full
-	be.fillRates(batchSteps)
+	be.fillRates(n)
 	peak := saveKernelState(be)
 
 	b.ReportAllocs()
@@ -156,9 +157,9 @@ func BenchmarkFluidStep(b *testing.B) {
 		b.StopTimer()
 		peak.restore(be)
 		b.StartTimer()
-		be.runBatch(batchSteps)
+		be.runBatch(n)
 	}
-	steps := float64(b.N) * batchSteps
+	steps := float64(b.N) * float64(n)
 	ns := float64(b.Elapsed().Nanoseconds())
 	b.ReportMetric(ns/(steps*float64(be.C*be.J)), "ns/chunk-step")
 	b.ReportMetric(ns/(steps*be.step), "ns/sim-s")
