@@ -19,78 +19,82 @@ import (
 // were regenerated twice since: when the fluid kernel's update became
 // exact in dt and its step rose from 1 s to 3 s, and when the peer
 // budget moved to the step's mean viewer stock and the step rose to
-// 10 s (the qualities moved in their last bits).
+// 10 s (the qualities moved in their last bits). Every dollar field of
+// both engines and the fluid qualities moved in their last bits (at most
+// 1.6e-15 relative) when the deployment moved onto the one run loop
+// (stack.Run): it commits each region's billing at every sample and
+// whole hour, and float addition is not associative. No decision moved.
 var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 	modes.FidelityEvent: {
 		"default": {
-			"bill_on_demand_usd":     393.75000000000006,
+			"bill_on_demand_usd":     393.74999999999977,
 			"bill_reserved_usd":      0,
 			"bill_spot_usd":          0,
-			"bill_total_usd":         393.75143856000005,
+			"bill_total_usd":         393.75143855999977,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          0,
 			"quality_apac":           1,
 			"quality_eu":             1,
 			"quality_na":             1,
-			"storage_cost_total_usd": 0.0014385600000000008,
-			"vm_cost_apac_usd":       130.05000000000001,
-			"vm_cost_eu_usd":         125.55000000000003,
-			"vm_cost_na_usd":         138.15000000000001,
-			"vm_cost_total_usd":      393.75000000000006,
+			"storage_cost_total_usd": 0.0014385599999999998,
+			"vm_cost_apac_usd":       130.04999999999998,
+			"vm_cost_eu_usd":         125.54999999999988,
+			"vm_cost_na_usd":         138.14999999999995,
+			"vm_cost_total_usd":      393.74999999999977,
 		},
 		"spot": {
-			"bill_on_demand_usd":     114.75,
+			"bill_on_demand_usd":     114.74999999999994,
 			"bill_reserved_usd":      0,
-			"bill_spot_usd":          79.919999999999973,
-			"bill_total_usd":         194.67143855999996,
+			"bill_spot_usd":          79.919999999999945,
+			"bill_total_usd":         194.6714385599999,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          15,
 			"quality_apac":           1,
 			"quality_eu":             1,
 			"quality_na":             1,
-			"storage_cost_total_usd": 0.0014385600000000011,
-			"vm_cost_apac_usd":       126.90000000000002,
-			"vm_cost_eu_usd":         120.82500000000003,
-			"vm_cost_na_usd":         133.42500000000001,
-			"vm_cost_total_usd":      381.15000000000009,
+			"storage_cost_total_usd": 0.0014385599999999998,
+			"vm_cost_apac_usd":       126.89999999999992,
+			"vm_cost_eu_usd":         120.82499999999986,
+			"vm_cost_na_usd":         133.42499999999993,
+			"vm_cost_total_usd":      381.14999999999969,
 		},
 	},
 	modes.FidelityFluid: {
 		"default": {
-			"bill_on_demand_usd":     395.55000000000007,
+			"bill_on_demand_usd":     395.54999999999984,
 			"bill_reserved_usd":      0,
 			"bill_spot_usd":          0,
-			"bill_total_usd":         395.55143856000007,
+			"bill_total_usd":         395.55143855999984,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          0,
-			"quality_apac":           0.99999999999999833,
-			"quality_eu":             0.99999999999999845,
+			"quality_apac":           0.99999999999999845,
+			"quality_eu":             0.99999999999999811,
 			"quality_na":             0.99999999999999833,
-			"storage_cost_total_usd": 0.0014385600000000008,
-			"vm_cost_apac_usd":       131.39999999999998,
-			"vm_cost_eu_usd":         124.20000000000005,
-			"vm_cost_na_usd":         139.95000000000002,
-			"vm_cost_total_usd":      395.55000000000007,
+			"storage_cost_total_usd": 0.0014385599999999998,
+			"vm_cost_apac_usd":       131.40000000000009,
+			"vm_cost_eu_usd":         124.19999999999985,
+			"vm_cost_na_usd":         139.94999999999993,
+			"vm_cost_total_usd":      395.54999999999984,
 		},
 		"spot": {
-			"bill_on_demand_usd":     117,
+			"bill_on_demand_usd":     116.99999999999997,
 			"bill_reserved_usd":      0,
-			"bill_spot_usd":          80.054999999999978,
-			"bill_total_usd":         197.05643855999998,
+			"bill_spot_usd":          80.054999999999936,
+			"bill_total_usd":         197.05643855999989,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          15,
 			"quality_apac":           0.99999999999999845,
-			"quality_eu":             0.99999999999999845,
-			"quality_na":             0.99999999999999833,
-			"storage_cost_total_usd": 0.0014385600000000011,
-			"vm_cost_apac_usd":       129.59999999999999,
-			"vm_cost_eu_usd":         119.47500000000004,
-			"vm_cost_na_usd":         134.77500000000003,
-			"vm_cost_total_usd":      383.85000000000002,
+			"quality_eu":             0.99999999999999856,
+			"quality_na":             0.99999999999999867,
+			"storage_cost_total_usd": 0.0014385599999999998,
+			"vm_cost_apac_usd":       129.60000000000008,
+			"vm_cost_eu_usd":         119.47499999999988,
+			"vm_cost_na_usd":         134.77499999999989,
+			"vm_cost_total_usd":      383.84999999999985,
 		},
 	},
 }
@@ -129,6 +133,7 @@ func TestRegionalGoldens(t *testing.T) {
 // both fidelities: the event leg's summary at full precision and every
 // table row. The scenario carries SpotPricing on purpose: the outage leg
 // bills at the zero-value plan whatever the scenario's pricing is.
+// outage_total_usd moved in its last bits with the regional goldens.
 func TestResilienceOutageGolden(t *testing.T) {
 	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Pricing = cloud.SpotPricing()
@@ -139,7 +144,7 @@ func TestResilienceOutageGolden(t *testing.T) {
 	}
 	wantSummary := map[string]float64{
 		"outage_mean_region_quality": 1,
-		"outage_total_usd":           382.15868856000003,
+		"outage_total_usd":           382.1586885599999,
 		"outage_transfer_usd":        0.10725000000000001,
 	}
 	if !reflect.DeepEqual(summary, wantSummary) {

@@ -17,7 +17,7 @@ import (
 // fluid rows were regenerated once since, when the fluid kernel's update
 // became exact in dt and its step rose from 1 s to 3 s. The fig10 costs
 // of both engines moved in their last bits once more when the figure
-// harness moved onto the shared run loop (stack.System.Run): it commits
+// harness moved onto the shared run loop (now stack.Run): it commits
 // the cloud's billing accrual at every sample instead of every hour, and
 // float addition is not associative. The decisions did not move. The
 // fluid fig4 reserved capacity moved in its last bit when the fluid feed

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"cloudmedia/internal/cloud"
@@ -33,7 +34,9 @@ func Regional(sc stack.Spec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("regional: %w", err)
 	}
-	dep.RunUntil(sc.Hours * 3600)
+	if err := dep.Run(context.Background(), func(stack.Stop) {}); err != nil {
+		return nil, fmt.Errorf("regional: %w", err)
+	}
 
 	regions, totalVM, totalStorage := dep.Report()
 	var bill cloud.LedgerTotals

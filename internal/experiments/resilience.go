@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"cloudmedia/internal/cloud"
@@ -129,7 +130,9 @@ func resilienceOutage(sc stack.Spec, sched *fault.Schedule, summary map[string]f
 		if err != nil {
 			return nil, fmt.Errorf("resilience outage: %w", err)
 		}
-		dep.RunUntil(sc.Hours * 3600)
+		if err := dep.Run(context.Background(), func(stack.Stop) {}); err != nil {
+			return nil, fmt.Errorf("resilience outage: %w", err)
+		}
 		regions, totalVM, totalStorage := dep.Report()
 		var transferUSD, qualitySum float64
 		for _, r := range regions {

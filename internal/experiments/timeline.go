@@ -55,7 +55,7 @@ func RunTimeline(sc stack.Spec) (*Timeline, error) {
 
 // runTimeline is RunTimeline with the scenario's run-time hooks wired;
 // it collects the records through OnInterval, replacing any set there.
-// The system's run loop (stack.System.Run) drives it: every sample stop
+// The system's run loop (stack.Run) drives it: every sample stop
 // adds a Snapshot and every whole-hour stop an Hourly row.
 func runTimeline(sc stack.Scenario) (*Timeline, error) {
 	tl := &Timeline{}
@@ -66,7 +66,7 @@ func runTimeline(sc stack.Scenario) (*Timeline, error) {
 	}
 	s := sys.Sim
 	var qSum, prevBytes, prevCost float64
-	if err := sys.Run(context.Background(), func(stop stack.Stop) {
+	if err := stack.Run(context.Background(), []*stack.System{sys}, nil, func(stop stack.Stop) {
 		if stop.Sample {
 			q := s.SampleQuality()
 			reserved := make([]float64, s.Channels())

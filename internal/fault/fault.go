@@ -81,8 +81,9 @@ type Schedule struct {
 }
 
 // Validate checks schedule invariants: times finite and non-negative,
-// durations finite and positive, fractions and factors in [0,1]. NaN
-// fails every check, so a malformed number cannot silently drop an event.
+// durations finite and positive, fractions and factors in [0,1], and no
+// two outages of one Region overlapping (the first recovery would end
+// both). NaN fails every check, so a malformed number cannot drop an event.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
@@ -90,6 +91,11 @@ func (s *Schedule) Validate() error {
 	for i, o := range s.Outages {
 		if !validTime(o.Start) || !validDuration(o.Duration) {
 			return fmt.Errorf("fault: outage %d: window [%v, %v+%v) not positive and finite", i, o.Start, o.Start, o.Duration)
+		}
+		for j, p := range s.Outages[:i] {
+			if p.Region == o.Region && p.Start < o.Start+o.Duration && o.Start < p.Start+p.Duration {
+				return fmt.Errorf("fault: outages %d and %d overlap in region %q", j, i, o.Region)
+			}
 		}
 	}
 	for i, p := range s.Preemptions {

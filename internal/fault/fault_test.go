@@ -31,6 +31,21 @@ func TestValidate(t *testing.T) {
 		{"degradation factor < 0", &Schedule{Degradations: []CapacityDegradation{{Start: 0, Duration: 1, Factor: -0.1}}}, "degradation 0"},
 		{"degradation zero window", &Schedule{Degradations: []CapacityDegradation{{Start: 0, Duration: 0, Factor: 0.5}}}, "degradation 0"},
 		{"interruption fraction > 1", &Schedule{InterruptionFraction: 2}, "interruption fraction"},
+		{"overlapping outages of one region", &Schedule{Outages: []RegionOutage{
+			{Region: "na", Start: 600, Duration: 1200}, {Region: "na", Start: 1200, Duration: 1200},
+		}}, "outages 0 and 1 overlap"},
+		{"overlapping unscoped outages", &Schedule{Outages: []RegionOutage{
+			{Start: 1200, Duration: 1200}, {Start: 600, Duration: 1200},
+		}}, "outages 0 and 1 overlap"},
+		{"nested outage window", &Schedule{Outages: []RegionOutage{
+			{Region: "na", Start: 0, Duration: 3000}, {Region: "eu", Start: 0, Duration: 5}, {Region: "na", Start: 600, Duration: 5},
+		}}, "outages 0 and 2 overlap"},
+		{"back-to-back outages of one region", &Schedule{Outages: []RegionOutage{
+			{Region: "na", Start: 600, Duration: 600}, {Region: "na", Start: 1200, Duration: 600},
+		}}, ""},
+		{"overlapping outages of two regions", &Schedule{Outages: []RegionOutage{
+			{Region: "na", Start: 600, Duration: 1200}, {Region: "eu", Start: 1200, Duration: 1200},
+		}}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.s.Validate()
@@ -175,20 +190,21 @@ func TestParseSpec(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"meteor@1h",          // unknown kind
-		"outage",             // no @
-		"outage@1h",          // missing duration
-		"outage@1h+2h:0.5",   // outage takes no parameter
-		"preempt@1h",         // missing fraction
-		"preempt@1h:heavy",   // bad fraction
-		"preempt@1h:1.5",     // fraction outside [0,1] (Validate)
-		"degrade@1h+1h",      // missing factor
-		"degrade@soon+1h:.5", // bad time
-		"outage@NaN+2h",      // non-finite start
-		"outage@1h+Inf",      // non-finite duration
-		"preempt@NaN:0.5",    // non-finite time
-		"preempt@1h:NaN",     // NaN fraction
-		"degrade@1h+2h:NaN",  // NaN factor
+		"meteor@1h",                 // unknown kind
+		"outage",                    // no @
+		"outage@1h",                 // missing duration
+		"outage@1h+2h:0.5",          // outage takes no parameter
+		"preempt@1h",                // missing fraction
+		"preempt@1h:heavy",          // bad fraction
+		"preempt@1h:1.5",            // fraction outside [0,1] (Validate)
+		"degrade@1h+1h",             // missing factor
+		"degrade@soon+1h:.5",        // bad time
+		"outage@NaN+2h",             // non-finite start
+		"outage@1h+Inf",             // non-finite duration
+		"preempt@NaN:0.5",           // non-finite time
+		"preempt@1h:NaN",            // NaN fraction
+		"degrade@1h+2h:NaN",         // NaN factor
+		"outage@1h+2h,outage@2h+2h", // overlapping outages of one region (Validate)
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("%q: want error", spec)

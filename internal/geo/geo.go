@@ -18,12 +18,13 @@
 // viewers' transfer bytes, and zeroes the failed region's serving
 // capacity; recovery restores the shares and charges the fail-back
 // transfer. Spot preemptions and capacity degradations apply per region
-// through internal/fault's scheduling hooks. All fault handling runs at
-// control barriers between RunUntil segments, so runs stay bit-identical
-// for every worker count and deterministic per seed.
+// through internal/fault's scheduling hooks. Outage boundaries are stops
+// of the one run loop (stack.Run), so runs stay bit-identical for every
+// worker count and deterministic per seed.
 package geo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -123,7 +124,7 @@ func validateFaults(names map[string]bool, faults *fault.Schedule) error {
 		return nil
 	}
 	if err := faults.Validate(); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	known := func(name string) bool { return name == "" || names[name] }
 	for _, o := range faults.Outages {
@@ -175,8 +176,8 @@ func largestRegion(regions []Region) string {
 }
 
 // shareFactor is a mutable arrival-share multiplier read lock-free by the
-// engines' channel workers and written only at control barriers (between
-// RunUntil segments), via atomic float bits.
+// engines' channel workers and written only at the run loop's stops,
+// while no engine steps, via atomic float bits.
 type shareFactor struct{ bits atomic.Uint64 }
 
 func newShareFactor() *shareFactor {
@@ -264,10 +265,10 @@ type geoEvent struct {
 // Deployment is the full multi-region system.
 type Deployment struct {
 	regions []*RegionSystem
+	systems []*stack.System // the regions' stacks, for stack.Run
 
 	events    []geoEvent // outage boundaries, sorted
-	nextEvent int
-	handoffGB float64 // per-migrated-viewer transfer footprint
+	handoffGB float64    // per-migrated-viewer transfer footprint
 }
 
 // New builds every regional stack from the scenario — each bootstrapped
@@ -289,19 +290,21 @@ func New(sc stack.Spec, regions []Region) (*Deployment, error) {
 		return nil, fmt.Errorf("%w: regions split the parametric workload; a demand source is not supported", ErrConfig)
 	}
 	// Resolve unscoped outages to the largest-share region, so the rest
-	// of the deployment only ever sees named victims. The regional stacks
-	// get the schedule without its outages: the deployment realizes them
-	// as failover in RunUntil.
+	// of the deployment only ever sees named victims, and recheck their
+	// overlap. The regional stacks get the schedule without its outages:
+	// the deployment realizes them as failover in Run.
 	var outages []fault.RegionOutage
 	if sc.Faults != nil {
-		outages = append(outages, sc.Faults.Outages...)
+		sc.Faults = sc.Faults.Clone()
+		outages, sc.Faults.Outages = sc.Faults.Outages, nil
 		for i := range outages {
 			if outages[i].Region == "" {
 				outages[i].Region = largestRegion(regions)
 			}
 		}
-		sc.Faults = sc.Faults.Clone()
-		sc.Faults.Outages = nil
+		if err := (&fault.Schedule{Outages: outages}).Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrConfig, err)
+		}
 	}
 	// Survivors scale by at most 1/(1−S), S the share the outages can take
 	// down; a fault-free deployment gets exactly 1, leaving its arrival
@@ -326,6 +329,7 @@ func New(sc stack.Spec, regions []Region) (*Deployment, error) {
 			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
 		}
 		d.regions = append(d.regions, &RegionSystem{Region: region, System: sys, share: share})
+		d.systems = append(d.systems, sys)
 	}
 	d.buildEvents(outages)
 	return d, nil
@@ -361,30 +365,28 @@ func (d *Deployment) buildEvents(outages []fault.RegionOutage) {
 // Regions returns the regional stacks in configuration order.
 func (d *Deployment) Regions() []*RegionSystem { return d.regions }
 
-// RunUntil advances every region to simulated time t. Regions evolve
-// independently between outage boundaries (cross-region traffic is out of
-// scope, as in the paper's sketch); at each boundary every region is
-// barriered to the boundary instant, the failover (or recovery) is
-// applied — share migration, capacity blackout, transfer charges — and
-// the advance resumes. Fault-free deployments take the straight path.
-func (d *Deployment) RunUntil(t float64) {
-	for d.nextEvent < len(d.events) && d.events[d.nextEvent].time <= t {
-		ev := d.events[d.nextEvent]
-		d.nextEvent++
-		for _, r := range d.regions {
-			r.Sim.RunUntil(ev.time)
-			r.Cloud.Advance(ev.time)
-		}
-		if ev.start {
-			d.failOver(ev.time, ev.region)
-		} else {
-			d.recover(ev.time, ev.region)
-		}
+// Run drives every region for the scenario's Hours through stack.Run,
+// with the outage boundaries as extra stops. Regions evolve independently
+// between stops (cross-region traffic is out of scope, as in the paper's
+// sketch). At each stop Run applies the failovers and recoveries due by
+// then (share migration, capacity blackout, transfer charges), then
+// calls observe.
+func (d *Deployment) Run(ctx context.Context, observe func(stack.Stop)) error {
+	marks := make([]float64, len(d.events))
+	for i, ev := range d.events {
+		marks[i] = ev.time
 	}
-	for _, r := range d.regions {
-		r.Sim.RunUntil(t)
-		r.Cloud.Advance(t)
-	}
+	next := 0
+	return stack.Run(ctx, d.systems, marks, func(stop stack.Stop) {
+		for ; next < len(d.events) && d.events[next].time <= stop.Time; next++ {
+			if ev := d.events[next]; ev.start {
+				d.failOver(ev.time, ev.region)
+			} else {
+				d.recover(ev.time, ev.region)
+			}
+		}
+		observe(stop)
+	})
 }
 
 // applyShares recomputes every region's arrival factor from the down set:

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -30,6 +31,14 @@ func testScenario() stack.Spec {
 		Hours:           1,
 		IntervalSeconds: 600,
 		Seed:            5,
+	}
+}
+
+// run drives d to the end of its scenario's Hours through Run.
+func run(t *testing.T, d *Deployment, observe func(stack.Stop)) {
+	t.Helper()
+	if err := d.Run(context.Background(), observe); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 
@@ -70,30 +79,40 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestValidateFaultSchedule(t *testing.T) {
-	sc := testScenario()
-	sc.Faults = &fault.Schedule{
-		Outages: []fault.RegionOutage{{Region: "atlantis", Start: 600, Duration: 600}},
-	}
-	if _, err := New(sc, twoRegions()); err == nil || !errors.Is(err, ErrConfig) {
-		t.Errorf("unknown outage region accepted: %v", err)
-	}
-	sc.Faults = &fault.Schedule{
-		Outages: []fault.RegionOutage{
+	cases := map[string][]fault.RegionOutage{
+		"unknown outage region": {{Region: "atlantis", Start: 600, Duration: 600}},
+		"outages covering every region": {
 			{Region: "us-east", Start: 600, Duration: 600},
 			{Region: "eu-west", Start: 1800, Duration: 600},
 		},
+		"overlapping outages of one region": {
+			{Region: "us-east", Start: 600, Duration: 1200},
+			{Region: "us-east", Start: 1200, Duration: 1200},
+		},
+		// An unscoped outage falls on the largest region, us-east, so it
+		// overlaps the named one once resolved.
+		"unscoped outage overlapping the largest region's": {
+			{Region: "us-east", Start: 600, Duration: 1200},
+			{Start: 1200, Duration: 1200},
+		},
 	}
-	if _, err := New(sc, twoRegions()); err == nil || !errors.Is(err, ErrConfig) {
-		t.Errorf("outages covering every region accepted: %v", err)
+	for name, outages := range cases {
+		sc := testScenario()
+		sc.Faults = &fault.Schedule{Outages: outages}
+		if _, err := New(sc, twoRegions()); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: New = %v, want ErrConfig", name, err)
+		}
 	}
 }
 
 func TestDeploymentSplitsPopulationByShare(t *testing.T) {
-	d, err := New(testScenario(), twoRegions())
+	sc := testScenario()
+	sc.Hours = 0.5
+	d, err := New(sc, twoRegions())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	d.RunUntil(3 * 600)
+	run(t, d, func(stack.Stop) {})
 	regions, totalVM, _ := d.Report()
 	if len(regions) != 2 {
 		t.Fatalf("regions = %d", len(regions))
@@ -116,6 +135,7 @@ func TestDeploymentSplitsPopulationByShare(t *testing.T) {
 func TestRegionalPricingChangesBill(t *testing.T) {
 	run := func(priceFactor float64) []RegionReport {
 		sc := testScenario()
+		sc.Hours = 1200.0 / 3600
 		sc.VMClusters = cloud.DefaultVMClusters()
 		for i := range sc.VMClusters {
 			sc.VMClusters[i].PricePerHour *= priceFactor
@@ -124,7 +144,7 @@ func TestRegionalPricingChangesBill(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		d.RunUntil(2 * 600)
+		run(t, d, func(stack.Stop) {})
 		for _, r := range d.Regions() {
 			if got, want := r.Cloud.VMClusters()[0].PricePerHour, sc.VMClusters[0].PricePerHour; got != want {
 				t.Errorf("region %s rents at $%v/h, want the scenario's $%v/h", r.Region.Name, got, want)
@@ -143,14 +163,16 @@ func TestRegionalPricingChangesBill(t *testing.T) {
 }
 
 func TestRegionsAreIndependentSeedStreams(t *testing.T) {
-	d, err := New(testScenario(), []Region{
+	sc := testScenario()
+	sc.Hours = 1200.0 / 3600
+	d, err := New(sc, []Region{
 		{Name: "a", Share: 0.5},
 		{Name: "b", Share: 0.5},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	d.RunUntil(1200)
+	run(t, d, func(stack.Stop) {})
 	regions, _, _ := d.Report()
 	// Equal shares but distinct seed streams: byte-identical populations at
 	// every instant would indicate correlated randomness.
@@ -215,6 +237,7 @@ func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
 	// policy that replans on the true rates sheds VMs as it fades, so
 	// only a held rental keeps the bootstrap's count.
 	sc.Workload.FlashCrowds = []workload.FlashCrowd{{PeakHour: 0, WidthHours: 0.1, Amplitude: 3}}
+	sc.Hours = 1200.0 / 3600
 	sc.Policy = provision.StaticPeak{Intervals: 2}
 	sc.Pricing = cloud.ReservedPricing()
 	dep, err := New(sc, twoRegions())
@@ -241,13 +264,19 @@ func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
 			t.Fatalf("region %s: bootstrap round rented no VMs", r.Region.Name)
 		}
 	}
-	for round := 1; round <= 2; round++ {
-		dep.RunUntil(float64(round) * 600)
+	// The stops at 900 s and at the end (1200 s) follow the rounds at
+	// 600 s and 1200 s.
+	stops := 0
+	run(t, dep, func(stop stack.Stop) {
+		stops++
 		for i, r := range dep.Regions() {
 			if got := rented(r); !slices.Equal(got, first[i]) {
-				t.Errorf("region %s: static rental moved to %v at round %d, want %v", r.Region.Name, got, round, first[i])
+				t.Errorf("region %s: static rental moved to %v at %v s, want %v", r.Region.Name, got, stop.Time, first[i])
 			}
 		}
+	})
+	if stops != 2 {
+		t.Errorf("%d stops, want 2", stops)
 	}
 	for _, r := range dep.Regions() {
 		led := r.Cloud.Ledger()
@@ -265,6 +294,7 @@ func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
 // preemption while it is down, everything billed on the spot plan.
 func faultScenario() stack.Spec {
 	sc := testScenario()
+	sc.Hours = 0.5
 	sc.Pricing = cloud.SpotPricing()
 	sc.Faults = &fault.Schedule{
 		Outages:     []fault.RegionOutage{{Region: "us-east", Start: 600, Duration: 600}},
@@ -285,40 +315,49 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 	}
 	east, west := d.Regions()[0], d.Regions()[1]
 
-	d.RunUntil(1100) // mid-outage
-	if !east.down {
-		t.Fatal("failed region not marked down mid-outage")
-	}
-	if got := east.share.get(); got != 0 {
-		t.Errorf("failed region share factor %v, want 0", got)
-	}
-	if got, want := west.share.get(), 1/(1-0.7); math.Abs(got-want) > 1e-12 {
-		t.Errorf("survivor share factor %v, want %v", got, want)
-	}
-	if got := east.Sim.TotalCloudCapacity(); got != 0 {
-		t.Errorf("failed region serves %v bytes/s of cloud capacity, want 0", got)
-	}
-	if west.Cloud.Ledger().Totals().TransferUSD <= 0 {
-		t.Error("survivor charged no failover transfer")
-	}
-	if east.Cloud.Ledger().Totals().Interruptions == 0 {
-		t.Error("spot preemption at t=900 left no interruption record")
-	}
-
-	// Recovery at t=1200 lifts the capacity factor back to 1, which
-	// reapplies the region's planned capacity at once.
-	d.RunUntil(1300)
-	if got := east.Sim.TotalCloudCapacity(); got <= 0 {
-		t.Errorf("recovered region serves %v bytes/s of cloud capacity, want it restored", got)
-	}
-
-	d.RunUntil(1800) // past recovery
-	if east.down || east.share.get() != 1 || west.share.get() != 1 {
-		t.Errorf("shares not restored after recovery: east=%v west=%v",
-			east.share.get(), west.share.get())
-	}
-	if east.Cloud.Ledger().Totals().TransferUSD <= 0 {
-		t.Error("recovered region charged no fail-back transfer")
+	checked := map[float64]bool{}
+	run(t, d, func(stop stack.Stop) {
+		checked[stop.Time] = true
+		switch stop.Time {
+		case 900: // the sample stop mid-outage
+			if !east.down {
+				t.Fatal("failed region not marked down mid-outage")
+			}
+			if got := east.share.get(); got != 0 {
+				t.Errorf("failed region share factor %v, want 0", got)
+			}
+			if got, want := west.share.get(), 1/(1-0.7); math.Abs(got-want) > 1e-12 {
+				t.Errorf("survivor share factor %v, want %v", got, want)
+			}
+			if got := east.Sim.TotalCloudCapacity(); got != 0 {
+				t.Errorf("failed region serves %v bytes/s of cloud capacity, want 0", got)
+			}
+			if west.Cloud.Ledger().Totals().TransferUSD <= 0 {
+				t.Error("survivor charged no failover transfer")
+			}
+			if east.Cloud.Ledger().Totals().Interruptions == 0 {
+				t.Error("spot preemption at t=900 left no interruption record")
+			}
+		case 1200:
+			// The recovery stop lifts the capacity factor back to 1,
+			// which reapplies the region's planned capacity at once.
+			if got := east.Sim.TotalCloudCapacity(); got <= 0 {
+				t.Errorf("recovered region serves %v bytes/s of cloud capacity, want it restored", got)
+			}
+		case 1800: // past recovery
+			if east.down || east.share.get() != 1 || west.share.get() != 1 {
+				t.Errorf("shares not restored after recovery: east=%v west=%v",
+					east.share.get(), west.share.get())
+			}
+			if east.Cloud.Ledger().Totals().TransferUSD <= 0 {
+				t.Error("recovered region charged no fail-back transfer")
+			}
+		}
+	})
+	for _, at := range []float64{600, 900, 1200, 1800} {
+		if !checked[at] {
+			t.Errorf("no stop at %v s", at)
+		}
 	}
 	regions, _, _ := d.Report()
 	if regions[1].Bill.TransferUSD != west.Cloud.Ledger().Totals().TransferUSD {
@@ -340,11 +379,12 @@ func TestGeoWorkerInvarianceUnderFaults(t *testing.T) {
 			sc := faultScenario()
 			sc.Fidelity = fid
 			sc.Workers = workers
+			sc.Hours = 2400.0 / 3600
 			d, err := New(sc, twoRegions())
 			if err != nil {
 				t.Fatalf("fidelity %v workers %d: %v", fid, workers, err)
 			}
-			d.RunUntil(4 * 600)
+			run(t, d, func(stack.Stop) {})
 			regions, _, _ := d.Report()
 			return regions
 		}
@@ -374,7 +414,7 @@ func TestFailoverDeterministicPerSeed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fidelity %v: %v", fid, err)
 			}
-			d.RunUntil(3 * 600)
+			run(t, d, func(stack.Stop) {})
 			regions, _, _ := d.Report()
 			return regions
 		}
@@ -397,6 +437,7 @@ func TestFailoverDeterministicPerSeed(t *testing.T) {
 func TestFaultFreeDeploymentUntouched(t *testing.T) {
 	run := func(withNilFaults bool) []RegionReport {
 		sc := testScenario()
+		sc.Hours = 1200.0 / 3600
 		if withNilFaults {
 			sc.Faults = nil
 		} else {
@@ -406,11 +447,52 @@ func TestFaultFreeDeploymentUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.RunUntil(2 * 600)
+		run(t, d, func(stack.Stop) {})
 		regions, _, _ := d.Report()
 		return regions
 	}
 	if a, b := run(true), run(false); !reflect.DeepEqual(a, b) {
 		t.Errorf("nil and empty fault schedules diverge:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestOneRegionDeploymentMatchesSingleRegionRun: a fault-free deployment
+// of one region holding the whole crowd is the single-region run. It
+// seeds the engine alike, its share factor 1 multiplies the demand
+// bit-identically, and both go through stack.Run, so users, quality and
+// every dollar agree exactly.
+func TestOneRegionDeploymentMatchesSingleRegionRun(t *testing.T) {
+	for _, mode := range []modes.Mode{modes.ClientServer, modes.CloudAssisted} {
+		for _, fid := range []modes.Fidelity{modes.FidelityEvent, modes.FidelityFluid} {
+			sc := stack.DefaultSpec(mode, 1)
+			sc.Fidelity = fid
+			sc.Hours = 6
+			d, err := New(sc, []Region{{Name: "solo", Share: 1}})
+			if err != nil {
+				t.Fatalf("%v/%v: New: %v", mode, fid, err)
+			}
+			run(t, d, func(stack.Stop) {})
+			got, _, _ := d.Report()
+
+			sys, err := stack.Build(stack.Scenario{Spec: sc}, stack.RegionID{})
+			if err != nil {
+				t.Fatalf("%v/%v: Build: %v", mode, fid, err)
+			}
+			if err := stack.Run(context.Background(), []*stack.System{sys}, nil, func(stack.Stop) {}); err != nil {
+				t.Fatalf("%v/%v: Run: %v", mode, fid, err)
+			}
+			vm, storage := sys.Cloud.Costs()
+			want := []RegionReport{{
+				Name:        "solo",
+				Users:       sys.Sim.TotalUsers(),
+				Quality:     sys.Sim.SampleQuality().Overall,
+				VMCost:      vm,
+				StorageCost: storage,
+				Bill:        sys.Cloud.Ledger().Totals(),
+			}}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v/%v: one-region deployment\n%+v\nsingle-region run\n%+v", mode, fid, got, want)
+			}
+		}
 	}
 }

@@ -4,7 +4,7 @@
 // analytic t=0 estimates of Sec. V-B. It is the single stack builder:
 // the experiment harness builds every single-region run through it, and
 // internal/geo builds each region of a multi-region deployment through
-// it. System.Run is the single run loop of a single-region run.
+// it. Run is the single run loop of every run, one region or many.
 package stack
 
 import (
@@ -458,26 +458,27 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 	return sys, nil
 }
 
-// Stop is one instant at which System.Run hands the settled system to
-// its observer. Sample marks the sampling grid (every SampleSeconds) or
-// the end of the run; Hour marks a whole simulated hour.
+// Stop is one instant at which Run hands the settled systems to its
+// observer. Sample marks the sampling grid or the end of the run, Hour a
+// whole simulated hour; a stop that is only a caller's mark sets neither.
 type Stop struct {
 	Time         float64
 	Sample, Hour bool
 }
 
-// Run drives the system for Spec.Hours of simulated time. It is the one
-// run loop: simulate.Scenario.Run and the figure harness are its
-// callers. Each stop is the earliest of the next sample, the next whole
-// hour and the end of the run, so a sampling period that divides the
-// hour stops only on its own grid. At each stop Run advances the engine
-// (Sim.RunUntil), commits the cloud's billing accrual (Cloud.Advance),
-// then calls observe. The context is checked between stops; on
-// cancellation Run returns its error with the engine and the bill
-// settled at the last stop.
-func (sys *System) Run(ctx context.Context, observe func(Stop)) error {
-	end := sys.Scenario.Hours * 3600
-	period := sys.Scenario.SampleSeconds
+// Run drives the systems together for the first one's Spec.Hours (a
+// deployment's regions share it and the sampling period). It is the one
+// run loop: simulate.Scenario.Run, the figure harness and
+// geo.Deployment.Run call it. Each stop is the earliest of the next
+// sample, the next whole hour, the next ascending mark and the end of
+// the run. At each stop every system, in slice order, advances its
+// engine (Sim.RunUntil) and commits its billing (Cloud.Advance); then
+// observe is called once. The context is checked between stops; on
+// cancellation Run returns its error with every system settled at the
+// last stop.
+func Run(ctx context.Context, systems []*System, marks []float64, observe func(Stop)) error {
+	end := systems[0].Scenario.Hours * 3600
+	period := systems[0].Scenario.SampleSeconds
 	nextSample, nextHour := period, 3600.0
 	var err error
 	for now := 0.0; now < end; {
@@ -485,10 +486,18 @@ func (sys *System) Run(ctx context.Context, observe func(Stop)) error {
 			break
 		}
 		now = min(nextSample, nextHour, end)
+		if len(marks) > 0 {
+			now = min(now, marks[0])
+		}
 		stop := Stop{Time: now, Sample: now == nextSample || now == end, Hour: now == nextHour}
-		sys.Sim.RunUntil(now)
-		sys.Cloud.Advance(now)
+		for _, sys := range systems {
+			sys.Sim.RunUntil(now)
+			sys.Cloud.Advance(now)
+		}
 		observe(stop)
+		for len(marks) > 0 && marks[0] <= now {
+			marks = marks[1:]
+		}
 		if now == nextSample {
 			nextSample += period
 		}
@@ -496,6 +505,8 @@ func (sys *System) Run(ctx context.Context, observe func(Stop)) error {
 			nextHour += 3600
 		}
 	}
-	sys.Cloud.Advance(sys.Sim.Now())
+	for _, sys := range systems {
+		sys.Cloud.Advance(sys.Sim.Now())
+	}
 	return err
 }

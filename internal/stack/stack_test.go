@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -95,5 +96,44 @@ func TestBuildResolvesDefaults(t *testing.T) {
 		if !reflect.DeepEqual(gotBill, wantBill) {
 			t.Errorf("%v: bill %+v with the defaults unset, want %+v", fidelity, gotBill, wantBill)
 		}
+	}
+}
+
+// TestRunStopSchedule pins the stops of the one run loop over two systems:
+// the sampling grid (a period that does not divide the hour), the whole
+// hours, the ascending marks (one at t=0, a duplicate, one on the grid,
+// one at and one past the end) and the end of the run. At every stop both
+// systems have run to it, and a mark alone sets neither flag.
+func TestRunStopSchedule(t *testing.T) {
+	var systems []*System
+	for seed := int64(1); seed <= 2; seed++ {
+		sc := DefaultSpec(modes.CloudAssisted, 1)
+		sc.Hours, sc.SampleSeconds, sc.Seed = 2, 1000, seed
+		sys, err := Build(Scenario{Spec: sc}, RegionID{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys)
+	}
+	var got []Stop
+	marks := []float64{0, 500, 500, 2000, 7200, 9000}
+	if err := Run(context.Background(), systems, marks, func(stop Stop) {
+		for i, sys := range systems {
+			if now := sys.Sim.Now(); now != stop.Time {
+				t.Errorf("stop %v: system %d at %v", stop.Time, i, now)
+			}
+		}
+		got = append(got, stop)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []Stop{
+		{Time: 0}, {Time: 500}, {Time: 1000, Sample: true}, {Time: 2000, Sample: true},
+		{Time: 3000, Sample: true}, {Time: 3600, Hour: true}, {Time: 4000, Sample: true},
+		{Time: 5000, Sample: true}, {Time: 6000, Sample: true}, {Time: 7000, Sample: true},
+		{Time: 7200, Sample: true, Hour: true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stops %+v, want %+v", got, want)
 	}
 }

@@ -160,7 +160,7 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 
 	var qualitySum, reservedSum float64
 	samples := 0
-	runErr := sys.Run(ctx, func(stop stack.Stop) {
+	runErr := stack.Run(ctx, []*stack.System{sys}, nil, func(stop stack.Stop) {
 		if !stop.Sample {
 			return
 		}

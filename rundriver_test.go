@@ -10,12 +10,10 @@ import (
 )
 
 // runDriverPackages may drive an assembled stack's engine themselves:
-// internal/stack holds the one run loop (System.Run), and internal/geo
-// steps the regions of a multi-region deployment between its failover
-// events.
+// internal/stack holds the one run loop (stack.Run), which steps a
+// single-region run and every region of a multi-region deployment alike.
 var runDriverPackages = map[string]bool{
 	"cloudmedia/internal/stack": true,
-	"cloudmedia/internal/geo":   true,
 }
 
 // engineTypes are the engine seam behind stack.System.Sim and the two
@@ -29,7 +27,7 @@ var engineTypes = map[string]bool{
 // TestOneRunDriver fails when a non-test file of the root module or of
 // the daybench module calls RunUntil on an engine outside the packages
 // allowed to drive one. A run is stepped, sampled and billed by
-// stack.System.Run; a second loop that steps the engine itself would
+// stack.Run; a second loop that steps the engine itself would
 // commit billing on its own cadence and drift from it in the last bits.
 func TestOneRunDriver(t *testing.T) {
 	root, err := analysis.ModuleRoot(".")
@@ -52,7 +50,7 @@ func TestOneRunDriver(t *testing.T) {
 						return true
 					}
 					if s := p.TypesInfo.Selections[sel]; s != nil && engineTypes[namedKey(s.Recv())] {
-						t.Errorf("%s: RunUntil on %s outside internal/stack: drive the run through stack.System.Run",
+						t.Errorf("%s: RunUntil on %s outside internal/stack: drive the run through stack.Run",
 							p.Fset.Position(sel.Pos()), s.Recv())
 					}
 					return true
