@@ -306,7 +306,10 @@ func BenchmarkP2PSolve(b *testing.B) {
 // as the minute-interval control day runs it thousands of times: the
 // stack's 8-chunk channel on the paper's viewing matrix in P2P mode, at
 // one of its 24 Zipf channels' small loads (Λ = 0.05/s, a few servers
-// per chunk) with the ≈270 Kbps mean peer uplink.
+// per chunk) with the ≈270 Kbps mean peer uplink. core.DeriveDemand
+// builds fresh solvers on every call, so this also times their
+// allocation; internal/core's BenchmarkDeriveDemandSteady times the same
+// derivation on one reused deriver, as the controller runs it.
 func BenchmarkDeriveDemand(b *testing.B) {
 	cfg, p := hundredMChannel()
 	in := core.ChannelInput{ArrivalRate: 0.05, Transfer: p, MeanUplink: 34e3}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/p2p"
 	"cloudmedia/internal/queueing"
@@ -147,4 +148,38 @@ func TestDeriveDemandMatchesSeparateSolves(t *testing.T) {
 			t.Fatalf("trial %d: derivation differs from the separate solves", trial)
 		}
 	}
+}
+
+// BenchmarkDeriveDemandSteady is the root BenchmarkDeriveDemand's
+// derivation — the 100M-viewer day's 8-chunk channel on the paper's
+// viewing matrix in P2P mode, at Λ = 0.05/s with the ≈270 Kbps mean peer
+// uplink — run the way the controller runs it: on one deriver reused
+// across calls, so its solvers' buffers are warm and a derivation
+// allocates nothing. core.DeriveDemand builds fresh solvers on every
+// call, so the root benchmark also times their allocation.
+func BenchmarkDeriveDemandSteady(b *testing.B) {
+	cfg := queueing.Config{
+		Chunks:          8,
+		PlaybackRate:    50e3,
+		ChunkSeconds:    75,
+		VMBandwidth:     cloud.DefaultVMBandwidth,
+		EntryFirstChunk: 0.7,
+		SlotsPerVM:      5,
+	}
+	p, err := viewing.PaperDefault(cfg.Chunks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := ChannelInput{ArrivalRate: 0.05, Transfer: p, MeanUplink: 34e3}
+	var d deriver
+	b.ReportAllocs()
+	var demand float64
+	for i := 0; i < b.N; i++ {
+		_, res, err := d.derive(cfg, in, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		demand = mathx.Sum(res.CloudDemand)
+	}
+	b.ReportMetric(demand, "cloud_Bps")
 }

@@ -70,9 +70,9 @@ var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          0,
-			"quality_apac":           0.99999999999999845,
-			"quality_eu":             0.99999999999999811,
-			"quality_na":             0.99999999999999833,
+			"quality_apac":           0.99999999999999833,
+			"quality_eu":             0.99999999999999856,
+			"quality_na":             0.99999999999999811,
 			"storage_cost_total_usd": 0.0014385599999999998,
 			"vm_cost_apac_usd":       131.40000000000009,
 			"vm_cost_eu_usd":         124.19999999999985,
@@ -87,7 +87,7 @@ var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          15,
-			"quality_apac":           0.99999999999999845,
+			"quality_apac":           0.99999999999999833,
 			"quality_eu":             0.99999999999999856,
 			"quality_na":             0.99999999999999867,
 			"storage_cost_total_usd": 0.0014385599999999998,

@@ -21,9 +21,12 @@
 // playing cohort) and a chunk pass (each queue gathers its inflow along
 // the transfer matrix P, drains, and scores quality) around the peer
 // split, which budgets from the step's mean viewer stock: the trapezoid
-// of the stock before and after the row pass. The measurement feed keeps per source chunk only the completion
-// and jump sums Cᵢ and Uᵢ, and rebuilds the transitions once per read as
-// Tᵢₖ = Pᵢₖ·Cᵢ + Uᵢ/J.
+// of the stock before and after the row pass. The gather is O(J): P is
+// split once as one share on every off-diagonal cell plus a sparse
+// remainder, and the share's part comes from prefix and suffix sums of
+// the completion flows. The measurement feed keeps per source chunk only
+// the completion and jump sums Cᵢ and Uᵢ, and rebuilds the transitions
+// once per read as Tᵢₖ = Pᵢₖ·Cᵢ + Uᵢ/J.
 //
 // The fidelity trade-offs (what the fluid model drops relative to the
 // event engine) are documented in DESIGN.md's "Engine fidelities"

@@ -18,6 +18,9 @@ import (
 // TestStepConvergenceAcrossScenarios runs it is within half of the bar.
 // A 15 s step passes both tests too, with errors about twice as large;
 // 10 s keeps the margin (DESIGN.md "Engine fidelities" has the tables).
+// The viewer stock converges at first order and reads 6.3% above its
+// dt → 0 estimate at 10 s on that peak day: drained viewers start
+// playing at the step's end (TestStepConvergence bounds it at 7%).
 const stepSeconds = 10
 
 // batchSeconds is the simulated time one worker fan-out integrates
@@ -60,13 +63,16 @@ type Backend struct {
 	cloudCap []float64 // Δ per chunk, bytes/s
 	peerCap  []float64 // Γ per chunk, bytes/s (recomputed every step)
 
-	// flow is scratch reused across steps, same channel*J + j indexing:
-	// the completion flow each chunk's row sends along the transfer matrix
-	// this step. order carries meaning between steps: each channel's
-	// rarest-first visiting order starts as the identity at New and is
-	// re-sorted from the previous step's order (see allocatePeers).
-	flow  []float64
-	order []int
+	// flow and inflow are scratch reused across steps, same channel*J + j
+	// indexing: the completion flow each chunk's row sends along the
+	// transfer matrix this step, and the completion inflow each chunk
+	// gathers from them (see gather). order carries meaning between steps:
+	// each channel's rarest-first visiting order starts as the identity at
+	// New and is re-sorted from the previous step's order (see
+	// allocatePeers).
+	flow   []float64
+	inflow []float64
+	order  []int
 
 	// Per-channel scalars (length C).
 	cloudBytesServed []float64
@@ -78,13 +84,11 @@ type Backend struct {
 	feeds            []*feed
 
 	// Transfer-matrix constants, precomputed once at New: the constant
-	// row sums and a dense transposed copy of the matrix, transT[k*J+j] =
-	// P[j][k], in which every cell that is not positive (zero, negative
-	// zero, NaN) is stored as +0. The chunk pass gathers each chunk's
-	// completion inflow from one unit-stride column (see stepChannel).
-	// The feeds share the row sums and a row-major copy.
+	// row sums and the matrix split for the chunk pass's completion
+	// gather (see gather). The feeds share the row sums and a row-major
+	// copy of the matrix.
 	rowSum []float64
-	transT []float64
+	gather gather
 
 	// workers bounds the pool that integrates channels in parallel within
 	// each batched fan-out (see Config.Workers on the shared sim.Config).
@@ -146,26 +150,27 @@ func New(cfg sim.Config) (*Backend, error) {
 	b.cloudCap = make([]float64, C*J)
 	b.peerCap = make([]float64, C*J)
 	b.flow = make([]float64, C*J)
+	b.inflow = make([]float64, C*J)
 	b.order = make([]int, C*J)
 	for i := range b.order {
 		b.order[i] = i % J
 	}
-	// Precompute the transfer matrix's constant row sums and its dense
-	// copies. The row sum accumulates the positive entries in ascending
+	// Precompute the transfer matrix's constant row sums, its row-major
+	// copy (every cell that is not positive stored as +0) and its split.
+	// The row sum accumulates the positive entries in ascending
 	// destination order, matching the order a per-step scan would add
 	// them in, so the departure flow comp·(1−rowSum) is unchanged.
 	b.rowSum = make([]float64, J)
-	b.transT = make([]float64, J*J)
 	trans := make([]float64, J*J)
 	for j := 0; j < J; j++ {
 		for k := 0; k < J; k++ {
 			if p := sc.Transfer[j][k]; p > 0 {
 				b.rowSum[j] += p
 				trans[j*J+k] = p
-				b.transT[k*J+j] = p
 			}
 		}
 	}
+	b.gather = newGather(sc.Transfer)
 	b.cloudBytesServed = make([]float64, C)
 	b.smooth = make([]float64, C)
 	b.capTotal = make([]float64, C)
@@ -330,12 +335,13 @@ func (b *Backend) channelUsers(c int) float64 {
 //
 // The step is a row pass over source chunks (cohorts out, feed sums,
 // stock sums) and a chunk pass over destination chunks (inflow gathered
-// along transT, drain, quality sums) around the peer split.
+// through the split matrix, drain, quality sums) around the peer split.
 //
 // Every state cell and scalar accumulator sees the operation sequence of
 // the unfused reference (per-pass loops and a scatter of completions
-// over the matrix's positive entries), apart from added +0 terms that
-// change no value; TestKernelMatchesOracle pins this bit for bit.
+// over the positive entries of the split's remainder S), apart from
+// added +0 terms that change no value; TestKernelMatchesOracle pins this
+// bit for bit.
 //
 //cloudmedia:hotpath
 func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
@@ -353,8 +359,8 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 	cloudCap := b.cloudCap[base : base+J][:len(playing)]
 	peerCap := b.peerCap[base : base+J][:len(playing)]
 	flow := b.flow[base : base+J][:len(playing)]
+	inflow := b.inflow[base : base+J][:len(playing)]
 	rowSum := b.rowSum[:len(playing)]
-	transT := b.transT[:J*J]
 	feed := b.feeds[c]
 	completed := feed.completed[:len(playing)]
 	jumped := feed.jumped[:len(playing)]
@@ -375,12 +381,13 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 	// Row pass. Completions flow along row j of the transfer matrix (the
 	// constant row sum gives the departing remainder) and jumps spread
 	// uniformly over the row, both from the step-start cohort; the feed
-	// keeps their per-row sums and flow the completions for the gather.
+	// keeps their per-row sums, flow the completions for the gather and
+	// inflow the flow of the rows before each chunk (pre).
 	// stock and present are the viewer stock before and after the
 	// cohorts' outflow; the peer split budgets from their mean. Each
 	// accumulator keeps its own index-ordered sequence.
 	compFrac, jumpFrac := st.comp, st.jump
-	var stock, copies, present, departures, jumpTotal float64
+	var stock, copies, present, departures, jumpTotal, pre float64
 	for j := range playing {
 		p := playing[j]
 		w := waiting[j]
@@ -406,6 +413,8 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 		}
 		playing[j] = p
 		flow[j] = out
+		inflow[j] = pre
+		pre += out
 		present += p + w
 	}
 	// Average fraction of the library a viewer holds: the probability a
@@ -441,9 +450,11 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 	// Chunk pass: gather each queue's inflow and serve it. Each chunk
 	// drains at the provisioned capacity, bounded by a per-download rate
 	// of R (drainStep). Completions move viewers into the playing cohort
-	// and add cached copies. The gather adds flow[j]·P[j][k] in source
-	// order j, the order the reference scatter reaches cell k in; the
-	// terms the scatter skips are +0 (DESIGN.md "Column gather").
+	// and add cached copies. The completion inflow comes from the split
+	// matrix (gather.sum); its column adds flow[j]·S[j][k] in source order
+	// j, the order the reference scatter reaches cell k in, and the terms
+	// the scatter skips are +0 (DESIGN.md "Split gather").
+	b.gather.sum(inflow, flow)
 	served := b.cloudBytesServed[c]
 	invDt := st.invDt
 	var demandBps, servedBps float64
@@ -452,10 +463,7 @@ func (b *Backend) stepChannel(c int, t, lambda float64, st *stepConst) {
 		if k == 0 {
 			in = first
 		}
-		col := transT[k*J : k*J+J][:len(flow)]
-		for j, pjk := range col {
-			in += flow[j] * pjk
-		}
+		in += inflow[k]
 		in += perMiss
 
 		q0 := waiting[k]

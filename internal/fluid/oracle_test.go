@@ -2,18 +2,23 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
 	"cloudmedia/internal/queueing"
 	"cloudmedia/internal/sim"
 	"cloudmedia/internal/testutil"
+	"cloudmedia/internal/viewing"
 )
 
 // oracleKernel is a reference copy of the fluid step kernel in its
-// straightforward form: completions scatter through a CSR index of the
-// transfer matrix's positive entries into an inflow scratch, VCR jumps
-// join that scratch in a separate pass after every row's completions,
+// straightforward form: the transfer matrix is split as P = s·(11ᵀ − I)
+// + S with s its smallest off-diagonal entry, completions scatter
+// through a CSR index of S's positive entries into a completion scratch,
+// the share s of every other row's flow joins it from prefix and suffix
+// sums after every row's completions, VCR jumps join the inflow in a
+// separate pass,
 // every queue drains through drainStep, the rarest-first order is
 // re-sorted from the identity on every step, and draws use the built-in
 // min. The production kernel must reproduce its state bit for bit
@@ -27,12 +32,13 @@ import (
 type oracleKernel struct {
 	p      queueing.TransferMatrix
 	rowSum []float64
-	nzOff  []int
+	share  float64 // s, the smallest off-diagonal entry
+	nzOff  []int   // CSR index of S's positive entries
 	nzK    []int
 	nzP    []float64
 
-	inWait, inPlay, demand []float64 // per-step scratch, J each
-	ref                    []refFeed // per channel
+	inWait, inPlay, inComp, flow, demand []float64 // per-step scratch, J each
+	ref                                  []refFeed // per channel
 }
 
 // refFeed is one channel's reference transition accumulator:
@@ -76,16 +82,40 @@ func newOracleKernel(p queueing.TransferMatrix, C int) *oracleKernel {
 		nzOff:  make([]int, J+1),
 		inWait: make([]float64, J),
 		inPlay: make([]float64, J),
+		inComp: make([]float64, J),
+		flow:   make([]float64, J),
 		demand: make([]float64, J),
 	}
 	for c := 0; c < C; c++ {
 		o.ref = append(o.ref, refFeed{make([]float64, J*J), make([]float64, J)})
 	}
+	// Cells that are not positive count as +0, so a matrix with such a
+	// cell off the diagonal has s = 0 and S = P.
+	positive := func(v float64) float64 {
+		if v > 0 {
+			return v
+		}
+		return 0
+	}
+	if J > 1 {
+		o.share = math.Inf(1)
+	}
+	for j := 0; j < J; j++ {
+		for k := 0; k < J; k++ {
+			if v := positive(p[j][k]); k != j && v < o.share {
+				o.share = v
+			}
+		}
+	}
 	for j := 0; j < J; j++ {
 		o.nzOff[j] = len(o.nzK)
 		for k := 0; k < J; k++ {
-			if v := p[j][k]; v > 0 {
-				o.rowSum[j] += v
+			v := positive(p[j][k])
+			o.rowSum[j] += v
+			if k != j {
+				v -= o.share
+			}
+			if v > 0 {
 				o.nzK = append(o.nzK, k)
 				o.nzP = append(o.nzP, v)
 			}
@@ -113,6 +143,8 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 	peerCap := b.peerCap[base : base+J]
 	inWait := o.inWait
 	inPlay := o.inPlay
+	inComp := o.inComp
+	flow := o.flow
 	feed := b.feeds[c]
 	ref := o.ref[c]
 
@@ -152,18 +184,23 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 		}
 	}
 
-	// 2. Playback completions along the transfer matrix's live entries,
-	// the remainder departing; 3. VCR jumps from the same step-start
-	// cohort, spread uniformly over the transition row.
+	// 2. Playback completions along S's live entries, the remainder
+	// departing; 3. VCR jumps from the same step-start cohort, spread
+	// uniformly over the transition row.
 	var departures, jumpTotal float64
+	for k := 0; k < J; k++ {
+		inComp[k] = 0
+		flow[k] = 0
+	}
 	for j := 0; j < J; j++ {
 		p := playing[j]
 		comp := p * st.comp
 		jump := p * st.jump
 		ref.add(o.p, o.rowSum[j], j, comp, jump)
 		if comp > 0 {
+			flow[j] = comp
 			for i := o.nzOff[j]; i < o.nzOff[j+1]; i++ {
-				inWait[o.nzK[i]] += comp * o.nzP[i]
+				inComp[o.nzK[i]] += comp * o.nzP[i]
 			}
 			leave := comp * (1 - o.rowSum[j])
 			if leave < 0 {
@@ -177,6 +214,19 @@ func (o *oracleKernel) stepChannel(b *Backend, c int, t, dt, lambda float64) {
 			p -= jump
 		}
 		playing[j] = p
+	}
+	// The share s of every other row's completions, from the flow of the
+	// rows before k, summed forward, and after it, summed backward.
+	for k := 0; k < J; k++ {
+		pre, suf := 0.0, 0.0
+		for j := 0; j < k; j++ {
+			pre += flow[j]
+		}
+		for j := J - 1; j > k; j-- {
+			suf += flow[j]
+		}
+		inComp[k] += o.share * (pre + suf)
+		inWait[k] += inComp[k]
 	}
 	if jumpTotal > 0 {
 		perHit := jumpTotal * ownedFrac / fJ
@@ -336,6 +386,49 @@ func randomTransfer(rng *rand.Rand, J int) queueing.TransferMatrix {
 	return p
 }
 
+// denseTransfer draws a J×J substochastic matrix with every cell
+// positive, so its off-diagonal minimum, the split's share, is positive
+// and its remainder S is dense but for the minimum's cell.
+func denseTransfer(rng *rand.Rand, J int) queueing.TransferMatrix {
+	p := queueing.NewTransferMatrix(J)
+	for j := 0; j < J; j++ {
+		var sum float64
+		for k := 0; k < J; k++ {
+			p[j][k] = 0.01 + rng.Float64()
+			sum += p[j][k]
+		}
+		scale := 0.05 + 0.95*rng.Float64()
+		for k := 0; k < J; k++ {
+			p[j][k] *= scale / sum
+		}
+	}
+	return p
+}
+
+// jumpPriorTransfer draws the matrix every stack run passes the engine,
+// viewing.SequentialWithJumps, at a random continuation and jump
+// probability: one jump share off the diagonal plus a sequential band.
+func jumpPriorTransfer(rng *rand.Rand, J int) queueing.TransferMatrix {
+	p, err := viewing.SequentialWithJumps(J, rng.Float64(), rng.Float64())
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// transferKinds are the matrix families the oracle and gather cases draw
+// from: random substochastic rows (mostly an off-diagonal minimum of 0,
+// so the split's share is 0 and S = P), dense rows (a positive share and
+// a dense S) and the jump prior (a positive share and a one-band S).
+var transferKinds = []struct {
+	name string
+	draw func(rng *rand.Rand, J int) queueing.TransferMatrix
+}{
+	{"random", randomTransfer},
+	{"dense", denseTransfer},
+	{"jump-prior", jumpPriorTransfer},
+}
+
 // kernelPair is one scenario stepped by the production kernel (fast) and
 // by the oracle (ref) from identical starting states.
 type kernelPair struct {
@@ -343,7 +436,7 @@ type kernelPair struct {
 	oracle    *oracleKernel
 }
 
-func newKernelPair(t *testing.T, rng *rand.Rand, J int, mode sim.Mode, sched sim.PeerScheduling, zeroCap bool) kernelPair {
+func newKernelPair(t *testing.T, rng *rand.Rand, J, kind int, mode sim.Mode, sched sim.PeerScheduling, zeroCap bool) kernelPair {
 	t.Helper()
 	chCfg := testutil.ChannelConfig(J, 20+80*rng.Float64())
 	chCfg.VMBandwidth = 100e3 + 400e3*rng.Float64()
@@ -354,7 +447,7 @@ func newKernelPair(t *testing.T, rng *rand.Rand, J int, mode sim.Mode, sched sim
 		Mode:       mode,
 		Channel:    chCfg,
 		Workload:   testutil.FlatWorkload(3, 1, 60+600*rng.Float64()),
-		Transfer:   randomTransfer(rng, J),
+		Transfer:   transferKinds[kind].draw(rng, J),
 		Scheduling: sched,
 		Seed:       1,
 	}
@@ -469,34 +562,39 @@ var oracleModes = []oracleMode{
 	{"client-server", sim.ClientServer, sim.RarestFirst},
 }
 
-// forEachOracleCase runs every oracle scenario — random substochastic
-// matrices (sparse, dense and all-zero rows), chunk counts from 1 to 20,
-// owner ties at zero (the empty start) and later ties, rarest-first,
-// proportional and client-server (no peer step) modes, zero capacity,
-// mid-run capacity changes and feed resets, at full and partial steps —
-// stepping the production kernel and the oracle alike, and calls check
-// after every step.
+// forEachOracleCase runs every oracle scenario — every transferKinds
+// family (sparse, dense and all-zero rows, a positive or zero split
+// share, the jump prior), chunk counts from 1 to 20, owner ties at zero
+// (the empty start) and later ties, rarest-first, proportional and
+// client-server (no peer step) modes, zero capacity, mid-run capacity
+// changes and feed resets, at full and partial steps — stepping the
+// production kernel and the oracle alike, and calls check after every
+// step.
 func forEachOracleCase(t *testing.T, check func(kp kernelPair, t *testing.T, step int)) {
 	for _, J := range []int{1, 2, 3, 8, 20} {
 		for _, m := range oracleModes {
 			for _, zeroCap := range []bool{false, true} {
 				name := fmt.Sprintf("J=%d/%s/zeroCap=%v", J, m.name, zeroCap)
 				t.Run(name, func(t *testing.T) {
-					rng := rand.New(rand.NewPCG(uint64(J), uint64(len(name))))
-					runOracleCase(t, rng, J, m, zeroCap, 240, check)
+					for kind := range transferKinds {
+						t.Run(transferKinds[kind].name, func(t *testing.T) {
+							rng := rand.New(rand.NewPCG(uint64(J), uint64(len(name)+kind)))
+							runOracleCase(t, rng, J, kind, m, zeroCap, 240, check)
+						})
+					}
 				})
 			}
 		}
 	}
 }
 
-// runOracleCase steps one oracle scenario drawn from rng for the given
-// number of steps, calling check after each: mostly full steps and some
-// partial ones, with feed resets, capacity changes and owner ties
-// between them.
-func runOracleCase(t *testing.T, rng *rand.Rand, J int, m oracleMode, zeroCap bool, steps int, check func(kp kernelPair, t *testing.T, step int)) {
+// runOracleCase steps one oracle scenario drawn from rng, with a matrix
+// of transferKinds[kind], for the given number of steps, calling check
+// after each: mostly full steps and some partial ones, with feed resets,
+// capacity changes and owner ties between them.
+func runOracleCase(t *testing.T, rng *rand.Rand, J, kind int, m oracleMode, zeroCap bool, steps int, check func(kp kernelPair, t *testing.T, step int)) {
 	t.Helper()
-	kp := newKernelPair(t, rng, J, m.mode, m.sched, zeroCap)
+	kp := newKernelPair(t, rng, J, kind, m.mode, m.sched, zeroCap)
 	now := 0.0
 	for s := 0; s < steps; s++ {
 		// Mostly full steps, and partial ones as a barrier cuts them.
@@ -547,16 +645,18 @@ func TestFeedMatrixMatchesReference(t *testing.T) {
 }
 
 // FuzzKernelMatchesOracle holds the production kernel to the oracle bit
-// for bit on fuzzed oracle cases: J = 1…20 chunks, the peer mode and
-// scheduling, zero capacity and the seed of the case's matrix, rates,
-// capacities and step lengths, over 60 steps of the oracle case loop.
+// for bit on fuzzed oracle cases: J = 1…20 chunks, the matrix family, the
+// peer mode and scheduling, zero capacity and the seed of the case's
+// matrix, rates, capacities and step lengths, over 60 steps of the
+// oracle case loop.
 func FuzzKernelMatchesOracle(f *testing.F) {
-	f.Add(uint8(7), uint8(0), false, uint64(1), uint64(2))
-	f.Add(uint8(0), uint8(1), true, uint64(3), uint64(4))
-	f.Add(uint8(19), uint8(2), false, uint64(5), uint64(6))
-	f.Fuzz(func(t *testing.T, jSel, modeSel uint8, zeroCap bool, seed1, seed2 uint64) {
+	f.Add(uint8(7), uint8(0), uint8(0), false, uint64(1), uint64(2))
+	f.Add(uint8(0), uint8(1), uint8(1), true, uint64(3), uint64(4))
+	f.Add(uint8(19), uint8(2), uint8(2), false, uint64(5), uint64(6))
+	f.Fuzz(func(t *testing.T, jSel, kindSel, modeSel uint8, zeroCap bool, seed1, seed2 uint64) {
 		J := 1 + int(jSel)%20
+		kind := int(kindSel) % len(transferKinds)
 		m := oracleModes[int(modeSel)%len(oracleModes)]
-		runOracleCase(t, rand.New(rand.NewPCG(seed1, seed2)), J, m, zeroCap, 60, kernelPair.compare)
+		runOracleCase(t, rand.New(rand.NewPCG(seed1, seed2)), J, kind, m, zeroCap, 60, kernelPair.compare)
 	})
 }

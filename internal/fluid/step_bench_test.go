@@ -1,6 +1,8 @@
 package fluid
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"cloudmedia/internal/cloud"
@@ -11,35 +13,37 @@ import (
 )
 
 // peakChannels and peakHour place BenchmarkFluidStep at the 100M-viewer
-// day's evening peak: 48 channels of 8×75 s chunks under the default
-// diurnal workload, whose largest flash crowd peaks at hour 20.
+// day's evening peak: 48 channels under the default diurnal workload,
+// whose largest flash crowd peaks at hour 20.
 const (
 	peakChannels = 48
 	peakHour     = 20
 )
 
 // hundredMConfig is the engine-facing half of the 100M-viewer fluid day
-// (stack.DefaultSpec with the 34M viewer scale and 48 channels): the
-// paper's 8-chunk channel, rarest-first peer allocation, serial stepping.
-// The base rate is stack.BaseRateForViewers(34e6), 0.6 users/s per 250
-// viewers.
-func hundredMConfig(tb testing.TB) sim.Config {
+// (stack.DefaultSpec with the 34M viewer scale and 48 channels) on a
+// channel of the given chunks: rarest-first peer allocation, serial
+// stepping, and the stack's jump prior for the channel (90% per-chunk
+// retention, a jump probability of T₀ over the 225 s mean jump
+// interval). 8 chunks of 75 s is the paper's channel. The base rate is
+// stack.BaseRateForViewers(34e6), 0.6 users/s per 250 viewers.
+func hundredMConfig(tb testing.TB, chunks int, chunkSeconds float64) sim.Config {
 	tb.Helper()
 	wl := workload.Default()
 	wl.Channels = peakChannels
 	wl.ZipfExponent = 0.8
 	wl.BaseArrivalRate = 0.6 * 34e6 / 250
 	wl.JumpMeanSeconds = 225
-	transfer, err := viewing.PaperDefault(8)
+	transfer, err := viewing.SequentialWithJumps(chunks, 0.9, chunkSeconds/wl.JumpMeanSeconds)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return sim.Config{
 		Mode: sim.P2P,
 		Channel: queueing.Config{
-			Chunks:          8,
+			Chunks:          chunks,
 			PlaybackRate:    50e3,
-			ChunkSeconds:    75,
+			ChunkSeconds:    chunkSeconds,
 			VMBandwidth:     cloud.DefaultVMBandwidth,
 			EntryFirstChunk: 0.7,
 			SlotsPerVM:      5,
@@ -52,26 +56,23 @@ func hundredMConfig(tb testing.TB) sim.Config {
 
 // provisionHalfFlow sets every chunk's cloud capacity to half the byte
 // flow its Jackson traffic rate needs at time t, leaving the rest to the
-// peers — a stand-in for the controller's hourly plan.
+// peers — a stand-in for the controller's hourly plan. The rates come
+// from the controller's solver; its server bound is lifted so that no
+// peak chunk fails the sizing the rates do not need.
 func provisionHalfFlow(tb testing.TB, b *Backend, t float64) {
 	tb.Helper()
 	cfg := b.cfg
-	J := b.J
-	ext := make([]float64, J)
+	var solver queueing.Solver
 	for c := 0; c < b.C; c++ {
 		rate, err := b.src.Rate(c, t)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		ext[0] = rate * cfg.Channel.EntryFirstChunk
-		for j := 1; j < J; j++ {
-			ext[j] = rate * (1 - cfg.Channel.EntryFirstChunk) / float64(J-1)
-		}
-		traffic, err := queueing.SolveTraffic(cfg.Transfer, ext)
+		eq, err := solver.Solve(cfg.Channel, cfg.Transfer, rate, math.MaxInt32)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		for j, l := range traffic {
+		for j, l := range eq.ArrivalRates {
 			if err := b.SetCloudCapacity(c, j, 0.5*l*cfg.Channel.ChunkBytes()); err != nil {
 				tb.Fatal(err)
 			}
@@ -125,15 +126,28 @@ func (s *kernelState) restore(b *Backend) {
 // of steps, 90 at the engine's own 10 s step), of every channel of the
 // 100M-viewer day, starting from its evening-peak state, with the batch's
 // arrival rates resolved beforehand so the demand plane is not timed.
-// The state comes from integrating the last two hours before the peak
-// with capacity re-provisioned hourly, and is restored before every
-// batch so each iteration does the same work. ns/chunk-step divides the
-// time by steps × channels × chunks, the unit daybench's
-// fluid.ns_per_chunk_step reports; ns/sim-s divides it by the simulated
-// seconds the batch covers, so a longer step's higher cost per step and
-// lower cost per simulated day both show.
+// J=8 is the day's own channel of 8×75 s chunks; J=16 the 16×40 s channel
+// of TestStepConvergenceAcrossScenarios, so the cost per chunk-step shows
+// at two chunk counts. The state comes from integrating the last two
+// hours before the peak with capacity re-provisioned hourly, and is
+// restored before every batch so each iteration does the same work.
+// ns/chunk-step divides the time by steps × channels × chunks, the unit
+// daybench's fluid.ns_per_chunk_step reports; ns/sim-s divides it by the
+// simulated seconds the batch covers, so a longer step's higher cost per
+// step and lower cost per simulated day both show.
 func BenchmarkFluidStep(b *testing.B) {
-	be, err := New(hundredMConfig(b))
+	for _, ch := range []struct {
+		chunks       int
+		chunkSeconds float64
+	}{{8, 75}, {16, 40}} {
+		b.Run(fmt.Sprintf("J=%d", ch.chunks), func(b *testing.B) {
+			benchmarkFluidStep(b, hundredMConfig(b, ch.chunks, ch.chunkSeconds))
+		})
+	}
+}
+
+func benchmarkFluidStep(b *testing.B, cfg sim.Config) {
+	be, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

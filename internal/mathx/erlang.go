@@ -119,17 +119,47 @@ const seriesEpsilon = 1e-17
 // cut off once the terms, which shrink from k ≈ m−a on, fall below
 // seriesEpsilon of the sum. With m just above a the terms decay like
 // exp(−k²/2a), so the cut comes after O(√a) terms instead of the
-// recurrence's m steps. It agrees with ErlangB to ~1e-14 relative error
-// over the loads the simulator sizes (pinned by the mathx tests).
+// recurrence's m steps.
+//
+// Each ratio (m−i)/a is a product with the precomputed 1/a, and the loop
+// advances four terms at a time: the four ratios' running products are
+// formed apart from the running term, their pairwise sum times the
+// running term joins the sum, and the running term takes one multiply
+// per four terms. Neither a division nor a chain of dependent multiplies
+// limits the loop. The cut is checked on the block's last, smallest
+// term, so up to three terms past the cut are added; they only make the
+// sum more exact. It agrees with ErlangB within a relative 1.05e-13 over
+// the loads the simulator sizes (the worst
+// TestSeriesMatchesRecurrenceAboveThreshold measures, against its 1e-12
+// bound).
 func erlangBSeries(m int, a float64) float64 {
+	inv := 1 / a
 	sum, term := 1.0, 1.0
-	for k := 0; k < m; k++ {
-		ratio := float64(m-k) / a
+	n := float64(m) // m − k, exact: m is far below 2⁵³
+	k := 0
+	for ; k+4 <= m; k += 4 {
+		r0 := n * inv
+		r1 := (n - 1) * inv
+		r2 := (n - 2) * inv
+		r3 := (n - 3) * inv
+		p1 := r0 * r1
+		p2 := p1 * r2
+		p3 := p2 * r3
+		sum += term * ((r0 + p1) + (p2 + p3))
+		term *= p3
+		if r3 < 1 && term < seriesEpsilon*sum {
+			return 1 / sum
+		}
+		n -= 4
+	}
+	for ; k < m; k++ {
+		ratio := n * inv
 		term *= ratio
 		sum += term
 		if ratio < 1 && term < seriesEpsilon*sum {
 			break
 		}
+		n--
 	}
 	return 1 / sum
 }

@@ -305,6 +305,23 @@ func TestSeriesMatchesRecurrenceAboveThreshold(t *testing.T) {
 	}
 }
 
+// Below the threshold the series still holds to the recurrence: with a
+// small offered load it runs to its last term (k = m) before the cut, so
+// every server count m ≡ 0…3 mod 4 also exercises the loop that finishes
+// the terms the four-term blocks leave.
+func TestSeriesMatchesRecurrenceAtSmallLoads(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for n := 0; n < 200; n++ {
+		a := 0.01 + 60*r.Float64()
+		for m := int(a) + 1; m <= int(a)+12; m++ {
+			exact := ErlangB(m, a)
+			if rel := math.Abs(erlangBSeries(m, a)-exact) / exact; !(rel <= 1e-12) {
+				t.Fatalf("B(%d, %v): series %v, recurrence %v (relative %.3g)", m, a, erlangBSeries(m, a), exact, rel)
+			}
+		}
+	}
+}
+
 // The error paths report exactly what the restart search reported.
 func TestSizingErrorsMatchOracle(t *testing.T) {
 	for _, tc := range []struct {

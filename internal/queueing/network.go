@@ -100,39 +100,23 @@ func (c Config) externalArrivalsInto(ext []float64, lambda float64) {
 	}
 }
 
-// SolveTraffic solves the Jackson traffic equations (Eqn. 1):
+// solveTrafficInto solves the Jackson traffic equations (Eqn. 1),
 //
-//	λ_i = ext_i + Σ_j λ_j · P[j][i]
+//	λ_i = ext_i + Σ_j λ_j · P[j][i],
 //
-// i.e. (I − Pᵀ)·λ = ext, returning the per-queue aggregate arrival rates.
-// It allocates twice: the workspace and the returned rates.
-func SolveTraffic(p TransferMatrix, ext []float64) ([]float64, error) {
-	lambda := make([]float64, len(p))
-	if err := solveTrafficInto(lambda, nil, make([]float64, len(p)*len(p)+len(p)), p, ext); err != nil {
-		return nil, err
-	}
-	return lambda, nil
-}
-
-// solveTrafficInto is SolveTraffic writing the rates into lambda (len
-// J), with work as the solve's scratch: len ≥ J²+J, or 2J²+J when inv
-// is not nil. A non-nil inv (len J²) also receives (I − Pᵀ)⁻¹, row-major,
-// from the same elimination: the identity rides beside the external
-// rates as J more right-hand sides. mathx.SolveManyInPlace gives each
-// column SolveInPlace's bits, so the rates are the same either way.
+// i.e. (I − Pᵀ)·λ = ext, writing the per-queue aggregate arrival rates
+// into lambda (len J). Its caller, Solver.solve, builds ext (len J, no
+// negative rate) from a validated Config and a non-negative Λ. work is
+// the solve's scratch: len ≥ J²+J, or 2J²+J when inv is not nil. A
+// non-nil inv (len J²) also receives (I − Pᵀ)⁻¹, row-major, from the
+// same elimination: the identity rides beside the external rates as J
+// more right-hand sides. mathx.SolveManyInPlace gives each column
+// SolveInPlace's bits, so the rates are the same either way.
 func solveTrafficInto(lambda, inv, work []float64, p TransferMatrix, ext []float64) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	j := p.Size()
-	if len(ext) != j {
-		return fmt.Errorf("queueing: %d external rates for %d queues", len(ext), j)
-	}
-	for i, e := range ext {
-		if e < 0 {
-			return fmt.Errorf("queueing: negative external rate %v at queue %d", e, i)
-		}
-	}
 	// (I − Pᵀ) row-major, then the right-hand sides, in one workspace.
 	a := work[:j*j]
 	for i := 0; i < j; i++ {

@@ -88,14 +88,15 @@ func TestSolveTrafficSequential(t *testing.T) {
 	j, cont, lambda := 5, 0.8, 10.0
 	p := sequentialMatrix(j, cont)
 	cfg := Config{Chunks: j, PlaybackRate: 1, ChunkSeconds: 1, VMBandwidth: 2, EntryFirstChunk: 1}
-	rates, err := SolveTraffic(p, cfg.ExternalArrivals(lambda))
+	var s Solver
+	eq, err := s.Solve(cfg, p, lambda, 0)
 	if err != nil {
-		t.Fatalf("SolveTraffic: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	want := lambda
 	for i := 0; i < j; i++ {
-		if !mathx.ApproxEqual(rates[i], want, 1e-9) {
-			t.Errorf("λ[%d] = %v, want %v", i, rates[i], want)
+		if !mathx.ApproxEqual(eq.ArrivalRates[i], want, 1e-9) {
+			t.Errorf("λ[%d] = %v, want %v", i, eq.ArrivalRates[i], want)
 		}
 		want *= cont
 	}
@@ -109,31 +110,39 @@ func TestSolveTrafficFlowConservation(t *testing.T) {
 		{0.05, 0, 0.75},
 		{0.1, 0.1, 0},
 	}
-	ext := []float64{4, 1, 1}
-	rates, err := SolveTraffic(p, ext)
+	cfg := Config{Chunks: 3, PlaybackRate: 1, ChunkSeconds: 1, VMBandwidth: 2, EntryFirstChunk: 2.0 / 3}
+	lambda := 6.0
+	var s Solver
+	eq, err := s.Solve(cfg, p, lambda, 0)
 	if err != nil {
-		t.Fatalf("SolveTraffic: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	var out float64
-	for i, li := range rates {
+	for i, li := range eq.ArrivalRates {
 		out += li * p.DepartureProbability(i)
 	}
-	if !mathx.ApproxEqual(out, mathx.Sum(ext), 1e-9) {
-		t.Errorf("departure rate %v != arrival rate %v", out, mathx.Sum(ext))
+	if !mathx.ApproxEqual(out, lambda, 1e-9) {
+		t.Errorf("departure rate %v != arrival rate %v", out, lambda)
 	}
 }
 
+// The Solver rejects what the traffic equations cannot solve: a matrix
+// of another size, a negative arrival rate, and a closed routing with
+// arrivals.
 func TestSolveTrafficErrors(t *testing.T) {
 	p := sequentialMatrix(3, 0.5)
-	if _, err := SolveTraffic(p, []float64{1, 2}); err == nil {
-		t.Error("mismatched ext length: want error")
+	cfg := Config{Chunks: 3, PlaybackRate: 1, ChunkSeconds: 1, VMBandwidth: 2, EntryFirstChunk: 1}
+	var s Solver
+	if _, err := s.Solve(cfg, sequentialMatrix(2, 0.5), 1, 0); err == nil {
+		t.Error("matrix size differs from the chunk count: want error")
 	}
-	if _, err := SolveTraffic(p, []float64{1, -2, 0}); err == nil {
-		t.Error("negative ext: want error")
+	if _, err := s.Solve(cfg, p, -2, 0); err == nil {
+		t.Error("negative arrival rate: want error")
 	}
 	closed := TransferMatrix{{0, 1}, {1, 0}}
-	if _, err := SolveTraffic(closed, []float64{1, 0}); err == nil {
-		t.Error("closed routing with arrivals: want error (singular)")
+	cfg.Chunks = 2
+	if _, err := s.Solve(cfg, closed, 1, 0); err == nil {
+		t.Error("closed routing with arrivals: want error")
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 	"cloudmedia/internal/viewing"
 )
 
-// referenceSolveTraffic is SolveTraffic as it was before the flat
+// referenceSolveTraffic is the traffic solve as it was before the flat
 // workspace: a freshly allocated [][]float64 (I − Pᵀ) solved by the
-// reference elimination. Kept as the bit-identity oracle.
+// reference elimination. Kept as the bit-identity oracle for the rates
+// the Solver's equilibria carry.
 func referenceSolveTraffic(p queueing.TransferMatrix, ext []float64) ([]float64, error) {
 	j := p.Size()
 	a := make([][]float64, j)
@@ -40,8 +41,11 @@ func referenceSolveTraffic(p queueing.TransferMatrix, ext []float64) ([]float64,
 	return lambda, nil
 }
 
+// The Solver's arrival rates are the reference elimination's, bit for
+// bit, on the paper's matrix and random substochastic ones.
 func TestSolveTrafficMatchesReferenceBits(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
+	var s queueing.Solver
 	for _, j := range []int{1, 2, 3, 8, 20} {
 		paper, err := viewing.PaperDefault(j)
 		if err != nil {
@@ -56,46 +60,49 @@ func TestSolveTrafficMatchesReferenceBits(t *testing.T) {
 			if trial > 0 {
 				p = testutil.RandomSubstochastic(j, r.Float64)
 			}
-			ext := cfg.ExternalArrivals(0.01 + 5*r.Float64())
-			want, wantErr := referenceSolveTraffic(p, ext)
-			got, err := queueing.SolveTraffic(p, ext)
+			lambda := 0.01 + 5*r.Float64()
+			want, wantErr := referenceSolveTraffic(p, cfg.ExternalArrivals(lambda))
+			eq, err := s.Solve(cfg, p, lambda, 0)
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 				t.Fatalf("J=%d trial %d: err = %v, reference err = %v", j, trial, err, wantErr)
 			}
-			if !testutil.SameBits(got, want) {
-				t.Fatalf("J=%d trial %d: rates %v, reference %v", j, trial, got, want)
+			if !testutil.SameBits(eq.ArrivalRates, want) {
+				t.Fatalf("J=%d trial %d: rates %v, reference %v", j, trial, eq.ArrivalRates, want)
 			}
 		}
 	}
 }
 
 // A singular routing (every viewer moves on, nobody leaves) must still
-// surface the elimination's ErrSingular through the flat solve.
+// surface the elimination's ErrSingular through the flat solve. With no
+// arrivals the Solver skips its departure check and reaches the
+// elimination.
 func TestSolveTrafficSingularMatchesReference(t *testing.T) {
 	p := queueing.TransferMatrix{{0, 1}, {1, 0}}
-	ext := []float64{1, 0}
-	_, wantErr := referenceSolveTraffic(p, ext)
-	_, err := queueing.SolveTraffic(p, ext)
+	_, wantErr := referenceSolveTraffic(p, []float64{0, 0})
+	var s queueing.Solver
+	_, err := s.Solve(testutil.ChannelConfig(2, 75), p, 0, 0)
 	if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("err = %v, reference err = %v", err, wantErr)
 	}
 }
 
-// SolveTraffic allocates its workspace and the returned rates, nothing
-// else.
+// A Solver's steady traffic solve allocates nothing: the equilibrium
+// views the solver's buffers.
 func TestSolveTrafficAllocations(t *testing.T) {
 	p, err := viewing.PaperDefault(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := testutil.ChannelConfig(8, 75).ExternalArrivals(0.25)
+	cfg := testutil.ChannelConfig(8, 75)
+	var s queueing.Solver
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := queueing.SolveTraffic(p, ext); err != nil {
+		if _, err := s.Solve(cfg, p, 0.25, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("SolveTraffic allocates %.1f times at J=8, want at most 2", allocs)
+	if allocs != 0 {
+		t.Errorf("a steady Solver.Solve allocates %.1f times at J=8, want 0", allocs)
 	}
 }
 

@@ -56,9 +56,10 @@ go test -run '^$' -bench 'BenchmarkRebalancePeers$' -benchtime 2000x -count=3 ./
 # EventHeap is the per-viewer schedule/cancel/pop mix at the control
 # day's per-channel queue depth.
 go test -run '^$' -bench 'BenchmarkEventHeap$' -benchtime 200000x -count=3 ./internal/sim | tee -a "$TMP"
-# FluidStep is the fluid kernel alone: one 256-step batch, at the
-# engine's own step, of the 100M-viewer day's 48 channels at its
-# evening-peak state, with ns/chunk-step and ns/sim-s metrics.
+# FluidStep is the fluid kernel alone: one batch (900 s of steps at the
+# engine's own step) of the 100M-viewer day's 48 channels at its
+# evening-peak state, on the day's 8-chunk channel (J=8) and a 16-chunk
+# one (J=16), with ns/chunk-step and ns/sim-s metrics.
 go test -run '^$' -bench 'BenchmarkFluidStep$' -benchtime 50x -count=3 ./internal/fluid | tee -a "$TMP"
 
 # Control-path benches: plans/s per provisioning policy and the billing
@@ -72,6 +73,9 @@ go test -run '^$' -bench 'BenchmarkBrokerApply$' -benchtime 2000x -count=3 ./int
 # controller: snapshot, forecasts, derivation, hedged lookahead plan,
 # apply.
 go test -run '^$' -bench 'BenchmarkControlRound$' -benchtime 500x -count=3 ./internal/core | tee -a "$TMP"
+# DeriveDemandSteady is DeriveDemand on one reused deriver, the steady,
+# allocation-free derivation the controller runs.
+go test -run '^$' -bench 'BenchmarkDeriveDemandSteady$' -benchtime 2000x -count=3 ./internal/core | tee -a "$TMP"
 
 # Convert `go test -bench` lines into JSON, keeping the fastest of the
 # -count samples for each benchmark (see the noise note above):

@@ -26,8 +26,6 @@ var testOnlyAllowed = map[string]string{
 	"cloudmedia/internal/core.DeriveDemand": "the one-shot demand derivation that the gated " +
 		"BenchmarkDeriveDemand in scripts/bench.sh calls",
 	"cloudmedia/internal/sim.PoolSpawns": "pins the serial FanOut path in the sim and fluid tests",
-	"cloudmedia/internal/queueing.SolveTraffic": "the gated BenchmarkFluidStep in scripts/bench.sh " +
-		"provisions its peak state through it",
 	"cloudmedia/internal/cloud.Cloud.TotalActiveVMs": "the gated BenchmarkBrokerApply in scripts/bench.sh " +
 		"queries the serving fleet through it",
 	"cloudmedia/internal/cloud.Ledger.Diagnostics": "the ledger's notes (infeasible budgets, failed storage " +
