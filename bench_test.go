@@ -13,6 +13,8 @@ import (
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/core"
 	"cloudmedia/internal/experiments"
+	"cloudmedia/internal/fault"
+	"cloudmedia/internal/geo"
 	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/modes"
 	"cloudmedia/internal/p2p"
@@ -691,4 +693,38 @@ func BenchmarkResilienceDay(b *testing.B) {
 	b.ReportMetric(quality, "quality")
 	b.ReportMetric(bill, "bill-usd")
 	b.ReportMetric(float64(interruptions), "interruptions")
+}
+
+// BenchmarkRegionalDay runs the multi-region deployment end to end, as
+// the regional experiment runs it: the default 24-hour cloud-assisted
+// scenario split across geo.DefaultRegions, each region with its own
+// overlay, controller and broker, driven through geo.Deployment.Run. One
+// outage at the evening peak fails the largest region over to the other
+// two for two hours, so the failover and recovery path runs too. Reports
+// the mean regional quality and the total VM cost.
+func BenchmarkRegionalDay(b *testing.B) {
+	faults, err := fault.ParseSpec("outage@19.5h+2h")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
+	sc.Faults = faults
+	var quality, vmCost float64
+	for i := 0; i < b.N; i++ {
+		dep, err := geo.New(sc, geo.DefaultRegions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := dep.Run(context.Background(), func(stack.Stop) {}); err != nil {
+			b.Fatal(err)
+		}
+		regions, totalVM, _ := dep.Report()
+		quality = 0
+		for _, r := range regions {
+			quality += r.Quality / float64(len(regions))
+		}
+		vmCost = totalVM
+	}
+	b.ReportMetric(quality, "quality")
+	b.ReportMetric(vmCost, "vm-cost-usd")
 }

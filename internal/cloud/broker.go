@@ -61,10 +61,16 @@ func NewBroker(c *Cloud) (*Broker, error) {
 
 // Negotiate returns the current catalog: prices, QoS (per-VM bandwidth) and
 // availability. The controller calls this at the start of every
-// provisioning interval (Sec. V-B).
-func (b *Broker) Negotiate() Catalog {
-	cat := Catalog{VMBandwidth: b.cloud.VMBandwidth()}
-	for _, spec := range b.cloud.VMClusters() {
+// provisioning interval (Sec. V-B). The catalog's cluster lists reuse
+// into's backing arrays, so passing the previous round's catalog
+// negotiates without allocating; a zero Catalog gets fresh lists.
+func (b *Broker) Negotiate(into Catalog) Catalog {
+	cat := Catalog{
+		VMBandwidth: b.cloud.VMBandwidth(),
+		VMClusters:  into.VMClusters[:0],
+		NFSClusters: into.NFSClusters[:0],
+	}
+	for _, spec := range b.cloud.vmSpecs {
 		allocated, err := b.cloud.AllocatedVMs(spec.Name)
 		if err != nil {
 			continue // cannot happen: spec came from the catalog
@@ -74,7 +80,7 @@ func (b *Broker) Negotiate() Catalog {
 			AvailableVMs: spec.MaxVMs - allocated,
 		})
 	}
-	for _, spec := range b.cloud.NFSClusters() {
+	for _, spec := range b.cloud.nfsSpecs {
 		stored, err := b.cloud.StoredGB(spec.Name)
 		if err != nil {
 			continue
@@ -98,11 +104,10 @@ func (b *Broker) Submit(req Request) error {
 
 	// Pre-validate against capacity so a partial failure cannot leave the
 	// cloud half-reconfigured.
-	vmSpecs := b.cloud.VMClusters()
 	for _, name := range vmNames {
 		target := req.VMTargets[name]
 		found := false
-		for _, s := range vmSpecs {
+		for _, s := range b.cloud.vmSpecs {
 			if s.Name == name {
 				found = true
 				if target < 0 || target > s.MaxVMs {
@@ -114,11 +119,10 @@ func (b *Broker) Submit(req Request) error {
 			return fmt.Errorf("%w: VM cluster %q", ErrUnknownCluster, name)
 		}
 	}
-	nfsSpecs := b.cloud.NFSClusters()
 	for _, name := range nfsNames {
 		gb := req.StorageGB[name]
 		found := false
-		for _, s := range nfsSpecs {
+		for _, s := range b.cloud.nfsSpecs {
 			if s.Name == name {
 				found = true
 				if gb < 0 || gb > s.CapacityGB {

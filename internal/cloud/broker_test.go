@@ -24,7 +24,7 @@ func TestNewBrokerNilCloud(t *testing.T) {
 
 func TestNegotiateCatalog(t *testing.T) {
 	b, c := newTestBroker(t)
-	cat := b.Negotiate()
+	cat := b.Negotiate(Catalog{})
 	if cat.VMBandwidth != DefaultVMBandwidth {
 		t.Errorf("catalog bandwidth = %v", cat.VMBandwidth)
 	}
@@ -38,9 +38,13 @@ func TestNegotiateCatalog(t *testing.T) {
 	if err := c.SetVMs(0, "standard", 20); err != nil {
 		t.Fatal(err)
 	}
-	cat = b.Negotiate()
+	cat = b.Negotiate(cat)
 	if cat.VMClusters[0].AvailableVMs != 55 {
 		t.Errorf("availability after allocation = %d, want 55", cat.VMClusters[0].AvailableVMs)
+	}
+	// Negotiating into the previous catalog reuses its lists.
+	if allocs := testing.AllocsPerRun(20, func() { cat = b.Negotiate(cat) }); allocs != 0 {
+		t.Errorf("negotiating into the previous catalog allocates %.1f times", allocs)
 	}
 }
 

@@ -83,10 +83,12 @@ type nfsClusterState struct {
 type Cloud struct {
 	mu sync.Mutex
 
-	vms     map[string]*vmClusterState
-	vmOrder []string
-	nfs     map[string]*nfsClusterState
-	nfsOr   []string
+	vms map[string]*vmClusterState
+	nfs map[string]*nfsClusterState
+	// vmSpecs and nfsSpecs are the catalogs in registration order. They
+	// are fixed once New returns, so they are read without the lock.
+	vmSpecs  []VMClusterSpec
+	nfsSpecs []NFSClusterSpec
 
 	vmBandwidth     float64
 	bootSeconds     float64
@@ -134,7 +136,7 @@ func New(vmSpecs []VMClusterSpec, nfsSpecs []NFSClusterSpec, opts ...Option) (*C
 			return nil, fmt.Errorf("cloud: duplicate VM cluster %q", s.Name)
 		}
 		c.vms[s.Name] = &vmClusterState{spec: s}
-		c.vmOrder = append(c.vmOrder, s.Name)
+		c.vmSpecs = append(c.vmSpecs, s)
 	}
 	for _, s := range nfsSpecs {
 		if err := s.Validate(); err != nil {
@@ -144,10 +146,10 @@ func New(vmSpecs []VMClusterSpec, nfsSpecs []NFSClusterSpec, opts ...Option) (*C
 			return nil, fmt.Errorf("cloud: duplicate NFS cluster %q", s.Name)
 		}
 		c.nfs[s.Name] = &nfsClusterState{spec: s}
-		c.nfsOr = append(c.nfsOr, s.Name)
+		c.nfsSpecs = append(c.nfsSpecs, s)
 	}
-	c.vmUse = make([]vmUsage, 0, len(c.vmOrder))
-	c.nfsUse = make([]storageUsage, 0, len(c.nfsOr))
+	c.vmUse = make([]vmUsage, 0, len(c.vmSpecs))
+	c.nfsUse = make([]storageUsage, 0, len(c.nfsSpecs))
 	for _, o := range opts {
 		o(c)
 	}
@@ -176,27 +178,13 @@ func (c *Cloud) VMBandwidth() float64 { return c.vmBandwidth }
 // BootLatency returns the VM launch latency in seconds.
 func (c *Cloud) BootLatency() float64 { return c.bootSeconds }
 
-// VMClusters returns the VM cluster catalog in registration order.
-func (c *Cloud) VMClusters() []VMClusterSpec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]VMClusterSpec, 0, len(c.vmOrder))
-	for _, name := range c.vmOrder {
-		out = append(out, c.vms[name].spec)
-	}
-	return out
-}
+// VMClusters returns a copy of the VM cluster catalog in registration
+// order.
+func (c *Cloud) VMClusters() []VMClusterSpec { return slices.Clone(c.vmSpecs) }
 
-// NFSClusters returns the NFS cluster catalog in registration order.
-func (c *Cloud) NFSClusters() []NFSClusterSpec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]NFSClusterSpec, 0, len(c.nfsOr))
-	for _, name := range c.nfsOr {
-		out = append(out, c.nfs[name].spec)
-	}
-	return out
-}
+// NFSClusters returns a copy of the NFS cluster catalog in registration
+// order.
+func (c *Cloud) NFSClusters() []NFSClusterSpec { return slices.Clone(c.nfsSpecs) }
 
 // SetVMs scales cluster `name` to `target` allocated VMs at simulated time
 // now. Scale-ups start booting (VMs become active after BootLatency and are
@@ -260,8 +248,8 @@ func (c *Cloud) TotalActiveVMs(now float64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total int
-	for _, name := range c.vmOrder {
-		total += c.vms[name].activeAt(now)
+	for _, spec := range c.vmSpecs {
+		total += c.vms[spec.Name].activeAt(now)
 	}
 	return total
 }
@@ -302,12 +290,12 @@ func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction flo
 	}
 	c.accrueLocked(now)
 	var before int
-	for _, name := range c.vmOrder {
-		st := c.vms[name]
+	for _, spec := range c.vmSpecs {
+		st := c.vms[spec.Name]
 		before += st.allocated
 		reserved := 0
 		if c.ledger != nil {
-			reserved = c.ledger.ReservedVMs(name)
+			reserved = c.ledger.ReservedVMs(spec.Name)
 		}
 		spot := c.pricing.spotVMs(st.allocated - reserved)
 		kill := int(float64(spot)*fraction + 0.5 + 1e-9)
@@ -386,23 +374,23 @@ func (c *Cloud) accrueLocked(now float64) {
 	// Accrue in registration order: float addition is not associative, so
 	// ranging the maps here would make the accrued cost depend on Go's
 	// randomized iteration order and break bit-identical replay.
-	for _, name := range c.vmOrder {
-		st := c.vms[name]
+	for _, spec := range c.vmSpecs {
+		st := c.vms[spec.Name]
 		c.vmCost += float64(st.allocated) * st.spec.PricePerHour * hours
 	}
-	for _, name := range c.nfsOr {
-		st := c.nfs[name]
+	for _, spec := range c.nfsSpecs {
+		st := c.nfs[spec.Name]
 		c.storageCost += st.storedGB * st.spec.PricePerGBHour * hours
 	}
 	if c.ledger != nil {
 		vms := c.vmUse[:0]
-		for _, name := range c.vmOrder {
-			st := c.vms[name]
-			vms = append(vms, vmUsage{name: name, price: st.spec.PricePerHour, allocated: st.allocated})
+		for _, spec := range c.vmSpecs {
+			st := c.vms[spec.Name]
+			vms = append(vms, vmUsage{name: spec.Name, price: st.spec.PricePerHour, allocated: st.allocated})
 		}
 		nfs := c.nfsUse[:0]
-		for _, name := range c.nfsOr {
-			st := c.nfs[name]
+		for _, spec := range c.nfsSpecs {
+			st := c.nfs[spec.Name]
 			nfs = append(nfs, storageUsage{price: st.spec.PricePerGBHour, gb: st.storedGB})
 		}
 		c.ledger.accrue(c.lastBilled, now, vms, nfs)

@@ -112,7 +112,7 @@ type Controller struct {
 	cl      *cloud.Cloud
 	opts    Options
 	planner provision.Planner
-	workers int // resolved Options.Workers, see forEachChannel
+	workers int // resolved Options.Workers, see serial
 
 	// planCaps holds the last planned per-chunk capacity targets,
 	// unscaled, and lastCaps the last applied capacities (plan × fault
@@ -137,11 +137,12 @@ type Controller struct {
 	// path stops allocating: the measurement inputs, the derived
 	// per-channel demands and their storage (current round and per
 	// lookahead step), the flattened chunk-demand lists handed to the
-	// planner, the catalog specs, and the capacity targets. Safe because
-	// nothing downstream retains them — records get their own slices,
-	// planners copy what they keep, and apply reads synchronously within
-	// the round. See DESIGN.md, "Sharded control plane".
-	derivers       []deriver // one per worker, see forEachChannel
+	// planner, the negotiated catalog and its specs, and the capacity
+	// targets. Safe because nothing downstream retains them — records
+	// get their own slices, planners copy what they keep, and apply
+	// reads synchronously within the round. See DESIGN.md, "Sharded
+	// control plane".
+	derivers       []deriver // one per worker, see serial
 	scratchInputs  []ChannelInput
 	scratchDemands []ChannelDemand
 	scratchErrs    []error
@@ -150,6 +151,7 @@ type Controller struct {
 	scratchStepOut []float64         // the steps' demand storage
 	scratchFlat    []provision.ChunkDemand
 	scratchFuture  [][]provision.ChunkDemand // per lookahead step, see flattenFuture
+	catalog        cloud.Catalog
 	scratchVMs     []cloud.VMClusterSpec
 	scratchNFS     []cloud.NFSClusterSpec
 	scratchCaps    []float64
@@ -212,24 +214,18 @@ func NewController(s sim.Backend, cl *cloud.Cloud, broker *cloud.Broker, opts Op
 	}, nil
 }
 
-// forEachChannel runs fn(w, ch) for every channel index ch, sharding
-// across the controller's worker pool; w is the running worker, which
-// indexes c.derivers. fn must touch only channel-ch state (the
-// per-channel estimator feed, rateHistory[ch], its own slots of the
-// scratch slices) plus worker-w scratch and read-only configuration;
-// every cross-channel reduction happens serially after the fan-out, in
-// ascending channel order, so rounds are bit-identical for any worker
-// count. The serial branch (effective workers == 1) runs on the calling
-// goroutine.
-func (c *Controller) forEachChannel(n int, fn func(w, ch int)) {
-	if c.workers <= 1 || n <= 1 {
-		for ch := 0; ch < n; ch++ {
-			fn(0, ch)
-		}
-		return
-	}
-	sim.FanOutWorkers(c.workers, n, fn)
-}
+// serial reports whether a round's per-channel shards over n channels run
+// on the calling goroutine (effective workers == 1, or one channel)
+// rather than across the worker pool. A shard runs for one channel index
+// ch on worker w, which indexes c.derivers, and touches only channel-ch
+// state (the per-channel estimator feed, rateHistory[ch], its own slots
+// of the scratch slices) plus worker-w scratch and read-only
+// configuration; every cross-channel reduction happens serially after
+// the fan-out, in ascending channel order, so rounds are bit-identical
+// for any worker count. Each fan-out calls its shard in a loop on the
+// serial path and builds the pool's closure, which escapes to the heap,
+// only on the parallel one.
+func (c *Controller) serial(n int) bool { return c.workers <= 1 || n <= 1 }
 
 // demandSlot returns slot k of buf as one channel's demand storage:
 // CloudDemand and PeerSupply, j entries each, capped so no append can
@@ -262,32 +258,43 @@ func (c *Controller) runInterval(now float64) {
 		c.scratchInputs = make([]ChannelInput, n)
 	}
 	inputs := c.scratchInputs[:n]
-	c.forEachChannel(n, func(_, ch int) {
-		est, err := c.sim.Estimator(ch)
-		if err != nil {
-			return // unreachable: channel index from range
+	if c.serial(n) {
+		for ch := range n {
+			c.snapshot(ch, inputs)
 		}
-		rate, err := est.ArrivalRate(c.opts.IntervalSeconds)
-		if err != nil {
-			rate = 0
-		}
-		rate = c.forecast(ch, rate)
-		matrix, err := est.Matrix(c.opts.FallbackTransfer)
-		if err != nil || matrix.Size() == 0 {
-			matrix = c.opts.FallbackTransfer
-		}
-		uplink, err := c.sim.MeanUplink(ch)
-		if err != nil {
-			uplink = 0
-		}
-		inputs[ch] = ChannelInput{ArrivalRate: rate, Transfer: matrix, MeanUplink: uplink}
-	})
+	} else {
+		sim.FanOutWorkers(c.workers, n, func(_, ch int) { c.snapshot(ch, inputs) })
+	}
 	c.Provision(now, inputs)
 	for ch := 0; ch < n; ch++ {
 		if est, err := c.sim.Estimator(ch); err == nil {
 			est.Reset()
 		}
 	}
+}
+
+// snapshot is runInterval's shard: it reads channel ch's feed and fills
+// inputs[ch] with the forecast rate, the estimated matrix and the mean
+// uplink.
+func (c *Controller) snapshot(ch int, inputs []ChannelInput) {
+	est, err := c.sim.Estimator(ch)
+	if err != nil {
+		return // unreachable: channel index from range
+	}
+	rate, err := est.ArrivalRate(c.opts.IntervalSeconds)
+	if err != nil {
+		rate = 0
+	}
+	rate = c.forecast(ch, rate)
+	matrix, err := est.Matrix(c.opts.FallbackTransfer)
+	if err != nil || matrix.Size() == 0 {
+		matrix = c.opts.FallbackTransfer
+	}
+	uplink, err := c.sim.MeanUplink(ch)
+	if err != nil {
+		uplink = 0
+	}
+	inputs[ch] = ChannelInput{ArrivalRate: rate, Transfer: matrix, MeanUplink: uplink}
 }
 
 // forecast appends the observation to the channel's history and returns
@@ -390,8 +397,6 @@ func (c *Controller) deriveOne(d *deriver, cfg queueing.Config, in ChannelInput,
 // itself. Each is the same fold, so the forecasts are bit-identical to
 // re-predicting each step.
 func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, current []ChannelDemand, currentRates []float64, p2pMode bool, now float64, k int) [][]provision.ChunkDemand {
-	T := c.opts.IntervalSeconds
-	oracle := c.oracle()
 	n, j := len(inputs), cfg.Chunks
 	if len(c.scratchSteps) < k {
 		c.scratchSteps = append(c.scratchSteps, make([][]ChannelDemand, k-len(c.scratchSteps))...)
@@ -405,40 +410,56 @@ func (c *Controller) futureDemands(cfg queueing.Config, inputs []ChannelInput, c
 	}
 	size := 2 * k * n * j
 	c.scratchStepOut = slices.Grow(c.scratchStepOut[:0], size)[:size]
-	c.forEachChannel(n, func(w, ch int) {
-		in := inputs[ch]
-		ext, folds := c.opts.Predictor.(extender)
-		var hist []float64
-		if !oracle {
-			if h := c.rateHistory[ch]; cap(h)-len(h) < k+1 {
-				c.rateHistory[ch] = slices.Grow(h, k+1)
-			}
-			hist = append(c.rateHistory[ch], in.ArrivalRate)
+	if c.serial(n) {
+		for ch := range n {
+			c.forecastSteps(0, ch, now, k, cfg, p2pMode, inputs, current, currentRates)
 		}
-		prev, prevRate := current[ch], currentRates[ch]
-		for step := 1; step <= k; step++ {
-			switch {
-			case oracle:
-				in.ArrivalRate = c.opts.TrueRates(ch, now+float64(step)*T, now+float64(step+1)*T)
-			case folds && step == 1 && len(c.rateHistory[ch]) > 0:
-				in.ArrivalRate = ext.extend(c.forecasts[ch], in.ArrivalRate)
-			case folds && step > 1:
-				in.ArrivalRate = ext.extend(in.ArrivalRate, in.ArrivalRate)
-			default:
-				in.ArrivalRate = c.opts.Predictor.Predict(hist)
-				hist = append(hist, in.ArrivalRate)
-			}
-			if in.ArrivalRate == prevRate {
-				steps[step-1][ch] = prev
-			} else {
-				cloud, peer := demandSlot(c.scratchStepOut, (step-1)*n+ch, j)
-				//cloudmedia:allow noloss -- a failed forecast step plans at zero demand like a failed current round; DemandErrors counts the current round's failures
-				steps[step-1][ch], _ = c.deriveOne(&c.derivers[w], cfg, in, p2pMode, cloud, peer)
-			}
-			prev, prevRate = steps[step-1][ch], in.ArrivalRate
-		}
-	})
+	} else {
+		sim.FanOutWorkers(c.workers, n, func(w, ch int) {
+			c.forecastSteps(w, ch, now, k, cfg, p2pMode, inputs, current, currentRates)
+		})
+	}
 	return c.flattenFuture(steps)
+}
+
+// forecastSteps is futureDemands' shard: channel ch's forecast chain over
+// the k lookahead steps, written into column ch of c.scratchSteps.
+func (c *Controller) forecastSteps(w, ch int, now float64, k int, cfg queueing.Config, p2pMode bool, inputs []ChannelInput, current []ChannelDemand, currentRates []float64) {
+	T := c.opts.IntervalSeconds
+	oracle := c.oracle()
+	n, j := len(inputs), cfg.Chunks
+	steps := c.scratchSteps[:k]
+	in := inputs[ch]
+	ext, folds := c.opts.Predictor.(extender)
+	var hist []float64
+	if !oracle {
+		if h := c.rateHistory[ch]; cap(h)-len(h) < k+1 {
+			c.rateHistory[ch] = slices.Grow(h, k+1)
+		}
+		hist = append(c.rateHistory[ch], in.ArrivalRate)
+	}
+	prev, prevRate := current[ch], currentRates[ch]
+	for step := 1; step <= k; step++ {
+		switch {
+		case oracle:
+			in.ArrivalRate = c.opts.TrueRates(ch, now+float64(step)*T, now+float64(step+1)*T)
+		case folds && step == 1 && len(c.rateHistory[ch]) > 0:
+			in.ArrivalRate = ext.extend(c.forecasts[ch], in.ArrivalRate)
+		case folds && step > 1:
+			in.ArrivalRate = ext.extend(in.ArrivalRate, in.ArrivalRate)
+		default:
+			in.ArrivalRate = c.opts.Predictor.Predict(hist)
+			hist = append(hist, in.ArrivalRate)
+		}
+		if in.ArrivalRate == prevRate {
+			steps[step-1][ch] = prev
+		} else {
+			cloud, peer := demandSlot(c.scratchStepOut, (step-1)*n+ch, j)
+			//cloudmedia:allow noloss -- a failed forecast step plans at zero demand like a failed current round; DemandErrors counts the current round's failures
+			steps[step-1][ch], _ = c.deriveOne(&c.derivers[w], cfg, in, p2pMode, cloud, peer)
+		}
+		prev, prevRate = steps[step-1][ch], in.ArrivalRate
+	}
 }
 
 // flattenFuture flattens each lookahead step into the controller's
@@ -489,7 +510,6 @@ func (c *Controller) reduceDemands(rec *IntervalRecord, demands []ChannelDemand,
 func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	cfg := c.sim.ChannelConfig()
 	p2pMode := c.sim.Mode() == sim.P2P
-	oracle := c.oracle()
 
 	rec := IntervalRecord{
 		Time:             now,
@@ -507,24 +527,25 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	// totals are reduced afterwards, serially.
 	demands := c.scratchDemands[:len(inputs)]
 	errs := c.scratchErrs[:len(inputs)]
-	rates := rec.ArrivalRates // captured instead of rec, which stays on the stack
+	rates := rec.ArrivalRates // passed instead of rec, which stays on the stack
 	size := 2 * len(inputs) * cfg.Chunks
 	c.scratchOut = slices.Grow(c.scratchOut[:0], size)[:size]
-	c.forEachChannel(len(inputs), func(w, ch int) {
-		in := inputs[ch]
-		if oracle {
-			in.ArrivalRate = c.opts.TrueRates(ch, now, now+c.opts.IntervalSeconds)
+	if c.serial(len(inputs)) {
+		for ch := range inputs {
+			c.deriveChannel(0, ch, now, cfg, p2pMode, inputs, rates)
 		}
-		rates[ch] = in.ArrivalRate
-		cloud, peer := demandSlot(c.scratchOut, ch, cfg.Chunks)
-		demands[ch], errs[ch] = c.deriveOne(&c.derivers[w], cfg, in, p2pMode, cloud, peer)
-	})
+	} else {
+		sim.FanOutWorkers(c.workers, len(inputs), func(w, ch int) {
+			c.deriveChannel(w, ch, now, cfg, p2pMode, inputs, rates)
+		})
+	}
 	c.reduceDemands(&rec, demands, errs)
 	if rec.DemandErrors > 0 {
 		c.noteDemandErrors(now, errs, rec.DemandErrors)
 	}
 
-	catalog := c.broker.Negotiate()
+	c.catalog = c.broker.Negotiate(c.catalog)
+	catalog := c.catalog
 	vmSpecs := c.scratchVMs[:0]
 	for _, a := range catalog.VMClusters {
 		vmSpecs = append(vmSpecs, a.Spec)
@@ -576,6 +597,20 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	c.finish(now, rec)
 }
 
+// deriveChannel is Provision's shard: it derives channel ch's demand for
+// the round at now from inputs[ch] (at the true rate, for oracle
+// policies) into the channel's slots of the demand and error scratch, and
+// records the rate it planned on in rates[ch].
+func (c *Controller) deriveChannel(w, ch int, now float64, cfg queueing.Config, p2pMode bool, inputs []ChannelInput, rates []float64) {
+	in := inputs[ch]
+	if c.oracle() {
+		in.ArrivalRate = c.opts.TrueRates(ch, now, now+c.opts.IntervalSeconds)
+	}
+	rates[ch] = in.ArrivalRate
+	cloud, peer := demandSlot(c.scratchOut, ch, cfg.Chunks)
+	c.scratchDemands[ch], c.scratchErrs[ch] = c.deriveOne(&c.derivers[w], cfg, in, p2pMode, cloud, peer)
+}
+
 // noteDemandErrors writes the round's one ledger note for failed demand
 // analyses, carrying the first error in channel order.
 func (c *Controller) noteDemandErrors(now float64, errs []error, n int) {
@@ -602,14 +637,14 @@ func (c *Controller) finish(now float64, rec IntervalRecord) {
 // capacities in the running system.
 func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan provision.StoragePlan, vmBandwidth float64, chunks int, demands []ChannelDemand) {
 	req := cloud.Request{Time: now, VMTargets: map[string]int{}, StorageGB: map[string]float64{}}
-	for _, spec := range c.cl.VMClusters() {
+	for _, spec := range c.scratchVMs {
 		req.VMTargets[spec.Name] = 0
 	}
 	for name, n := range vmPlan.RentalVMs() {
 		req.VMTargets[name] = n
 	}
 	if storagePlan.GBPerCluster != nil {
-		for _, spec := range c.cl.NFSClusters() {
+		for _, spec := range c.scratchNFS {
 			req.StorageGB[spec.Name] = storagePlan.GBPerCluster[spec.Name]
 		}
 	} else {

@@ -128,15 +128,15 @@ func (r *controlRound) step() {
 }
 
 // steadyRoundAllocs bounds the allocations of one steady controller
-// round. What still allocates is what the round hands out or keeps: the
-// IntervalRecord's two per-channel slices, the VM and storage
-// plans (slices and maps) that the record and the lookahead planner's
-// hysteresis keep, the broker request the broker logs and its rental
-// map, the cloud's catalog and ledger bookkeeping, and the fan-out
-// closures. Demand derivation, the lookahead matrix, the forecasts, the
-// planners' sort, validation and cluster tallies and the capacity tables
-// allocate nothing.
-const steadyRoundAllocs = 48
+// round. What still allocates is what the round hands out: the
+// IntervalRecord's two per-channel slices, the VM and storage plans
+// (slices and maps) that the record and the lookahead planner's
+// hysteresis keep, and the broker request with its rental maps and
+// sorted names. A held lookahead round builds no VM plan. Demand
+// derivation, the lookahead matrix, the forecasts, the serial fan-outs,
+// the catalog negotiation, the planners' drafts, sorts, validation and
+// cluster tallies, and the capacity tables allocate nothing.
+const steadyRoundAllocs = 16
 
 func TestSteadyControlRoundAllocations(t *testing.T) {
 	r := newControlRound(t)

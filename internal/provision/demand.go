@@ -29,10 +29,15 @@ type ChunkDemand struct {
 // returned plan, so the plans a round returns stay the caller's to keep.
 // The zero value is ready, and the package-level PlanVMs and PlanStorage
 // run on a fresh one.
+//
+// It also holds the last greedy pass's draft: the cluster tallies, the
+// cost, the utility and its per-channel split, and the allocation count.
+// A planner decides from the draft and builds a caller-owned plan only
+// for the drafts it adopts (see publishVMs).
 type planScratch struct {
 	target []ChunkDemand // maxDemands' output
-	sorted []ChunkDemand // sortByDemand's output
-	spare  []ChunkDemand // sortByDemand's second radix buffer
+	ranked []int         // sortByDemand's output, a permutation of its input
+	spare  []int         // sortByDemand's second radix buffer
 	scaled []ChunkDemand // planWithScaling's shrunk demands
 	order  []int         // keyOrder of the demands being checked, merged or sorted
 	step   []int         // maxDemands' keyOrder of one forecast step
@@ -42,6 +47,20 @@ type planScratch struct {
 	free   []float64 // per slot: capacity left
 	used   []float64 // per slot: VMs or GB taken
 	taken  []bool    // per slot: whether anything was taken
+
+	channels []int     // the demands' distinct channels, ascending
+	chanUtil []float64 // per channels entry: utility, summed in greedy order
+	chanHit  []bool    // per channels entry: whether anything was allocated
+	cost     float64   // the draft's Σ price · amount, $/h
+	utility  float64   // the draft's objective
+	emitted  int       // the draft's allocation count
+	// The VM draft's demands, bandwidth and budget, which publishVMs
+	// replays.
+	drafted               []ChunkDemand
+	vmBandwidth, vmBudget float64
+	// An infeasible VM draft's first uncovered chunk and its unmet need.
+	short     ChunkDemand
+	shortNeed float64
 }
 
 // keyLess orders demands by (channel, chunk).
@@ -147,35 +166,57 @@ func checkHorizon(current []ChunkDemand, future [][]ChunkDemand) error {
 	return nil
 }
 
-// sortByDemand returns the demands ordered by descending Δ, breaking ties
-// by (channel, chunk) so the greedy pass is deterministic and consecutive
-// chunks stay adjacent — that adjacency is what lets fractional VM shares
-// of one channel pack onto shared VMs. Callers validate first, so every
-// Δ is finite and non-negative and every (channel, chunk) unique: the
-// order is total. It takes the demands in key order and sorts them
-// stably by Δ alone, which yields exactly that order. The result is
-// scratch, valid until the next call.
-func (s *planScratch) sortByDemand(demands []ChunkDemand) []ChunkDemand {
-	n := len(demands)
-	s.order = keyOrder(s.order, demands)
-	out := slices.Grow(s.sorted[:0], n)[:n]
-	for k, i := range s.order {
-		out[k] = demands[i]
+// sortByDemand returns the indices of the demands ordered by descending
+// Δ, breaking ties by (channel, chunk) so the greedy pass is
+// deterministic and consecutive chunks stay adjacent — that adjacency is
+// what lets fractional VM shares of one channel pack onto shared VMs.
+// Callers validate first, so every Δ is finite and non-negative and
+// every (channel, chunk) unique: the order is total. It takes the
+// indices in key order and sorts them stably by Δ alone, which yields
+// exactly that order.
+//
+// A round sorts lists whose order rarely differs: the VM target and the
+// current demands, a demand list and its scaled copies. So the last
+// sort's permutation is tried first, and kept when one pass confirms it
+// puts these demands in strictly increasing order. A strictly increasing
+// arrangement under a total order is the sorted one, so the result is
+// the same either way. The result is scratch, valid until the next call.
+func (s *planScratch) sortByDemand(demands []ChunkDemand) []int {
+	if !s.permutationSorts(demands) {
+		s.order = keyOrder(s.order, demands)
+		ranked := append(s.ranked[:0], s.order...)
+		s.ranked, s.spare = radixByDemand(demands, ranked, slices.Grow(s.spare[:0], len(demands))[:len(demands)])
 	}
-	s.sorted, s.spare = radixByDemand(out, slices.Grow(s.spare[:0], n)[:n])
-	return s.sorted
+	return s.ranked
 }
 
-// radixByDemand sorts a stably by descending Δ with an LSD radix sort
-// over bytes, using b (as long as a) as the other buffer, and returns the
-// sorted and the spare buffer. For non-negative Δ, ^bits(Δ+0) ascends as
-// Δ descends; the +0 folds −0 into +0, which Δ comparisons treat as
-// equal. Byte positions where every key agrees are skipped.
-func radixByDemand(a, b []ChunkDemand) (sorted, spare []ChunkDemand) {
-	key := func(d ChunkDemand) uint64 { return ^math.Float64bits(d.Demand + 0) }
+// permutationSorts reports whether the last sort's permutation, applied
+// to demands, orders them strictly by descending Δ, then ascending
+// (channel, chunk).
+func (s *planScratch) permutationSorts(demands []ChunkDemand) bool {
+	if len(s.ranked) != len(demands) {
+		return false
+	}
+	for k := 1; k < len(s.ranked); k++ {
+		a, b := demands[s.ranked[k-1]], demands[s.ranked[k]]
+		if !(a.Demand > b.Demand || a.Demand == b.Demand && keyLess(a, b)) {
+			return false
+		}
+	}
+	return true
+}
+
+// radixByDemand sorts the indices a stably by descending Δ of the
+// demands they index, with an LSD radix sort over bytes, using b (as
+// long as a) as the other buffer, and returns the sorted and the spare
+// buffer. For non-negative Δ, ^bits(Δ+0) ascends as Δ descends; the +0
+// folds −0 into +0, which Δ comparisons treat as equal. Byte positions
+// where every key agrees are skipped.
+func radixByDemand(demands []ChunkDemand, a, b []int) (sorted, spare []int) {
+	key := func(i int) uint64 { return ^math.Float64bits(demands[i].Demand + 0) }
 	and, or := ^uint64(0), uint64(0)
-	for _, d := range a {
-		k := key(d)
+	for _, i := range a {
+		k := key(i)
 		and &= k
 		or |= k
 	}
@@ -184,17 +225,17 @@ func radixByDemand(a, b []ChunkDemand) (sorted, spare []ChunkDemand) {
 			continue
 		}
 		var next [256]int
-		for _, d := range a {
-			next[key(d)>>shift&0xff]++
+		for _, i := range a {
+			next[key(i)>>shift&0xff]++
 		}
 		pos := 0
 		for digit, count := range next {
 			next[digit] = pos
 			pos += count
 		}
-		for _, d := range a {
-			digit := key(d) >> shift & 0xff
-			b[next[digit]] = d
+		for _, i := range a {
+			digit := key(i) >> shift & 0xff
+			b[next[digit]] = i
 			next[digit]++
 		}
 		a, b = b, a
@@ -222,4 +263,77 @@ func (s *planScratch) slotClusters(n int, name func(k int) string) {
 			}
 		}
 	}
+}
+
+// rankChannels lists the distinct channels of demands, ascending, and
+// sizes the per-channel utility tallies to match. It reads s.order, which
+// a successful validateDemands leaves as the demands' key order.
+func (s *planScratch) rankChannels(demands []ChunkDemand) {
+	s.channels = s.channels[:0]
+	for _, i := range s.order {
+		if ch := demands[i].Channel; len(s.channels) == 0 || s.channels[len(s.channels)-1] != ch {
+			s.channels = append(s.channels, ch)
+		}
+	}
+	n := len(s.channels)
+	s.chanUtil = slices.Grow(s.chanUtil[:0], n)[:n]
+	s.chanHit = slices.Grow(s.chanHit[:0], n)[:n]
+}
+
+// resetDraft zeroes the draft's totals and per-channel tallies before a
+// greedy pass.
+func (s *planScratch) resetDraft() {
+	s.cost, s.utility, s.emitted = 0, 0, 0
+	clear(s.chanUtil)
+	clear(s.chanHit)
+}
+
+// addUtility credits u to channel ch's utility. Adding per channel in
+// greedy order sums each channel exactly as a map keyed by channel did.
+// The channels are distinct, ascending and non-negative, so when entry ch
+// holds ch, every entry before it holds its own index too: the
+// controller's channels 0…n−1 skip the search.
+func (s *planScratch) addUtility(ch int, u float64) {
+	r := ch
+	if r >= len(s.channels) || s.channels[r] != ch {
+		r, _ = slices.BinarySearch(s.channels, ch)
+	}
+	s.chanUtil[r] += u
+	s.chanHit[r] = true
+}
+
+// utilityPerChannel builds the draft's per-channel utility map, one entry
+// per channel that was allocated anything: the plans' UtilityPerChannel.
+func (s *planScratch) utilityPerChannel() map[int]float64 {
+	n := 0
+	for _, hit := range s.chanHit {
+		if hit {
+			n++
+		}
+	}
+	out := make(map[int]float64, n)
+	for r, ch := range s.channels {
+		if s.chanHit[r] {
+			out[ch] = s.chanUtil[r]
+		}
+	}
+	return out
+}
+
+// clusterTotals builds the per-cluster map of the draft's slot totals
+// (VMs or GB), one entry per cluster name that was taken from.
+func (s *planScratch) clusterTotals(name func(k int) string) map[string]float64 {
+	n := 0
+	for k, first := range s.slot {
+		if first == k && s.taken[k] {
+			n++
+		}
+	}
+	out := make(map[string]float64, n)
+	for k, first := range s.slot {
+		if first == k && s.taken[k] {
+			out[name(k)] = s.used[k]
+		}
+	}
+	return out
 }

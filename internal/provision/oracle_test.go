@@ -89,7 +89,11 @@ func checkPlannerMatchesReference(t *testing.T, s *planScratch, current []ChunkD
 			t.Fatalf("validateDemands(%v) = %v, reference %v", demands, got, want)
 		}
 		if want == nil {
-			if got, want := s.sortByDemand(demands), referenceSortByDemand(demands); !sameDemands(got, want) {
+			var got []ChunkDemand
+			for _, i := range s.sortByDemand(demands) {
+				got = append(got, demands[i])
+			}
+			if want := referenceSortByDemand(demands); !sameDemands(got, want) {
 				t.Fatalf("sortByDemand(%v) = %v, reference %v", demands, got, want)
 			}
 		}
@@ -156,6 +160,16 @@ func TestPlannerMatchesReference(t *testing.T) {
 	// Ties at ±0 sort by key whichever sign each zero has.
 	zeros := []ChunkDemand{{0, 2, 0}, {0, 0, math.Copysign(0, -1)}, {1, 0, 5}, {0, 1, 0}}
 	checkPlannerMatchesReference(t, &s, zeros, [][]ChunkDemand{zeros})
+	// Lists of one length in turn, as a round sorts them: a scaled copy
+	// keeps the last sort's order, a tie or a swap breaks it.
+	base := []ChunkDemand{{0, 0, 4}, {0, 1, 2}, {1, 0, 3}, {1, 1, 1}}
+	scaled, tied, swapped := slices.Clone(base), slices.Clone(base), slices.Clone(base)
+	for i := range scaled {
+		scaled[i].Demand *= 1.5
+	}
+	tied[3].Demand = 2
+	swapped[0].Demand, swapped[2].Demand = 3, 4
+	checkPlannerMatchesReference(t, &s, base, [][]ChunkDemand{scaled, tied, swapped, base})
 }
 
 // decodeHorizon turns fuzz bytes into a planning horizon: every 3 bytes

@@ -1,7 +1,6 @@
 package provision
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -116,9 +115,10 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Greedy is the paper's policy (Sec. V-A/V-B): every interval, run the
 // greedy VM heuristic on the predicted demand, shrinking demand when the
-// budget is infeasible, and replan storage when total demand has moved by
-// more than the change threshold. It is the default, and reproduces the
-// pre-seam controller bit for bit.
+// budget is infeasible, and replan storage on the same demand whenever
+// the catalog offers NFS clusters (a failed replan keeps the previous
+// storage plan). It is the default, and reproduces the pre-seam
+// controller bit for bit.
 type Greedy struct{}
 
 // Name implements Policy.
@@ -139,11 +139,11 @@ type greedyPlanner struct {
 }
 
 func (p *greedyPlanner) Plan(req PlanRequest) (PlanResult, error) {
-	vmPlan, scale, err := p.scratch.planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	scale, err := p.scratch.planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		return PlanResult{}, err
 	}
-	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
+	res := PlanResult{VMPlan: p.scratch.publishVMs(), DemandScale: scale}
 	res.StoragePlan, res.StorageErr = p.storage.plan(&p.scratch, req)
 	return res, nil
 }
@@ -276,27 +276,30 @@ func (p *lookaheadPlanner) Plan(req PlanRequest) (PlanResult, error) {
 			}
 		}
 	}
-	vmPlan, scale, err := p.scratch.planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	scale, err := p.scratch.planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		return PlanResult{}, err
 	}
 	// Tear-down hysteresis: adopt larger plans immediately, smaller ones
-	// only once the shrink has persisted. A held plan keeps its own
+	// only once the shrink has persisted. The decision reads the draft,
+	// so a held round builds no plan. A held plan keeps its own
 	// DemandScale so a budget-infeasibility signal is never masked.
-	vms := vmPlan.TotalVMs()
+	vms := p.scratch.draftTotalVMs()
+	hold := false
 	if p.have && vms < p.lastVMs {
 		p.below++
-		if p.below < p.hysteresis {
-			vmPlan, vms, scale = p.lastPlan, p.lastVMs, p.lastScale
-		} else {
+		hold = p.below < p.hysteresis
+		if !hold {
 			p.below = 0
 		}
 	} else {
 		p.below = 0
 	}
-	p.have, p.lastPlan, p.lastVMs, p.lastScale = true, vmPlan, vms, scale
+	if !hold {
+		p.have, p.lastPlan, p.lastVMs, p.lastScale = true, p.scratch.publishVMs(), vms, scale
+	}
 
-	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
+	res := PlanResult{VMPlan: p.lastPlan, DemandScale: p.lastScale}
 	res.StoragePlan, res.StorageErr = p.storage.plan(&p.scratch, req)
 	return res, nil
 }
@@ -358,11 +361,11 @@ func (p *staticPeakPlanner) Plan(req PlanRequest) (PlanResult, error) {
 	}
 	var scratch planScratch
 	target := scratch.maxDemands(req.Demands, req.Future)
-	vmPlan, scale, err := scratch.planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	scale, err := scratch.planWithScaling(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		return PlanResult{}, err
 	}
-	res := PlanResult{VMPlan: vmPlan, DemandScale: scale}
+	res := PlanResult{VMPlan: scratch.publishVMs(), DemandScale: scale}
 	var storage storageState
 	res.StoragePlan, res.StorageErr = storage.plan(&scratch, req)
 	p.planned, p.first = true, res
@@ -424,18 +427,16 @@ func (s *storageState) plan(scratch *planScratch, req PlanRequest) (StoragePlan,
 	return sp, nil
 }
 
-// planWithScaling runs the VM heuristic, shrinking demand until the plan
-// fits the budget and cluster capacity. The first retry jumps straight to
-// an upper bound on the feasible scale (cost is at least totalVMs × the
-// cheapest price, and VMs are bounded by total cluster capacity), then
-// backs off geometrically. Returns the plan and the final scale.
-func (s *planScratch) planWithScaling(flat []ChunkDemand, vmBandwidth float64, specs []cloud.VMClusterSpec, budget float64) (VMPlan, float64, error) {
-	plan, err := s.planVMs(flat, vmBandwidth, specs, budget)
-	if err == nil {
-		return plan, 1, nil
-	}
-	if !errors.Is(err, ErrInfeasible) {
-		return VMPlan{}, 1, err
+// planWithScaling drafts the VM heuristic, shrinking demand until the
+// draft fits the budget and cluster capacity; publishVMs then builds the
+// plan. Infeasible attempts build nothing. The first retry jumps straight
+// to an upper bound on the feasible scale (cost is at least totalVMs ×
+// the cheapest price, and VMs are bounded by total cluster capacity),
+// then backs off geometrically. Returns the final scale.
+func (s *planScratch) planWithScaling(flat []ChunkDemand, vmBandwidth float64, specs []cloud.VMClusterSpec, budget float64) (float64, error) {
+	fits, err := s.draftVMs(flat, vmBandwidth, specs, budget)
+	if err != nil || fits {
+		return 1, err
 	}
 
 	var totalNeed float64
@@ -443,7 +444,7 @@ func (s *planScratch) planWithScaling(flat []ChunkDemand, vmBandwidth float64, s
 		totalNeed += d.Demand / vmBandwidth
 	}
 	if totalNeed <= 0 {
-		return VMPlan{}, 1, err
+		return 1, s.shortfall()
 	}
 	var capTotal float64
 	minPrice := math.Inf(1)
@@ -470,14 +471,11 @@ func (s *planScratch) planWithScaling(flat []ChunkDemand, vmBandwidth float64, s
 			scaled = append(scaled, ChunkDemand{Channel: d.Channel, Chunk: d.Chunk, Demand: d.Demand * scale})
 		}
 		s.scaled = scaled
-		plan, err := s.planVMs(scaled, vmBandwidth, specs, budget)
-		if err == nil {
-			return plan, scale, nil
-		}
-		if !errors.Is(err, ErrInfeasible) {
-			return VMPlan{}, scale, err
+		fits, err := s.draftVMs(scaled, vmBandwidth, specs, budget)
+		if err != nil || fits {
+			return scale, err
 		}
 		scale *= 0.9
 	}
-	return VMPlan{}, scale, fmt.Errorf("%w: demand unservable even at %.2f%% scale", ErrInfeasible, scale*100)
+	return scale, fmt.Errorf("%w: demand unservable even at %.2f%% scale", ErrInfeasible, scale*100)
 }

@@ -33,10 +33,21 @@ func planRequest(demands []ChunkDemand) PlanRequest {
 	}
 }
 
+// planScaled runs planWithScaling on a fresh scratch and publishes the
+// plan it drafted.
+func planScaled(demands []ChunkDemand, vmBandwidth float64, specs []cloud.VMClusterSpec, budget float64) (VMPlan, float64, error) {
+	var s planScratch
+	scale, err := s.planWithScaling(demands, vmBandwidth, specs, budget)
+	if err != nil {
+		return VMPlan{}, scale, err
+	}
+	return s.publishVMs(), scale, nil
+}
+
 // TestPlanWithScalingFeasible: ample budget needs no scaling.
 func TestPlanWithScalingFeasible(t *testing.T) {
 	demands := demandGrid(2, 4, 2e6)
-	plan, scale, err := new(planScratch).planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 100)
+	plan, scale, err := planScaled(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +65,7 @@ func TestPlanWithScalingFeasible(t *testing.T) {
 func TestPlanWithScalingScalesDownToBudget(t *testing.T) {
 	demands := demandGrid(3, 5, 5e6) // ≈60 VMs of demand
 	const budget = 2.0               // ≈4 standard VMs
-	plan, scale, err := new(planScratch).planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), budget)
+	plan, scale, err := planScaled(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestPlanWithScalingScalesDownToBudget(t *testing.T) {
 // wraps ErrInfeasible so errors.Is works across the seam.
 func TestPlanWithScalingInfeasibleWrapsErrInfeasible(t *testing.T) {
 	demands := demandGrid(2, 4, 5e6)
-	_, scale, err := new(planScratch).planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 0)
+	_, scale, err := planScaled(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 0)
 	if err == nil {
 		t.Fatal("zero budget produced a plan")
 	}
@@ -96,7 +107,7 @@ func TestPlanWithScalingInfeasibleWrapsErrInfeasible(t *testing.T) {
 // (here a negative budget) must not trigger the scale search.
 func TestPlanWithScalingPassesThroughOtherErrors(t *testing.T) {
 	demands := demandGrid(1, 2, 1e6)
-	_, _, err := new(planScratch).planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), -5)
+	_, _, err := planScaled(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), -5)
 	if err == nil {
 		t.Fatal("negative budget produced a plan")
 	}
@@ -132,7 +143,7 @@ func TestGreedyMatchesRawHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVM, wantScale, err := new(planScratch).planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	wantVM, wantScale, err := planScaled(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +291,7 @@ func TestStaticPeakHoldsFirstPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The peak (4e6/chunk) must be what was rented, not the current 1e6.
-	myopic, _, err := new(planScratch).planWithScaling(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+	myopic, _, err := planScaled(req.Demands, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +324,9 @@ func TestMaxDemandsIgnoresUnknownChunks(t *testing.T) {
 
 // BenchmarkPolicyPlan measures plans/s for each policy on a paper-sized
 // chunk universe (20 channels × 20 chunks), the per-interval control-path
-// cost.
+// cost. The sawtooth case runs the hedged lookahead on a demand that
+// holds the plan in a third of its rounds, as the minute-interval control
+// day does.
 func BenchmarkPolicyPlan(b *testing.B) {
 	for _, policy := range []Policy{Greedy{}, Lookahead{}, Oracle{}, StaticPeak{}} {
 		b.Run(policy.Name(), func(b *testing.B) {
@@ -325,6 +338,7 @@ func BenchmarkPolicyPlan(b *testing.B) {
 				}
 			}
 			planner := policy.NewPlanner()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := planner.Plan(req); err != nil {
@@ -334,6 +348,47 @@ func BenchmarkPolicyPlan(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "plans/s")
 		})
 	}
+	b.Run("lookahead-hedged-sawtooth", func(b *testing.B) {
+		reqs := sawtoothRequests()
+		planner := Lookahead{SpotHedge: true}.NewPlanner()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := planner.Plan(reqs[i%len(reqs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "plans/s")
+	})
+}
+
+// sawtoothRequests is one tooth of a falling demand, levels 3, 2 and 1 ×
+// 1e6/3 bytes/s on 20 channels × 20 chunks, Zipf across channels and
+// falling along each channel's chunks, priced on the spot plan, with
+// forecasts below the current demand. Repeated under the default
+// hysteresis, the middle round of each tooth holds the plan: a third of
+// the rounds, about the share the minute-interval control day holds.
+func sawtoothRequests() []PlanRequest {
+	reqs := make([]PlanRequest, 3)
+	for r := range reqs {
+		level := 1e6 * float64(3-r) / 3
+		current := demandGrid(20, 20, 0)
+		for i := range current {
+			d := &current[i]
+			d.Demand = level * math.Pow(float64(d.Channel+1), -0.8) * (1 - 0.03*float64(d.Chunk))
+		}
+		future := make([][]ChunkDemand, 3)
+		for k := range future {
+			future[k] = append([]ChunkDemand(nil), current...)
+			for i := range future[k] {
+				future[k][i].Demand *= 0.9
+			}
+		}
+		reqs[r] = planRequest(current)
+		reqs[r].Future = future
+		reqs[r].Pricing = cloud.SpotPricing()
+	}
+	return reqs
 }
 
 // TestHedgeMultiplier pins the spot-risk discount: m = 1/(1 − atRisk)

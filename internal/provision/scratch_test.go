@@ -24,14 +24,15 @@ func TestMaxDemandsSteadyCallAllocatesNothing(t *testing.T) {
 func TestPlannerScratchDoesNotLeakIntoPlans(t *testing.T) {
 	var s planScratch
 	clusters := cloud.DefaultVMClusters()
-	first, err := s.planVMs(demandGrid(3, 4, 2e6), cloud.DefaultVMBandwidth, clusters, 100)
-	if err != nil {
-		t.Fatal(err)
+	if fits, err := s.draftVMs(demandGrid(3, 4, 2e6), cloud.DefaultVMBandwidth, clusters, 100); err != nil || !fits {
+		t.Fatal(fits, err)
 	}
+	first := s.publishVMs()
 	snapshot := fmt.Sprintf("%+v", first)
-	if _, err := s.planVMs(demandGrid(3, 4, 9e6), cloud.DefaultVMBandwidth, clusters, 100); err != nil {
-		t.Fatal(err)
+	if fits, err := s.draftVMs(demandGrid(3, 4, 9e6), cloud.DefaultVMBandwidth, clusters, 100); err != nil || !fits {
+		t.Fatal(fits, err)
 	}
+	s.publishVMs()
 	if got := fmt.Sprintf("%+v", first); got != snapshot {
 		t.Errorf("first plan changed after a second round:\n%s\nvs\n%s", got, snapshot)
 	}
@@ -60,5 +61,95 @@ func TestPlanVMsDuplicateClusterNamesShareATally(t *testing.T) {
 	want := map[string]float64{"a": 3, "b": 5}
 	if !reflect.DeepEqual(plan.VMsPerCluster, want) {
 		t.Errorf("VMsPerCluster = %v, want %v", plan.VMsPerCluster, want)
+	}
+}
+
+// TestLookaheadPublishesOnlyAdoptedPlans: every plan the hedged lookahead
+// adopts is the plan PlanVMs builds for the round's hedged target, and a
+// held round hands back the last adopted plan, by the hysteresis rule
+// applied to VMPlan.TotalVMs.
+func TestLookaheadPublishesOnlyAdoptedPlans(t *testing.T) {
+	planner := Lookahead{SpotHedge: true}.NewPlanner()
+	reqs := sawtoothRequests()
+	var last VMPlan
+	have, below, held := false, 0, 0
+	for round := range 3 * len(reqs) {
+		req := reqs[round%len(reqs)]
+		res, err := planner.Plan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := referenceMaxDemands(req.Demands, req.Future)
+		m := hedgeMultiplier(req.Pricing, req.IntervalSeconds)
+		for i := range target {
+			target[i].Demand *= m
+		}
+		want, err := PlanVMs(target, req.VMBandwidth, req.VMClusters, req.VMBudgetPerHour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if have && want.TotalVMs() < last.TotalVMs() {
+			if below++; below < 2 {
+				want = last
+				held++
+			} else {
+				below = 0
+			}
+		} else {
+			below = 0
+		}
+		if !reflect.DeepEqual(res.VMPlan, want) {
+			t.Fatalf("round %d: plan differs from PlanVMs on its target", round)
+		}
+		last, have = want, true
+	}
+	if held != 3 {
+		t.Errorf("%d of 9 rounds held, want 3", held)
+	}
+}
+
+// A held lookahead round builds no VM plan: without an NFS catalog (so
+// storage keeps its last plan too) it allocates nothing at all.
+func TestLookaheadHeldRoundAllocatesNothing(t *testing.T) {
+	planner := Lookahead{Hysteresis: 1000}.NewPlanner()
+	high := planRequest(demandGrid(4, 8, 4e6))
+	low := planRequest(demandGrid(4, 8, 1e6))
+	high.NFSClusters, low.NFSClusters = nil, nil
+	first, err := planner.Plan(high)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res PlanResult
+	allocs := testing.AllocsPerRun(50, func() { res, err = planner.Plan(low) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.VMPlan, first.VMPlan) {
+		t.Fatal("setup: low round not held")
+	}
+	if allocs != 0 {
+		t.Errorf("held round allocates %.1f times", allocs)
+	}
+}
+
+// planWithScaling's infeasible attempts build nothing, and neither does
+// the draft it settles on: the whole scale search allocates nothing once
+// the scratch has grown.
+func TestPlanWithScalingAttemptsAllocateNothing(t *testing.T) {
+	var s planScratch
+	demands := demandGrid(3, 5, 5e6)
+	var scale float64
+	var err error
+	allocs := testing.AllocsPerRun(20, func() {
+		scale, err = s.planWithScaling(demands, cloud.DefaultVMBandwidth, cloud.DefaultVMClusters(), 2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scale >= 1 {
+		t.Fatalf("setup: scale %v, want < 1 after infeasible attempts", scale)
+	}
+	if allocs != 0 {
+		t.Errorf("scale search allocates %.1f times", allocs)
 	}
 }

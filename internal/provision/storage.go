@@ -38,7 +38,7 @@ func PlanStorage(demands []ChunkDemand, chunkBytes float64, clusters []cloud.NFS
 }
 
 // planStorage is PlanStorage on the planner's scratch, tracking clusters
-// per name as planVMs does.
+// per name as draftVMs does.
 func (s *planScratch) planStorage(demands []ChunkDemand, chunkBytes float64, clusters []cloud.NFSClusterSpec, budgetPerHour float64) (StoragePlan, error) {
 	if err := s.validateDemands(demands); err != nil {
 		return StoragePlan{}, err
@@ -59,7 +59,7 @@ func (s *planScratch) planStorage(demands []ChunkDemand, chunkBytes float64, clu
 	}
 
 	// Clusters by marginal utility per unit cost u_f/p_f, best first,
-	// stable, with planVMs' comparator shape.
+	// stable, with draftVMs' comparator shape.
 	order := append(s.nfs[:0], clusters...)
 	s.nfs = order
 	slices.SortStableFunc(order, func(a, b cloud.NFSClusterSpec) int {
@@ -77,11 +77,11 @@ func (s *planScratch) planStorage(demands []ChunkDemand, chunkBytes float64, clu
 	}
 
 	chunkGB := chunkBytes / 1e9
-	plan := StoragePlan{
-		Placements:        make([]StoragePlacement, 0, len(demands)),
-		UtilityPerChannel: make(map[int]float64),
-	}
-	for _, d := range s.sortByDemand(demands) {
+	plan := StoragePlan{Placements: make([]StoragePlacement, 0, len(demands))}
+	s.rankChannels(demands)
+	s.resetDraft()
+	for _, i := range s.sortByDemand(demands) {
+		d := demands[i]
 		placed := false
 		for k, c := range order {
 			slot := s.slot[k]
@@ -100,7 +100,7 @@ func (s *planScratch) planStorage(demands []ChunkDemand, chunkBytes float64, clu
 			s.taken[slot] = true
 			plan.CostPerHour += cost
 			plan.Utility += c.Utility * d.Demand
-			plan.UtilityPerChannel[d.Channel] += c.Utility * d.Demand
+			s.addUtility(d.Channel, c.Utility*d.Demand)
 			plan.Placements = append(plan.Placements, StoragePlacement{
 				Channel: d.Channel, Chunk: d.Chunk, Cluster: c.Name,
 			})
@@ -115,11 +115,7 @@ func (s *planScratch) planStorage(demands []ChunkDemand, chunkBytes float64, clu
 	if len(plan.Placements) == 0 {
 		plan.Placements = nil // an empty plan keeps a nil list: records marshal it as null
 	}
-	plan.GBPerCluster = make(map[string]float64, len(order))
-	for k, c := range order {
-		if s.slot[k] == k && s.taken[k] {
-			plan.GBPerCluster[c.Name] = s.used[k]
-		}
-	}
+	plan.UtilityPerChannel = s.utilityPerChannel()
+	plan.GBPerCluster = s.clusterTotals(func(k int) string { return order[k].Name })
 	return plan, nil
 }

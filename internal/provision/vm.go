@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"cloudmedia/internal/cloud"
 )
@@ -66,29 +67,41 @@ func (p VMPlan) TotalVMs() float64 {
 // clusters when the best one runs out of VMs.
 func PlanVMs(demands []ChunkDemand, vmBandwidth float64, clusters []cloud.VMClusterSpec, budgetPerHour float64) (VMPlan, error) {
 	var s planScratch
-	return s.planVMs(demands, vmBandwidth, clusters, budgetPerHour)
-}
-
-// planVMs is PlanVMs on the planner's scratch. Clusters are tracked per
-// name, as a map keyed by name would track them: slot[k] is the first
-// position in the utility order holding order[k]'s name, and each slot's
-// free count and VM total advance in the same sequence a map entry did.
-func (s *planScratch) planVMs(demands []ChunkDemand, vmBandwidth float64, clusters []cloud.VMClusterSpec, budgetPerHour float64) (VMPlan, error) {
-	if err := s.validateDemands(demands); err != nil {
+	fits, err := s.draftVMs(demands, vmBandwidth, clusters, budgetPerHour)
+	if err == nil && !fits {
+		err = s.shortfall()
+	}
+	if err != nil {
 		return VMPlan{}, err
 	}
+	return s.publishVMs(), nil
+}
+
+// draftVMs is PlanVMs into the planner's draft: it runs the greedy pass
+// and keeps its outcome in the scratch without building a plan. A planner
+// reads the draft's total from draftTotalVMs and builds the plan it
+// adopts with publishVMs. It reports false when the budget or the
+// clusters cannot cover some chunk, which shortfall then describes; an
+// infeasible draft allocates nothing. Clusters are tracked per name, as
+// a map keyed by name would track them: slot[k] is the first position in
+// the utility order holding order[k]'s name, and each slot's free count
+// and VM total advance in the same sequence a map entry did.
+func (s *planScratch) draftVMs(demands []ChunkDemand, vmBandwidth float64, clusters []cloud.VMClusterSpec, budgetPerHour float64) (bool, error) {
+	if err := s.validateDemands(demands); err != nil {
+		return false, err
+	}
 	if vmBandwidth <= 0 {
-		return VMPlan{}, fmt.Errorf("provision: non-positive VM bandwidth %v", vmBandwidth)
+		return false, fmt.Errorf("provision: non-positive VM bandwidth %v", vmBandwidth)
 	}
 	if len(clusters) == 0 {
-		return VMPlan{}, fmt.Errorf("provision: no VM clusters")
+		return false, fmt.Errorf("provision: no VM clusters")
 	}
 	if budgetPerHour < 0 {
-		return VMPlan{}, fmt.Errorf("provision: negative VM budget %v", budgetPerHour)
+		return false, fmt.Errorf("provision: negative VM budget %v", budgetPerHour)
 	}
 	for _, c := range clusters {
 		if err := c.Validate(); err != nil {
-			return VMPlan{}, err
+			return false, err
 		}
 	}
 
@@ -107,22 +120,29 @@ func (s *planScratch) planVMs(demands []ChunkDemand, vmBandwidth float64, cluste
 		}
 		return 0
 	})
+	s.rankChannels(demands)
+	s.sortByDemand(demands)
+	s.drafted, s.vmBandwidth, s.vmBudget = demands, vmBandwidth, budgetPerHour
+	return s.vmPass(nil), nil
+}
+
+// vmPass runs the greedy VM pass over the drafted demands in s.ranked's
+// order on s.vms from fresh tallies, writing the k-th allocation to
+// out[k] when out is non-nil. It is deterministic in what it reads, so a
+// replay with out sized to the draft's allocation count emits exactly
+// the draft's allocations, provided the drafted demands are unchanged.
+// It reports false at the first chunk it cannot cover, recording the
+// chunk and its unmet need for shortfall.
+func (s *planScratch) vmPass(out []VMAllocation) bool {
+	order := s.vms
 	s.slotClusters(len(order), func(k int) string { return order[k].Name })
 	for k, c := range order {
 		s.free[s.slot[k]] = float64(c.MaxVMs)
 	}
-
-	plan := VMPlan{UtilityPerChannel: make(map[int]float64)}
-	nonzero := 0
-	for _, d := range demands {
-		if d.Demand/vmBandwidth != 0 {
-			nonzero++
-		}
-	}
-	plan.Allocations = make([]VMAllocation, 0, nonzero+len(order)-1)
-
-	for _, d := range s.sortByDemand(demands) {
-		need := d.Demand / vmBandwidth
+	s.resetDraft()
+	for _, i := range s.ranked {
+		d := s.drafted[i]
+		need := d.Demand / s.vmBandwidth
 		if need == 0 {
 			continue
 		}
@@ -137,7 +157,7 @@ func (s *planScratch) planVMs(demands []ChunkDemand, vmBandwidth float64, cluste
 			}
 			take := math.Min(need, avail)
 			// Respect the budget: shrink the take if it would overshoot.
-			if maxAffordable := (budgetPerHour - plan.CostPerHour) / c.PricePerHour; take > maxAffordable {
+			if maxAffordable := (s.vmBudget - s.cost) / c.PricePerHour; take > maxAffordable {
 				take = maxAffordable
 			}
 			if take <= 1e-12 {
@@ -146,29 +166,64 @@ func (s *planScratch) planVMs(demands []ChunkDemand, vmBandwidth float64, cluste
 			s.free[slot] -= take
 			s.used[slot] += take
 			s.taken[slot] = true
-			plan.CostPerHour += take * c.PricePerHour
-			plan.Utility += c.Utility * take
-			plan.UtilityPerChannel[d.Channel] += c.Utility * take
-			plan.Allocations = append(plan.Allocations, VMAllocation{
-				Channel: d.Channel, Chunk: d.Chunk, Cluster: c.Name, VMs: take,
-			})
+			s.cost += take * c.PricePerHour
+			s.utility += c.Utility * take
+			s.addUtility(d.Channel, c.Utility*take)
+			if out != nil {
+				out[s.emitted] = VMAllocation{Channel: d.Channel, Chunk: d.Chunk, Cluster: c.Name, VMs: take}
+			}
+			s.emitted++
 			need -= take
 		}
 		if need > 1e-9 {
-			return VMPlan{}, fmt.Errorf(
-				"%w: chunk (%d,%d) still needs %.3f VMs with budget $%.2f/h", ErrInfeasible, d.Channel, d.Chunk, need, budgetPerHour)
+			s.short, s.shortNeed = d, need
+			return false
 		}
 	}
-	if len(plan.Allocations) == 0 {
-		plan.Allocations = nil // an empty plan keeps a nil list: records marshal it as null
-	}
-	plan.VMsPerCluster = make(map[string]float64, len(order))
-	for k, c := range order {
-		if s.slot[k] == k && s.taken[k] {
-			plan.VMsPerCluster[c.Name] = s.used[k]
+	return true
+}
+
+// shortfall is the error of an infeasible draft: the chunk it could not
+// cover and the VMs that chunk still needed.
+func (s *planScratch) shortfall() error {
+	return fmt.Errorf("%w: chunk (%d,%d) still needs %.3f VMs with budget $%.2f/h",
+		ErrInfeasible, s.short.Channel, s.short.Chunk, s.shortNeed, s.vmBudget)
+}
+
+// draftTotalVMs is TotalVMs of the plan publishVMs would build from the
+// current draft: the per-name VM totals summed in sorted name order, so
+// a planner can compare drafts bit for bit with the plans it published.
+func (s *planScratch) draftTotalVMs() float64 {
+	var buf [8]int // catalogs are small: no allocation up to 8 clusters
+	names := buf[:0]
+	for k, first := range s.slot {
+		if first == k && s.taken[k] {
+			names = append(names, k)
 		}
 	}
-	return plan, nil
+	slices.SortFunc(names, func(a, b int) int { return strings.Compare(s.vms[a].Name, s.vms[b].Name) })
+	var t float64
+	for _, k := range names {
+		t += s.used[k]
+	}
+	return t
+}
+
+// publishVMs builds the caller-owned plan of the current draft, which
+// must have succeeded and whose demands must be unchanged: it replays
+// the greedy pass to emit the draft's allocations into a list of exactly
+// their number, and builds the maps from the draft's tallies. Nothing in
+// the plan is shared with the scratch.
+func (s *planScratch) publishVMs() VMPlan {
+	var plan VMPlan
+	if s.emitted > 0 { // an empty plan keeps a nil list: records marshal it as null
+		plan.Allocations = make([]VMAllocation, s.emitted)
+		s.vmPass(plan.Allocations) // the draft's pass again, on the same scratch: it fits
+	}
+	plan.CostPerHour, plan.Utility = s.cost, s.utility
+	plan.UtilityPerChannel = s.utilityPerChannel()
+	plan.VMsPerCluster = s.clusterTotals(func(k int) string { return s.vms[k].Name })
+	return plan
 }
 
 // CapacityPerChunk converts a VM plan back into the per-chunk upload

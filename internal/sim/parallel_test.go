@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"cloudmedia/internal/queueing"
@@ -185,6 +188,30 @@ func BenchmarkRebalancePeers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, ch := range s.channels {
 			s.rebalancePeers(ch)
+		}
+	}
+}
+
+// TestSortByOwnersFromAnyStart: the rarest-first order kept across ticks
+// re-sorts to the stable owner order of the identity whatever
+// permutation it starts from, ties by chunk index.
+func TestSortByOwnersFromAnyStart(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		j := 1 + r.Intn(12)
+		owners := make([]int, j)
+		for i := range owners {
+			owners[i] = r.Intn(4)
+		}
+		want := make([]int, j)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return owners[want[a]] < owners[want[b]] })
+		order := r.Perm(j)
+		sortByOwners(order, owners)
+		if !slices.Equal(order, want) {
+			t.Fatalf("owners %v: order %v, want %v", owners, order, want)
 		}
 	}
 }

@@ -205,8 +205,9 @@ type channelState struct {
 	// done is onHeadComplete's scratch list of finished downloads.
 	done []*download
 
-	// rebalanceOrder is the scratch chunk permutation reused across
-	// rebalances so the 30-second rebalance tick stays allocation-free.
+	// rebalanceOrder is the rarest-first chunk permutation, kept across
+	// rebalances (see sortByOwners) so the 30-second rebalance tick stays
+	// allocation-free and starts from the last tick's nearly sorted order.
 	rebalanceOrder []int
 
 	// cloudCapTotal caches the sum of the pools' cloud shares;
@@ -333,6 +334,9 @@ func New(cfg Config) (*Simulator, error) {
 			owners:         make([]int, cfg.Channel.Chunks),
 			estimator:      est,
 			rebalanceOrder: make([]int, cfg.Channel.Chunks),
+		}
+		for i := range ch.rebalanceOrder {
+			ch.rebalanceOrder[i] = i
 		}
 		ch.engine.ch = ch
 		ch.pools = make([]*pool, cfg.Channel.Chunks)
@@ -505,9 +509,6 @@ func (s *Simulator) rebalancePeers(ch *channelState) {
 
 	budget := ch.totalUplink
 	order := ch.rebalanceOrder
-	for i := range order {
-		order[i] = i
-	}
 	sortByOwners(order, ch.owners)
 	for _, i := range order {
 		p := ch.pools[i]
@@ -530,8 +531,12 @@ func (s *Simulator) rebalancePeers(ch *channelState) {
 	}
 }
 
-// sortByOwners stable-sorts the scratch permutation by ascending owner
-// count. Chunk counts are small (8–20), so insertion sort wins — and
+// sortByOwners re-sorts the chunk permutation in place by insertion sort
+// under the strict total order (owners, index). A strict total order has
+// exactly one sorted permutation, so the result is the one a stable sort
+// of the identity by owner count gives, whatever order it starts from,
+// while copy counts that drift slowly between ticks leave it nearly
+// sorted, so the pass is about O(J). Chunk counts are small (8–20), and
 // unlike sort.SliceStable it allocates nothing, keeping the 30-second
 // rebalance tick off the garbage collector entirely.
 //
@@ -539,10 +544,14 @@ func (s *Simulator) rebalancePeers(ch *channelState) {
 func sortByOwners(order []int, owners []int) {
 	for i := 1; i < len(order); i++ {
 		v := order[i]
+		ov := owners[v]
 		j := i - 1
-		for j >= 0 && owners[order[j]] > owners[v] {
-			order[j+1] = order[j]
-			j--
+		for ; j >= 0; j-- {
+			u := order[j]
+			if ou := owners[u]; ou < ov || ou == ov && u < v {
+				break
+			}
+			order[j+1] = u
 		}
 		order[j+1] = v
 	}

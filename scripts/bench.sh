@@ -37,7 +37,9 @@ trap 'rm -f "$TMP"' EXIT
 
 # Full-stack scale and throughput benches (root package): one iteration
 # each is enough — they are multi-second, domain-metric-reporting runs.
-go test -run '^$' -bench 'BenchmarkFluidMillionViewers$|BenchmarkFluid10MViewers|BenchmarkFluid100MViewers|BenchmarkEventParallelChannels|BenchmarkSweep3x3$|BenchmarkResilienceDay$' \
+# RegionalDay is the multi-region deployment (internal/geo) with one
+# outage, run as the regional experiment runs it.
+go test -run '^$' -bench 'BenchmarkFluidMillionViewers$|BenchmarkFluid10MViewers|BenchmarkFluid100MViewers|BenchmarkEventParallelChannels|BenchmarkSweep3x3$|BenchmarkResilienceDay$|BenchmarkRegionalDay$' \
     -benchtime 1x -count=3 . | tee -a "$TMP"
 
 # Solver benches are sub-millisecond: a single iteration is all warm-up
@@ -63,8 +65,9 @@ go test -run '^$' -bench 'BenchmarkEventHeap$' -benchtime 200000x -count=3 ./int
 go test -run '^$' -bench 'BenchmarkFluidStep$' -benchtime 50x -count=3 ./internal/fluid | tee -a "$TMP"
 
 # Control-path benches: plans/s per provisioning policy and the billing
-# ledger's accrual rate.
-go test -run '^$' -bench 'BenchmarkPolicyPlan' -benchtime 200x -count=3 ./internal/provision | tee -a "$TMP"
+# ledger's accrual rate. PolicyPlan and ControlRound also record B/op and
+# allocs/op: what a round allocates is what it hands out.
+go test -run '^$' -bench 'BenchmarkPolicyPlan' -benchtime 200x -benchmem -count=3 ./internal/provision | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkLedgerAccrual$' -benchtime 5000x -count=3 ./internal/cloud | tee -a "$TMP"
 # BrokerApply is the 100M-viewer day's cloud side: 25 hourly broker
 # submits to two 4.2M-VM clusters, with an ns/submit metric.
@@ -72,7 +75,7 @@ go test -run '^$' -bench 'BenchmarkBrokerApply$' -benchtime 2000x -count=3 ./int
 # ControlRound is one steady minute round of the control day's
 # controller: snapshot, forecasts, derivation, hedged lookahead plan,
 # apply.
-go test -run '^$' -bench 'BenchmarkControlRound$' -benchtime 500x -count=3 ./internal/core | tee -a "$TMP"
+go test -run '^$' -bench 'BenchmarkControlRound$' -benchtime 500x -benchmem -count=3 ./internal/core | tee -a "$TMP"
 # DeriveDemandSteady is DeriveDemand on one reused deriver, the steady,
 # allocation-free derivation the controller runs.
 go test -run '^$' -bench 'BenchmarkDeriveDemandSteady$' -benchtime 2000x -count=3 ./internal/core | tee -a "$TMP"
