@@ -18,7 +18,6 @@ func sortedKeys[V any](m map[string]V) []string {
 // Catalog is the information the SLA negotiator exposes to a consumer
 // during negotiation: the cluster specs plus current availability.
 type Catalog struct {
-	VMBandwidth float64 // R in bytes/s, part of the QoS agreement
 	VMClusters  []VMClusterAvailability
 	NFSClusters []NFSClusterAvailability
 }
@@ -59,14 +58,12 @@ func NewBroker(c *Cloud) (*Broker, error) {
 	return &Broker{cloud: c}, nil
 }
 
-// Negotiate returns the current catalog: prices, QoS (per-VM bandwidth) and
-// availability. The controller calls this at the start of every
+// Negotiate returns the current catalog: prices and availability. The controller calls this at the start of every
 // provisioning interval (Sec. V-B). The catalog's cluster lists reuse
 // into's backing arrays, so passing the previous round's catalog
 // negotiates without allocating; a zero Catalog gets fresh lists.
 func (b *Broker) Negotiate(into Catalog) Catalog {
 	cat := Catalog{
-		VMBandwidth: b.cloud.VMBandwidth(),
 		VMClusters:  into.VMClusters[:0],
 		NFSClusters: into.NFSClusters[:0],
 	}

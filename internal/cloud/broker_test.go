@@ -25,9 +25,6 @@ func TestNewBrokerNilCloud(t *testing.T) {
 func TestNegotiateCatalog(t *testing.T) {
 	b, c := newTestBroker(t)
 	cat := b.Negotiate(Catalog{})
-	if cat.VMBandwidth != DefaultVMBandwidth {
-		t.Errorf("catalog bandwidth = %v", cat.VMBandwidth)
-	}
 	if len(cat.VMClusters) != 3 || len(cat.NFSClusters) != 2 {
 		t.Fatalf("catalog sizes: %d VM, %d NFS", len(cat.VMClusters), len(cat.NFSClusters))
 	}
@@ -103,9 +100,9 @@ func TestSubmitUnknownClusters(t *testing.T) {
 const brokerDayHours = 25
 
 // BenchmarkBrokerApply replays the cloud side of the 100M-viewer fluid
-// day: two 4.2M-VM clusters and 25 hourly Broker.Submit targets on a
-// diurnal curve (5% of capacity at 09:00, 95% at 21:00), each followed by
-// TotalActiveVMs and Advance, as the controller issues them. Each
+// day: two 4.2M-VM clusters and 25 hourly rounds on a diurnal curve (5%
+// of capacity at 09:00, 95% at 21:00), each a Broker.Negotiate, a
+// Broker.Submit and an Advance, as the controller issues them. Each
 // iteration is one day on a fresh cloud.
 func BenchmarkBrokerApply(b *testing.B) {
 	const maxVMs = 4_200_000
@@ -131,11 +128,12 @@ func BenchmarkBrokerApply(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var cat Catalog
 		for _, req := range reqs {
+			cat = br.Negotiate(cat)
 			if err := br.Submit(req); err != nil {
 				b.Fatal(err)
 			}
-			c.TotalActiveVMs(req.Time)
 			c.Advance(req.Time)
 		}
 	}

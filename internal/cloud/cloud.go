@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -28,45 +27,7 @@ func WithPricing(plan PricingPlan) Option {
 // vmClusterState tracks one virtual cluster at runtime.
 type vmClusterState struct {
 	spec      VMClusterSpec
-	allocated int // VMs currently rented (billed), including those booting
-	// boots holds the VMs still booting as batches, one per distinct ready
-	// time, strictly ascending by ready time. A batch's VMs count toward
-	// allocated; activeAt retires batches whose ready time has passed.
-	boots []bootBatch
-}
-
-// bootBatch is n VMs that finish booting at the same ready time.
-type bootBatch struct {
-	ready float64
-	n     int
-}
-
-// addBoots starts n VMs that become ready at time ready, merging them into
-// the batch with the same ready time or inserting a new batch in order
-// (at the tail, when time only moves forward).
-func (s *vmClusterState) addBoots(ready float64, n int) {
-	i, found := slices.BinarySearchFunc(s.boots, ready, func(b bootBatch, r float64) int {
-		return cmp.Compare(b.ready, r)
-	})
-	if found {
-		s.boots[i].n += n
-		return
-	}
-	s.boots = slices.Insert(s.boots, i, bootBatch{ready: ready, n: n})
-}
-
-// dropBoots releases up to n booting VMs, latest ready time first: they
-// are the furthest from serving.
-func (s *vmClusterState) dropBoots(n int) {
-	for n > 0 && len(s.boots) > 0 {
-		last := &s.boots[len(s.boots)-1]
-		take := min(last.n, n)
-		last.n -= take
-		n -= take
-		if last.n == 0 {
-			s.boots = s.boots[:len(s.boots)-1]
-		}
-	}
+	allocated int // VMs currently rented (billed)
 }
 
 // nfsClusterState tracks one NFS cluster at runtime.
@@ -78,8 +39,7 @@ type nfsClusterState struct {
 // Cloud is the simulated IaaS infrastructure. All methods are safe for
 // concurrent use. Simulated time flows through the `now` parameters, which
 // callers keep non-decreasing. Mutators reject a non-finite now; an
-// earlier now than the last billed one is accepted but bills no time, and
-// boot ready times stay ordered whatever order they arrive in.
+// earlier now than the last billed one is accepted but bills no time.
 type Cloud struct {
 	mu sync.Mutex
 
@@ -89,10 +49,6 @@ type Cloud struct {
 	// are fixed once New returns, so they are read without the lock.
 	vmSpecs  []VMClusterSpec
 	nfsSpecs []NFSClusterSpec
-
-	vmBandwidth     float64
-	bootSeconds     float64
-	shutdownSeconds float64
 
 	pricing PricingPlan
 	ledger  *Ledger
@@ -122,11 +78,8 @@ func New(vmSpecs []VMClusterSpec, nfsSpecs []NFSClusterSpec, opts ...Option) (*C
 		return nil, fmt.Errorf("cloud: at least one VM cluster required")
 	}
 	c := &Cloud{
-		vms:             make(map[string]*vmClusterState, len(vmSpecs)),
-		nfs:             make(map[string]*nfsClusterState, len(nfsSpecs)),
-		vmBandwidth:     DefaultVMBandwidth,
-		bootSeconds:     DefaultBootSeconds,
-		shutdownSeconds: DefaultShutdownSeconds,
+		vms: make(map[string]*vmClusterState, len(vmSpecs)),
+		nfs: make(map[string]*nfsClusterState, len(nfsSpecs)),
 	}
 	for _, s := range vmSpecs {
 		if err := s.Validate(); err != nil {
@@ -153,14 +106,6 @@ func New(vmSpecs []VMClusterSpec, nfsSpecs []NFSClusterSpec, opts ...Option) (*C
 	for _, o := range opts {
 		o(c)
 	}
-	if !(c.vmBandwidth > 0) || math.IsInf(c.vmBandwidth, 1) {
-		return nil, fmt.Errorf("cloud: VM bandwidth %v not positive and finite", c.vmBandwidth)
-	}
-	for _, l := range []float64{c.bootSeconds, c.shutdownSeconds} {
-		if !(l >= 0) || math.IsInf(l, 1) {
-			return nil, fmt.Errorf("cloud: lifecycle latency %v not non-negative and finite", l)
-		}
-	}
 	if err := c.pricing.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,11 +117,10 @@ func New(vmSpecs []VMClusterSpec, nfsSpecs []NFSClusterSpec, opts ...Option) (*C
 // pricing plan.
 func (c *Cloud) Ledger() *Ledger { return c.ledger }
 
-// VMBandwidth returns R, the bandwidth of every VM in bytes/s.
-func (c *Cloud) VMBandwidth() float64 { return c.vmBandwidth }
-
-// BootLatency returns the VM launch latency in seconds.
-func (c *Cloud) BootLatency() float64 { return c.bootSeconds }
+// BootLatency returns the VM launch latency in seconds, the paper's
+// measured DefaultBootSeconds. The cloud bills a VM from its request; the
+// controller delays the serving capacity a scale-up buys by this much.
+func (c *Cloud) BootLatency() float64 { return DefaultBootSeconds }
 
 // VMClusters returns a copy of the VM cluster catalog in registration
 // order.
@@ -187,9 +131,8 @@ func (c *Cloud) VMClusters() []VMClusterSpec { return slices.Clone(c.vmSpecs) }
 func (c *Cloud) NFSClusters() []NFSClusterSpec { return slices.Clone(c.nfsSpecs) }
 
 // SetVMs scales cluster `name` to `target` allocated VMs at simulated time
-// now. Scale-ups start booting (VMs become active after BootLatency and are
-// billed from the request, like EC2); scale-downs release VMs immediately,
-// stopping their billing. It is the VM-scheduler entry point of Fig. 1.
+// now. VMs bill from the request, like EC2, and a scale-down stops their
+// billing at once. It is the VM-scheduler entry point of Fig. 1.
 func (c *Cloud) SetVMs(now float64, name string, target int) error {
 	if target < 0 {
 		return fmt.Errorf("cloud: negative VM target %d", target)
@@ -207,20 +150,12 @@ func (c *Cloud) SetVMs(now float64, name string, target int) error {
 		return fmt.Errorf("%w: cluster %q: want %d VMs, capacity %d", ErrCapacity, name, target, st.spec.MaxVMs)
 	}
 	c.accrueLocked(now)
-	switch {
-	case target > st.allocated:
-		st.addBoots(now+c.bootSeconds, target-st.allocated)
-	case target < st.allocated:
-		// Release booting VMs first (they contribute no capacity yet), then
-		// running ones.
-		st.dropBoots(st.allocated - target)
-	}
 	st.allocated = target
 	return nil
 }
 
 // AllocatedVMs returns the number of VMs currently rented (billed) in the
-// cluster, including ones still booting.
+// cluster.
 func (c *Cloud) AllocatedVMs(name string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,47 +166,11 @@ func (c *Cloud) AllocatedVMs(name string) (int, error) {
 	return st.allocated, nil
 }
 
-// ActiveVMs returns the number of VMs in the cluster that have finished
-// booting by time now and can serve traffic.
-func (c *Cloud) ActiveVMs(now float64, name string) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.vms[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: VM cluster %q", ErrUnknownCluster, name)
-	}
-	return st.activeAt(now), nil
-}
-
-// TotalActiveVMs returns the number of serving VMs across all clusters.
-func (c *Cloud) TotalActiveVMs(now float64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int
-	for _, spec := range c.vmSpecs {
-		total += c.vms[spec.Name].activeAt(now)
-	}
-	return total
-}
-
-// activeAt counts the VMs serving at time now: every allocated VM except
-// those in batches whose ready time is still after now. Batches that have
-// finished booting are retired.
-func (s *vmClusterState) activeAt(now float64) int {
-	booting, i := 0, len(s.boots)
-	for i > 0 && s.boots[i-1].ready > now {
-		i--
-		booting += s.boots[i].n
-	}
-	s.boots = slices.Delete(s.boots, 0, i)
-	return s.allocated - booting
-}
-
 // PreemptSpot mass-preempts the given fraction of every cluster's spot
 // instances at time now — the provider-side interruption event of the
 // spot market. Spot counts are resolved per cluster exactly as the ledger
 // bills them (SpotFraction of the elastic allocation above the reserved
-// count); preempted VMs stop billing and serving immediately. It records
+// count); preempted VMs stop billing immediately. It records
 // the interruption event in the ledger and returns the VMs killed plus
 // the fraction of the total allocation lost, so the caller can scale the
 // serving plane's capacities by the survivor share.
@@ -293,21 +192,11 @@ func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction flo
 	for _, spec := range c.vmSpecs {
 		st := c.vms[spec.Name]
 		before += st.allocated
-		reserved := 0
-		if c.ledger != nil {
-			reserved = c.ledger.ReservedVMs(spec.Name)
-		}
-		spot := c.pricing.spotVMs(st.allocated - reserved)
+		spot := c.pricing.spotVMs(st.allocated - c.ledger.ReservedVMs(spec.Name))
 		kill := int(float64(spot)*fraction + 0.5 + 1e-9)
 		if kill > spot {
 			kill = spot
 		}
-		if kill == 0 {
-			continue
-		}
-		// Kill booting instances first (they contribute no capacity yet),
-		// then running ones.
-		st.dropBoots(kill)
 		st.allocated -= kill
 		killed += kill
 	}
@@ -315,9 +204,7 @@ func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction flo
 	if before > 0 {
 		lostFraction = float64(killed) / float64(before)
 	}
-	if c.ledger != nil {
-		c.ledger.RecordInterruption(now, killed)
-	}
+	c.ledger.RecordInterruption()
 	return killed, lostFraction, nil
 }
 
@@ -382,19 +269,17 @@ func (c *Cloud) accrueLocked(now float64) {
 		st := c.nfs[spec.Name]
 		c.storageCost += st.storedGB * st.spec.PricePerGBHour * hours
 	}
-	if c.ledger != nil {
-		vms := c.vmUse[:0]
-		for _, spec := range c.vmSpecs {
-			st := c.vms[spec.Name]
-			vms = append(vms, vmUsage{name: spec.Name, price: st.spec.PricePerHour, allocated: st.allocated})
-		}
-		nfs := c.nfsUse[:0]
-		for _, spec := range c.nfsSpecs {
-			st := c.nfs[spec.Name]
-			nfs = append(nfs, storageUsage{price: st.spec.PricePerGBHour, gb: st.storedGB})
-		}
-		c.ledger.accrue(c.lastBilled, now, vms, nfs)
+	vms := c.vmUse[:0]
+	for _, spec := range c.vmSpecs {
+		st := c.vms[spec.Name]
+		vms = append(vms, vmUsage{name: spec.Name, price: st.spec.PricePerHour, allocated: st.allocated})
 	}
+	nfs := c.nfsUse[:0]
+	for _, spec := range c.nfsSpecs {
+		st := c.nfs[spec.Name]
+		nfs = append(nfs, storageUsage{price: st.spec.PricePerGBHour, gb: st.storedGB})
+	}
+	c.ledger.accrue(c.lastBilled, now, vms, nfs)
 	c.lastBilled = now
 }
 

@@ -3,14 +3,20 @@
 // negotiator / request monitor / scheduler modules of Fig. 1, with
 // usage-time billing following the Amazon EC2/S3 charging model.
 //
-// The paper's evaluation exercises four properties of the physical testbed,
-// all of which are modelled explicitly:
+// The package is a catalog, an allocation and a bill. The paper's
+// evaluation exercises four properties of the physical testbed; this
+// package models the catalogs and the billing, and names the other two
+// for the modules that own them:
 //
 //   - cluster catalogs — Tables II and III ship as DefaultVMClusters and
 //     DefaultNFSClusters;
-//   - per-VM bandwidth — every VM is allocated a fixed R (10 Mbps);
-//   - VM lifecycle latency — launching a VM takes ~25 s (shutdown is
-//     quicker), and launches proceed in parallel;
+//   - per-VM bandwidth — DefaultVMBandwidth is the paper's R (10 Mbps).
+//     A run's R is its channel configuration's (queueing.Config), which
+//     the controller plans and applies with;
+//   - VM lifecycle latency — launching a VM takes ~25 s
+//     (DefaultBootSeconds, BootLatency). A VM bills from its request; the
+//     controller raises the serving capacity a scale-up buys one boot
+//     latency later, and lowers it at once;
 //   - billing — VM rental is charged per allocated VM-hour and storage per
 //     GB-hour, integrated continuously over simulated time. Alongside the
 //     paper's literal catalog-price accounting (Costs), a Ledger bills the

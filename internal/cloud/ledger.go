@@ -1,9 +1,6 @@
 package cloud
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // LedgerTotals is one billing aggregate: resource-hours and dollars split
 // by tier. It is both the run's cumulative bill (Ledger.Totals) and the
@@ -66,13 +63,6 @@ func (t *LedgerTotals) Add(o LedgerTotals) {
 	t.TransferUSD += o.TransferUSD
 }
 
-// Note is one ledger diagnostic: a timestamped event worth surfacing with
-// the bill, e.g. a provisioning round whose budget was infeasible.
-type Note struct {
-	Time float64
-	Msg  string
-}
-
 // Ledger accrues a run's cloud bill under a PricingPlan: VM-hours split
 // reserved/on-demand, GB-hours, upfront reservation fees at each term
 // start, and dollars per tier. The Cloud drives it from the same billing
@@ -91,12 +81,6 @@ type Ledger struct {
 
 	totals   LedgerTotals
 	interval LedgerTotals
-	notes    []Note
-	// noteText interns Notef messages. Control loops repeat the same few
-	// diagnostics round after round (a minute-round day writes ~1,000
-	// demand-analysis notes with ~130 distinct texts), and every copy
-	// would stay live until the run ends.
-	noteText map[string]string
 }
 
 // vmUsage is one VM cluster's allocation over an accrual window, in
@@ -210,19 +194,18 @@ func (l *Ledger) Checkpoint() LedgerTotals {
 
 // RecordInterruption charges one spot mass-preemption event to the bill
 // (the event counter, not dollars — the dollars show up as the re-rented
-// replacement capacity) together with a diagnostic note.
-func (l *Ledger) RecordInterruption(now float64, vmsKilled int) {
+// replacement capacity).
+func (l *Ledger) RecordInterruption() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.totals.Interruptions++
 	l.interval.Interruptions++
-	l.notes = append(l.notes, Note{Time: now, Msg: fmt.Sprintf("spot interruption: %d VMs preempted", vmsKilled)})
 }
 
 // ChargeTransfer adds inter-region transfer dollars to the bill — the
 // failover path charges the migrated viewers' handoff bytes to the region
-// they move into.
-func (l *Ledger) ChargeTransfer(now float64, usd float64, why string) {
+// they move into. A non-positive charge is dropped.
+func (l *Ledger) ChargeTransfer(usd float64) {
 	if usd <= 0 {
 		return
 	}
@@ -230,31 +213,4 @@ func (l *Ledger) ChargeTransfer(now float64, usd float64, why string) {
 	defer l.mu.Unlock()
 	l.totals.TransferUSD += usd
 	l.interval.TransferUSD += usd
-	l.notes = append(l.notes, Note{Time: now, Msg: fmt.Sprintf("transfer $%.2f: %s", usd, why)})
-}
-
-// Notef appends a timestamped diagnostic to the ledger — infeasible
-// budgets, failed storage plans, and similar events that explain a bill.
-func (l *Ledger) Notef(now float64, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if text, ok := l.noteText[msg]; ok {
-		msg = text
-	} else {
-		if l.noteText == nil {
-			l.noteText = make(map[string]string)
-		}
-		l.noteText[msg] = msg
-	}
-	l.notes = append(l.notes, Note{Time: now, Msg: msg})
-}
-
-// Diagnostics returns a copy of the accumulated notes, oldest first.
-func (l *Ledger) Diagnostics() []Note {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Note, len(l.notes))
-	copy(out, l.notes)
-	return out
 }

@@ -68,9 +68,6 @@ const DefaultVMBandwidth = 10e6 / 8
 // DefaultBootSeconds is the measured VM launch latency of Sec. VI-C.
 const DefaultBootSeconds = 25.0
 
-// DefaultShutdownSeconds reflects "even less time to shut it down".
-const DefaultShutdownSeconds = 10.0
-
 // DefaultVMClusters returns Table II exactly.
 func DefaultVMClusters() []VMClusterSpec {
 	return []VMClusterSpec{

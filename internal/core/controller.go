@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/provision"
@@ -83,16 +84,23 @@ type IntervalRecord struct {
 	// scaled down to fit (the paper's "increase your budget" signal).
 	DemandScale float64
 	// DemandErrors counts the channels whose demand analysis failed this
-	// round; each was planned at zero demand. The round's first error, in
-	// channel order, lands in the cloud ledger's diagnostics.
+	// round; each was planned at zero demand.
 	DemandErrors int
+	// DemandErr is the round's first demand-analysis error in channel
+	// order, prefixed with its channel ("channel 3: …"); empty when
+	// DemandErrors is 0. It and SubmitErr are left out of the JSON
+	// encoding, which the report goldens pin byte for byte and which
+	// already carries DemandErrors.
+	DemandErr string `json:"-"`
 	// PlanErr records a round whose VM planning failed outright (no plan
 	// was applied; the previous rental stays in force).
 	PlanErr string
 	// StorageErr records a round whose storage planning failed; the
-	// previous storage plan stays applied. Both errors also land in the
-	// cloud ledger's diagnostics.
+	// previous storage plan stays applied.
 	StorageErr string
+	// SubmitErr records a round whose SLA request the broker rejected;
+	// the previous rental and chunk capacities stay in force.
+	SubmitErr string `json:"-"`
 	// Cost is the ledger bill accrued over the interval that ended at
 	// Time, split by pricing tier. The bootstrap (t=0) record carries only
 	// the first reservation term's upfront fee, if any.
@@ -490,6 +498,9 @@ func (c *Controller) flattenFuture(steps [][]ChannelDemand) [][]provision.ChunkD
 func (c *Controller) reduceDemands(rec *IntervalRecord, demands []ChannelDemand, errs []error) {
 	for ch := range demands {
 		if errs[ch] != nil {
+			if rec.DemandErrors == 0 {
+				rec.DemandErr = "channel " + strconv.Itoa(ch) + ": " + errs[ch].Error()
+			}
 			rec.DemandErrors++
 		}
 		d := demands[ch]
@@ -540,9 +551,6 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 		})
 	}
 	c.reduceDemands(&rec, demands, errs)
-	if rec.DemandErrors > 0 {
-		c.noteDemandErrors(now, errs, rec.DemandErrors)
-	}
 
 	c.catalog = c.broker.Negotiate(c.catalog)
 	catalog := c.catalog
@@ -562,7 +570,7 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 		Time:                 now,
 		IntervalSeconds:      c.opts.IntervalSeconds,
 		Demands:              c.scratchFlat,
-		VMBandwidth:          catalog.VMBandwidth,
+		VMBandwidth:          cfg.VMBandwidth,
 		ChunkBytes:           cfg.ChunkBytes(),
 		VMClusters:           vmSpecs,
 		NFSClusters:          nfsSpecs,
@@ -580,7 +588,6 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 		// fully scaled down, …): record the empty round and keep last
 		// interval's rental.
 		rec.PlanErr = err.Error()
-		c.cl.Ledger().Notef(now, "%s policy: VM plan failed: %v", c.opts.Policy.Name(), err)
 		c.finish(now, rec)
 		return
 	}
@@ -589,11 +596,10 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	rec.StoragePlan = res.StoragePlan
 	if res.StorageErr != nil {
 		rec.StorageErr = res.StorageErr.Error()
-		c.cl.Ledger().Notef(now, "%s policy: storage plan failed, previous plan kept: %v",
-			c.opts.Policy.Name(), res.StorageErr)
 	}
-
-	c.apply(now, res.VMPlan, res.StoragePlan, catalog.VMBandwidth, cfg.Chunks, demands)
+	if err := c.apply(now, res.VMPlan, res.StoragePlan, cfg.VMBandwidth, cfg.Chunks, demands); err != nil {
+		rec.SubmitErr = err.Error()
+	}
 	c.finish(now, rec)
 }
 
@@ -611,18 +617,6 @@ func (c *Controller) deriveChannel(w, ch int, now float64, cfg queueing.Config, 
 	c.scratchDemands[ch], c.scratchErrs[ch] = c.deriveOne(&c.derivers[w], cfg, in, p2pMode, cloud, peer)
 }
 
-// noteDemandErrors writes the round's one ledger note for failed demand
-// analyses, carrying the first error in channel order.
-func (c *Controller) noteDemandErrors(now float64, errs []error, n int) {
-	for ch, err := range errs {
-		if err != nil {
-			c.cl.Ledger().Notef(now, "demand analysis failed on %d of %d channels, planned at zero demand; first, channel %d: %v",
-				n, len(errs), ch, err)
-			return
-		}
-	}
-}
-
 // finish settles the bill for the interval that just ended, stamps it on
 // the record, and delivers the record to the OnInterval subscriber.
 func (c *Controller) finish(now float64, rec IntervalRecord) {
@@ -634,8 +628,9 @@ func (c *Controller) finish(now float64, rec IntervalRecord) {
 }
 
 // apply submits the SLA reconfiguration and updates the per-chunk serving
-// capacities in the running system.
-func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan provision.StoragePlan, vmBandwidth float64, chunks int, demands []ChannelDemand) {
+// capacities in the running system. A request the broker rejects is
+// returned and changes nothing.
+func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan provision.StoragePlan, vmBandwidth float64, chunks int, demands []ChannelDemand) error {
 	req := cloud.Request{Time: now, VMTargets: map[string]int{}, StorageGB: map[string]float64{}}
 	for _, spec := range c.scratchVMs {
 		req.VMTargets[spec.Name] = 0
@@ -653,8 +648,7 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 	if err := c.broker.Submit(req); err != nil {
 		// Capacity races are not fatal: the system keeps last interval's
 		// allocation and tries again next interval.
-		c.cl.Ledger().Notef(now, "%s policy: SLA submit rejected, previous rental kept: %v", c.opts.Policy.Name(), err)
-		return
+		return err
 	}
 
 	// The plan's per-chunk capacity, flat at ch*chunks+chunk and summed
@@ -675,13 +669,13 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 		c.lastCaps = append(c.lastCaps, grown...)
 		c.capChannels = n
 	}
-	delay := c.cl.BootLatency()
 	// Increases wait for the new VMs to boot: freshly requested VMs serve
-	// only once booted. They share one callback: scheduled one by one,
-	// their events would have fired back to back in this order, with
-	// nothing in between.
+	// only once booted. This delayed raise is the run's one boot model:
+	// the cloud bills from the request and keeps no boot state. The
+	// raises share one callback: scheduled one by one, their events would
+	// have fired back to back in this order, with nothing in between.
 	var raises []capRaise
-	if k := len(c.freeRaises); k > 0 && delay > 0 {
+	if k := len(c.freeRaises); k > 0 {
 		raises, c.freeRaises = c.freeRaises[k-1], c.freeRaises[:k-1]
 	}
 	// A fresh plan re-rents whatever a spot preemption killed, so the
@@ -693,7 +687,7 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 			key := ch*chunks + i
 			c.planCaps[key] = caps[key]
 			target := caps[key] * c.capFactor
-			if target > c.lastCaps[key] && delay > 0 {
+			if target > c.lastCaps[key] {
 				raises = append(raises, capRaise{ch: ch, chunk: i, target: target})
 			} else {
 				// Decreases take effect immediately (shutdown is fast).
@@ -707,16 +701,17 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 		if raises != nil {
 			c.freeRaises = append(c.freeRaises, raises)
 		}
-		return
+		return nil
 	}
-	//cloudmedia:allow noloss -- now+delay > now so ScheduleAt cannot fail
-	_ = c.sim.ScheduleAt(now+delay, func(float64) {
+	//cloudmedia:allow noloss -- the boot latency is positive, so ScheduleAt cannot fail
+	_ = c.sim.ScheduleAt(now+c.cl.BootLatency(), func(float64) {
 		for _, r := range raises {
 			//cloudmedia:allow noloss -- channel/chunk come from the plan loop, which only visits valid indices
 			_ = c.sim.SetCloudCapacity(r.ch, r.chunk, r.target)
 		}
 		c.freeRaises = append(c.freeRaises, raises[:0])
 	})
+	return nil
 }
 
 // SetCapacityFactor sets the persistent capacity multiplier — fault

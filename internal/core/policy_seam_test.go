@@ -33,10 +33,9 @@ func flatInputs(s *sim.Simulator, transfer queueing.TransferMatrix, rate float64
 	return inputs
 }
 
-// TestStorageInfeasibilityIsVisible pins the satellite fix: a failed
-// storage plan must land on the IntervalRecord and in the ledger
-// diagnostics instead of being silently swallowed (the controller used to
-// keep the stale plan with no trace).
+// TestStorageInfeasibilityIsVisible: a failed storage plan lands on the
+// IntervalRecord instead of being silently swallowed (the controller used
+// to keep the stale plan with no trace).
 func TestStorageInfeasibilityIsVisible(t *testing.T) {
 	s, cl, broker, transfer := buildStack(t)
 	opts := resolvedOptions(transfer)
@@ -68,13 +67,8 @@ func TestStorageInfeasibilityIsVisible(t *testing.T) {
 	if len(rec.VMPlan.Allocations) == 0 {
 		t.Error("VM plan missing despite a storage-only failure")
 	}
-	// And the ledger diagnostics must carry the event.
-	notes := cl.Ledger().Diagnostics()
-	if len(notes) == 0 {
-		t.Fatal("no ledger diagnostics for the failed storage plan")
-	}
-	if !strings.Contains(notes[0].Msg, "storage plan failed") {
-		t.Errorf("ledger note = %q, want a storage-plan diagnostic", notes[0].Msg)
+	if rec.SubmitErr != "" {
+		t.Errorf("SubmitErr = %q after a storage-only failure", rec.SubmitErr)
 	}
 }
 
@@ -101,15 +95,12 @@ func TestVMPlanFailureIsVisible(t *testing.T) {
 	if len(rec.VMPlan.Allocations) != 0 {
 		t.Error("failed round carries a VM plan")
 	}
-	if len(cl.Ledger().Diagnostics()) == 0 {
-		t.Error("no ledger diagnostic for the failed VM plan")
-	}
 }
 
 // TestDemandErrorsAreVisible: a channel whose demand analysis fails is
-// planned at zero demand, counted on the record, and reported in one
-// ledger note carrying the first error in channel order — the same
-// record for every controller worker count.
+// planned at zero demand and counted on the record, whose DemandErr
+// carries the first error in channel order — the same record for every
+// controller worker count.
 func TestDemandErrorsAreVisible(t *testing.T) {
 	ensureParallelHost(t, 4)
 	var serial IntervalRecord
@@ -136,17 +127,8 @@ func TestDemandErrorsAreVisible(t *testing.T) {
 		if rec.TotalDemand != 0 {
 			t.Errorf("Workers=%d: failed channels still demand %v", workers, rec.TotalDemand)
 		}
-		var demandNotes []string
-		for _, n := range cl.Ledger().Diagnostics() {
-			if strings.Contains(n.Msg, "demand analysis failed") {
-				demandNotes = append(demandNotes, n.Msg)
-			}
-		}
-		if len(demandNotes) != 1 {
-			t.Fatalf("Workers=%d: %d demand-analysis notes, want one per round: %q", workers, len(demandNotes), demandNotes)
-		}
-		if !strings.Contains(demandNotes[0], "failed on 2 of 3 channels") || !strings.Contains(demandNotes[0], "channel 1: core: demand analysis: queueing: sizing chunk") {
-			t.Errorf("Workers=%d: note %q, want the count and channel 1's sizing error", workers, demandNotes[0])
+		if !strings.HasPrefix(rec.DemandErr, "channel 1: core: demand analysis: queueing: sizing chunk") {
+			t.Errorf("Workers=%d: DemandErr %q, want channel 1's sizing error", workers, rec.DemandErr)
 		}
 		if workers == 1 {
 			serial = rec
@@ -188,8 +170,9 @@ func (p *overPlanner) Plan(req provision.PlanRequest) (provision.PlanResult, err
 	}, nil
 }
 
-// TestRejectedSubmitIsVisible: a plan the broker rejects leaves a ledger
-// note, and the previous round's chunk capacities stay applied.
+// TestRejectedSubmitIsVisible: a plan the broker rejects is recorded on
+// the round's SubmitErr, and the previous round's chunk capacities stay
+// applied.
 func TestRejectedSubmitIsVisible(t *testing.T) {
 	s, cl, broker, transfer := buildStack(t)
 	opts := resolvedOptions(transfer)
@@ -198,6 +181,7 @@ func TestRejectedSubmitIsVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rounds := recordRounds(ctl)
 	channelCaps := func() []float64 {
 		out := make([]float64, s.Channels())
 		for ch := range out {
@@ -217,14 +201,12 @@ func TestRejectedSubmitIsVisible(t *testing.T) {
 	now := s.Now()
 	ctl.Provision(now, flatInputs(s, transfer, 0.2))
 	s.RunUntil(now + cl.BootLatency() + 1)
-	var notes []string
-	for _, n := range cl.Ledger().Diagnostics() {
-		if strings.Contains(n.Msg, "SLA submit rejected") {
-			notes = append(notes, n.Msg)
-		}
+	recs := *rounds
+	if len(recs) != 2 || recs[0].SubmitErr != "" {
+		t.Fatalf("%d records, first SubmitErr %q; want 2, the first accepted", len(recs), recs[0].SubmitErr)
 	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "overplan policy") || !strings.Contains(notes[0], "capacity") {
-		t.Errorf("ledger notes %q, want one note for the rejected submit", notes)
+	if !strings.Contains(recs[1].SubmitErr, cloud.ErrCapacity.Error()) {
+		t.Errorf("SubmitErr %q, want the broker's capacity rejection", recs[1].SubmitErr)
 	}
 	if !reflect.DeepEqual(ctl.lastCaps, chunkCaps) {
 		t.Errorf("chunk capacities %v after the rejected submit, want the previous %v", ctl.lastCaps, chunkCaps)

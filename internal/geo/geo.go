@@ -424,7 +424,6 @@ func (d *Deployment) failOver(now float64, ri int) {
 	d.applyShares()
 	//cloudmedia:allow noloss -- factor 0 is always valid
 	_ = failed.Controller.SetCapacityFactor(now, 0)
-	failed.Cloud.Ledger().Notef(now, "region outage: arrivals migrated to surviving regions")
 
 	migrated := float64(failed.Sim.TotalUsers())
 	if migrated <= 0 {
@@ -444,9 +443,7 @@ func (d *Deployment) failOver(now float64, ri int) {
 			continue
 		}
 		moved := migrated * r.Region.Share / survivingShare
-		cost := moved * d.handoffGB * transferUSDPerGB
-		r.Cloud.Ledger().ChargeTransfer(now, cost,
-			fmt.Sprintf("%.0f viewers failed over from %s", moved, failed.Region.Name))
+		r.Cloud.Ledger().ChargeTransfer(moved * d.handoffGB * transferUSDPerGB)
 	}
 }
 
@@ -468,10 +465,7 @@ func (d *Deployment) recover(now float64, ri int) {
 		}
 	}
 	returning := crowd * recovered.Region.Share
-	cost := returning * d.handoffGB * transferUSDPerGB
-	recovered.Cloud.Ledger().ChargeTransfer(now, cost,
-		fmt.Sprintf("%.0f viewers failed back to %s", returning, recovered.Region.Name))
-	recovered.Cloud.Ledger().Notef(now, "region recovered: share restored")
+	recovered.Cloud.Ledger().ChargeTransfer(returning * d.handoffGB * transferUSDPerGB)
 }
 
 // RegionReport is one region's aggregate outcome.

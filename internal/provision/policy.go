@@ -54,8 +54,7 @@ type PlanResult struct {
 	DemandScale float64
 	// StorageErr is non-nil when storage planning failed this round; the
 	// returned StoragePlan is then the previous (stale) plan, which stays
-	// applied. The controller surfaces it on the IntervalRecord and in the
-	// ledger diagnostics.
+	// applied. The controller surfaces it on the IntervalRecord.
 	StorageErr error
 }
 

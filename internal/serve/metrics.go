@@ -35,8 +35,10 @@ type IntervalUpdate struct {
 	CapacityPerChunk map[[2]int]float64 // provisioned bytes/s per (channel, chunk)
 	StorageGB        float64
 	DemandScale      float64
+	DemandErrors     int // channels whose demand analysis failed
 	PlanErr          bool
 	StorageErr       bool
+	SubmitErr        bool               // the broker rejected the round's SLA request
 	Cost             cloud.LedgerTotals // the interval's accrual
 }
 
@@ -67,8 +69,10 @@ type State struct {
 	DemandScale      float64        `json:"demand_scale"`
 
 	Plans              int     `json:"plan_rounds"`
+	DemandErrors       int     `json:"demand_errors"`
 	PlanErrors         int     `json:"plan_errors"`
 	StorageErrors      int     `json:"storage_errors"`
+	SubmitErrors       int     `json:"submit_errors"`
 	LastPlanLatency    float64 `json:"last_plan_latency_seconds"`
 	TotalPlanLatency   float64 `json:"total_plan_latency_seconds"`
 	CostUSD            float64 `json:"cost_usd"`
@@ -159,11 +163,15 @@ func (m *Metrics) ObserveInterval(u IntervalUpdate) {
 	m.st.StorageGB = u.StorageGB
 	m.st.DemandScale = u.DemandScale
 	m.st.Plans++
+	m.st.DemandErrors += u.DemandErrors
 	if u.PlanErr {
 		m.st.PlanErrors++
 	}
 	if u.StorageErr {
 		m.st.StorageErrors++
+	}
+	if u.SubmitErr {
+		m.st.SubmitErrors++
 	}
 	m.cost.Add(u.Cost)
 	m.st.CostUSD = m.cost.TotalUSD()
@@ -261,8 +269,10 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	p.gauge("cloudmedia_cloud_served_gigabytes", "Cumulative cloud traffic delivered.", st.CloudServedGB)
 	p.gauge("cloudmedia_demand_scale", "Demand scale applied by the last plan (<1 = budget infeasible).", st.DemandScale)
 	p.counter("cloudmedia_plan_rounds_total", "Provisioning rounds completed.", float64(st.Plans))
+	p.counter("cloudmedia_demand_errors_total", "Channel-rounds whose demand analysis failed and planned zero demand.", float64(st.DemandErrors))
 	p.counter("cloudmedia_plan_errors_total", "Provisioning rounds whose VM planning failed.", float64(st.PlanErrors))
 	p.counter("cloudmedia_storage_errors_total", "Provisioning rounds whose storage planning failed.", float64(st.StorageErrors))
+	p.counter("cloudmedia_submit_errors_total", "Provisioning rounds whose SLA request the broker rejected.", float64(st.SubmitErrors))
 	p.gauge("cloudmedia_plan_latency_seconds", "Wall-clock duration of the last policy Plan call.", st.LastPlanLatency)
 	p.counter("cloudmedia_plan_latency_seconds_total", "Cumulative wall-clock time in policy Plan calls.", st.TotalPlanLatency)
 	p.head("cloudmedia_cost_usd", "Cumulative ledger bill by pricing tier.", "counter")

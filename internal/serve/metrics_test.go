@@ -121,6 +121,47 @@ func TestMetricsStateAndProm(t *testing.T) {
 	}
 }
 
+// TestRoundErrorCounters: a round's demand-analysis failures and a
+// rejected SLA submit each reach /state and their Prometheus counter, and
+// accumulate across rounds.
+func TestRoundErrorCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mark   func(*IntervalUpdate)
+		state  func(State) int
+		metric string
+		want   int // after two marked rounds
+	}{
+		{"demand", func(u *IntervalUpdate) { u.DemandErrors = 3 }, func(st State) int { return st.DemandErrors }, "cloudmedia_demand_errors_total", 6},
+		{"submit", func(u *IntervalUpdate) { u.SubmitErr = true }, func(st State) int { return st.SubmitErrors }, "cloudmedia_submit_errors_total", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMetrics()
+			m.ObserveInterval(sampleInterval())
+			if got := tc.state(m.State()); got != 0 {
+				t.Fatalf("clean round counted %d errors", got)
+			}
+			for range 2 {
+				u := sampleInterval()
+				tc.mark(&u)
+				m.ObserveInterval(u)
+			}
+			if got := tc.state(m.State()); got != tc.want {
+				t.Errorf("state counter = %d, want %d", got, tc.want)
+			}
+			var sb strings.Builder
+			if err := m.WriteProm(&sb); err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range []string{"# TYPE " + tc.metric + " counter", tc.metric + " " + strconv.Itoa(tc.want)} {
+				if !strings.Contains(sb.String(), line) {
+					t.Errorf("exposition missing %q", line)
+				}
+			}
+		})
+	}
+}
+
 // TestCostTiersSumToBill: every ledger tier reaches /state and the
 // cloudmedia_cost_usd rows, so the tier rows, the cumulative CostUSD and
 // the per-hour rate all agree with LedgerTotals.TotalUSD — spot and

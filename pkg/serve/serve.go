@@ -177,8 +177,10 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 			CapacityPerChunk: rec.VMPlan.CapacityPerChunk(vmBandwidth),
 			StorageGB:        storageGB,
 			DemandScale:      rec.DemandScale,
+			DemandErrors:     rec.DemandErrors,
 			PlanErr:          rec.PlanErr != "",
 			StorageErr:       rec.StorageErr != "",
+			SubmitErr:        rec.SubmitErr != "",
 			Cost:             rec.Cost,
 		})
 		cumCost += rec.Cost.TotalUSD()

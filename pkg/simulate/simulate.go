@@ -278,5 +278,6 @@ func ParseFault(spec string) (*FaultSchedule, error) {
 
 // IntervalRecord captures one provisioning round: the arrival-rate
 // estimates, derived cloud demand, peer supply, the VM and storage plans
-// applied, the interval's ledger bill, and any planning failures.
+// applied, the interval's ledger bill, and the round's errors (demand
+// analysis, VM and storage planning, a rejected SLA submit).
 type IntervalRecord = core.IntervalRecord

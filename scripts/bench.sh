@@ -69,8 +69,9 @@ go test -run '^$' -bench 'BenchmarkFluidStep$' -benchtime 50x -count=3 ./interna
 # allocs/op: what a round allocates is what it hands out.
 go test -run '^$' -bench 'BenchmarkPolicyPlan' -benchtime 200x -benchmem -count=3 ./internal/provision | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkLedgerAccrual$' -benchtime 5000x -count=3 ./internal/cloud | tee -a "$TMP"
-# BrokerApply is the 100M-viewer day's cloud side: 25 hourly broker
-# submits to two 4.2M-VM clusters, with an ns/submit metric.
+# BrokerApply is the 100M-viewer day's cloud side: 25 hourly rounds of
+# negotiate, submit and advance on two 4.2M-VM clusters, as the
+# controller issues them, with an ns/submit metric.
 go test -run '^$' -bench 'BenchmarkBrokerApply$' -benchtime 2000x -count=3 ./internal/cloud | tee -a "$TMP"
 # ControlRound is one steady minute round of the control day's
 # controller: snapshot, forecasts, derivation, hedged lookahead plan,

@@ -21,16 +21,9 @@ var testOnlyAllowed = map[string]string{
 		"and kept beside the analyzers it drives",
 	"cloudmedia/internal/mathx.NewMMm": "the stationary M/M/m reference that queueing's sizing tests " +
 		"compare the production search against; testutil cannot hold it without an import cycle",
-	"cloudmedia/internal/mathx.ApproxEqual": "the float tolerance helper shared by the leaf packages' tests, " +
-		"which testutil cannot serve without an import cycle",
 	"cloudmedia/internal/core.DeriveDemand": "the one-shot demand derivation that the gated " +
 		"BenchmarkDeriveDemand in scripts/bench.sh calls",
 	"cloudmedia/internal/sim.PoolSpawns": "pins the serial FanOut path in the sim and fluid tests",
-	"cloudmedia/internal/cloud.Cloud.TotalActiveVMs": "the gated BenchmarkBrokerApply in scripts/bench.sh " +
-		"queries the serving fleet through it",
-	"cloudmedia/internal/cloud.Ledger.Diagnostics": "the ledger's notes (infeasible budgets, failed storage " +
-		"plans, spot interruptions) have no run-level reader until the run journal surfaces them; " +
-		"the ledger and policy-seam tests assert them through it",
 }
 
 // TestNoTestOnlyInternalAPI fails when an exported function, method or
