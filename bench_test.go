@@ -715,7 +715,7 @@ func BenchmarkRegionalDay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := dep.Run(context.Background(), func(stack.Stop) {}); err != nil {
+		if err := dep.Run(context.Background(), nil, func(stack.Stop) {}); err != nil {
 			b.Fatal(err)
 		}
 		regions, totalVM, _ := dep.Report()

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"cloudmedia/pkg/simulate"
@@ -16,7 +18,7 @@ import (
 // event engine, the controller, the planners or the demand derivation
 // that moves any number fails here. Update it only for a change that is
 // meant to move results, and say so where the change is recorded.
-const controlGoldenSHA256 = "fa6564ea492549df2ffec115b59a8d5e965788ebdf4de61048b16e1484e1f26c"
+const controlGoldenSHA256 = "40b53a1d31e1a7bd2b3f1083466d9a233b44bce6e2e320af5e5a963442d996e6"
 
 // controlGoldenScenario is a three-hour copy of the minute-round control
 // day: 24 channels, 60 s rounds, an EWMA forecaster, the spot-hedged
@@ -53,6 +55,7 @@ func TestControlDayReportGolden(t *testing.T) {
 		if len(rep.Records) != 181 {
 			t.Fatalf("workers %d: %d records, want 181 (bootstrap + 180 minute rounds)", workers, len(rep.Records))
 		}
+		checkIntervalsSumToBill(t, rep)
 		b, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
@@ -60,6 +63,35 @@ func TestControlDayReportGolden(t *testing.T) {
 		sum := sha256.Sum256(b)
 		if got := hex.EncodeToString(sum[:]); got != controlGoldenSHA256 {
 			t.Errorf("workers %d: report SHA-256 = %s, want %s", workers, got, controlGoldenSHA256)
+		}
+	}
+}
+
+// checkIntervalsSumToBill holds a run whose last round falls on its end
+// to bill = Σ intervals, tier by tier: the records' Cost fields sum to the
+// report's Bill. A record's Cost is the difference of two cumulative
+// bills, so the sum matches only up to rounding: at most half an ulp per
+// difference and half an ulp per addition, which bounds the drift of n
+// records by n·2⁻⁵² of the field's total. Counts match exactly.
+func checkIntervalsSumToBill(t *testing.T, rep *simulate.Report) {
+	t.Helper()
+	var sum simulate.LedgerTotals
+	for _, r := range rep.Records {
+		sum.Add(r.Cost)
+	}
+	tol := float64(len(rep.Records)) * 0x1p-52
+	got, want := reflect.ValueOf(sum), reflect.ValueOf(rep.Bill)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		switch g, w := got.Field(i), want.Field(i); g.Kind() {
+		case reflect.Float64:
+			if math.Abs(g.Float()-w.Float()) > tol*math.Abs(w.Float()) {
+				t.Errorf("Σ records %s = %v, bill %v (tolerance %.3g relative)", name, g.Float(), w.Float(), tol)
+			}
+		default:
+			if g.Int() != w.Int() {
+				t.Errorf("Σ records %s = %d, bill %d", name, g.Int(), w.Int())
+			}
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // from it, bit for bit: a rewrite of the kernel that reorders a single
 // float operation fails here. Update it only for a change that is meant
 // to move results, and say so where the change is recorded.
-const fluidGoldenSHA256 = "b5087278b47b9924d4e15de7a288bd48c4b0b7f5355fb9bf5ccebc8c27c41d87"
+const fluidGoldenSHA256 = "e80b2c304641f85b19399f3cd8115505e78076a041ec2a951db15cbd719713ac"
 
 // fluidGoldenScenario is a reduced copy of the 100M-viewer fluid day: the
 // same viewer scale, budgets and VM clusters over 24 hours, so the evening
@@ -60,6 +60,13 @@ func TestFluidDayReportGolden(t *testing.T) {
 		}
 		if capped == 0 {
 			t.Errorf("workers %d: no round hit the server cap; the scenario no longer reaches the 100M day's evening regime", workers)
+		}
+		checkIntervalsSumToBill(t, rep)
+		// One integral feeds both: on the on-demand plan the tiers are
+		// the catalog-price costs bit for bit.
+		if rep.Bill.OnDemandUSD != rep.VMCostTotal || rep.Bill.StorageUSD != rep.StorageCostTotal {
+			t.Errorf("workers %d: bill on-demand $%v, storage $%v; catalog-price costs $%v, $%v",
+				workers, rep.Bill.OnDemandUSD, rep.Bill.StorageUSD, rep.VMCostTotal, rep.StorageCostTotal)
 		}
 		b, err := json.Marshal(rep)
 		if err != nil {

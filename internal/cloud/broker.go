@@ -2,18 +2,9 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
-
-// sortedKeys returns the map's keys in ascending order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // Catalog is the information the SLA negotiator exposes to a consumer
 // during negotiation: the cluster specs plus current availability.
@@ -91,56 +82,62 @@ func (b *Broker) Negotiate(into Catalog) Catalog {
 }
 
 // Submit validates and applies a reconfiguration request. Either the whole
-// request applies or none of it does.
-// Clusters are processed in sorted-name order so both the reported error
-// (when several clusters are invalid) and the apply sequence are
-// deterministic regardless of map iteration order.
+// request applies, under one lock, or none of it does. Clusters are
+// checked and applied in catalog order; when the request names unknown
+// clusters, the error reports the first of them in sorted-name order, so
+// it is the same whatever the map's iteration order.
 func (b *Broker) Submit(req Request) error {
-	vmNames := sortedKeys(req.VMTargets)
-	nfsNames := sortedKeys(req.StorageGB)
-
-	// Pre-validate against capacity so a partial failure cannot leave the
-	// cloud half-reconfigured.
-	for _, name := range vmNames {
-		target := req.VMTargets[name]
-		found := false
-		for _, s := range b.cloud.vmSpecs {
-			if s.Name == name {
-				found = true
-				if target < 0 || target > s.MaxVMs {
-					return fmt.Errorf("%w: cluster %q: %d VMs (capacity %d)", ErrCapacity, name, target, s.MaxVMs)
-				}
+	cl := b.cloud
+	if err := checkTime(req.Time); err != nil {
+		return err
+	}
+	known := 0
+	for _, s := range cl.vmSpecs {
+		if target, ok := req.VMTargets[s.Name]; ok {
+			known++
+			if target < 0 || target > s.MaxVMs {
+				return fmt.Errorf("%w: cluster %q: %d VMs (capacity %d)", ErrCapacity, s.Name, target, s.MaxVMs)
 			}
 		}
-		if !found {
-			return fmt.Errorf("%w: VM cluster %q", ErrUnknownCluster, name)
-		}
 	}
-	for _, name := range nfsNames {
-		gb := req.StorageGB[name]
-		found := false
-		for _, s := range b.cloud.nfsSpecs {
-			if s.Name == name {
-				found = true
-				if gb < 0 || gb > s.CapacityGB {
-					return fmt.Errorf("%w: NFS cluster %q: %v GB (capacity %v)", ErrCapacity, name, gb, s.CapacityGB)
-				}
+	if known < len(req.VMTargets) {
+		return fmt.Errorf("%w: VM cluster %q", ErrUnknownCluster, firstUnknown(req.VMTargets, cl.vmIndex))
+	}
+	known = 0
+	for _, s := range cl.nfsSpecs {
+		if gb, ok := req.StorageGB[s.Name]; ok {
+			known++
+			if gb < 0 || gb > s.CapacityGB {
+				return fmt.Errorf("%w: NFS cluster %q: %v GB (capacity %v)", ErrCapacity, s.Name, gb, s.CapacityGB)
 			}
 		}
-		if !found {
-			return fmt.Errorf("%w: NFS cluster %q", ErrUnknownCluster, name)
-		}
+	}
+	if known < len(req.StorageGB) {
+		return fmt.Errorf("%w: NFS cluster %q", ErrUnknownCluster, firstUnknown(req.StorageGB, cl.nfsIndex))
 	}
 
-	for _, name := range vmNames {
-		if err := b.cloud.SetVMs(req.Time, name, req.VMTargets[name]); err != nil {
-			return err
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for i, s := range cl.vmSpecs {
+		if target, ok := req.VMTargets[s.Name]; ok {
+			cl.setVMsLocked(req.Time, i, target)
 		}
 	}
-	for _, name := range nfsNames {
-		if err := b.cloud.SetStorage(req.Time, name, req.StorageGB[name]); err != nil {
-			return err
+	for i, s := range cl.nfsSpecs {
+		if gb, ok := req.StorageGB[s.Name]; ok {
+			cl.setStorageLocked(req.Time, i, gb)
 		}
 	}
 	return nil
+}
+
+// firstUnknown returns the sorted-first key of m that the catalog index
+// does not hold.
+func firstUnknown[V any](m map[string]V, index map[string]int) string {
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		if _, ok := index[name]; !ok {
+			return name
+		}
+	}
+	return ""
 }

@@ -101,9 +101,9 @@ const brokerDayHours = 25
 
 // BenchmarkBrokerApply replays the cloud side of the 100M-viewer fluid
 // day: two 4.2M-VM clusters and 25 hourly rounds on a diurnal curve (5%
-// of capacity at 09:00, 95% at 21:00), each a Broker.Negotiate, a
-// Broker.Submit and an Advance, as the controller issues them. Each
-// iteration is one day on a fresh cloud.
+// of capacity at 09:00, 95% at 21:00), each a Broker.Negotiate and a
+// Broker.Submit, as the controller issues them. Each iteration is one day
+// on a fresh cloud.
 func BenchmarkBrokerApply(b *testing.B) {
 	const maxVMs = 4_200_000
 	specs := []VMClusterSpec{
@@ -134,7 +134,6 @@ func BenchmarkBrokerApply(b *testing.B) {
 			if err := br.Submit(req); err != nil {
 				b.Fatal(err)
 			}
-			c.Advance(req.Time)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*brokerDayHours), "ns/submit")

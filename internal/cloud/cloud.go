@@ -18,49 +18,62 @@ var ErrUnknownCluster = errors.New("cloud: unknown cluster")
 // Option configures a Cloud.
 type Option func(*Cloud)
 
-// WithPricing selects the pricing plan the cloud's ledger bills under
-// (default: OnDemandPricing, the paper's literal pay-as-you-go prices).
+// WithPricing selects the pricing plan the cloud bills under (default:
+// OnDemandPricing, the paper's literal pay-as-you-go prices).
 func WithPricing(plan PricingPlan) Option {
 	return func(c *Cloud) { c.pricing = plan }
 }
 
-// vmClusterState tracks one virtual cluster at runtime.
+// vmClusterState is one virtual cluster's allocation and the integral of
+// its allocation over time, in VM-seconds. The integrals cover the closed
+// segments before since; the open segment [since, now) is priced when the
+// bill is read.
 type vmClusterState struct {
-	spec      VMClusterSpec
+	reserved  int // reserved-instance count the plan commits
 	allocated int // VMs currently rented (billed)
+	since     float64
+
+	// vmSec integrates every rented VM, spotSec and onDemandSec the
+	// elastic VMs above the reserved count on each tier.
+	vmSec, spotSec, onDemandSec float64
 }
 
-// nfsClusterState tracks one NFS cluster at runtime.
+// nfsClusterState is one NFS cluster's footprint and its GB-seconds.
 type nfsClusterState struct {
-	spec     NFSClusterSpec
 	storedGB float64
+	since    float64
+	gbSec    float64
 }
 
 // Cloud is the simulated IaaS infrastructure. All methods are safe for
 // concurrent use. Simulated time flows through the `now` parameters, which
 // callers keep non-decreasing. Mutators reject a non-finite now; an
-// earlier now than the last billed one is accepted but bills no time.
+// earlier now than the start of a cluster's current allocation is
+// accepted but bills no time.
 type Cloud struct {
-	mu sync.Mutex
-
-	vms map[string]*vmClusterState
-	nfs map[string]*nfsClusterState
-	// vmSpecs and nfsSpecs are the catalogs in registration order. They
-	// are fixed once New returns, so they are read without the lock.
+	// vmSpecs and nfsSpecs are the catalogs in registration order, and
+	// vmIndex and nfsIndex map a cluster name to its position. They are
+	// fixed once New returns, so they are read without the lock.
 	vmSpecs  []VMClusterSpec
 	nfsSpecs []NFSClusterSpec
+	vmIndex  map[string]int
+	nfsIndex map[string]int
 
 	pricing PricingPlan
-	ledger  *Ledger
+	// upfrontPerTerm is the reserved tier's fee per term, resolved against
+	// the catalog in registration order.
+	upfrontPerTerm float64
 
-	lastBilled  float64
-	vmCost      float64
-	storageCost float64
-
-	// vmUse and nfsUse are accrueLocked's scratch, sized once in New so
-	// that billing does not allocate. Guarded by mu.
-	vmUse  []vmUsage
-	nfsUse []storageUsage
+	mu sync.Mutex
+	// vms and nfs are the clusters' states, in catalog order.
+	vms []vmClusterState
+	nfs []nfsClusterState
+	// interruptions and transferUSD are the bill's event counts and
+	// dollars that no allocation integral carries.
+	interruptions int
+	transferUSD   float64
+	// checkpoint is the bill as of the last Checkpoint.
+	checkpoint LedgerTotals
 }
 
 // checkTime rejects a NaN or infinite simulated time.
@@ -78,44 +91,48 @@ func New(vmSpecs []VMClusterSpec, nfsSpecs []NFSClusterSpec, opts ...Option) (*C
 		return nil, fmt.Errorf("cloud: at least one VM cluster required")
 	}
 	c := &Cloud{
-		vms: make(map[string]*vmClusterState, len(vmSpecs)),
-		nfs: make(map[string]*nfsClusterState, len(nfsSpecs)),
+		vmIndex:  make(map[string]int, len(vmSpecs)),
+		nfsIndex: make(map[string]int, len(nfsSpecs)),
 	}
 	for _, s := range vmSpecs {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := c.vms[s.Name]; dup {
+		if _, dup := c.vmIndex[s.Name]; dup {
 			return nil, fmt.Errorf("cloud: duplicate VM cluster %q", s.Name)
 		}
-		c.vms[s.Name] = &vmClusterState{spec: s}
+		c.vmIndex[s.Name] = len(c.vmSpecs)
 		c.vmSpecs = append(c.vmSpecs, s)
 	}
 	for _, s := range nfsSpecs {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := c.nfs[s.Name]; dup {
+		if _, dup := c.nfsIndex[s.Name]; dup {
 			return nil, fmt.Errorf("cloud: duplicate NFS cluster %q", s.Name)
 		}
-		c.nfs[s.Name] = &nfsClusterState{spec: s}
+		c.nfsIndex[s.Name] = len(c.nfsSpecs)
 		c.nfsSpecs = append(c.nfsSpecs, s)
 	}
-	c.vmUse = make([]vmUsage, 0, len(c.vmSpecs))
-	c.nfsUse = make([]storageUsage, 0, len(c.nfsSpecs))
 	for _, o := range opts {
 		o(c)
 	}
 	if err := c.pricing.Validate(); err != nil {
 		return nil, err
 	}
-	c.ledger = newLedger(c.pricing, vmSpecs)
+	c.vms = make([]vmClusterState, len(c.vmSpecs))
+	c.nfs = make([]nfsClusterState, len(c.nfsSpecs))
+	p := c.pricing
+	for i, s := range c.vmSpecs {
+		n := p.reservedVMs(s.MaxVMs)
+		c.vms[i].reserved = n
+		c.upfrontPerTerm += float64(n) * s.PricePerHour * p.onDemandRate() * p.TermHours * p.UpfrontFraction
+	}
 	return c, nil
 }
 
-// Ledger returns the billing ledger accruing this cloud's bill under its
-// pricing plan.
-func (c *Cloud) Ledger() *Ledger { return c.ledger }
+// Pricing returns the pricing plan the cloud bills under.
+func (c *Cloud) Pricing() PricingPlan { return c.pricing }
 
 // BootLatency returns the VM launch latency in seconds, the paper's
 // measured DefaultBootSeconds. The cloud bills a VM from its request; the
@@ -130,49 +147,60 @@ func (c *Cloud) VMClusters() []VMClusterSpec { return slices.Clone(c.vmSpecs) }
 // order.
 func (c *Cloud) NFSClusters() []NFSClusterSpec { return slices.Clone(c.nfsSpecs) }
 
-// SetVMs scales cluster `name` to `target` allocated VMs at simulated time
-// now. VMs bill from the request, like EC2, and a scale-down stops their
-// billing at once. It is the VM-scheduler entry point of Fig. 1.
-func (c *Cloud) SetVMs(now float64, name string, target int) error {
-	if target < 0 {
-		return fmt.Errorf("cloud: negative VM target %d", target)
+// setVMsLocked is the VM scheduler of Fig. 1: it scales cluster i to
+// target VMs at now, closing the allocation segment there and opening one
+// at the new target. VMs bill from the request, like EC2, and a
+// scale-down stops their billing at once. A target equal to the
+// allocation closes nothing. Caller holds c.mu.
+func (c *Cloud) setVMsLocked(now float64, i, target int) {
+	st := &c.vms[i]
+	if target == st.allocated {
+		return
 	}
-	if err := checkTime(now); err != nil {
-		return err
+	if now > st.since {
+		st.vmSec, st.spotSec, st.onDemandSec = c.vmSecondsLocked(i, now)
+		st.since = now
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.vms[name]
-	if !ok {
-		return fmt.Errorf("%w: VM cluster %q", ErrUnknownCluster, name)
-	}
-	if target > st.spec.MaxVMs {
-		return fmt.Errorf("%w: cluster %q: want %d VMs, capacity %d", ErrCapacity, name, target, st.spec.MaxVMs)
-	}
-	c.accrueLocked(now)
 	st.allocated = target
-	return nil
+}
+
+// vmSecondsLocked returns cluster i's VM-second integrals through t: the
+// closed ones plus the open segment's. Caller holds c.mu.
+func (c *Cloud) vmSecondsLocked(i int, t float64) (all, spot, onDemand float64) {
+	st := &c.vms[i]
+	all, spot, onDemand = st.vmSec, st.spotSec, st.onDemandSec
+	dt := t - st.since
+	if !(dt > 0) {
+		return all, spot, onDemand
+	}
+	all += float64(st.allocated) * dt
+	if elastic := st.allocated - st.reserved; elastic > 0 {
+		s := c.pricing.spotVMs(elastic)
+		spot += float64(s) * dt
+		onDemand += float64(elastic-s) * dt
+	}
+	return all, spot, onDemand
 }
 
 // AllocatedVMs returns the number of VMs currently rented (billed) in the
 // cluster.
 func (c *Cloud) AllocatedVMs(name string) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.vms[name]
+	i, ok := c.vmIndex[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: VM cluster %q", ErrUnknownCluster, name)
 	}
-	return st.allocated, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.vms[i].allocated, nil
 }
 
 // PreemptSpot mass-preempts the given fraction of every cluster's spot
 // instances at time now — the provider-side interruption event of the
-// spot market. Spot counts are resolved per cluster exactly as the ledger
-// bills them (SpotFraction of the elastic allocation above the reserved
-// count); preempted VMs stop billing immediately. It records
-// the interruption event in the ledger and returns the VMs killed plus
-// the fraction of the total allocation lost, so the caller can scale the
+// spot market. Spot counts are resolved per cluster exactly as the bill
+// prices them (SpotFraction of the elastic allocation above the reserved
+// count); preempted VMs stop billing immediately. It counts the
+// interruption event on the bill and returns the VMs killed plus the
+// fraction of the total allocation lost, so the caller can scale the
 // serving plane's capacities by the survivor share.
 // A plan without a spot tier is a no-op.
 func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction float64, err error) {
@@ -182,111 +210,59 @@ func (c *Cloud) PreemptSpot(now, fraction float64) (killed int, lostFraction flo
 	if err := checkTime(now); err != nil {
 		return 0, 0, err
 	}
-	c.mu.Lock()
 	if c.pricing.SpotFraction <= 0 {
-		c.mu.Unlock()
 		return 0, 0, nil
-	}
-	c.accrueLocked(now)
-	var before int
-	for _, spec := range c.vmSpecs {
-		st := c.vms[spec.Name]
-		before += st.allocated
-		spot := c.pricing.spotVMs(st.allocated - c.ledger.ReservedVMs(spec.Name))
-		kill := int(float64(spot)*fraction + 0.5 + 1e-9)
-		if kill > spot {
-			kill = spot
-		}
-		st.allocated -= kill
-		killed += kill
-	}
-	c.mu.Unlock()
-	if before > 0 {
-		lostFraction = float64(killed) / float64(before)
-	}
-	c.ledger.RecordInterruption()
-	return killed, lostFraction, nil
-}
-
-// SetStorage sets the absolute number of GB stored on NFS cluster `name` at
-// time now. It is the NFS-scheduler entry point of Fig. 1.
-func (c *Cloud) SetStorage(now float64, name string, gb float64) error {
-	if gb < 0 {
-		return fmt.Errorf("cloud: negative storage %v GB", gb)
-	}
-	if err := checkTime(now); err != nil {
-		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.nfs[name]
-	if !ok {
-		return fmt.Errorf("%w: NFS cluster %q", ErrUnknownCluster, name)
+	var before int
+	for i := range c.vms {
+		st := &c.vms[i]
+		before += st.allocated
+		spot := c.pricing.spotVMs(st.allocated - st.reserved)
+		kill := min(int(float64(spot)*fraction+0.5+1e-9), spot)
+		c.setVMsLocked(now, i, st.allocated-kill)
+		killed += kill
 	}
-	if gb > st.spec.CapacityGB {
-		return fmt.Errorf("%w: NFS cluster %q: want %v GB, capacity %v", ErrCapacity, name, gb, st.spec.CapacityGB)
+	if before > 0 {
+		lostFraction = float64(killed) / float64(before)
 	}
-	c.accrueLocked(now)
+	c.interruptions++
+	return killed, lostFraction, nil
+}
+
+// setStorageLocked is the NFS scheduler of Fig. 1: it sets the GB stored
+// on NFS cluster i at now, closing the footprint segment there. A
+// footprint equal to the stored one closes nothing. Caller holds c.mu.
+func (c *Cloud) setStorageLocked(now float64, i int, gb float64) {
+	st := &c.nfs[i]
+	if gb == st.storedGB {
+		return
+	}
+	if now > st.since {
+		st.gbSec = c.gbSecondsLocked(i, now)
+		st.since = now
+	}
 	st.storedGB = gb
-	return nil
+}
+
+// gbSecondsLocked returns NFS cluster i's GB-second integral through t.
+// Caller holds c.mu.
+func (c *Cloud) gbSecondsLocked(i int, t float64) float64 {
+	st := &c.nfs[i]
+	if dt := t - st.since; dt > 0 {
+		return st.gbSec + st.storedGB*dt
+	}
+	return st.gbSec
 }
 
 // StoredGB returns the GB currently stored on the cluster.
 func (c *Cloud) StoredGB(name string) (float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.nfs[name]
+	i, ok := c.nfsIndex[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: NFS cluster %q", ErrUnknownCluster, name)
 	}
-	return st.storedGB, nil
-}
-
-// Advance accrues billing up to simulated time now. Callers typically
-// invoke it once per provisioning interval and once at the end of a run.
-func (c *Cloud) Advance(now float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.accrueLocked(now)
-}
-
-// accrueLocked integrates rental costs from lastBilled to now. A
-// non-finite now bills no time, so it cannot poison the costs.
-// Caller holds c.mu.
-func (c *Cloud) accrueLocked(now float64) {
-	if !(now > c.lastBilled) || math.IsInf(now, 1) {
-		return
-	}
-	hours := (now - c.lastBilled) / 3600
-	// Accrue in registration order: float addition is not associative, so
-	// ranging the maps here would make the accrued cost depend on Go's
-	// randomized iteration order and break bit-identical replay.
-	for _, spec := range c.vmSpecs {
-		st := c.vms[spec.Name]
-		c.vmCost += float64(st.allocated) * st.spec.PricePerHour * hours
-	}
-	for _, spec := range c.nfsSpecs {
-		st := c.nfs[spec.Name]
-		c.storageCost += st.storedGB * st.spec.PricePerGBHour * hours
-	}
-	vms := c.vmUse[:0]
-	for _, spec := range c.vmSpecs {
-		st := c.vms[spec.Name]
-		vms = append(vms, vmUsage{name: spec.Name, price: st.spec.PricePerHour, allocated: st.allocated})
-	}
-	nfs := c.nfsUse[:0]
-	for _, spec := range c.nfsSpecs {
-		st := c.nfs[spec.Name]
-		nfs = append(nfs, storageUsage{price: st.spec.PricePerGBHour, gb: st.storedGB})
-	}
-	c.ledger.accrue(c.lastBilled, now, vms, nfs)
-	c.lastBilled = now
-}
-
-// Costs returns the accrued VM rental and storage costs in dollars, as of
-// the last Advance/SetVMs/SetStorage call.
-func (c *Cloud) Costs() (vmCost, storageCost float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.vmCost, c.storageCost
+	return c.nfs[i].storedGB, nil
 }

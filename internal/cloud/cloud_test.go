@@ -89,8 +89,7 @@ func TestBillingVMHours(t *testing.T) {
 	if err := c.SetVMs(0, "standard", 10); err != nil {
 		t.Fatalf("SetVMs: %v", err)
 	}
-	c.Advance(7200)
-	vm, storage := c.Costs()
+	vm, storage := c.Costs(7200)
 	if !mathx.ApproxEqual(vm, 9, 1e-9) {
 		t.Errorf("vm cost = %v, want 9", vm)
 	}
@@ -101,8 +100,7 @@ func TestBillingVMHours(t *testing.T) {
 	if err := c.SetVMs(7200, "standard", 0); err != nil {
 		t.Fatalf("SetVMs: %v", err)
 	}
-	c.Advance(14400)
-	vm2, _ := c.Costs()
+	vm2, _ := c.Costs(14400)
 	if !mathx.ApproxEqual(vm2, 9, 1e-9) {
 		t.Errorf("vm cost after release = %v, want 9", vm2)
 	}
@@ -116,8 +114,7 @@ func TestBillingMixedClusters(t *testing.T) {
 	if err := c.SetVMs(0, "advanced", 2); err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(3600)
-	vm, _ := c.Costs()
+	vm, _ := c.Costs(3600)
 	want := 4*0.45 + 2*0.80
 	if !mathx.ApproxEqual(vm, want, 1e-9) {
 		t.Errorf("vm cost = %v, want %v", vm, want)
@@ -130,8 +127,7 @@ func TestBillingStorage(t *testing.T) {
 	if err := c.SetStorage(0, "high", 6); err != nil {
 		t.Fatalf("SetStorage: %v", err)
 	}
-	c.Advance(24 * 3600)
-	_, storage := c.Costs()
+	_, storage := c.Costs(24 * 3600)
 	if !mathx.ApproxEqual(storage, 6*2.08e-4*24, 1e-9) {
 		t.Errorf("storage cost = %v", storage)
 	}
@@ -161,9 +157,15 @@ func TestBillingMonotoneTime(t *testing.T) {
 	if err := c.SetVMs(0, "standard", 1); err != nil {
 		t.Fatal(err)
 	}
-	c.Advance(3600)
-	c.Advance(1800) // going backwards must not un-bill
-	vm, _ := c.Costs()
+	// A scale-up at 3600 closes the first segment there; an earlier read
+	// or mutation must not un-bill it.
+	if err := c.SetVMs(3600, "standard", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetVMs(1800, "standard", 1); err != nil {
+		t.Fatal(err)
+	}
+	vm, _ := c.Costs(1800)
 	if !mathx.ApproxEqual(vm, 0.45, 1e-9) {
 		t.Errorf("vm cost = %v, want 0.45", vm)
 	}
@@ -188,16 +190,15 @@ func TestPreemptSpotStopsBilling(t *testing.T) {
 		t.Errorf("allocated = %d, want 7", got)
 	}
 	// From t=101 on, 7 VMs bill instead of 10.
-	before, _ := c.Costs()
-	c.Advance(101 + 3600)
-	after, _ := c.Costs()
+	before, _ := c.Costs(101)
+	after, _ := c.Costs(101 + 3600)
 	if want := 7 * 0.45; !mathx.ApproxEqual(after-before, want, 1e-9) {
 		t.Errorf("hour after preemption cost %v, want %v", after-before, want)
 	}
 }
 
 // TestNonFiniteTimeRejected: every mutator refuses a NaN or infinite now
-// and leaves the cloud as it was, and Advance at such a time bills
+// and leaves the cloud as it was, and a read at such a time bills
 // nothing, so the bill stays finite and the next real hour bills exactly
 // one hour.
 func TestNonFiniteTimeRejected(t *testing.T) {
@@ -219,23 +220,21 @@ func TestNonFiniteTimeRejected(t *testing.T) {
 			if err := c.SetStorage(now, "standard", 1); err == nil {
 				t.Error("SetStorage accepted the time")
 			}
-			c.Advance(now)
 			if got, _ := c.AllocatedVMs("standard"); got != 10 {
 				t.Errorf("allocated = %d, want 10", got)
 			}
 			if got, _ := c.StoredGB("standard"); got != 5 {
 				t.Errorf("stored = %v GB, want 5", got)
 			}
-			if vm, storage := c.Costs(); vm != 0 || storage != 0 {
+			if vm, storage := c.Costs(now); vm != 0 || storage != 0 {
 				t.Errorf("costs = (%v, %v) before any time passed, want 0", vm, storage)
 			}
-			c.Advance(3600)
-			vm, storage := c.Costs()
+			vm, storage := c.Costs(3600)
 			if !mathx.ApproxEqual(vm, 10*0.45, 1e-12) || !mathx.ApproxEqual(storage, 5*1.11e-4, 1e-12) {
 				t.Errorf("one hour billed (%v, %v), want (%v, %v)", vm, storage, 10*0.45, 5*1.11e-4)
 			}
-			if total := c.Ledger().Totals().TotalUSD(); math.IsNaN(total) || math.IsInf(total, 0) {
-				t.Errorf("ledger total %v", total)
+			if total := c.Bill(now).TotalUSD(); math.IsNaN(total) || math.IsInf(total, 0) {
+				t.Errorf("bill total %v", total)
 			}
 		})
 	}

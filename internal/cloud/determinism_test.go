@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// Float addition is not associative, so billing accrual must visit
-// clusters in registration order rather than ranging the state maps: with
-// Go's randomized map iteration the accrued cost would differ in the last
-// ulp between otherwise identical runs, breaking bit-identical replay.
+// Float addition is not associative, so pricing the bill must visit
+// clusters in registration order rather than ranging a map: with Go's
+// randomized map iteration the cost would differ in the last ulp between
+// otherwise identical runs, breaking bit-identical replay.
 // The prices below are chosen so that different summation orders really
 // do produce different doubles ((0.1+0.2)+0.3 != (0.3+0.2)+0.1).
 func TestAccrualOrderIsDeterministic(t *testing.T) {
@@ -42,8 +42,7 @@ func TestAccrualOrderIsDeterministic(t *testing.T) {
 				t.Fatalf("SetStorage(%s): %v", name, err)
 			}
 		}
-		c.Advance(3600)
-		vmCost, storageCost := c.Costs()
+		vmCost, storageCost := c.Costs(3600)
 		if vmCost != wantVM {
 			t.Fatalf("run %d: vmCost = %.20g, want registration-order sum %.20g", i, vmCost, wantVM)
 		}

@@ -1,11 +1,11 @@
 package cloud
 
-import "sync"
+import "math"
 
 // LedgerTotals is one billing aggregate: resource-hours and dollars split
-// by tier. It is both the run's cumulative bill (Ledger.Totals) and the
-// per-interval accrual attached to every provisioning record
-// (Ledger.Checkpoint).
+// by tier. It is both the run's cumulative bill (Cloud.Bill) and the
+// per-interval bill attached to every provisioning record
+// (Cloud.Checkpoint).
 type LedgerTotals struct {
 	// ReservedVMHours is the committed capacity billed at the reserved
 	// rate (every reserved VM, every hour of the term, used or idle).
@@ -49,168 +49,153 @@ func (t LedgerTotals) VMCostUSD() float64 {
 }
 
 // Add accumulates o into t, field by field.
-func (t *LedgerTotals) Add(o LedgerTotals) {
-	t.ReservedVMHours += o.ReservedVMHours
-	t.OnDemandVMHours += o.OnDemandVMHours
-	t.SpotVMHours += o.SpotVMHours
-	t.GBHours += o.GBHours
-	t.Interruptions += o.Interruptions
-	t.ReservedUSD += o.ReservedUSD
-	t.OnDemandUSD += o.OnDemandUSD
-	t.SpotUSD += o.SpotUSD
-	t.UpfrontUSD += o.UpfrontUSD
-	t.StorageUSD += o.StorageUSD
-	t.TransferUSD += o.TransferUSD
+func (t *LedgerTotals) Add(o LedgerTotals) { t.addScaled(o, 1) }
+
+// addScaled adds sign·o into t, field by field; sign is ±1, so t − o is
+// the exact IEEE difference.
+func (t *LedgerTotals) addScaled(o LedgerTotals, sign int) {
+	s := float64(sign)
+	t.ReservedVMHours += s * o.ReservedVMHours
+	t.OnDemandVMHours += s * o.OnDemandVMHours
+	t.SpotVMHours += s * o.SpotVMHours
+	t.GBHours += s * o.GBHours
+	t.Interruptions += sign * o.Interruptions
+	t.ReservedUSD += s * o.ReservedUSD
+	t.OnDemandUSD += s * o.OnDemandUSD
+	t.SpotUSD += s * o.SpotUSD
+	t.UpfrontUSD += s * o.UpfrontUSD
+	t.StorageUSD += s * o.StorageUSD
+	t.TransferUSD += s * o.TransferUSD
 }
 
-// Ledger accrues a run's cloud bill under a PricingPlan: VM-hours split
-// reserved/on-demand, GB-hours, upfront reservation fees at each term
-// start, and dollars per tier. The Cloud drives it from the same billing
-// integrator that maintains the legacy cost counters, so ledger totals
-// cover exactly the same simulated time. All methods are safe for
-// concurrent use.
-type Ledger struct {
-	mu   sync.Mutex
-	plan PricingPlan
-
-	// reserved and upfrontPerTerm are resolved against the catalog once,
-	// in registration order, so accrual is deterministic.
-	reserved       map[string]int
-	upfrontPerTerm float64
-	nextTerm       float64
-
-	totals   LedgerTotals
-	interval LedgerTotals
+// usd prices resource-seconds at an hourly catalog price times a plan
+// rate. Costs and Bill both price through it, so the on-demand plan's
+// tiers equal the catalog-price costs bit for bit.
+func usd(seconds, pricePerHour, rate float64) float64 {
+	return seconds * pricePerHour * rate / 3600
 }
 
-// vmUsage is one VM cluster's allocation over an accrual window, in
-// catalog registration order (keeping float accumulation deterministic).
-type vmUsage struct {
-	name      string
-	price     float64 // catalog $/VM-hour
-	allocated int
-}
-
-// storageUsage is one NFS cluster's footprint over an accrual window.
-type storageUsage struct {
-	price float64 // catalog $/GB-hour
-	gb    float64
-}
-
-// newLedger resolves the plan against the catalog and charges the first
-// term's upfront fee at t=0.
-func newLedger(plan PricingPlan, vmSpecs []VMClusterSpec) *Ledger {
-	l := &Ledger{plan: plan, reserved: make(map[string]int, len(vmSpecs))}
-	for _, s := range vmSpecs {
-		n := plan.reservedVMs(s.MaxVMs)
-		l.reserved[s.Name] = n
-		l.upfrontPerTerm += float64(n) * s.PricePerHour * plan.onDemandRate() * plan.TermHours * plan.UpfrontFraction
+// readTimeLocked is the time a read at now prices the bill through: now,
+// or the start of the latest allocation segment when now is earlier or
+// not finite, so a read never bills a negative span. Caller holds c.mu.
+func (c *Cloud) readTimeLocked(now float64) float64 {
+	var t float64
+	for i := range c.vms {
+		t = max(t, c.vms[i].since)
 	}
-	if l.upfrontPerTerm > 0 {
-		l.chargeUpfrontLocked()
-		l.nextTerm = plan.TermHours * 3600 // simulated seconds
+	for i := range c.nfs {
+		t = max(t, c.nfs[i].since)
 	}
-	return l
+	if now > t && !math.IsInf(now, 1) {
+		t = now
+	}
+	return t
 }
 
-// Plan returns the pricing plan the ledger bills under.
-func (l *Ledger) Plan() PricingPlan { return l.plan }
-
-// ReservedVMs returns the resolved reserved-instance count for a cluster.
-func (l *Ledger) ReservedVMs(cluster string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.reserved[cluster]
+// termsStarted counts the reservation terms begun by t: term 0 at
+// construction, and term k once t > k·T.
+func (c *Cloud) termsStarted(t float64) float64 {
+	term := c.pricing.TermHours * 3600
+	n := max(1, math.Ceil(t/term))
+	for n*term < t {
+		n++
+	}
+	for n > 1 && (n-1)*term >= t {
+		n--
+	}
+	return n
 }
 
-func (l *Ledger) chargeUpfrontLocked() {
-	l.totals.UpfrontUSD += l.upfrontPerTerm
-	l.interval.UpfrontUSD += l.upfrontPerTerm
+// Costs returns the VM rental and storage costs at catalog prices through
+// simulated time now: the paper's literal pay-as-you-go accounting of the
+// allocation integral. It changes no state.
+func (c *Cloud) Costs(now float64) (vmCost, storageCost float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.readTimeLocked(now)
+	for i, s := range c.vmSpecs {
+		all, _, _ := c.vmSecondsLocked(i, t)
+		vmCost += usd(all, s.PricePerHour, 1)
+	}
+	for i, s := range c.nfsSpecs {
+		storageCost += usd(c.gbSecondsLocked(i, t), s.PricePerGBHour, 1)
+	}
+	return vmCost, storageCost
 }
 
-// accrue integrates the bill over [from, to) given the per-cluster
-// allocations (constant across the window — the Cloud calls it before
-// every allocation change). vms and nfs are in catalog registration
-// order, keeping float accumulation deterministic.
-func (l *Ledger) accrue(from, to float64, vms []vmUsage, nfs []storageUsage) {
-	if to <= from {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Recharge the upfront fee for every term that starts inside the
-	// window (terms are aligned to t=0; the first term is charged at
-	// construction).
-	for l.upfrontPerTerm > 0 && l.nextTerm < to {
-		l.chargeUpfrontLocked()
-		l.nextTerm += l.plan.TermHours * 3600
-	}
-	hours := (to - from) / 3600
-	var inc LedgerTotals
-	for _, u := range vms {
-		reserved := l.reserved[u.name]
-		if reserved > 0 {
-			inc.ReservedVMHours += float64(reserved) * hours
-			inc.ReservedUSD += float64(reserved) * u.price * l.plan.ReservedRate * hours
-		}
-		if elastic := u.allocated - reserved; elastic > 0 {
-			spot := l.plan.spotVMs(elastic)
-			if spot > 0 {
-				inc.SpotVMHours += float64(spot) * hours
-				inc.SpotUSD += float64(spot) * u.price * l.plan.spotRate() * hours
-			}
-			if onDemand := elastic - spot; onDemand > 0 {
-				inc.OnDemandVMHours += float64(onDemand) * hours
-				inc.OnDemandUSD += float64(onDemand) * u.price * l.plan.onDemandRate() * hours
-			}
-		}
-	}
-	for _, u := range nfs {
-		inc.GBHours += u.gb * hours
-		inc.StorageUSD += u.gb * u.price * l.plan.storageRate() * hours
-	}
-	l.totals.Add(inc)
-	l.interval.Add(inc)
+// Bill returns the cumulative bill through simulated time now under the
+// cloud's pricing plan: the allocation integrals priced per tier, the
+// reserved tier for every second up to now, the upfront fee of every term
+// begun by now, and the interruptions and transfer charges so far. It
+// changes no state, so it reads the same however often it is called.
+func (c *Cloud) Bill(now float64) LedgerTotals {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.billLocked(now)
 }
 
-// Totals returns the cumulative bill accrued so far.
-func (l *Ledger) Totals() LedgerTotals {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.totals
+// billLocked is Bill. Caller holds c.mu.
+func (c *Cloud) billLocked(now float64) LedgerTotals {
+	t := c.readTimeLocked(now)
+	p := c.pricing
+	b := LedgerTotals{Interruptions: c.interruptions, TransferUSD: c.transferUSD}
+	var reserved int
+	var spotSec, onDemandSec, gbSec float64
+	for i, s := range c.vmSpecs {
+		_, spot, onDemand := c.vmSecondsLocked(i, t)
+		n := c.vms[i].reserved
+		reserved += n
+		spotSec += spot
+		onDemandSec += onDemand
+		b.ReservedUSD += usd(float64(n)*t, s.PricePerHour, p.ReservedRate)
+		b.SpotUSD += usd(spot, s.PricePerHour, p.spotRate())
+		b.OnDemandUSD += usd(onDemand, s.PricePerHour, p.onDemandRate())
+	}
+	for i, s := range c.nfsSpecs {
+		gb := c.gbSecondsLocked(i, t)
+		gbSec += gb
+		b.StorageUSD += usd(gb, s.PricePerGBHour, p.storageRate())
+	}
+	b.ReservedVMHours = float64(reserved) * t / 3600
+	b.SpotVMHours = spotSec / 3600
+	b.OnDemandVMHours = onDemandSec / 3600
+	b.GBHours = gbSec / 3600
+	if c.upfrontPerTerm > 0 {
+		b.UpfrontUSD = c.upfrontPerTerm * c.termsStarted(t)
+	}
+	return b
 }
 
 // Checkpoint returns the bill accrued since the previous Checkpoint (or
-// since the start of the run) and starts a fresh interval accumulator —
-// the controller calls it once per provisioning round to stamp each
-// IntervalRecord with the interval's dollars.
-func (l *Ledger) Checkpoint() LedgerTotals {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.interval
-	l.interval = LedgerTotals{}
+// since the start of the run), through simulated time now — the
+// controller calls it once per provisioning round to stamp each
+// IntervalRecord with the interval's dollars. The intervals sum to the
+// cumulative Bill up to float rounding of the differences.
+func (c *Cloud) Checkpoint(now float64) LedgerTotals {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.billLocked(now)
+	out := b
+	out.addScaled(c.checkpoint, -1)
+	c.checkpoint = b
 	return out
-}
-
-// RecordInterruption charges one spot mass-preemption event to the bill
-// (the event counter, not dollars — the dollars show up as the re-rented
-// replacement capacity).
-func (l *Ledger) RecordInterruption() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.totals.Interruptions++
-	l.interval.Interruptions++
 }
 
 // ChargeTransfer adds inter-region transfer dollars to the bill — the
 // failover path charges the migrated viewers' handoff bytes to the region
 // they move into. A non-positive charge is dropped.
-func (l *Ledger) ChargeTransfer(usd float64) {
-	if usd <= 0 {
+func (c *Cloud) ChargeTransfer(dollars float64) {
+	if dollars <= 0 {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.totals.TransferUSD += usd
-	l.interval.TransferUSD += usd
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.transferUSD += dollars
 }
+
+// Advance does nothing: the bill is priced from the allocation integral
+// whenever it is read, so there is nothing to commit.
+//
+// Deprecated: only daybench's replay still calls it; ROADMAP item 5(c)
+// deletes that replay, and Advance with it.
+func (c *Cloud) Advance(now float64) {}

@@ -47,7 +47,8 @@ func TestParsePricing(t *testing.T) {
 }
 
 // TestLedgerOnDemandMatchesLegacyCosts: under the default plan, the
-// ledger's bill is exactly the Cloud's legacy cost counters.
+// bill's tiers are the catalog-price Costs bit for bit, and the VM-hours
+// of whole-second allocation changes read exactly.
 func TestLedgerOnDemandMatchesLegacyCosts(t *testing.T) {
 	cl, err := New(DefaultVMClusters(), DefaultNFSClusters())
 	if err != nil {
@@ -59,25 +60,23 @@ func TestLedgerOnDemandMatchesLegacyCosts(t *testing.T) {
 	if err := cl.SetStorage(0, "high", 5); err != nil {
 		t.Fatal(err)
 	}
-	cl.Advance(2 * 3600)
 	if err := cl.SetVMs(2*3600, "standard", 4); err != nil {
 		t.Fatal(err)
 	}
-	cl.Advance(5 * 3600)
 
-	vmCost, storageCost := cl.Costs()
-	bill := cl.Ledger().Totals()
+	vmCost, storageCost := cl.Costs(5 * 3600)
+	bill := cl.Bill(5 * 3600)
 	if bill.ReservedUSD != 0 || bill.UpfrontUSD != 0 {
 		t.Errorf("on-demand plan accrued reserved dollars: %+v", bill)
 	}
-	if !approx(bill.OnDemandUSD, vmCost, 1e-9) {
-		t.Errorf("ledger VM bill %v != legacy %v", bill.OnDemandUSD, vmCost)
+	if bill.OnDemandUSD != vmCost {
+		t.Errorf("on-demand VM bill %v != catalog-price cost %v", bill.OnDemandUSD, vmCost)
 	}
-	if !approx(bill.StorageUSD, storageCost, 1e-9) {
-		t.Errorf("ledger storage bill %v != legacy %v", bill.StorageUSD, storageCost)
+	if bill.StorageUSD != storageCost {
+		t.Errorf("storage bill %v != catalog-price cost %v", bill.StorageUSD, storageCost)
 	}
-	if want := 10*2 + 4*3; !approx(bill.OnDemandVMHours, float64(want), 1e-9) {
-		t.Errorf("VM-hours %v, want %d", bill.OnDemandVMHours, want)
+	if want := 10*2 + 4*3; bill.OnDemandVMHours != float64(want) {
+		t.Errorf("VM-hours %v, want exactly %d", bill.OnDemandVMHours, want)
 	}
 	if want := 5 * 5; !approx(bill.GBHours, float64(want), 1e-9) {
 		t.Errorf("GB-hours %v, want %d", bill.GBHours, want)
@@ -99,15 +98,14 @@ func TestLedgerReservedSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	led := cl.Ledger()
-	if got := led.ReservedVMs("standard"); got != 15 {
+	if got := cl.vms[cl.vmIndex["standard"]].reserved; got != 15 {
 		t.Errorf("reserved standard = %d, want 15", got)
 	}
 
 	// Upfront for term 1 is charged at construction:
 	// Σ reserved × price × 24 h × 0.1.
 	upfront := (15*0.450 + 6*0.700 + 9*0.800) * 24 * 0.1
-	if b := led.Totals(); !approx(b.UpfrontUSD, upfront, 1e-9) {
+	if b := cl.Bill(0); !approx(b.UpfrontUSD, upfront, 1e-9) {
 		t.Fatalf("first-term upfront %v, want %v", b.UpfrontUSD, upfront)
 	}
 
@@ -115,8 +113,7 @@ func TestLedgerReservedSplit(t *testing.T) {
 	if err := cl.SetVMs(0, "standard", 20); err != nil {
 		t.Fatal(err)
 	}
-	cl.Advance(10 * 3600)
-	b := led.Totals()
+	b := cl.Bill(10 * 3600)
 	// All three clusters' reserved capacity bills, allocated or not.
 	wantReserved := (15*0.450 + 6*0.700 + 9*0.800) * 0.5 * 10
 	if !approx(b.ReservedUSD, wantReserved, 1e-9) {
@@ -129,15 +126,18 @@ func TestLedgerReservedSplit(t *testing.T) {
 		t.Errorf("reserved VM-hours %v, want %v", b.ReservedVMHours, want)
 	}
 
-	// Crossing into day 2 recharges the upfront exactly once more.
-	cl.Advance(30 * 3600)
-	if b := led.Totals(); !approx(b.UpfrontUSD, 2*upfront, 1e-9) {
+	// The second term starts once the first ends, not at its boundary;
+	// crossing into day 2 charges the upfront exactly once more.
+	if b := cl.Bill(24 * 3600); !approx(b.UpfrontUSD, upfront, 1e-9) {
+		t.Errorf("at the term boundary, upfront %v, want %v", b.UpfrontUSD, upfront)
+	}
+	if b := cl.Bill(30 * 3600); !approx(b.UpfrontUSD, 2*upfront, 1e-9) {
 		t.Errorf("after term rollover, upfront %v, want %v", b.UpfrontUSD, 2*upfront)
 	}
 }
 
-// TestLedgerCheckpoint: the interval accumulator drains on Checkpoint and
-// the pieces sum to the running totals.
+// TestLedgerCheckpoint: each Checkpoint returns the bill since the
+// previous one, and the pieces sum to the cumulative bill.
 func TestLedgerCheckpoint(t *testing.T) {
 	cl, err := New(DefaultVMClusters(), DefaultNFSClusters())
 	if err != nil {
@@ -146,21 +146,19 @@ func TestLedgerCheckpoint(t *testing.T) {
 	if err := cl.SetVMs(0, "standard", 8); err != nil {
 		t.Fatal(err)
 	}
-	cl.Advance(3600)
-	first := cl.Ledger().Checkpoint()
+	first := cl.Checkpoint(3600)
 	if !approx(first.OnDemandUSD, 8*0.450, 1e-9) {
 		t.Errorf("interval 1 bill %v, want %v", first.OnDemandUSD, 8*0.450)
 	}
-	cl.Advance(2 * 3600)
-	second := cl.Ledger().Checkpoint()
+	second := cl.Checkpoint(2 * 3600)
 	if !approx(second.OnDemandUSD, 8*0.450, 1e-9) {
 		t.Errorf("interval 2 bill %v, want %v", second.OnDemandUSD, 8*0.450)
 	}
-	total := cl.Ledger().Totals()
+	total := cl.Bill(2 * 3600)
 	if !approx(first.OnDemandUSD+second.OnDemandUSD, total.OnDemandUSD, 1e-9) {
 		t.Errorf("checkpoints %v + %v != total %v", first.OnDemandUSD, second.OnDemandUSD, total.OnDemandUSD)
 	}
-	if drained := cl.Ledger().Checkpoint(); drained.TotalUSD() != 0 {
+	if drained := cl.Checkpoint(2 * 3600); drained.TotalUSD() != 0 {
 		t.Errorf("third checkpoint not empty: %+v", drained)
 	}
 }
@@ -181,8 +179,7 @@ func TestLedgerReservedBeatsOnDemandWhenBusy(t *testing.T) {
 				}
 			}
 		}
-		cl.Advance(24 * 3600)
-		return cl.Ledger().Totals().TotalUSD()
+		return cl.Bill(24 * 3600).TotalUSD()
 	}
 	// Busy: every cluster at capacity for a day, so the whole reserved
 	// tier is utilized.
@@ -195,9 +192,10 @@ func TestLedgerReservedBeatsOnDemandWhenBusy(t *testing.T) {
 	}
 }
 
-// BenchmarkLedgerAccrual measures the per-accrual cost of the billing
-// path (three VM clusters, two NFS clusters), which runs on every
-// SetVMs/SetStorage/Advance.
+// BenchmarkLedgerAccrual measures the cost of pricing the bill (three VM
+// clusters, two NFS clusters, reserved plan): one Bill read of the
+// allocation integrals and their open segments, as every Checkpoint and
+// report makes.
 func BenchmarkLedgerAccrual(b *testing.B) {
 	cl, err := New(DefaultVMClusters(), DefaultNFSClusters(), WithPricing(ReservedPricing()))
 	if err != nil {
@@ -211,7 +209,7 @@ func BenchmarkLedgerAccrual(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cl.Advance(float64(i+1) * 900)
+		cl.Bill(float64(i+1) * 900)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "accruals/s")
 }
@@ -228,10 +226,8 @@ func TestLedgerSpotSplit(t *testing.T) {
 	if err := cl.SetVMs(0, "standard", 10); err != nil {
 		t.Fatal(err)
 	}
-	cl.Advance(3600)
-
 	// 10 allocated, 0 reserved: spot = round(0.5×10) = 5, on-demand = 5.
-	bill := cl.Ledger().Totals()
+	bill := cl.Bill(3600)
 	if !approx(bill.SpotVMHours, 5, 1e-9) || !approx(bill.OnDemandVMHours, 5, 1e-9) {
 		t.Errorf("VM-hour split spot=%v on-demand=%v, want 5/5", bill.SpotVMHours, bill.OnDemandVMHours)
 	}
@@ -263,8 +259,7 @@ func TestLedgerSpotAboveReservedTier(t *testing.T) {
 	if err := cl.SetVMs(0, "standard", 20); err != nil {
 		t.Fatal(err)
 	}
-	cl.Advance(3600)
-	bill := cl.Ledger().Totals()
+	bill := cl.Bill(3600)
 	if !approx(bill.ReservedVMHours, 16, 1e-9) || !approx(bill.SpotVMHours, 6, 1e-9) || !approx(bill.OnDemandVMHours, 6, 1e-9) {
 		t.Errorf("tier split reserved=%v spot=%v on-demand=%v, want 16/6/6",
 			bill.ReservedVMHours, bill.SpotVMHours, bill.OnDemandVMHours)
@@ -293,7 +288,7 @@ func TestPreemptSpot(t *testing.T) {
 	if got, _ := cl.AllocatedVMs("standard"); got != 5 {
 		t.Errorf("allocation after preemption %d, want 5", got)
 	}
-	if got := cl.Ledger().Totals().Interruptions; got != 1 {
+	if got := cl.Bill(3600).Interruptions; got != 1 {
 		t.Errorf("interruptions %d, want 1", got)
 	}
 
@@ -313,7 +308,7 @@ func TestPreemptSpot(t *testing.T) {
 	if err != nil || killed != 0 || lost != 0 {
 		t.Errorf("on-demand PreemptSpot = (%d, %v, %v), want no-op", killed, lost, err)
 	}
-	if got := od.Ledger().Totals().Interruptions; got != 0 {
+	if got := od.Bill(3600).Interruptions; got != 0 {
 		t.Errorf("on-demand plan recorded %d interruptions", got)
 	}
 }
@@ -325,11 +320,10 @@ func TestChargeTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := cl.Ledger()
-	l.ChargeTransfer(2.5)
-	l.ChargeTransfer(0)
-	l.ChargeTransfer(-1)
-	bill := l.Totals()
+	cl.ChargeTransfer(2.5)
+	cl.ChargeTransfer(0)
+	cl.ChargeTransfer(-1)
+	bill := cl.Bill(0)
 	if !approx(bill.TransferUSD, 2.5, 1e-9) {
 		t.Errorf("transfer bill %v, want 2.5", bill.TransferUSD)
 	}

@@ -101,8 +101,8 @@ type IntervalRecord struct {
 	// SubmitErr records a round whose SLA request the broker rejected;
 	// the previous rental and chunk capacities stay in force.
 	SubmitErr string `json:"-"`
-	// Cost is the ledger bill accrued over the interval that ended at
-	// Time, split by pricing tier. The bootstrap (t=0) record carries only
+	// Cost is the bill over the interval that ended at Time, split by
+	// pricing tier. The bootstrap (t=0) record carries only
 	// the first reservation term's upfront fee, if any.
 	Cost cloud.LedgerTotals
 }
@@ -576,7 +576,7 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 		NFSClusters:          nfsSpecs,
 		VMBudgetPerHour:      c.opts.VMBudgetPerHour,
 		StorageBudgetPerHour: c.opts.StorageBudgetPerHour,
-		Pricing:              c.cl.Ledger().Plan(),
+		Pricing:              c.cl.Pricing(),
 	}
 	if k := c.opts.Policy.Lookahead(); k > 0 && c.wantsFuture() {
 		req.Future = c.futureDemands(cfg, inputs, demands, rec.ArrivalRates, p2pMode, now, k)
@@ -620,8 +620,7 @@ func (c *Controller) deriveChannel(w, ch int, now float64, cfg queueing.Config, 
 // finish settles the bill for the interval that just ended, stamps it on
 // the record, and delivers the record to the OnInterval subscriber.
 func (c *Controller) finish(now float64, rec IntervalRecord) {
-	c.cl.Advance(now)
-	rec.Cost = c.cl.Ledger().Checkpoint()
+	rec.Cost = c.cl.Checkpoint(now)
 	if c.opts.OnInterval != nil {
 		c.opts.OnInterval(rec)
 	}

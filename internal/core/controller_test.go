@@ -121,7 +121,6 @@ func TestControllerEndToEndClientServer(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	s.RunUntil(3 * 600)
-	cl.Advance(s.Now())
 
 	recs := *rounds
 	if len(recs) < 3 {
@@ -132,7 +131,7 @@ func TestControllerEndToEndClientServer(t *testing.T) {
 		t.Error("no demand derived from live statistics")
 	}
 	// VMs must actually have been rented and billed.
-	vmCost, _ := cl.Costs()
+	vmCost, _ := cl.Costs(s.Now())
 	if vmCost <= 0 {
 		t.Error("no VM cost accrued")
 	}
@@ -165,8 +164,7 @@ func TestControllerP2PCheaperThanClientServer(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.RunUntil(3 * 600)
-		cl.Advance(s.Now())
-		vmCost, _ := cl.Costs()
+		vmCost, _ := cl.Costs(s.Now())
 		return vmCost
 	}
 	cs := run(sim.ClientServer)
@@ -225,8 +223,7 @@ func TestControllerZeroTrafficKeepsZeroDemand(t *testing.T) {
 	if recs[0].TotalDemand != 0 {
 		t.Errorf("TotalDemand = %v, want 0", recs[0].TotalDemand)
 	}
-	cl.Advance(3600)
-	vmCost, _ := cl.Costs()
+	vmCost, _ := cl.Costs(3600)
 	if vmCost != 0 {
 		t.Errorf("vm cost %v for an idle system", vmCost)
 	}

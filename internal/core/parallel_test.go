@@ -59,8 +59,7 @@ func runControllerWithWorkers(t *testing.T, mode sim.Mode, pol provision.Policy,
 		t.Fatalf("Start: %v", err)
 	}
 	s.RunUntil(4 * 600)
-	cl.Advance(s.Now())
-	return *rounds, cl.Ledger().Totals()
+	return *rounds, cl.Bill(s.Now())
 }
 
 // TestControllerWorkerInvariance pins the control-plane tentpole: the

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"math/rand/v2"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"cloudmedia/internal/cloud"
@@ -24,77 +27,81 @@ import (
 // 1.6e-15 relative) when the deployment moved onto the one run loop
 // (stack.Run): it commits each region's billing at every sample and
 // whole hour, and float addition is not associative. No decision moved.
+// They moved once more, again only in their last bits, when the cloud
+// stopped accruing at commits and began pricing its allocation integral
+// when read: the dollars no longer depend on how often anyone reads or
+// marks them.
 var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 	modes.FidelityEvent: {
 		"default": {
-			"bill_on_demand_usd":     393.74999999999977,
+			"bill_on_demand_usd":     393.75,
 			"bill_reserved_usd":      0,
 			"bill_spot_usd":          0,
-			"bill_total_usd":         393.75143855999977,
+			"bill_total_usd":         393.75143856,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          0,
 			"quality_apac":           1,
 			"quality_eu":             1,
 			"quality_na":             1,
-			"storage_cost_total_usd": 0.0014385599999999998,
-			"vm_cost_apac_usd":       130.04999999999998,
-			"vm_cost_eu_usd":         125.54999999999988,
-			"vm_cost_na_usd":         138.14999999999995,
-			"vm_cost_total_usd":      393.74999999999977,
+			"storage_cost_total_usd": 0.0014385600000000011,
+			"vm_cost_apac_usd":       130.05000000000001,
+			"vm_cost_eu_usd":         125.55,
+			"vm_cost_na_usd":         138.15000000000001,
+			"vm_cost_total_usd":      393.75,
 		},
 		"spot": {
-			"bill_on_demand_usd":     114.74999999999994,
+			"bill_on_demand_usd":     114.75,
 			"bill_reserved_usd":      0,
-			"bill_spot_usd":          79.919999999999945,
-			"bill_total_usd":         194.6714385599999,
+			"bill_spot_usd":          79.919999999999987,
+			"bill_total_usd":         194.67143855999998,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          15,
 			"quality_apac":           1,
 			"quality_eu":             1,
 			"quality_na":             1,
-			"storage_cost_total_usd": 0.0014385599999999998,
-			"vm_cost_apac_usd":       126.89999999999992,
-			"vm_cost_eu_usd":         120.82499999999986,
-			"vm_cost_na_usd":         133.42499999999993,
-			"vm_cost_total_usd":      381.14999999999969,
+			"storage_cost_total_usd": 0.0014385600000000011,
+			"vm_cost_apac_usd":       126.90000000000001,
+			"vm_cost_eu_usd":         120.825,
+			"vm_cost_na_usd":         133.42500000000001,
+			"vm_cost_total_usd":      381.14999999999998,
 		},
 	},
 	modes.FidelityFluid: {
 		"default": {
-			"bill_on_demand_usd":     395.54999999999984,
+			"bill_on_demand_usd":     395.54999999999995,
 			"bill_reserved_usd":      0,
 			"bill_spot_usd":          0,
-			"bill_total_usd":         395.55143855999984,
+			"bill_total_usd":         395.55143855999995,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          0,
 			"quality_apac":           0.99999999999999833,
 			"quality_eu":             0.99999999999999856,
 			"quality_na":             0.99999999999999811,
-			"storage_cost_total_usd": 0.0014385599999999998,
-			"vm_cost_apac_usd":       131.40000000000009,
-			"vm_cost_eu_usd":         124.19999999999985,
-			"vm_cost_na_usd":         139.94999999999993,
-			"vm_cost_total_usd":      395.54999999999984,
+			"storage_cost_total_usd": 0.0014385600000000011,
+			"vm_cost_apac_usd":       131.40000000000001,
+			"vm_cost_eu_usd":         124.2,
+			"vm_cost_na_usd":         139.94999999999999,
+			"vm_cost_total_usd":      395.54999999999995,
 		},
 		"spot": {
-			"bill_on_demand_usd":     116.99999999999997,
+			"bill_on_demand_usd":     117,
 			"bill_reserved_usd":      0,
-			"bill_spot_usd":          80.054999999999936,
-			"bill_total_usd":         197.05643855999989,
+			"bill_spot_usd":          80.055000000000007,
+			"bill_total_usd":         197.05643856,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          15,
 			"quality_apac":           0.99999999999999833,
 			"quality_eu":             0.99999999999999856,
 			"quality_na":             0.99999999999999867,
-			"storage_cost_total_usd": 0.0014385599999999998,
-			"vm_cost_apac_usd":       129.60000000000008,
-			"vm_cost_eu_usd":         119.47499999999988,
-			"vm_cost_na_usd":         134.77499999999989,
-			"vm_cost_total_usd":      383.84999999999985,
+			"storage_cost_total_usd": 0.0014385600000000011,
+			"vm_cost_apac_usd":       129.59999999999999,
+			"vm_cost_eu_usd":         119.47499999999999,
+			"vm_cost_na_usd":         134.77500000000001,
+			"vm_cost_total_usd":      383.85000000000002,
 		},
 	},
 }
@@ -133,7 +140,8 @@ func TestRegionalGoldens(t *testing.T) {
 // both fidelities: the event leg's summary at full precision and every
 // table row. The scenario carries SpotPricing on purpose: the outage leg
 // bills at the zero-value plan whatever the scenario's pricing is.
-// outage_total_usd moved in its last bits with the regional goldens.
+// outage_total_usd moved in its last bits with the regional goldens,
+// twice: with the one run loop, and with the read-time bill.
 func TestResilienceOutageGolden(t *testing.T) {
 	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Pricing = cloud.SpotPricing()
@@ -144,7 +152,7 @@ func TestResilienceOutageGolden(t *testing.T) {
 	}
 	wantSummary := map[string]float64{
 		"outage_mean_region_quality": 1,
-		"outage_total_usd":           382.1586885599999,
+		"outage_total_usd":           382.15868856,
 		"outage_transfer_usd":        0.10725000000000001,
 	}
 	if !reflect.DeepEqual(summary, wantSummary) {
@@ -160,5 +168,46 @@ func TestResilienceOutageGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tbl.Rows, wantRows) {
 		t.Errorf("outage rows = %q, want %q", tbl.Rows, wantRows)
+	}
+}
+
+// TestRegionalTableIgnoresMarks: extra stops in the run loop move no
+// number of the regional experiment. With an outage failing the largest
+// region over mid-run, a run with 400 random extra marks prints the
+// per-region table, vm_cost_usd included, byte for byte as the plain run
+// does, and its summary is bit-identical. (TestBillIgnoresMarksAndReads
+// in internal/geo covers the fluid engine, whose marks must respect its
+// step grid.)
+func TestRegionalTableIgnoresMarks(t *testing.T) {
+	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
+	sc.Faults = fault.Presets()["outage-flash"]
+	rng := rand.New(rand.NewPCG(2, 32))
+	marks := make([]float64, 400)
+	for i := range marks {
+		marks[i] = rng.Float64() * sc.Hours * 3600
+	}
+	slices.Sort(marks)
+	render := func(marks []float64) (string, map[string]float64) {
+		t.Helper()
+		res, err := regional(sc, marks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := res.Tables[0].Render(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), res.Summary
+	}
+	plainTable, plainSummary := render(nil)
+	markedTable, markedSummary := render(marks)
+	if markedTable != plainTable {
+		t.Errorf("extra marks moved the regional table:\n%s\nplain run:\n%s", markedTable, plainTable)
+	}
+	if !reflect.DeepEqual(markedSummary, plainSummary) {
+		t.Errorf("extra marks moved the summary:\n%v\nplain run:\n%v", markedSummary, plainSummary)
+	}
+	if plainSummary["bill_transfer_usd"] <= 0 {
+		t.Error("no failover transfer billed; the outage does not reach the failover path")
 	}
 }

@@ -24,7 +24,11 @@ import (
 // pricing, scheduling and catalogs reach each region. Provisioning is
 // always dynamic: geo controllers run every interval, so p2p runs
 // cloud-assisted.
-func Regional(sc stack.Spec) (*Result, error) {
+func Regional(sc stack.Spec) (*Result, error) { return regional(sc, nil) }
+
+// regional is Regional with extra stops at marks, which must move no
+// number of the result.
+func regional(sc stack.Spec, marks []float64) (*Result, error) {
 	sc = pinMode(sc, sc.Mode)
 	// Regions derive their demand from the parametric workload, split by
 	// share; a trace source does not carry over to them.
@@ -34,14 +38,14 @@ func Regional(sc stack.Spec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("regional: %w", err)
 	}
-	if err := dep.Run(context.Background(), func(stack.Stop) {}); err != nil {
+	if err := dep.Run(context.Background(), marks, func(stack.Stop) {}); err != nil {
 		return nil, fmt.Errorf("regional: %w", err)
 	}
 
 	regions, totalVM, totalStorage := dep.Report()
 	var bill cloud.LedgerTotals
-	for _, r := range dep.Regions() {
-		bill.Add(r.Cloud.Ledger().Totals())
+	for _, r := range regions {
+		bill.Add(r.Bill)
 	}
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Regional deployment — per-region outcome (%v)", sc.Mode),

@@ -130,7 +130,7 @@ func resilienceOutage(sc stack.Spec, sched *fault.Schedule, summary map[string]f
 		if err != nil {
 			return nil, fmt.Errorf("resilience outage: %w", err)
 		}
-		if err := dep.Run(context.Background(), func(stack.Stop) {}); err != nil {
+		if err := dep.Run(context.Background(), nil, func(stack.Stop) {}); err != nil {
 			return nil, fmt.Errorf("resilience outage: %w", err)
 		}
 		regions, totalVM, totalStorage := dep.Report()

@@ -26,7 +26,7 @@ type Hourly struct {
 	Hour          float64
 	ReservedMbps  float64 // cloud capacity provisioned at the sample instant
 	UsedMbps      float64 // average cloud bandwidth actually served this hour
-	VMCostPerHour float64 // dollars accrued this hour for VM rental
+	VMCostPerHour float64 // dollars billed this hour for VM rental
 }
 
 // Timeline is the full measurement record of one run; every figure is a
@@ -86,7 +86,7 @@ func runTimeline(sc stack.Scenario) (*Timeline, error) {
 			qSum += q.Overall
 		}
 		if stop.Hour {
-			vmCost, _ := sys.Cloud.Costs()
+			vmCost, _ := sys.Cloud.Costs(stop.Time)
 			served := s.CloudBytesServed()
 			tl.Hourlies = append(tl.Hourlies, Hourly{
 				Hour:          stop.Time / 3600,
@@ -99,8 +99,9 @@ func runTimeline(sc stack.Scenario) (*Timeline, error) {
 	}); err != nil {
 		return nil, err
 	}
-	tl.VMCostTotal, tl.StorageCostTotal = sys.Cloud.Costs()
-	tl.Bill = sys.Cloud.Ledger().Totals()
+	now := s.Now()
+	tl.VMCostTotal, tl.StorageCostTotal = sys.Cloud.Costs(now)
+	tl.Bill = sys.Cloud.Bill(now)
 	if n := len(tl.Snapshots); n > 0 {
 		tl.MeanQuality = qSum / float64(n)
 	}

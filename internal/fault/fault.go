@@ -239,7 +239,7 @@ func Attach(t Target, sched *Schedule) error {
 // whether the provider mass-preempts. The rand stream advances once per
 // check regardless of outcome or worker count.
 func attachInterruptions(t Target, sched *Schedule) error {
-	plan := t.Cloud.Ledger().Plan()
+	plan := t.Cloud.Pricing()
 	if plan.SpotFraction <= 0 || plan.SpotInterruption <= 0 {
 		return nil
 	}

@@ -63,7 +63,6 @@ func peakDay(t *testing.T, dt float64, tweak func(*stack.Spec)) (quality, bill, 
 	for now := 0.0; now < sc.Hours*3600; {
 		now += sys.Scenario.SampleSeconds
 		sys.Sim.RunUntil(now)
-		sys.Cloud.Advance(now)
 		sum += sys.Sim.SampleQuality().Overall
 		samples++
 		peak = max(peak, float64(sys.Sim.TotalUsers()))
@@ -71,7 +70,7 @@ func peakDay(t *testing.T, dt float64, tweak func(*stack.Spec)) (quality, bill, 
 	if demandErrors > 0 {
 		t.Fatalf("dt %v: %d channel-rounds failed their demand analysis", dt, demandErrors)
 	}
-	return sum / float64(samples), sys.Cloud.Ledger().Totals().TotalUSD(), peak
+	return sum / float64(samples), sys.Cloud.Bill(sys.Sim.Now()).TotalUSD(), peak
 }
 
 // stockDrift bounds the default step's peak viewer stock against its

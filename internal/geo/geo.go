@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -362,22 +363,20 @@ func (d *Deployment) buildEvents(outages []fault.RegionOutage) {
 	})
 }
 
-// Regions returns the regional stacks in configuration order.
-func (d *Deployment) Regions() []*RegionSystem { return d.regions }
-
 // Run drives every region for the scenario's Hours through stack.Run,
-// with the outage boundaries as extra stops. Regions evolve independently
-// between stops (cross-region traffic is out of scope, as in the paper's
-// sketch). At each stop Run applies the failovers and recoveries due by
-// then (share migration, capacity blackout, transfer charges), then
-// calls observe.
-func (d *Deployment) Run(ctx context.Context, observe func(stack.Stop)) error {
-	marks := make([]float64, len(d.events))
-	for i, ev := range d.events {
-		marks[i] = ev.time
+// with the outage boundaries and the caller's marks as extra stops.
+// Regions evolve independently between stops (cross-region traffic is out
+// of scope, as in the paper's sketch). At each stop Run applies the
+// failovers and recoveries due by then (share migration, capacity
+// blackout, transfer charges), then calls observe.
+func (d *Deployment) Run(ctx context.Context, marks []float64, observe func(stack.Stop)) error {
+	all := slices.Clone(marks)
+	for _, ev := range d.events {
+		all = append(all, ev.time)
 	}
+	slices.Sort(all)
 	next := 0
-	return stack.Run(ctx, d.systems, marks, func(stop stack.Stop) {
+	return stack.Run(ctx, d.systems, all, func(stop stack.Stop) {
 		for ; next < len(d.events) && d.events[next].time <= stop.Time; next++ {
 			if ev := d.events[next]; ev.start {
 				d.failOver(ev.time, ev.region)
@@ -443,7 +442,7 @@ func (d *Deployment) failOver(now float64, ri int) {
 			continue
 		}
 		moved := migrated * r.Region.Share / survivingShare
-		r.Cloud.Ledger().ChargeTransfer(moved * d.handoffGB * transferUSDPerGB)
+		r.Cloud.ChargeTransfer(moved * d.handoffGB * transferUSDPerGB)
 	}
 }
 
@@ -465,7 +464,7 @@ func (d *Deployment) recover(now float64, ri int) {
 		}
 	}
 	returning := crowd * recovered.Region.Share
-	recovered.Cloud.Ledger().ChargeTransfer(returning * d.handoffGB * transferUSDPerGB)
+	recovered.Cloud.ChargeTransfer(returning * d.handoffGB * transferUSDPerGB)
 }
 
 // RegionReport is one region's aggregate outcome.
@@ -483,7 +482,8 @@ type RegionReport struct {
 // Report summarizes every region plus the global totals.
 func (d *Deployment) Report() (regions []RegionReport, totalVM, totalStorage float64) {
 	for _, r := range d.regions {
-		vm, storage := r.Cloud.Costs()
+		now := r.Sim.Now()
+		vm, storage := r.Cloud.Costs(now)
 		q := r.Sim.SampleQuality()
 		regions = append(regions, RegionReport{
 			Name:        r.Region.Name,
@@ -491,7 +491,7 @@ func (d *Deployment) Report() (regions []RegionReport, totalVM, totalStorage flo
 			Quality:     q.Overall,
 			VMCost:      vm,
 			StorageCost: storage,
-			Bill:        r.Cloud.Ledger().Totals(),
+			Bill:        r.Cloud.Bill(now),
 		})
 		totalVM += vm
 		totalStorage += storage

@@ -37,7 +37,7 @@ func testScenario() stack.Spec {
 // run drives d to the end of its scenario's Hours through Run.
 func run(t *testing.T, d *Deployment, observe func(stack.Stop)) {
 	t.Helper()
-	if err := d.Run(context.Background(), observe); err != nil {
+	if err := d.Run(context.Background(), nil, observe); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestRegionalPricingChangesBill(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		run(t, d, func(stack.Stop) {})
-		for _, r := range d.Regions() {
+		for _, r := range d.regions {
 			if got, want := r.Cloud.VMClusters()[0].PricePerHour, sc.VMClusters[0].PricePerHour; got != want {
 				t.Errorf("region %s rents at $%v/h, want the scenario's $%v/h", r.Region.Name, got, want)
 			}
@@ -176,8 +176,8 @@ func TestRegionsAreIndependentSeedStreams(t *testing.T) {
 	regions, _, _ := d.Report()
 	// Equal shares but distinct seed streams: byte-identical populations at
 	// every instant would indicate correlated randomness.
-	a := d.Regions()[0].Sim.CloudBytesServed()
-	b := d.Regions()[1].Sim.CloudBytesServed()
+	a := d.regions[0].Sim.CloudBytesServed()
+	b := d.regions[1].Sim.CloudBytesServed()
 	if a == b && regions[0].Users == regions[1].Users {
 		t.Error("regions appear to share a random stream")
 	}
@@ -192,7 +192,7 @@ func TestDeploymentDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if len(d.Regions()) != 2 {
+	if len(d.regions) != 2 {
 		t.Error("regions not built")
 	}
 }
@@ -257,8 +257,8 @@ func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
 		}
 		return vms
 	}
-	first := make([][]int, len(dep.Regions()))
-	for i, r := range dep.Regions() {
+	first := make([][]int, len(dep.regions))
+	for i, r := range dep.regions {
 		first[i] = rented(r)
 		if !slices.ContainsFunc(first[i], func(n int) bool { return n > 0 }) {
 			t.Fatalf("region %s: bootstrap round rented no VMs", r.Region.Name)
@@ -269,7 +269,7 @@ func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
 	stops := 0
 	run(t, dep, func(stop stack.Stop) {
 		stops++
-		for i, r := range dep.Regions() {
+		for i, r := range dep.regions {
 			if got := rented(r); !slices.Equal(got, first[i]) {
 				t.Errorf("region %s: static rental moved to %v at %v s, want %v", r.Region.Name, got, stop.Time, first[i])
 			}
@@ -278,12 +278,11 @@ func TestDeploymentHonoursPolicyAndPricing(t *testing.T) {
 	if stops != 2 {
 		t.Errorf("%d stops, want 2", stops)
 	}
-	for _, r := range dep.Regions() {
-		led := r.Cloud.Ledger()
-		if got := led.Plan().DisplayName(); got != "reserved" {
+	for _, r := range dep.regions {
+		if got := r.Cloud.Pricing().DisplayName(); got != "reserved" {
 			t.Errorf("region %s billed under %q, want reserved", r.Region.Name, got)
 		}
-		if led.Totals().UpfrontUSD <= 0 {
+		if r.Cloud.Bill(r.Sim.Now()).UpfrontUSD <= 0 {
 			t.Errorf("region %s accrued no upfront under the reserved plan", r.Region.Name)
 		}
 	}
@@ -313,7 +312,7 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	east, west := d.Regions()[0], d.Regions()[1]
+	east, west := d.regions[0], d.regions[1]
 
 	checked := map[float64]bool{}
 	run(t, d, func(stop stack.Stop) {
@@ -332,10 +331,10 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 			if got := east.Sim.TotalCloudCapacity(); got != 0 {
 				t.Errorf("failed region serves %v bytes/s of cloud capacity, want 0", got)
 			}
-			if west.Cloud.Ledger().Totals().TransferUSD <= 0 {
+			if west.Cloud.Bill(stop.Time).TransferUSD <= 0 {
 				t.Error("survivor charged no failover transfer")
 			}
-			if east.Cloud.Ledger().Totals().Interruptions == 0 {
+			if east.Cloud.Bill(stop.Time).Interruptions == 0 {
 				t.Error("spot preemption at t=900 left no interruption record")
 			}
 		case 1200:
@@ -349,7 +348,7 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 				t.Errorf("shares not restored after recovery: east=%v west=%v",
 					east.share.get(), west.share.get())
 			}
-			if east.Cloud.Ledger().Totals().TransferUSD <= 0 {
+			if east.Cloud.Bill(stop.Time).TransferUSD <= 0 {
 				t.Error("recovered region charged no fail-back transfer")
 			}
 		}
@@ -360,7 +359,7 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 		}
 	}
 	regions, _, _ := d.Report()
-	if regions[1].Bill.TransferUSD != west.Cloud.Ledger().Totals().TransferUSD {
+	if regions[1].Bill.TransferUSD != west.Cloud.Bill(west.Sim.Now()).TransferUSD {
 		t.Error("Report bill does not carry the ledger transfer dollars")
 	}
 }
@@ -481,14 +480,14 @@ func TestOneRegionDeploymentMatchesSingleRegionRun(t *testing.T) {
 			if err := stack.Run(context.Background(), []*stack.System{sys}, nil, func(stack.Stop) {}); err != nil {
 				t.Fatalf("%v/%v: Run: %v", mode, fid, err)
 			}
-			vm, storage := sys.Cloud.Costs()
+			vm, storage := sys.Cloud.Costs(sys.Sim.Now())
 			want := []RegionReport{{
 				Name:        "solo",
 				Users:       sys.Sim.TotalUsers(),
 				Quality:     sys.Sim.SampleQuality().Overall,
 				VMCost:      vm,
 				StorageCost: storage,
-				Bill:        sys.Cloud.Ledger().Totals(),
+				Bill:        sys.Cloud.Bill(sys.Sim.Now()),
 			}}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%v/%v: one-region deployment\n%+v\nsingle-region run\n%+v", mode, fid, got, want)

@@ -39,7 +39,7 @@ type IntervalUpdate struct {
 	PlanErr          bool
 	StorageErr       bool
 	SubmitErr        bool               // the broker rejected the round's SLA request
-	Cost             cloud.LedgerTotals // the interval's accrual
+	Cost             cloud.LedgerTotals // the interval's bill
 }
 
 // State is the /state JSON snapshot: the latest of everything the store

@@ -472,10 +472,11 @@ type Stop struct {
 // geo.Deployment.Run call it. Each stop is the earliest of the next
 // sample, the next whole hour, the next ascending mark and the end of
 // the run. At each stop every system, in slice order, advances its
-// engine (Sim.RunUntil) and commits its billing (Cloud.Advance); then
-// observe is called once. The context is checked between stops; on
-// cancellation Run returns its error with every system settled at the
-// last stop.
+// engine (Sim.RunUntil); then observe is called once. The stops commit
+// nothing to the cloud: a bill is priced from the allocation integral
+// whenever it is read (Cloud.Bill at Sim.Now), so extra marks move no
+// dollar. The context is checked between stops; on cancellation Run
+// returns its error with every system settled at the last stop.
 func Run(ctx context.Context, systems []*System, marks []float64, observe func(Stop)) error {
 	end := systems[0].Scenario.Hours * 3600
 	period := systems[0].Scenario.SampleSeconds
@@ -492,7 +493,6 @@ func Run(ctx context.Context, systems []*System, marks []float64, observe func(S
 		stop := Stop{Time: now, Sample: now == nextSample || now == end, Hour: now == nextHour}
 		for _, sys := range systems {
 			sys.Sim.RunUntil(now)
-			sys.Cloud.Advance(now)
 		}
 		observe(stop)
 		for len(marks) > 0 && marks[0] <= now {
@@ -504,9 +504,6 @@ func Run(ctx context.Context, systems []*System, marks []float64, observe func(S
 		if stop.Hour {
 			nextHour += 3600
 		}
-	}
-	for _, sys := range systems {
-		sys.Cloud.Advance(sys.Sim.Now())
 	}
 	return err
 }

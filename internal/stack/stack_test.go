@@ -60,8 +60,7 @@ func TestBuildResolvesDefaults(t *testing.T) {
 			}
 			end := sc.Hours * 3600
 			sys.Sim.RunUntil(end)
-			sys.Cloud.Advance(end)
-			return sys.Scenario.Spec, recs, sys.Cloud.Ledger().Totals()
+			return sys.Scenario.Spec, recs, sys.Cloud.Bill(end)
 		}
 		unset := DefaultSpec(modes.CloudAssisted, 1)
 		unset.IntervalSeconds, unset.SampleSeconds = 0, 0

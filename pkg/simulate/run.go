@@ -24,8 +24,8 @@ type Snapshot struct {
 	// CloudServedGB is the cumulative cloud traffic actually delivered
 	// since the start of the run (the "used" curve of Fig. 4).
 	CloudServedGB float64
-	// VMCost and StorageCost are the dollars accrued since the start of
-	// the run.
+	// VMCost and StorageCost are the catalog-price dollars since the
+	// start of the run.
 	VMCost      float64
 	StorageCost float64
 }
@@ -119,9 +119,9 @@ func KeepHistory() RunOption {
 // Run builds the system, applies bootstrap provisioning from the analytic
 // t=0 estimates, and advances the simulation for Scenario.Hours of
 // simulated time. The run stops at every sample, at every whole simulated
-// hour and at its end; at each stop the cloud's billing accrual is
-// committed, and a sampling period that divides the hour stops only on
-// its own grid. The context is checked between stops; on cancellation Run
+// hour and at its end; a sampling period that divides the hour stops only
+// on its own grid. The bill is priced from the allocation when read, so
+// the stops do not move it. The context is checked between stops; on cancellation Run
 // returns the context error together with a report covering the time
 // simulated so far.
 func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) {
@@ -164,7 +164,7 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 		if !stop.Sample {
 			return
 		}
-		vmCost, storageCost := sys.Cloud.Costs()
+		vmCost, storageCost := sys.Cloud.Costs(stop.Time)
 		q := sys.Sim.SampleQuality()
 		snap := Snapshot{
 			Time:              stop.Time,
@@ -188,9 +188,10 @@ func (sc Scenario) Run(ctx context.Context, opts ...RunOption) (*Report, error) 
 		}
 	})
 
-	rep.Hours = sys.Sim.Now() / 3600
-	rep.VMCostTotal, rep.StorageCostTotal = sys.Cloud.Costs()
-	rep.Bill = sys.Cloud.Ledger().Totals()
+	now := sys.Sim.Now()
+	rep.Hours = now / 3600
+	rep.VMCostTotal, rep.StorageCostTotal = sys.Cloud.Costs(now)
+	rep.Bill = sys.Cloud.Bill(now)
 	rep.FinalUsers = sys.Sim.TotalUsers()
 	if samples > 0 {
 		rep.MeanQuality = qualitySum / float64(samples)

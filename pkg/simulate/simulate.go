@@ -210,7 +210,7 @@ type PricingPlan = cloud.PricingPlan
 
 // LedgerTotals is a billing aggregate: VM-hours split reserved/on-demand,
 // GB-hours, and dollars per tier. Every IntervalRecord carries the
-// interval's accrual; every Report carries the run's total.
+// interval's bill; every Report carries the run's total.
 type LedgerTotals = cloud.LedgerTotals
 
 // OnDemandPricing returns the paper's literal pricing: every VM-hour and

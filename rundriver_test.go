@@ -26,9 +26,9 @@ var engineTypes = map[string]bool{
 
 // TestOneRunDriver fails when a non-test file of the root module or of
 // the daybench module calls RunUntil on an engine outside the packages
-// allowed to drive one. A run is stepped, sampled and billed by
-// stack.Run; a second loop that steps the engine itself would
-// commit billing on its own cadence and drift from it in the last bits.
+// allowed to drive one. A run is stepped and sampled by stack.Run; a
+// second loop that steps the engine itself would stop it on its own
+// cadence, and the fluid engine's state moves with its stops.
 func TestOneRunDriver(t *testing.T) {
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
