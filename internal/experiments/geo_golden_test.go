@@ -30,14 +30,16 @@ import (
 // They moved once more, again only in their last bits, when the cloud
 // stopped accruing at commits and began pricing its allocation integral
 // when read: the dollars no longer depend on how often anyone reads or
-// marks them.
+// marks them. The event legs moved when the viewers' VCR-jump timers
+// were superposed into one jump clock per channel, which draws a
+// different random stream from the same law.
 var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 	modes.FidelityEvent: {
 		"default": {
-			"bill_on_demand_usd":     393.75,
+			"bill_on_demand_usd":     393.75000000000006,
 			"bill_reserved_usd":      0,
 			"bill_spot_usd":          0,
-			"bill_total_usd":         393.75143856,
+			"bill_total_usd":         393.75143856000005,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          0,
@@ -46,15 +48,15 @@ var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 			"quality_na":             1,
 			"storage_cost_total_usd": 0.0014385600000000011,
 			"vm_cost_apac_usd":       130.05000000000001,
-			"vm_cost_eu_usd":         125.55,
-			"vm_cost_na_usd":         138.15000000000001,
-			"vm_cost_total_usd":      393.75,
+			"vm_cost_eu_usd":         124.65000000000001,
+			"vm_cost_na_usd":         139.05000000000001,
+			"vm_cost_total_usd":      393.75000000000006,
 		},
 		"spot": {
-			"bill_on_demand_usd":     114.75,
+			"bill_on_demand_usd":     116.77500000000001,
 			"bill_reserved_usd":      0,
-			"bill_spot_usd":          79.919999999999987,
-			"bill_total_usd":         194.67143855999998,
+			"bill_spot_usd":          80.459999999999994,
+			"bill_total_usd":         197.23643856000001,
 			"bill_transfer_usd":      0,
 			"bill_upfront_usd":       0,
 			"interruptions":          15,
@@ -62,10 +64,10 @@ var geoGoldens = map[modes.Fidelity]map[string]map[string]float64{
 			"quality_eu":             1,
 			"quality_na":             1,
 			"storage_cost_total_usd": 0.0014385600000000011,
-			"vm_cost_apac_usd":       126.90000000000001,
-			"vm_cost_eu_usd":         120.825,
-			"vm_cost_na_usd":         133.42500000000001,
-			"vm_cost_total_usd":      381.14999999999998,
+			"vm_cost_apac_usd":       129.15000000000001,
+			"vm_cost_eu_usd":         121.05,
+			"vm_cost_na_usd":         134.77500000000001,
+			"vm_cost_total_usd":      384.97500000000002,
 		},
 	},
 	modes.FidelityFluid: {
@@ -141,7 +143,8 @@ func TestRegionalGoldens(t *testing.T) {
 // table row. The scenario carries SpotPricing on purpose: the outage leg
 // bills at the zero-value plan whatever the scenario's pricing is.
 // outage_total_usd moved in its last bits with the regional goldens,
-// twice: with the one run loop, and with the read-time bill.
+// twice: with the one run loop, and with the read-time bill. The event
+// rows and the summary moved with the per-channel jump clock.
 func TestResilienceOutageGolden(t *testing.T) {
 	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Pricing = cloud.SpotPricing()
@@ -152,16 +155,16 @@ func TestResilienceOutageGolden(t *testing.T) {
 	}
 	wantSummary := map[string]float64{
 		"outage_mean_region_quality": 1,
-		"outage_total_usd":           382.15868856,
-		"outage_transfer_usd":        0.10725000000000001,
+		"outage_total_usd":           381.25334481,
+		"outage_transfer_usd":        0.10190625,
 	}
 	if !reflect.DeepEqual(summary, wantSummary) {
 		t.Errorf("outage summary = %v, want %v", summary, wantSummary)
 	}
 	wantRows := [][]string{
-		{"event", "na", "0", "1", "0.04688", "115.2"},
-		{"event", "eu", "59", "1", "0.03623", "133.2"},
-		{"event", "apac", "36", "1", "0.02415", "133.7"},
+		{"event", "na", "0", "1", "0.04191", "115.7"},
+		{"event", "eu", "61", "1", "0.036", "131.9"},
+		{"event", "apac", "35", "1", "0.024", "133.7"},
 		{"fluid", "na", "83", "1", "0.04153", "126.5"},
 		{"fluid", "eu", "50", "1", "0.03139", "131.9"},
 		{"fluid", "apac", "33", "1", "0.02093", "134.6"},

@@ -195,7 +195,7 @@ func (e *Engine) track(ev *event, i int) {
 	case kindHead:
 		e.ch.pools[ev.target].headPos = int32(i + 1)
 	case kindJump:
-		e.ch.slots[ev.target].jumpPos = int32(i + 1)
+		e.ch.jumpPos = int32(i + 1)
 	}
 }
 
@@ -336,12 +336,12 @@ func (e *Engine) dispatch(ev event) {
 		e.now = ev.at
 		u.onPlayEnd()
 	case kindJump:
-		u := e.ch.slots[ev.target]
-		if u.jumpSeq != ev.seq {
+		ch := e.ch
+		if ch.jumpSeq != ev.seq {
 			return
 		}
 		e.now = ev.at
-		u.onJump()
+		ch.onJump()
 	case kindHead:
 		p := e.ch.pools[ev.target]
 		if p.headSeq != ev.seq {

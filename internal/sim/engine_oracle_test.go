@@ -315,7 +315,7 @@ func newRefSide(e *refEngine) *oracleSide {
 }
 
 // checkPositions verifies the heap positions the owners keep: every
-// queued pool head and jump entry is where its pool or viewer slot says,
+// queued pool head and the jump clock are where their pool or channel says,
 // and every owner that says it has one has it there, so no owner has two.
 func checkPositions(t *testing.T, step int, e *Engine) {
 	t.Helper()
@@ -324,7 +324,7 @@ func checkPositions(t *testing.T, step int, e *Engine) {
 		case kindHead:
 			return e.ch.pools[ev.target].headPos, true
 		case kindJump:
-			return e.ch.slots[ev.target].jumpPos, true
+			return e.ch.jumpPos, true
 		}
 		return 0, false
 	}
@@ -344,9 +344,7 @@ func checkPositions(t *testing.T, step int, e *Engine) {
 	for c, p := range e.ch.pools {
 		check(p.headPos, kindHead, c)
 	}
-	for slot, u := range e.ch.slots {
-		check(u.jumpPos, kindJump, slot)
-	}
+	check(e.ch.jumpPos, kindJump, 0)
 }
 
 func checkOracle(t *testing.T, step int, eng *Engine, ref *refEngine, got, want *oracleSide) {

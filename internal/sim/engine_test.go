@@ -229,58 +229,29 @@ const eventHeapDepth = 38
 func BenchmarkEventHeap(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	e := NewEngine()
-	owners := testOwners(e, eventHeapDepth)
-	for _, u := range owners {
-		u.jumpSeq = e.arm(u.jumpPos, rng.Float64()*100, kindJump, u.slot)
+	testOwners(e, 0)
+	owners := testPools(e, eventHeapDepth)
+	for _, p := range owners {
+		p.headSeq = e.arm(p.headPos, rng.Float64()*100, kindHead, int32(p.chunk))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for op := range b.N {
 		ev := e.pop()
-		if u := owners[ev.target]; u.jumpSeq == ev.seq {
+		if p := owners[ev.target]; p.headSeq == ev.seq {
 			e.now = ev.at
-			u.jumpSeq = e.arm(u.jumpPos, e.now+rng.Float64()*100, kindJump, u.slot)
+			p.headSeq = e.arm(p.headPos, e.now+rng.Float64()*100, kindHead, int32(p.chunk))
 		}
 		if op%4 == 0 {
-			u := owners[rng.Intn(eventHeapDepth)]
-			u.jumpSeq = e.arm(u.jumpPos, e.now+rng.Float64()*100, kindJump, u.slot)
+			p := owners[rng.Intn(eventHeapDepth)]
+			p.headSeq = e.arm(p.headPos, e.now+rng.Float64()*100, kindHead, int32(p.chunk))
 		}
 	}
 }
 
-// A departed viewer's jump entry stays queued, cancelled. The next viewer
-// in its slot takes the entry over with its first jump instead of
-// pushing a second one.
-func TestReusedSlotTakesOverJumpEntry(t *testing.T) {
-	cfg := smallConfig(t, ClientServer)
-	cfg.Workload.BaseArrivalRate = 1e-9 // the arrival chain stays a day out
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := s.channels[0]
-	u := ch.newUser(0)
-	u.join(0)
-	u.leave()
-	v := ch.newUser(0)
-	if v != u {
-		t.Fatal("the departed viewer's slot was not reused")
-	}
-	v.join(0)
-	jumps := 0
-	for _, ev := range ch.engine.queue {
-		if ev.kind == kindJump && ev.target == v.slot {
-			jumps++
-		}
-	}
-	if jumps != 1 || v.jumpPos == 0 || ch.engine.queue[v.jumpPos-1].seq != v.jumpSeq {
-		t.Fatalf("slot %d has %d jump entries queued (position %d), want its one armed entry", v.slot, jumps, v.jumpPos)
-	}
-}
-
-// Over a busy P2P simulation, where pools re-arm their heads and viewers
-// their jumps from inside the handlers that fire them, every queued head
-// and jump entry stays where its owner records it.
+// Over a busy P2P simulation, where pools re-arm their heads and the
+// channels their jump clocks from inside the handlers that fire them,
+// every queued head entry and jump clock stays where its owner records it.
 func TestOwnerPositionsStayExact(t *testing.T) {
 	cfg := smallConfig(t, P2P)
 	cfg.Workload.BaseArrivalRate = 1

@@ -202,6 +202,11 @@ type channelState struct {
 	arrivalSeq  uint64
 	arrivalReal bool
 
+	// jumpSeq is the armed jump clock, 0 when none; jumpPos is 1 + its
+	// heap index, 0 when it is not queued (Engine.track).
+	jumpSeq uint64
+	jumpPos int32
+
 	// done is onHeadComplete's scratch list of finished downloads.
 	done []*download
 
@@ -237,11 +242,34 @@ func (ch *channelState) removeUser(u *user) {
 	ch.freeSlots = append(ch.freeSlots, u.slot)
 }
 
+// rearmJump re-draws the channel's jump clock for its n watching viewers.
+// Each viewer jumps after an exponential delay of mean JumpMeanSeconds,
+// so the first of the n jumps comes after an exponential delay of mean
+// JumpMeanSeconds/n, and by memorylessness the delays already elapsed do
+// not matter: re-drawing whenever n changes and after every firing is
+// exact in distribution. With nobody watching the clock stops.
+func (ch *channelState) rearmJump() {
+	ch.jumpSeq = 0
+	n := len(ch.live)
+	if n == 0 {
+		return
+	}
+	at := ch.engine.Now() + ch.sim.cfg.Workload.NextJump(ch.rng)/float64(n)
+	ch.jumpSeq = ch.engine.arm(ch.jumpPos, at, kindJump, 0)
+}
+
+// onJump fires the jump clock: a viewer drawn uniformly from the watching
+// ones seeks.
+func (ch *channelState) onJump() {
+	u := ch.live[ch.rng.Intn(len(ch.live))]
+	ch.rearmJump()
+	u.jump()
+}
+
 // newUser returns a zeroed viewer in a free slot, reusing the struct and
-// chunk bitmap of a viewer that left. Events still queued for the slot's
-// previous viewer are skipped: their sequence numbers match none the new
-// viewer arms. The slot keeps its jump entry's heap position, so the new
-// viewer's first jump re-keys that entry instead of pushing another.
+// chunk bitmap of a viewer that left. A play-end still queued for the
+// slot's previous viewer is skipped: its sequence number matches none the
+// new viewer arms.
 func (ch *channelState) newUser(uplink float64) *user {
 	if n := len(ch.freeSlots); n > 0 {
 		slot := ch.freeSlots[n-1]
@@ -249,7 +277,7 @@ func (ch *channelState) newUser(uplink float64) *user {
 		u := ch.slots[slot]
 		owned := u.owned
 		clear(owned)
-		*u = user{slot: slot, channel: ch, sim: ch.sim, uplink: uplink, owned: owned, jumpPos: u.jumpPos}
+		*u = user{slot: slot, channel: ch, sim: ch.sim, uplink: uplink, owned: owned}
 		return u
 	}
 	u := &user{

@@ -26,14 +26,8 @@ const (
 // channel's slots for life; after it leaves, the slot and the struct are
 // reused by a later arrival (see channelState.newUser).
 type user struct {
-	slot int32 // index in channelState.slots: the target of its events
-	// jumpPos is 1 + the heap index of the slot's queued jump entry, 0
-	// when none (Engine.track). It outlives the viewer: the slot's next
-	// viewer takes the entry over with its first jump. It sits beside
-	// slot, in what would be padding, so a user stays in its 176-byte
-	// allocation class.
-	jumpPos int32
-	livePos int // index in channelState.live while watching
+	slot    int32 // index in channelState.slots: the target of its play-ends
+	livePos int   // index in channelState.live while watching
 	channel *channelState
 	sim     *Simulator
 
@@ -48,12 +42,10 @@ type user struct {
 	dl           *download // the in-flight transfer, nil when none
 	download     download  // backing for dl: a user fetches one chunk at a time
 
-	// playEndSeq and jumpSeq are the sequence numbers of the armed
-	// playback-end and jump events, 0 when none is armed. Clearing one
-	// cancels its event: the engine skips a popped event whose number no
-	// longer matches.
+	// playEndSeq is the sequence number of the armed playback end, 0
+	// when none is armed. Clearing it cancels the event: the engine skips
+	// a popped event whose number no longer matches.
 	playEndSeq uint64
-	jumpSeq    uint64
 
 	joinedAt     float64
 	lastStallEnd float64
@@ -69,7 +61,7 @@ func (u *user) join(startChunk int) {
 	u.fetchStart = now
 	u.nextChunk = -1
 	u.channel.addUser(u)
-	u.scheduleJump()
+	u.channel.rearmJump()
 	u.startFetch(startChunk)
 }
 
@@ -170,22 +162,11 @@ func (u *user) sampleNext(chunk int) int {
 	return -1
 }
 
-// scheduleJump arms the next VCR-jump timer, re-keying the slot's queued
-// jump entry when there is one.
-func (u *user) scheduleJump() {
-	delay := u.sim.cfg.Workload.NextJump(u.channel.rng)
-	if seq := u.channel.engine.arm(u.jumpPos, u.channel.engine.Now()+delay, kindJump, u.slot); seq != 0 {
-		u.jumpSeq = seq
-	}
-}
-
-// onJump seeks to a uniformly random position: the current download (if
+// jump seeks to a uniformly random position: the current download (if
 // any) is aborted, playback restarts at the target once it is available.
-// Seek latency is not counted as a stall.
-func (u *user) onJump() {
-	u.jumpSeq = 0
-	u.scheduleJump()
-
+// Seek latency is not counted as a stall. The channel's jump clock picks
+// the viewer (see channelState.onJump).
+func (u *user) jump() {
 	target := u.channel.rng.Intn(u.sim.cfg.Channel.Chunks)
 	if u.state == statePlaying || u.state == stateStalled {
 		//cloudmedia:allow noloss -- target is drawn from rng.Intn(Chunks), inside the estimator's domain
@@ -208,9 +189,9 @@ func (u *user) onJump() {
 }
 
 // leave tears the viewer down: events cancelled, downloads aborted, cached
-// chunks removed from the channel's supplier counts.
+// chunks removed from the channel's supplier counts, and the channel's
+// jump clock re-drawn for the viewers left.
 func (u *user) leave() {
-	u.jumpSeq = 0
 	u.playEndSeq = 0
 	if u.dl != nil && u.dl.pool != nil {
 		u.dl.pool.remove(u.dl)
@@ -222,6 +203,7 @@ func (u *user) leave() {
 		}
 	}
 	u.channel.removeUser(u)
+	u.channel.rearmJump()
 }
 
 // smoothAt reports whether the user counts as "smooth playback" for the
