@@ -24,7 +24,10 @@
 // keep every downloaded chunk cached until they leave. A user whose next
 // chunk misses its playback deadline stalls; the streaming-quality metric
 // is the fraction of users with no stall in the trailing window (5 minutes
-// in the paper).
+// in the paper). A channel's viewers jump through one superposed clock of
+// rate n/JumpMeanSeconds for n watching viewers (channelState.rearmJump).
 //
+// Each channel steps on its own clock of fixed timers and a play-end
+// lane (clock); the control callbacks run on Engine, a closure min-heap.
 // The simulator is single-threaded and deterministic for a given seed.
 package sim

@@ -2,93 +2,38 @@ package sim
 
 import (
 	"fmt"
+	"math"
 )
 
-// eventKind selects how a popped event is dispatched. The per-viewer
-// kinds name their owner by index, so an event is a plain value: no
-// per-event object, no closure, and no pointer for the collector to scan.
-type eventKind uint8
-
-const (
-	// kindCall runs the closure in Engine.calls[target]: the control
-	// callbacks (provisioning rounds, rebalances, delayed capacity) and
-	// the engine's own tests.
-	kindCall eventKind = iota
-	// kindArrival is the channel's next viewer arrival.
-	kindArrival
-	// kindPlayEnd ends the playback of a viewer's chunk; target is the
-	// viewer's slot.
-	kindPlayEnd
-	// kindJump is a viewer's VCR jump; target is the viewer's slot.
-	kindJump
-	// kindHead completes the head download of a pool; target is its chunk.
-	kindHead
-)
-
-// event is one queued firing. (at, seq) orders the queue; seq is unique
-// per engine, so the order is strict and total.
-type event struct {
-	at     float64
-	seq    uint64
-	kind   eventKind
-	target int32
+// timer is one queued firing: (at, seq) orders firings, and seq is
+// unique per queue, so the order is strict and total.
+type timer struct {
+	at  float64
+	seq uint64
 }
 
-// before is the queue order: earlier time first, then scheduling order.
-func (a *event) before(b *event) bool {
+// before is the firing order: earlier time first, then arming order.
+func (a *timer) before(b *timer) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// Engine is a deterministic discrete-event scheduler over value events.
-// It keeps two queues:
-//
-//   - a binary min-heap, which takes every kind, and
-//   - the play-end lane, a FIFO ring of playback ends. A viewer arms its
-//     playback end ChunkSeconds after the current time, so successive
-//     play-ends arrive in (at, seq) order and the ring holds them
-//     already sorted. A play-end earlier than the ring's tail goes to
-//     the heap instead, so the lane stays sorted whoever arms it.
-//
-// RunUntil and NextAt take whichever is earlier by (at, seq), the ring's
-// head or the heap's top, so events fire in exactly the order one heap
-// over all of them gives.
-//
-// Cancellation is lazy: the owner of an event records the seq it armed,
-// and a popped event whose seq no longer matches its owner's is skipped
-// without touching the clock. A pool's head completion and a viewer's
-// jump are re-keyed rather than re-pushed: the owner keeps its entry's
-// heap position (the engine updates it on every move), and re-arming
-// while the entry is still queued rewrites it with the new time and the
-// next seq, exactly as a push would number it, and sifts it into place.
-// The heap's top fires in place and is popped after its handler, so an
-// owner that re-arms from the handler re-keys the top instead of popping
-// it and pushing anew. A cancelled entry stays queued, and counts in
-// NextAt and in the queue length, until it is popped or its owner's next
-// arm takes it over: a play-end in the lane, a play-end in the heap, or
-// a pool head or jump that was cancelled and not re-armed.
+// call is one queued control callback.
+type call struct {
+	timer
+	fn func()
+}
+
+// Engine is a deterministic discrete-event scheduler of closures: a
+// binary min-heap by (at, seq). It sequences the control callbacks of
+// both engines (provisioning rounds, rebalances, delayed capacity); each
+// channel of the per-viewer engine steps on its own clock instead.
 type Engine struct {
 	now   float64
 	seq   uint64
-	queue []event // binary min-heap by (at, seq)
-
-	// lane is the play-end ring: laneLen events from index laneHead,
-	// in (at, seq) order. Its length is zero or a power of two; it
-	// doubles when full and never shrinks.
-	lane     []event
-	laneHead int
-	laneLen  int
-
-	// ch owns the per-viewer kinds; nil on the control engines, which
-	// only ever queue closures.
-	ch *channelState
-
-	// calls holds the queued closures by slot; freeCalls lists the
-	// slots whose closure already ran.
-	calls     []func()
-	freeCalls []int32
+	queue []call
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -98,8 +43,7 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() float64 { return e.now }
 
 // Schedule queues fn to run at simulated time `at`. Scheduling in the
-// past is an error: it would silently reorder causality. A closure
-// cannot be cancelled; only the per-viewer kinds are, by their owners.
+// past is an error: it would silently reorder causality.
 func (e *Engine) Schedule(at float64, fn func()) error {
 	if at < e.now {
 		return fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
@@ -107,261 +51,204 @@ func (e *Engine) Schedule(at float64, fn func()) error {
 	if fn == nil {
 		return fmt.Errorf("sim: nil event function")
 	}
-	var slot int32
-	if n := len(e.freeCalls); n > 0 {
-		slot = e.freeCalls[n-1]
-		e.freeCalls = e.freeCalls[:n-1]
-	} else {
-		slot = int32(len(e.calls))
-		e.calls = append(e.calls, nil)
-	}
-	e.calls[slot] = fn
 	e.seq++
-	e.push(event{at: at, seq: e.seq, kind: kindCall, target: slot})
+	e.queue = append(e.queue, call{timer{at, e.seq}, fn})
+	// container/heap's up; it and the down in RunUntil make exactly that
+	// heap's comparisons and swaps, so the layout, and the pop order even
+	// for incomparable (NaN) times, match it.
+	q := e.queue
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q[j].before(&q[i].timer) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
 	return nil
 }
 
-// arm queues a per-viewer event on the heap and returns its sequence
-// number, or 0 (never a valid number) when `at` lies in the past, in
-// which case nothing changes and the owner keeps whatever it had armed
-// before. pos is the owner's record of its queued entry (see track), 0
-// when it has none or does not track one. A queued entry is re-keyed in
-// place, a cancelled one included; otherwise a new one is pushed. Either
-// way the event takes the next seq.
-//
-//cloudmedia:hotpath
-func (e *Engine) arm(pos int32, at float64, kind eventKind, target int32) uint64 {
-	if at < e.now {
-		return 0
-	}
-	e.seq++
-	ev := event{at: at, seq: e.seq, kind: kind, target: target}
-	if pos == 0 {
-		e.push(ev)
-		return ev.seq
-	}
-	// container/heap's Fix: sift down, and up if it did not move.
-	if i := int(pos - 1); !e.down(i, ev, len(e.queue)) {
-		e.up(i, ev)
-	}
-	return ev.seq
-}
-
-// armPlayEnd arms viewer slot's playback end at `at`, on the lane when
-// it is not earlier than the lane's tail and on the heap otherwise, and
-// returns its sequence number, or 0 when `at` lies in the past.
-//
-//cloudmedia:hotpath
-func (e *Engine) armPlayEnd(at float64, slot int32) uint64 {
-	if at < e.now {
-		return 0
-	}
-	mask := len(e.lane) - 1
-	if e.laneLen > 0 && at < e.lane[(e.laneHead+e.laneLen-1)&mask].at {
-		return e.arm(0, at, kindPlayEnd, slot)
-	}
-	if e.laneLen == len(e.lane) {
-		e.growLane()
-		mask = len(e.lane) - 1
-	}
-	e.seq++
-	e.lane[(e.laneHead+e.laneLen)&mask] = event{at: at, seq: e.seq, kind: kindPlayEnd, target: slot}
-	e.laneLen++
-	return e.seq
-}
-
-// growLane doubles the lane (to 16 from empty), moving its events to the
-// front in order.
-func (e *Engine) growLane() {
-	grown := make([]event, max(16, 2*len(e.lane)))
-	n := copy(grown, e.lane[e.laneHead:])
-	copy(grown[n:], e.lane[:e.laneHead])
-	e.lane, e.laneHead = grown, 0
-}
-
-// laneFirst reports whether the lane's head is the earliest queued event.
-func (e *Engine) laneFirst() bool {
-	return e.laneLen > 0 && (len(e.queue) == 0 || e.lane[e.laneHead].before(&e.queue[0]))
-}
-
-// track records in its owner that the heap entry ev now sits at index i,
-// or has left the heap when i is -1, for the kinds whose owners re-key
-// their entry: a pool's head (pool.headPos) and a viewer's jump
-// (user.jumpPos). Both store i+1, so their zero value means none.
-//
-//cloudmedia:hotpath
-func (e *Engine) track(ev *event, i int) {
-	switch ev.kind {
-	case kindHead:
-		e.ch.pools[ev.target].headPos = int32(i + 1)
-	case kindJump:
-		e.ch.jumpPos = int32(i + 1)
-	}
-}
-
-// push appends the event and sifts it up. The sifts make exactly the
-// comparisons and moves of container/heap's, so the layout, and the pop
-// order even for incomparable (NaN) times, match that heap's.
-//
-//cloudmedia:hotpath
-func (e *Engine) push(ev event) {
-	e.queue = append(e.queue, ev)
-	e.up(len(e.queue)-1, ev)
-}
-
-// up moves ev from index j towards the root until its parent is earlier,
-// placing it in the hole it stops at.
-//
-//cloudmedia:hotpath
-func (e *Engine) up(j int, ev event) {
-	q := e.queue
-	for j > 0 {
-		i := (j - 1) / 2
-		if !ev.before(&q[i]) {
-			break
-		}
-		q[j] = q[i]
-		e.track(&q[j], j)
-		j = i
-	}
-	q[j] = ev
-	e.track(&q[j], j)
-}
-
-// down moves ev from index i0 towards the leaves of q[:n] until no child
-// is earlier, placing it in the hole it stops at, and reports whether it
-// moved.
-//
-//cloudmedia:hotpath
-func (e *Engine) down(i0 int, ev event, n int) bool {
-	q := e.queue[:n]
-	i := i0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].before(&q[j]) {
-			j = j2
-		}
-		if !q[j].before(&ev) {
-			break
-		}
-		q[i] = q[j]
-		e.track(&q[i], i)
-		i = j
-	}
-	q[i] = ev
-	e.track(&q[i], i)
-	return i > i0
-}
-
-// pop removes and returns the heap's earliest event, sifting the last one
-// down from the root.
-//
-//cloudmedia:hotpath
-func (e *Engine) pop() event {
-	n := len(e.queue) - 1
-	top, last := e.queue[0], e.queue[n]
-	e.track(&top, -1)
-	e.queue = e.queue[:n]
-	if n > 0 {
-		e.down(0, last, n)
-	}
-	return top
-}
-
-// RunUntil processes events in (at, seq) order, from the lane and the heap,
-// until both are empty or the next event is after `until`, then advances
-// the clock to `until`.
-//
-//cloudmedia:hotpath
+// RunUntil pops and runs callbacks in (at, seq) order until the queue is
+// empty or the next one is after `until`, then advances the clock to
+// `until`.
 func (e *Engine) RunUntil(until float64) {
-	for {
-		if e.laneFirst() {
-			ev := e.lane[e.laneHead]
-			if !(ev.at <= until) {
+	for len(e.queue) > 0 && e.queue[0].at <= until {
+		q := e.queue
+		n := len(q) - 1
+		q[0], q[n] = q[n], q[0]
+		for i := 0; ; { // container/heap's down over q[:n]
+			j := 2*i + 1
+			if j >= n {
 				break
 			}
-			e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
-			e.laneLen--
-			e.dispatch(ev)
-			continue
+			if j2 := j + 1; j2 < n && q[j2].before(&q[j].timer) {
+				j = j2
+			}
+			if !q[j].before(&q[i].timer) {
+				break
+			}
+			q[i], q[j] = q[j], q[i]
+			i = j
 		}
-		if len(e.queue) == 0 || !(e.queue[0].at <= until) {
-			break
-		}
-		// The top fires in place, so an owner that re-arms from its
-		// handler re-keys it at the root instead of pushing anew. Nothing
-		// the handler queues can go above it: every new key is at or
-		// after now, with a later seq. Unless re-keyed, it is still the
-		// top afterwards.
-		ev := e.queue[0]
-		e.dispatch(ev)
-		if len(e.queue) > 0 && e.queue[0].seq == ev.seq {
-			e.pop()
-		}
+		c := q[n]
+		q[n] = call{}
+		e.queue = q[:n]
+		e.now = c.at
+		c.fn()
 	}
 	if until > e.now {
 		e.now = until
 	}
 }
 
-// dispatch fires an event taken off the lane, or the heap's top before
-// it is popped. A closure always runs; a per-viewer event runs only if
-// its owner still has it armed, and the clock moves to the event only
-// then, so a skipped (cancelled) event leaves time where it was.
-//
-//cloudmedia:hotpath
-func (e *Engine) dispatch(ev event) {
-	switch ev.kind {
-	case kindCall:
-		fn := e.calls[ev.target]
-		e.calls[ev.target] = nil
-		e.freeCalls = append(e.freeCalls, ev.target)
-		e.now = ev.at
-		fn()
-	case kindArrival:
-		ch := e.ch
-		if ch.arrivalSeq != ev.seq {
-			return
-		}
-		e.now = ev.at
-		ch.sim.onArrival(ch)
-	case kindPlayEnd:
-		u := e.ch.slots[ev.target]
-		if u.playEndSeq != ev.seq {
-			return
-		}
-		e.now = ev.at
-		u.onPlayEnd()
-	case kindJump:
-		ch := e.ch
-		if ch.jumpSeq != ev.seq {
-			return
-		}
-		e.now = ev.at
-		ch.onJump()
-	case kindHead:
-		p := e.ch.pools[ev.target]
-		if p.headSeq != ev.seq {
-			return
-		}
-		e.now = ev.at
-		p.onHeadComplete()
+// NextAt returns the timestamp of the earliest queued callback and
+// whether one exists.
+func (e *Engine) NextAt() (float64, bool) {
+	if len(e.queue) == 0 {
+		return 0, false
 	}
+	return e.queue[0].at, true
 }
 
-// NextAt returns the timestamp of the earliest queued event, on the lane
-// or the heap, and whether one exists. Cancelled entries still count
-// until popped or taken over; a spurious barrier on a cancelled timestamp
-// is harmless.
-func (e *Engine) NextAt() (float64, bool) {
-	switch {
-	case e.laneFirst():
-		return e.lane[e.laneHead].at, true
-	case len(e.queue) > 0:
-		return e.queue[0].at, true
+// idle is a disarmed timer: after every armed one, whose time is finite
+// and whose seq is positive, and not before itself.
+var idle = timer{at: math.Inf(1)}
+
+// The indices of a channel's timers.
+const (
+	arrivalTimer = 0 // the channel's next viewer arrival
+	jumpTimer    = 1 // the channel's jump clock (channelState.rearmJump)
+	headTimers   = 2 // headTimers+chunk completes that chunk's pool head
+)
+
+// playEnd is a queued playback end of the viewer in slot.
+type playEnd struct {
+	timer
+	slot int32
+}
+
+// clockHandler runs what a clock fires: its channel, or a test's model.
+type clockHandler interface {
+	// onTimer runs the handler of timer i, which the clock has disarmed.
+	onTimer(i int)
+	// onPlayEnd ends the playback of the viewer in slot if seq is still
+	// the play-end it armed; it ignores one the viewer has cancelled.
+	onPlayEnd(slot int32, seq uint64)
+}
+
+// clock is one channel's event queue. Every owner on a channel has at
+// most one pending event, so the clock keeps one timer per owner instead
+// of a heap:
+//
+//   - one timer per pool, for its head download's completion,
+//   - the arrival timer and the jump clock, and
+//   - the play-end lane, a FIFO ring of playback ends. Each fires
+//     playSeconds (the chunk's playback time) after it is armed, and the
+//     time never goes back, so successive play-ends arrive in (at, seq)
+//     order and the ring holds them already sorted.
+//
+// Every arm takes the next seq, and RunUntil fires the earliest armed
+// timer or lane head by (at, seq), so events fire in exactly the order
+// one heap over all of them gives. A timer is disarmed before its
+// handler runs, and re-arming replaces it. Play-ends are cancelled
+// lazily: the viewer records the seq it armed, and the handler drops a
+// play-end whose seq no longer matches.
+type clock struct {
+	now         float64
+	seq         uint64
+	h           clockHandler
+	playSeconds float64 // from arming a play-end to its firing
+	timers      []timer // by index: arrivalTimer, jumpTimer, headTimers+chunk
+
+	// lane is the play-end ring: laneLen events from index laneHead,
+	// in (at, seq) order. Its length is zero or a power of two; it
+	// doubles when full and never shrinks.
+	lane     []playEnd
+	laneHead int
+	laneLen  int
+}
+
+// newClock returns an idle clock with n timers whose play-ends fire
+// playSeconds after they are armed.
+func newClock(h clockHandler, n int, playSeconds float64) *clock {
+	c := &clock{h: h, playSeconds: playSeconds, timers: make([]timer, n)}
+	for i := range c.timers {
+		c.timers[i] = idle
 	}
-	return 0, false
+	return c
+}
+
+// Now returns the channel's simulated time in seconds.
+func (c *clock) Now() float64 { return c.now }
+
+// arm sets timer i to fire at `at`, which its owner computes as now plus
+// a non-negative delay, with the next seq.
+//
+//cloudmedia:hotpath
+func (c *clock) arm(i int, at float64) {
+	c.seq++
+	c.timers[i] = timer{at, c.seq}
+}
+
+// disarm clears timer i.
+func (c *clock) disarm(i int) { c.timers[i] = idle }
+
+// armPlayEnd queues the playback end of the viewer in slot playSeconds
+// from now and returns its seq.
+//
+//cloudmedia:hotpath
+func (c *clock) armPlayEnd(slot int32) uint64 {
+	if c.laneLen == len(c.lane) {
+		c.growLane()
+	}
+	c.seq++
+	at := c.now + c.playSeconds
+	c.lane[(c.laneHead+c.laneLen)&(len(c.lane)-1)] = playEnd{timer{at, c.seq}, slot}
+	c.laneLen++
+	return c.seq
+}
+
+// growLane doubles the lane (to 16 from empty), moving its events to the
+// front in order.
+func (c *clock) growLane() {
+	grown := make([]playEnd, max(16, 2*len(c.lane)))
+	n := copy(grown, c.lane[c.laneHead:])
+	copy(grown[n:], c.lane[:c.laneHead])
+	c.lane, c.laneHead = grown, 0
+}
+
+// RunUntil fires the channel's events in (at, seq) order until none is
+// left at or before `until`, then advances the clock to `until`.
+//
+//cloudmedia:hotpath
+func (c *clock) RunUntil(until float64) {
+	for {
+		// A channel has J+2 timers, a handful: a scan finds the earliest.
+		next, first := 0, c.timers[0]
+		for i, t := range c.timers {
+			if t.before(&first) {
+				next, first = i, t
+			}
+		}
+		if c.laneLen > 0 && c.lane[c.laneHead].before(&first) {
+			pe := c.lane[c.laneHead]
+			if !(pe.at <= until) {
+				break
+			}
+			c.laneHead = (c.laneHead + 1) & (len(c.lane) - 1)
+			c.laneLen--
+			c.now = pe.at
+			c.h.onPlayEnd(pe.slot, pe.seq)
+			continue
+		}
+		if first.seq == 0 || !(first.at <= until) {
+			break
+		}
+		c.now = first.at
+		c.disarm(next)
+		c.h.onTimer(next)
+	}
+	if until > c.now {
+		c.now = until
+	}
 }

@@ -4,39 +4,33 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// refEngine is the engine's queue modelled on container/heap: *refEvent
-// closures with a cancelled flag and an index the heap keeps current,
-// plus a FIFO slice for the play-end lane. It is the oracle the engine
-// must match step for step.
-type refEngine struct {
-	now   float64
-	seq   uint64
-	queue refHeap
-	lane  []*refEvent
-}
-
+// refEvent is one event of the container/heap references: a closure of
+// the call engine, or a timer or play-end of the channel clock.
 type refEvent struct {
 	at       float64
 	seq      uint64
 	canceled bool
-	fn       func()
-	index    int // position in queue, -1 once popped or when on the lane
+	fn       func() // the call engine's closure
+	timer    int    // the clock's timer index, -1 for a play-end
+	slot     int32  // the play-end's viewer slot
 }
 
 type refHeap []*refEvent
 
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].before(h[j]) }
-func (h refHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
 }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any) {
 	e, _ := x.(*refEvent)
-	e.index = len(*h)
 	*h = append(*h, e)
 }
 func (h *refHeap) Pop() any {
@@ -44,81 +38,242 @@ func (h *refHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
 
-func (a *refEvent) before(b *refEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// refClock is a channel clock modelled on container/heap: every timer
+// and play-end is an event on one heap. Re-arming or disarming a timer
+// flags its queued event cancelled, and a cancelled event is popped and
+// skipped. Play-ends are never flagged: like the clock, the reference
+// passes each one to the handler, which drops those it has cancelled.
+type refClock struct {
+	now, playSeconds float64
+	seq              uint64
+	queue            refHeap
+	armed            []*refEvent // by timer index, nil when disarmed
+	h                clockHandler
 }
 
-func (e *refEngine) newEvent(at float64, fn func()) (*refEvent, error) {
-	if at < e.now {
-		return nil, fmt.Errorf("schedule at %v before now %v", at, e.now)
-	}
-	e.seq++
-	return &refEvent{at: at, seq: e.seq, fn: fn, index: -1}, nil
+func (r *refClock) Now() float64 { return r.now }
+
+func (r *refClock) arm(i int, at float64) {
+	r.disarm(i)
+	r.seq++
+	r.armed[i] = &refEvent{at: at, seq: r.seq, timer: i}
+	heap.Push(&r.queue, r.armed[i])
 }
 
-func (e *refEngine) schedule(at float64, fn func()) (*refEvent, error) {
-	ev, err := e.newEvent(at, fn)
-	if err == nil {
-		heap.Push(&e.queue, ev)
+func (r *refClock) disarm(i int) {
+	if ev := r.armed[i]; ev != nil {
+		ev.canceled = true
+		r.armed[i] = nil
 	}
-	return ev, err
 }
 
-// scheduleLane queues a play-end: on the lane unless it is earlier than
-// the lane's tail, on the heap then.
-func (e *refEngine) scheduleLane(at float64, fn func()) (*refEvent, error) {
-	ev, err := e.newEvent(at, fn)
-	if err != nil {
-		return nil, err
-	}
-	if n := len(e.lane); n > 0 && at < e.lane[n-1].at {
-		heap.Push(&e.queue, ev)
-	} else {
-		e.lane = append(e.lane, ev)
-	}
-	return ev, nil
+func (r *refClock) armPlayEnd(slot int32) uint64 {
+	r.seq++
+	heap.Push(&r.queue, &refEvent{at: r.now + r.playSeconds, seq: r.seq, timer: -1, slot: slot})
+	return r.seq
 }
 
-// rekey moves the queued heap event ev to `at` with the next seq, live
-// again if it was cancelled.
-func (e *refEngine) rekey(ev *refEvent, at float64) error {
+func (r *refClock) RunUntil(until float64) {
+	for len(r.queue) > 0 && r.queue[0].at <= until {
+		ev, _ := heap.Pop(&r.queue).(*refEvent)
+		if ev.canceled {
+			continue
+		}
+		r.now = ev.at
+		if ev.timer < 0 {
+			r.h.onPlayEnd(ev.slot, ev.seq)
+			continue
+		}
+		r.armed[ev.timer] = nil
+		r.h.onTimer(ev.timer)
+	}
+	if until > r.now {
+		r.now = until
+	}
+}
+
+// clockQueue is what the oracle drives: the clock or its reference.
+type clockQueue interface {
+	Now() float64
+	arm(i int, at float64)
+	disarm(i int)
+	armPlayEnd(slot int32) uint64
+	RunUntil(until float64)
+}
+
+const (
+	oracleTimers = headTimers + 6 // the arrival, the jump clock and six pool heads
+	oracleSlots  = 6
+)
+
+// firing is one logged handler run: a timer index, or -1-slot for a
+// play-end, and the time it ran at.
+type firing struct {
+	owner int
+	at    float64
+}
+
+// oracleModel is the handler both queues fire into. It logs each firing
+// and, while its budget lasts, arms from inside the handler the way the
+// channel does: a fired timer re-arms itself or its neighbour at the same
+// or a later time, and a fired play-end queues the viewer's next one. Its
+// viewers keep the seq of their armed play-end and drop any other.
+type oracleModel struct {
+	q       clockQueue
+	log     []firing
+	playSeq [oracleSlots]uint64
+	budget  int
+}
+
+func (m *oracleModel) onTimer(i int) {
+	m.log = append(m.log, firing{i, m.q.Now()})
+	if m.budget > 0 && len(m.log)%3 != 0 {
+		m.budget--
+		m.q.arm((i+m.budget%2)%oracleTimers, m.q.Now()+float64(m.budget%4)*0.5)
+	}
+}
+
+func (m *oracleModel) onPlayEnd(slot int32, seq uint64) {
+	if m.playSeq[slot] != seq {
+		return
+	}
+	m.playSeq[slot] = 0
+	m.log = append(m.log, firing{-1 - int(slot), m.q.Now()})
+	if m.budget > 0 && slot%2 == 0 {
+		m.budget--
+		m.playSeq[slot] = m.q.armPlayEnd(slot)
+	}
+}
+
+// runClockOracle drives the clock and its container/heap reference
+// through the operation sequence ops, two bytes an operation: timers
+// armed (at now or later, in half-second steps, so ties are common) and
+// disarmed, play-ends armed and cancelled the way a viewer does (by
+// forgetting the seq), and RunUntil calls that stop before, on and after
+// pending times. After every operation, and after a final drain, both
+// must have logged the same firings at the same times, agree on the
+// clock, and hold every timer armed at the same (at, seq).
+func runClockOracle(t *testing.T, ops []byte) {
+	const playSeconds = 2.5
+	got, want := &oracleModel{budget: 200}, &oracleModel{budget: 200}
+	c := newClock(got, oracleTimers, playSeconds)
+	ref := &refClock{playSeconds: playSeconds, armed: make([]*refEvent, oracleTimers), h: want}
+	got.q, want.q = c, ref
+	check := func(step int) {
+		t.Helper()
+		if len(got.log) != len(want.log) {
+			t.Fatalf("step %d: logged %d firings, reference %d", step, len(got.log), len(want.log))
+		}
+		for i := range got.log {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("step %d: firing %d is %+v, reference %+v", step, i, got.log[i], want.log[i])
+			}
+		}
+		if c.Now() != ref.now {
+			t.Fatalf("step %d: Now = %v, reference %v", step, c.Now(), ref.now)
+		}
+		for i, tm := range c.timers {
+			switch ev := ref.armed[i]; {
+			case ev == nil && tm != idle:
+				t.Fatalf("step %d: timer %d armed at %+v, reference disarmed", step, i, tm)
+			case ev != nil && (tm.at != ev.at || tm.seq != ev.seq):
+				t.Fatalf("step %d: timer %d is %+v, reference (%v, %d)", step, i, tm, ev.at, ev.seq)
+			}
+		}
+	}
+	for step := 0; step+1 < len(ops); step += 2 {
+		op, arg := int(ops[step]), int(ops[step+1])
+		switch op % 8 {
+		case 0, 1, 2:
+			at := ref.now + float64(arg>>4%8)*0.5
+			c.arm(arg%oracleTimers, at)
+			ref.arm(arg%oracleTimers, at)
+		case 3:
+			c.disarm(arg % oracleTimers)
+			ref.disarm(arg % oracleTimers)
+		case 4, 5:
+			slot := arg % oracleSlots
+			got.playSeq[slot] = c.armPlayEnd(int32(slot))
+			want.playSeq[slot] = ref.armPlayEnd(int32(slot))
+		case 6:
+			got.playSeq[arg%oracleSlots] = 0
+			want.playSeq[arg%oracleSlots] = 0
+		default:
+			until := ref.now + float64(arg%5)*0.5
+			if arg>>3%3 == 0 && len(ref.queue) > 0 {
+				until = ref.queue[0].at // stop exactly on a pending time
+			}
+			c.RunUntil(until)
+			ref.RunUntil(until)
+		}
+		check(step)
+	}
+	c.RunUntil(ref.now + 1e9)
+	ref.RunUntil(ref.now + 1e9)
+	check(-1)
+	if n := pending(c); n != 0 {
+		t.Fatalf("%d events pending after draining", n)
+	}
+}
+
+// The channel clock must fire exactly what a container/heap queue of all
+// its events fires, in the same order, at the same times, with the same
+// timers armed at every step; the control engine's closure heap must
+// match container/heap pop for pop. Both run seeded random sequences.
+func TestEngineMatchesContainerHeapOracle(t *testing.T) {
+	t.Run("clock", func(t *testing.T) {
+		for seed := int64(1); seed <= 40; seed++ {
+			ops := make([]byte, 1200)
+			rand.New(rand.NewSource(seed)).Read(ops)
+			t.Run(fmt.Sprint(seed), func(t *testing.T) { runClockOracle(t, ops) })
+		}
+	})
+	t.Run("calls", func(t *testing.T) {
+		for seed := int64(1); seed <= 40; seed++ {
+			runCallOracle(t, rand.New(rand.NewSource(seed)))
+		}
+	})
+}
+
+// FuzzClockMatchesHeapOracle runs the clock oracle on arbitrary
+// operation sequences.
+func FuzzClockMatchesHeapOracle(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ops := make([]byte, 64)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		runClockOracle(t, ops)
+	})
+}
+
+// refEngine is the control engine modelled on container/heap.
+type refEngine struct {
+	now   float64
+	seq   uint64
+	queue refHeap
+}
+
+func (e *refEngine) schedule(at float64, fn func()) error {
 	if at < e.now {
 		return fmt.Errorf("schedule at %v before now %v", at, e.now)
 	}
 	e.seq++
-	ev.at, ev.seq, ev.canceled = at, e.seq, false
-	heap.Fix(&e.queue, ev.index)
+	heap.Push(&e.queue, &refEvent{at: at, seq: e.seq, fn: fn})
 	return nil
 }
 
-// laneFirst reports whether the lane's head is the earliest queued event.
-func (e *refEngine) laneFirst() bool {
-	return len(e.lane) > 0 && (len(e.queue) == 0 || e.lane[0].before(e.queue[0]))
-}
-
 func (e *refEngine) runUntil(until float64) {
-	for {
-		var ev *refEvent
-		switch {
-		case e.laneFirst() && e.lane[0].at <= until:
-			ev, e.lane = e.lane[0], e.lane[1:]
-		case !e.laneFirst() && len(e.queue) > 0 && e.queue[0].at <= until:
-			ev, _ = heap.Pop(&e.queue).(*refEvent)
-		}
-		if ev == nil {
-			break
-		}
-		if ev.canceled {
-			continue
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= until {
+		ev, _ := heap.Pop(&e.queue).(*refEvent)
 		e.now = ev.at
 		ev.fn()
 	}
@@ -127,63 +282,24 @@ func (e *refEngine) runUntil(until float64) {
 	}
 }
 
-func (e *refEngine) nextAt() (float64, bool) {
-	switch {
-	case e.laneFirst():
-		return e.lane[0].at, true
-	case len(e.queue) > 0:
-		return e.queue[0].at, true
-	}
-	return 0, false
-}
-
-func (e *refEngine) queued() int { return len(e.queue) + len(e.lane) }
-
-// oracleOwners is the number of owners of each per-viewer kind the
-// harness arms events for: viewers arming play-ends, owners 0 to
-// oracleOwners−1, and pools arming head completions, owners oracleOwners
-// to 2·oracleOwners−1.
-const oracleOwners = 6
-
-// isPool reports whether harness owner o is a pool.
-func isPool(o int) bool { return o >= oracleOwners }
-
-// oracleSide is one engine under the harness. Closure events log their
-// id when they fire; per-viewer owners hold at most one armed event
-// each, and their firings are collected into the log (as -1-owner, in
-// owner order) before each closure runs and after each step, so the log
-// shows which owners fired between two closures.
-type oracleSide struct {
+// callSide is one engine under the closure oracle. Each closure logs its
+// id when it runs, and every third one schedules a follow-up at the same
+// or a later time, so closures are also scheduled from inside callbacks,
+// ties included.
+type callSide struct {
 	log    []int
 	budget int
 	errs   int
 	now    func() float64
 	sched  func(at float64, fn func()) error
-	// arm arms the owner's event at `at`, replacing any event it had
-	// armed, and reports false when `at` lies in the past; cancel clears
-	// the owner's armed event; fired lists and resets the owners whose
-	// event fired since the last call, in owner order.
-	arm    func(owner int, at float64) bool
-	cancel func(owner int)
-	fired  func() []int
 }
 
-func (s *oracleSide) collect() {
-	for _, o := range s.fired() {
-		s.log = append(s.log, -1-o)
-	}
-}
-
-// add schedules closure event id at `at`. Every third event chains a
-// follow-up at the same or a later time when it fires, so closures are
-// also scheduled from inside callbacks, ties included.
-func (s *oracleSide) add(id int, at float64) {
+func (s *callSide) add(id int, at float64) {
 	fn := func() {
-		s.collect()
 		s.log = append(s.log, id)
 		if id%3 == 0 && s.budget > 0 {
 			s.budget--
-			if err := s.sched(s.now()+float64(s.budget%4)*0.5, func() { s.collect(); s.log = append(s.log, 1<<20) }); err != nil {
+			if err := s.sched(s.now()+float64(s.budget%4)*0.5, func() { s.log = append(s.log, 1<<20) }); err != nil {
 				s.errs++
 			}
 		}
@@ -193,242 +309,45 @@ func (s *oracleSide) add(id int, at float64) {
 	}
 }
 
-func (s *oracleSide) armOwner(owner int, at float64) {
-	if !s.arm(owner, at) {
-		s.errs++
-	}
-}
-
-// testPools adds n empty download pools to e's channel (see testOwners),
-// so tests can arm head completions. A pool's completion handler finds
-// no download and only clears its armed seq, which is how a test sees
-// that the event fired.
-func testPools(e *Engine, n int) []*pool {
-	for i := range n {
-		e.ch.pools = append(e.ch.pools, &pool{ch: e.ch, chunk: i})
-	}
-	return e.ch.pools
-}
-
-// newEngineSide drives the owners the way the simulator does: a viewer
-// arms its play-end through the lane and a pool its head by re-keying;
-// an owner keeps the seq it armed (a failed arm keeps the old one), and
-// clears it to cancel.
-func newEngineSide(e *Engine) *oracleSide {
-	viewers := testOwners(e, oracleOwners)
-	pools := testPools(e, oracleOwners)
-	armed := make([]bool, oracleOwners)
-	return &oracleSide{
-		budget: 200,
-		now:    e.Now,
-		sched:  e.Schedule,
-		arm: func(o int, at float64) bool {
-			if isPool(o) {
-				p := pools[o-oracleOwners]
-				seq := e.arm(p.headPos, at, kindHead, int32(p.chunk))
-				if seq != 0 {
-					p.headSeq, armed[p.chunk] = seq, true
-				}
-				return seq != 0
-			}
-			seq := e.armPlayEnd(at, int32(o))
-			if seq != 0 {
-				viewers[o].playEndSeq = seq
-			}
-			return seq != 0
-		},
-		cancel: func(o int) {
-			if isPool(o) {
-				pools[o-oracleOwners].headSeq, armed[o-oracleOwners] = 0, false
-				return
-			}
-			viewers[o].playEndSeq = 0
-		},
-		fired: func() []int {
-			var out []int
-			for o, u := range viewers {
-				if u.state == stateStalled {
-					out = append(out, o)
-					u.state = statePlaying
-				}
-			}
-			for i, p := range pools {
-				if armed[i] && p.headSeq == 0 {
-					out = append(out, oracleOwners+i)
-					armed[i] = false
-				}
-			}
-			return out
-		},
-	}
-}
-
-// newRefSide gives each owner a handle on its armed reference event. A
-// viewer cancels through the handle's flag and arms a new event; a pool
-// cancels through the flag too but keeps the handle, and re-keys the
-// handle's event while it is queued.
-func newRefSide(e *refEngine) *oracleSide {
-	armed := make([]*refEvent, 2*oracleOwners)
-	hit := make([]bool, 2*oracleOwners)
-	return &oracleSide{
-		budget: 200,
-		now:    func() float64 { return e.now },
-		sched: func(at float64, fn func()) error {
-			_, err := e.schedule(at, fn)
-			return err
-		},
-		arm: func(o int, at float64) bool {
-			if isPool(o) && armed[o] != nil && armed[o].index >= 0 {
-				return e.rekey(armed[o], at) == nil
-			}
-			fire := func() { hit[o] = true }
-			schedule := e.scheduleLane
-			if isPool(o) {
-				schedule = e.schedule
-			}
-			ev, err := schedule(at, fire)
-			if err != nil {
-				return false
-			}
-			if armed[o] != nil {
-				armed[o].canceled = true
-			}
-			armed[o] = ev
-			return true
-		},
-		cancel: func(o int) {
-			if armed[o] != nil {
-				armed[o].canceled = true
-			}
-		},
-		fired: func() []int {
-			var out []int
-			for o := range hit {
-				if hit[o] {
-					out = append(out, o)
-					hit[o] = false
-				}
-			}
-			return out
-		},
-	}
-}
-
-// checkPositions verifies the heap positions the owners keep: every
-// queued pool head and the jump clock are where their pool or channel says,
-// and every owner that says it has one has it there, so no owner has two.
-func checkPositions(t *testing.T, step int, e *Engine) {
-	t.Helper()
-	posOf := func(ev event) (int32, bool) {
-		switch ev.kind {
-		case kindHead:
-			return e.ch.pools[ev.target].headPos, true
-		case kindJump:
-			return e.ch.jumpPos, true
+// runCallOracle drives the control engine and container/heap through one
+// random sequence of schedules (some in the past, which both must
+// reject) and RunUntil calls, and requires the same firings, clock,
+// NextAt and queue length after every step.
+func runCallOracle(t *testing.T, rng *rand.Rand) {
+	eng, ref := NewEngine(), &refEngine{}
+	got := &callSide{budget: 200, now: eng.Now, sched: eng.Schedule}
+	want := &callSide{budget: 200, now: func() float64 { return ref.now }, sched: ref.schedule}
+	check := func(step int) {
+		t.Helper()
+		if !slices.Equal(got.log, want.log) || got.errs != want.errs {
+			t.Fatalf("step %d: fired %v with %d errors, reference %v with %d", step, got.log, got.errs, want.log, want.errs)
 		}
-		return 0, false
-	}
-	for i, ev := range e.queue {
-		if pos, ok := posOf(ev); ok && pos != int32(i+1) {
-			t.Fatalf("step %d: the owner of kind %d entry %d records position %d, the entry is at %d", step, ev.kind, ev.target, pos, i+1)
+		at, ok := eng.NextAt()
+		var rat float64
+		if len(ref.queue) > 0 {
+			rat = ref.queue[0].at
+		}
+		if eng.Now() != ref.now || at != rat || ok != (len(ref.queue) > 0) || len(eng.queue) != len(ref.queue) {
+			t.Fatalf("step %d: Now %v, NextAt (%v, %v), %d queued; reference %v, %v, %d", step, eng.Now(), at, ok, len(eng.queue), ref.now, rat, len(ref.queue))
 		}
 	}
-	check := func(pos int32, kind eventKind, target int) {
-		if pos == 0 {
-			return
-		}
-		if ev := e.queue[pos-1]; ev.kind != kind || ev.target != int32(target) {
-			t.Fatalf("step %d: owner %d of kind %d records position %d, which holds kind %d of %d", step, target, kind, pos, ev.kind, ev.target)
-		}
-	}
-	for c, p := range e.ch.pools {
-		check(p.headPos, kindHead, c)
-	}
-	check(e.ch.jumpPos, kindJump, 0)
-}
-
-func checkOracle(t *testing.T, step int, eng *Engine, ref *refEngine, got, want *oracleSide) {
-	t.Helper()
-	got.collect()
-	want.collect()
-	if len(got.log) != len(want.log) {
-		t.Fatalf("step %d: logged %d firings, reference %d", step, len(got.log), len(want.log))
-	}
-	for i := range got.log {
-		if got.log[i] != want.log[i] {
-			t.Fatalf("step %d: firing %d is %d, reference %d", step, i, got.log[i], want.log[i])
-		}
-	}
-	if eng.Now() != ref.now {
-		t.Fatalf("step %d: Now = %v, reference %v", step, eng.Now(), ref.now)
-	}
-	at, ok := eng.NextAt()
-	rat, rok := ref.nextAt()
-	if at != rat || ok != rok {
-		t.Fatalf("step %d: NextAt = (%v, %v), reference (%v, %v)", step, at, ok, rat, rok)
-	}
-	if queued(eng) != ref.queued() {
-		t.Fatalf("step %d: queued = %d, reference %d", step, queued(eng), ref.queued())
-	}
-	checkPositions(t, step, eng)
-	if got.errs != want.errs {
-		t.Fatalf("step %d: %d schedule errors, reference %d", step, got.errs, want.errs)
-	}
-}
-
-// The engine must fire exactly what the container/heap model fires, in
-// the same order, with the same clock and the same queue view at every
-// step. The sequences are seeded and random: closures (some scheduled
-// from callbacks); play-ends armed at now plus a constant, as the
-// simulator arms them, and at arbitrary times, which land on the heap
-// when earlier than the lane's tail; pool heads armed, re-keyed while
-// queued and taken over after a cancel; cancels the way the simulator
-// does them (lazily, by clearing the owner's seq; after the event fired
-// included); equal timestamps; scheduling in the past; and RunUntil
-// calls that stop before, on and after queued times.
-func TestEngineMatchesContainerHeapOracle(t *testing.T) {
-	const playSeconds = 2.5 // the harness's ChunkSeconds
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		eng, ref := NewEngine(), &refEngine{}
-		got, want := newEngineSide(eng), newRefSide(ref)
-		ids := 0
-		for step := 0; step < 600; step++ {
-			// Coarse delays make many ties; a negative one is a schedule
-			// in the past, which both must reject.
+	for step, id := 0, 0; step < 600; step++ {
+		if rng.Intn(2) == 0 {
 			at := ref.now + float64(rng.Intn(12)-1)*0.5
-			switch op := rng.Intn(12); {
-			case op < 3:
-				got.add(ids, at)
-				want.add(ids, at)
-				ids++
-			case op < 5:
-				o := rng.Intn(oracleOwners)
-				got.armOwner(o, ref.now+playSeconds)
-				want.armOwner(o, ref.now+playSeconds)
-			case op < 7:
-				o := rng.Intn(2 * oracleOwners)
-				got.armOwner(o, at)
-				want.armOwner(o, at)
-			case op < 8:
-				o := rng.Intn(2 * oracleOwners)
-				got.cancel(o)
-				want.cancel(o)
-			default:
-				until := ref.now + float64(rng.Intn(5))*0.5
-				if at, ok := ref.nextAt(); ok && rng.Intn(3) == 0 {
-					until = at // stop exactly on a queued time
-				}
-				eng.RunUntil(until)
-				ref.runUntil(until)
+			got.add(id, at)
+			want.add(id, at)
+			id++
+		} else {
+			until := ref.now + float64(rng.Intn(5))*0.5
+			if len(ref.queue) > 0 && rng.Intn(3) == 0 {
+				until = ref.queue[0].at
 			}
-			checkOracle(t, step, eng, ref, got, want)
+			eng.RunUntil(until)
+			ref.runUntil(until)
 		}
-		eng.RunUntil(ref.now + 1e9)
-		ref.runUntil(ref.now + 1e9)
-		checkOracle(t, -1, eng, ref, got, want)
-		if n := queued(eng); n != 0 {
-			t.Fatalf("seed %d: %d events left after draining", seed, n)
-		}
+		check(step)
 	}
+	eng.RunUntil(ref.now + 1e9)
+	ref.runUntil(ref.now + 1e9)
+	check(-1)
 }

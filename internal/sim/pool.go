@@ -17,12 +17,12 @@ type download struct {
 // Because all members share one equal rate and every download needs the
 // same chunk size, the completion order is exactly the enrollment order.
 // The pool therefore keeps a FIFO of active downloads, tracks one
-// cumulative per-download work counter, and schedules a single event for
-// the head's completion — O(1) amortized per state change instead of
+// cumulative per-download work counter, and arms a single timer for the
+// head's completion — O(1) amortized per state change instead of
 // rescheduling every member.
 //
-// A pool belongs to exactly one channel: its events live on the channel's
-// engine and its served-byte accounting on the channel's accumulator, so
+// A pool belongs to exactly one channel: its timer lives on the channel's
+// clock and its served-byte accounting on the channel's accumulator, so
 // parallel channel stepping never shares pool state across workers.
 type pool struct {
 	ch    *channelState
@@ -35,8 +35,6 @@ type pool struct {
 	workDone   float64     // cumulative bytes delivered per member download
 	rate       float64     // current per-download rate, bytes/s
 	lastUpdate float64
-	headSeq    uint64 // the armed head-completion event, 0 when none
-	headPos    int32  // 1 + the heap index of the queued head entry, 0 when none (Engine.track)
 }
 
 // settle advances the pool's work counter to `now`, attributing served
@@ -69,10 +67,9 @@ func (p *pool) remainingOf(d *download) float64 {
 }
 
 // reschedule recomputes the shared rate and re-arms the head-completion
-// event, re-keying the queued entry when there is one. Caller must have
-// settled first.
+// timer. Caller must have settled first.
 func (p *pool) reschedule(now float64) {
-	p.headSeq = 0
+	p.ch.clock.disarm(headTimers + p.chunk)
 	n := len(p.active)
 	if n == 0 {
 		p.rate = 0
@@ -87,7 +84,7 @@ func (p *pool) reschedule(now float64) {
 		return // starved: resumes when capacity arrives
 	}
 	at := now + p.remainingOf(p.active[0])/rate
-	p.headSeq = p.ch.engine.arm(p.headPos, at, kindHead, int32(p.chunk))
+	p.ch.clock.arm(headTimers+p.chunk, at)
 }
 
 // onHeadComplete fires when the oldest download finishes; several members
@@ -95,8 +92,7 @@ func (p *pool) reschedule(now float64) {
 // always completes — the event was armed for exactly its finish time, so
 // float rounding must not leave it re-armed at now+ε forever.
 func (p *pool) onHeadComplete() {
-	now := p.ch.engine.Now()
-	p.headSeq = 0
+	now := p.ch.clock.Now()
 	p.settle(now)
 	if len(p.active) == 0 {
 		p.reschedule(now)
@@ -128,7 +124,7 @@ func (p *pool) onHeadComplete() {
 
 // add enrolls a new download at the FIFO tail (it has the most bytes left).
 func (p *pool) add(d *download) {
-	now := p.ch.engine.Now()
+	now := p.ch.clock.Now()
 	p.settle(now)
 	d.pool = p
 	d.startWork = p.workDone
@@ -138,7 +134,7 @@ func (p *pool) add(d *download) {
 
 // remove aborts an in-flight download (seek or departure).
 func (p *pool) remove(d *download) {
-	now := p.ch.engine.Now()
+	now := p.ch.clock.Now()
 	p.settle(now)
 	for i, other := range p.active {
 		if other == d {
@@ -153,7 +149,7 @@ func (p *pool) remove(d *download) {
 // setCapacity updates the cloud and/or peer share (negative leaves a share
 // unchanged) and re-splits.
 func (p *pool) setCapacity(cloudCap, peerCap float64) {
-	now := p.ch.engine.Now()
+	now := p.ch.clock.Now()
 	p.settle(now)
 	if cloudCap >= 0 {
 		p.cloudCap = cloudCap

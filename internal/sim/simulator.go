@@ -171,15 +171,15 @@ func channelSeed(seed int64, channel int) int64 {
 	return seed + int64(channel+1)*-7046029254386353131 // 0x9E3779B97F4A7C15 as signed
 }
 
-// channelState holds one video channel's runtime state: its own event
-// queue and random stream (so channels can step in parallel), its download
+// channelState holds one video channel's runtime state: its own clock
+// and random stream (so channels can step in parallel), its download
 // pools, live viewers, chunk ownership (the tracker's bitmap aggregate),
 // and the per-interval measurement feed.
 type channelState struct {
-	index  int
-	sim    *Simulator
-	engine *Engine
-	rng    *rand.Rand
+	index int
+	sim   *Simulator
+	clock *clock
+	rng   *rand.Rand
 
 	pools  []*pool
 	owners []int // per-chunk count of viewers holding the chunk
@@ -196,16 +196,9 @@ type channelState struct {
 	estimator        *viewing.Estimator
 	cloudBytesServed float64
 
-	// arrivalSeq is the armed arrival event; arrivalReal is false when
-	// that event is only the one-day re-arm of a thinning run that found
-	// no arrival.
-	arrivalSeq  uint64
+	// arrivalReal is false when the armed arrival is only the one-day
+	// re-arm of a thinning run that found no arrival.
 	arrivalReal bool
-
-	// jumpSeq is the armed jump clock, 0 when none; jumpPos is 1 + its
-	// heap index, 0 when it is not queued (Engine.track).
-	jumpSeq uint64
-	jumpPos int32
 
 	// done is onHeadComplete's scratch list of finished downloads.
 	done []*download
@@ -243,27 +236,39 @@ func (ch *channelState) removeUser(u *user) {
 }
 
 // rearmJump re-draws the channel's jump clock for its n watching viewers.
-// Each viewer jumps after an exponential delay of mean JumpMeanSeconds,
-// so the first of the n jumps comes after an exponential delay of mean
-// JumpMeanSeconds/n, and by memorylessness the delays already elapsed do
-// not matter: re-drawing whenever n changes and after every firing is
-// exact in distribution. With nobody watching the clock stops.
+// The first of n independent Exp(JumpMeanSeconds) jumps comes after
+// Exp(JumpMeanSeconds/n), and by memorylessness the time already elapsed
+// does not matter, so re-drawing whenever n changes and after every
+// firing is exact in distribution. With nobody watching the clock stops.
 func (ch *channelState) rearmJump() {
-	ch.jumpSeq = 0
 	n := len(ch.live)
 	if n == 0 {
+		ch.clock.disarm(jumpTimer)
 		return
 	}
-	at := ch.engine.Now() + ch.sim.cfg.Workload.NextJump(ch.rng)/float64(n)
-	ch.jumpSeq = ch.engine.arm(ch.jumpPos, at, kindJump, 0)
+	ch.clock.arm(jumpTimer, ch.clock.Now()+ch.sim.cfg.Workload.NextJump(ch.rng)/float64(n))
 }
 
-// onJump fires the jump clock: a viewer drawn uniformly from the watching
-// ones seeks.
-func (ch *channelState) onJump() {
-	u := ch.live[ch.rng.Intn(len(ch.live))]
-	ch.rearmJump()
-	u.jump()
+// onTimer fires the channel's timer i.
+func (ch *channelState) onTimer(i int) {
+	switch i {
+	case arrivalTimer:
+		ch.sim.onArrival(ch)
+	case jumpTimer: // a viewer drawn uniformly from the watching ones seeks
+		u := ch.live[ch.rng.Intn(len(ch.live))]
+		ch.rearmJump()
+		u.jump()
+	default:
+		ch.pools[i-headTimers].onHeadComplete()
+	}
+}
+
+// onPlayEnd fires the play-end armed with seq for the viewer in slot,
+// unless the viewer has cancelled it since.
+func (ch *channelState) onPlayEnd(slot int32, seq uint64) {
+	if u := ch.slots[slot]; u.playEndSeq == seq {
+		u.onPlayEnd()
+	}
 }
 
 // newUser returns a zeroed viewer in a free slot, reusing the struct and
@@ -357,7 +362,6 @@ func New(cfg Config) (*Simulator, error) {
 		ch := &channelState{
 			index:          c,
 			sim:            s,
-			engine:         NewEngine(),
 			rng:            rand.New(rand.NewSource(channelSeed(cfg.Seed, c))),
 			owners:         make([]int, cfg.Channel.Chunks),
 			estimator:      est,
@@ -366,15 +370,13 @@ func New(cfg Config) (*Simulator, error) {
 		for i := range ch.rebalanceOrder {
 			ch.rebalanceOrder[i] = i
 		}
-		ch.engine.ch = ch
+		ch.clock = newClock(ch, headTimers+cfg.Channel.Chunks, cfg.Channel.ChunkSeconds)
 		ch.pools = make([]*pool, cfg.Channel.Chunks)
 		for i := range ch.pools {
 			ch.pools[i] = &pool{ch: ch, chunk: i}
 		}
 		s.channels[c] = ch
-		if err := s.scheduleArrival(ch); err != nil {
-			return nil, err
-		}
+		s.scheduleArrival(ch)
 	}
 	if cfg.Mode == P2P {
 		if err := s.ScheduleRepeating(RebalanceSeconds, RebalanceSeconds, func(float64) {
@@ -425,12 +427,12 @@ func (s *Simulator) RunUntil(t float64) {
 func (s *Simulator) advanceChannels(t float64) {
 	if s.workers <= 1 || len(s.channels) == 1 {
 		for _, ch := range s.channels {
-			ch.engine.RunUntil(t)
+			ch.clock.RunUntil(t)
 		}
 		return
 	}
 	FanOut(s.workers, len(s.channels), func(i int) {
-		s.channels[i].engine.RunUntil(t)
+		s.channels[i].clock.RunUntil(t)
 	})
 }
 
@@ -460,38 +462,26 @@ func (s *Simulator) ScheduleRepeating(start, interval float64, fn func(now float
 }
 
 // scheduleArrival arms the next NHPP arrival for a channel on the
-// channel's own event queue, thinning against the channel's cached
+// channel's own clock, thinning against the channel's cached
 // envelope. The rate comes from the resolved demand source, so the same
 // loop replays traces and samples the parametric workload.
-func (s *Simulator) scheduleArrival(ch *channelState) error {
-	now := ch.engine.Now()
+func (s *Simulator) scheduleArrival(ch *channelState) {
+	now := ch.clock.Now()
 	// Sample within a one-day horizon; if the thinning run finds nothing
 	// (possible only at negligible rates), re-arm at the horizon.
 	horizon := now + 24*3600
 	next := workload.NextArrivalThinned(ch.rng, s.src, ch.index, s.envelopes[ch.index], now, horizon)
-	fire := next
-	arrived := true
-	if math.IsInf(next, 1) {
-		fire = horizon
-		arrived = false
-	}
-	seq := ch.engine.arm(0, fire, kindArrival, 0)
-	if seq == 0 {
-		return fmt.Errorf("sim: schedule arrival at %v before now %v", fire, now)
-	}
-	ch.arrivalSeq, ch.arrivalReal = seq, arrived
-	return nil
+	ch.arrivalReal = !math.IsInf(next, 1)
+	ch.clock.arm(arrivalTimer, min(next, horizon))
 }
 
 // onArrival fires the channel's armed arrival event: a viewer joins
 // (unless the event is a bare re-arm) and the next arrival is armed.
 func (s *Simulator) onArrival(ch *channelState) {
-	ch.arrivalSeq = 0
 	if ch.arrivalReal {
 		s.spawnUser(ch)
 	}
-	//cloudmedia:allow noloss -- re-arm fails only when the engine has stopped; the arrival chain just ends
-	_ = s.scheduleArrival(ch)
+	s.scheduleArrival(ch)
 }
 
 // spawnUser creates a viewer at the configured entry distribution: chunk 1
@@ -504,7 +494,7 @@ func (s *Simulator) spawnUser(ch *channelState) {
 	}
 	u.join(start)
 	if s.cfg.OnArrivals != nil {
-		s.cfg.OnArrivals(ch.index, ch.engine.Now(), 1)
+		s.cfg.OnArrivals(ch.index, ch.clock.Now(), 1)
 	}
 }
 
@@ -692,7 +682,7 @@ func (s *Simulator) CloudBytesServed() float64 {
 
 // settlePools advances every pool's byte accounting to the channel clock.
 func (ch *channelState) settlePools() {
-	now := ch.engine.Now()
+	now := ch.clock.Now()
 	for _, p := range ch.pools {
 		p.settle(now)
 	}

@@ -20,11 +20,12 @@ const (
 	stateStalled
 )
 
-// user is one VoD viewer. All of a user's events live on its channel's
-// private engine and random stream, which is what lets channels step in
-// parallel between control barriers. A user occupies one of its
-// channel's slots for life; after it leaves, the slot and the struct are
-// reused by a later arrival (see channelState.newUser).
+// user is one VoD viewer. Its events live on its channel's clock, its
+// seeks come from the channel's jump clock, and its draws from the
+// channel's random stream, which is what lets channels step in parallel
+// between control barriers. A user occupies one of its channel's slots
+// for life; after it leaves, the slot and the struct are reused by a
+// later arrival (see channelState.newUser).
 type user struct {
 	slot    int32 // index in channelState.slots: the target of its play-ends
 	livePos int   // index in channelState.live while watching
@@ -43,8 +44,8 @@ type user struct {
 	download     download  // backing for dl: a user fetches one chunk at a time
 
 	// playEndSeq is the sequence number of the armed playback end, 0
-	// when none is armed. Clearing it cancels the event: the engine skips
-	// a popped event whose number no longer matches.
+	// when none is armed. Clearing it cancels the event: the clock drops
+	// a queued play-end whose number no longer matches.
 	playEndSeq uint64
 
 	joinedAt     float64
@@ -54,7 +55,7 @@ type user struct {
 
 // join initializes the viewer and starts fetching the entry chunk.
 func (u *user) join(startChunk int) {
-	now := u.channel.engine.Now()
+	now := u.channel.clock.Now()
 	u.joinedAt = now
 	u.lastStallEnd = math.Inf(-1)
 	u.state = stateFetching
@@ -99,7 +100,7 @@ func (u *user) onChunkReady(chunk int) {
 		}
 	case stateStalled:
 		if chunk == u.nextChunk {
-			u.lastStallEnd = u.channel.engine.Now()
+			u.lastStallEnd = u.channel.clock.Now()
 			u.beginPlayback(chunk)
 		}
 	}
@@ -109,7 +110,6 @@ func (u *user) onChunkReady(chunk int) {
 // transfer matrix, records the transition for the tracker, and pipelines
 // the successor's download behind the playback.
 func (u *user) beginPlayback(chunk int) {
-	now := u.channel.engine.Now()
 	u.state = statePlaying
 	u.playingChunk = chunk
 	u.nextChunk = u.sampleNext(chunk)
@@ -128,9 +128,7 @@ func (u *user) beginPlayback(chunk int) {
 		_ = u.channel.estimator.RecordTransition(chunk, viewing.Departed)
 	}
 
-	if seq := u.channel.engine.armPlayEnd(now+u.sim.cfg.Channel.ChunkSeconds, u.slot); seq != 0 {
-		u.playEndSeq = seq
-	}
+	u.playEndSeq = u.channel.clock.armPlayEnd(u.slot)
 }
 
 // onPlayEnd fires when the current chunk's playback time elapses.
@@ -165,7 +163,7 @@ func (u *user) sampleNext(chunk int) int {
 // jump seeks to a uniformly random position: the current download (if
 // any) is aborted, playback restarts at the target once it is available.
 // Seek latency is not counted as a stall. The channel's jump clock picks
-// the viewer (see channelState.onJump).
+// the viewer (see channelState.rearmJump).
 func (u *user) jump() {
 	target := u.channel.rng.Intn(u.sim.cfg.Channel.Chunks)
 	if u.state == statePlaying || u.state == stateStalled {
@@ -179,10 +177,10 @@ func (u *user) jump() {
 	u.playEndSeq = 0
 	if u.state == stateStalled {
 		// The seek resolves the stall (the user moved elsewhere).
-		u.lastStallEnd = u.channel.engine.Now()
+		u.lastStallEnd = u.channel.clock.Now()
 	}
 	u.state = stateFetching
-	u.fetchStart = u.channel.engine.Now()
+	u.fetchStart = u.channel.clock.Now()
 	u.nextChunk = -1
 	u.nextReady = false
 	u.startFetch(target)

@@ -55,9 +55,9 @@ go test -run '^$' -bench 'BenchmarkSizeForSojourn$' -benchtime 20000x -count=3 .
 # Hot-path micro benches: enough iterations for stable ns/op and the
 # allocs/op guard to mean something.
 go test -run '^$' -bench 'BenchmarkRebalancePeers$' -benchtime 2000x -count=3 ./internal/sim | tee -a "$TMP"
-# EventHeap is the per-viewer schedule/cancel/pop mix at the control
-# day's per-channel queue depth.
-go test -run '^$' -bench 'BenchmarkEventHeap$' -benchtime 200000x -count=3 ./internal/sim | tee -a "$TMP"
+# ChannelClock is one channel's event queue in the control day's shape:
+# eight pool-head timers, the arrival, the jump clock and a play-end lane.
+go test -run '^$' -bench 'BenchmarkChannelClock$' -benchtime 200000x -count=3 ./internal/sim | tee -a "$TMP"
 # FluidStep is the fluid kernel alone: one batch (900 s of steps at the
 # engine's own step) of the 100M-viewer day's 48 channels at its
 # evening-peak state, on the day's 8-chunk channel (J=8) and a 16-chunk
