@@ -34,9 +34,11 @@ const batchSeconds = 900
 
 // Backend integrates the fluid-cohort model. It implements sim.Backend,
 // so the provisioning controller and the public run loop drive it exactly
-// like the discrete-event engine. The model is fully deterministic: the
-// scenario seed is ignored (there is no sampling to derive from it), and
-// results are bit-identical for every worker count (see integrateTo).
+// like the discrete-event engine: its sim.Engine runs the control
+// callbacks (controller intervals, boots) and integrateTo moves the state
+// between them. The model is fully deterministic: the scenario seed is
+// ignored (there is no sampling to derive from it), and results are
+// bit-identical for every worker count (see integrateTo).
 //
 // The per-channel state lives in struct-of-arrays layout: one contiguous
 // backing array per field, indexed channel*J + j. Each step walks
@@ -44,12 +46,9 @@ const batchSeconds = 900
 // of the channel count — the state for a 64-channel day is a handful of
 // small flat arrays, not a pointer chase across per-channel objects.
 type Backend struct {
+	*sim.Engine
 	cfg  sim.Config
-	src  workload.Source // resolved demand source (trace or parametric)
 	step float64
-
-	engine *sim.Engine // control callbacks (controller intervals, boots)
-	now    float64
 
 	meanUplink float64
 
@@ -116,10 +115,6 @@ func New(cfg sim.Config) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := sc.Source
-	if src == nil {
-		src = sc.Workload.Source()
-	}
 	// Short chunks or frequent jumps shrink the step: a step of a quarter
 	// of either time constant keeps the per-step lumping of arrivals and
 	// of the queues' inflow a small share of what the cohorts hold, which
@@ -130,8 +125,6 @@ func New(cfg sim.Config) (*Backend, error) {
 	workers := sim.EffectiveWorkers(sc.Workers, C)
 	b := &Backend{
 		cfg:        sc,
-		src:        src,
-		engine:     sim.NewEngine(),
 		meanUplink: sc.Workload.PeerUplink.Mean(),
 		C:          C,
 		J:          J,
@@ -140,7 +133,7 @@ func New(cfg sim.Config) (*Backend, error) {
 	// Prime any lazy source caches (Zipf weights) while construction is
 	// still serial.
 	for c := 0; c < C; c++ {
-		if _, err := src.MaxRate(c); err != nil {
+		if _, err := sc.Source.MaxRate(c); err != nil {
 			return nil, err
 		}
 	}
@@ -180,6 +173,7 @@ func New(cfg sim.Config) (*Backend, error) {
 		b.smooth[c] = 1
 		b.feeds[c] = newFeed(J, trans, b.rowSum)
 	}
+	b.Engine = sim.NewEngine(b.integrateTo, sc.Pacer)
 	b.setStep(step)
 	return b, nil
 }
@@ -193,43 +187,19 @@ func (b *Backend) setStep(dt float64) {
 	b.times = make([]float64, b.batchSteps)
 }
 
-// Now returns the simulated clock in seconds.
-func (b *Backend) Now() float64 { return b.now }
-
-// RunUntil integrates the cohort flows to time t, pausing at every
-// scheduled control event (provisioning rounds, delayed capacity
-// applications) so the controller observes a settled state.
-func (b *Backend) RunUntil(t float64) {
-	for {
-		barrier := t
-		if at, ok := b.engine.NextAt(); ok && at < barrier {
-			barrier = at
-		}
-		if b.cfg.Pacer != nil && barrier > b.now {
-			b.cfg.Pacer(barrier)
-		}
-		b.integrateTo(barrier)
-		b.engine.RunUntil(barrier)
-		if barrier >= t {
-			return
-		}
-	}
-}
-
-// integrateTo advances the ODE state to time t with fixed steps, batched
-// between control barriers: up to b.batchSteps steps are resolved serially
+// integrateTo advances the ODE state from Now to the control barrier t
+// with fixed steps: up to b.batchSteps steps are resolved serially
 // (start times, step constants and the arrival-rate matrix, fillRates),
 // then every channel integrates through the whole batch on the worker
 // pool. Channels are independent within a span — arrival rates are
 // pre-batched into b.rates and all mutation is per-channel state — so
 // each channel's arithmetic is the exact serial sequence regardless of
-// the worker count, and reductions over channels stay index-ordered. Results are therefore
-// bit-identical for any Workers value.
+// the worker count, and reductions over channels stay index-ordered.
+// Results are therefore bit-identical for any Workers value.
 //
 //cloudmedia:hotpath
 func (b *Backend) integrateTo(t float64) {
-	for b.now < t {
-		now := b.now
+	for now := b.Now(); now < t; {
 		n := 0
 		dt := b.step
 		for now < t && n < b.batchSteps {
@@ -244,9 +214,7 @@ func (b *Backend) integrateTo(t float64) {
 		b.last = newStep(dt, b.cfg.Channel, b.cfg.Workload.JumpMeanSeconds)
 		b.fillRates(n)
 		b.runBatch(n)
-		b.now = now
 	}
-	b.now = t
 }
 
 // fillRates resolves the batch's arrival-rate matrix — the demand plane.
@@ -262,7 +230,7 @@ func (b *Backend) integrateTo(t float64) {
 func (b *Backend) fillRates(n int) {
 	for s := 0; s < n; s++ {
 		row := b.rates[s*b.C : (s+1)*b.C]
-		if err := workload.RatesInto(b.src, b.times[s], row); err != nil {
+		if err := workload.RatesInto(b.cfg.Source, b.times[s], row); err != nil {
 			clear(row) // unreachable: the channel count always matches the source
 		}
 	}
@@ -621,30 +589,6 @@ func (b *Backend) allocatePeers(c int, n float64) {
 	}
 }
 
-// ScheduleAt runs fn at simulated time t, with the ODE state integrated
-// exactly to t.
-func (b *Backend) ScheduleAt(t float64, fn func(now float64)) error {
-	err := b.engine.Schedule(t, func() { fn(b.engine.Now()) })
-	return err
-}
-
-// ScheduleRepeating runs fn at start, start+interval, start+2·interval, …
-func (b *Backend) ScheduleRepeating(start, interval float64, fn func(now float64)) error {
-	if interval <= 0 {
-		return fmt.Errorf("fluid: non-positive repeat interval %v", interval)
-	}
-	var tick func()
-	at := start
-	tick = func() {
-		fn(b.engine.Now())
-		at += interval
-		//cloudmedia:allow noloss -- at > now by construction, Schedule cannot fail
-		_ = b.engine.Schedule(at, tick)
-	}
-	err := b.engine.Schedule(start, tick)
-	return err
-}
-
 // Mode returns the scenario's streaming mode.
 func (b *Backend) Mode() sim.Mode { return b.cfg.Mode }
 
@@ -760,7 +704,7 @@ func (b *Backend) Estimator(channel int) (sim.Feed, error) {
 // and overall, weighted by channel population.
 func (b *Backend) SampleQuality() sim.QualitySample {
 	sample := sim.QualitySample{
-		Time:            b.now,
+		Time:            b.Now(),
 		PerChannel:      make([]float64, b.C),
 		UsersPerChannel: make([]int, b.C),
 	}

@@ -37,6 +37,9 @@ func TestFluidPacerCalledPerBarrier(t *testing.T) {
 			t.Fatalf("barriers went backwards: %v after %v", bt, barriers[i-1])
 		}
 	}
+	if last := barriers[len(barriers)-1]; last != horizon {
+		t.Fatalf("final barrier %v, want the target %v", last, horizon)
+	}
 }
 
 func TestFluidPacerDoesNotPerturbRun(t *testing.T) {

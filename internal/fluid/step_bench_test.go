@@ -64,7 +64,7 @@ func provisionHalfFlow(tb testing.TB, b *Backend, t float64) {
 	cfg := b.cfg
 	var solver queueing.Solver
 	for c := 0; c < b.C; c++ {
-		rate, err := b.src.Rate(c, t)
+		rate, err := b.cfg.Source.Rate(c, t)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -128,8 +128,8 @@ func (s *kernelState) restore(b *Backend) {
 // arrival rates resolved beforehand so the demand plane is not timed.
 // J=8 is the day's own channel of 8×75 s chunks; J=16 the 16×40 s channel
 // of TestStepConvergenceAcrossScenarios, so the cost per chunk-step shows
-// at two chunk counts. The state comes from integrating the last two
-// hours before the peak with capacity re-provisioned hourly, and is
+// at two chunk counts. The state comes from integrating the day up to
+// the peak with capacity re-provisioned hourly from t = 0, and is
 // restored before every batch so each iteration does the same work.
 // ns/chunk-step divides the time by steps × channels × chunks, the unit
 // daybench's fluid.ns_per_chunk_step reports; ns/sim-s divides it by the
@@ -151,14 +151,13 @@ func benchmarkFluidStep(b *testing.B, cfg sim.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	be.now = (peakHour - 2) * 3600
-	for h := peakHour - 2; h < peakHour; h++ {
+	for h := 0; h < peakHour; h++ {
 		provisionHalfFlow(b, be, float64(h)*3600)
 		be.RunUntil(float64(h+1) * 3600)
 	}
 	n := be.batchSteps
 	for s := 0; s < n; s++ {
-		be.times[s] = be.now + float64(s)*be.step
+		be.times[s] = be.Now() + float64(s)*be.step
 	}
 	be.full = newStep(be.step, be.cfg.Channel, be.cfg.Workload.JumpMeanSeconds)
 	be.last = be.full

@@ -15,21 +15,22 @@ import (
 	"cloudmedia/internal/modes"
 )
 
-// Clock paces simulated time against real time. WaitUntil is called from
-// the engines' pacing hook (sim.Config.Pacer) on the simulation
-// goroutine; RealElapsed may be called concurrently from HTTP handlers.
-type Clock interface {
-	// Start anchors the clock at the current wall time. Idempotent.
-	Start()
-	// WaitUntil blocks until the wall clock reaches the real time
-	// corresponding to simSeconds of simulated time, or the context is
-	// cancelled (returning the context error). A simulated clock returns
-	// immediately.
-	WaitUntil(ctx context.Context, simSeconds float64) error
-	// RealElapsed returns the wall-clock seconds since Start (0 before).
-	RealElapsed() float64
-	// Mode reports the clock's kind.
-	Mode() modes.ClockMode
+// Clock paces simulated time against real time. A ClockReal clock
+// sleeps so simulated second s arrives at start + s/scale. Pacing is
+// anchored to the start instant, not the previous wait, so scheduling
+// jitter and slow intervals never accumulate drift: a barrier the
+// engines reach late is simply not waited on. A ClockSimulated clock
+// applies no pacing: WaitUntil only honours cancellation, so a
+// simulated-clock serve run is the batch run plus observability.
+// WaitUntil is called from the engines' pacing hook (sim.Config.Pacer)
+// on the simulation goroutine; RealElapsed may be called concurrently
+// from HTTP handlers.
+type Clock struct {
+	mode  modes.ClockMode
+	scale float64
+
+	mu    sync.Mutex
+	start time.Time
 }
 
 // NewClock builds a clock for the given mode. timeScale compresses
@@ -37,55 +38,41 @@ type Clock interface {
 // per simulated second's worth of pacing (1–24× covers the paper's
 // day-long traces; larger factors are valid and used by tests and smoke
 // runs). 0 means 1. ClockSimulated ignores the scale.
-func NewClock(mode modes.ClockMode, timeScale float64) (Clock, error) {
+func NewClock(mode modes.ClockMode, timeScale float64) (*Clock, error) {
 	if timeScale == 0 {
 		timeScale = 1
 	}
 	if timeScale < 0 || math.IsNaN(timeScale) || math.IsInf(timeScale, 0) {
 		return nil, fmt.Errorf("serve: invalid time scale %v", timeScale)
 	}
-	switch mode {
-	case modes.ClockReal:
-		return &realClock{scale: timeScale}, nil
-	case modes.ClockSimulated:
-		return &simulatedClock{}, nil
-	default:
+	if mode != modes.ClockReal && mode != modes.ClockSimulated {
 		return nil, fmt.Errorf("serve: invalid clock mode %d", int(mode))
 	}
+	return &Clock{mode: mode, scale: timeScale}, nil
 }
 
-// realClock sleeps so simulated second s arrives at start + s/scale.
-// Pacing is anchored to the start instant, not the previous wait, so
-// scheduling jitter and slow intervals never accumulate drift: a barrier
-// the engines reach late is simply not waited on.
-type realClock struct {
-	scale float64
+// Start anchors the clock at the current wall time. Idempotent.
+func (c *Clock) Start() { c.anchor() }
 
-	mu    sync.Mutex
-	start time.Time
-}
-
-func (c *realClock) Start() {
+// anchor starts the clock unless it has started and returns the start.
+func (c *Clock) anchor() time.Time {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.start.IsZero() {
 		c.start = time.Now()
 	}
-	c.mu.Unlock()
-}
-
-func (c *realClock) startTime() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.start
 }
 
-func (c *realClock) WaitUntil(ctx context.Context, simSeconds float64) error {
-	start := c.startTime()
-	if start.IsZero() {
-		c.Start()
-		start = c.startTime()
+// WaitUntil blocks until the wall clock reaches the real time
+// corresponding to simSeconds of simulated time, or the context is
+// cancelled (returning the context error). A simulated clock returns
+// at once.
+func (c *Clock) WaitUntil(ctx context.Context, simSeconds float64) error {
+	if c.mode == modes.ClockSimulated {
+		return ctx.Err()
 	}
-	due := start.Add(time.Duration(simSeconds / c.scale * float64(time.Second)))
+	due := c.anchor().Add(time.Duration(simSeconds / c.scale * float64(time.Second)))
 	d := time.Until(due)
 	if d <= 0 {
 		return ctx.Err()
@@ -100,36 +87,8 @@ func (c *realClock) WaitUntil(ctx context.Context, simSeconds float64) error {
 	}
 }
 
-func (c *realClock) RealElapsed() float64 {
-	start := c.startTime()
-	if start.IsZero() {
-		return 0
-	}
-	return time.Since(start).Seconds()
-}
-
-func (c *realClock) Mode() modes.ClockMode { return modes.ClockReal }
-
-// simulatedClock applies no pacing: WaitUntil only honours cancellation,
-// so a simulated-clock serve run is the batch run plus observability.
-type simulatedClock struct {
-	mu    sync.Mutex
-	start time.Time
-}
-
-func (c *simulatedClock) Start() {
-	c.mu.Lock()
-	if c.start.IsZero() {
-		c.start = time.Now()
-	}
-	c.mu.Unlock()
-}
-
-func (c *simulatedClock) WaitUntil(ctx context.Context, simSeconds float64) error {
-	return ctx.Err()
-}
-
-func (c *simulatedClock) RealElapsed() float64 {
+// RealElapsed returns the wall-clock seconds since Start (0 before).
+func (c *Clock) RealElapsed() float64 {
 	c.mu.Lock()
 	start := c.start
 	c.mu.Unlock()
@@ -138,5 +97,3 @@ func (c *simulatedClock) RealElapsed() float64 {
 	}
 	return time.Since(start).Seconds()
 }
-
-func (c *simulatedClock) Mode() modes.ClockMode { return modes.ClockSimulated }

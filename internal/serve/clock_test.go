@@ -26,8 +26,8 @@ func TestNewClockValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero time scale rejected: %v", err)
 	}
-	if c.Mode() != modes.ClockReal {
-		t.Fatalf("mode = %v, want real", c.Mode())
+	if c.mode != modes.ClockReal {
+		t.Fatalf("mode = %v, want real", c.mode)
 	}
 }
 

@@ -16,11 +16,14 @@ import (
 //     is O(channels × chunks) regardless of crowd size, so million-viewer
 //     scenarios integrate in seconds at the cost of per-viewer detail.
 //
-// Both engines are single-threaded at the API: all interaction must
-// happen from scheduled callbacks or between RunUntil calls. The
-// controller only ever talks to a backend at provisioning-interval
-// boundaries, which is what lets the event engine shard its channels
-// across a worker pool internally.
+// Both engines embed *Engine, which implements Now, RunUntil,
+// ScheduleAt and ScheduleRepeating: the one place that paces (see
+// Config.Pacer), advances the engine's state between control barriers
+// and runs the control callbacks. Both are single-threaded at the API:
+// all interaction must happen from scheduled callbacks or between
+// RunUntil calls. The controller only ever talks to a backend at
+// provisioning-interval boundaries, which is what lets the event engine
+// shard its channels across a worker pool internally.
 type Backend interface {
 	// Now returns the simulated clock in seconds.
 	Now() float64

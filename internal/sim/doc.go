@@ -28,6 +28,10 @@
 // rate n/JumpMeanSeconds for n watching viewers (channelState.rearmJump).
 //
 // Each channel steps on its own clock of fixed timers and a play-end
-// lane (clock); the control callbacks run on Engine, a closure min-heap.
-// The simulator is single-threaded and deterministic for a given seed.
+// lane (clock). Engine is the control clock both engines embed, the one
+// place that paces, advances and runs callbacks: its RunUntil moves the
+// embedding engine's state to each control callback (Simulator's
+// advanceChannels, the fluid engine's integrateTo), calling Config.Pacer
+// first, and then runs the callbacks due there. The simulator is
+// single-threaded and deterministic for a given seed.
 package sim

@@ -23,37 +23,77 @@ func (a *timer) before(b *timer) bool {
 // call is one queued control callback.
 type call struct {
 	timer
-	fn func()
+	fn func(now float64)
 }
 
-// Engine is a deterministic discrete-event scheduler of closures: a
-// binary min-heap by (at, seq). It sequences the control callbacks of
-// both engines (provisioning rounds, rebalances, delayed capacity); each
-// channel of the per-viewer engine steps on its own clock instead.
+// Engine is the control clock both engines embed. It queues the control
+// callbacks (provisioning rounds, rebalances, delayed capacity) on a
+// binary min-heap by (at, seq), and RunUntil is the one barrier loop:
+// the engine's state advances to the next callback, the callbacks due
+// there run with the state settled at that instant, and so on up to the
+// target. Between barriers the embedding engine advances its own state:
+// each channel of the per-viewer engine steps on its own clock, and the
+// fluid engine integrates.
 type Engine struct {
-	now   float64
-	seq   uint64
-	queue []call
+	now     float64
+	seq     uint64
+	queue   []call
+	advance func(t float64) // moves the embedding engine's state to t
+	pace    func(t float64) // Config.Pacer, or nil
 }
 
-// NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+// NewEngine returns an engine with the clock at zero that moves the
+// embedding engine's state with advance and, when pace is not nil,
+// calls pace before each advance (see Config.Pacer).
+func NewEngine(advance, pace func(t float64)) *Engine {
+	return &Engine{advance: advance, pace: pace}
+}
 
-// Now returns the current simulated time in seconds.
+// Now returns the simulated clock in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Schedule queues fn to run at simulated time `at`. Scheduling in the
-// past is an error: it would silently reorder causality.
-func (e *Engine) Schedule(at float64, fn func()) error {
-	if at < e.now {
-		return fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
+// RunUntil advances the simulation to time t (seconds). The barrier is
+// the earlier of t and the next callback; when it is after Now, pace
+// and then advance move the state to it. The callbacks due at the
+// barrier then run in (at, seq) order, those they schedule at the same
+// instant included, and the loop repeats until the barrier reaches t.
+func (e *Engine) RunUntil(t float64) {
+	for {
+		barrier := t
+		if at, ok := e.nextAt(); ok && at < barrier {
+			barrier = at
+		}
+		if barrier > e.now {
+			if e.pace != nil {
+				e.pace(barrier)
+			}
+			e.advance(barrier)
+			e.now = barrier
+		}
+		for len(e.queue) > 0 && e.queue[0].at <= barrier {
+			c := e.pop()
+			e.now = c.at
+			c.fn(c.at)
+		}
+		if barrier >= t {
+			return
+		}
+	}
+}
+
+// ScheduleAt runs fn at simulated time t, at a control barrier: the
+// state is settled at t when it fires. Scheduling in the past is an
+// error: it would silently reorder causality.
+func (e *Engine) ScheduleAt(t float64, fn func(now float64)) error {
+	if t < e.now {
+		return fmt.Errorf("sim: schedule at %v before now %v", t, e.now)
 	}
 	if fn == nil {
 		return fmt.Errorf("sim: nil event function")
 	}
 	e.seq++
-	e.queue = append(e.queue, call{timer{at, e.seq}, fn})
-	// container/heap's up; it and the down in RunUntil make exactly that
+	e.queue = append(e.queue, call{timer{t, e.seq}, fn})
+	// container/heap's up; it and the down in pop make exactly that
 	// heap's comparisons and swaps, so the layout, and the pop order even
 	// for incomparable (NaN) times, match it.
 	q := e.queue
@@ -68,42 +108,51 @@ func (e *Engine) Schedule(at float64, fn func()) error {
 	return nil
 }
 
-// RunUntil pops and runs callbacks in (at, seq) order until the queue is
-// empty or the next one is after `until`, then advances the clock to
-// `until`.
-func (e *Engine) RunUntil(until float64) {
-	for len(e.queue) > 0 && e.queue[0].at <= until {
-		q := e.queue
-		n := len(q) - 1
-		q[0], q[n] = q[n], q[0]
-		for i := 0; ; { // container/heap's down over q[:n]
-			j := 2*i + 1
-			if j >= n {
-				break
-			}
-			if j2 := j + 1; j2 < n && q[j2].before(&q[j].timer) {
-				j = j2
-			}
-			if !q[j].before(&q[i].timer) {
-				break
-			}
-			q[i], q[j] = q[j], q[i]
-			i = j
-		}
-		c := q[n]
-		q[n] = call{}
-		e.queue = q[:n]
-		e.now = c.at
-		c.fn()
+// ScheduleRepeating runs fn at start, start+interval, start+2·interval, …
+// at control barriers.
+func (e *Engine) ScheduleRepeating(start, interval float64, fn func(now float64)) error {
+	if interval <= 0 {
+		return fmt.Errorf("sim: non-positive repeat interval %v", interval)
 	}
-	if until > e.now {
-		e.now = until
+	var tick func(now float64)
+	at := start
+	tick = func(now float64) {
+		fn(now)
+		at += interval
+		//cloudmedia:allow noloss -- at > now by construction, ScheduleAt cannot fail
+		_ = e.ScheduleAt(at, tick)
 	}
+	return e.ScheduleAt(start, tick)
 }
 
-// NextAt returns the timestamp of the earliest queued callback and
+// pop removes and returns the earliest queued callback.
+func (e *Engine) pop() call {
+	q := e.queue
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; { // container/heap's down over q[:n]
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].before(&q[j].timer) {
+			j = j2
+		}
+		if !q[j].before(&q[i].timer) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	c := q[n]
+	q[n] = call{}
+	e.queue = q[:n]
+	return c
+}
+
+// nextAt returns the timestamp of the earliest queued callback and
 // whether one exists.
-func (e *Engine) NextAt() (float64, bool) {
+func (e *Engine) nextAt() (float64, bool) {
 	if len(e.queue) == 0 {
 		return 0, false
 	}

@@ -222,8 +222,10 @@ func runClockOracle(t *testing.T, ops []byte) {
 
 // The channel clock must fire exactly what a container/heap queue of all
 // its events fires, in the same order, at the same times, with the same
-// timers armed at every step; the control engine's closure heap must
-// match container/heap pop for pop. Both run seeded random sequences.
+// timers armed at every step; the control engine's barrier loop must
+// pace, advance and fire exactly as the reference barrier loop does,
+// and its closure heap must match container/heap pop for pop. Both run
+// seeded random sequences; the odd seeds of the calls part are paced.
 func TestEngineMatchesContainerHeapOracle(t *testing.T) {
 	t.Run("clock", func(t *testing.T) {
 		for seed := int64(1); seed <= 40; seed++ {
@@ -234,7 +236,9 @@ func TestEngineMatchesContainerHeapOracle(t *testing.T) {
 	})
 	t.Run("calls", func(t *testing.T) {
 		for seed := int64(1); seed <= 40; seed++ {
-			runCallOracle(t, rand.New(rand.NewSource(seed)))
+			ops := make([]byte, 1200)
+			rand.New(rand.NewSource(seed)).Read(ops)
+			t.Run(fmt.Sprint(seed), func(t *testing.T) { runCallOracle(t, ops, seed%2 == 1) })
 		}
 	})
 }
@@ -255,51 +259,101 @@ func FuzzClockMatchesHeapOracle(f *testing.F) {
 	})
 }
 
-// refEngine is the control engine modelled on container/heap.
+// refEngine is the control engine modelled on container/heap, with a
+// reference barrier loop written event by event: while a callback is due
+// by the target, move the state to its time if that is later and run it;
+// then move the state to the target if that is later still.
 type refEngine struct {
-	now   float64
-	seq   uint64
-	queue refHeap
+	now           float64
+	seq           uint64
+	queue         refHeap
+	advance, pace func(t float64)
 }
 
-func (e *refEngine) schedule(at float64, fn func()) error {
+func (e *refEngine) schedule(at float64, fn func(now float64)) error {
 	if at < e.now {
 		return fmt.Errorf("schedule at %v before now %v", at, e.now)
 	}
 	e.seq++
-	heap.Push(&e.queue, &refEvent{at: at, seq: e.seq, fn: fn})
+	heap.Push(&e.queue, &refEvent{at: at, seq: e.seq, fn: func() { fn(at) }})
 	return nil
 }
 
-func (e *refEngine) runUntil(until float64) {
-	for len(e.queue) > 0 && e.queue[0].at <= until {
-		ev, _ := heap.Pop(&e.queue).(*refEvent)
-		e.now = ev.at
-		ev.fn()
-	}
-	if until > e.now {
-		e.now = until
+func (e *refEngine) moveTo(t float64) {
+	if t > e.now {
+		if e.pace != nil {
+			e.pace(t)
+		}
+		e.advance(t)
+		e.now = t
 	}
 }
 
-// callSide is one engine under the closure oracle. Each closure logs its
-// id when it runs, and every third one schedules a follow-up at the same
-// or a later time, so closures are also scheduled from inside callbacks,
-// ties included.
+func (e *refEngine) runUntil(t float64) {
+	for len(e.queue) > 0 && e.queue[0].at <= t {
+		ev, _ := heap.Pop(&e.queue).(*refEvent)
+		e.moveTo(ev.at)
+		ev.fn()
+	}
+	e.moveTo(t)
+}
+
+// The kinds of a barrier-log entry.
+const (
+	logPace = iota
+	logAdvance
+	logFire
+)
+
+// logEntry is one pace, advance or callback firing and its time; id
+// names the callback, and follow-ups have negative ids.
+type logEntry struct {
+	kind, id int
+	at       float64
+}
+
+// callSide is one engine under the barrier-loop oracle. Its pace and
+// advance hooks and its callbacks log themselves. Every third callback
+// schedules a follow-up at the same or a later time, so callbacks are
+// also scheduled from inside callbacks, ties and the firing instant
+// itself included; sameInstant counts the follow-ups queued at their
+// parent's instant, which must run before the state advances again.
 type callSide struct {
-	log    []int
-	budget int
-	errs   int
-	now    func() float64
-	sched  func(at float64, fn func()) error
+	t           *testing.T
+	log         []logEntry
+	budget      int
+	errs        int
+	followUps   int
+	sameInstant int
+	now         func() float64
+	sched       func(at float64, fn func(now float64)) error
+}
+
+func (s *callSide) pace(at float64) { s.log = append(s.log, logEntry{logPace, 0, at}) }
+
+func (s *callSide) advance(at float64) {
+	if s.sameInstant != 0 {
+		s.t.Fatalf("advance to %v with %d callbacks still due at %v", at, s.sameInstant, s.now())
+	}
+	s.log = append(s.log, logEntry{logAdvance, 0, at})
 }
 
 func (s *callSide) add(id int, at float64) {
-	fn := func() {
-		s.log = append(s.log, id)
+	fn := func(now float64) {
+		s.log = append(s.log, logEntry{logFire, id, now})
 		if id%3 == 0 && s.budget > 0 {
 			s.budget--
-			if err := s.sched(s.now()+float64(s.budget%4)*0.5, func() { s.log = append(s.log, 1<<20) }); err != nil {
+			s.followUps++
+			fid, delay := -s.followUps, float64(s.budget%4)*0.5
+			if delay == 0 {
+				s.sameInstant++
+			}
+			if err := s.sched(now+delay, func(now float64) {
+				if delay == 0 {
+					s.sameInstant--
+				}
+				s.log = append(s.log, logEntry{logFire, fid, now})
+			}); err != nil {
 				s.errs++
 			}
 		}
@@ -309,45 +363,107 @@ func (s *callSide) add(id int, at float64) {
 	}
 }
 
-// runCallOracle drives the control engine and container/heap through one
-// random sequence of schedules (some in the past, which both must
-// reject) and RunUntil calls, and requires the same firings, clock,
-// NextAt and queue length after every step.
-func runCallOracle(t *testing.T, rng *rand.Rand) {
-	eng, ref := NewEngine(), &refEngine{}
-	got := &callSide{budget: 200, now: eng.Now, sched: eng.Schedule}
-	want := &callSide{budget: 200, now: func() float64 { return ref.now }, sched: ref.schedule}
+// checkBarrierLog checks the entries one RunUntil(until) call logged on
+// an engine whose clock stood at now before it: each pace is followed by
+// the advance to the same barrier (and, when paced, each advance follows
+// its pace), barriers rise strictly from now and never pass until, and
+// every callback fires at the barrier the state was last moved to.
+func checkBarrierLog(t *testing.T, step int, log []logEntry, now, until float64, paced bool) {
+	t.Helper()
+	for i, e := range log {
+		switch e.kind {
+		case logPace:
+			if i+1 == len(log) || log[i+1] != (logEntry{logAdvance, 0, e.at}) {
+				t.Fatalf("step %d: pace at %v not followed by its advance: %v", step, e.at, log)
+			}
+		case logAdvance:
+			if paced && (i == 0 || log[i-1] != (logEntry{logPace, 0, e.at})) {
+				t.Fatalf("step %d: advance to %v without its pace first: %v", step, e.at, log)
+			}
+			if !(e.at > now) || e.at > until {
+				t.Fatalf("step %d: advance to %v from %v, target %v", step, e.at, now, until)
+			}
+			now = e.at
+		case logFire:
+			if e.at != now {
+				t.Fatalf("step %d: callback %d fired at %v with the state at %v", step, e.id, e.at, now)
+			}
+		}
+	}
+}
+
+// runCallOracle drives the control engine and the reference through the
+// operation sequence ops, two bytes an operation: schedules (some in the
+// past, which both must reject) and RunUntil calls that stop before, on
+// and after pending times, or before the clock. Both must log the same
+// paces, advances and firings at the same times and agree on the clock,
+// nextAt and the queue length after every operation and after a final
+// drain, and every RunUntil's entries must pass checkBarrierLog. paced
+// installs the pace hook; without it the engine must only advance.
+func runCallOracle(t *testing.T, ops []byte, paced bool) {
+	got := &callSide{t: t, budget: 200}
+	want := &callSide{t: t, budget: 200}
+	eng := NewEngine(got.advance, nil)
+	ref := &refEngine{advance: want.advance}
+	if paced {
+		eng, ref.pace = NewEngine(got.advance, got.pace), want.pace
+	}
+	got.now, got.sched = eng.Now, eng.ScheduleAt
+	want.now, want.sched = func() float64 { return ref.now }, ref.schedule
 	check := func(step int) {
 		t.Helper()
 		if !slices.Equal(got.log, want.log) || got.errs != want.errs {
-			t.Fatalf("step %d: fired %v with %d errors, reference %v with %d", step, got.log, got.errs, want.log, want.errs)
+			t.Fatalf("step %d: logged %v with %d errors, reference %v with %d", step, got.log, got.errs, want.log, want.errs)
 		}
-		at, ok := eng.NextAt()
+		at, ok := eng.nextAt()
 		var rat float64
 		if len(ref.queue) > 0 {
 			rat = ref.queue[0].at
 		}
 		if eng.Now() != ref.now || at != rat || ok != (len(ref.queue) > 0) || len(eng.queue) != len(ref.queue) {
-			t.Fatalf("step %d: Now %v, NextAt (%v, %v), %d queued; reference %v, %v, %d", step, eng.Now(), at, ok, len(eng.queue), ref.now, rat, len(ref.queue))
+			t.Fatalf("step %d: Now %v, nextAt (%v, %v), %d queued; reference %v, %v, %d", step, eng.Now(), at, ok, len(eng.queue), ref.now, rat, len(ref.queue))
 		}
 	}
-	for step, id := 0, 0; step < 600; step++ {
-		if rng.Intn(2) == 0 {
-			at := ref.now + float64(rng.Intn(12)-1)*0.5
+	run := func(step int, until float64) {
+		from, now := len(got.log), eng.Now()
+		eng.RunUntil(until)
+		ref.runUntil(until)
+		check(step)
+		checkBarrierLog(t, step, got.log[from:], now, until, paced)
+	}
+	id := 0
+	for step := 0; step+1 < len(ops); step += 2 {
+		op, arg := ops[step], int(ops[step+1])
+		if op%2 == 0 {
+			at := ref.now + float64(arg%12-1)*0.5
 			got.add(id, at)
 			want.add(id, at)
 			id++
-		} else {
-			until := ref.now + float64(rng.Intn(5))*0.5
-			if len(ref.queue) > 0 && rng.Intn(3) == 0 {
-				until = ref.queue[0].at
-			}
-			eng.RunUntil(until)
-			ref.runUntil(until)
+			check(step)
+			continue
 		}
-		check(step)
+		until := ref.now + float64(arg%6-1)*0.5
+		if arg>>3%3 == 0 && len(ref.queue) > 0 {
+			until = ref.queue[0].at // stop exactly on a pending time
+		}
+		run(step, until)
 	}
-	eng.RunUntil(ref.now + 1e9)
-	ref.runUntil(ref.now + 1e9)
-	check(-1)
+	run(-1, ref.now+1e9)
+}
+
+// FuzzEngineMatchesOracle runs the control engine's barrier-loop oracle
+// on arbitrary operation sequences; the first byte's low bit installs
+// the pace hook.
+func FuzzEngineMatchesOracle(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ops := make([]byte, 64)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		runCallOracle(t, ops, len(ops) > 0 && ops[0]&1 == 1)
+	})
 }

@@ -9,11 +9,11 @@ import (
 )
 
 func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(func(float64) {}, nil)
 	var order []int
 	add := func(at float64, id int) {
-		if err := e.Schedule(at, func() { order = append(order, id) }); err != nil {
-			t.Fatalf("Schedule: %v", err)
+		if err := e.ScheduleAt(at, func(float64) { order = append(order, id) }); err != nil {
+			t.Fatalf("ScheduleAt: %v", err)
 		}
 	}
 	add(5, 1)
@@ -29,12 +29,12 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineFIFOTieBreak(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(func(float64) {}, nil)
 	var order []int
 	for i := 0; i < 5; i++ {
 		id := i
-		if err := e.Schedule(1, func() { order = append(order, id) }); err != nil {
-			t.Fatalf("Schedule: %v", err)
+		if err := e.ScheduleAt(1, func(float64) { order = append(order, id) }); err != nil {
+			t.Fatalf("ScheduleAt: %v", err)
 		}
 	}
 	e.RunUntil(2)
@@ -46,9 +46,9 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 }
 
 func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(func(float64) {}, nil)
 	fired := false
-	if err := e.Schedule(10, func() { fired = true }); err != nil {
+	if err := e.ScheduleAt(10, func(float64) { fired = true }); err != nil {
 		t.Fatal(err)
 	}
 	e.RunUntil(5)
@@ -130,29 +130,29 @@ func pending(c *clock) int {
 }
 
 func TestEngineSchedulePastRejected(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(func(float64) {}, nil)
 	e.RunUntil(10)
-	if err := e.Schedule(5, func() {}); err == nil {
+	if err := e.ScheduleAt(5, func(float64) {}); err == nil {
 		t.Error("scheduling in the past: want error")
 	}
-	if err := e.Schedule(11, nil); err == nil {
+	if err := e.ScheduleAt(11, nil); err == nil {
 		t.Error("nil fn: want error")
 	}
 }
 
 func TestEngineEventsScheduleEvents(t *testing.T) {
-	e := NewEngine()
+	e := NewEngine(func(float64) {}, nil)
 	var times []float64
-	var chain func()
-	chain = func() {
-		times = append(times, e.Now())
-		if e.Now() < 3 {
-			if err := e.Schedule(e.Now()+1, chain); err != nil {
-				t.Errorf("Schedule: %v", err)
+	var chain func(now float64)
+	chain = func(now float64) {
+		times = append(times, now)
+		if now < 3 {
+			if err := e.ScheduleAt(now+1, chain); err != nil {
+				t.Errorf("ScheduleAt: %v", err)
 			}
 		}
 	}
-	if err := e.Schedule(1, chain); err != nil {
+	if err := e.ScheduleAt(1, chain); err != nil {
 		t.Fatal(err)
 	}
 	e.RunUntil(100)

@@ -67,10 +67,10 @@ type Config struct {
 
 	// Source overrides the demand side of the workload: per-channel
 	// arrival intensity over time (a recorded trace, a synthetic
-	// generator, …). nil derives the parametric source from Workload —
-	// bit-identical to the pre-seam sampling. When set, the channel count
-	// follows the source; Workload still supplies the behavioural
-	// parameters (VCR jumps, peer uplinks).
+	// generator, …). nil is the parametric source derived from Workload,
+	// which Resolve fills in. The channel count follows the source;
+	// Workload still supplies the behavioural parameters (VCR jumps, peer
+	// uplinks).
 	Source workload.Source
 
 	// OnArrivals, when non-nil, observes every realized arrival: the
@@ -84,7 +84,8 @@ type Config struct {
 
 	// Pacer, when non-nil, is called once per control barrier with the
 	// simulated time the engine is about to advance to, before any state
-	// moves past the current instant. A live control plane (internal/serve)
+	// moves past the current instant: Engine.RunUntil, the barrier loop
+	// both engines share, calls it. A live control plane (internal/serve)
 	// blocks here against a wall clock to pace the simulation; a nil Pacer
 	// (every batch run) costs nothing. The callback must not call back into
 	// the engine; it may only sleep or return.
@@ -116,16 +117,18 @@ const RebalanceSeconds = 30
 const QualityWindowSeconds = 300
 
 // Resolve returns the config with its zero values resolved — a zero
-// Scheduling is RarestFirst, and a demand Source owns the channel count,
-// leaving Workload only its behavioural role (jumps, uplinks) — and
-// validated. Both engines' constructors resolve through it.
+// Scheduling is RarestFirst, a nil Source is Workload's parametric
+// source, and the Source owns the channel count, leaving Workload only
+// its behavioural role (jumps, uplinks) — and validated. Both engines'
+// constructors resolve through it.
 func (c Config) Resolve() (Config, error) {
 	if c.Scheduling == 0 {
 		c.Scheduling = RarestFirst
 	}
-	if c.Source != nil {
-		c.Workload.Channels = c.Source.NumChannels()
+	if c.Source == nil {
+		c.Source = c.Workload.Source()
 	}
+	c.Workload.Channels = c.Source.NumChannels()
 	return c, c.Validate()
 }
 
@@ -298,26 +301,20 @@ func (ch *channelState) newUser(uplink float64) *user {
 
 // Simulator is the per-viewer discrete-event Backend. It is
 // single-threaded at the API: all interaction must happen from scheduled
-// callbacks or between RunUntil calls. Internally, RunUntil shards the
-// per-channel event queues across a bounded worker pool between control
-// barriers (see Config.Workers).
+// callbacks or between RunUntil calls. Its Engine sequences the
+// cross-channel callbacks (controller intervals, peer rebalances, delayed
+// capacity applications); between them, advanceChannels shards the
+// per-channel event queues across a bounded worker pool (see
+// Config.Workers), and each callback fires with every channel settled at
+// its instant.
 type Simulator struct {
+	*Engine
 	cfg     Config
 	workers int
 
-	// src is the resolved demand source (Config.Source, or the parametric
-	// source derived from Config.Workload); envelopes caches each
-	// channel's thinning bound, primed serially in New so the per-channel
-	// workers only ever read the source.
-	src       workload.Source
+	// envelopes caches each channel's thinning bound, primed serially in
+	// New so the per-channel workers only ever read the source.
 	envelopes []float64
-
-	// control sequences the cross-channel callbacks — controller
-	// intervals, peer rebalances, delayed capacity applications. Channels
-	// advance independently up to the next control event, then the event
-	// fires with every channel settled at that instant.
-	control *Engine
-	now     float64
 
 	channels []*channelState
 }
@@ -332,22 +329,13 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := cfg.Source
-	if src == nil {
-		src = cfg.Workload.Source()
-	}
-	workers := EffectiveWorkers(cfg.Workers, cfg.Workload.Channels)
-	s := &Simulator{
-		cfg:     cfg,
-		workers: workers,
-		src:     src,
-		control: NewEngine(),
-	}
+	s := &Simulator{cfg: cfg, workers: EffectiveWorkers(cfg.Workers, cfg.Workload.Channels)}
+	s.Engine = NewEngine(s.advanceChannels, cfg.Pacer)
 	// Prime the envelopes (and any lazy source caches, e.g. Zipf weights)
 	// serially before the channel workers exist.
 	s.envelopes = make([]float64, cfg.Workload.Channels)
 	for c := range s.envelopes {
-		env, err := src.MaxRate(c)
+		env, err := cfg.Source.MaxRate(c)
 		if err != nil {
 			return nil, err
 		}
@@ -390,34 +378,6 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Now returns the simulated clock in seconds.
-func (s *Simulator) Now() float64 { return s.now }
-
-// RunUntil advances the simulation to time t (seconds). Channels step
-// independently (in parallel when Workers permits) up to each control
-// event — a provisioning round, a peer rebalance, a delayed capacity
-// application — which then runs with every channel settled at its
-// timestamp.
-func (s *Simulator) RunUntil(t float64) {
-	for {
-		barrier := t
-		if at, ok := s.control.NextAt(); ok && at < barrier {
-			barrier = at
-		}
-		if barrier > s.now {
-			if s.cfg.Pacer != nil {
-				s.cfg.Pacer(barrier)
-			}
-			s.advanceChannels(barrier)
-			s.now = barrier
-		}
-		s.control.RunUntil(barrier)
-		if barrier >= t {
-			return
-		}
-	}
-}
-
 // advanceChannels runs every channel's private event queue to time t,
 // fanning out across the worker pool. Channel event handlers touch only
 // their own channelState (users, pools, estimator, rng), so the shards
@@ -436,31 +396,6 @@ func (s *Simulator) advanceChannels(t float64) {
 	})
 }
 
-// ScheduleAt runs fn at simulated time t. The callback runs at a control
-// barrier: every channel is settled at t when it fires.
-func (s *Simulator) ScheduleAt(t float64, fn func(now float64)) error {
-	err := s.control.Schedule(t, func() { fn(s.control.Now()) })
-	return err
-}
-
-// ScheduleRepeating runs fn at start, start+interval, start+2·interval, …
-// at control barriers.
-func (s *Simulator) ScheduleRepeating(start, interval float64, fn func(now float64)) error {
-	if interval <= 0 {
-		return fmt.Errorf("sim: non-positive repeat interval %v", interval)
-	}
-	var tick func()
-	at := start
-	tick = func() {
-		fn(s.control.Now())
-		at += interval
-		//cloudmedia:allow noloss -- at > now by construction, Schedule cannot fail
-		_ = s.control.Schedule(at, tick)
-	}
-	err := s.control.Schedule(start, tick)
-	return err
-}
-
 // scheduleArrival arms the next NHPP arrival for a channel on the
 // channel's own clock, thinning against the channel's cached
 // envelope. The rate comes from the resolved demand source, so the same
@@ -470,7 +405,7 @@ func (s *Simulator) scheduleArrival(ch *channelState) {
 	// Sample within a one-day horizon; if the thinning run finds nothing
 	// (possible only at negligible rates), re-arm at the horizon.
 	horizon := now + 24*3600
-	next := workload.NextArrivalThinned(ch.rng, s.src, ch.index, s.envelopes[ch.index], now, horizon)
+	next := workload.NextArrivalThinned(ch.rng, s.cfg.Source, ch.index, s.envelopes[ch.index], now, horizon)
 	ch.arrivalReal = !math.IsInf(next, 1)
 	ch.clock.arm(arrivalTimer, min(next, horizon))
 }
@@ -730,7 +665,7 @@ type QualitySample struct {
 // SampleQuality measures streaming quality right now: the fraction of
 // viewers with no stall inside the trailing window (Fig. 5's metric).
 func (s *Simulator) SampleQuality() QualitySample {
-	now := s.now
+	now := s.Now()
 	sample := QualitySample{
 		Time:            now,
 		PerChannel:      make([]float64, len(s.channels)),
