@@ -122,31 +122,24 @@ type Controller struct {
 	planner provision.Planner
 	workers int // resolved Options.Workers, see serial
 
-	// planCaps holds the last planned per-chunk capacity targets,
-	// unscaled, and lastCaps the last applied capacities (plan × fault
-	// factors), both flat at ch*Chunks+chunk; capChannels is how many
+	// planned holds the latest plan per chunk, and caps the booted
+	// capacity before the fault factor, scaled by the spot preemptions
+	// since; both flat at ch*Chunks+chunk. capChannels is how many
 	// channels apply has recorded (0 before the first plan is applied).
-	planCaps    []float64
-	lastCaps    []float64
+	// factor is the product of the fault windows open now (1 = healthy),
+	// and every chunk serves caps × factor, see serve.
+	planned     []float64
+	caps        []float64
 	capChannels int
+	factor      float64
 	rateHistory [][]float64 // per-channel observed arrival rates, oldest first
 	forecasts   []float64   // per channel: Predictor.Predict(rateHistory[ch]), see forecast
-
-	// capFactor is the persistent capacity multiplier fault injection's
-	// capacity-degradation events set (1 = healthy); preemptScale is the
-	// transient survivor fraction after a spot preemption, reset when the
-	// next plan re-rents the lost VMs. Both stay exactly 1 on healthy
-	// runs, so plan×1×1 is bit-identical to the unscaled plan and no
-	// golden moves.
-	capFactor    float64
-	preemptScale float64
 
 	// Per-round scratch, reused across intervals so the steady control
 	// path stops allocating: the measurement inputs, the derived
 	// per-channel demands and their storage (current round and per
 	// lookahead step), the flattened chunk-demand lists handed to the
-	// planner, the negotiated catalog and its specs, and the capacity
-	// targets. Safe because nothing downstream retains them — records
+	// planner, and the negotiated catalog and its specs. Safe because nothing downstream retains them — records
 	// get their own slices, planners copy what they keep, and apply
 	// reads synchronously within the round. See DESIGN.md, "Sharded
 	// control plane".
@@ -162,7 +155,6 @@ type Controller struct {
 	catalog        cloud.Catalog
 	scratchVMs     []cloud.VMClusterSpec
 	scratchNFS     []cloud.NFSClusterSpec
-	scratchCaps    []float64
 	// freeRaises recycles the lists of delayed capacity raises, see apply.
 	freeRaises [][]capRaise
 }
@@ -208,17 +200,16 @@ func NewController(s sim.Backend, cl *cloud.Cloud, broker *cloud.Broker, opts Op
 	}
 	workers := sim.EffectiveWorkers(opts.Workers, s.Channels())
 	return &Controller{
-		sim:          s,
-		broker:       broker,
-		cl:           cl,
-		opts:         opts,
-		planner:      opts.Policy.NewPlanner(),
-		workers:      workers,
-		derivers:     make([]deriver, workers),
-		rateHistory:  make([][]float64, s.Channels()),
-		forecasts:    make([]float64, s.Channels()),
-		capFactor:    1,
-		preemptScale: 1,
+		sim:         s,
+		broker:      broker,
+		cl:          cl,
+		opts:        opts,
+		planner:     opts.Policy.NewPlanner(),
+		workers:     workers,
+		derivers:    make([]deriver, workers),
+		rateHistory: make([][]float64, s.Channels()),
+		forecasts:   make([]float64, s.Channels()),
+		factor:      1,
 	}, nil
 }
 
@@ -650,23 +641,22 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 		return err
 	}
 
+	n := len(demands)
+	if n > c.capChannels {
+		grown := make([]float64, (n-c.capChannels)*chunks)
+		c.planned = append(c.planned, grown...)
+		c.caps = append(c.caps, grown...)
+		c.capChannels = n
+	}
 	// The plan's per-chunk capacity, flat at ch*chunks+chunk and summed
 	// in allocation order as VMPlan.CapacityPerChunk sums it; allocations
 	// outside the demand set are ignored.
-	n := len(demands)
-	caps := slices.Grow(c.scratchCaps[:0], n*chunks)[:n*chunks]
-	clear(caps)
-	c.scratchCaps = caps
+	planned := c.planned[:n*chunks]
+	clear(planned)
 	for _, a := range vmPlan.Allocations {
 		if a.Channel >= 0 && a.Channel < n && a.Chunk >= 0 && a.Chunk < chunks {
-			caps[a.Channel*chunks+a.Chunk] += a.VMs * vmBandwidth
+			planned[a.Channel*chunks+a.Chunk] += a.VMs * vmBandwidth
 		}
-	}
-	if n > c.capChannels {
-		grown := make([]float64, (n-c.capChannels)*chunks)
-		c.planCaps = append(c.planCaps, grown...)
-		c.lastCaps = append(c.lastCaps, grown...)
-		c.capChannels = n
 	}
 	// Increases wait for the new VMs to boot: freshly requested VMs serve
 	// only once booted. This delayed raise is the run's one boot model:
@@ -677,23 +667,18 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 	if k := len(c.freeRaises); k > 0 {
 		raises, c.freeRaises = c.freeRaises[k-1], c.freeRaises[:k-1]
 	}
-	// A fresh plan re-rents whatever a spot preemption killed, so the
-	// transient survivor scale resets here; the persistent degradation
-	// factor keeps applying until the fault clears it.
-	c.preemptScale = 1
 	for ch, d := range demands {
 		for i := range d.CloudDemand {
 			key := ch*chunks + i
-			c.planCaps[key] = caps[key]
-			target := caps[key] * c.capFactor
-			if target > c.lastCaps[key] {
-				raises = append(raises, capRaise{ch: ch, chunk: i, target: target})
+			p := planned[key]
+			// Compare served values: under a zero factor nothing rises,
+			// so an outage schedules no boot callbacks.
+			if p*c.factor > c.caps[key]*c.factor {
+				raises = append(raises, capRaise{ch: ch, chunk: i, target: p})
 			} else {
 				// Decreases take effect immediately (shutdown is fast).
-				//cloudmedia:allow noloss -- channel/chunk come from the plan loop, which only visits valid indices
-				_ = c.sim.SetCloudCapacity(ch, i, target)
+				c.serve(ch, i, chunks, p)
 			}
-			c.lastCaps[key] = target
 		}
 	}
 	if len(raises) == 0 {
@@ -704,63 +689,62 @@ func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan pro
 	}
 	//cloudmedia:allow noloss -- the boot latency is positive, so ScheduleAt cannot fail
 	_ = c.sim.ScheduleAt(now+c.cl.BootLatency(), func(float64) {
+		// A later plan may have lowered the chunk meanwhile, and a
+		// preemption may have scaled what had booted: the raise brings up
+		// at most the latest plan and never takes capacity away.
 		for _, r := range raises {
-			//cloudmedia:allow noloss -- channel/chunk come from the plan loop, which only visits valid indices
-			_ = c.sim.SetCloudCapacity(r.ch, r.chunk, r.target)
+			key := r.ch*chunks + r.chunk
+			c.serve(r.ch, r.chunk, chunks, max(c.caps[key], min(r.target, c.planned[key])))
 		}
 		c.freeRaises = append(c.freeRaises, raises[:0])
 	})
 	return nil
 }
 
-// SetCapacityFactor sets the persistent capacity multiplier — fault
-// injection's capacity-degradation hook. The factor scales every applied
-// chunk capacity (current and future plans) and holds until the next
-// SetCapacityFactor call; the current capacities are rescaled immediately,
-// in ascending (channel, chunk) order so the reapplication is
-// worker-count-invariant. Must be called at a control barrier (from a
+// serve records v as the chunk's capacity before the fault factor and
+// serves v × factor: the one place the controller writes capacity.
+func (c *Controller) serve(ch, chunk, chunks int, v float64) {
+	c.caps[ch*chunks+chunk] = v
+	//cloudmedia:allow noloss -- channel/chunk come from the plan loop, which only visits valid indices
+	_ = c.sim.SetCloudCapacity(ch, chunk, v*c.factor)
+}
+
+// rescale serves every chunk's caps × scale × factor, in ascending
+// (channel, chunk) order so the float effects never depend on the worker
+// count. Neither edge waits for a boot: the VMs behind caps are running.
+func (c *Controller) rescale(scale float64) {
+	if c.capChannels == 0 {
+		return
+	}
+	chunks := len(c.caps) / c.capChannels
+	for key, v := range c.caps {
+		c.serve(key/chunks, key%chunks, chunks, v*scale)
+	}
+}
+
+// SetCapacityFactor sets the fault factor, the product of the fault
+// windows open now (1 = healthy), and re-serves every chunk's booted
+// capacity times it at once. Must be called at a control barrier (from a
 // scheduled callback or between RunUntil calls), like every backend
 // interaction.
 func (c *Controller) SetCapacityFactor(now, factor float64) error {
 	if !(factor >= 0 && factor <= 1) { // NaN fails too
 		return fmt.Errorf("core: capacity factor %v outside [0,1]", factor)
 	}
-	c.capFactor = factor
-	c.reapplyCaps()
+	c.factor = factor
+	c.rescale(1)
 	return nil
 }
 
-// ScaleCapacity multiplies the transient post-preemption capacity scale —
-// fault injection's spot-preemption hook, called with the survivor
-// fraction after Cloud.PreemptSpot removed the billed VMs. The scale
-// compounds across preemptions within one interval and resets when the
-// next provisioning round re-rents replacement capacity (which then boots
-// through the normal latency path). Must be called at a control barrier.
+// ScaleCapacity scales the booted capacity by the survivor fraction of a
+// spot preemption, called after Cloud.PreemptSpot removed the billed VMs.
+// Raises still booting are untouched, and the next provisioning round
+// re-rents the lost VMs through the normal boot-latency path. Must be
+// called at a control barrier.
 func (c *Controller) ScaleCapacity(now, factor float64) error {
 	if !(factor >= 0 && factor <= 1) { // NaN fails too
 		return fmt.Errorf("core: capacity scale %v outside [0,1]", factor)
 	}
-	c.preemptScale *= factor
-	c.reapplyCaps()
+	c.rescale(factor)
 	return nil
-}
-
-// reapplyCaps pushes planCaps × capFactor × preemptScale into the running
-// system, immediately: degraded or preempted capacity disappears at once,
-// and a degradation clearing restores capacity that never stopped being
-// rented (already-booted VMs), so no boot latency applies on either edge.
-// Chunks are applied in ascending (channel, chunk) order, the flat
-// layout's order, so the float effects never depend on the worker count.
-func (c *Controller) reapplyCaps() {
-	if c.capChannels == 0 {
-		return
-	}
-	chunks := len(c.planCaps) / c.capChannels
-	f := c.capFactor * c.preemptScale
-	for key, planned := range c.planCaps {
-		target := planned * f
-		//cloudmedia:allow noloss -- the key was recorded by apply from valid plan indices
-		_ = c.sim.SetCloudCapacity(key/chunks, key%chunks, target)
-		c.lastCaps[key] = target
-	}
 }

@@ -300,7 +300,7 @@ func TestCapacityHooksRejectOutOfRange(t *testing.T) {
 			t.Errorf("ScaleCapacity(%v) accepted", f)
 		}
 	}
-	if got := ctl.capFactor; got != 1 {
+	if got := ctl.factor; got != 1 {
 		t.Errorf("rejected factors moved the capacity factor to %v", got)
 	}
 	for _, f := range []float64{0, 0.5, 1} {

@@ -193,7 +193,7 @@ func TestRejectedSubmitIsVisible(t *testing.T) {
 	}
 	ctl.Provision(0, flatInputs(s, transfer, 0.2))
 	s.RunUntil(cl.BootLatency() + 1) // the first plan's VMs have booted
-	chunkCaps, caps := slices.Clone(ctl.lastCaps), channelCaps()
+	chunkCaps, caps := slices.Clone(ctl.caps), channelCaps()
 	if s.TotalCloudCapacity() <= 0 {
 		t.Fatal("first plan applied no capacity")
 	}
@@ -208,8 +208,8 @@ func TestRejectedSubmitIsVisible(t *testing.T) {
 	if !strings.Contains(recs[1].SubmitErr, cloud.ErrCapacity.Error()) {
 		t.Errorf("SubmitErr %q, want the broker's capacity rejection", recs[1].SubmitErr)
 	}
-	if !reflect.DeepEqual(ctl.lastCaps, chunkCaps) {
-		t.Errorf("chunk capacities %v after the rejected submit, want the previous %v", ctl.lastCaps, chunkCaps)
+	if !reflect.DeepEqual(ctl.caps, chunkCaps) {
+		t.Errorf("chunk capacities %v after the rejected submit, want the previous %v", ctl.caps, chunkCaps)
 	}
 	if got := channelCaps(); !reflect.DeepEqual(got, caps) {
 		t.Errorf("channel capacities %v after the rejected submit, want the previous %v", got, caps)

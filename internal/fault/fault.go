@@ -4,6 +4,13 @@
 // seam so both engines — per-viewer event and aggregate fluid — see the
 // same faults at the same simulated instants.
 //
+// A stack serves its booted capacity times one factor, the product of
+// the degradation and outage windows open at the instant (an outage
+// counts as factor 0). Attach is the only writer of that factor, and a
+// spot preemption scales only the booted capacity, so overlapping
+// windows, preemptions and boot latency compose instead of overwriting
+// each other.
+//
 // Everything is deterministic per seed. Scheduled events fire at their
 // declared times; the stochastic spot-interruption process draws from a
 // rand stream seeded from the run seed and advances only at control-plane
@@ -16,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,11 +33,11 @@ import (
 	"cloudmedia/internal/sim"
 )
 
-// RegionOutage takes one region dark for a window: its arrivals migrate
-// to the surviving regions (geo failover) and its serving capacity drops
-// to zero. In a single-region deployment, where there is nowhere to fail
-// over to, the outage is applied as a capacity blackout: viewers keep
-// arriving and stall — the no-failover baseline.
+// RegionOutage takes one region dark for a window: its serving capacity
+// drops to zero (a capacity window of factor 0, see Attach), and in a geo
+// deployment its arrivals migrate to the surviving regions. In a
+// single-region deployment, where there is nowhere to fail over to,
+// viewers keep arriving and stall — the no-failover baseline.
 type RegionOutage struct {
 	// Region names the geo region that fails; "" means the deployment's
 	// largest-share region (geo) or the only region (single-region runs).
@@ -82,8 +90,10 @@ type Schedule struct {
 
 // Validate checks schedule invariants: times finite and non-negative,
 // durations finite and positive, fractions and factors in [0,1], and no
-// two outages of one Region overlapping (the first recovery would end
-// both). NaN fails every check, so a malformed number cannot drop an event.
+// two outages of one Region overlapping (geo's share migration marks a
+// region down at each outage start and up at each end, so the first end
+// would bring it back inside the second outage). NaN fails every check,
+// so a malformed number cannot drop an event.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
@@ -179,7 +189,7 @@ type Target struct {
 func (t Target) matches(r string) bool { return r == "" || r == t.Region }
 
 // preempt realizes one spot preemption on the target: kill the billed
-// spot VMs, then scale the serving plane by the survivor fraction. The
+// spot VMs, then scale the booted capacity by the survivor fraction. The
 // next provisioning round re-rents replacements through the normal
 // boot-latency path.
 func (t Target) preempt(now, fraction float64) {
@@ -191,11 +201,16 @@ func (t Target) preempt(now, fraction float64) {
 	_ = t.Controller.ScaleCapacity(now, 1-lost)
 }
 
-// Attach schedules the plan's preemptions and degradations plus the
-// pricing plan's stochastic interruption process on the target. Region
-// outages are not attached here: geo deployments realize them with share
-// migration (see internal/geo), single-region runs via AttachBlackouts.
-// sched may be nil (interruption process only).
+// Attach schedules the plan's preemptions, its capacity windows and the
+// pricing plan's stochastic interruption process on the target. The
+// capacity windows are the target's degradations and its region outages,
+// each outage a window of factor 0: a single-region run has nowhere to
+// fail over to, so its viewers keep arriving and stall, and a geo region
+// goes dark while internal/geo migrates its arrivals. Attach is the one
+// writer of the controller's capacity factor: at each distinct window
+// edge it sets the product of the windows open from that edge on, taken
+// in declaration order, degradations first. sched may be nil
+// (interruption process only).
 func Attach(t Target, sched *Schedule) error {
 	if err := sched.Validate(); err != nil {
 		return err
@@ -210,26 +225,52 @@ func Attach(t Target, sched *Schedule) error {
 				return fmt.Errorf("fault: preemption at %v: %w", p.At, err)
 			}
 		}
-		for _, d := range sched.Degradations {
-			if !t.matches(d.Region) {
-				continue
-			}
-			factor := d.Factor
-			if err := t.Backend.ScheduleAt(d.Start, func(now float64) {
-				//cloudmedia:allow noloss -- factor validated into [0,1] above
-				_ = t.Controller.SetCapacityFactor(now, factor)
-			}); err != nil {
-				return fmt.Errorf("fault: degradation at %v: %w", d.Start, err)
-			}
-			if err := t.Backend.ScheduleAt(d.Start+d.Duration, func(now float64) {
-				//cloudmedia:allow noloss -- restoring factor 1 is always valid
-				_ = t.Controller.SetCapacityFactor(now, 1)
-			}); err != nil {
-				return fmt.Errorf("fault: degradation end at %v: %w", d.Start+d.Duration, err)
-			}
+		if err := t.attachWindows(sched); err != nil {
+			return err
 		}
 	}
 	return attachInterruptions(t, sched)
+}
+
+// window is one span [start, end) over which capacity is multiplied by
+// factor.
+type window struct{ start, end, factor float64 }
+
+// attachWindows schedules one SetCapacityFactor call per distinct edge of
+// the target's capacity windows, with the product of the windows open
+// from that edge on.
+func (t Target) attachWindows(sched *Schedule) error {
+	var windows []window
+	var edges []float64
+	for _, d := range sched.Degradations {
+		if t.matches(d.Region) {
+			windows = append(windows, window{d.Start, d.Start + d.Duration, d.Factor})
+		}
+	}
+	for _, o := range sched.Outages {
+		if t.matches(o.Region) {
+			windows = append(windows, window{o.Start, o.Start + o.Duration, 0})
+		}
+	}
+	for _, w := range windows {
+		edges = append(edges, w.start, w.end)
+	}
+	slices.Sort(edges)
+	for _, at := range slices.Compact(edges) {
+		factor := 1.0
+		for _, w := range windows {
+			if w.start <= at && at < w.end {
+				factor *= w.factor
+			}
+		}
+		if err := t.Backend.ScheduleAt(at, func(now float64) {
+			//cloudmedia:allow noloss -- a product of validated factors lies in [0,1]
+			_ = t.Controller.SetCapacityFactor(now, factor)
+		}); err != nil {
+			return fmt.Errorf("fault: capacity window edge at %v: %w", at, err)
+		}
+	}
+	return nil
 }
 
 // attachInterruptions runs the spot market's stochastic interruption
@@ -255,38 +296,6 @@ func attachInterruptions(t Target, sched *Schedule) error {
 			t.preempt(now, fraction)
 		}
 	})
-}
-
-// AttachBlackouts applies the plan's region outages to a single-region
-// stack as capacity blackouts: serving capacity drops to zero for the
-// window (arrivals continue and stall — no failover exists), then
-// restores. Geo deployments must not use this; they realize outages with
-// share migration instead.
-func AttachBlackouts(t Target, sched *Schedule) error {
-	if err := sched.Validate(); err != nil {
-		return err
-	}
-	if sched == nil {
-		return nil
-	}
-	for _, o := range sched.Outages {
-		if !t.matches(o.Region) {
-			continue
-		}
-		if err := t.Backend.ScheduleAt(o.Start, func(now float64) {
-			//cloudmedia:allow noloss -- factor 0 is always valid
-			_ = t.Controller.SetCapacityFactor(now, 0)
-		}); err != nil {
-			return fmt.Errorf("fault: outage at %v: %w", o.Start, err)
-		}
-		if err := t.Backend.ScheduleAt(o.Start+o.Duration, func(now float64) {
-			//cloudmedia:allow noloss -- restoring factor 1 is always valid
-			_ = t.Controller.SetCapacityFactor(now, 1)
-		}); err != nil {
-			return fmt.Errorf("fault: outage end at %v: %w", o.Start+o.Duration, err)
-		}
-	}
-	return nil
 }
 
 // Presets returns the named fault scenarios the CLI and sweep axes

@@ -76,10 +76,6 @@ type Backend struct {
 	// Per-channel scalars (length C).
 	cloudBytesServed []float64
 	smooth           []float64 // windowed smooth-playback fraction
-	capTotal         []float64 // cached Σ_j cloudCap, see channelCloudCap
-	capDirty         []bool
-	totalCap         float64 // cached Σ over all chunks, see TotalCloudCapacity
-	totalCapDirty    bool
 	feeds            []*feed
 
 	// Transfer-matrix constants, precomputed once at New: the constant
@@ -166,8 +162,6 @@ func New(cfg sim.Config) (*Backend, error) {
 	b.gather = newGather(sc.Transfer)
 	b.cloudBytesServed = make([]float64, C)
 	b.smooth = make([]float64, C)
-	b.capTotal = make([]float64, C)
-	b.capDirty = make([]bool, C)
 	b.feeds = make([]*feed, C)
 	for c := 0; c < C; c++ {
 		b.smooth[c] = 1
@@ -610,53 +604,30 @@ func (b *Backend) SetCloudCapacity(channel, chunk int, bytesPerSecond float64) e
 		return fmt.Errorf("fluid: capacity %v is not a finite non-negative rate", bytesPerSecond)
 	}
 	b.cloudCap[channel*b.J+chunk] = bytesPerSecond
-	b.capDirty[channel] = true
-	b.totalCapDirty = true
 	return nil
 }
 
-// channelCloudCap returns the channel's provisioned cloud total from the
-// per-channel cache, recomputing it only after SetCloudCapacity writes.
-// The controller writes all J chunks of a channel per interval and then
-// reads totals repeatedly; the cache turns those reads O(1) amortized
-// instead of re-summing O(J) per read. Recomputation walks the chunks in
-// index order, so the cached value is bit-identical to a fresh sum.
-func (b *Backend) channelCloudCap(c int) float64 {
-	if b.capDirty[c] {
-		var total float64
-		base := c * b.J
-		for j := 0; j < b.J; j++ {
-			total += b.cloudCap[base+j]
-		}
-		b.capTotal[c] = total
-		b.capDirty[c] = false
-	}
-	return b.capTotal[c]
-}
-
-// CloudCapacity returns the channel's provisioned cloud capacity, bytes/s.
+// CloudCapacity returns the channel's provisioned cloud capacity, bytes/s,
+// summed over its chunks in index order.
 func (b *Backend) CloudCapacity(channel int) (float64, error) {
 	if channel < 0 || channel >= b.C {
 		return 0, fmt.Errorf("fluid: channel %d outside [0,%d)", channel, b.C)
 	}
-	return b.channelCloudCap(channel), nil
+	var total float64
+	for _, v := range b.cloudCap[channel*b.J : (channel+1)*b.J] {
+		total += v
+	}
+	return total, nil
 }
 
-// TotalCloudCapacity returns the capacity provisioned across all channels.
-// The total is cached across reads and recomputed only after a
-// SetCloudCapacity write, as one index-ordered pass over the flat backing
-// array — the same single accumulator a fresh nested sum would use, so the
-// cached value is bit-identical to the uncached one.
+// TotalCloudCapacity returns the capacity provisioned across all channels,
+// as one index-ordered pass over the flat backing array.
 func (b *Backend) TotalCloudCapacity() float64 {
-	if b.totalCapDirty {
-		var total float64
-		for _, v := range b.cloudCap {
-			total += v
-		}
-		b.totalCap = total
-		b.totalCapDirty = false
+	var total float64
+	for _, v := range b.cloudCap {
+		total += v
 	}
-	return b.totalCap
+	return total
 }
 
 // CloudBytesServed returns the cumulative cloud-attributed bytes. Byte

@@ -284,9 +284,10 @@ func TestFeedMatrixReusesStorage(t *testing.T) {
 	}
 }
 
-// TestFluidCapacityCacheTracksWrites: the cached capacity totals must
-// track SetCloudCapacity writes exactly, and cache hits must not allocate
-// (the controller reads totals every sample).
+// TestFluidCapacityCacheTracksWrites: the capacity totals, summed at each
+// read, must track SetCloudCapacity writes exactly, and reads must not
+// allocate (the run reads totals every sample). (The engine once kept a
+// dirty-flagged cache of these sums; the name stays.)
 func TestFluidCapacityCacheTracksWrites(t *testing.T) {
 	b, err := New(smallConfig(t, sim.ClientServer))
 	if err != nil {

@@ -15,10 +15,10 @@
 // outage migrates the failed region's arrival share to the surviving
 // regions (re-normalized by their own shares) behind a mutable
 // share-scaling source, charges each receiving region the migrated
-// viewers' transfer bytes, and zeroes the failed region's serving
-// capacity; recovery restores the shares and charges the fail-back
-// transfer. Spot preemptions and capacity degradations apply per region
-// through internal/fault's scheduling hooks. Outage boundaries are stops
+// viewers' transfer bytes; recovery restores the shares and charges the
+// fail-back transfer. Serving capacity is each region's own: its stack
+// zeroes it over the region's outages and scales it by its preemptions
+// and degradations through internal/fault. Outage boundaries are stops
 // of the one run loop (stack.Run), so runs stay bit-identical for every
 // worker count and deterministic per seed.
 package geo
@@ -290,20 +290,20 @@ func New(sc stack.Spec, regions []Region) (*Deployment, error) {
 	if sc.Source != nil {
 		return nil, fmt.Errorf("%w: regions split the parametric workload; a demand source is not supported", ErrConfig)
 	}
-	// Resolve unscoped outages to the largest-share region, so the rest
-	// of the deployment only ever sees named victims, and recheck their
-	// overlap. The regional stacks get the schedule without its outages:
-	// the deployment realizes them as failover in Run.
+	// Resolve unscoped outages to the largest-share region before the
+	// regional stacks see them, or every region would go dark, and
+	// recheck their overlap. Each stack zeroes its own capacity over its
+	// outages (fault.Attach); the deployment migrates the shares in Run.
 	var outages []fault.RegionOutage
 	if sc.Faults != nil {
 		sc.Faults = sc.Faults.Clone()
-		outages, sc.Faults.Outages = sc.Faults.Outages, nil
+		outages = sc.Faults.Outages
 		for i := range outages {
 			if outages[i].Region == "" {
 				outages[i].Region = largestRegion(regions)
 			}
 		}
-		if err := (&fault.Schedule{Outages: outages}).Validate(); err != nil {
+		if err := sc.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 		}
 	}
@@ -367,8 +367,8 @@ func (d *Deployment) buildEvents(outages []fault.RegionOutage) {
 // with the outage boundaries and the caller's marks as extra stops.
 // Regions evolve independently between stops (cross-region traffic is out
 // of scope, as in the paper's sketch). At each stop Run applies the
-// failovers and recoveries due by then (share migration, capacity
-// blackout, transfer charges), then calls observe.
+// failovers and recoveries due by then (share migration and transfer
+// charges), then calls observe.
 func (d *Deployment) Run(ctx context.Context, marks []float64, observe func(stack.Stop)) error {
 	all := slices.Clone(marks)
 	for _, ev := range d.events {
@@ -379,9 +379,9 @@ func (d *Deployment) Run(ctx context.Context, marks []float64, observe func(stac
 	return stack.Run(ctx, d.systems, all, func(stop stack.Stop) {
 		for ; next < len(d.events) && d.events[next].time <= stop.Time; next++ {
 			if ev := d.events[next]; ev.start {
-				d.failOver(ev.time, ev.region)
+				d.failOver(ev.region)
 			} else {
-				d.recover(ev.time, ev.region)
+				d.recover(ev.region)
 			}
 		}
 		observe(stop)
@@ -411,18 +411,16 @@ func (d *Deployment) applyShares() {
 	}
 }
 
-// failOver takes region ri dark at time now: arrivals migrate to the
-// survivors (proportionally to their shares), serving capacity zeroes,
-// and each receiving region is charged the migrated viewers' handoff
-// bytes. The failed region's controller keeps running; with arrivals and
-// capacity at zero its next plans collapse to (nearly) nothing, so its
-// bill drains on its own.
-func (d *Deployment) failOver(now float64, ri int) {
+// failOver takes region ri's arrivals away: they migrate to the survivors
+// (proportionally to their shares), and each receiving region is charged
+// the migrated viewers' handoff bytes. The region's own stack zeroes its
+// serving capacity over the outage (fault.Attach). Its controller keeps
+// running; with arrivals and capacity at zero its next plans collapse to
+// (nearly) nothing, so its bill drains on its own.
+func (d *Deployment) failOver(ri int) {
 	failed := d.regions[ri]
 	failed.down = true
 	d.applyShares()
-	//cloudmedia:allow noloss -- factor 0 is always valid
-	_ = failed.Controller.SetCapacityFactor(now, 0)
 
 	migrated := float64(failed.Sim.TotalUsers())
 	if migrated <= 0 {
@@ -446,16 +444,13 @@ func (d *Deployment) failOver(now float64, ri int) {
 	}
 }
 
-// recover brings region ri back at time now: shares re-normalize (with it
-// back in the pool), its capacity factor clears, and the region is
-// charged the fail-back transfer for its share of the currently served
-// crowd returning home.
-func (d *Deployment) recover(now float64, ri int) {
+// recover brings region ri back: shares re-normalize (with it back in the
+// pool), and the region is charged the fail-back transfer for its share
+// of the currently served crowd returning home.
+func (d *Deployment) recover(ri int) {
 	recovered := d.regions[ri]
 	recovered.down = false
 	d.applyShares()
-	//cloudmedia:allow noloss -- restoring factor 1 is always valid
-	_ = recovered.Controller.SetCapacityFactor(now, 1)
 
 	var crowd float64
 	for _, r := range d.regions {

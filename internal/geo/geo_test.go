@@ -338,8 +338,9 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 				t.Error("spot preemption at t=900 left no interruption record")
 			}
 		case 1200:
-			// The recovery stop lifts the capacity factor back to 1,
-			// which reapplies the region's planned capacity at once.
+			// The outage's end edge, a region callback at 1200 s, lifts
+			// the capacity factor back to 1 and re-serves the region's
+			// booted capacity at once.
 			if got := east.Sim.TotalCloudCapacity(); got <= 0 {
 				t.Errorf("recovered region serves %v bytes/s of cloud capacity, want it restored", got)
 			}
@@ -361,6 +362,37 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 	regions, _, _ := d.Report()
 	if regions[1].Bill.TransferUSD != west.Cloud.Bill(west.Sim.Now()).TransferUSD {
 		t.Error("Report bill does not carry the ledger transfer dollars")
+	}
+}
+
+// TestDegradationInsideOutageKeepsRegionDark: a degradation that starts
+// while its region is down multiplies the outage's zero instead of
+// replacing it, and after the recovery the region serves the degraded
+// share of its capacity (us-east once served 3.75e6 bytes/s at 1000 s,
+// mid-outage, and 3e6 instead of 1.5e6 at 1300 s).
+func TestDegradationInsideOutageKeepsRegionDark(t *testing.T) {
+	sc := testScenario()
+	sc.Faults = &fault.Schedule{
+		Outages:      []fault.RegionOutage{{Region: "us-east", Start: 600, Duration: 600}},
+		Degradations: []fault.CapacityDegradation{{Region: "us-east", Start: 900, Duration: 600, Factor: 0.5}},
+	}
+	d, err := New(sc, twoRegions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	east := d.regions[0]
+	served := map[float64]float64{}
+	if err := d.Run(context.Background(), []float64{1000, 1300, 1700}, func(stop stack.Stop) {
+		served[stop.Time] = east.Sim.TotalCloudCapacity()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := served[1000]; got != 0 {
+		t.Errorf("us-east serves %v bytes/s at 1000 s, inside its outage, want 0", got)
+	}
+	// 1300 s and 1700 s share the 1200 s round's booted capacity.
+	if got, want := served[1300], 0.5*served[1700]; got != want || want <= 0 {
+		t.Errorf("us-east serves %v bytes/s at 1300 s, degraded, want half of %v", got, served[1700])
 	}
 }
 

@@ -4,9 +4,10 @@ import (
 	"testing"
 )
 
-// TestCloudCapacityCacheTracksWrites: the cached per-channel totals must
-// track SetCloudCapacity writes exactly — reads after any write pattern
-// equal a fresh sum over the pools.
+// TestCloudCapacityCacheTracksWrites: the per-channel totals, summed at
+// each read, must track SetCloudCapacity writes exactly — reads after any
+// write pattern equal a fresh sum over the pools. (The engine once kept a
+// dirty-flagged cache of these sums; the name stays.)
 func TestCloudCapacityCacheTracksWrites(t *testing.T) {
 	s, err := New(smallConfig(t, ClientServer))
 	if err != nil {
@@ -45,7 +46,7 @@ func TestCloudCapacityCacheTracksWrites(t *testing.T) {
 		}
 	}
 	check("after full provisioning")
-	// Overwrite a single chunk after a read: the stale-cache hazard.
+	// Overwrite a single chunk after a read.
 	if err := s.SetCloudCapacity(1, 2, 7.5); err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +55,9 @@ func TestCloudCapacityCacheTracksWrites(t *testing.T) {
 	check("after integration")
 }
 
-// TestCloudCapacityReadsAllocFree guards the cached read path the same way
-// TestRebalanceSteadyStateAllocs guards rebalancePeers: the controller
-// reads capacity totals every sample, so the cache hit must not allocate.
+// TestCloudCapacityReadsAllocFree guards the capacity reads the same way
+// TestRebalanceSteadyStateAllocs guards rebalancePeers: the run reads
+// capacity totals every sample, so a read must not allocate.
 func TestCloudCapacityReadsAllocFree(t *testing.T) {
 	s, err := New(smallConfig(t, ClientServer))
 	if err != nil {

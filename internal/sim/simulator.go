@@ -210,12 +210,6 @@ type channelState struct {
 	// rebalances (see sortByOwners) so the 30-second rebalance tick stays
 	// allocation-free and starts from the last tick's nearly sorted order.
 	rebalanceOrder []int
-
-	// cloudCapTotal caches the sum of the pools' cloud shares;
-	// cloudCapDirty marks it stale after a SetCloudCapacity write. See
-	// cloudCapacity.
-	cloudCapTotal float64
-	cloudCapDirty bool
 }
 
 func (ch *channelState) addUser(u *user) {
@@ -556,7 +550,6 @@ func (s *Simulator) SetCloudCapacity(channel, chunk int, bytesPerSecond float64)
 		return fmt.Errorf("sim: capacity %v is not a finite non-negative rate", bytesPerSecond)
 	}
 	s.channels[channel].pools[chunk].setCapacity(bytesPerSecond, -1)
-	s.channels[channel].cloudCapDirty = true
 	return nil
 }
 
@@ -569,24 +562,16 @@ func (s *Simulator) CloudCapacity(channel int) (float64, error) {
 	return s.channels[channel].cloudCapacity(), nil
 }
 
-// cloudCapacity returns the sum of the channel's per-pool cloud shares.
-// Pool state needs no settling for this: cloud capacity changes only
-// through Simulator.SetCloudCapacity (the rebalancer touches only the peer
-// share), which marks the cached total stale. The controller writes every
-// chunk of a channel per provisioning round and then reads totals each
-// sample, so the cache makes reads O(1) amortized instead of O(chunks);
-// recomputation walks the pools in index order, bit-identical to a fresh
-// sum.
+// cloudCapacity returns the sum of the channel's per-pool cloud shares,
+// in pool order. Pool state needs no settling for this: cloud capacity
+// changes only through Simulator.SetCloudCapacity (the rebalancer touches
+// only the peer share).
 func (ch *channelState) cloudCapacity() float64 {
-	if ch.cloudCapDirty {
-		var total float64
-		for _, p := range ch.pools {
-			total += p.cloudCap
-		}
-		ch.cloudCapTotal = total
-		ch.cloudCapDirty = false
+	var total float64
+	for _, p := range ch.pools {
+		total += p.cloudCap
 	}
-	return ch.cloudCapTotal
+	return total
 }
 
 // TotalCloudCapacity returns the cloud capacity provisioned across all

@@ -87,11 +87,13 @@ type Spec struct {
 	// on-demand, the paper's literal pricing.
 	Pricing cloud.PricingPlan
 	// Faults is the declarative failure plan injected at the run's control
-	// barriers: spot preemptions and capacity degradations apply directly;
-	// region outages degenerate to full blackouts in a single-region run
-	// (the "regional" experiment realizes them as cross-region failover
-	// instead). nil injects nothing — though a spot Pricing plan with an
-	// interruption rate still drives its own seeded preemption process.
+	// barriers: spot preemptions scale the booted capacity, and the
+	// degradation and outage windows open at an instant multiply it (an
+	// outage by 0). A single-region run has nowhere to fail over to, so
+	// its viewers stall; a geo deployment migrates a dark region's
+	// arrivals to the survivors. nil injects nothing — though a spot
+	// Pricing plan with an interruption rate still drives its own seeded
+	// preemption process.
 	Faults *fault.Schedule
 	// Scheduling overrides the P2P uplink allocation policy; zero uses
 	// rarest-first, the paper's scheme.
@@ -415,10 +417,9 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 	}
 
 	// Inject the fault plan (and the pricing plan's spot-interruption
-	// process) at this run's control barriers. Single-region runs realize
-	// region outages as full blackouts — there is nowhere to fail over to.
-	// A geo region's schedule arrives with its outages already stripped:
-	// the deployment realizes them as failover instead.
+	// process) at this run's control barriers. An outage zeroes the
+	// capacity of the region it names, or of a single-region run; a geo
+	// deployment migrates the dark region's arrivals on top.
 	target := fault.Target{
 		Backend:         s,
 		Cloud:           cl,
@@ -428,9 +429,6 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 		Seed:            sc.Seed + region.FaultSeedOffset,
 	}
 	if err := fault.Attach(target, sc.Faults); err != nil {
-		return nil, err
-	}
-	if err := fault.AttachBlackouts(target, sc.Faults); err != nil {
 		return nil, err
 	}
 
