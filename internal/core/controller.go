@@ -107,6 +107,32 @@ type IntervalRecord struct {
 	Cost cloud.LedgerTotals
 }
 
+// Snapshot is one periodic measurement of the running system, taken at
+// every sample stop of a run and at its end. With IntervalRecord it is
+// what a run records: pkg/simulate reports both, and the live metric
+// store observes both.
+type Snapshot struct {
+	// Time is the simulated clock in seconds.
+	Time float64
+	// Quality is the fraction of viewers with no playback stall inside the
+	// trailing quality window (Fig. 5's metric).
+	Quality float64
+	// PerChannelQuality splits Quality by channel (1 for empty channels).
+	PerChannelQuality []float64
+	// Users is the current viewer count; PerChannelUsers splits it.
+	Users           int
+	PerChannelUsers []int
+	// ReservedMbps is the cloud capacity provisioned at this instant.
+	ReservedMbps float64
+	// CloudServedGB is the cumulative cloud traffic actually delivered
+	// since the start of the run (the "used" curve of Fig. 4).
+	CloudServedGB float64
+	// VMCost and StorageCost are the catalog-price dollars since the
+	// start of the run.
+	VMCost      float64
+	StorageCost float64
+}
+
 // Controller wires the measurement feed, the analysis, the provisioning
 // policy, the broker, and the running system together. It talks to the
 // simulation only through the sim.Backend seam, so the same control loop

@@ -144,7 +144,9 @@ func TestRegionalGoldens(t *testing.T) {
 // bills at the zero-value plan whatever the scenario's pricing is.
 // outage_total_usd moved in its last bits with the regional goldens,
 // twice: with the one run loop, and with the read-time bill. The event
-// rows and the summary moved with the per-channel jump clock.
+// rows and the summary moved with the per-channel jump clock, and again
+// when the share factor became a function of time: na's viewers come
+// back after its outage (0 → 89 at the end of the run).
 func TestResilienceOutageGolden(t *testing.T) {
 	sc := stack.DefaultSpec(modes.CloudAssisted, 1)
 	sc.Pricing = cloud.SpotPricing()
@@ -155,16 +157,16 @@ func TestResilienceOutageGolden(t *testing.T) {
 	}
 	wantSummary := map[string]float64{
 		"outage_mean_region_quality": 1,
-		"outage_total_usd":           381.25334481,
-		"outage_transfer_usd":        0.10190625,
+		"outage_total_usd":           392.95596981,
+		"outage_transfer_usd":        0.10453125,
 	}
 	if !reflect.DeepEqual(summary, wantSummary) {
 		t.Errorf("outage summary = %v, want %v", summary, wantSummary)
 	}
 	wantRows := [][]string{
-		{"event", "na", "0", "1", "0.04191", "115.7"},
-		{"event", "eu", "61", "1", "0.036", "131.9"},
-		{"event", "apac", "35", "1", "0.024", "133.7"},
+		{"event", "na", "89", "1", "0.04434", "126.5"},
+		{"event", "eu", "54", "1", "0.03611", "131.9"},
+		{"event", "apac", "25", "1", "0.02407", "134.6"},
 		{"fluid", "na", "83", "1", "0.04153", "126.5"},
 		{"fluid", "eu", "50", "1", "0.03139", "131.9"},
 		{"fluid", "apac", "33", "1", "0.02093", "134.6"},

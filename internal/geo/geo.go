@@ -13,24 +13,22 @@
 //
 // The scenario's fault schedule makes the failure domains real: a region
 // outage migrates the failed region's arrival share to the surviving
-// regions (re-normalized by their own shares) behind a mutable
-// share-scaling source, charges each receiving region the migrated
-// viewers' transfer bytes; recovery restores the shares and charges the
-// fail-back transfer. Serving capacity is each region's own: its stack
-// zeroes it over the region's outages and scales it by its preemptions
-// and degradations through internal/fault. Outage boundaries are stops
-// of the one run loop (stack.Run), so runs stay bit-identical for every
-// worker count and deterministic per seed.
+// regions (re-normalized by their own shares) through a share schedule
+// of the declared windows, and charges each receiving region the
+// migrated viewers' transfer bytes; recovery restores the shares and
+// charges the fail-back transfer. Serving capacity is each region's own:
+// its stack zeroes it over the region's outages and scales it by its
+// preemptions and degradations through internal/fault. Outage
+// boundaries are stops of the one run loop (stack.Run), so runs stay
+// bit-identical for every worker count and deterministic per seed.
 package geo
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/fault"
@@ -176,32 +174,36 @@ func largestRegion(regions []Region) string {
 	return best
 }
 
-// shareFactor is a mutable arrival-share multiplier read lock-free by the
-// engines' channel workers and written only at the run loop's stops,
-// while no engine steps, via atomic float bits.
-type shareFactor struct{ bits atomic.Uint64 }
-
-func newShareFactor() *shareFactor {
-	f := &shareFactor{}
-	f.set(1)
-	return f
+// shareSchedule is a region's arrival-share factor as a function of time:
+// 1 in steady state, 0 while the region is down, above 1 while it absorbs
+// a failed sibling's arrivals. It is piecewise constant, changing only at
+// the declared outage edges: factors[k] holds from edges[k-1] (inclusive)
+// to edges[k], factors[0] before the first edge. A fault-free deployment
+// has no edges and factor 1.
+type shareSchedule struct {
+	edges   []float64
+	factors []float64
 }
 
-func (f *shareFactor) set(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *shareFactor) get() float64  { return math.Float64frombits(f.bits.Load()) }
+// piece returns the index of the piece holding t.
+func (s *shareSchedule) piece(t float64) int {
+	k := 0
+	for k < len(s.edges) && s.edges[k] <= t {
+		k++
+	}
+	return k
+}
 
-// shareSource scales a region's demand source by its deployment-owned
-// share factor: 1 in steady state, 0 while the region is down, above 1
-// while it absorbs a failed sibling's arrivals. Factor 1 multiplies
-// bit-identically (r × 1.0 == r), so a fault-free deployment is exactly
-// the pre-fault geo behaviour.
-//
-// CloneSource shares the factor handle on purpose (like serve.LiveSource
-// shares its receiver): the deployment steers every copy of a region's
-// demand — engine, oracle feed — through one knob.
+// at returns the factor at time t.
+func (s *shareSchedule) at(t float64) float64 { return s.factors[s.piece(t)] }
+
+// shareSource scales a region's demand source by its share schedule at
+// every instant it is read. Factor 1 multiplies bit-identically
+// (r × 1.0 == r), so a fault-free deployment is exactly the pre-fault geo
+// behaviour. The schedule is immutable, so CloneSource shares it.
 type shareSource struct {
 	src    workload.Source
-	factor *shareFactor
+	shares *shareSchedule
 	// maxBoost bounds the factor over the whole run (from the fault
 	// schedule), so the arrival-thinning envelope primed at construction
 	// stays an upper bound while survivors run above share 1.
@@ -212,7 +214,7 @@ func (s *shareSource) NumChannels() int { return s.src.NumChannels() }
 
 func (s *shareSource) Rate(channel int, t float64) (float64, error) {
 	r, err := s.src.Rate(channel, t)
-	return r * s.factor.get(), err
+	return r * s.shares.at(t), err
 }
 
 func (s *shareSource) MaxRate(channel int) (float64, error) {
@@ -220,20 +222,40 @@ func (s *shareSource) MaxRate(channel int) (float64, error) {
 	return r * s.maxBoost, err
 }
 
+// MeanRate integrates the scaled intensity piece by piece; a span inside
+// one piece is the source's mean times that piece's factor.
 func (s *shareSource) MeanRate(channel int, start, end float64) (float64, error) {
-	r, err := s.src.MeanRate(channel, start, end)
-	return r * s.factor.get(), err
+	edges, factors := s.shares.edges, s.shares.factors
+	k := s.shares.piece(start)
+	if k == len(edges) || edges[k] >= end {
+		r, err := s.src.MeanRate(channel, start, end)
+		return r * factors[k], err
+	}
+	var integral float64
+	for lo := start; lo < end; k++ {
+		hi := end
+		if k < len(edges) && edges[k] < end {
+			hi = edges[k]
+		}
+		r, err := s.src.MeanRate(channel, lo, hi)
+		if err != nil {
+			return 0, err
+		}
+		integral += r * factors[k] * (hi - lo)
+		lo = hi
+	}
+	return integral / (end - start), nil
 }
 
 // RatesInto implements workload.BatchSource: delegate, then scale in
-// place with one factor read, preserving Rate's r×factor operand order.
+// place by the factor at t, preserving Rate's r×factor operand order.
 //
 //cloudmedia:hotpath
 func (s *shareSource) RatesInto(t float64, dst []float64) error {
 	if err := workload.RatesInto(s.src, t, dst); err != nil {
 		return err
 	}
-	f := s.factor.get()
+	f := s.shares.at(t)
 	for c := range dst {
 		dst[c] *= f
 	}
@@ -241,10 +263,61 @@ func (s *shareSource) RatesInto(t float64, dst []float64) error {
 }
 
 func (s *shareSource) CloneSource() workload.Source {
-	return &shareSource{src: s.src.CloneSource(), factor: s.factor, maxBoost: s.maxBoost}
+	return &shareSource{src: s.src.CloneSource(), shares: s.shares, maxBoost: s.maxBoost}
 }
 
 func (s *shareSource) Validate() error { return s.src.Validate() }
+
+// shareSchedules builds every region's share schedule from the resolved
+// outage windows, each half-open [Start, Start+Duration): at every edge
+// the regions whose window holds it are down and get 0, and the survivors
+// re-normalize to 1/(1 − downShare), the down share summed in region
+// order, so the global arrival mass is conserved.
+func shareSchedules(regions []Region, outages []fault.RegionOutage) []*shareSchedule {
+	var edges []float64
+	for _, o := range outages {
+		edges = append(edges, o.Start, o.Start+o.Duration)
+	}
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	out := make([]*shareSchedule, len(regions))
+	for i := range out {
+		out[i] = &shareSchedule{edges: edges, factors: make([]float64, len(edges)+1)}
+	}
+	index := make(map[string]int, len(regions))
+	for i, r := range regions {
+		index[r.Name] = i
+	}
+	down := make([]bool, len(regions))
+	for k := 0; k <= len(edges); k++ {
+		clear(down)
+		if k > 0 {
+			for _, o := range outages {
+				if at := edges[k-1]; o.Start <= at && at < o.Start+o.Duration {
+					down[index[o.Region]] = true
+				}
+			}
+		}
+		var downShare float64
+		for i, r := range regions {
+			if down[i] {
+				downShare += r.Share
+			}
+		}
+		boost := 1.0
+		if downShare > 0 && downShare < 1 {
+			boost = 1 / (1 - downShare)
+		}
+		for i := range regions {
+			if down[i] {
+				out[i].factors[k] = 0
+			} else {
+				out[i].factors[k] = boost
+			}
+		}
+	}
+	return out
+}
 
 // RegionSystem is one region's running stack, built by stack.Build from
 // the region's derived scenario.
@@ -252,8 +325,8 @@ type RegionSystem struct {
 	Region Region
 	*stack.System
 
-	share *shareFactor
-	down  bool
+	shares *shareSchedule
+	down   bool
 }
 
 // geoEvent is one outage boundary in deployment time.
@@ -317,19 +390,20 @@ func New(sc stack.Spec, regions []Region) (*Deployment, error) {
 	maxBoost := 1 / (1 - down)
 	sc.Mode = modes.Dynamic(sc.Mode)
 	d := &Deployment{handoffGB: sc.Channel.ChunkBytes() / 1e9}
+	schedules := shareSchedules(regions, outages)
 	for i, region := range regions {
 		rsc := sc
 		if rsc.Workload, err = regionWorkload(sc.Workload, region); err != nil {
 			return nil, err
 		}
-		share := newShareFactor()
-		rsc.Source = &shareSource{src: rsc.Workload.Source(), factor: share, maxBoost: maxBoost}
+		share := schedules[i]
+		rsc.Source = &shareSource{src: rsc.Workload.Source(), shares: share, maxBoost: maxBoost}
 		rsc.Seed = sc.Seed + int64(i)*7919 // distinct stream per region
 		sys, err := stack.Build(stack.Scenario{Spec: rsc}, stack.RegionID{Name: region.Name, FaultSeedOffset: 1})
 		if err != nil {
 			return nil, fmt.Errorf("geo: region %q: %w", region.Name, err)
 		}
-		d.regions = append(d.regions, &RegionSystem{Region: region, System: sys, share: share})
+		d.regions = append(d.regions, &RegionSystem{Region: region, System: sys, shares: share})
 		d.systems = append(d.systems, sys)
 	}
 	d.buildEvents(outages)
@@ -366,9 +440,9 @@ func (d *Deployment) buildEvents(outages []fault.RegionOutage) {
 // Run drives every region for the scenario's Hours through stack.Run,
 // with the outage boundaries and the caller's marks as extra stops.
 // Regions evolve independently between stops (cross-region traffic is out
-// of scope, as in the paper's sketch). At each stop Run applies the
-// failovers and recoveries due by then (share migration and transfer
-// charges), then calls observe.
+// of scope, as in the paper's sketch). At each stop Run charges the
+// failovers and recoveries due by then (the share schedules migrate the
+// arrivals themselves), then calls observe.
 func (d *Deployment) Run(ctx context.Context, marks []float64, observe func(stack.Stop)) error {
 	all := slices.Clone(marks)
 	for _, ev := range d.events {
@@ -388,39 +462,16 @@ func (d *Deployment) Run(ctx context.Context, marks []float64, observe func(stac
 	})
 }
 
-// applyShares recomputes every region's arrival factor from the down set:
-// down regions get 0, survivors re-normalize to 1/(1 − downShare) so the
-// global arrival mass is conserved.
-func (d *Deployment) applyShares() {
-	var downShare float64
-	for _, r := range d.regions {
-		if r.down {
-			downShare += r.Region.Share
-		}
-	}
-	boost := 1.0
-	if downShare > 0 && downShare < 1 {
-		boost = 1 / (1 - downShare)
-	}
-	for _, r := range d.regions {
-		if r.down {
-			r.share.set(0)
-		} else {
-			r.share.set(boost)
-		}
-	}
-}
-
-// failOver takes region ri's arrivals away: they migrate to the survivors
-// (proportionally to their shares), and each receiving region is charged
-// the migrated viewers' handoff bytes. The region's own stack zeroes its
+// failOver marks region ri down at its outage's start, whose arrivals the
+// share schedules move to the survivors (proportionally to their shares),
+// and charges each receiving region the migrated viewers' handoff bytes.
+// The region's own stack zeroes its
 // serving capacity over the outage (fault.Attach). Its controller keeps
 // running; with arrivals and capacity at zero its next plans collapse to
 // (nearly) nothing, so its bill drains on its own.
 func (d *Deployment) failOver(ri int) {
 	failed := d.regions[ri]
 	failed.down = true
-	d.applyShares()
 
 	migrated := float64(failed.Sim.TotalUsers())
 	if migrated <= 0 {
@@ -444,13 +495,13 @@ func (d *Deployment) failOver(ri int) {
 	}
 }
 
-// recover brings region ri back: shares re-normalize (with it back in the
-// pool), and the region is charged the fail-back transfer for its share
-// of the currently served crowd returning home.
+// recover marks region ri up at its outage's end, where the share
+// schedules re-normalize with it back in the pool, and charges it the
+// fail-back transfer for its share of the currently served crowd
+// returning home.
 func (d *Deployment) recover(ri int) {
 	recovered := d.regions[ri]
 	recovered.down = false
-	d.applyShares()
 
 	var crowd float64
 	for _, r := range d.regions {

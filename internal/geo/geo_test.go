@@ -304,7 +304,7 @@ func faultScenario() stack.Spec {
 
 // TestOutageFailoverMigratesSharesAndChargesTransfer exercises the PR 10
 // failover path end to end: the failed region's arrivals move to the
-// survivor (shares re-normalized through the mutable share source), the
+// survivor (shares re-normalized through the share schedule), the
 // handoff bytes are charged to the receiving region, and recovery
 // restores the shares and charges the fail-back.
 func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
@@ -322,10 +322,10 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 			if !east.down {
 				t.Fatal("failed region not marked down mid-outage")
 			}
-			if got := east.share.get(); got != 0 {
+			if got := east.shares.at(stop.Time); got != 0 {
 				t.Errorf("failed region share factor %v, want 0", got)
 			}
-			if got, want := west.share.get(), 1/(1-0.7); math.Abs(got-want) > 1e-12 {
+			if got, want := west.shares.at(stop.Time), 1/(1-0.7); math.Abs(got-want) > 1e-12 {
 				t.Errorf("survivor share factor %v, want %v", got, want)
 			}
 			if got := east.Sim.TotalCloudCapacity(); got != 0 {
@@ -338,16 +338,17 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 				t.Error("spot preemption at t=900 left no interruption record")
 			}
 		case 1200:
-			// The outage's end edge, a region callback at 1200 s, lifts
-			// the capacity factor back to 1 and re-serves the region's
-			// booted capacity at once.
-			if got := east.Sim.TotalCloudCapacity(); got <= 0 {
-				t.Errorf("recovered region serves %v bytes/s of cloud capacity, want it restored", got)
+			// Outage windows are half-open: the end edge is the first
+			// instant of the region's restored share. (Its capacity comes
+			// back with the first round that measured its returning
+			// arrivals; TestRegionViewersReturnAfterOutage.)
+			if got := east.shares.at(stop.Time); got != 1 {
+				t.Errorf("recovered region share factor %v at its end edge, want 1", got)
 			}
 		case 1800: // past recovery
-			if east.down || east.share.get() != 1 || west.share.get() != 1 {
+			if east.down || east.shares.at(stop.Time) != 1 || west.shares.at(stop.Time) != 1 {
 				t.Errorf("shares not restored after recovery: east=%v west=%v",
-					east.share.get(), west.share.get())
+					east.shares.at(stop.Time), west.shares.at(stop.Time))
 			}
 			if east.Cloud.Bill(stop.Time).TransferUSD <= 0 {
 				t.Error("recovered region charged no fail-back transfer")
@@ -369,12 +370,14 @@ func TestOutageFailoverMigratesSharesAndChargesTransfer(t *testing.T) {
 // while its region is down multiplies the outage's zero instead of
 // replacing it, and after the recovery the region serves the degraded
 // share of its capacity (us-east once served 3.75e6 bytes/s at 1000 s,
-// mid-outage, and 3e6 instead of 1.5e6 at 1300 s).
+// mid-outage, and 3e6 instead of 1.5e6 at 1300 s). The degradation runs
+// past the 1800 s round, the first to plan on the region's returning
+// arrivals.
 func TestDegradationInsideOutageKeepsRegionDark(t *testing.T) {
 	sc := testScenario()
 	sc.Faults = &fault.Schedule{
 		Outages:      []fault.RegionOutage{{Region: "us-east", Start: 600, Duration: 600}},
-		Degradations: []fault.CapacityDegradation{{Region: "us-east", Start: 900, Duration: 600, Factor: 0.5}},
+		Degradations: []fault.CapacityDegradation{{Region: "us-east", Start: 900, Duration: 1200, Factor: 0.5}},
 	}
 	d, err := New(sc, twoRegions())
 	if err != nil {
@@ -382,7 +385,7 @@ func TestDegradationInsideOutageKeepsRegionDark(t *testing.T) {
 	}
 	east := d.regions[0]
 	served := map[float64]float64{}
-	if err := d.Run(context.Background(), []float64{1000, 1300, 1700}, func(stop stack.Stop) {
+	if err := d.Run(context.Background(), []float64{1000, 1900, 2300}, func(stop stack.Stop) {
 		served[stop.Time] = east.Sim.TotalCloudCapacity()
 	}); err != nil {
 		t.Fatal(err)
@@ -390,9 +393,9 @@ func TestDegradationInsideOutageKeepsRegionDark(t *testing.T) {
 	if got := served[1000]; got != 0 {
 		t.Errorf("us-east serves %v bytes/s at 1000 s, inside its outage, want 0", got)
 	}
-	// 1300 s and 1700 s share the 1200 s round's booted capacity.
-	if got, want := served[1300], 0.5*served[1700]; got != want || want <= 0 {
-		t.Errorf("us-east serves %v bytes/s at 1300 s, degraded, want half of %v", got, served[1700])
+	// 1900 s and 2300 s share the 1800 s round's booted capacity.
+	if got, want := served[1900], 0.5*served[2300]; got != want || want <= 0 {
+		t.Errorf("us-east serves %v bytes/s at 1900 s, degraded, want half of %v", got, served[2300])
 	}
 }
 
@@ -525,5 +528,38 @@ func TestOneRegionDeploymentMatchesSingleRegionRun(t *testing.T) {
 				t.Errorf("%v/%v: one-region deployment\n%+v\nsingle-region run\n%+v", mode, fid, got, want)
 			}
 		}
+	}
+}
+
+// TestRegionViewersReturnAfterOutage: on the event engine a region that
+// recovers from an outage gets its viewers back. The share factor is a
+// function of time, so the thinning candidates past the recovery read
+// the restored share. (When the factor was read as it stood at sampling
+// time, every candidate over the one-day horizon read 0: us-east had no
+// viewers at 1800, 2400, 3000 or 3599 s, against 85–110 in the
+// fault-free run.)
+func TestRegionViewersReturnAfterOutage(t *testing.T) {
+	sc := testScenario()
+	sc.Faults = &fault.Schedule{Outages: []fault.RegionOutage{{Region: "us-east", Start: 600, Duration: 600}}}
+	d, err := New(sc, twoRegions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	east := d.regions[0]
+	users := map[float64]int{}
+	capacity := map[float64]float64{}
+	if err := d.Run(context.Background(), []float64{1800, 2400, 3000, 3599}, func(stop stack.Stop) {
+		users[stop.Time] = east.Sim.TotalUsers()
+		capacity[stop.Time] = east.Sim.TotalCloudCapacity()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{1800, 2400, 3000, 3599} {
+		if users[at] == 0 {
+			t.Errorf("us-east has no viewers at %v s, after its outage ended at 1200 s", at)
+		}
+	}
+	if capacity[3000] <= 0 {
+		t.Errorf("us-east serves no cloud capacity at 3000 s, after its outage ended at 1200 s")
 	}
 }

@@ -35,13 +35,13 @@ func FuzzLiveSourceFeed(f *testing.F) {
 		}
 		_ = s.Feed(context.Background(), strings.NewReader(input))
 
-		times := s.times
+		times := s.tr.Times
 		for i, tm := range times {
 			if i > 0 && !(tm > times[i-1]) {
 				t.Fatalf("retained times not strictly increasing: %v", times)
 			}
-			for c, r := range s.samples[i] {
-				if math.IsNaN(r) || r < 0 || r > envelope {
+			for c, row := range s.tr.Rates {
+				if r := row[i]; math.IsNaN(r) || r < 0 || r > envelope {
 					t.Fatalf("sample %d channel %d: rate %v outside [0, %v]", i, c, r, envelope)
 				}
 			}

@@ -3,24 +3,28 @@ package serve
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
+	"cloudmedia/internal/trace"
 	"cloudmedia/internal/workload"
 )
 
 // LiveSource is a workload.Source fed incrementally while a run is in
 // flight: a line-protocol stream (stdin, a socket) or direct Ingest calls
 // append per-channel rate samples, and the engines read the growing
-// series concurrently. Between samples the intensity is linear; before
-// the first and after the last sample it holds the boundary value, so the
-// run keeps serving the latest observed rates until the next line
-// arrives.
+// series concurrently. The samples are a trace.Trace, held under the
+// source's lock, and every read is that trace's read: linear between
+// samples, the boundary value outside them, MeanRate the exact integral.
+// So the run keeps serving the latest observed rates until the next line
+// arrives, and a live feed replaying a trace plans exactly as the trace.
+// The source itself adds only what being live needs: 0 before the first
+// sample, the clamp to the envelope, dropping stale samples, and the
+// retention window.
 //
 // Two deliberate deviations from the batch sources, both consequences of
 // being live:
@@ -44,10 +48,9 @@ import (
 type LiveSource struct {
 	mu       sync.RWMutex
 	channels int
-	envelope float64 // per-channel thinning ceiling, users/s
-	retain   float64 // sample retention window, seconds
-	times    []float64
-	samples  [][]float64 // sample-major: samples[i][c]
+	envelope float64     // per-channel thinning ceiling, users/s
+	retain   float64     // sample retention window, seconds
+	tr       trace.Trace // the retained samples, channel-major
 	clamped  int
 	dropped  int
 }
@@ -71,7 +74,9 @@ func NewLiveSource(channels int, maxRate float64) (*LiveSource, error) {
 	if maxRate <= 0 || math.IsNaN(maxRate) || math.IsInf(maxRate, 0) {
 		return nil, fmt.Errorf("serve: invalid rate ceiling %v", maxRate)
 	}
-	return &LiveSource{channels: channels, envelope: maxRate, retain: DefaultRetainSeconds}, nil
+	s := &LiveSource{channels: channels, envelope: maxRate, retain: DefaultRetainSeconds}
+	s.tr.Rates = make([][]float64, channels)
+	return s, nil
 }
 
 // SetRetention overrides the sample retention window in simulated
@@ -100,36 +105,37 @@ func (s *LiveSource) Ingest(t float64, rates []float64) error {
 	if len(rates) != s.channels {
 		return fmt.Errorf("serve: sample has %d rates, want %d", len(rates), s.channels)
 	}
-	row := make([]float64, len(rates))
 	for c, r := range rates {
 		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
 			return fmt.Errorf("serve: channel %d: invalid rate %v", c, r)
 		}
-		row[c] = r
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.times); n > 0 && t <= s.times[n-1] {
+	times := s.tr.Times
+	if n := len(times); n > 0 && t <= times[n-1] {
 		s.dropped++
 		return nil
 	}
-	for c, r := range row {
+	times = append(times, t)
+	for c, r := range rates {
 		if r > s.envelope {
-			row[c] = s.envelope
+			r = s.envelope
 			s.clamped++
 		}
+		s.tr.Rates[c] = append(s.tr.Rates[c], r)
 	}
-	s.times = append(s.times, t)
-	s.samples = append(s.samples, row)
 	// Prune everything older than the retention window, keeping at least
-	// two samples so interpolation always has a segment.
+	// two samples so interpolation always has a segment. Re-slicing keeps
+	// the prune O(1); append reallocates the live tail once it runs out
+	// of room, so the memory stays bounded by the window.
 	cut := 0
-	for cut < len(s.times)-2 && s.times[cut] < t-s.retain {
+	for cut < len(times)-2 && times[cut] < t-s.retain {
 		cut++
 	}
-	if cut > 0 {
-		s.times = append(s.times[:0], s.times[cut:]...)
-		s.samples = append(s.samples[:0], s.samples[cut:]...)
+	s.tr.Times = times[cut:]
+	for c, row := range s.tr.Rates {
+		s.tr.Rates[c] = row[cut:]
 	}
 	return nil
 }
@@ -153,18 +159,20 @@ func (s *LiveSource) Dropped() int {
 func (s *LiveSource) Samples() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.times)
+	return len(s.tr.Times)
 }
 
 // Feed ingests the line protocol from r until EOF, a malformed line, or
 // context cancellation. Each line is a trace-CSV row — "time_s,rate0,
-// rate1,…" with one rate per channel. Blank lines and '#' comments are
-// skipped, and so is a header: the first other line, when its time field
-// is not a number. So `cloudmedia trace gen` output pipes straight in:
+// rate1,…" with one rate per channel — parsed by the trace codec's own
+// trace.ParseRow. Blank lines and '#' comments are skipped, and so is a
+// header: the first other line, when its time field is not a number. So
+// `cloudmedia trace gen` output pipes straight in:
 //
 //	cloudmedia trace gen -kind weekweekend -days 2 | cloudmedia serve -stdin …
 func (s *LiveSource) Feed(ctx context.Context, r io.Reader) error {
 	sc := bufio.NewScanner(r)
+	rates := make([]float64, s.channels)
 	line := 0
 	first := true // the next content line may be the header
 	for sc.Scan() {
@@ -178,24 +186,12 @@ func (s *LiveSource) Feed(ctx context.Context, r io.Reader) error {
 		}
 		header := first
 		first = false
-		fields := strings.Split(text, ",")
-		t, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
+		t, err := trace.ParseRow(text, rates)
 		if err != nil {
-			if header {
+			if header && errors.Is(err, trace.ErrBadTime) {
 				continue // header row ("time_s,ch0,…")
 			}
-			return fmt.Errorf("serve: line %d: bad time %q", line, fields[0])
-		}
-		if len(fields)-1 != s.channels {
-			return fmt.Errorf("serve: line %d: %d rates, want %d", line, len(fields)-1, s.channels)
-		}
-		rates := make([]float64, s.channels)
-		for c, f := range fields[1:] {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return fmt.Errorf("serve: line %d: bad rate %q", line, f)
-			}
-			rates[c] = v
+			return fmt.Errorf("serve: line %d: %w", line, err)
 		}
 		if err := s.Ingest(t, rates); err != nil {
 			return fmt.Errorf("serve: line %d: %w", line, err)
@@ -207,106 +203,49 @@ func (s *LiveSource) Feed(ctx context.Context, r io.Reader) error {
 // NumChannels implements workload.Source.
 func (s *LiveSource) NumChannels() int { return s.channels }
 
-// Rate implements workload.Source: linear between samples, the boundary
-// value outside them, 0 before any sample arrives.
+// Rate implements workload.Source: the trace's Rate, 0 before any sample
+// arrives.
 func (s *LiveSource) Rate(channel int, t float64) (float64, error) {
-	if channel < 0 || channel >= s.channels {
-		return 0, fmt.Errorf("serve: channel %d outside [0,%d)", channel, s.channels)
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := len(s.times)
-	if n == 0 {
-		return 0, nil
+	if len(s.tr.Times) == 0 {
+		return 0, s.checkChannel(channel)
 	}
-	if t <= s.times[0] {
-		return s.samples[0][channel], nil
-	}
-	if t >= s.times[n-1] {
-		return s.samples[n-1][channel], nil
-	}
-	i := sort.SearchFloat64s(s.times, t)
-	if s.times[i] == t {
-		return s.samples[i][channel], nil
-	}
-	f := segmentFraction(t, s.times[i-1], s.times[i])
-	return s.samples[i-1][channel] + f*(s.samples[i][channel]-s.samples[i-1][channel]), nil
+	return s.tr.Rate(channel, t)
 }
 
-// segmentFraction returns (t − t0)/(t1 − t0) for t0 < t < t1. When the
-// span t1 − t0 overflows, as between huge times of opposite sign, every
-// operand is halved first, so the fraction stays finite; otherwise the
-// plain quotient is returned bit for bit.
-func segmentFraction(t, t0, t1 float64) float64 {
-	if span := t1 - t0; !math.IsInf(span, 0) {
-		return (t - t0) / span
-	}
-	return (t/2 - t0/2) / (t1/2 - t0/2)
-}
-
-// RatesInto implements workload.BatchSource under one lock acquisition
-// and one segment search.
+// RatesInto implements workload.BatchSource under one lock acquisition:
+// the trace's RatesInto, zeros before any sample arrives.
 //
 //cloudmedia:hotpath
 func (s *LiveSource) RatesInto(t float64, dst []float64) error {
-	if len(dst) != s.channels {
-		return rateBufLenError(len(dst), s.channels)
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := len(s.times)
-	if n == 0 {
-		for c := range dst {
-			dst[c] = 0
-		}
+	if len(s.tr.Times) == 0 && len(dst) == s.channels {
+		clear(dst)
 		return nil
 	}
-	switch {
-	case t <= s.times[0]:
-		copy(dst, s.samples[0])
-	case t >= s.times[n-1]:
-		copy(dst, s.samples[n-1])
-	default:
-		i := sort.SearchFloat64s(s.times, t)
-		if s.times[i] == t {
-			copy(dst, s.samples[i])
-			return nil
-		}
-		f := segmentFraction(t, s.times[i-1], s.times[i])
-		for c := range dst {
-			dst[c] = s.samples[i-1][c] + f*(s.samples[i][c]-s.samples[i-1][c])
-		}
-	}
-	return nil
+	return s.tr.RatesInto(t, dst)
 }
 
 // MaxRate implements workload.Source: the fixed envelope (see the type
 // comment for why it cannot follow the series).
 func (s *LiveSource) MaxRate(channel int) (float64, error) {
-	if channel < 0 || channel >= s.channels {
-		return 0, fmt.Errorf("serve: channel %d outside [0,%d)", channel, s.channels)
+	if err := s.checkChannel(channel); err != nil {
+		return 0, err
 	}
 	return s.envelope, nil
 }
 
-// MeanRate implements workload.Source by midpoint sampling of Rate — an
-// approximation, adequate for the bootstrap estimate and oracle feeds
-// that consume it.
+// MeanRate implements workload.Source: the trace's exact mean of the
+// retained series, 0 before any sample arrives.
 func (s *LiveSource) MeanRate(channel int, start, end float64) (float64, error) {
-	if end <= start {
-		return 0, nil
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.tr.Times) == 0 {
+		return 0, s.checkChannel(channel)
 	}
-	const steps = 12
-	dt := (end - start) / steps
-	var sum float64
-	for i := 0; i < steps; i++ {
-		r, err := s.Rate(channel, start+(float64(i)+0.5)*dt)
-		if err != nil {
-			return 0, err
-		}
-		sum += r
-	}
-	return sum / steps, nil
+	return s.tr.MeanRate(channel, start, end)
 }
 
 // CloneSource implements workload.Source by returning the receiver: a
@@ -324,8 +263,9 @@ func (s *LiveSource) Validate() error {
 	return nil
 }
 
-// rateBufLenError is the cold half of RatesInto's length guard, kept out
-// of line so the annotated hot body contains no fmt machinery.
-func rateBufLenError(n, channels int) error {
-	return fmt.Errorf("serve: rate buffer length %d != channels %d", n, channels)
+func (s *LiveSource) checkChannel(channel int) error {
+	if channel < 0 || channel >= s.channels {
+		return fmt.Errorf("serve: channel %d outside [0,%d)", channel, s.channels)
+	}
+	return nil
 }

@@ -1,46 +1,18 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 
 	"cloudmedia/internal/cloud"
+	"cloudmedia/internal/core"
+	"cloudmedia/internal/stack"
 )
-
-// SnapshotUpdate is one periodic measurement pushed into the metric
-// store (pkg/serve maps simulate.Snapshot onto it).
-type SnapshotUpdate struct {
-	Time              float64
-	Quality           float64
-	PerChannelQuality []float64
-	Users             int
-	PerChannelUsers   []int
-	ReservedMbps      float64
-	CloudServedGB     float64
-}
-
-// IntervalUpdate is one provisioning round pushed into the metric store
-// (pkg/serve maps simulate.IntervalRecord onto it).
-type IntervalUpdate struct {
-	Time             float64
-	IntervalSeconds  float64
-	ArrivalRates     []float64
-	DemandPerChannel []float64 // bytes/s
-	TotalDemand      float64
-	TotalPeerSupply  float64
-	VMs              map[string]int     // plan per cluster
-	CapacityPerChunk map[[2]int]float64 // provisioned bytes/s per (channel, chunk)
-	StorageGB        float64
-	DemandScale      float64
-	DemandErrors     int // channels whose demand analysis failed
-	PlanErr          bool
-	StorageErr       bool
-	SubmitErr        bool               // the broker rejected the round's SLA request
-	Cost             cloud.LedgerTotals // the interval's bill
-}
 
 // State is the /state JSON snapshot: the latest of everything the store
 // tracks, plus the cumulative counters.
@@ -93,8 +65,10 @@ type Metrics struct {
 	mu sync.Mutex
 	st State
 
-	capacity map[[2]int]float64
-	cost     cloud.LedgerTotals
+	interval    float64 // the run's provisioning period, seconds
+	vmBandwidth float64 // bytes/s one VM serves, sizing the plan's chunks
+	capacity    map[[2]int]float64
+	cost        cloud.LedgerTotals
 }
 
 // NewMetrics builds an empty store.
@@ -102,13 +76,20 @@ func NewMetrics() *Metrics {
 	return &Metrics{st: State{DemandScale: 1, Quality: 1}}
 }
 
-// ObserveRun records the static facts of a run — the configured time
-// scale and the channel count — so a scrape that lands before the first
-// control barrier already reports them. Simulated time starts at 0.
-func (m *Metrics) ObserveRun(timeScale float64, channels int) {
+// ObserveRun records the static facts of a resolved run — the configured
+// time scale, the channel count, and the provisioning period and VM
+// bandwidth its records are read with — so a scrape that lands before the
+// first control barrier already reports them. Simulated time starts at 0.
+func (m *Metrics) ObserveRun(timeScale float64, sc stack.Spec) {
+	channels := sc.Workload.Channels
+	if sc.Source != nil {
+		channels = sc.Source.NumChannels()
+	}
 	m.mu.Lock()
 	m.st.TimeScale = timeScale
 	m.st.Channels = channels
+	m.interval = sc.IntervalSeconds
+	m.vmBandwidth = sc.Channel.VMBandwidth
 	m.mu.Unlock()
 }
 
@@ -131,9 +112,12 @@ func (m *Metrics) Ready() bool {
 	return m.st.Ready
 }
 
-// ObserveSnapshot records one periodic measurement.
-func (m *Metrics) ObserveSnapshot(s SnapshotUpdate) {
+// ObserveSnapshot records one periodic measurement and returns its
+// timeline point: the snapshot with the latest round's total demand and
+// the cumulative bill.
+func (m *Metrics) ObserveSnapshot(s core.Snapshot) Point {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if s.Time > m.st.SimSeconds {
 		m.st.SimSeconds = s.Time
 	}
@@ -143,37 +127,42 @@ func (m *Metrics) ObserveSnapshot(s SnapshotUpdate) {
 	m.st.QualityPerChannel = append(m.st.QualityPerChannel[:0], s.PerChannelQuality...)
 	m.st.ReservedMbps = s.ReservedMbps
 	m.st.CloudServedGB = s.CloudServedGB
-	m.mu.Unlock()
+	return Point{Sim: s.Time, Viewers: s.Users, Quality: s.Quality, DemandBps: m.st.TotalDemand,
+		ReservedMbps: s.ReservedMbps, CostUSD: m.st.CostUSD}
 }
 
 // ObserveInterval records one provisioning round, accumulating the
 // interval's bill into the cumulative cost and deriving the cost ticker
 // rate ($/h over the interval that just ended).
-func (m *Metrics) ObserveInterval(u IntervalUpdate) {
-	m.mu.Lock()
-	if u.Time > m.st.SimSeconds {
-		m.st.SimSeconds = u.Time
+func (m *Metrics) ObserveInterval(rec core.IntervalRecord) {
+	var storageGB float64
+	for _, gb := range rec.StoragePlan.GBPerCluster {
+		storageGB += gb
 	}
-	m.st.ArrivalRates = append(m.st.ArrivalRates[:0], u.ArrivalRates...)
-	m.st.DemandPerChannel = append(m.st.DemandPerChannel[:0], u.DemandPerChannel...)
-	m.st.TotalDemand = u.TotalDemand
-	m.st.PeerSupply = u.TotalPeerSupply
-	m.st.VMs = u.VMs
-	m.capacity = u.CapacityPerChunk
-	m.st.StorageGB = u.StorageGB
-	m.st.DemandScale = u.DemandScale
+	m.mu.Lock()
+	if rec.Time > m.st.SimSeconds {
+		m.st.SimSeconds = rec.Time
+	}
+	m.st.ArrivalRates = append(m.st.ArrivalRates[:0], rec.ArrivalRates...)
+	m.st.DemandPerChannel = append(m.st.DemandPerChannel[:0], rec.DemandPerChannel...)
+	m.st.TotalDemand = rec.TotalDemand
+	m.st.PeerSupply = rec.TotalPeerSupply
+	m.st.VMs = rec.VMPlan.RentalVMs()
+	m.capacity = rec.VMPlan.CapacityPerChunk(m.vmBandwidth)
+	m.st.StorageGB = storageGB
+	m.st.DemandScale = rec.DemandScale
 	m.st.Plans++
-	m.st.DemandErrors += u.DemandErrors
-	if u.PlanErr {
+	m.st.DemandErrors += rec.DemandErrors
+	if rec.PlanErr != "" {
 		m.st.PlanErrors++
 	}
-	if u.StorageErr {
+	if rec.StorageErr != "" {
 		m.st.StorageErrors++
 	}
-	if u.SubmitErr {
+	if rec.SubmitErr != "" {
 		m.st.SubmitErrors++
 	}
-	m.cost.Add(u.Cost)
+	m.cost.Add(rec.Cost)
 	m.st.CostUSD = m.cost.TotalUSD()
 	m.st.CostReservedUSD = m.cost.ReservedUSD
 	m.st.CostOnDemandUSD = m.cost.OnDemandUSD
@@ -181,8 +170,8 @@ func (m *Metrics) ObserveInterval(u IntervalUpdate) {
 	m.st.CostUpfrontUSD = m.cost.UpfrontUSD
 	m.st.CostStorageUSD = m.cost.StorageUSD
 	m.st.CostTransferUSD = m.cost.TransferUSD
-	if u.IntervalSeconds > 0 {
-		m.st.CostRatePerHourUSD = u.Cost.TotalUSD() / (u.IntervalSeconds / 3600)
+	if m.interval > 0 {
+		m.st.CostRatePerHourUSD = rec.Cost.TotalUSD() / (m.interval / 3600)
 	}
 	m.mu.Unlock()
 }
@@ -256,12 +245,14 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	p.gauge("cloudmedia_demand_bytes_per_second_total", "Derived cloud demand across channels.", st.TotalDemand)
 	p.gauge("cloudmedia_peer_supply_bytes_per_second", "Analytic peer supply across channels.", st.PeerSupply)
 	p.head("cloudmedia_provisioned_bytes_per_second", "Provisioned cloud capacity per chunk.", "gauge")
-	for _, k := range sortedChunkKeys(caps) {
+	for _, k := range slices.SortedFunc(maps.Keys(caps), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	}) {
 		p.row("cloudmedia_provisioned_bytes_per_second",
 			fmt.Sprintf(`channel="%d",chunk="%d"`, k[0], k[1]), caps[k])
 	}
 	p.head("cloudmedia_vm_plan", "VMs rented per cluster in the applied plan.", "gauge")
-	for _, name := range sortedClusterNames(st.VMs) {
+	for _, name := range slices.Sorted(maps.Keys(st.VMs)) {
 		p.row("cloudmedia_vm_plan", fmt.Sprintf(`cluster=%q`, name), float64(st.VMs[name]))
 	}
 	p.gauge("cloudmedia_storage_gb", "NFS storage rented in the applied plan.", st.StorageGB)
@@ -325,26 +316,3 @@ func boolGauge(b bool) float64 {
 }
 
 func channelLabel(c int) string { return fmt.Sprintf(`channel="%d"`, c) }
-
-func sortedClusterNames(m map[string]int) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sortedChunkKeys(m map[[2]int]float64) [][2]int {
-	keys := make([][2]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	return keys
-}

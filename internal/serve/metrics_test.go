@@ -11,21 +11,42 @@ import (
 	"time"
 
 	"cloudmedia/internal/cloud"
+	"cloudmedia/internal/core"
 	"cloudmedia/internal/provision"
+	"cloudmedia/internal/queueing"
+	"cloudmedia/internal/stack"
 )
 
-func sampleInterval() IntervalUpdate {
-	return IntervalUpdate{
+// hourlyRun is the static run the store tests observe: hourly rounds,
+// 1e6 bytes/s per VM.
+func hourlyRun() stack.Spec {
+	return stack.Spec{IntervalSeconds: 3600, Channel: queueing.Config{VMBandwidth: 1e6}}
+}
+
+// newHourlyMetrics is a store that has observed hourlyRun.
+func newHourlyMetrics() *Metrics {
+	m := NewMetrics()
+	m.ObserveRun(1, hourlyRun())
+	return m
+}
+
+func sampleInterval() core.IntervalRecord {
+	return core.IntervalRecord{
 		Time:             3600,
-		IntervalSeconds:  3600,
 		ArrivalRates:     []float64{1.5, 2.5},
 		DemandPerChannel: []float64{1e6, 2e6},
 		TotalDemand:      3e6,
 		TotalPeerSupply:  5e5,
-		VMs:              map[string]int{"east": 3, "west": 1},
-		CapacityPerChunk: map[[2]int]float64{{0, 0}: 1e6, {1, 0}: 2e6},
-		StorageGB:        42,
-		DemandScale:      1,
+		VMPlan: provision.VMPlan{
+			Allocations: []provision.VMAllocation{
+				{Channel: 0, Chunk: 0, Cluster: "east", VMs: 1},
+				{Channel: 1, Chunk: 0, Cluster: "east", VMs: 1.5},
+				{Channel: 1, Chunk: 0, Cluster: "west", VMs: 0.5},
+			},
+			VMsPerCluster: map[string]float64{"east": 2.5, "west": 0.5},
+		},
+		StoragePlan: provision.StoragePlan{GBPerCluster: map[string]float64{"east": 42}},
+		DemandScale: 1,
 		Cost: cloud.LedgerTotals{
 			ReservedUSD: 2, OnDemandUSD: 1, UpfrontUSD: 0.5, StorageUSD: 0.25,
 		},
@@ -33,13 +54,14 @@ func sampleInterval() IntervalUpdate {
 }
 
 func TestMetricsStateAndProm(t *testing.T) {
-	m := NewMetrics()
+	m := newHourlyMetrics()
 	m.ObserveClock(3600, 150, 24)
-	m.ObserveSnapshot(SnapshotUpdate{
+	snap := core.Snapshot{
 		Time: 3600, Quality: 0.97, PerChannelQuality: []float64{0.99, 0.95},
 		Users: 120, PerChannelUsers: []int{80, 40},
 		ReservedMbps: 800, CloudServedGB: 3.5,
-	})
+	}
+	m.ObserveSnapshot(snap)
 	m.ObserveInterval(sampleInterval())
 	m.ObservePlanLatency(0.002)
 
@@ -56,7 +78,7 @@ func TestMetricsStateAndProm(t *testing.T) {
 	if st.CostRatePerHourUSD != 3.75 {
 		t.Fatalf("cost rate = %v, want 3.75/h for a 1h interval", st.CostRatePerHourUSD)
 	}
-	if st.VMs["east"] != 3 {
+	if st.VMs["east"] != 3 || st.VMs["west"] != 1 {
 		t.Fatalf("VM plan not recorded: %+v", st.VMs)
 	}
 	if st.TimeScale != 24 || st.RealSeconds != 150 {
@@ -66,7 +88,7 @@ func TestMetricsStateAndProm(t *testing.T) {
 	// A second errored interval accumulates cost and counts the failure.
 	u := sampleInterval()
 	u.Time = 7200
-	u.PlanErr, u.StorageErr = true, true
+	u.PlanErr, u.StorageErr = "no plan", "no storage"
 	m.ObserveInterval(u)
 	st = m.State()
 	if st.Plans != 2 || st.PlanErrors != 1 || st.StorageErrors != 1 {
@@ -74,6 +96,11 @@ func TestMetricsStateAndProm(t *testing.T) {
 	}
 	if st.CostUSD != 7.5 {
 		t.Fatalf("cumulative CostUSD = %v, want 7.5", st.CostUSD)
+	}
+	// A snapshot's timeline point carries the latest round's demand and
+	// the cumulative bill.
+	if p := m.ObserveSnapshot(snap); p.DemandBps != 3e6 || p.CostUSD != 7.5 || p.Viewers != 120 {
+		t.Fatalf("timeline point = %+v, want demand 3e6 and cost 7.5", p)
 	}
 
 	var sb strings.Builder
@@ -127,13 +154,13 @@ func TestMetricsStateAndProm(t *testing.T) {
 func TestRoundErrorCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		mark   func(*IntervalUpdate)
+		mark   func(*core.IntervalRecord)
 		state  func(State) int
 		metric string
 		want   int // after two marked rounds
 	}{
-		{"demand", func(u *IntervalUpdate) { u.DemandErrors = 3 }, func(st State) int { return st.DemandErrors }, "cloudmedia_demand_errors_total", 6},
-		{"submit", func(u *IntervalUpdate) { u.SubmitErr = true }, func(st State) int { return st.SubmitErrors }, "cloudmedia_submit_errors_total", 2},
+		{"demand", func(u *core.IntervalRecord) { u.DemandErrors = 3 }, func(st State) int { return st.DemandErrors }, "cloudmedia_demand_errors_total", 6},
+		{"submit", func(u *core.IntervalRecord) { u.SubmitErr = "rejected" }, func(st State) int { return st.SubmitErrors }, "cloudmedia_submit_errors_total", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewMetrics()
@@ -168,8 +195,8 @@ func TestRoundErrorCounters(t *testing.T) {
 // transfer dollars included.
 func TestCostTiersSumToBill(t *testing.T) {
 	bill := cloud.LedgerTotals{OnDemandUSD: 2, SpotUSD: 5, TransferUSD: 1, SpotVMHours: 20, Interruptions: 1}
-	m := NewMetrics()
-	m.ObserveInterval(IntervalUpdate{Time: 3600, IntervalSeconds: 3600, DemandScale: 1, Cost: bill})
+	m := newHourlyMetrics()
+	m.ObserveInterval(core.IntervalRecord{Time: 3600, DemandScale: 1, Cost: bill})
 
 	st := m.State()
 	if st.CostUSD != bill.TotalUSD() || st.CostRatePerHourUSD != bill.TotalUSD() {
@@ -388,7 +415,7 @@ func TestMetricsConcurrentObserveAndScrape(t *testing.T) {
 			u := sampleInterval()
 			u.Time = float64(i) * 60
 			m.ObserveInterval(u)
-			m.ObserveSnapshot(SnapshotUpdate{
+			m.ObserveSnapshot(core.Snapshot{
 				Time: u.Time, Users: i, PerChannelUsers: []int{i, i + 1},
 				Quality: 1, PerChannelQuality: []float64{1, 0.9},
 			})

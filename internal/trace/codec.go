@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -49,21 +50,14 @@ func ParseCSV(data []byte) (*Trace, error) {
 	for c := range tr.Rates {
 		tr.Rates[c] = make([]float64, samples)
 	}
+	rates := make([]float64, channels)
 	for i, line := range lines[1:] {
-		fields := strings.Split(line, ",")
-		if len(fields) != channels+1 {
-			return nil, fmt.Errorf("trace: row %d has %d columns, want %d", i+1, len(fields), channels+1)
-		}
-		t, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
+		t, err := ParseRow(line, rates)
 		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: bad time %q", i+1, fields[0])
+			return nil, fmt.Errorf("trace: row %d: %w", i+1, err)
 		}
 		tr.Times[i] = t
-		for c := 0; c < channels; c++ {
-			r, err := strconv.ParseFloat(strings.TrimSpace(fields[c+1]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: row %d: bad rate %q", i+1, fields[c+1])
-			}
+		for c, r := range rates {
 			tr.Rates[c][i] = r
 		}
 	}
@@ -71,6 +65,32 @@ func ParseCSV(data []byte) (*Trace, error) {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// ErrBadTime marks a row whose time field is not a number — for a line
+// protocol, the sign of a header row.
+var ErrBadTime = errors.New("bad time")
+
+// ParseRow parses one sample row of the CSV schema, "time_s,rate0,rate1,…",
+// into its time and rates: rates must hold one entry per channel, and the
+// row must carry exactly that many rate columns. Fields may be padded with
+// spaces. The time is parsed first, so a header row fails with ErrBadTime
+// whatever its column count. The values are not validated.
+func ParseRow(line string, rates []float64) (float64, error) {
+	fields := strings.Split(line, ",")
+	t, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w %q", ErrBadTime, fields[0])
+	}
+	if len(fields) != len(rates)+1 {
+		return 0, fmt.Errorf("%d columns, want %d", len(fields), len(rates)+1)
+	}
+	for c, f := range fields[1:] {
+		if rates[c], err = strconv.ParseFloat(strings.TrimSpace(f), 64); err != nil {
+			return 0, fmt.Errorf("bad rate %q", f)
+		}
+	}
+	return t, nil
 }
 
 // EncodeCSV renders the trace in the canonical CSV schema. The trace must

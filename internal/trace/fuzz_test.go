@@ -2,13 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
 // FuzzParseTraceCSV drives arbitrary bytes through the CSV parser. The
 // contract under fuzz: never panic, and for any input that parses, the
 // encoder is canonical — parse → encode → parse → encode is byte-stable
-// and the re-parsed trace still validates.
+// and the re-parsed trace still validates — and the trace's reads hold
+// (checkReads).
 func FuzzParseTraceCSV(f *testing.F) {
 	f.Add([]byte("time_s,ch0,ch1\n0,1,2\n60,2,3\n"))
 	f.Add([]byte("time_s,ch0\n0,0\n"))
@@ -27,6 +29,7 @@ func FuzzParseTraceCSV(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("ParseCSV returned an invalid trace: %v", err)
 		}
+		checkReads(t, tr)
 		enc := EncodeCSV(tr)
 		back, err := ParseCSV(enc)
 		if err != nil {
@@ -64,6 +67,7 @@ func FuzzParseTraceJSON(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("ParseJSON returned an invalid trace: %v", err)
 		}
+		checkReads(t, tr)
 		enc, err := EncodeJSON(tr)
 		if err != nil {
 			t.Fatalf("encoding a parsed trace failed: %v", err)
@@ -80,4 +84,56 @@ func FuzzParseTraceJSON(f *testing.F) {
 			t.Fatalf("JSON round trip not byte-stable:\nfirst:  %q\nsecond: %q", enc, enc2)
 		}
 	})
+}
+
+// checkReads asserts what every valid trace must read, however extreme its
+// times and rates: Rate and RatesInto finite and within the channel row's
+// [min, max] at every sample, inside every segment and beyond both ends,
+// and MeanRate finite over every segment and over the whole span.
+func checkReads(t *testing.T, tr *Trace) {
+	t.Helper()
+	times := tr.Times
+	probes := append([]float64{math.Inf(-1), -math.MaxFloat64, math.MaxFloat64}, times...)
+	for i := 1; i < len(times); i++ {
+		t0, t1 := times[i-1], times[i]
+		for _, q := range []float64{0.25, 0.5, 0.999} {
+			if p := t0*(1-q) + t1*q; p > t0 && p < t1 {
+				probes = append(probes, p)
+			}
+		}
+		if p := t0/2 + t1/2; p > t0 && p < t1 {
+			probes = append(probes, p)
+		}
+	}
+	dst := make([]float64, tr.NumChannels())
+	for _, p := range probes {
+		if err := tr.RatesInto(p, dst); err != nil {
+			t.Fatal(err)
+		}
+		for c, row := range tr.Rates {
+			lo, hi := row[0], row[0]
+			for _, r := range row {
+				lo, hi = math.Min(lo, r), math.Max(hi, r)
+			}
+			r, err := tr.Rate(c, p)
+			if err != nil || !(r >= lo && r <= hi) {
+				t.Fatalf("Rate(%d, %v) = %v, %v; want within [%v, %v]", c, p, r, err, lo, hi)
+			}
+			if v := dst[c]; !(v >= lo && v <= hi) {
+				t.Fatalf("RatesInto(%v)[%d] = %v, want within [%v, %v]", p, c, v, lo, hi)
+			}
+		}
+	}
+	spans := [][2]float64{{times[0], times[len(times)-1]}, {-math.MaxFloat64, math.MaxFloat64}}
+	for i := 1; i < len(times); i++ {
+		spans = append(spans, [2]float64{times[i-1], times[i]})
+	}
+	for c := range tr.Rates {
+		for _, sp := range spans {
+			m, err := tr.MeanRate(c, sp[0], sp[1])
+			if err != nil || math.IsNaN(m) || math.IsInf(m, 0) {
+				t.Fatalf("MeanRate(%d, %v, %v) = %v, %v; want finite", c, sp[0], sp[1], m, err)
+			}
+		}
+	}
 }

@@ -87,29 +87,46 @@ func (tr *Trace) Rate(channel int, t float64) (float64, error) {
 	if len(times) == 0 || len(row) != len(times) {
 		return 0, fmt.Errorf("trace: channel %d: malformed series", channel)
 	}
+	return interpolate(times, row, t), nil
+}
+
+// interpolate reads a well-formed series at t: linear between samples,
+// the boundary value outside them.
+func interpolate(times, row []float64, t float64) float64 {
 	if t <= times[0] {
-		return row[0], nil
+		return row[0]
 	}
 	last := len(times) - 1
 	if t >= times[last] {
-		return row[last], nil
+		return row[last]
 	}
-	// First sample strictly after t; the invariant above guarantees
+	// First sample strictly after t; the checks above guarantee
 	// 1 <= i <= last.
 	i := sort.SearchFloat64s(times, t)
 	if times[i] == t {
-		return row[i], nil
+		return row[i]
 	}
-	t0, t1 := times[i-1], times[i]
-	f := (t - t0) / (t1 - t0)
-	return row[i-1] + f*(row[i]-row[i-1]), nil
+	f := segmentFraction(t, times[i-1], times[i])
+	return row[i-1] + f*(row[i]-row[i-1])
+}
+
+// segmentFraction returns (t − t0)/(t1 − t0) for t0 < t < t1. When the
+// span t1 − t0 overflows, as between huge times of opposite sign, every
+// operand is halved first, so the fraction stays finite; otherwise the
+// plain quotient is returned bit for bit.
+func segmentFraction(t, t0, t1 float64) float64 {
+	if span := t1 - t0; !math.IsInf(span, 0) {
+		return (t - t0) / span
+	}
+	return (t/2 - t0/2) / (t1/2 - t0/2)
 }
 
 // RatesInto implements workload.BatchSource: every channel shares the
 // same interpolation segment at a fixed instant, so the binary search over
 // Times runs once here instead of once per channel. Each entry follows
 // Rate's exact arithmetic (row[i-1] + f*(row[i]-row[i-1]) with the same
-// f), so the batched values are bit-identical to per-channel Rate calls.
+// segmentFraction f), so the batched values are bit-identical to
+// per-channel Rate calls.
 //
 //cloudmedia:hotpath
 func (tr *Trace) RatesInto(t float64, dst []float64) error {
@@ -138,8 +155,7 @@ func (tr *Trace) RatesInto(t float64, dst []float64) error {
 			}
 			return nil
 		}
-		t0, t1 := times[i-1], times[i]
-		f := (t - t0) / (t1 - t0)
+		f := segmentFraction(t, times[i-1], times[i])
 		for c, row := range tr.Rates {
 			dst[c] = row[i-1] + f*(row[i]-row[i-1])
 		}
@@ -165,6 +181,8 @@ func (tr *Trace) MaxRate(channel int) (float64, error) {
 
 // MeanRate returns the exact mean of the piecewise-linear intensity over
 // [start, end), including the constant extrapolation outside the samples.
+// A span or an integral beyond float range takes meanRateScaled instead,
+// so the mean stays finite; every other read is the plain integral.
 func (tr *Trace) MeanRate(channel int, start, end float64) (float64, error) {
 	if channel < 0 || channel >= len(tr.Rates) {
 		return 0, fmt.Errorf("trace: channel %d outside [0,%d)", channel, len(tr.Rates))
@@ -173,40 +191,64 @@ func (tr *Trace) MeanRate(channel int, start, end float64) (float64, error) {
 		return 0, nil
 	}
 	row := tr.Rates[channel]
-	times := tr.Times
-	if len(times) == 0 || len(row) != len(times) {
+	if len(tr.Times) == 0 || len(row) != len(tr.Times) {
 		return 0, fmt.Errorf("trace: channel %d: malformed series", channel)
 	}
-	var integral float64
-	last := len(times) - 1
-	// Leading flat segment before the first sample.
-	if start < times[0] {
-		hi := math.Min(end, times[0])
-		integral += row[0] * (hi - start)
+	span := end - start
+	if math.IsInf(span, 0) {
+		return tr.meanRateScaled(channel, start, end), nil
 	}
-	// Interior piecewise-linear segments.
+	var integral float64
+	tr.segments(channel, start, end, func(r, lo, hi float64) { integral += r * (hi - lo) })
+	if mean := integral / span; !math.IsInf(mean, 0) {
+		return mean, nil
+	}
+	return tr.meanRateScaled(channel, start, end), nil
+}
+
+// segments calls add with the mean intensity of every piece of the
+// channel's series inside [start, end): the flat lead before the first
+// sample, each linear segment, and the flat tail after the last. The
+// caller has checked the channel and the series.
+func (tr *Trace) segments(channel int, start, end float64, add func(r, lo, hi float64)) {
+	row, times := tr.Rates[channel], tr.Times
+	last := len(times) - 1
+	if start < times[0] {
+		add(row[0], start, math.Min(end, times[0]))
+	}
 	for i := 0; i < last; i++ {
 		lo := math.Max(start, times[i])
 		hi := math.Min(end, times[i+1])
 		if hi <= lo {
 			continue
 		}
-		r0, err := tr.Rate(channel, lo)
-		if err != nil {
-			return 0, err
-		}
-		r1, err := tr.Rate(channel, hi)
-		if err != nil {
-			return 0, err
-		}
-		integral += (r0 + r1) / 2 * (hi - lo)
+		add((interpolate(times, row, lo)+interpolate(times, row, hi))/2, lo, hi)
 	}
-	// Trailing flat segment after the last sample.
 	if end > times[last] {
-		lo := math.Max(start, times[last])
-		integral += row[last] * (end - lo)
+		add(row[last], math.Max(start, times[last]), end)
 	}
-	return integral / (end - start), nil
+}
+
+// meanRateScaled is MeanRate for a span or an integral beyond float range:
+// each piece is weighted by its share of the span, measured over halved
+// times, so neither a width nor a partial sum leaves float range. A mean
+// lies within the samples it averages, so the sum is clamped to the row's
+// range against rounding.
+func (tr *Trace) meanRateScaled(channel int, start, end float64) float64 {
+	span := end/2 - start/2
+	var mean float64
+	row := tr.Rates[channel]
+	tr.segments(channel, start, end, func(r, lo, hi float64) {
+		if math.IsInf(r, 0) { // the two endpoint rates overflowed their sum
+			r = interpolate(tr.Times, row, lo)/2 + interpolate(tr.Times, row, hi)/2
+		}
+		mean += r * ((hi/2 - lo/2) / span)
+	})
+	lo, hi := math.Inf(1), 0.0
+	for _, r := range row {
+		lo, hi = math.Min(lo, r), math.Max(hi, r)
+	}
+	return math.Min(math.Max(mean, lo), hi)
 }
 
 // CloneSource returns a deep copy as a workload.Source.
@@ -263,14 +305,10 @@ func (tr *Trace) Resample(stepSeconds float64) (*Trace, error) {
 	}
 	times = append(times, end)
 	out := &Trace{Times: times, Rates: make([][]float64, len(tr.Rates))}
-	for c := range tr.Rates {
+	for c, src := range tr.Rates {
 		row := make([]float64, len(times))
 		for i, t := range times {
-			r, err := tr.Rate(c, t)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = r
+			row[i] = interpolate(tr.Times, src, t)
 		}
 		out.Rates[c] = row
 	}

@@ -447,3 +447,30 @@ func TestGridOverflowGuards(t *testing.T) {
 		t.Error("launchdecay overflow grid accepted")
 	}
 }
+
+// Times of opposite sign near the float limit make every span overflow:
+// the segment fraction and the mean are then taken over halved times, so
+// the trace still reads its true values (the plain quotients read NaN, a
+// rate 1 at t=0 and a NaN mean).
+func TestHugeTimesReadFinite(t *testing.T) {
+	tr, err := ParseCSV([]byte("time_s,ch0\n-1e308,1\n1e308,3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := tr.Rate(0, 0); err != nil || r != 2 {
+		t.Errorf("Rate(0, 0) = %v, %v; want 2", r, err)
+	}
+	for _, at := range []float64{-1e308, -5e307, 0, 9.9e307, 1e308} {
+		if r, err := tr.Rate(0, at); err != nil || math.IsNaN(r) || r < 1 || r > 3 {
+			t.Errorf("Rate(0, %v) = %v, %v; want within [1, 3]", at, r, err)
+		}
+	}
+	if m, err := tr.MeanRate(0, -1e308, 1e308); err != nil || m != 2 {
+		t.Errorf("MeanRate over the span = %v, %v; want 2", m, err)
+	}
+	// A finite span whose integral overflows keeps a finite mean too.
+	big := &Trace{Times: []float64{0, 1e10}, Rates: [][]float64{{1e300, 1e300}}}
+	if m, err := big.MeanRate(0, 0, 1e10); err != nil || m != 1e300 {
+		t.Errorf("MeanRate of a huge flat rate = %v, %v; want 1e300", m, err)
+	}
+}

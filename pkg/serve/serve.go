@@ -126,11 +126,7 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 	metrics := iserve.NewMetrics()
 	// Publish the static run facts before the endpoint starts serving: a
 	// scrape may land before the first control barrier.
-	channels := sc.Workload.Channels
-	if sc.Source != nil {
-		channels = sc.Source.NumChannels()
-	}
-	metrics.ObserveRun(timeScale, channels)
+	metrics.ObserveRun(timeScale, sc.Spec)
 	rolling, err := iserve.NewRolling(sc.SampleSeconds)
 	if err != nil {
 		return nil, err
@@ -155,57 +151,6 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 		addr = srv.Addr()
 	}
 
-	interval := sc.IntervalSeconds
-	vmBandwidth := sc.Channel.VMBandwidth
-
-	// Both callbacks run on the simulation goroutine, so the cumulative
-	// trackers below need no locking; the metric store does its own.
-	var cumCost, lastDemand float64
-	onInterval := func(rec simulate.IntervalRecord) {
-		var storageGB float64
-		for _, gb := range rec.StoragePlan.GBPerCluster {
-			storageGB += gb
-		}
-		metrics.ObserveInterval(iserve.IntervalUpdate{
-			Time:             rec.Time,
-			IntervalSeconds:  interval,
-			ArrivalRates:     rec.ArrivalRates,
-			DemandPerChannel: rec.DemandPerChannel,
-			TotalDemand:      rec.TotalDemand,
-			TotalPeerSupply:  rec.TotalPeerSupply,
-			VMs:              rec.VMPlan.RentalVMs(),
-			CapacityPerChunk: rec.VMPlan.CapacityPerChunk(vmBandwidth),
-			StorageGB:        storageGB,
-			DemandScale:      rec.DemandScale,
-			DemandErrors:     rec.DemandErrors,
-			PlanErr:          rec.PlanErr != "",
-			StorageErr:       rec.StorageErr != "",
-			SubmitErr:        rec.SubmitErr != "",
-			Cost:             rec.Cost,
-		})
-		cumCost += rec.Cost.TotalUSD()
-		lastDemand = rec.TotalDemand
-	}
-	onSnapshot := func(s simulate.Snapshot) {
-		metrics.ObserveSnapshot(iserve.SnapshotUpdate{
-			Time:              s.Time,
-			Quality:           s.Quality,
-			PerChannelQuality: s.PerChannelQuality,
-			Users:             s.Users,
-			PerChannelUsers:   s.PerChannelUsers,
-			ReservedMbps:      s.ReservedMbps,
-			CloudServedGB:     s.CloudServedGB,
-		})
-		rolling.Add(iserve.Point{
-			Sim:          s.Time,
-			Viewers:      s.Users,
-			Quality:      s.Quality,
-			DemandBps:    lastDemand,
-			ReservedMbps: s.ReservedMbps,
-			CostUSD:      cumCost,
-		})
-	}
-
 	clock.Start()
 	pacer := func(simNow float64) {
 		// A cancelled wait falls through: the engine then advances to its
@@ -217,8 +162,8 @@ func Run(ctx context.Context, sc simulate.Scenario, opts ...Option) (*Report, er
 
 	runOpts := append([]simulate.RunOption{
 		simulate.WithPacer(pacer),
-		simulate.OnInterval(onInterval),
-		simulate.OnSnapshot(onSnapshot),
+		simulate.OnInterval(metrics.ObserveInterval),
+		simulate.OnSnapshot(func(s simulate.Snapshot) { rolling.Add(metrics.ObserveSnapshot(s)) }),
 	}, o.runOpts...)
 	rep, runErr := sc.Run(ctx, runOpts...)
 

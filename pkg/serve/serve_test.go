@@ -14,6 +14,7 @@ import (
 
 	"cloudmedia/pkg/serve"
 	"cloudmedia/pkg/simulate"
+	"cloudmedia/pkg/trace"
 )
 
 func testScenario(t *testing.T, fidelity simulate.Fidelity) simulate.Scenario {
@@ -365,5 +366,71 @@ func TestServeValidation(t *testing.T) {
 	sc.Serve.TimeScale = -2
 	if _, err := serve.Run(context.Background(), sc); err == nil {
 		t.Fatal("negative time scale accepted")
+	}
+}
+
+// A live feed replaying a trace decides exactly as the trace: preloaded
+// with the trace's samples under an envelope at or above its peak, a
+// LiveSource drives a fluid 12 h day to interval records identical to the
+// Trace's own, for greedy (which reads the rates) and for oracle and
+// staticpeak (which read MeanRate).
+func TestLiveReplayDecidesAsTrace(t *testing.T) {
+	base := simulate.Default(simulate.CloudAssisted, 1)
+	tr, err := trace.PopularityDrift(3, 12, 900, 0.8, 1.5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peak float64
+	for c := range tr.NumChannels() {
+		m, err := tr.MaxRate(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, m)
+	}
+	for _, policy := range []simulate.Policy{simulate.Greedy{}, simulate.Oracle{}, simulate.StaticPeak{}} {
+		t.Run(policy.Name(), func(t *testing.T) {
+			live, err := serve.NewLiveSource(tr.NumChannels(), peak)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rates := make([]float64, tr.NumChannels())
+			for i, at := range tr.Times {
+				for c, row := range tr.Rates {
+					rates[c] = row[i]
+				}
+				if err := live.Ingest(at, rates); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if live.Clamped() != 0 || live.Dropped() != 0 {
+				t.Fatalf("preload clamped %d and dropped %d samples", live.Clamped(), live.Dropped())
+			}
+			records := func(src simulate.Source) []simulate.IntervalRecord {
+				t.Helper()
+				sc := base
+				sc.Hours = 12
+				sc.Fidelity = simulate.FidelityFluid
+				sc.Source = src
+				sc.Policy = policy
+				rep, err := sc.Run(context.Background(), simulate.KeepHistory())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep.Records
+			}
+			want, got := records(tr), records(live)
+			if len(want) == 0 {
+				t.Fatal("trace run produced no interval records")
+			}
+			if !reflect.DeepEqual(got, want) {
+				for i := range min(len(got), len(want)) {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("record %d (t=%v) differs: live %+v, trace %+v", i, want[i].Time, got[i], want[i])
+					}
+				}
+				t.Fatalf("live replay has %d records, trace %d", len(got), len(want))
+			}
+		})
 	}
 }

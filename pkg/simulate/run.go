@@ -3,32 +3,13 @@ package simulate
 import (
 	"context"
 
+	"cloudmedia/internal/core"
 	"cloudmedia/internal/stack"
 )
 
 // Snapshot is one periodic measurement of the running system, taken every
 // Scenario.SampleSeconds of simulated time and at the end of the run.
-type Snapshot struct {
-	// Time is the simulated clock in seconds.
-	Time float64
-	// Quality is the fraction of viewers with no playback stall inside the
-	// trailing quality window (Fig. 5's metric).
-	Quality float64
-	// PerChannelQuality splits Quality by channel (1 for empty channels).
-	PerChannelQuality []float64
-	// Users is the current viewer count; PerChannelUsers splits it.
-	Users           int
-	PerChannelUsers []int
-	// ReservedMbps is the cloud capacity provisioned at this instant.
-	ReservedMbps float64
-	// CloudServedGB is the cumulative cloud traffic actually delivered
-	// since the start of the run (the "used" curve of Fig. 4).
-	CloudServedGB float64
-	// VMCost and StorageCost are the catalog-price dollars since the
-	// start of the run.
-	VMCost      float64
-	StorageCost float64
-}
+type Snapshot = core.Snapshot
 
 // Report summarizes a finished (or cancelled) run.
 type Report struct {

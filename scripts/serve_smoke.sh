@@ -3,7 +3,10 @@
 # against a freshly generated trace at high time compression, scrapes
 # /healthz and /metrics while the run is in flight, and requires a
 # clean drain with a final report. About two real seconds of serving.
-# Wired into CI; run locally as ./scripts/serve_smoke.sh.
+# Then pipes the same trace through the stdin line protocol at full
+# speed, which must drain cleanly and report the run a -trace replay of
+# that trace reports. Wired into CI; run locally as
+# ./scripts/serve_smoke.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,4 +61,23 @@ grep -q "served 6.00 sim-hours" "$WORK/serve.log" || {
     exit 1
 }
 
-echo "serve_smoke: ok ($(grep 'served' "$WORK/serve.log"))"
+# The stdin ingress: the trace as a live feed, drained before a
+# simulated-clock run, is the trace itself, so the run's report lines
+# (rounds, quality, bill) must equal a -trace replay's.
+for src in stdin trace; do
+    args=(-trace "$WORK/trace.csv")
+    [ "$src" = stdin ] && args=(-stdin -channels 3)
+    "$WORK/cloudmedia" serve "${args[@]}" -clock simulated -fidelity fluid -hours 6 \
+        < "$WORK/trace.csv" > "$WORK/$src.log"
+    grep -q "served 6.00 sim-hours" "$WORK/$src.log" || {
+        echo "serve_smoke: -$src run did not serve 6 sim-hours:" >&2
+        cat "$WORK/$src.log" >&2
+        exit 1
+    }
+done
+if ! diff <(grep -E '^(intervals|bill)' "$WORK/stdin.log") <(grep -E '^(intervals|bill)' "$WORK/trace.log") >&2; then
+    echo "serve_smoke: the stdin feed and the -trace replay of one trace reported different runs" >&2
+    exit 1
+fi
+
+echo "serve_smoke: ok ($(grep '^served' "$WORK/serve.log"); stdin feed matches the -trace replay)"
