@@ -6,25 +6,6 @@ import (
 	"slices"
 )
 
-// Catalog is the information the SLA negotiator exposes to a consumer
-// during negotiation: the cluster specs plus current availability.
-type Catalog struct {
-	VMClusters  []VMClusterAvailability
-	NFSClusters []NFSClusterAvailability
-}
-
-// VMClusterAvailability pairs a VM cluster spec with its free capacity.
-type VMClusterAvailability struct {
-	Spec         VMClusterSpec
-	AvailableVMs int // MaxVMs − currently allocated
-}
-
-// NFSClusterAvailability pairs an NFS cluster spec with its free capacity.
-type NFSClusterAvailability struct {
-	Spec        NFSClusterSpec
-	AvailableGB float64 // CapacityGB − currently stored
-}
-
 // Request is a consumer's resource reconfiguration: absolute targets per
 // cluster, matching the paper's periodic SLA updates. Omitted clusters are
 // left unchanged.
@@ -35,8 +16,9 @@ type Request struct {
 }
 
 // Broker is the communication interface between the VoD provider and the
-// cloud (Fig. 1). It performs SLA negotiation (Catalog) and forwards
-// requests through the request monitor (Submit).
+// cloud (Fig. 1): it forwards requests through the request monitor
+// (Submit). It negotiates nothing, since the catalog is fixed by New (see
+// the package doc).
 type Broker struct {
 	cloud *Cloud
 }
@@ -47,38 +29,6 @@ func NewBroker(c *Cloud) (*Broker, error) {
 		return nil, fmt.Errorf("cloud: nil cloud")
 	}
 	return &Broker{cloud: c}, nil
-}
-
-// Negotiate returns the current catalog: prices and availability. The controller calls this at the start of every
-// provisioning interval (Sec. V-B). The catalog's cluster lists reuse
-// into's backing arrays, so passing the previous round's catalog
-// negotiates without allocating; a zero Catalog gets fresh lists.
-func (b *Broker) Negotiate(into Catalog) Catalog {
-	cat := Catalog{
-		VMClusters:  into.VMClusters[:0],
-		NFSClusters: into.NFSClusters[:0],
-	}
-	for _, spec := range b.cloud.vmSpecs {
-		allocated, err := b.cloud.AllocatedVMs(spec.Name)
-		if err != nil {
-			continue // cannot happen: spec came from the catalog
-		}
-		cat.VMClusters = append(cat.VMClusters, VMClusterAvailability{
-			Spec:         spec,
-			AvailableVMs: spec.MaxVMs - allocated,
-		})
-	}
-	for _, spec := range b.cloud.nfsSpecs {
-		stored, err := b.cloud.StoredGB(spec.Name)
-		if err != nil {
-			continue
-		}
-		cat.NFSClusters = append(cat.NFSClusters, NFSClusterAvailability{
-			Spec:        spec,
-			AvailableGB: spec.CapacityGB - stored,
-		})
-	}
-	return cat
 }
 
 // Submit validates and applies a reconfiguration request. Either the whole

@@ -22,29 +22,6 @@ func TestNewBrokerNilCloud(t *testing.T) {
 	}
 }
 
-func TestNegotiateCatalog(t *testing.T) {
-	b, c := newTestBroker(t)
-	cat := b.Negotiate(Catalog{})
-	if len(cat.VMClusters) != 3 || len(cat.NFSClusters) != 2 {
-		t.Fatalf("catalog sizes: %d VM, %d NFS", len(cat.VMClusters), len(cat.NFSClusters))
-	}
-	if cat.VMClusters[0].AvailableVMs != 75 {
-		t.Errorf("fresh availability = %d, want 75", cat.VMClusters[0].AvailableVMs)
-	}
-	// Allocate and re-negotiate: availability must shrink.
-	if err := c.SetVMs(0, "standard", 20); err != nil {
-		t.Fatal(err)
-	}
-	cat = b.Negotiate(cat)
-	if cat.VMClusters[0].AvailableVMs != 55 {
-		t.Errorf("availability after allocation = %d, want 55", cat.VMClusters[0].AvailableVMs)
-	}
-	// Negotiating into the previous catalog reuses its lists.
-	if allocs := testing.AllocsPerRun(20, func() { cat = b.Negotiate(cat) }); allocs != 0 {
-		t.Errorf("negotiating into the previous catalog allocates %.1f times", allocs)
-	}
-}
-
 func TestSubmitAppliesRequest(t *testing.T) {
 	b, c := newTestBroker(t)
 	req := Request{
@@ -101,9 +78,8 @@ const brokerDayHours = 25
 
 // BenchmarkBrokerApply replays the cloud side of the 100M-viewer fluid
 // day: two 4.2M-VM clusters and 25 hourly rounds on a diurnal curve (5%
-// of capacity at 09:00, 95% at 21:00), each a Broker.Negotiate and a
-// Broker.Submit, as the controller issues them. Each iteration is one day
-// on a fresh cloud.
+// of capacity at 09:00, 95% at 21:00), each the one Broker.Submit the
+// controller issues. Each iteration is one day on a fresh cloud.
 func BenchmarkBrokerApply(b *testing.B) {
 	const maxVMs = 4_200_000
 	specs := []VMClusterSpec{
@@ -128,9 +104,7 @@ func BenchmarkBrokerApply(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var cat Catalog
 		for _, req := range reqs {
-			cat = br.Negotiate(cat)
 			if err := br.Submit(req); err != nil {
 				b.Fatal(err)
 			}

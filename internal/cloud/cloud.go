@@ -255,14 +255,3 @@ func (c *Cloud) gbSecondsLocked(i int, t float64) float64 {
 	}
 	return st.gbSec
 }
-
-// StoredGB returns the GB currently stored on the cluster.
-func (c *Cloud) StoredGB(name string) (float64, error) {
-	i, ok := c.nfsIndex[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: NFS cluster %q", ErrUnknownCluster, name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nfs[i].storedGB, nil
-}

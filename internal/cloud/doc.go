@@ -1,14 +1,16 @@
 // Package cloud simulates the IaaS infrastructure of Sec. III-A: virtual
-// clusters of VMs and NFS storage clusters, fronted by the broker / SLA
-// negotiator / request monitor / scheduler modules of Fig. 1, with
-// usage-time billing following the Amazon EC2/S3 charging model.
+// clusters of VMs and NFS storage clusters, fronted by the broker /
+// request monitor / scheduler modules of Fig. 1, with usage-time billing
+// following the Amazon EC2/S3 charging model.
 //
-// The package is a catalog, an allocation and a bill. Requests reach the
-// allocation through the Broker, the SLA negotiator and request monitor
-// of Fig. 1; spot kills through PreemptSpot. The paper's
-// evaluation exercises four properties of the physical testbed; this
-// package models the catalogs and the billing, and names the other two
-// for the modules that own them:
+// The package is a catalog, an allocation and a bill. The catalog is
+// fixed once New returns: the cloud has one tenant, so Fig. 1's
+// per-interval SLA negotiation has nothing to settle, and a consumer
+// reads the specs from VMClusters and NFSClusters. Requests reach the
+// allocation through the Broker, the request monitor of Fig. 1; spot
+// kills through PreemptSpot. The paper's evaluation exercises four
+// properties of the physical testbed; this package models the catalogs
+// and the billing, and names the other two for the modules that own them:
 //
 //   - cluster catalogs — Tables II and III ship as DefaultVMClusters and
 //     DefaultNFSClusters;

@@ -1,5 +1,7 @@
 package cloud
 
+import "fmt"
+
 // SetVMs scales one cluster as a one-cluster request through the broker,
 // with the validation Broker.Submit gives a whole request.
 func (c *Cloud) SetVMs(now float64, name string, target int) error {
@@ -10,4 +12,15 @@ func (c *Cloud) SetVMs(now float64, name string, target int) error {
 // through the broker.
 func (c *Cloud) SetStorage(now float64, name string, gb float64) error {
 	return (&Broker{cloud: c}).Submit(Request{Time: now, StorageGB: map[string]float64{name: gb}})
+}
+
+// StoredGB returns the GB currently stored on the cluster.
+func (c *Cloud) StoredGB(name string) (float64, error) {
+	i, ok := c.nfsIndex[name]
+	if !ok {
+		return 0, fmt.Errorf("%w: NFS cluster %q", ErrUnknownCluster, name)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nfs[i].storedGB, nil
 }

@@ -148,6 +148,12 @@ type Controller struct {
 	planner provision.Planner
 	workers int // resolved Options.Workers, see serial
 
+	// vmSpecs and nfsSpecs are the cloud's catalog, read in NewController.
+	// The catalog is fixed once cloud.New returns, so every round plans and
+	// applies against these same specs, in registration order.
+	vmSpecs  []cloud.VMClusterSpec
+	nfsSpecs []cloud.NFSClusterSpec
+
 	// planned holds the latest plan per chunk, and caps the booted
 	// capacity before the fault factor, scaled by the spot preemptions
 	// since; both flat at ch*Chunks+chunk. capChannels is how many
@@ -164,8 +170,8 @@ type Controller struct {
 	// Per-round scratch, reused across intervals so the steady control
 	// path stops allocating: the measurement inputs, the derived
 	// per-channel demands and their storage (current round and per
-	// lookahead step), the flattened chunk-demand lists handed to the
-	// planner, and the negotiated catalog and its specs. Safe because nothing downstream retains them — records
+	// lookahead step), and the flattened chunk-demand lists handed to the
+	// planner. Safe because nothing downstream retains them — records
 	// get their own slices, planners copy what they keep, and apply
 	// reads synchronously within the round. See DESIGN.md, "Sharded
 	// control plane".
@@ -178,9 +184,6 @@ type Controller struct {
 	scratchStepOut []float64         // the steps' demand storage
 	scratchFlat    []provision.ChunkDemand
 	scratchFuture  [][]provision.ChunkDemand // per lookahead step, see flattenFuture
-	catalog        cloud.Catalog
-	scratchVMs     []cloud.VMClusterSpec
-	scratchNFS     []cloud.NFSClusterSpec
 	// freeRaises recycles the lists of delayed capacity raises, see apply.
 	freeRaises [][]capRaise
 }
@@ -191,11 +194,11 @@ type capRaise struct {
 	target    float64
 }
 
-// NewController builds a controller for a simulation backend and a cloud
-// reached through its broker.
-func NewController(s sim.Backend, cl *cloud.Cloud, broker *cloud.Broker, opts Options) (*Controller, error) {
-	if s == nil || cl == nil || broker == nil {
-		return nil, fmt.Errorf("core: nil simulator, cloud, or broker")
+// NewController builds a controller for a simulation backend and a cloud,
+// which it reaches through a broker of its own.
+func NewController(s sim.Backend, cl *cloud.Cloud, opts Options) (*Controller, error) {
+	if s == nil || cl == nil {
+		return nil, fmt.Errorf("core: nil simulator or cloud")
 	}
 	switch {
 	case opts.IntervalSeconds <= 0:
@@ -224,11 +227,17 @@ func NewController(s sim.Backend, cl *cloud.Cloud, broker *cloud.Broker, opts Op
 			return nil, err
 		}
 	}
+	broker, err := cloud.NewBroker(cl)
+	if err != nil {
+		return nil, err
+	}
 	workers := sim.EffectiveWorkers(opts.Workers, s.Channels())
 	return &Controller{
 		sim:         s,
 		broker:      broker,
 		cl:          cl,
+		vmSpecs:     cl.VMClusters(),
+		nfsSpecs:    cl.NFSClusters(),
 		opts:        opts,
 		planner:     opts.Policy.NewPlanner(),
 		workers:     workers,
@@ -569,19 +578,6 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 	}
 	c.reduceDemands(&rec, demands, errs)
 
-	c.catalog = c.broker.Negotiate(c.catalog)
-	catalog := c.catalog
-	vmSpecs := c.scratchVMs[:0]
-	for _, a := range catalog.VMClusters {
-		vmSpecs = append(vmSpecs, a.Spec)
-	}
-	c.scratchVMs = vmSpecs
-	nfsSpecs := c.scratchNFS[:0]
-	for _, a := range catalog.NFSClusters {
-		nfsSpecs = append(nfsSpecs, a.Spec)
-	}
-	c.scratchNFS = nfsSpecs
-
 	c.scratchFlat = FlattenDemandsInto(c.scratchFlat, demands)
 	req := provision.PlanRequest{
 		Time:                 now,
@@ -589,8 +585,8 @@ func (c *Controller) Provision(now float64, inputs []ChannelInput) {
 		Demands:              c.scratchFlat,
 		VMBandwidth:          cfg.VMBandwidth,
 		ChunkBytes:           cfg.ChunkBytes(),
-		VMClusters:           vmSpecs,
-		NFSClusters:          nfsSpecs,
+		VMClusters:           c.vmSpecs,
+		NFSClusters:          c.nfsSpecs,
 		VMBudgetPerHour:      c.opts.VMBudgetPerHour,
 		StorageBudgetPerHour: c.opts.StorageBudgetPerHour,
 		Pricing:              c.cl.Pricing(),
@@ -648,14 +644,14 @@ func (c *Controller) finish(now float64, rec IntervalRecord) {
 // returned and changes nothing.
 func (c *Controller) apply(now float64, vmPlan provision.VMPlan, storagePlan provision.StoragePlan, vmBandwidth float64, chunks int, demands []ChannelDemand) error {
 	req := cloud.Request{Time: now, VMTargets: map[string]int{}, StorageGB: map[string]float64{}}
-	for _, spec := range c.scratchVMs {
+	for _, spec := range c.vmSpecs {
 		req.VMTargets[spec.Name] = 0
 	}
 	for name, n := range vmPlan.RentalVMs() {
 		req.VMTargets[name] = n
 	}
 	if storagePlan.GBPerCluster != nil {
-		for _, spec := range c.scratchNFS {
+		for _, spec := range c.nfsSpecs {
 			req.StorageGB[spec.Name] = storagePlan.GBPerCluster[spec.Name]
 		}
 	} else {

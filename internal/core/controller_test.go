@@ -13,19 +13,19 @@ import (
 )
 
 // testSystem builds a small but complete CloudMedia stack: simulator,
-// cloud, broker, controller. The scenario pieces come from the shared
+// cloud, controller. The scenario pieces come from the shared
 // internal/testutil builders.
 func testSystem(t *testing.T, mode sim.Mode, opts ...cloud.Option) (*sim.Simulator, *cloud.Cloud, *Controller) {
 	t.Helper()
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
-	s, cl, broker := testutil.Stack(t, sim.Config{
+	s, cl := testutil.Stack(t, sim.Config{
 		Mode:     mode,
 		Channel:  testutil.ChannelConfig(5, 60),
 		Workload: testutil.FlatWorkload(3, 0.3, 300),
 		Transfer: transfer,
 		Seed:     7,
 	}, opts...)
-	ctl, err := NewController(s, cl, broker, resolvedOptions(transfer))
+	ctl, err := NewController(s, cl, resolvedOptions(transfer))
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -74,20 +74,16 @@ func bootstrapInputs(t *testing.T, s *sim.Simulator, wl *workload.Params, transf
 
 func TestNewControllerValidation(t *testing.T) {
 	s, cl, _ := testSystem(t, sim.ClientServer)
-	broker, err := cloud.NewBroker(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := resolvedOptions(testutil.SequentialWithJumps(t, 5, 0.9, 0.2))
-	if _, err := NewController(nil, cl, broker, opts); err == nil {
+	if _, err := NewController(nil, cl, opts); err == nil {
 		t.Error("nil sim: want error")
 	}
-	if _, err := NewController(s, nil, broker, opts); err == nil {
+	if _, err := NewController(s, nil, opts); err == nil {
 		t.Error("nil cloud: want error")
 	}
 	bad := opts
 	bad.FallbackTransfer = queueing.NewTransferMatrix(2)
-	if _, err := NewController(s, cl, broker, bad); err == nil {
+	if _, err := NewController(s, cl, bad); err == nil {
 		t.Error("fallback size mismatch: want error")
 	}
 	// The zero-means-default values resolve in stack.Build; one that
@@ -101,11 +97,11 @@ func TestNewControllerValidation(t *testing.T) {
 	} {
 		o := opts
 		mutate(&o)
-		if _, err := NewController(s, cl, broker, o); err == nil {
+		if _, err := NewController(s, cl, o); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
-	if _, err := NewController(s, cl, broker, opts); err != nil {
+	if _, err := NewController(s, cl, opts); err != nil {
 		t.Errorf("resolved options rejected: %v", err)
 	}
 }
@@ -152,10 +148,10 @@ func TestControllerP2PCheaperThanClientServer(t *testing.T) {
 	run := func(mode sim.Mode) float64 {
 		transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 		wl := testutil.FlatWorkload(3, 2.5, 300) // ≈750 concurrent users
-		s, cl, broker := testutil.Stack(t, sim.Config{
+		s, cl := testutil.Stack(t, sim.Config{
 			Mode: mode, Channel: testutil.ChannelConfig(5, 60), Workload: wl, Transfer: transfer, Seed: 7,
 		})
-		ctl, err := NewController(s, cl, broker, resolvedOptions(transfer))
+		ctl, err := NewController(s, cl, resolvedOptions(transfer))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +177,10 @@ func TestControllerRecordsDemandScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broker2, err := cloud.NewBroker(cl2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 	opts := resolvedOptions(transfer)
 	opts.VMBudgetPerHour = 0.5 // ≈1 VM: far below demand
-	ctl, err := NewController(s, cl2, broker2, opts)
+	ctl, err := NewController(s, cl2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@
 //  2. derives the equilibrium per-chunk upload demand via the Jackson
 //     analysis (package queueing) and, in P2P mode, subtracts the expected
 //     peer contribution (package p2p) to get the cloud residual Δ(c,i);
-//  3. negotiates the current catalog with the cloud broker and runs the
-//     storage-rental and VM-configuration heuristics (package provision)
-//     against the configured budgets;
+//  3. runs the storage-rental and VM-configuration heuristics (package
+//     provision) against the cloud's catalog, which it read once when it
+//     was built, and the configured budgets;
 //  4. submits the resulting SLA reconfiguration to the cloud and applies
 //     the per-chunk capacities to the running system — capacity increases
 //     take effect only after the VM boot latency, decreases immediately.

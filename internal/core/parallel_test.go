@@ -28,7 +28,7 @@ func runControllerWithWorkers(t *testing.T, mode sim.Mode, pol provision.Policy,
 	t.Helper()
 	transfer := testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 	wl := testutil.FlatWorkload(6, 0.6, 300) // 6 channels: enough shards for an 8-worker pool
-	s, cl, broker := testutil.Stack(t, sim.Config{
+	s, cl := testutil.Stack(t, sim.Config{
 		Mode:     mode,
 		Channel:  testutil.ChannelConfig(5, 60),
 		Workload: wl,
@@ -49,7 +49,7 @@ func runControllerWithWorkers(t *testing.T, mode sim.Mode, pol provision.Policy,
 		return r
 	}
 	opts.Workers = workers
-	ctl, err := NewController(s, cl, broker, opts)
+	ctl, err := NewController(s, cl, opts)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}

@@ -13,16 +13,12 @@ import (
 	"cloudmedia/internal/testutil"
 )
 
-// buildStack assembles a simulator + cloud + broker for seam tests,
-// returning the pieces so each test can pick its own controller Options.
-func buildStack(t *testing.T) (*sim.Simulator, *cloud.Cloud, *cloud.Broker, queueing.TransferMatrix) {
+// buildStack assembles a simulator + cloud for seam tests, returning the
+// pieces so each test can pick its own controller Options.
+func buildStack(t *testing.T) (*sim.Simulator, *cloud.Cloud, queueing.TransferMatrix) {
 	t.Helper()
 	s, cl, _ := testSystem(t, sim.ClientServer)
-	broker, err := cloud.NewBroker(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, cl, broker, testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
+	return s, cl, testutil.SequentialWithJumps(t, 5, 0.9, 0.2)
 }
 
 func flatInputs(s *sim.Simulator, transfer queueing.TransferMatrix, rate float64) []ChannelInput {
@@ -37,10 +33,10 @@ func flatInputs(s *sim.Simulator, transfer queueing.TransferMatrix, rate float64
 // IntervalRecord instead of being silently swallowed (the controller used
 // to keep the stale plan with no trace).
 func TestStorageInfeasibilityIsVisible(t *testing.T) {
-	s, cl, broker, transfer := buildStack(t)
+	s, cl, transfer := buildStack(t)
 	opts := resolvedOptions(transfer)
 	opts.StorageBudgetPerHour = 1e-12 // no chunk is placeable under this budget
-	ctl, err := NewController(s, cl, broker, opts)
+	ctl, err := NewController(s, cl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +72,13 @@ func TestStorageInfeasibilityIsVisible(t *testing.T) {
 // fails outright, the empty round records the error instead of silently
 // keeping the previous rental.
 func TestVMPlanFailureIsVisible(t *testing.T) {
-	s, cl, broker, transfer := buildStack(t)
+	s, cl, transfer := buildStack(t)
 	// A negative budget is rejected by PlanVMs with a non-infeasible
 	// error, which planWithScaling passes straight through — the
 	// planning-failed path without any scale search.
 	opts := resolvedOptions(transfer)
 	opts.VMBudgetPerHour = -1
-	ctl, err := NewController(s, cl, broker, opts)
+	ctl, err := NewController(s, cl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +101,10 @@ func TestDemandErrorsAreVisible(t *testing.T) {
 	ensureParallelHost(t, 4)
 	var serial IntervalRecord
 	for _, workers := range []int{1, 4} {
-		s, cl, broker, transfer := buildStack(t)
+		s, cl, transfer := buildStack(t)
 		opts := resolvedOptions(transfer)
 		opts.Workers = workers
-		ctl, err := NewController(s, cl, broker, opts)
+		ctl, err := NewController(s, cl, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,10 +170,10 @@ func (p *overPlanner) Plan(req provision.PlanRequest) (provision.PlanResult, err
 // the round's SubmitErr, and the previous round's chunk capacities stay
 // applied.
 func TestRejectedSubmitIsVisible(t *testing.T) {
-	s, cl, broker, transfer := buildStack(t)
+	s, cl, transfer := buildStack(t)
 	opts := resolvedOptions(transfer)
 	opts.Policy = overPlanPolicy{}
-	ctl, err := NewController(s, cl, broker, opts)
+	ctl, err := NewController(s, cl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,39 +239,47 @@ func (p *capturePlanner) Plan(req provision.PlanRequest) (provision.PlanResult, 
 
 // TestControllerFillsPlanRequest pins the seam contract: budgets, catalog,
 // chunk size, and exactly Lookahead() future forecasts reach the policy.
+// The catalog is the cloud's own, cluster for cluster and in order, on the
+// bootstrap round and on every later one.
 func TestControllerFillsPlanRequest(t *testing.T) {
-	s, cl, broker, transfer := buildStack(t)
+	s, cl, transfer := buildStack(t)
 	var reqs []provision.PlanRequest
 	opts := resolvedOptions(transfer)
 	opts.VMBudgetPerHour = 42
 	opts.Policy = capturePolicy{lookahead: 2, reqs: &reqs}
-	ctl, err := NewController(s, cl, broker, opts)
+	ctl, err := NewController(s, cl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.Provision(0, flatInputs(s, transfer, 0.2))
-	if len(reqs) != 1 {
-		t.Fatalf("policy saw %d requests, want 1", len(reqs))
+	s.RunUntil(opts.IntervalSeconds)
+	ctl.Provision(s.Now(), flatInputs(s, transfer, 0.4))
+	if len(reqs) != 2 {
+		t.Fatalf("policy saw %d requests, want 2", len(reqs))
 	}
-	req := reqs[0]
-	if req.VMBudgetPerHour != 42 {
-		t.Errorf("VMBudgetPerHour = %v", req.VMBudgetPerHour)
-	}
-	if len(req.VMClusters) != len(cl.VMClusters()) || len(req.NFSClusters) != len(cl.NFSClusters()) {
-		t.Error("catalog did not reach the policy")
-	}
-	if req.ChunkBytes != s.ChannelConfig().ChunkBytes() {
-		t.Errorf("ChunkBytes = %v, want %v", req.ChunkBytes, s.ChannelConfig().ChunkBytes())
-	}
-	if want := s.Channels() * s.ChannelConfig().Chunks; len(req.Demands) != want {
-		t.Errorf("demands = %d, want %d", len(req.Demands), want)
-	}
-	if len(req.Future) != 2 {
-		t.Fatalf("future forecasts = %d, want Lookahead() = 2", len(req.Future))
-	}
-	for i, step := range req.Future {
-		if len(step) != len(req.Demands) {
-			t.Errorf("future step %d has %d chunk demands, want %d", i, len(step), len(req.Demands))
+	for round, req := range reqs {
+		if req.VMBudgetPerHour != 42 {
+			t.Errorf("round %d: VMBudgetPerHour = %v", round, req.VMBudgetPerHour)
+		}
+		if !slices.Equal(req.VMClusters, cl.VMClusters()) {
+			t.Errorf("round %d: VM catalog %v, want the cloud's %v", round, req.VMClusters, cl.VMClusters())
+		}
+		if !slices.Equal(req.NFSClusters, cl.NFSClusters()) {
+			t.Errorf("round %d: NFS catalog %v, want the cloud's %v", round, req.NFSClusters, cl.NFSClusters())
+		}
+		if req.ChunkBytes != s.ChannelConfig().ChunkBytes() {
+			t.Errorf("round %d: ChunkBytes = %v, want %v", round, req.ChunkBytes, s.ChannelConfig().ChunkBytes())
+		}
+		if want := s.Channels() * s.ChannelConfig().Chunks; len(req.Demands) != want {
+			t.Errorf("round %d: demands = %d, want %d", round, len(req.Demands), want)
+		}
+		if len(req.Future) != 2 {
+			t.Fatalf("round %d: future forecasts = %d, want Lookahead() = 2", round, len(req.Future))
+		}
+		for i, step := range req.Future {
+			if len(step) != len(req.Demands) {
+				t.Errorf("round %d: future step %d has %d chunk demands, want %d", round, i, len(step), len(req.Demands))
+			}
 		}
 	}
 }
@@ -284,13 +288,13 @@ func TestControllerFillsPlanRequest(t *testing.T) {
 // declares Oracle() and a true-rate source exists, the recorded arrival
 // rates are the trace's, not the predictor's.
 func TestOraclePolicySeesTrueRates(t *testing.T) {
-	s, cl, broker, transfer := buildStack(t)
+	s, cl, transfer := buildStack(t)
 	const trueRate = 0.123
 	var reqs []provision.PlanRequest
 	opts := resolvedOptions(transfer)
 	opts.Policy = capturePolicy{oracle: true, lookahead: 1, reqs: &reqs}
 	opts.TrueRates = func(int, float64, float64) float64 { return trueRate }
-	ctl, err := NewController(s, cl, broker, opts)
+	ctl, err := NewController(s, cl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +315,10 @@ func TestOraclePolicySeesTrueRates(t *testing.T) {
 // TestPolicyValidationSurfaces pins that invalid policy parameters fail
 // controller construction.
 func TestPolicyValidationSurfaces(t *testing.T) {
-	s, cl, broker, transfer := buildStack(t)
+	s, cl, transfer := buildStack(t)
 	opts := resolvedOptions(transfer)
 	opts.Policy = provision.Lookahead{K: -1}
-	_, err := NewController(s, cl, broker, opts)
+	_, err := NewController(s, cl, opts)
 	if err == nil {
 		t.Error("negative lookahead accepted")
 	}

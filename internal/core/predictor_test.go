@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"cloudmedia/internal/cloud"
 	"cloudmedia/internal/mathx"
 	"cloudmedia/internal/provision"
 	"cloudmedia/internal/sim"
@@ -140,13 +139,9 @@ func TestPredictorsBoundedByHistory(t *testing.T) {
 
 func TestControllerRejectsInvalidPredictor(t *testing.T) {
 	s, cl, _ := testSystem(t, sim.ClientServer)
-	broker, err := cloud.NewBroker(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := resolvedOptions(testutil.SequentialWithJumps(t, 5, 0.9, 0.2))
 	opts.Predictor = EWMA{Alpha: -1}
-	if _, err := NewController(s, cl, broker, opts); err == nil {
+	if _, err := NewController(s, cl, opts); err == nil {
 		t.Error("invalid EWMA accepted")
 	}
 }
@@ -294,13 +289,13 @@ func (f foldLog) extend(prev, x float64) float64 {
 // history and the forecast made from it, so step 1 extends that
 // forecast and no lookahead step re-folds.
 func TestLookaheadExtendsFromStepTwo(t *testing.T) {
-	s, cl, broker, transfer := buildStack(t)
+	s, cl, transfer := buildStack(t)
 	var log []string
 	opts := resolvedOptions(transfer)
 	opts.Policy = provision.Lookahead{K: 3}
 	opts.Predictor = foldLog{EWMA: EWMA{Alpha: 0.4}, log: &log}
 	opts.Workers = 1 // one channel after another, so the log is in order
-	ctl, err := NewController(s, cl, broker, opts)
+	ctl, err := NewController(s, cl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,11 +80,7 @@ func newControlRound(tb testing.TB) *controlRound {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	broker, err := cloud.NewBroker(cl)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ctl, err := NewController(be, cl, broker, Options{
+	ctl, err := NewController(be, cl, Options{
 		IntervalSeconds:      60,
 		VMBudgetPerHour:      100,
 		StorageBudgetPerHour: 1,
@@ -134,8 +130,8 @@ func (r *controlRound) step() {
 // hysteresis keep, and the broker request with its rental maps and
 // sorted names. A held lookahead round builds no VM plan. Demand
 // derivation, the lookahead matrix, the forecasts, the serial fan-outs,
-// the catalog negotiation, the planners' drafts, sorts, validation and
-// cluster tallies, and the capacity tables allocate nothing.
+// the planners' drafts, sorts, validation and cluster tallies, and the
+// capacity tables allocate nothing.
 const steadyRoundAllocs = 16
 
 func TestSteadyControlRoundAllocations(t *testing.T) {

@@ -113,7 +113,7 @@ func TestTargetScoping(t *testing.T) {
 // interval before attaching faults, so a Target that arrives with 0 fails
 // to schedule the spot-interruption process instead of guessing an hour.
 func TestAttachNeedsResolvedInterval(t *testing.T) {
-	s, cl, _ := testutil.Stack(t, sim.Config{
+	s, cl := testutil.Stack(t, sim.Config{
 		Mode:     sim.ClientServer,
 		Channel:  testutil.ChannelConfig(5, 60),
 		Workload: testutil.FlatWorkload(2, 0.3, 300),

@@ -284,11 +284,10 @@ func TestFeedMatrixReusesStorage(t *testing.T) {
 	}
 }
 
-// TestFluidCapacityCacheTracksWrites: the capacity totals, summed at each
+// TestFluidCapacitySumsTrackWrites: the capacity totals, summed at each
 // read, must track SetCloudCapacity writes exactly, and reads must not
-// allocate (the run reads totals every sample). (The engine once kept a
-// dirty-flagged cache of these sums; the name stays.)
-func TestFluidCapacityCacheTracksWrites(t *testing.T) {
+// allocate (the run reads totals every sample).
+func TestFluidCapacitySumsTrackWrites(t *testing.T) {
 	b, err := New(smallConfig(t, sim.ClientServer))
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +305,7 @@ func TestFluidCapacityCacheTracksWrites(t *testing.T) {
 				fresh += b.cloudCap[c*b.J+j]
 			}
 			if got != fresh {
-				t.Errorf("%s: channel %d cached capacity %v != fresh sum %v", context, c, got, fresh)
+				t.Errorf("%s: channel %d capacity %v != fresh sum %v", context, c, got, fresh)
 			}
 			want += got
 		}

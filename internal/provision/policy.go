@@ -9,12 +9,13 @@ import (
 
 // PlanRequest is everything the controller hands a provisioning policy at
 // one interval boundary: the predicted per-chunk cloud demands, the
-// negotiated cluster catalog, and the budgets. It is the exact planning
+// cloud's cluster catalog, and the budgets. It is the exact planning
 // surface core.Controller consumed before the Policy seam existed, so any
 // policy sees precisely what the paper's greedy heuristic saw. The
-// controller reuses the Demands, Future, VMClusters and NFSClusters
-// buffers from round to round, so a planner must copy anything it keeps
-// past Plan.
+// controller reuses the Demands and Future buffers from round to round,
+// so a planner must copy anything it keeps past Plan. VMClusters and
+// NFSClusters are the same slices every round, so a planner must not
+// modify them.
 type PlanRequest struct {
 	// Time is the simulated time of the round, seconds.
 	Time float64
@@ -27,12 +28,13 @@ type PlanRequest struct {
 	// one: Future[0] covers [Time+T, Time+2T), and so on. The controller
 	// fills exactly Policy.Lookahead() entries; myopic policies see nil.
 	Future [][]ChunkDemand
-	// VMBandwidth is R, the per-VM upload bandwidth from the negotiated
-	// catalog (bytes/s).
+	// VMBandwidth is R, the per-VM upload bandwidth of the run's channel
+	// configuration (bytes/s).
 	VMBandwidth float64
 	// ChunkBytes is the uniform chunk size rT₀ in bytes (storage planning).
 	ChunkBytes float64
-	// VMClusters and NFSClusters are the negotiated rental catalogs.
+	// VMClusters and NFSClusters are the cloud's rental catalogs, fixed
+	// for the run.
 	VMClusters  []cloud.VMClusterSpec
 	NFSClusters []cloud.NFSClusterSpec
 	// VMBudgetPerHour and StorageBudgetPerHour are B_M and B_S in $/hour.

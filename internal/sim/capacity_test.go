@@ -4,11 +4,10 @@ import (
 	"testing"
 )
 
-// TestCloudCapacityCacheTracksWrites: the per-channel totals, summed at
+// TestCloudCapacitySumsTrackWrites: the per-channel totals, summed at
 // each read, must track SetCloudCapacity writes exactly — reads after any
-// write pattern equal a fresh sum over the pools. (The engine once kept a
-// dirty-flagged cache of these sums; the name stays.)
-func TestCloudCapacityCacheTracksWrites(t *testing.T) {
+// write pattern equal a fresh sum over the pools.
+func TestCloudCapacitySumsTrackWrites(t *testing.T) {
 	s, err := New(smallConfig(t, ClientServer))
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +28,7 @@ func TestCloudCapacityCacheTracksWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fresh := freshSum(c); got != fresh {
-				t.Errorf("%s: channel %d cached capacity %v != fresh sum %v", context, c, got, fresh)
+				t.Errorf("%s: channel %d capacity %v != fresh sum %v", context, c, got, fresh)
 			}
 			want += got
 		}
@@ -55,10 +54,10 @@ func TestCloudCapacityCacheTracksWrites(t *testing.T) {
 	check("after integration")
 }
 
-// TestCloudCapacityReadsAllocFree guards the capacity reads the same way
-// TestRebalanceSteadyStateAllocs guards rebalancePeers: the run reads
-// capacity totals every sample, so a read must not allocate.
-func TestCloudCapacityReadsAllocFree(t *testing.T) {
+// TestCloudCapacitySumsAllocFree guards the capacity sums the same way
+// TestRebalanceSteadyStateAllocs guards rebalancePeers: the run sums
+// capacity at every sample, so a read must not allocate.
+func TestCloudCapacitySumsAllocFree(t *testing.T) {
 	s, err := New(smallConfig(t, ClientServer))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package stack assembles one CloudMedia deployment — demand source,
-// engine (per-viewer event or aggregate fluid), cloud, broker, and
-// provisioning controller — from a Scenario, and bootstraps it from the
+// engine (per-viewer event or aggregate fluid), cloud, and provisioning
+// controller — from a Scenario, and bootstraps it from the
 // analytic t=0 estimates of Sec. V-B. It is the single stack builder:
 // the experiment harness builds every single-region run through it, and
 // internal/geo builds each region of a multi-region deployment through
@@ -309,12 +309,9 @@ type RegionID struct {
 // scenario's fidelity: *sim.Simulator for event mode, *fluid.Backend for
 // fluid mode — callers only see the sim.Backend seam.
 type System struct {
-	Scenario   Scenario
-	Sim        sim.Backend
-	Cloud      *cloud.Cloud
-	Broker     *cloud.Broker
-	Controller *core.Controller
-	Transfer   queueing.TransferMatrix
+	Scenario Scenario
+	Sim      sim.Backend
+	Cloud    *cloud.Cloud
 }
 
 // Build assembles the stack and applies bootstrap provisioning from the
@@ -383,11 +380,7 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	broker, err := cloud.NewBroker(cl)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := core.NewController(s, cl, broker, core.Options{
+	ctl, err := core.NewController(s, cl, core.Options{
 		IntervalSeconds:      sc.IntervalSeconds,
 		VMBudgetPerHour:      sc.VMBudget,
 		StorageBudgetPerHour: sc.StorageBudget,
@@ -432,7 +425,7 @@ func Build(sc Scenario, region RegionID) (*System, error) {
 		return nil, err
 	}
 
-	sys := &System{Scenario: sc, Sim: s, Cloud: cl, Broker: broker, Controller: ctl, Transfer: transfer}
+	sys := &System{Scenario: sc, Sim: s, Cloud: cl}
 	inputs := make([]core.ChannelInput, s.Channels())
 	for c := range inputs {
 		rate, err := demand.Rate(c, 0)

@@ -77,10 +77,10 @@ func SequentialWithJumps(tb testing.TB, chunks int, cont, jump float64) queueing
 }
 
 // Stack assembles the engine-layer system under test — simulator on the
-// given config, a default-catalog cloud built with opts, and its broker —
-// failing the test on any construction error. Controllers are the one
-// piece left to the caller: every test picks its own core.Options.
-func Stack(tb testing.TB, cfg sim.Config, opts ...cloud.Option) (*sim.Simulator, *cloud.Cloud, *cloud.Broker) {
+// given config and a default-catalog cloud built with opts — failing the
+// test on any construction error. Controllers are the one piece left to
+// the caller: every test picks its own core.Options.
+func Stack(tb testing.TB, cfg sim.Config, opts ...cloud.Option) (*sim.Simulator, *cloud.Cloud) {
 	tb.Helper()
 	s, err := sim.New(cfg)
 	if err != nil {
@@ -90,9 +90,5 @@ func Stack(tb testing.TB, cfg sim.Config, opts ...cloud.Option) (*sim.Simulator,
 	if err != nil {
 		tb.Fatalf("testutil: cloud.New: %v", err)
 	}
-	broker, err := cloud.NewBroker(cl)
-	if err != nil {
-		tb.Fatalf("testutil: cloud.NewBroker: %v", err)
-	}
-	return s, cl, broker
+	return s, cl
 }

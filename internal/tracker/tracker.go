@@ -2,11 +2,12 @@
 // Sec. V-B): per-channel peer lists with chunk-availability bitmaps,
 // chunk-rareness ranking for rarest-first scheduling, and the cloud
 // redirection handshake — when peer supply is insufficient the tracker
-// returns a 3-tuple ⟨entry-point address, port list, ticket⟩ whose ticket
-// the cloud entry point verifies before forwarding chunk requests to VMs.
+// returns a 3-tuple ⟨entry-point address, port list, ticket⟩; the cloud
+// entry point forwards the chunk request to a VM, which verifies the
+// ticket before streaming.
 //
 // Tickets are HMAC-SHA256 tokens over (channel, chunk, peer, expiry),
-// issued by the tracker and verified by package transport's entry points;
+// issued by the tracker and verified by package transport's VM servers;
 // both sides share the secret out of band, standing in for the paper's SLA
 // credential exchange.
 package tracker
@@ -34,7 +35,7 @@ type EntryPoint struct {
 // CloudGrant is the tracker's redirection 3-tuple of Sec. V-B.
 type CloudGrant struct {
 	Entry  EntryPoint
-	Ticket string // HMAC ticket the entry point verifies
+	Ticket string // HMAC ticket the VM server verifies
 }
 
 // Errors returned by ticket verification and lookups.
@@ -267,13 +268,13 @@ func (t *Tracker) GrantsIssued() uint64 {
 }
 
 // VerifyTicket checks a ticket for (channel, chunk, requester) against the
-// shared secret and the caller's current clock. The entry points call this
-// before port-forwarding a request to a VM.
+// shared secret and the caller's current clock. A VM server calls this
+// before streaming the chunk an entry point forwarded to it.
 func (t *Tracker) VerifyTicket(ticket string, channel, chunk int, requester PeerID, now uint64) error {
 	return VerifyTicket(t.secret, ticket, channel, chunk, requester, now)
 }
 
-// signTicket builds "base64(expiry)|base64(hmac)" over the request tuple.
+// signTicket builds "base64(expiry).base64(hmac)" over the request tuple.
 func signTicket(secret []byte, channel, chunk int, requester PeerID, expiry uint64) string {
 	mac := hmac.New(sha256.New, secret)
 	var buf [8]byte
@@ -285,7 +286,6 @@ func signTicket(secret []byte, channel, chunk int, requester PeerID, expiry uint
 	mac.Write(buf[:])
 	binary.BigEndian.PutUint64(buf[:], expiry)
 	mac.Write(buf[:])
-	binary.BigEndian.PutUint64(buf[:], expiry)
 	return base64.RawURLEncoding.EncodeToString(buf[:]) + "." +
 		base64.RawURLEncoding.EncodeToString(mac.Sum(nil))
 }

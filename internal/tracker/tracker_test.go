@@ -217,6 +217,10 @@ func TestGrantsRoundRobinEntryPoints(t *testing.T) {
 func TestTicketRejection(t *testing.T) {
 	secret := []byte("k")
 	ticket := signTicket(secret, 1, 2, 3, 100)
+	// The wire form is base64(expiry) "." base64(hmac), byte for byte.
+	if want := "AAAAAAAAAGQ.YPjF0PKaeFGvrc_GhX4_R0KQzDlHzwlK7U9ORbweLA4"; ticket != want {
+		t.Fatalf("ticket = %q, want %q", ticket, want)
+	}
 
 	if err := VerifyTicket(secret, ticket, 1, 2, 3, 50); err != nil {
 		t.Fatalf("valid ticket rejected: %v", err)

@@ -1,6 +1,6 @@
 // Package transport implements the data plane of Sec. V-B over real TCP:
-// VM chunk servers that stream chunk bytes to peers, cloud entry points
-// that verify tracker tickets and port-forward requests to VMs, and the
+// VM chunk servers that verify tracker tickets and stream chunk bytes to
+// peers, cloud entry points that port-forward requests to VMs, and the
 // client fetch call. In the paper this role is played by modified Apache
 // servers behind port-forwarding entry points; here it is a compact binary
 // protocol on net.Conn so the control plane (tracker tickets, entry-point
